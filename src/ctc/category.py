@@ -35,6 +35,7 @@ __all__ = [
     "CategoryMismatch",
     "DomainMismatch",
     "FusionDataError",
+    "SingularFBlock",
     "CategorySpec",
     "Obj",
     "Mor",
@@ -74,6 +75,14 @@ class DomainMismatch(CategoryError):
 
 class FusionDataError(CategoryError):
     pass
+
+
+class SingularFBlock(FusionDataError):
+    """The recoupling matrix for the outer labels (a, b, c, d) has no inverse."""
+
+    def __init__(self, labels):
+        super().__init__("recoupling matrix for %r is not invertible" % (labels,))
+        self.labels = labels
 
 
 class CategorySpec:
@@ -497,7 +506,10 @@ def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
     if len(e_list) != len(f_list):
         raise FusionDataError("recoupling matrix for %r is not square" % (key,))
     m = [[spec.f_symbol(a, b, c, d, e, f) for f in f_list] for e in e_list]
-    inv = la.inverse(m, spec.field, len(e_list)) if e_list else []
+    try:
+        inv = la.inverse(m, spec.field, len(e_list)) if e_list else []
+    except la.SingularMatrix:
+        raise SingularFBlock(key) from None
     result = (e_list, f_list, inv)
     spec._fmat_inv_cache[key] = result
     return result
@@ -837,14 +849,19 @@ def verify_hexagon(spec: CategorySpec) -> Report:
                 )
                 if lhs != rhs:
                     report.append("hexagon-1:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
-                lhs2 = compose(
-                    associator_inv(Z, X, Y),
-                    compose(braiding(tensor_obj(X, Y), Z), associator_inv(X, Y, Z)),
-                )
-                rhs2 = compose(
-                    tensor_mor(braiding(X, Z), Mor.identity(Y)),
-                    compose(associator_inv(X, Z, Y), tensor_mor(Mor.identity(X), braiding(Y, Z))),
-                )
+                try:
+                    lhs2 = compose(
+                        associator_inv(Z, X, Y),
+                        compose(braiding(tensor_obj(X, Y), Z), associator_inv(X, Y, Z)),
+                    )
+                    rhs2 = compose(
+                        tensor_mor(braiding(X, Z), Mor.identity(Y)),
+                        compose(associator_inv(X, Z, Y), tensor_mor(Mor.identity(X), braiding(Y, Z))),
+                    )
+                except SingularFBlock as exc:
+                    witness = {"singular_f": list(exc.labels)}
+                    report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=witness)
+                    continue
                 if lhs2 != rhs2:
                     report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
     for a, b, c in sorted(spec.fusion, key=lambda t: tuple(spec.label_order(x) for x in t)):
@@ -888,10 +905,14 @@ def verify_zigzag(spec: CategorySpec) -> Report:
         )
         if z1 != Mor.identity(S):
             report.append("zigzag-1:%s" % s, "fail", witness=z1.to_json())
-        z2 = compose(
-            tensor_mor(ev, Mor.identity(Sd)),
-            compose(associator_inv(Sd, S, Sd), tensor_mor(Mor.identity(Sd), coev)),
-        )
+        try:
+            z2 = compose(
+                tensor_mor(ev, Mor.identity(Sd)),
+                compose(associator_inv(Sd, S, Sd), tensor_mor(Mor.identity(Sd), coev)),
+            )
+        except SingularFBlock as exc:
+            report.append("zigzag-2:%s" % s, "fail", witness={"singular_f": list(exc.labels)})
+            continue
         if z2 != Mor.identity(Sd):
             report.append("zigzag-2:%s" % s, "fail", witness=z2.to_json())
     return report

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -260,11 +261,17 @@ def main(argv=None) -> int:
     report = Report()
     for part in partials:
         report.extend(part)
-    if args.report == "json":
-        sys.stdout.buffer.write(report.to_json_bytes())
-        sys.stdout.buffer.write(b"\n")
-    else:
-        print(report.to_text())
+    try:
+        if args.report == "json":
+            sys.stdout.buffer.write(report.to_json_bytes())
+            sys.stdout.buffer.write(b"\n")
+        else:
+            print(report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; send what is left to devnull so the
+        # interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

@@ -410,6 +410,12 @@ class Scalar:
     def scale(self, k: int) -> "Scalar":
         return Scalar.from_int(self.field, k) * self
 
+    def residue(self) -> int:
+        """The representative in [0, p) of a prime-field element."""
+        if self.field.kind != "prime":
+            raise FieldMismatch("residues exist in prime fields only")
+        return self._v
+
     # comparison -----------------------------------------------------------
 
     def __eq__(self, other):

@@ -13,13 +13,13 @@ action components together with the grading projectors: carriers are
 graded by labels, and a subspace is a submodule exactly when it is
 invariant under both.  The module is semisimple exactly when that
 algebra has zero radical, which is decided by the trace form in
-characteristic zero or large characteristic, and by exhaustive
-enumeration over small prime fields.
+characteristic zero or large characteristic, and over small prime
+fields by Ronyai's polynomial-time chain of ideals cut out by trace
+forms of p-power powers (J. Symb. Comput. 9 (1990)).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -63,7 +63,6 @@ __all__ = [
     "NotALift",
     "NotAlgebraAutomorphism",
     "SectionPostconditionFailed",
-    "RadicalAlgorithmUnavailable",
     "AModule",
     "check_module",
     "induce",
@@ -91,9 +90,6 @@ __all__ = [
     "module_from_json",
 ]
 
-RADICAL_ENUMERATION_CAP = 1_000_000
-
-
 class ModuleError(Exception):
     pass
 
@@ -120,10 +116,6 @@ class NotAlgebraAutomorphism(ModuleError):
 
 class SectionPostconditionFailed(ModuleError):
     """The averaged map failed an exact postcondition; inputs were inconsistent."""
-
-
-class RadicalAlgorithmUnavailable(ModuleError):
-    """No exact radical method applies at this characteristic and size."""
 
 
 class AModule:
@@ -458,22 +450,18 @@ def split_with_rigid_target(f: Mor, sigma_tilde: Mor) -> Mor:
 # semisimplicity through the action matrix algebra
 
 
-def _flat_slots(x: Obj):
-    return x.slots()
-
-
 def _action_operators(mod: AModule):
     """One matrix on the flattened carrier per algebra slot, plus gradings."""
     spec = mod.spec
     field = spec.field
     A = mod.alg.carrier
     X = mod.carrier
-    xslots = _flat_slots(X)
+    xslots = X.slots()
     xpos = {sl: k for k, sl in enumerate(xslots)}
     n = len(xslots)
     pairs = pair_channels(A, X)
     ops = []
-    for a, i in _flat_slots(A):
+    for a, i in A.slots():
         g = la.zeros(field, n, n)
         for t in X.labels_present():
             cols = pairs.get(t, [])
@@ -517,44 +505,51 @@ class ActionAlgebra:
 
 
 def action_algebra(mod: AModule) -> ActionAlgebra:
-    """Close action components and gradings into a unital matrix algebra."""
+    """Close action components and gradings into a unital matrix algebra.
+
+    The closure is semi-naive: each round multiplies only the pairs with
+    a factor admitted in the previous round, since every other product
+    already lies in the span.  Candidates are reduced against an
+    echelon copy of the basis kept alongside it.
+    """
     spec = mod.spec
     field = spec.field
     ops, gradings, n = _action_operators(mod)
     if n == 0:
         return ActionAlgebra(mod, [], [], [], 0)
 
-    def vec(m):
-        return [m[i][j] for i in range(n) for j in range(n)]
-
     basis = []
-    basis_vecs = []
+    # (pivot, nonzero entries) per basis element, reduced against the rows
+    # before it, so each row is zero at every earlier pivot
+    echelon = []
 
     def admit(m):
-        # reduce against current span; keep if independent
-        v = vec(m)
-        if all(x.is_zero() for x in v):
+        v = [x for row in m for x in row]
+        for pc, row in echelon:
+            c = v[pc]
+            if not c.is_zero():
+                for k, y in row:
+                    v[k] = v[k] - c * y
+        pc = next((k for k, x in enumerate(v) if not x.is_zero()), None)
+        if pc is None:
             return False
-        cand = basis_vecs + [v]
-        r = la.rank([list(row) for row in cand], field)
-        if r > len(basis_vecs):
-            basis.append(m)
-            basis_vecs.append(v)
-            return True
-        return False
+        inv = v[pc].inverse()
+        echelon.append((pc, [(k, inv * x) for k, x in enumerate(v) if not x.is_zero()]))
+        basis.append(m)
+        return True
 
     admit(la.identity(field, n))
     for m in ops + gradings:
         admit(m)
-    changed = True
-    while changed:
-        changed = False
+    done = 0
+    while done < len(basis):
         snapshot = list(basis)
-        for x in snapshot:
-            for y in snapshot:
-                prod = la.mat_mul(x, y, field, n, n, n)
-                if admit(prod):
-                    changed = True
+        for a, x in enumerate(snapshot):
+            for b, y in enumerate(snapshot):
+                if a < done and b < done:
+                    continue
+                admit(la.mat_mul(x, y, field, n, n, n))
+        done = len(snapshot)
     radical = algebra_radical(basis, n, field)
     return ActionAlgebra(mod, ops + gradings, basis, radical, n)
 
@@ -566,21 +561,81 @@ def _trace(m, field, n) -> Scalar:
     return t
 
 
-def _is_nilpotent(m, field, n) -> bool:
-    p = m
-    for _ in range(n):
-        if la.mat_is_zero(p):
-            return True
-        p = la.mat_mul(p, m, field, n, n, n)
-    return la.mat_is_zero(p)
+def _int_mat_mul(a, b, q):
+    """Product of square integer matrices, entries reduced mod q."""
+    out = []
+    for arow in a:
+        acc = [0] * len(arow)
+        for x, brow in zip(arow, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append([u % q for u in acc])
+    return out
+
+
+def _int_combination(weights, mats, q):
+    """sum_k weights[k] * mats[k] for integer matrices, entries reduced mod q."""
+    acc = [[0] * len(row) for row in mats[0]]
+    for w, m in zip(weights, mats):
+        if w:
+            acc = [[u + w * v for u, v in zip(arow, mrow)] for arow, mrow in zip(acc, m)]
+    return [[u % q for u in row] for row in acc]
+
+
+def _ronyai_g(m, i, p):
+    """g_i(x) = Tr(x~^(p^i)) / p^i mod p, with x~ the residues of x in [0, p).
+
+    The power is taken mod p^(i+1), which keeps the quotient exact.
+    """
+    q = p ** (i + 1)
+    for _ in range(i):
+        power = m
+        for _ in range(p - 1):
+            power = _int_mat_mul(power, m, q)
+        m = power
+    return sum(m[k][k] for k in range(len(m))) % q // p**i
+
+
+def _ronyai_radical(basis, n, field):
+    """Coefficients over ``basis`` of the radical, for 0 < p <= n.
+
+    Returned as the rows of their reduced echelon form, last row first.
+    """
+    p = field.char
+    d = len(basis)
+    mats = [[[x.residue() for x in row] for row in m] for m in basis]
+    coeffs = [[int(j == k) for j in range(d)] for k in range(d)]
+    ideal = mats
+    level = 0
+    while p ** (level + 1) <= n:
+        level += 1
+    for i in range(level + 1):
+        form = [[Scalar.from_int(field, _ronyai_g(_int_mat_mul(x, y, p), i, p)) for x in ideal] for y in mats]
+        weights = [[c.residue() for c in v] for v in la.nullspace(form, field, d, len(ideal))]
+        if not weights:
+            return []
+        coeffs = [[sum(w * c[t] for w, c in zip(v, coeffs)) % p for t in range(d)] for v in weights]
+        ideal = [_int_combination(v, ideal, p) for v in weights]
+    red, pivots = la.rref([[Scalar.from_int(field, c) for c in v] for v in coeffs], field)
+    return red[: len(pivots)][::-1]
 
 
 def algebra_radical(basis, n, field):
-    """Radical of a unital matrix algebra given by a spanning basis.
+    """Radical of a unital matrix algebra given by a linearly independent basis.
 
-    Uses the trace-form kernel when the characteristic is zero or larger
-    than the matrix size; otherwise enumerates the finite algebra, which
-    is exact but only viable for small prime fields and dimensions.
+    When the characteristic is zero or larger than the matrix size the
+    radical is the kernel of the trace form.  Otherwise it is found by
+    Ronyai's chain of ideals (L. Ronyai, "Computing the structure of
+    finite algebras", J. Symb. Comput. 9 (1990); in the matrix form of
+    Cohen, Ivanyos and Wales, "Finding the radical of an algebra of
+    linear transformations", JPAA 117/118 (1997)): with I_{-1} = A,
+    I_i = {x in I_{i-1} : g_i(x y) = 0 for every y in A}, where g_i is
+    the F_p-linear form of ``_ronyai_g`` on I_{i-1}, and the radical is
+    I_l for l = floor(log_p n).
+
+    Over F_p the elements returned are the rows of the reduced echelon
+    form of the radical's coefficients over ``basis``, last row first,
+    so the first is the lexicographically least nonzero radical element.
     """
     if not basis:
         return []
@@ -589,37 +644,16 @@ def algebra_radical(basis, n, field):
     if p == 0 or p > n:
         gram = [[_trace(la.mat_mul(basis[i], basis[j], field, n, n, n), field, n) for j in range(d)] for i in range(d)]
         kernel = la.nullspace(gram, field, d, d)
-        out = []
-        for v in kernel:
-            m = la.zeros(field, n, n)
-            for t in range(d):
-                if not v[t].is_zero():
-                    m = la.mat_add(m, la.mat_scale(basis[t], v[t]))
-            out.append(m)
-        return out
-    if p ** (2 * d) > RADICAL_ENUMERATION_CAP:
-        raise RadicalAlgorithmUnavailable(
-            "characteristic %d with dimension %d exceeds the enumeration budget" % (p, d)
-        )
-    elements = []
-    for coeffs in itertools.product(range(p), repeat=d):
+    else:
+        kernel = _ronyai_radical(basis, n, field)
+    out = []
+    for v in kernel:
         m = la.zeros(field, n, n)
-        for t, c in enumerate(coeffs):
-            if c:
-                m = la.mat_add(m, la.mat_scale(basis[t], Scalar.from_int(field, c)))
-        elements.append(m)
-    nilpotents = [m for m in elements if _is_nilpotent(m, field, n)]
-    radical = []
-    vecs = []
-    for x in nilpotents:
-        if la.mat_is_zero(x):
-            continue
-        if all(_is_nilpotent(la.mat_mul(y, x, field, n, n, n), field, n) for y in elements):
-            v = [x[i][j] for i in range(n) for j in range(n)]
-            if la.rank([list(r) for r in vecs] + [v], field) > len(vecs):
-                radical.append(x)
-                vecs.append(v)
-    return radical
+        for t in range(d):
+            if not v[t].is_zero():
+                m = la.mat_add(m, la.mat_scale(basis[t], v[t]))
+        out.append(m)
+    return out
 
 
 def is_semisimple_module(mod: AModule):

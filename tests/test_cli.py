@@ -1,11 +1,17 @@
 """Runner behavior: golden bytes, parallel determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctc
 from ctc import data_path
 from ctc.cli import main
+from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 
 ALL_CATEGORIES = [
     "vec_q",
@@ -131,6 +137,44 @@ def test_failing_data_exits_one(tmp_path, capsysbinary):
     assert code == 1
     items = json.loads(out)["items"]
     assert any(i["status"] == "fail" and "pentagon" in i["check"] for i in items)
+
+
+def test_singular_f_block_is_a_failure_not_a_crash(tmp_path, capsysbinary):
+    raw = json.loads(open(data_path("categories/ising.json")).read())
+    key = "sigma,sigma,sigma,sigma,1,1"
+    raw["F"][key] = scalar_literal(-parse_scalar(raw["F"][key], FieldSpec.from_json(raw["field"])))
+    bad = tmp_path / "ising_singular.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_json(capsysbinary, ["check-category", str(bad)])
+    assert code == 1
+    items = {i["check"]: i for i in json.loads(out)["items"]}
+    assert all(i["status"] in ("pass", "fail") for i in items.values())
+    singular = {"singular_f": ["sigma", "sigma", "sigma", "sigma"]}
+    for check in ("hexagon-2:sigma,sigma,sigma", "zigzag-2:sigma"):
+        assert items["ising_singular/" + check] == {
+            "check": "ising_singular/" + check,
+            "status": "fail",
+            "witness": singular,
+        }
+    assert items["ising_singular/naturality-probe"]["status"] == "pass"
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(ctc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctc.cli", "suite", "maschke_2_6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_broken_module_exits_one(tmp_path, capsysbinary):

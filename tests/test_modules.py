@@ -1,11 +1,13 @@
 """Module layer: axioms, averaging against a classical oracle, locality,
 semisimplicity, condensation against an orbit-counting oracle, suites."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from ctc import data_path
+from ctc import linalg as la
 from ctc.algebra import (
     Group,
     group_algebra,
@@ -22,6 +24,7 @@ from ctc.category import (
     load_category,
     mor_right_inverse,
     tensor_mor,
+    tensor_obj,
 )
 from ctc.fields import ParseError, Scalar, parse_scalar
 from ctc.modules import (
@@ -32,9 +35,9 @@ from ctc.modules import (
     NotALift,
     NotAlgebraAutomorphism,
     NotASection,
-    RadicalAlgorithmUnavailable,
     SectionPostconditionFailed,
     action_algebra,
+    algebra_radical,
     check_module,
     condense,
     hom_A,
@@ -61,8 +64,24 @@ def cat(name):
     return load_category(data_path("categories/%s.json" % name))
 
 
+def small_group(name):
+    """Bundled z2, z3 and s3; z2xz2 and every other cyclic z<n> built here."""
+    if name in ("z2", "z3", "s3"):
+        return load_group(data_path("groups/%s.json" % name))
+    if name == "z2xz2":
+        els = ["00", "01", "10", "11"]
+        table = [["%d%d" % (int(a[0]) ^ int(b[0]), int(a[1]) ^ int(b[1])) for b in els] for a in els]
+        return Group(name, els, table)
+    n = int(name[1:])
+    els = [str(k) for k in range(n)]
+    return Group(name, els, [[str((i + j) % n) for j in range(n)] for i in range(n)])
+
+
+SMALL_GROUPS = ["z2", "z3", "z4", "z5", "z6", "z2xz2", "s3"]
+
+
 def galg(cat_name, group_name):
-    return group_algebra(load_group(data_path("groups/%s.json" % group_name)), cat(cat_name))
+    return group_algebra(small_group(group_name), cat(cat_name))
 
 
 def lit_mor(dom, cod, blocks):
@@ -513,12 +532,142 @@ def test_modular_group_algebra_not_semisimple():
     assert not ok3 and witness3 is not None
 
 
-def test_radical_enumeration_cap():
-    els = [str(k) for k in range(10)]
-    table = [[str((i + j) % 10) for j in range(10)] for i in range(10)]
-    alg = group_algebra(Group("z10", els, table), cat("vec_f2"))
-    with pytest.raises(RadicalAlgorithmUnavailable):
-        is_semisimple_module(regular_module(alg))
+def _enumerated_radical(basis, n, field):
+    """Reference radical over F_p by enumerating all p^d algebra elements.
+
+    Elements are visited in lexicographic order of their coefficients;
+    x is kept when it is independent of the elements kept before it and
+    y x is nilpotent for every element y.
+    """
+    p = field.char
+    ints = [[x.residue() for row in m for x in row] for m in basis]
+
+    def mul(a, b):
+        cols = [b[c::n] for c in range(n)]
+        return tuple(
+            sum(x * y for x, y in zip(a[r * n : (r + 1) * n], col)) % p for r in range(n) for col in cols
+        )
+
+    def nilpotent(m):
+        power = m
+        for _ in range(n):
+            if not any(power):
+                return True
+            power = mul(power, m)
+        return not any(power)
+
+    elements = [
+        tuple(sum(c * v[k] for c, v in zip(coeffs, ints)) % p for k in range(n * n))
+        for coeffs in itertools.product(range(p), repeat=len(basis))
+    ]
+    nilpotents = {m for m in elements if nilpotent(m)}
+    radical, vecs = [], []
+    for x in elements:
+        if x not in nilpotents:
+            continue
+        v = [Scalar.from_int(field, c) for c in x]
+        if la.rank(vecs + [v], field) == len(vecs):
+            continue
+        if all(mul(y, x) in nilpotents for y in elements):
+            vecs.append(v)
+            radical.append([v[r * n : (r + 1) * n] for r in range(n)])
+    return radical
+
+
+MODULAR_MODULES = [(c, g, kind) for c in ("vec_f2", "vec_f3") for g in SMALL_GROUPS for kind in ("regular", "trivial")]
+
+
+def _modular_module(cat_name, group, kind):
+    alg = galg(cat_name, group)
+    if kind == "regular":
+        return regular_module(alg)
+    if kind == "trivial":
+        return trivial_module(alg)
+    return module_direct_sum(regular_module(alg), trivial_module(alg))[0]
+
+
+@pytest.mark.parametrize("cat_name, group, kind", MODULAR_MODULES + [("vec_f2", "z2", "regular+trivial")])
+def test_radical_matches_enumeration(cat_name, group, kind):
+    aa = action_algebra(_modular_module(cat_name, group, kind))
+    field, n = aa.module.spec.field, aa.size
+    expected = _enumerated_radical(aa.basis, n, field)
+    assert len(aa.radical) == len(expected)
+    flat = [[x for row in m for x in row] for m in aa.radical + expected]
+    assert la.rank(flat, field) == len(expected)
+    assert aa.radical[:1] == expected[:1]
+    assert algebra_radical(aa.basis, n, field) == aa.radical
+
+
+def _naive_closure(generators, n, field):
+    """Reference closure: every pair every round, rank of all candidates per admit."""
+    basis, vecs = [], []
+
+    def admit(m):
+        v = [x for row in m for x in row]
+        if all(x.is_zero() for x in v) or la.rank(vecs + [v], field) == len(vecs):
+            return False
+        basis.append(m)
+        vecs.append(v)
+        return True
+
+    admit(la.identity(field, n))
+    for m in generators:
+        admit(m)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(basis)
+        for x in snapshot:
+            for y in snapshot:
+                if admit(la.mat_mul(x, y, field, n, n, n)):
+                    changed = True
+    return basis
+
+
+def _jordan_action():
+    """Slot 0 of Q[Z3] acting as a nilpotent 5 x 5 Jordan block, the others as zero.
+
+    Not a module: the closure never reads the axioms, and the powers of
+    one Jordan block take several rounds to reach.
+    """
+    alg = galg("vec_q", "z3")
+    spec = alg.spec
+    x = Obj(spec, {spec.unit: 5})
+    zero, one = Scalar.zero(spec.field), Scalar.one(spec.field)
+    block = [[one if (i, k) == (0, r + 1) else zero for i in range(3) for k in range(5)] for r in range(5)]
+    return AModule("jordan", alg, x, Mor(tensor_obj(alg.carrier, x), x, {spec.unit: block}))
+
+
+def _closure_module(case):
+    if case == "mod_toric_m":
+        return load_module(data_path("modules/mod_toric_m.json"))
+    if case == "jordan":
+        return _jordan_action()
+    if case.startswith("alg_"):
+        return regular_module(load_algebra(data_path("algebras/%s.json" % case)))
+    cat_name, group = case.split("/")
+    return regular_module(galg(cat_name, group))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["mod_toric_m", "jordan", "alg_qz3", "alg_h02", "alg_toric_1e"]
+    + ["%s/%s" % (c, g) for c in ("vec_q", "vec_f2", "vec_f3") for g in SMALL_GROUPS],
+)
+def test_closure_matches_naive_closure(case):
+    aa = action_algebra(_closure_module(case))
+    assert aa.basis == _naive_closure(aa.generators, aa.size, aa.module.spec.field)
+
+
+@pytest.mark.parametrize(
+    "cat_name, group, radical_dim",
+    [("vec_f2", "z10", 5), ("vec_f3", "z9", 8), ("vec_f2", "z16", 15), ("vec_f2", "s3", 1)],
+)
+def test_modular_group_algebra_radical_dimension(cat_name, group, radical_dim):
+    reg = regular_module(galg(cat_name, group))
+    ok, witness = is_semisimple_module(reg)
+    assert not ok and witness is not None
+    assert len(action_algebra(reg).radical) == radical_dim
 
 
 def test_simplicity_flags():
