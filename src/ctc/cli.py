@@ -8,6 +8,7 @@ import json
 import os
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -112,11 +113,12 @@ def _naturality_probe(spec, seed: int, trials: int = 3) -> Report:
     return report
 
 
-def _namespace(report: Report, prefix: str, summary: str) -> Report:
-    """Collapse a clean sub-report to one pass line; namespace failures."""
+def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Report:
+    """Collapse a clean sub-report to one pass line carrying ``elapsed``;
+    namespace failures."""
     out = Report()
     if report.ok and not report.failing():
-        out.append("%s/%s" % (prefix, summary), "pass")
+        out.append("%s/%s" % (prefix, summary), "pass", elapsed=elapsed)
         return out
     for item in report.items:
         out.append("%s/%s" % (prefix, item.check), item.status, witness=item.witness)
@@ -127,12 +129,17 @@ def _run_check_category(path: Path, seed: int) -> Report:
     spec = load_category(path)
     out = Report()
     stem = path.stem
-    out.extend(_namespace(verify_pentagon(spec), stem, "pentagon"))
-    out.extend(_namespace(verify_hexagon(spec), stem, "hexagon"))
-    out.extend(_namespace(verify_triangle(spec), stem, "triangle"))
-    out.extend(_namespace(verify_zigzag(spec), stem, "zigzag"))
-    probe = _naturality_probe(spec, seed)
-    out.extend(_namespace(probe, stem, "naturality-probe"))
+    sweeps = (
+        ("pentagon", verify_pentagon),
+        ("hexagon", verify_hexagon),
+        ("triangle", verify_triangle),
+        ("zigzag", verify_zigzag),
+        ("naturality-probe", lambda spec: _naturality_probe(spec, seed)),
+    )
+    for summary, sweep in sweeps:
+        start = time.perf_counter()
+        sub = sweep(spec)
+        out.extend(_namespace(sub, stem, summary, time.perf_counter() - start))
     return out
 
 

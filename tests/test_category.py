@@ -4,7 +4,11 @@ The Kronecker comparisons and the recoupling spot values are computed
 independently inside this file, not read back from the engine.
 """
 
+import itertools
+import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from ctc.category import (
     FusionDataError,
     Mor,
     Obj,
+    SingularFBlock,
     associator,
     associator_inv,
     braiding,
@@ -39,6 +44,7 @@ from ctc.category import (
     verify_zigzag,
 )
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
+from ctc.report import Report
 
 ALL_CATEGORIES = ["vec_q", "vec_f2", "vec_f3", "pointed_z4", "toric_code", "ising", "fibonacci"]
 
@@ -371,6 +377,236 @@ def test_balancing_detects_bad_twist():
     assert any(n.startswith("balancing:") for n in names)
 
 
+# --- the symbol-level sweeps against the assembled composites ---------------
+
+
+def _assembled_pentagon(spec):
+    """Reference pentagon: both five-term composites as block matrices."""
+    report = Report()
+    simples = {lab: Obj.simple(spec, lab) for lab in spec.labels}
+    for a in spec.labels:
+        for b in spec.labels:
+            for c in spec.labels:
+                for d in spec.labels:
+                    X, Y, Z, W = simples[a], simples[b], simples[c], simples[d]
+                    lhs = compose(associator(X, Y, tensor_obj(Z, W)), associator(tensor_obj(X, Y), Z, W))
+                    rhs = compose(
+                        tensor_mor(Mor.identity(X), associator(Y, Z, W)),
+                        compose(
+                            associator(X, tensor_obj(Y, Z), W),
+                            tensor_mor(associator(X, Y, Z), Mor.identity(W)),
+                        ),
+                    )
+                    if lhs != rhs:
+                        report.append(
+                            "pentagon:%s,%s,%s,%s" % (a, b, c, d),
+                            "fail",
+                            witness=[a, b, c, d],
+                        )
+    return report
+
+
+def _assembled_hexagon(spec):
+    """Reference hexagons: both three-braiding composites as block matrices,
+    then the same balancing loop as the engine."""
+    report = Report()
+    simples = {lab: Obj.simple(spec, lab) for lab in spec.labels}
+    for a in spec.labels:
+        for b in spec.labels:
+            for c in spec.labels:
+                X, Y, Z = simples[a], simples[b], simples[c]
+                lhs = compose(
+                    associator(Y, Z, X),
+                    compose(braiding(X, tensor_obj(Y, Z)), associator(X, Y, Z)),
+                )
+                rhs = compose(
+                    tensor_mor(Mor.identity(Y), braiding(X, Z)),
+                    compose(associator(Y, X, Z), tensor_mor(braiding(X, Y), Mor.identity(Z))),
+                )
+                if lhs != rhs:
+                    report.append("hexagon-1:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
+                try:
+                    lhs2 = compose(
+                        associator_inv(Z, X, Y),
+                        compose(braiding(tensor_obj(X, Y), Z), associator_inv(X, Y, Z)),
+                    )
+                    rhs2 = compose(
+                        tensor_mor(braiding(X, Z), Mor.identity(Y)),
+                        compose(associator_inv(X, Z, Y), tensor_mor(Mor.identity(X), braiding(Y, Z))),
+                    )
+                except SingularFBlock as exc:
+                    witness = {"singular_f": list(exc.labels)}
+                    report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=witness)
+                    continue
+                if lhs2 != rhs2:
+                    report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
+    for a, b, c in sorted(spec.fusion, key=lambda t: tuple(spec.label_order(x) for x in t)):
+        lhs = spec.r_symbol(a, b, c) * spec.r_symbol(b, a, c)
+        rhs = spec.twist[c] * (spec.twist[a] * spec.twist[b]).inverse()
+        if lhs != rhs:
+            report.append(
+                "balancing:%s,%s,%s" % (a, b, c),
+                "fail",
+                witness={
+                    "triple": [a, b, c],
+                    "monodromy": scalar_literal(lhs),
+                    "twist_ratio": scalar_literal(rhs),
+                },
+            )
+    return report
+
+
+MUTATED_CATEGORIES = ["ising", "fibonacci", "pointed_z4", "toric_code"]
+
+
+def sign_flip_mutants():
+    """Every single listed F or R entry negated, where the entry's first
+    three labels avoid the unit (F entries there are pinned to 1)."""
+    out = []
+    for name in MUTATED_CATEGORIES:
+        spec = cat(name)
+        for table in ("F", "R"):
+            for key, val in sorted(getattr(spec, table).items()):
+                if spec.unit in key[:3]:
+                    continue
+                out.append(spec.mutated(name="%s %s%s" % (name, table, key), **{table: {key: -val}}))
+    return out
+
+
+def random_mutants(count=24, seed=2024):
+    """Seeded specs with 2 or 3 F or R entries, listed or not, replaced by
+    random nonzero field elements."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        spec = cat(MUTATED_CATEGORIES[n % len(MUTATED_CATEGORIES)])
+        L = spec.labels
+        f_keys = [
+            (a, b, c, d, e, f)
+            for a in L
+            for b in L
+            for c in L
+            if spec.unit not in (a, b, c)
+            for d in L
+            for e in spec.channels(a, b)
+            if spec.admissible(e, c, d)
+            for f in spec.channels(b, c)
+            if spec.admissible(a, f, d)
+        ]
+        r_keys = sorted(spec.fusion)
+        F, R = {}, {}
+        for _ in range(rng.choice((2, 3))):
+            value = Scalar.zero(spec.field)
+            while value.is_zero():
+                value = rand_scalar(rng, spec.field)
+            if rng.random() < 0.6:
+                F[rng.choice(f_keys)] = value
+            else:
+                R[rng.choice(r_keys)] = value
+        out.append(spec.mutated(F=F, R=R, name="%s random#%d" % (spec.name, n)))
+    return out
+
+
+def vec_s3():
+    """Vec of the symmetric group S3 with trivial F: fusion is not
+    commutative, so many trees of one side have no partner on the other."""
+    raw = json.loads(Path(data_path("groups/s3.json")).read_text())
+    elements, table = raw["elements"], raw["table"]
+    fusion = [[a, b, table[i][j]] for i, a in enumerate(elements) for j, b in enumerate(elements)]
+    unit = next(a for i, a in enumerate(elements) if table[i] == elements)
+    dual = {a: b for a, b, c in fusion if c == unit}
+    spec = {"field": {"kind": "rational"}, "labels": elements, "unit": unit, "dual": dual, "fusion": fusion}
+    return category_from_json(spec, name="vec_s3")
+
+
+ISING_BLOCK_KEYS = [("sigma",) * 4 + (e, f) for e in ("1", "psi") for f in ("1", "psi")]
+
+ORACLE_SPECS = (
+    [cat(name) for name in ALL_CATEGORIES] + [vec_s3()] + sign_flip_mutants() + random_mutants()
+)
+
+
+def test_oracle_mutant_set_sizes():
+    flips = sign_flip_mutants()
+    assert len(flips) == 34
+    assert len(random_mutants()) >= 20
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
+def test_pentagon_matches_assembled_composites(spec):
+    assert verify_pentagon(spec).items == _assembled_pentagon(spec).items
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
+def test_hexagon_matches_assembled_composites(spec):
+    assert verify_hexagon(spec).items == _assembled_hexagon(spec).items
+
+
+@pytest.mark.parametrize("key", ISING_BLOCK_KEYS)
+def test_singular_block_witness_matches_assembled(key):
+    spec = cat("ising")
+    bad = spec.mutated(F={key: -spec.f_symbol(*key)})
+    items = verify_hexagon(bad).items
+    assert items == _assembled_hexagon(bad).items
+    assert {"singular_f": ["sigma"] * 4} in [i.witness for i in items]
+
+
+def ising_times_z2():
+    """Ising times Rep(Z2), labels "x.g": F, R and twists come from the
+    Ising factor, so the 2x2 recoupling blocks sit at eight different
+    outer labels (sigma.g, sigma.h, sigma.k, sigma.g+h+k)."""
+    raw = json.loads(Path(data_path("categories/ising.json")).read_text())
+    group = (0, 1)
+
+    def lab(x, g):
+        return "%s.%d" % (x, g % 2)
+
+    def graded(table, legs, degrees):
+        out = {}
+        for key, lit in raw[table].items():
+            for gs in itertools.product(group, repeat=legs):
+                out[",".join(lab(x, n) for x, n in zip(key.split(","), degrees(*gs)))] = lit
+        return out
+
+    product = {
+        "field": raw["field"],
+        "labels": [lab(x, g) for g in group for x in raw["labels"]],
+        "unit": lab(raw["unit"], 0),
+        "dual": {lab(x, g): lab(y, g) for x, y in raw["dual"].items() for g in group},
+        "fusion": [[lab(a, g), lab(b, h), lab(c, g + h)] for a, b, c in raw["fusion"] for g in group for h in group],
+        "F": graded("F", 3, lambda g, h, k: (g, h, k, g + h + k, g + h, h + k)),
+        "R": graded("R", 2, lambda g, h: (g, h, g + h)),
+        "twist": {lab(x, g): lit for x, lit in raw["twist"].items() for g in group},
+    }
+    return category_from_json(product, name="ising_z2")
+
+
+def test_ising_times_z2_is_coherent():
+    spec = ising_times_z2()
+    assert verify_pentagon(spec).items == []
+    assert verify_hexagon(spec).items == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_singular_block_order_matches_assembled(seed):
+    # flipping one entry makes a 2x2 block singular; with several singular
+    # blocks, which one hexagon-2 names depends on the lookup order
+    spec = ising_times_z2()
+    rng = random.Random(seed)
+    F = {}
+    for g in (0, 1):
+        for h in (0, 1):
+            for k in (0, 1):
+                if rng.random() < 0.5:
+                    key = ("sigma.%d" % g, "sigma.%d" % h, "sigma.%d" % k, "sigma.%d" % ((g + h + k) % 2))
+                    key += ("1.%d" % ((g + h) % 2), "1.%d" % ((h + k) % 2))
+                    F[key] = -spec.f_symbol(*key)
+    bad = spec.mutated(F=F)
+    items = verify_hexagon(bad).items
+    assert items == _assembled_hexagon(bad).items
+    assert any(isinstance(i.witness, dict) for i in items) == bool(F)
+
+
 def test_mutation_does_not_leak_into_cache():
     spec = cat("fibonacci")
     minus = Scalar.from_int(spec.field, -1)
@@ -427,6 +663,23 @@ def test_load_cache_shares_instance():
     a = cat("toric_code")
     b = cat("toric_code")
     assert a is b
+
+
+def test_load_cache_sees_an_edited_file(tmp_path):
+    raw = json.loads(Path(data_path("categories/toric_code.json")).read_text())
+    path = tmp_path / "toric.json"
+    path.write_text(json.dumps(raw))
+    first = load_category(path)
+    assert load_category(path) is first
+    assert verify_hexagon(first).items == []
+    raw["R"]["e,m,f"] = scalar_literal(-first.r_symbol("e", "m", "f"))
+    path.write_text(json.dumps(raw))
+    st = path.stat()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    second = load_category(path)
+    assert second is not first
+    assert second.r_symbol("e", "m", "f") == -first.r_symbol("e", "m", "f")
+    assert verify_hexagon(second).items
 
 
 def base_json():

@@ -10,7 +10,7 @@ import pytest
 
 import ctc
 from ctc import data_path
-from ctc.cli import main
+from ctc.cli import _run_check_category, main
 from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 
 ALL_CATEGORIES = [
@@ -196,6 +196,13 @@ def test_text_report_has_tally(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "0 failed, 0 errored" in out
+
+
+def test_check_category_text_lines_carry_sweep_times():
+    report = _run_check_category(Path(data_path("categories/ising.json")), seed=0)
+    sweeps = ["pentagon", "hexagon", "triangle", "zigzag", "naturality-probe"]
+    assert [i.check for i in report.items] == ["ising/" + name for name in sweeps]
+    assert all(i.elapsed > 0 for i in report.items)
 
 
 def test_jobs_validation(capsys):
