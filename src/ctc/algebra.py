@@ -166,7 +166,7 @@ def make_counit(alg: AlgebraObject) -> Mor:
     n = A.m(spec.unit)
     if n == 0:
         raise UnitMultiplicityNotOne("carrier misses the tensor unit label")
-    col = [alg.unit_map.block(spec.unit)[i][0] for i in range(n)]
+    col = [row[0] for row in alg.unit_map.block(spec.unit)]
     hits = [i for i, v in enumerate(col) if not v.is_zero()]
     if len(hits) != 1:
         raise UnitMultiplicityNotOne(
@@ -397,18 +397,17 @@ def group_algebra(group: Group, spec: CategorySpec) -> AlgebraObject:
     lab = spec.unit
     n = len(group)
     carrier = Obj(spec, {lab: n})
-    field = spec.field
-    unit_blk = [[Scalar.one(field) if g == group.identity else Scalar.zero(field)] for g in group.elements]
-    mult_blk = la.zeros(field, n, n * n)
+    one = Scalar.one(spec.field)
+    unit_rows = [{0: one} if g == group.identity else {} for g in group.elements]
+    mult_rows = [{} for _ in range(n)]
     for i, g in enumerate(group.elements):
         for j, h in enumerate(group.elements):
-            k = group.index_of(group.mul(g, h))
-            mult_blk[k][i * n + j] = Scalar.one(field)
+            mult_rows[group.index_of(group.mul(g, h))][i * n + j] = one
     return AlgebraObject(
         "group_algebra(%s)" % group.name,
         carrier,
-        Mor(Obj.unit(spec), carrier, {lab: unit_blk}),
-        Mor(tensor_obj(carrier, carrier), carrier, {lab: mult_blk}),
+        Mor.from_rows(Obj.unit(spec), carrier, {lab: unit_rows}),
+        Mor.from_rows(tensor_obj(carrier, carrier), carrier, {lab: mult_rows}),
     )
 
 
@@ -441,16 +440,12 @@ def subgroup_algebra(labels: list, spec: CategorySpec) -> AlgebraObject:
                 raise NotIsotropic("labels %s and %s have nontrivial monodromy" % (h, k))
     carrier = Obj(spec, {lab: 1 for lab in labels})
     aa_pairs = pair_channels(carrier, carrier)
-    blocks = {}
-    for c in carrier.labels_present():
-        cols = aa_pairs.get(c, [])
-        blk = la.zeros(spec.field, 1, len(cols))
-        for t, (a, _, b, _) in enumerate(cols):
-            if prod[(a, b)] == c:
-                blk[0][t] = one
-        blocks[c] = blk
-    unit_map = Mor(Obj.unit(spec), carrier, {spec.unit: [[one]]})
-    mult_map = Mor(tensor_obj(carrier, carrier), carrier, blocks)
+    rows = {
+        c: [{t: one for t, (a, _, b, _) in enumerate(aa_pairs.get(c, [])) if prod[(a, b)] == c}]
+        for c in carrier.labels_present()
+    }
+    unit_map = Mor.from_rows(Obj.unit(spec), carrier, {spec.unit: [{0: one}]})
+    mult_map = Mor.from_rows(tensor_obj(carrier, carrier), carrier, rows)
     return AlgebraObject("subgroup(%s)" % "+".join(labels), carrier, unit_map, mult_map)
 
 

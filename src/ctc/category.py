@@ -8,8 +8,9 @@ load them is a hard error.
 
 Objects are multiplicity vectors over the labels; the zero object is
 allowed.  A morphism stores one exact matrix per label, shaped
-cod.mult(s) x dom.mult(s).  Tensor products of objects are identified
-with their direct-sum decomposition through a fixed enumeration: the
+cod.mult(s) x dom.mult(s), as rows of nonzero entries.  Tensor products
+of objects are identified with their direct-sum decomposition through a
+fixed enumeration: the
 summands of X (x) Y isotypic to c are the triples (x-slot, y-slot, c),
 ordered by x-slot, then y-slot (slots in label order, copies in order),
 then c in label order.  Every structural morphism below (associator,
@@ -44,7 +45,6 @@ __all__ = [
     "compose",
     "associator",
     "associator_inv",
-    "unitor",
     "braiding",
     "ev_coev",
     "twist_mor",
@@ -299,71 +299,97 @@ def _same_spec(x, y):
 class Mor:
     """Exact label-blocked morphism between two objects of one category.
 
-    Blocks exist for every label carried by both endpoint objects and are
-    implicitly zero elsewhere.  Instances are treated as immutable.
+    ``rows`` holds, for every label carried by both endpoint objects, one
+    ``{col: Scalar}`` dict per codomain copy with the nonzero entries of
+    that row only; blocks are implicitly zero elsewhere.  Dense matrices
+    appear only at the boundary: the constructor takes them, ``block``
+    and ``to_json`` give them back.  Instances are treated as immutable.
     """
 
-    __slots__ = ("dom", "cod", "blocks")
+    __slots__ = ("dom", "cod", "rows")
 
     def __init__(self, dom: Obj, cod: Obj, blocks: dict):
         _same_spec(dom, cod)
+        rows = {}
+        for lab in dom.spec.labels:
+            dm, cm, blk = dom.m(lab), cod.m(lab), blocks.get(lab)
+            if dm == 0 or cm == 0 or blk is None:
+                continue
+            if len(blk) != cm or any(len(row) != dm for row in blk):
+                raise DomainMismatch(
+                    "block %r has shape %dx%d, expected %dx%d"
+                    % (lab, len(blk), len(blk[0]) if blk else 0, cm, dm)
+                )
+            rows[lab] = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in blk]
+        self._init(dom, cod, rows)
+
+    def _init(self, dom: Obj, cod: Obj, rows: dict):
+        for lab in dom.labels_present():
+            if lab not in rows and cod.m(lab):
+                rows[lab] = [{} for _ in range(cod.m(lab))]
         self.dom = dom
         self.cod = cod
-        field = dom.spec.field
-        clean = {}
-        for lab in dom.spec.labels:
-            dm, cm = dom.m(lab), cod.m(lab)
-            if dm == 0 or cm == 0:
-                continue
-            blk = blocks.get(lab)
-            if blk is None:
-                blk = la.zeros(field, cm, dm)
-            else:
-                if len(blk) != cm or any(len(row) != dm for row in blk):
-                    raise DomainMismatch(
-                        "block %r has shape %dx%d, expected %dx%d"
-                        % (lab, len(blk), len(blk[0]) if blk else 0, cm, dm)
-                    )
-                blk = [list(row) for row in blk]
-            clean[lab] = blk
-        self.blocks = clean
+        self.rows = rows
+
+    @staticmethod
+    def from_rows(dom: Obj, cod: Obj, rows: dict) -> "Mor":
+        """A morphism from sparse rows, taken over without a copy.
+
+        ``rows`` maps a label carried by both endpoints to one dict per
+        codomain copy, holding the nonzero entries of that row by domain
+        copy; labels left out are zero.
+        """
+        _same_spec(dom, cod)
+        out = Mor.__new__(Mor)
+        out._init(dom, cod, rows)
+        return out
 
     @staticmethod
     def identity(x: Obj) -> "Mor":
-        field = x.spec.field
-        return Mor(x, x, {lab: la.identity(field, x.m(lab)) for lab in x.labels_present()})
+        one = Scalar.one(x.spec.field)
+        return Mor.from_rows(x, x, {lab: [{i: one} for i in range(m)] for lab, m in x.mult.items()})
 
     @staticmethod
     def zero(dom: Obj, cod: Obj) -> "Mor":
-        return Mor(dom, cod, {})
+        return Mor.from_rows(dom, cod, {})
 
     def block(self, lab):
-        blk = self.blocks.get(lab)
-        if blk is None:
-            return la.zeros(self.dom.spec.field, self.cod.m(lab), self.dom.m(lab))
-        return blk
+        """The dense matrix of one label, cod.m(lab) x dom.m(lab)."""
+        dm = self.dom.m(lab)
+        zero = Scalar.zero(self.dom.spec.field)
+        out = [[zero] * dm for _ in range(self.cod.m(lab))]
+        for orow, row in zip(out, self.rows.get(lab, ())):
+            for j, x in row.items():
+                orow[j] = x
+        return out
 
     def is_zero(self) -> bool:
-        return all(la.mat_is_zero(b) for b in self.blocks.values())
+        return not any(row for rows in self.rows.values() for row in rows)
 
     def scale(self, s: Scalar) -> "Mor":
-        return Mor(self.dom, self.cod, {lab: la.mat_scale(b, s) for lab, b in self.blocks.items()})
+        if s.is_zero():
+            return Mor.zero(self.dom, self.cod)
+        # a product of nonzero field elements is nonzero
+        return Mor.from_rows(
+            self.dom,
+            self.cod,
+            {lab: [{j: s * x for j, x in row.items()} for row in rows] for lab, rows in self.rows.items()},
+        )
 
     def __add__(self, other: "Mor") -> "Mor":
         self._align(other)
-        return Mor(
-            self.dom,
-            self.cod,
-            {lab: la.mat_add(self.block(lab), other.block(lab)) for lab in self.blocks},
-        )
+        out = {}
+        for lab, rows in self.rows.items():
+            out[lab] = new = []
+            for row, orow in zip(rows, other.rows[lab]):
+                acc = dict(row)
+                for j, y in orow.items():
+                    acc[j] = acc[j] + y if j in acc else y
+                new.append({j: v for j, v in acc.items() if not v.is_zero()})
+        return Mor.from_rows(self.dom, self.cod, out)
 
     def __sub__(self, other: "Mor") -> "Mor":
-        self._align(other)
-        return Mor(
-            self.dom,
-            self.cod,
-            {lab: la.mat_sub(self.block(lab), other.block(lab)) for lab in self.blocks},
-        )
+        return self + -other
 
     def __neg__(self):
         return self.scale(Scalar.from_int(self.dom.spec.field, -1))
@@ -380,7 +406,7 @@ class Mor:
     def __eq__(self, other):
         if not isinstance(other, Mor):
             return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and self.blocks == other.blocks
+        return self.dom == other.dom and self.cod == other.cod and self.rows == other.rows
 
     __hash__ = None
 
@@ -389,25 +415,20 @@ class Mor:
 
     def inverse(self) -> "Mor":
         """Blockwise exact inverse; raises SingularMatrix if not invertible."""
-        if {lab: self.dom.m(lab) for lab in self.dom.labels_present()} != {
-            lab: self.cod.m(lab) for lab in self.cod.labels_present()
-        }:
+        if self.dom.mult != self.cod.mult:
             raise DomainMismatch("only square morphisms can be inverted")
         field = self.dom.spec.field
         return Mor(
             self.cod,
             self.dom,
-            {lab: la.inverse(self.block(lab), field, self.dom.m(lab)) for lab in self.blocks},
+            {lab: la.inverse(self.block(lab), field, self.dom.m(lab)) for lab in self.rows},
         )
 
     def to_json(self) -> dict:
         return {
             "dom": self.dom.to_json(),
             "cod": self.cod.to_json(),
-            "blocks": {
-                lab: [[scalar_literal(x) for x in row] for row in blk]
-                for lab, blk in self.blocks.items()
-            },
+            "blocks": {lab: [[scalar_literal(x) for x in row] for row in self.block(lab)] for lab in self.rows},
         }
 
     def __repr__(self):
@@ -420,18 +441,12 @@ def compose(g: Mor, f: Mor) -> Mor:
         raise CategoryMismatch("morphisms from different categories")
     if f.cod != g.dom:
         raise DomainMismatch("cannot compose %r after %r" % (g, f))
-    field = f.dom.spec.field
-    mid = f.cod
-    blocks = {}
-    for lab in f.dom.spec.labels:
-        dm, mm, cm = f.dom.m(lab), mid.m(lab), g.cod.m(lab)
-        if dm == 0 or cm == 0:
-            continue
-        if mm == 0:
-            blocks[lab] = la.zeros(field, cm, dm)
-        else:
-            blocks[lab] = la.mat_mul(g.block(lab), f.block(lab), field, cm, mm, dm)
-    return Mor(f.dom, g.cod, blocks)
+    rows = {}
+    for lab, frows in f.rows.items():
+        grows = g.rows.get(lab)
+        if grows is not None:
+            rows[lab] = la.sparse_mul(grows, frows)
+    return Mor.from_rows(f.dom, g.cod, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -462,37 +477,28 @@ def tensor_obj(x: Obj, y: Obj) -> Obj:
 
 
 def tensor_mor(f: Mor, g: Mor) -> Mor:
-    """f (x) g in the fixed summand bases of the endpoint tensor products."""
+    """f (x) g in the fixed summand bases of the endpoint tensor products.
+
+    Row (a, i2, b, j2) holds the products of the nonzero entries of row i2
+    of f's a-block and row j2 of g's b-block.
+    """
     if f.spec_of() is not g.spec_of():
         raise CategoryMismatch("morphisms from different categories")
-    spec = f.dom.spec
-    dom = tensor_obj(f.dom, g.dom)
-    cod = tensor_obj(f.cod, g.cod)
     dom_pairs = pair_channels(f.dom, g.dom)
-    cod_pairs = pair_channels(f.cod, g.cod)
-    blocks = {}
-    for lab, cols in dom_pairs.items():
-        rows = cod_pairs.get(lab)
-        if not rows:
+    rows = {}
+    for lab, keys in pair_channels(f.cod, g.cod).items():
+        if lab not in dom_pairs:
             continue
-        blk = la.zeros(spec.field, len(rows), len(cols))
-        for cidx, (a, i, b, j) in enumerate(cols):
-            fa = f.blocks.get(a)
-            gb = g.blocks.get(b)
+        cols = {key: t for t, key in enumerate(dom_pairs[lab])}
+        rows[lab] = out = []
+        for a, i2, b, j2 in keys:
+            fa, gb = f.rows.get(a), g.rows.get(b)
             if fa is None or gb is None:
+                out.append({})
                 continue
-            for ridx, (a2, i2, b2, j2) in enumerate(rows):
-                if a2 != a or b2 != b:
-                    continue
-                left = fa[i2][i]
-                if left.is_zero():
-                    continue
-                right = gb[j2][j]
-                if right.is_zero():
-                    continue
-                blk[ridx][cidx] = left * right
-        blocks[lab] = blk
-    return Mor(dom, cod, blocks)
+            grow = gb[j2]
+            out.append({cols[(a, i, b, j)]: x * y for i, x in fa[i2].items() for j, y in grow.items()})
+    return Mor.from_rows(tensor_obj(f.dom, g.dom), tensor_obj(f.cod, g.cod), rows)
 
 
 def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
@@ -546,16 +552,17 @@ def associator(x: Obj, y: Obj, z: Obj) -> Mor:
         for ridx, (a, i, fch, k) in enumerate(rows):
             b, j, c, l = yz_pairs[fch][k]
             row_index[(a, i, b, j, c, l, fch)] = ridx
-        blk = la.zeros(spec.field, len(rows), len(cols))
+        blk = [{} for _ in rows]
         for cidx, (ech, k, c, l) in enumerate(cols):
             a, i, b, j = xy_pairs[ech][k]
             for fch in spec.channels(b, c):
                 if not spec.admissible(a, fch, d):
                     continue
                 ridx = row_index[(a, i, b, j, c, l, fch)]
+                # F entries are validated nonzero
                 blk[ridx][cidx] = spec.f_symbol(a, b, c, d, ech, fch)
         blocks[d] = blk
-    out = Mor(dom, cod, blocks)
+    out = Mor.from_rows(dom, cod, blocks)
     spec._assoc_cache[cache_key] = out
     return out
 
@@ -590,7 +597,7 @@ def associator_inv(x: Obj, y: Obj, z: Obj) -> Mor:
         for ridx, (ech, k, c, l) in enumerate(rows):
             a, i, b, j = xy_pairs[ech][k]
             row_index[(a, i, b, j, c, l, ech)] = ridx
-        blk = la.zeros(spec.field, len(rows), len(cols))
+        blk = [{} for _ in rows]
         for cidx, (a, i, fch, k) in enumerate(cols):
             b, j, c, l = yz_pairs[fch][k]
             e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
@@ -602,20 +609,9 @@ def associator_inv(x: Obj, y: Obj, z: Obj) -> Mor:
                 ridx = row_index[(a, i, b, j, c, l, ech)]
                 blk[ridx][cidx] = val
         blocks[d] = blk
-    out = Mor(dom, cod, blocks)
+    out = Mor.from_rows(dom, cod, blocks)
     spec._assoc_inv_cache[cache_key] = out
     return out
-
-
-def unitor(side: str, x: Obj) -> Mor:
-    """Unit isomorphism 1 (x) x -> x (left) or x (x) 1 -> x (right).
-
-    With the strict unit normalization both are identity matrices; the
-    endpoint objects are literally equal as multiplicity vectors.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    return Mor.identity(x)
 
 
 def braiding(x: Obj, y: Obj) -> Mor:
@@ -632,12 +628,12 @@ def braiding(x: Obj, y: Obj) -> Mor:
         if not rows:
             continue
         row_index = {key: ridx for ridx, key in enumerate(rows)}
-        blk = la.zeros(spec.field, len(rows), len(cols))
+        blk = [{} for _ in rows]
         for cidx, (a, i, b, j) in enumerate(cols):
-            ridx = row_index[(b, j, a, i)]
-            blk[ridx][cidx] = spec.r_symbol(a, b, c)
+            # R entries are validated nonzero
+            blk[row_index[(b, j, a, i)]][cidx] = spec.r_symbol(a, b, c)
         blocks[c] = blk
-    return Mor(dom, cod, blocks)
+    return Mor.from_rows(dom, cod, blocks)
 
 
 def dual_obj(x: Obj) -> Obj:
@@ -704,12 +700,8 @@ def ev_coev(x: Obj):
 
 
 def twist_mor(x: Obj) -> Mor:
-    spec = x.spec
-    blocks = {}
-    for lab in x.labels_present():
-        theta = spec.twist[lab]
-        blocks[lab] = la.mat_scale(la.identity(spec.field, x.m(lab)), theta)
-    return Mor(x, x, blocks)
+    twist = x.spec.twist
+    return Mor.from_rows(x, x, {lab: [{i: twist[lab]} for i in range(m)] for lab, m in x.mult.items()})
 
 
 def _simple_dim(spec: CategorySpec, s) -> Scalar:
@@ -741,29 +733,21 @@ def categorical_dim(x: Obj) -> Scalar:
 def direct_sum_with_maps(x1: Obj, x2: Obj):
     """x1 (+) x2 together with (inclusions, projections); x1 copies first."""
     _same_spec(x1, x2)
-    spec = x1.spec
-    field = spec.field
+    one = Scalar.one(x1.spec.field)
     total = x1 + x2
     inc1, inc2, pr1, pr2 = {}, {}, {}, {}
     for lab in total.labels_present():
         n1, n2 = x1.m(lab), x2.m(lab)
-        n = n1 + n2
         if n1:
-            blk = la.zeros(field, n, n1)
-            for i in range(n1):
-                blk[i][i] = Scalar.one(field)
-            inc1[lab] = blk
-            pr1[lab] = la.transpose(blk, n, n1, field)
+            inc1[lab] = [{i: one} for i in range(n1)] + [{} for _ in range(n2)]
+            pr1[lab] = [{i: one} for i in range(n1)]
         if n2:
-            blk = la.zeros(field, n, n2)
-            for i in range(n2):
-                blk[n1 + i][i] = Scalar.one(field)
-            inc2[lab] = blk
-            pr2[lab] = la.transpose(blk, n, n2, field)
+            inc2[lab] = [{} for _ in range(n1)] + [{i: one} for i in range(n2)]
+            pr2[lab] = [{n1 + i: one} for i in range(n2)]
     return (
         total,
-        (Mor(x1, total, inc1), Mor(x2, total, inc2)),
-        (Mor(total, x1, pr1), Mor(total, x2, pr2)),
+        (Mor.from_rows(x1, total, inc1), Mor.from_rows(x2, total, inc2)),
+        (Mor.from_rows(total, x1, pr1), Mor.from_rows(total, x2, pr2)),
     )
 
 
@@ -786,24 +770,20 @@ def mor_right_inverse(f: Mor) -> Mor | None:
 def proportionality_scalar(f: Mor, base: Mor) -> Scalar | None:
     """The scalar c with f = c * base, or None if no such scalar exists."""
     f._align(base)
-    field = f.dom.spec.field
+    zero = Scalar.zero(f.dom.spec.field)
     c = None
-    for lab in f.blocks:
-        fb, bb = f.block(lab), base.block(lab)
-        for frow, brow in zip(fb, bb):
-            for x, y in zip(frow, brow):
-                if y.is_zero():
-                    if not x.is_zero():
-                        return None
-                    continue
-                ratio = x / y
+    for lab, frows in f.rows.items():
+        for frow, brow in zip(frows, base.rows[lab]):
+            if not frow.keys() <= brow.keys():
+                return None
+            for j, y in brow.items():
+                x = frow.get(j)
+                ratio = zero if x is None else x / y
                 if c is None:
                     c = ratio
                 elif c != ratio:
                     return None
-    if c is None:
-        c = Scalar.zero(field)
-    return c
+    return zero if c is None else c
 
 
 # ---------------------------------------------------------------------------
@@ -1026,17 +1006,19 @@ def verify_hexagon(spec: CategorySpec) -> Report:
                     continue
                 if not _hexagon2_holds(spec, R, one, zero, a, b, c, cab, abc, acb):
                     report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
+    twist = spec.twist
     for a, b, c in sorted(spec.fusion, key=lambda t: tuple(spec.label_order(x) for x in t)):
-        lhs = spec.r_symbol(a, b, c) * spec.r_symbol(b, a, c)
-        rhs = spec.twist[c] * (spec.twist[a] * spec.twist[b]).inverse()
-        if lhs != rhs:
+        # R^{ab}_c R^{ba}_c = theta_c / (theta_a theta_b), cleared of the
+        # division: twists are nonzero, so both forms agree
+        mono = spec.r_symbol(a, b, c) * spec.r_symbol(b, a, c)
+        if mono * twist[a] * twist[b] != twist[c]:
             report.append(
                 "balancing:%s,%s,%s" % (a, b, c),
                 "fail",
                 witness={
                     "triple": [a, b, c],
-                    "monodromy": scalar_literal(lhs),
-                    "twist_ratio": scalar_literal(rhs),
+                    "monodromy": scalar_literal(mono),
+                    "twist_ratio": scalar_literal(twist[c] * (twist[a] * twist[b]).inverse()),
                 },
             )
     return report

@@ -23,6 +23,7 @@ from .algebra import (
     load_algebra,
 )
 from .category import (
+    CategoryError,
     Mor,
     Obj,
     associator,
@@ -35,9 +36,9 @@ from .category import (
     verify_triangle,
     verify_zigzag,
 )
-from .fields import ParseError, Scalar, scalar_literal
-from .ledger import load_ledger, solution_report
-from .modules import check_module, condense, is_local, load_module, run_suite_manifest
+from .fields import FieldError, ParseError, Scalar, scalar_literal
+from .ledger import LedgerError, load_ledger, solution_report
+from .modules import ModuleError, check_module, condense, is_local, load_module, run_suite_manifest
 from .report import Report
 
 _KIND_DIRS = {
@@ -228,9 +229,13 @@ def _job(command: str, arg: str, algebra: str | None, seed: int) -> Report:
             return _run_suite(path, seed)
         return _run_ledger(path, seed)
     except (FileNotFoundError, ParseError, json.JSONDecodeError) as exc:
-        bad = Report()
-        bad.append("load:%s" % arg, "error", witness=str(exc))
-        return bad
+        witness = str(exc)
+    except (FieldError, CategoryError, AlgebraError, ModuleError, LedgerError) as exc:
+        # inconsistent data: one error item for this input, the batch goes on
+        witness = {"type": type(exc).__name__, "message": str(exc)}
+    bad = Report()
+    bad.append("load:%s" % arg, "error", witness=witness)
+    return bad
 
 
 def build_parser() -> argparse.ArgumentParser:

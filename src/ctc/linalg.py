@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over Scalar matrices.
+"""Exact linear algebra over Scalar matrices.
 
-Matrices are plain lists of row lists of Scalar.  Elimination pivots on
-the first nonzero entry in each column (no magnitude heuristics exist for
-exact fields), which also makes every echelon form, nullspace basis, and
-image factorization deterministic for a given input.
+Dense matrices are plain lists of row lists of Scalar.  Elimination
+pivots on the first nonzero entry in each column (no magnitude heuristics
+exist for exact fields), which also makes every echelon form, nullspace
+basis, and image factorization deterministic for a given input.
+
+Sparse matrices are lists of rows, each a ``{col: Scalar}`` dict of the
+nonzero entries only; ``sparse_mul`` multiplies them.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ __all__ = [
     "zeros",
     "identity",
     "mat_mul",
+    "sparse_mul",
     "mat_add",
-    "mat_sub",
     "mat_scale",
-    "mat_eq",
     "mat_is_zero",
     "mat_copy",
     "transpose",
@@ -74,20 +76,34 @@ def mat_mul(a, b, field: FieldSpec, rows: int, inner: int, cols: int):
     return out
 
 
+def sparse_mul(a, b):
+    """Sparse a times sparse b, one product per pair of nonzero entries
+    a[i][k], b[k][j]; a row only needs its zero sums dropped if two
+    products met in one entry."""
+    out = []
+    for arow in a:
+        acc = {}
+        met = False
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                v = acc.get(j)
+                if v is None:
+                    acc[j] = x * y
+                else:
+                    acc[j] = v + x * y
+                    met = True
+        if met:
+            acc = {j: v for j, v in acc.items() if not v.is_zero()}
+        out.append(acc)
+    return out
+
+
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, s: Scalar):
     return [[s * x for x in row] for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    return a == b
 
 
 def mat_is_zero(a) -> bool:

@@ -45,6 +45,7 @@ from .category import (
     associator_inv,
     braiding,
     compose,
+    direct_sum_with_maps,
     dual_obj,
     ev_coev,
     mor_right_inverse,
@@ -206,19 +207,13 @@ def module_direct_sum(m1: AModule, m2: AModule):
     if m1.alg is not m2.alg:
         raise AlgebraMismatch("modules over different algebra instances")
     A = m1.alg.carrier
-    total, (i1, i2), (p1, p2) = _sum_maps(m1.carrier, m2.carrier)
+    total, (i1, i2), (p1, p2) = direct_sum_with_maps(m1.carrier, m2.carrier)
     ia = Mor.identity(A)
     action = compose(i1, compose(m1.action, tensor_mor(ia, p1))) + compose(
         i2, compose(m2.action, tensor_mor(ia, p2))
     )
     out = AModule("(%s + %s)" % (m1.name, m2.name), m1.alg, total, action)
     return out, (i1, i2), (p1, p2)
-
-
-def _sum_maps(x1: Obj, x2: Obj):
-    from .category import direct_sum_with_maps
-
-    return direct_sum_with_maps(x1, x2)
 
 
 def hom_A(m1: AModule, m2: AModule) -> list[Mor]:
@@ -238,11 +233,15 @@ def hom_A(m1: AModule, m2: AModule) -> list[Mor]:
     if not var_index:
         return []
 
+    def sparse_mor(entries):
+        rows = {}
+        for (lab, r, c), v in entries:
+            blk = rows.setdefault(lab, [{} for _ in range(X2.m(lab))])
+            blk[r][c] = v
+        return Mor.from_rows(X1, X2, rows)
+
     def basis_mor(t):
-        lab, r, c = var_index[t]
-        blk = la.zeros(field, X2.m(lab), X1.m(lab))
-        blk[r][c] = Scalar.one(field)
-        return Mor(X1, X2, {lab: blk})
+        return sparse_mor([(var_index[t], Scalar.one(field))])
 
     def defect(f: Mor) -> list:
         d = compose(f, m1.action) - compose(m2.action, tensor_mor(ia, f))
@@ -260,16 +259,7 @@ def hom_A(m1: AModule, m2: AModule) -> list[Mor]:
         return [basis_mor(t) for t in range(len(var_index))]
     mat = [[columns[t][r] for t in range(len(var_index))] for r in range(rows)]
     kernel = la.nullspace(mat, field, rows, len(var_index))
-    out = []
-    for vec in kernel:
-        blocks = {}
-        for t, (lab, r, c) in enumerate(var_index):
-            if vec[t].is_zero():
-                continue
-            blk = blocks.setdefault(lab, la.zeros(field, X2.m(lab), X1.m(lab)))
-            blk[r][c] = vec[t]
-        out.append(Mor(X1, X2, blocks))
-    return out
+    return [sparse_mor([(key, v) for key, v in zip(var_index, vec) if not v.is_zero()]) for vec in kernel]
 
 
 def _monodromy(a: Obj, x: Obj) -> Mor:
@@ -463,15 +453,12 @@ def _action_operators(mod: AModule):
     ops = []
     for a, i in A.slots():
         g = la.zeros(field, n, n)
-        for t in X.labels_present():
-            cols = pairs.get(t, [])
-            blk = mod.action.block(t)
-            for cidx, (a2, i2, s, kx) in enumerate(cols):
-                if a2 != a or i2 != i:
-                    continue
-                for r in range(X.m(t)):
-                    v = blk[r][cidx]
-                    if not v.is_zero():
+        for t, rows in mod.action.rows.items():
+            cols = pairs[t]
+            for r, row in enumerate(rows):
+                for cidx, v in row.items():
+                    a2, i2, s, kx = cols[cidx]
+                    if a2 == a and i2 == i:
                         g[xpos[(t, r)]][xpos[(s, kx)]] = v
         ops.append(g)
     gradings = []
@@ -689,17 +676,11 @@ def modules_isomorphic(m1: AModule, m2: AModule) -> Mor | None:
     """An invertible intertwiner if one appears in the hom basis, else None."""
     if m1.carrier.mult != m2.carrier.mult:
         return None
-    basis = hom_A(m1, m2)
-    field = m1.spec.field
-    for b in basis:
+    for b in hom_A(m1, m2):
         try:
-            inv_blocks = {
-                lab: la.inverse(b.block(lab), field, m1.carrier.m(lab))
-                for lab in m1.carrier.labels_present()
-            }
+            b.inverse()
         except la.SingularMatrix:
             continue
-        Mor(m2.carrier, m1.carrier, inv_blocks)
         return b
     return None
 
@@ -772,7 +753,7 @@ def condense(alg: AlgebraObject) -> Condensation:
     for s in spec.labels:
         mod = induce(alg, Obj.simple(spec, s))
         pi = projector_pi(mod)
-        rank = sum(la.rank(pi.block(lab), spec.field) for lab in pi.blocks)
+        rank = sum(la.rank(pi.block(lab), spec.field) for lab in pi.rows)
         local_flag, _ = is_local(mod)
         simple_flag = is_simple_module(mod)
         cls = -1

@@ -8,11 +8,15 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctc import data_path
+from ctc import linalg as la
+from ctc.algebra import Group, group_algebra, solve_coevaluation
 from ctc.category import (
     CategoryMismatch,
     CategorySpec,
@@ -21,6 +25,7 @@ from ctc.category import (
     Mor,
     Obj,
     SingularFBlock,
+    _f_matrix_inverse,
     associator,
     associator_inv,
     braiding,
@@ -37,7 +42,6 @@ from ctc.category import (
     tensor_mor,
     tensor_obj,
     twist_mor,
-    unitor,
     verify_hexagon,
     verify_pentagon,
     verify_triangle,
@@ -179,7 +183,6 @@ def test_tensor_unit_is_strict():
             X = Obj(spec, {lab: 2})
             assert tensor_obj(Obj.unit(spec), X) == X
             assert tensor_obj(X, Obj.unit(spec)) == X
-            assert unitor("left", X) == Mor.identity(X)
 
 
 def test_dual_obj():
@@ -260,8 +263,8 @@ def test_braiding_is_invertible_symmetry_for_toric():
     X, Y = rand_obj(rng, spec), rand_obj(rng, spec)
     # toric braiding is a symmetry up to signs: c_{Y,X} c_{X,Y} is diagonal +-1
     m = compose(braiding(Y, X), braiding(X, Y))
-    for lab, blk in m.blocks.items():
-        for i, row in enumerate(blk):
+    for lab in m.dom.labels_present():
+        for i, row in enumerate(m.block(lab)):
             for j, v in enumerate(row):
                 if i != j:
                     assert v.is_zero()
@@ -614,6 +617,35 @@ def test_mutation_does_not_leak_into_cache():
     assert verify_pentagon(cat("fibonacci")).items == []
 
 
+def twist_mutants(seed=7):
+    """Seeded specs with one non-unit twist negated or replaced by a
+    random nonzero value: balancing fails on some of them."""
+    rng = random.Random(seed)
+    out = []
+    for name in MUTATED_CATEGORIES:
+        spec = cat(name)
+        for lab in spec.labels:
+            if lab == spec.unit:
+                continue
+            value = Scalar.zero(spec.field)
+            while value.is_zero():
+                value = rand_scalar(rng, spec.field)
+            out.append(spec.mutated(twist={lab: -spec.twist[lab]}, name="%s -twist(%s)" % (name, lab)))
+            out.append(spec.mutated(twist={lab: value}, name="%s twist(%s)" % (name, lab)))
+    return out
+
+
+@pytest.mark.parametrize("spec", twist_mutants(), ids=lambda s: s.name)
+def test_balancing_matches_assembled_on_twist_mutants(spec):
+    items = verify_hexagon(spec).items
+    assert items == _assembled_hexagon(spec).items
+
+
+def test_twist_mutants_fail_balancing():
+    failing = [s for s in twist_mutants() if any(i.check.startswith("balancing:") for i in verify_hexagon(s).items)]
+    assert len(failing) >= 10
+
+
 # --- helpers on top of the block algebra -----------------------------------
 
 
@@ -654,6 +686,11 @@ def test_proportionality_scalar():
     mixed = Obj(spec, {"1": 1, "tau": 1})
     # twist acts by 1 on the unit and z^2 on tau, so it is not a scalar multiple
     assert proportionality_scalar(twist_mor(mixed), Mor.identity(mixed)) is None
+    one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    two = Obj(spec, {"tau": 2})
+    # equal on the diagonal, but nonzero where the identity is zero
+    upper = Mor(two, two, {"tau": [[one, one], [zero, one]]})
+    assert proportionality_scalar(upper, Mor.identity(two)) is None
 
 
 # --- loading and validation ------------------------------------------------
@@ -777,3 +814,342 @@ def test_mor_witness_serialization():
     data = f.to_json()
     assert data["dom"] == {"e": 1, "m": 1}
     assert data["blocks"]["e"] == [["1"]]
+
+
+# --- sparse kernel against the dense reference -----------------------------
+#
+# The dense bodies below are the block-matrix kernel the sparse rows
+# replaced: compose through la.mat_mul on dense blocks, and the tensor
+# product and structural maps filled entry by entry into dense matrices.
+
+
+def _dense_compose(g, f):
+    field = f.dom.spec.field
+    mid = f.cod
+    blocks = {}
+    for lab in f.dom.spec.labels:
+        dm, mm, cm = f.dom.m(lab), mid.m(lab), g.cod.m(lab)
+        if dm == 0 or cm == 0:
+            continue
+        if mm == 0:
+            blocks[lab] = la.zeros(field, cm, dm)
+        else:
+            blocks[lab] = la.mat_mul(g.block(lab), f.block(lab), field, cm, mm, dm)
+    return Mor(f.dom, g.cod, blocks)
+
+
+def _dense_tensor_mor(f, g):
+    spec = f.dom.spec
+    dom = tensor_obj(f.dom, g.dom)
+    cod = tensor_obj(f.cod, g.cod)
+    dom_pairs = pair_channels(f.dom, g.dom)
+    cod_pairs = pair_channels(f.cod, g.cod)
+    blocks = {}
+    for lab, cols in dom_pairs.items():
+        rows = cod_pairs.get(lab)
+        if not rows:
+            continue
+        blk = la.zeros(spec.field, len(rows), len(cols))
+        for cidx, (a, i, b, j) in enumerate(cols):
+            fa = f.block(a)
+            gb = g.block(b)
+            for ridx, (a2, i2, b2, j2) in enumerate(rows):
+                if a2 != a or b2 != b:
+                    continue
+                left = fa[i2][i]
+                if left.is_zero():
+                    continue
+                right = gb[j2][j]
+                if right.is_zero():
+                    continue
+                blk[ridx][cidx] = left * right
+        blocks[lab] = blk
+    return Mor(dom, cod, blocks)
+
+
+def _dense_associator(x, y, z):
+    spec = x.spec
+    xy_pairs = pair_channels(x, y)
+    yz_pairs = pair_channels(y, z)
+    xy, yz = tensor_obj(x, y), tensor_obj(y, z)
+    dom_pairs = pair_channels(xy, z)
+    cod_pairs = pair_channels(x, yz)
+    blocks = {}
+    for d, cols in dom_pairs.items():
+        rows = cod_pairs.get(d)
+        if not rows:
+            continue
+        row_index = {}
+        for ridx, (a, i, fch, k) in enumerate(rows):
+            b, j, c, l = yz_pairs[fch][k]
+            row_index[(a, i, b, j, c, l, fch)] = ridx
+        blk = la.zeros(spec.field, len(rows), len(cols))
+        for cidx, (ech, k, c, l) in enumerate(cols):
+            a, i, b, j = xy_pairs[ech][k]
+            for fch in spec.channels(b, c):
+                if not spec.admissible(a, fch, d):
+                    continue
+                ridx = row_index[(a, i, b, j, c, l, fch)]
+                blk[ridx][cidx] = spec.f_symbol(a, b, c, d, ech, fch)
+        blocks[d] = blk
+    return Mor(tensor_obj(xy, z), tensor_obj(x, yz), blocks)
+
+
+def _dense_associator_inv(x, y, z):
+    spec = x.spec
+    xy_pairs = pair_channels(x, y)
+    yz_pairs = pair_channels(y, z)
+    xy, yz = tensor_obj(x, y), tensor_obj(y, z)
+    dom_pairs = pair_channels(x, yz)
+    cod_pairs = pair_channels(xy, z)
+    blocks = {}
+    for d, cols in dom_pairs.items():
+        rows = cod_pairs.get(d)
+        if not rows:
+            continue
+        row_index = {}
+        for ridx, (ech, k, c, l) in enumerate(rows):
+            a, i, b, j = xy_pairs[ech][k]
+            row_index[(a, i, b, j, c, l, ech)] = ridx
+        blk = la.zeros(spec.field, len(rows), len(cols))
+        for cidx, (a, i, fch, k) in enumerate(cols):
+            b, j, c, l = yz_pairs[fch][k]
+            e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
+            fpos = f_list.index(fch)
+            for epos, ech in enumerate(e_list):
+                val = inv[fpos][epos]
+                if val.is_zero():
+                    continue
+                ridx = row_index[(a, i, b, j, c, l, ech)]
+                blk[ridx][cidx] = val
+        blocks[d] = blk
+    return Mor(tensor_obj(x, yz), tensor_obj(xy, z), blocks)
+
+
+def _dense_braiding(x, y):
+    spec = x.spec
+    dom_pairs = pair_channels(x, y)
+    cod_pairs = pair_channels(y, x)
+    blocks = {}
+    for c, cols in dom_pairs.items():
+        rows = cod_pairs.get(c)
+        if not rows:
+            continue
+        row_index = {key: ridx for ridx, key in enumerate(rows)}
+        blk = la.zeros(spec.field, len(rows), len(cols))
+        for cidx, (a, i, b, j) in enumerate(cols):
+            ridx = row_index[(b, j, a, i)]
+            blk[ridx][cidx] = spec.r_symbol(a, b, c)
+        blocks[c] = blk
+    return Mor(tensor_obj(x, y), tensor_obj(y, x), blocks)
+
+
+def nnz(f):
+    return sum(len(row) for rows in f.rows.values() for row in rows)
+
+
+def assert_same(got, want):
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+def scalars(field):
+    """Field elements with zero drawn often, so rows and blocks vanish."""
+    parts = [st.just(Scalar.zero(field)), st.integers(-3, 3).map(lambda k: Scalar.from_int(field, k))]
+    if field.kind == "cyclotomic":
+        parts.append(st.integers(0, field.n - 1).map(lambda k: Scalar.zeta(field, k)))
+    return st.one_of(*parts)
+
+
+@st.composite
+def objects(draw, spec, max_mult=2):
+    return Obj(spec, {lab: draw(st.integers(0, max_mult)) for lab in spec.labels})
+
+
+@st.composite
+def morphisms(draw, dom, cod):
+    """Dense blocks per shared label: random, all zero, random with a zero
+    row, or left out (zero by default)."""
+    spec = dom.spec
+    zero = Scalar.zero(spec.field)
+    entries = scalars(spec.field)
+    blocks = {}
+    for lab in spec.labels:
+        dm, cm = dom.m(lab), cod.m(lab)
+        if not (dm and cm):
+            continue
+        kind = draw(st.sampled_from(["random", "zero-block", "zero-row", "left-out"]))
+        if kind == "left-out":
+            continue
+        if kind == "zero-block":
+            blocks[lab] = [[zero] * dm for _ in range(cm)]
+            continue
+        blk = [[draw(entries) for _ in range(dm)] for _ in range(cm)]
+        if kind == "zero-row":
+            blk[draw(st.integers(0, cm - 1))] = [zero] * dm
+        blocks[lab] = blk
+    return Mor(dom, cod, blocks)
+
+
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
+categories = st.sampled_from(ALL_CATEGORIES).map(cat)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_sparse_compose_matches_dense(data):
+    spec = data.draw(categories)
+    X, Y, Z = (data.draw(objects(spec)) for _ in range(3))
+    f = data.draw(morphisms(X, Y))
+    g = data.draw(morphisms(Y, Z))
+    assert_same(compose(g, f), _dense_compose(g, f))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_sparse_tensor_mor_matches_dense(data):
+    spec = data.draw(categories)
+    X, Y, X2, Y2 = (data.draw(objects(spec)) for _ in range(4))
+    f = data.draw(morphisms(X, X2))
+    g = data.draw(morphisms(Y, Y2))
+    assert_same(tensor_mor(f, g), _dense_tensor_mor(f, g))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_sparse_structural_maps_match_dense(data):
+    spec = data.draw(categories)
+    X, Y, Z = (data.draw(objects(spec, 1)) for _ in range(3))
+    assert_same(associator(X, Y, Z), _dense_associator(X, Y, Z))
+    assert_same(associator_inv(X, Y, Z), _dense_associator_inv(X, Y, Z))
+    assert_same(braiding(X, Y), _dense_braiding(X, Y))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_sparse_linear_ops_match_dense(data):
+    spec = data.draw(categories)
+    X, Y = data.draw(objects(spec)), data.draw(objects(spec))
+    f, g = data.draw(morphisms(X, Y)), data.draw(morphisms(X, Y))
+    c = data.draw(scalars(spec.field))
+    ops = {
+        "add": (f + g, lambda x, y: x + y),
+        "sub": (f - g, lambda x, y: x - y),
+        "scale": (f.scale(c), lambda x, y: c * x),
+        "neg": (-f, lambda x, y: -x),
+    }
+    for name, (got, entry) in ops.items():
+        want = Mor(X, Y, {
+            lab: [[entry(x, y) for x, y in zip(fr, gr)] for fr, gr in zip(f.block(lab), g.block(lab))]
+            for lab in X.labels_present()
+            if Y.m(lab)
+        })
+        assert_same(got, want)
+    assert f.is_zero() == all(x.is_zero() for lab in spec.labels for row in f.block(lab) for x in row)
+    assert (f - f).is_zero()
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_dense_blocks_with_zeros_equal_sparse_rows(data):
+    spec = data.draw(categories)
+    X, Y = data.draw(objects(spec)), data.draw(objects(spec))
+    f = data.draw(morphisms(X, Y))
+    dense = {lab: f.block(lab) for lab in X.labels_present() if Y.m(lab)}
+    rows = {
+        lab: [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in blk]
+        for lab, blk in dense.items()
+    }
+    sparse = Mor.from_rows(X, Y, rows)
+    assert_same(Mor(X, Y, dense), sparse)
+    assert_same(f, sparse)
+    for lab in spec.labels:
+        assert sparse.block(lab) == f.block(lab)
+
+
+def _small_objects(spec, rng, count):
+    """Objects with one or two simple summands, multiplicities 1 or 2."""
+    out = []
+    for _ in range(count):
+        labs = rng.sample(list(spec.labels), min(len(spec.labels), rng.randint(1, 2)))
+        out.append(Obj(spec, {lab: rng.randint(1, 2) for lab in labs}))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_CATEGORIES)
+def test_sparse_kernel_matches_dense_on_bundled_categories(name):
+    spec = cat(name)
+    rng = random.Random(name)
+    for _ in range(6):
+        X, Y, Z = _small_objects(spec, rng, 3)
+        assert_same(associator(X, Y, Z), _dense_associator(X, Y, Z))
+        assert_same(associator_inv(X, Y, Z), _dense_associator_inv(X, Y, Z))
+        assert_same(braiding(X, Y), _dense_braiding(X, Y))
+        f, g = rand_mor(rng, X, Y), rand_mor(rng, Y, Z)
+        assert_same(compose(g, f), _dense_compose(g, f))
+        assert_same(tensor_mor(f, g), _dense_tensor_mor(f, g))
+        alpha, alpha_inv = associator(X, Y, Z), associator_inv(X, Y, Z)
+        assert_same(compose(alpha_inv, alpha), _dense_compose(alpha_inv, alpha))
+        fgh = tensor_mor(tensor_mor(f, g), rand_mor(rng, Z, X))
+        assert_same(compose(fgh, alpha_inv), _dense_compose(fgh, alpha_inv))
+
+
+# --- work counts: the sparse kernel multiplies nonzeros only ----------------
+
+
+@pytest.fixture
+def scalar_ops(monkeypatch):
+    counts = Counter()
+    mul, is_zero = Scalar.__mul__, Scalar.is_zero
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_is_zero(self):
+        counts["is_zero"] += 1
+        return is_zero(self)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monkeypatch.setattr(Scalar, "is_zero", counted_is_zero)
+    return counts
+
+
+def _z6_over_q():
+    spec = cat("vec_q")
+    group = Group("z6", list(range(6)), [[(i + j) % 6 for j in range(6)] for i in range(6)])
+    return spec, group_algebra(group, spec)
+
+
+def test_associator_round_trip_does_nnz_work(scalar_ops):
+    spec, alg = _z6_over_q()
+    A = alg.carrier
+    alpha, alpha_inv = associator(A, A, A), associator_inv(A, A, A)
+    assert nnz(alpha) == 216
+    scalar_ops.clear()
+    out = compose(alpha_inv, alpha)
+    # both kernels multiply only nonzero pairs; the dense one also tests
+    # every entry for zero, which is what the is_zero bound catches
+    assert scalar_ops["mul"] <= nnz(alpha)
+    assert scalar_ops["is_zero"] <= nnz(alpha)
+    assert out == Mor.identity(alpha.dom)
+    scalar_ops.clear()
+    _dense_compose(alpha_inv, alpha)
+    assert scalar_ops["is_zero"] > 100 * nnz(alpha)
+
+
+def test_tensor_with_copairing_does_nnz_work(scalar_ops):
+    spec, alg = _z6_over_q()
+    A = alg.carrier
+    coev = solve_coevaluation(alg)
+    ident = Mor.identity(A)
+    bound = nnz(coev) * nnz(ident)
+    assert bound == 36
+    scalar_ops.clear()
+    out = tensor_mor(coev, ident)
+    assert scalar_ops["mul"] <= bound
+    assert scalar_ops["is_zero"] <= bound
+    assert nnz(out) == bound
+    scalar_ops.clear()
+    _dense_tensor_mor(coev, ident)
+    assert scalar_ops["is_zero"] > bound

@@ -128,6 +128,39 @@ def test_missing_input_is_error_exit(capsysbinary):
     assert items[0]["status"] == "error"
 
 
+def test_domain_error_is_one_error_item_and_the_batch_goes_on(tmp_path, capsysbinary):
+    raw = json.loads(open(data_path("categories/pointed_z4.json")).read())
+    raw["dual"]["1"] = "2"
+    bad = tmp_path / "bad_dual.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_json(capsysbinary, ["check-category", str(bad), "fibonacci"])
+    assert code == 2
+    items = json.loads(out)["items"]
+    assert items[0] == {
+        "check": "load:%s" % bad,
+        "status": "error",
+        "witness": {"type": "FusionDataError", "message": "dual map is not an involution at '1'"},
+    }
+    rest = items[1:]
+    assert rest and all(i["check"].startswith("fibonacci/") and i["status"] == "pass" for i in rest)
+
+
+def test_wrong_block_shape_is_an_error_item(tmp_path, capsysbinary):
+    raw = json.loads(open(data_path("algebras/alg_qz3.json")).read())
+    raw["category"] = str(data_path("categories/%s.json" % raw["category"]))
+    lab = next(iter(raw["mu"]))
+    raw["mu"][lab] = raw["mu"][lab][:-1]
+    bad = tmp_path / "alg_bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_json(capsysbinary, ["check-algebra", str(bad), "alg_h02"])
+    assert code == 2
+    items = json.loads(out)["items"]
+    assert items[0]["check"] == "load:%s" % bad
+    assert items[0]["status"] == "error"
+    assert items[0]["witness"]["type"] == "DomainMismatch"
+    assert any(i["check"] == "alg_h02/index" for i in items[1:])
+
+
 def test_failing_data_exits_one(tmp_path, capsysbinary):
     raw = json.loads(open(data_path("categories/fibonacci.json")).read())
     raw["F"]["tau,tau,tau,tau,tau,tau"] = "z + z^4"
