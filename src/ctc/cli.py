@@ -115,14 +115,15 @@ def _naturality_probe(spec, seed: int, trials: int = 3) -> Report:
 
 
 def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Report:
-    """Collapse a clean sub-report to one pass line carrying ``elapsed``;
-    namespace failures."""
+    """Collapse a clean sub-report to one pass line; namespace the items of
+    a failing one.  The first line carries the sweep's ``elapsed``."""
     out = Report()
     if report.ok and not report.failing():
         out.append("%s/%s" % (prefix, summary), "pass", elapsed=elapsed)
         return out
     for item in report.items:
         out.append("%s/%s" % (prefix, item.check), item.status, witness=item.witness)
+    out.items[0].elapsed = elapsed
     return out
 
 

@@ -1,12 +1,15 @@
 """Exact scalars over the rationals, prime fields, and cyclotomic fields.
 
 Every value is kept in a canonical form so that equality of scalars is
-literal equality of representations: rationals are reduced ``Fraction``s,
-prime-field elements are residues in ``[0, p)``, and elements of
-``Q(zeta_n)`` are coefficient vectors of length ``phi(n)`` reduced modulo
-the n-th cyclotomic polynomial.  All arithmetic is exact.  ``approx``
-produces a floating-point rendering for display only; nothing downstream
-computes with it.
+literal equality of representations: prime-field elements are residues in
+``[0, p)``, and elements of Q and ``Q(zeta_n)`` are tuples of integer
+numerators (``phi(n)`` of them, reduced modulo the n-th cyclotomic
+polynomial; one for Q) over one positive common denominator, divided by
+their gcd.  All arithmetic is exact and works on integers; an inverse is
+the product of the Galois conjugates over the rational norm.  ``Fraction``
+appears only where literals are parsed and printed, in ``approx`` and in
+``scalar_embed``.  ``approx`` produces a floating-point rendering for
+display only; nothing downstream computes with it.
 
 Scalar literals, used by every data file and report, are integers,
 fractions ``p/q``, and polynomials in the symbol ``z`` standing for
@@ -20,6 +23,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 __all__ = [
     "FieldSpec",
@@ -29,8 +33,6 @@ __all__ = [
     "DivisionByZero",
     "NoEmbedding",
     "ParseError",
-    "scalar_arith",
-    "scalar_inverse",
     "scalar_embed",
     "parse_scalar",
     "scalar_literal",
@@ -73,7 +75,12 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One of Q, F_p, or Q(zeta_n), identified by kind and parameter."""
+    """One of Q, F_p, or Q(zeta_n), identified by kind and parameter.
+
+    ``rational``, ``prime``, ``cyclotomic`` and ``from_json`` return one
+    shared instance per field, so a field check is an identity test in
+    the common case.
+    """
 
     kind: str
     p: int | None = None
@@ -95,18 +102,23 @@ class FieldSpec:
                 raise ValueError("cyclotomic field takes no p")
         else:
             raise ValueError("unknown field kind %r" % (self.kind,))
+        # not dataclass fields, so equality and hashing see (kind, p, n) only
+        ctx = None if self.kind == "prime" else _cyclo_ctx(self.n or 1)
+        object.__setattr__(self, "_ctx", ctx)
+        object.__setattr__(self, "_zero", Scalar.from_int(self, 0))
+        object.__setattr__(self, "_one", Scalar.from_int(self, 1))
 
     @staticmethod
     def rational() -> "FieldSpec":
-        return FieldSpec("rational")
+        return _field("rational", None, None)
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        return FieldSpec("prime", p=p)
+        return _field("prime", p, None)
 
     @staticmethod
     def cyclotomic(n: int) -> "FieldSpec":
-        return FieldSpec("cyclotomic", n=n)
+        return _field("cyclotomic", None, n)
 
     @property
     def char(self) -> int:
@@ -115,9 +127,7 @@ class FieldSpec:
     @property
     def degree(self) -> int:
         """Dimension over the prime field (phi(n) for cyclotomic)."""
-        if self.kind == "cyclotomic":
-            return _cyclo_ctx(self.n).phi
-        return 1
+        return self._ctx.phi if self.kind == "cyclotomic" else 1
 
     def to_json(self) -> dict:
         if self.kind == "rational":
@@ -146,6 +156,11 @@ class FieldSpec:
         if self.kind == "prime":
             return "F_%d" % self.p
         return "Q(zeta_%d)" % self.n
+
+
+@lru_cache(maxsize=None)
+def _field(kind: str, p: int | None, n: int | None) -> FieldSpec:
+    return FieldSpec(kind, p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,43 +193,45 @@ def _cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 class _CycloCtx:
-    """Cached reduction data for Q(zeta_n): phi(n) and x^k mod Phi_n tables."""
+    """Integer reduction data for Q(zeta_n); Q uses the one for n = 1.
+
+    ``power_vec[k]`` is x^k mod Phi_n for k < max(n, 2 phi - 1).  Phi_n is
+    monic, so these are integer vectors.  ``fold[k - phi]`` lists the
+    nonzero (i, c) of x^k for phi <= k < 2 phi - 1, which folds a product
+    back onto phi coefficients.  ``conjugates`` has one entry per k coprime
+    to n other than 1: the nonzero (i, c) of zeta^(jk) for each j, so it
+    maps a vector to its Galois conjugate sigma_k.
+    """
 
     def __init__(self, n: int):
-        self.n = n
-        self.poly = _cyclotomic_poly(n)
-        self.phi = len(self.poly) - 1
-        # power_vec[k] = coefficient vector of x^k mod Phi_n for k in [0, max(n, 2*phi-1))
-        top = max(n, 2 * self.phi - 1)
-        vecs = []
-        for k in range(self.phi):
-            v = [Fraction(0)] * self.phi
-            v[k] = Fraction(1)
-            vecs.append(tuple(v))
-        for k in range(self.phi, top):
-            prev = vecs[k - 1]
-            shifted = [Fraction(0)] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                # x^phi = -(lower coefficients of Phi_n)
-                for i in range(self.phi):
-                    shifted[i] -= lead * self.poly[i]
-            vecs.append(tuple(shifted))
+        poly = _cyclotomic_poly(n)
+        self.phi = phi = len(poly) - 1
+        vecs = [tuple(int(i == k) for i in range(phi)) for k in range(phi)]
+        for k in range(phi, max(n, 2 * phi - 1)):
+            prev = vecs[-1]
+            # x * x^(k-1), with x^phi = -(lower coefficients of Phi_n)
+            vecs.append(tuple((prev[i - 1] if i else 0) - prev[-1] * poly[i] for i in range(phi)))
         self.power_vec = vecs
+        terms = [[(i, c) for i, c in enumerate(v) if c] for v in vecs]
+        self.fold = terms[phi : 2 * phi - 1]
+        self.conjugates = [[terms[j * k % n] for j in range(phi)] for k in range(2, n) if gcd(k, n) == 1]
+        self.pad = (0,) * (phi - 1)
 
-    def reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.phi
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            if k < self.phi:
-                out[k] += c
-            else:
-                pv = self.power_vec[k]
-                for i in range(self.phi):
-                    if pv[i]:
-                        out[i] += c * pv[i]
-        return tuple(out)
+    def mul(self, a, b) -> list[int]:
+        """Product of two integer vectors modulo Phi_n."""
+        phi = self.phi
+        conv = [0] * (2 * phi - 1)
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero_b:
+                    conv[i + j] += x * y
+        out = conv[:phi]
+        for c, terms in zip(conv[phi:], self.fold):
+            if c:
+                for i, t in terms:
+                    out[i] += c * t
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -222,61 +239,12 @@ def _cyclo_ctx(n: int) -> _CycloCtx:
     return _CycloCtx(n)
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_deg(p) -> int:
-    d = len(p) - 1
-    while d >= 0 and not p[d]:
-        d -= 1
-    return d
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b over Q; ascending coefficients."""
-    rem = list(a)
-    db = _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while True:
-        dr = _poly_deg(rem)
-        if dr < db:
-            break
-        c = rem[dr] / b[db]
-        q[dr - db] += c
-        for i in range(db + 1):
-            rem[dr - db + i] -= c * b[i]
-    return q, rem
-
-
-def _poly_mod(a, m):
-    return _poly_divmod(a, m)[1]
-
-
-def _poly_xgcd(a, m):
-    """Extended gcd over Q[x]: returns (g, s) with s*a = g mod m."""
-    r0, r1 = list(m), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while _poly_deg(r1) >= 0:
-        q, r = _poly_divmod(r0, r1)
-        qs = _poly_mul(q, s1)
-        ns = [Fraction(0)] * max(len(s0), len(qs))
-        for i, x in enumerate(s0):
-            ns[i] += x
-        for i, x in enumerate(qs):
-            ns[i] -= x
-        r0, r1 = r1, r
-        s0, s1 = s1, ns
-    return r0, s0
+def _canon(nums, den: int):
+    """(nums, den) over a positive den, divided by gcd(den, *nums)."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([c // g for c in nums]), den // g
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +252,14 @@ def _poly_xgcd(a, m):
 
 
 class Scalar:
-    """An exact field element; always canonical, hashable, immutable."""
+    """An exact field element; always canonical, hashable, immutable.
+
+    A prime-field element is its residue in [0, p).  An element of Q or
+    Q(zeta_n) is a pair (nums, den): a tuple of integer numerators, one
+    per power of zeta_n below phi(n) (one for Q), over a positive common
+    denominator, with gcd(den, *nums) = 1.  Equal elements therefore have
+    equal pairs.
+    """
 
     __slots__ = ("field", "_v")
 
@@ -296,116 +271,136 @@ class Scalar:
 
     @staticmethod
     def zero(field: FieldSpec) -> "Scalar":
-        return Scalar.from_fraction(field, Fraction(0))
+        return field._zero
 
     @staticmethod
     def one(field: FieldSpec) -> "Scalar":
-        return Scalar.from_fraction(field, Fraction(1))
+        return field._one
 
     @staticmethod
     def from_int(field: FieldSpec, k: int) -> "Scalar":
-        return Scalar.from_fraction(field, Fraction(k))
+        if field.kind == "prime":
+            return Scalar(field, k % field.p)
+        return Scalar(field, ((k,) + field._ctx.pad, 1))
 
     @staticmethod
     def from_fraction(field: FieldSpec, q: Fraction) -> "Scalar":
-        if field.kind == "rational":
-            return Scalar(field, q)
         if field.kind == "prime":
             p = field.p
             if q.denominator % p == 0:
                 raise NoEmbedding("denominator %d not invertible mod %d" % (q.denominator, p))
             return Scalar(field, (q.numerator * pow(q.denominator, -1, p)) % p)
-        ctx = _cyclo_ctx(field.n)
-        v = [Fraction(0)] * ctx.phi
-        v[0] = q
-        return Scalar(field, tuple(v))
+        return Scalar(field, ((q.numerator,) + field._ctx.pad, q.denominator))
 
     @staticmethod
     def zeta(field: FieldSpec, k: int = 1) -> "Scalar":
         """zeta_n^k in Q(zeta_n)."""
         if field.kind != "cyclotomic":
             raise FieldMismatch("zeta lives in cyclotomic fields only")
-        ctx = _cyclo_ctx(field.n)
-        return Scalar(field, tuple(ctx.power_vec[k % field.n]))
+        # zeta^k is a unit of Z[zeta], so its coefficients have gcd 1
+        return Scalar(field, (field._ctx.power_vec[k % field.n], 1))
 
     # predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.field.kind == "cyclotomic":
-            return all(c == 0 for c in self._v)
-        return self._v == 0
+        if self.field.kind == "prime":
+            return self._v == 0
+        return not any(self._v[0])
 
     def is_one(self) -> bool:
-        return self == Scalar.one(self.field)
+        return self == self.field._one
 
     # arithmetic -----------------------------------------------------------
 
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             raise TypeError("expected Scalar, got %r" % (other,))
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("%r vs %r" % (self.field, other.field))
 
     def __add__(self, other):
-        self._check(other)
-        k = self.field.kind
-        if k == "rational":
-            return Scalar(self.field, self._v + other._v)
-        if k == "prime":
-            return Scalar(self.field, (self._v + other._v) % self.field.p)
-        return Scalar(self.field, tuple(a + b for a, b in zip(self._v, other._v)))
+        f = self.field
+        if other.__class__ is not Scalar or other.field is not f:
+            self._check(other)
+        if f.kind == "prime":
+            return Scalar(f, (self._v + other._v) % f.p)
+        (a, da), (b, db) = self._v, other._v
+        if not any(b):
+            return self
+        if not any(a):
+            return other
+        if da == db:
+            nums = [x + y for x, y in zip(a, b)]
+            if da == 1:
+                return Scalar(f, (tuple(nums), 1))
+            return Scalar(f, _canon(nums, da))
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return Scalar(f, _canon([x * sa + y * sb for x, y in zip(a, b)], da * sa))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        k = self.field.kind
-        if k == "rational":
-            return Scalar(self.field, -self._v)
-        if k == "prime":
-            return Scalar(self.field, (-self._v) % self.field.p)
-        return Scalar(self.field, tuple(-a for a in self._v))
+        f = self.field
+        if f.kind == "prime":
+            return Scalar(f, (-self._v) % f.p)
+        nums, den = self._v
+        return Scalar(f, (tuple([-c for c in nums]), den))
 
     def __mul__(self, other):
-        self._check(other)
-        k = self.field.kind
-        if k == "rational":
-            return Scalar(self.field, self._v * other._v)
-        if k == "prime":
-            return Scalar(self.field, (self._v * other._v) % self.field.p)
-        ctx = _cyclo_ctx(self.field.n)
-        conv = [Fraction(0)] * (2 * ctx.phi - 1)
-        for i, a in enumerate(self._v):
-            if not a:
-                continue
-            for j, b in enumerate(other._v):
-                if b:
-                    conv[i + j] += a * b
-        return Scalar(self.field, ctx.reduce(conv))
+        f = self.field
+        if other.__class__ is not Scalar or other.field is not f:
+            self._check(other)
+        if f.kind == "prime":
+            return Scalar(f, self._v * other._v % f.p)
+        one = f._one._v
+        if other._v == one or not any(self._v[0]):
+            return self
+        if self._v == one or not any(other._v[0]):
+            return other
+        (a, da), (b, db) = self._v, other._v
+        ctx = f._ctx
+        if ctx.phi == 1:
+            x, y = a[0], b[0]
+            g1, g2 = gcd(x, db), gcd(y, da)
+            return Scalar(f, (((x // g1) * (y // g2),), (da // g2) * (db // g1)))
+        return Scalar(f, _canon(ctx.mul(a, b), da * db))
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def inverse(self) -> "Scalar":
+        """a^-1 = (product of the conjugates sigma_k(a), k != 1) / N(a).
+
+        For the numerator vector x of a, x times its conjugates is the
+        integer norm N(x), so the whole computation stays in integers.
+        """
+        f = self.field
         if self.is_zero():
-            raise DivisionByZero("inverse of zero in %r" % (self.field,))
-        k = self.field.kind
-        if k == "rational":
-            return Scalar(self.field, 1 / self._v)
-        if k == "prime":
-            return Scalar(self.field, pow(self._v, -1, self.field.p))
-        ctx = _cyclo_ctx(self.field.n)
-        g, s = _poly_xgcd(list(self._v), [Fraction(c) for c in ctx.poly])
-        # Phi_n is irreducible over Q, so g is a nonzero constant
-        while g and not g[-1]:
-            g.pop()
-        if len(g) != 1:
-            raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        inv_g = 1 / g[0]
-        s = _poly_mod([c * inv_g for c in s], [Fraction(c) for c in ctx.poly])
-        s = s + [Fraction(0)] * (ctx.phi - len(s))
-        return Scalar(self.field, ctx.reduce(s))
+            raise DivisionByZero("inverse of zero in %r" % (f,))
+        if f.kind == "prime":
+            return Scalar(f, pow(self._v, -1, f.p))
+        nums, den = self._v
+        ctx = f._ctx
+        # in degree one there are no other conjugates and x is its own norm
+        prod, norm = ctx.power_vec[0], nums
+        if ctx.conjugates:
+            for images in ctx.conjugates:
+                conj = [0] * ctx.phi
+                for c, terms in zip(nums, images):
+                    if c:
+                        for i, t in terms:
+                            conj[i] += c * t
+                prod = ctx.mul(prod, conj)
+            norm = ctx.mul(nums, prod)
+            if any(norm[1:]) or not norm[0]:
+                raise ArithmeticError("conjugate product is not a nonzero rational")
+        norm = norm[0]
+        if norm < 0:
+            norm, prod = -norm, [-c for c in prod]
+        return Scalar(f, _canon([den * c for c in prod], norm))
 
     def scale(self, k: int) -> "Scalar":
         return Scalar.from_int(self.field, k) * self
@@ -421,30 +416,13 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self._v == other._v
+        return self._v == other._v and (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
         return hash((self.field, self._v))
 
     def __repr__(self):
         return "Scalar(%r, %s)" % (self.field, scalar_literal(self))
-
-
-def scalar_arith(op: str, x: Scalar, y: Scalar) -> Scalar:
-    """Named dispatch kept for callers that carry the operation as data."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError("unknown op %r" % (op,))
-
-
-def scalar_inverse(x: Scalar) -> Scalar:
-    return x.inverse()
 
 
 def scalar_embed(x: Scalar, target: FieldSpec) -> Scalar:
@@ -457,19 +435,19 @@ def scalar_embed(x: Scalar, target: FieldSpec) -> Scalar:
     if src == target:
         return x
     if src.kind == "rational":
-        return Scalar.from_fraction(target, x._v)
+        nums, den = x._v
+        return Scalar.from_fraction(target, Fraction(nums[0], den))
     if src.kind == "cyclotomic" and target.kind == "cyclotomic" and target.n % src.n == 0:
         step = target.n // src.n
-        ctx = _cyclo_ctx(target.n)
-        acc = [Fraction(0)] * ctx.phi
-        for j, c in enumerate(x._v):
+        ctx = target._ctx
+        nums, den = x._v
+        acc = [0] * ctx.phi
+        for j, c in enumerate(nums):
             if not c:
                 continue
-            pv = ctx.power_vec[(j * step) % target.n]
-            for i in range(ctx.phi):
-                if pv[i]:
-                    acc[i] += c * pv[i]
-        return Scalar(target, tuple(acc))
+            for i, t in enumerate(ctx.power_vec[(j * step) % target.n]):
+                acc[i] += c * t
+        return Scalar(target, _canon(acc, den))
     raise NoEmbedding("no canonical embedding %r -> %r" % (src, target))
 
 
@@ -581,28 +559,22 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     return total
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def scalar_literal(s: Scalar) -> str:
     """Canonical literal: round-trips bit-exactly through parse_scalar."""
-    k = s.field.kind
-    if k == "rational":
-        return _frac_str(s._v)
-    if k == "prime":
+    if s.field.kind == "prime":
         return str(s._v)
+    nums, den = s._v
     parts = []
-    for power, c in enumerate(s._v):
+    for power, c in enumerate(nums):
         if not c:
             continue
         neg = c < 0
-        mag = -c if neg else c
+        mag = Fraction(-c if neg else c, den)
         if power == 0:
-            body = _frac_str(mag)
+            body = str(mag)
         else:
             zp = "z" if power == 1 else "z^%d" % power
-            body = zp if mag == 1 else "%s*%s" % (_frac_str(mag), zp)
+            body = zp if mag == 1 else "%s*%s" % (mag, zp)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:
@@ -613,13 +585,14 @@ def scalar_literal(s: Scalar) -> str:
 def approx(s: Scalar) -> complex | float:
     """Display-only numeric rendering; never feeds back into computation."""
     k = s.field.kind
-    if k == "rational":
-        return float(s._v)
     if k == "prime":
         return float(s._v)
+    nums, den = s._v
+    if k == "rational":
+        return float(Fraction(nums[0], den))
     z = cmath.exp(2j * cmath.pi / s.field.n)
     acc = 0j
-    for power, c in enumerate(s._v):
+    for power, c in enumerate(nums):
         if c:
-            acc += float(c) * z**power
+            acc += float(Fraction(c, den)) * z**power
     return acc

@@ -192,6 +192,21 @@ def test_singular_f_block_is_a_failure_not_a_crash(tmp_path, capsysbinary):
     assert items["ising_singular/naturality-probe"]["status"] == "pass"
 
 
+def test_failing_sweep_text_lines_carry_sweep_time(tmp_path, capsys):
+    raw = json.loads(open(data_path("categories/ising.json")).read())
+    key = "sigma,sigma,sigma,sigma,1,1"
+    raw["F"][key] = scalar_literal(-parse_scalar(raw["F"][key], FieldSpec.from_json(raw["field"])))
+    bad = tmp_path / "ising_flip.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["check-category", str(bad)]) == 1
+    failing_ms = [
+        float(parts[-2])
+        for parts in (line.split() for line in capsys.readouterr().out.splitlines())
+        if len(parts) == 4 and parts[1] == "fail" and parts[3] == "ms"
+    ]
+    assert failing_ms and max(failing_ms) > 0
+
+
 def test_closed_stdout_exits_quietly():
     src = str(Path(ctc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

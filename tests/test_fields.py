@@ -1,9 +1,12 @@
-"""Exact scalar arithmetic: frozen examples first, then field axioms.
+"""Exact scalar arithmetic: frozen examples first, then field axioms,
+then the engine against a reference implementation.
 
 The cyclotomic expectations below were fixed by the independent
 polynomial oracle in this file (plain integer-coefficient convolution
 and long division, no Scalar machinery) before the field code was
-trusted with them.
+trusted with them.  ``RefScalar`` is the earlier ``Fraction``-vector
+scalar with the polynomial extended-gcd inverse; hypothesis compares
+every operation of the integer-vector engine against it.
 """
 
 from fractions import Fraction
@@ -20,9 +23,7 @@ from ctc.fields import (
     Scalar,
     approx,
     parse_scalar,
-    scalar_arith,
     scalar_embed,
-    scalar_inverse,
     scalar_literal,
 )
 
@@ -88,7 +89,7 @@ def test_inverse_in_q_zeta5_against_poly_oracle():
     # 1 + zeta5 + zeta5^4 is the golden ratio; its inverse is zeta5 + zeta5^4
     x = parse_scalar("1 + z + z^4", Z5)
     expected = parse_scalar("z + z^4", Z5)
-    assert scalar_inverse(x) == expected
+    assert x.inverse() == expected
     # independent check: (1 + z + z^4)(z + z^4) = 1 mod Phi_5 with integer polys
     prod = poly_mul_int([1, 1, 0, 0, 1], [0, 1, 0, 0, 1])
     rem = poly_mod_int(prod, cyclo_poly_oracle(5))
@@ -106,7 +107,7 @@ def test_sqrt2_in_q_zeta8_squares_to_two():
 # --------------------------------------------------------------- basics
 
 def test_rational_add():
-    assert scalar_arith("add", parse_scalar("1/2", Q), parse_scalar("1/3", Q)) == parse_scalar("5/6", Q)
+    assert parse_scalar("1/2", Q) + parse_scalar("1/3", Q) == parse_scalar("5/6", Q)
 
 
 def test_zeta4_squared_is_minus_one():
@@ -122,22 +123,22 @@ def test_zeta3_sum_vanishes():
 
 
 def test_prime_field_inverse():
-    assert scalar_inverse(Scalar.from_int(F5, 3)) == Scalar.from_int(F5, 2)
+    assert Scalar.from_int(F5, 3).inverse() == Scalar.from_int(F5, 2)
 
 
 def test_rational_inverse():
-    assert scalar_inverse(parse_scalar("2", Q)) == parse_scalar("1/2", Q)
+    assert parse_scalar("2", Q).inverse() == parse_scalar("1/2", Q)
 
 
 def test_inverse_of_zero_raises():
     for field in (Q, F3, Z5):
         with pytest.raises(DivisionByZero):
-            scalar_inverse(Scalar.zero(field))
+            Scalar.zero(field).inverse()
 
 
 def test_field_mismatch_raises():
     with pytest.raises(FieldMismatch):
-        scalar_arith("add", Scalar.one(Q), Scalar.one(F3))
+        Scalar.one(Q) + Scalar.one(F3)
 
 
 def test_zeta_n_to_the_n_is_one():
@@ -263,9 +264,15 @@ def scalars(field):
     if field.kind == "rational":
         return rationals.map(lambda q: Scalar.from_fraction(field, q))
     deg = field.degree
-    return st.lists(rationals, min_size=deg, max_size=deg).map(
-        lambda cs: Scalar(field, tuple(Fraction(c) for c in cs))
-    )
+    return st.lists(rationals, min_size=deg, max_size=deg).map(lambda cs: from_coeffs(field, cs))
+
+
+def from_coeffs(field, coeffs):
+    """sum of c_k zeta^k, built through the public constructors"""
+    acc = Scalar.zero(field)
+    for k, c in enumerate(coeffs):
+        acc = acc + Scalar.from_fraction(field, c) * Scalar.zeta(field, k)
+    return acc
 
 
 @pytest.mark.parametrize("field", [Q, F5, Z8], ids=repr)
@@ -292,9 +299,9 @@ def test_inverse_involution(field, data):
     a = data.draw(scalars(field))
     if a.is_zero():
         return
-    inv = scalar_inverse(a)
+    inv = a.inverse()
     assert a * inv == Scalar.one(field)
-    assert scalar_inverse(inv) == a
+    assert inv.inverse() == a
 
 
 @pytest.mark.parametrize("field", [Q, F5, Z16], ids=repr)
@@ -305,3 +312,319 @@ def test_serialization_round_trip_random(field, data):
     lit = scalar_literal(a)
     assert parse_scalar(lit, field) == a
     assert scalar_literal(parse_scalar(lit, field)) == lit
+
+
+# --------------------------------------------------------------- reference
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def _poly_deg(p) -> int:
+    d = len(p) - 1
+    while d >= 0 and not p[d]:
+        d -= 1
+    return d
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b over Q; ascending coefficients."""
+    rem = list(a)
+    db = _poly_deg(b)
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a) - db, 1)
+    while True:
+        dr = _poly_deg(rem)
+        if dr < db:
+            break
+        c = rem[dr] / b[db]
+        q[dr - db] += c
+        for i in range(db + 1):
+            rem[dr - db + i] -= c * b[i]
+    return q, rem
+
+
+def _poly_mod(a, m):
+    return _poly_divmod(a, m)[1]
+
+
+def _poly_xgcd(a, m):
+    """Extended gcd over Q[x]: returns (g, s) with s*a = g mod m."""
+    r0, r1 = list(m), list(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while _poly_deg(r1) >= 0:
+        q, r = _poly_divmod(r0, r1)
+        qs = _poly_mul(q, s1)
+        ns = [Fraction(0)] * max(len(s0), len(qs))
+        for i, x in enumerate(s0):
+            ns[i] += x
+        for i, x in enumerate(qs):
+            ns[i] -= x
+        r0, r1 = r1, r
+        s0, s1 = s1, ns
+    return r0, s0
+
+
+class RefCyclo:
+    """Fraction reduction data for Q(zeta_n): x^k mod Phi_n tables."""
+
+    def __init__(self, n):
+        self.n = n
+        self.poly = cyclo_poly_oracle(n)
+        self.phi = len(self.poly) - 1
+        top = max(n, 2 * self.phi - 1)
+        vecs = []
+        for k in range(self.phi):
+            v = [Fraction(0)] * self.phi
+            v[k] = Fraction(1)
+            vecs.append(tuple(v))
+        for k in range(self.phi, top):
+            prev = vecs[k - 1]
+            shifted = [Fraction(0)] + list(prev[:-1])
+            lead = prev[-1]
+            if lead:
+                for i in range(self.phi):
+                    shifted[i] -= lead * self.poly[i]
+            vecs.append(tuple(shifted))
+        self.power_vec = vecs
+
+    def reduce(self, coeffs):
+        out = [Fraction(0)] * self.phi
+        for k, c in enumerate(coeffs):
+            if not c:
+                continue
+            if k < self.phi:
+                out[k] += c
+            else:
+                pv = self.power_vec[k]
+                for i in range(self.phi):
+                    if pv[i]:
+                        out[i] += c * pv[i]
+        return tuple(out)
+
+
+class RefScalar:
+    """Reduced ``Fraction`` (Q), residue (F_p) or ``Fraction`` coefficient
+    tuple (Q(zeta_n)); the inverse comes from the extended gcd with Phi_n."""
+
+    def __init__(self, field, value):
+        self.field = field
+        self.v = value
+
+    @staticmethod
+    def from_fraction(field, q):
+        if field.kind == "rational":
+            return RefScalar(field, Fraction(q))
+        if field.kind == "prime":
+            q = Fraction(q)
+            return RefScalar(field, (q.numerator * pow(q.denominator, -1, field.p)) % field.p)
+        v = [Fraction(0)] * RefCyclo(field.n).phi
+        v[0] = Fraction(q)
+        return RefScalar(field, tuple(v))
+
+    @staticmethod
+    def from_coeffs(field, coeffs):
+        if field.kind != "cyclotomic":
+            return RefScalar.from_fraction(field, coeffs)
+        return RefScalar(field, tuple(Fraction(c) for c in coeffs))
+
+    def is_zero(self):
+        if self.field.kind == "cyclotomic":
+            return all(c == 0 for c in self.v)
+        return self.v == 0
+
+    def __add__(self, other):
+        k = self.field.kind
+        if k == "rational":
+            return RefScalar(self.field, self.v + other.v)
+        if k == "prime":
+            return RefScalar(self.field, (self.v + other.v) % self.field.p)
+        return RefScalar(self.field, tuple(a + b for a, b in zip(self.v, other.v)))
+
+    def __neg__(self):
+        k = self.field.kind
+        if k == "rational":
+            return RefScalar(self.field, -self.v)
+        if k == "prime":
+            return RefScalar(self.field, (-self.v) % self.field.p)
+        return RefScalar(self.field, tuple(-a for a in self.v))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        k = self.field.kind
+        if k == "rational":
+            return RefScalar(self.field, self.v * other.v)
+        if k == "prime":
+            return RefScalar(self.field, (self.v * other.v) % self.field.p)
+        ctx = RefCyclo(self.field.n)
+        conv = [Fraction(0)] * (2 * ctx.phi - 1)
+        for i, a in enumerate(self.v):
+            for j, b in enumerate(other.v):
+                conv[i + j] += a * b
+        return RefScalar(self.field, ctx.reduce(conv))
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def inverse(self):
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        k = self.field.kind
+        if k == "rational":
+            return RefScalar(self.field, 1 / self.v)
+        if k == "prime":
+            return RefScalar(self.field, pow(self.v, -1, self.field.p))
+        ctx = RefCyclo(self.field.n)
+        poly = [Fraction(c) for c in ctx.poly]
+        g, s = _poly_xgcd(list(self.v), poly)
+        while g and not g[-1]:
+            g.pop()
+        assert len(g) == 1, "gcd with the cyclotomic polynomial is not constant"
+        s = _poly_mod([c / g[0] for c in s], poly)
+        s = s + [Fraction(0)] * (ctx.phi - len(s))
+        return RefScalar(self.field, ctx.reduce(s))
+
+    def __eq__(self, other):
+        return self.field == other.field and self.v == other.v
+
+
+def ref_literal(s):
+    """The literal the reference prints; same grammar as scalar_literal."""
+    k = s.field.kind
+    if k == "rational":
+        return str(s.v)
+    if k == "prime":
+        return str(s.v)
+    parts = []
+    for power, c in enumerate(s.v):
+        if not c:
+            continue
+        neg = c < 0
+        mag = -c if neg else c
+        if power == 0:
+            body = str(mag)
+        else:
+            zp = "z" if power == 1 else "z^%d" % power
+            body = zp if mag == 1 else "%s*%s" % (mag, zp)
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts) if parts else "0"
+
+
+ORACLE_FIELDS = [Q, F2, F5] + [FieldSpec.cyclotomic(n) for n in (1, 2, 3, 4, 5, 8, 12, 16)]
+
+# zero, one and minus one as coefficients, small fractions, and large
+# numerators over large denominators
+coefficients = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    rationals,
+    st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**18)),
+)
+
+
+def coefficient_data(field):
+    if field.kind == "prime":
+        return st.integers(-3 * field.p, 3 * field.p)
+    if field.kind == "rational":
+        return coefficients
+    deg = field.degree
+    return st.one_of(
+        st.just([Fraction(0)] * deg),
+        st.just([Fraction(1)] + [Fraction(0)] * (deg - 1)),
+        st.lists(coefficients, min_size=deg, max_size=deg),
+    )
+
+
+def build(field, data):
+    """The same element in the engine and in the reference."""
+    if field.kind == "cyclotomic":
+        return from_coeffs(field, data), RefScalar.from_coeffs(field, data)
+    return Scalar.from_fraction(field, Fraction(data)), RefScalar.from_fraction(field, data)
+
+
+def assert_agrees(x, ref):
+    """Same literal as the reference, and the literal parses back to an
+    element equal to x with the same hash."""
+    lit = ref_literal(ref)
+    assert scalar_literal(x) == lit
+    back = parse_scalar(lit, x.field)
+    assert back == x
+    assert hash(back) == hash(x)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scalar_matches_reference(field, data):
+    a, ra = build(field, data.draw(coefficient_data(field)))
+    b, rb = build(field, data.draw(coefficient_data(field)))
+    assert_agrees(a, ra)
+    assert_agrees(a + b, ra + rb)
+    assert_agrees(a - b, ra - rb)
+    assert_agrees(-a, -ra)
+    assert_agrees(a * b, ra * rb)
+    assert (a == b) == (ra == rb)
+    assert (a * b == b * a) and hash(a * b) == hash(b * a)
+    for x, rx in ((a, ra), (b, rb)):
+        if rx.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+            continue
+        assert_agrees(x.inverse(), rx.inverse())
+        assert_agrees((a * b) / x, (ra * rb) / rx)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.cyclotomic(1), FieldSpec.cyclotomic(2)], ids=repr)
+def test_inverse_of_negative_norm(field):
+    # in degree one the norm is the element itself, so it can be negative
+    x = Scalar.from_fraction(field, Fraction(-7, 3))
+    assert_agrees(x.inverse(), RefScalar.from_fraction(field, Fraction(-3, 7)))
+    assert x.inverse() == Scalar.from_fraction(field, Fraction(-3, 7))
+
+
+# --------------------------------------------------------------- work guards
+
+def test_cyclotomic_arithmetic_builds_no_fraction(monkeypatch):
+    a = parse_scalar("1/2*z + 1/2*z^7 - 3/5*z^2", Z16)
+    b = parse_scalar("7/3 - z^3 + 2*z^5", Z16)
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    products = [a * b, a + b, a - b, a.inverse(), a / b, b * Scalar.one(Z16), b.scale(3)]
+    monkeypatch.undo()
+    assert made == []
+    assert products[3] * a == Scalar.one(Z16)
+
+
+def test_fields_are_interned():
+    f = FieldSpec.cyclotomic(16)
+    assert FieldSpec.from_json({"kind": "cyclotomic", "n": 16}) is f
+    assert FieldSpec.from_json({"kind": "prime", "p": 5}) is FieldSpec.prime(5)
+    assert FieldSpec.rational() is FieldSpec.rational()
+    assert Scalar.one(f) is Scalar.one(f)
+    assert Scalar.zero(f) is Scalar.zero(f)
+
+
+def test_multiplying_by_one_or_zero_returns_the_other_factor():
+    for field in (Q, Z8):
+        x = parse_scalar("-2/3", field)
+        assert x * Scalar.one(field) is x
+        assert Scalar.one(field) * x is x
+        assert x * Scalar.zero(field) is Scalar.zero(field)

@@ -14,8 +14,10 @@ Z4 = FieldSpec.cyclotomic(4)
 
 def rand_scalar(field, rng):
     if field.kind == "cyclotomic":
-        deg = field.degree
-        return Scalar(field, tuple(Fraction(rng.randint(-3, 3)) for _ in range(deg)))
+        acc = Scalar.zero(field)
+        for k in range(field.degree):
+            acc = acc + Scalar.from_int(field, rng.randint(-3, 3)) * Scalar.zeta(field, k)
+        return acc
     return Scalar.from_fraction(field, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
 
