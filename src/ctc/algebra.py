@@ -36,7 +36,6 @@ __all__ = [
     "AlgebraError",
     "UnitMultiplicityNotOne",
     "NotRigidSelfDual",
-    "NonUniqueCoevaluation",
     "NotScalarMultiple",
     "InvalidGroupTable",
     "NotIsotropic",
@@ -66,12 +65,6 @@ class UnitMultiplicityNotOne(AlgebraError):
 
 class NotRigidSelfDual(AlgebraError):
     """The multiplication pairing admits no two-sided coevaluation."""
-
-
-class NonUniqueCoevaluation(AlgebraError):
-    def __init__(self, freedom: int):
-        super().__init__("coevaluation underdetermined, %d free parameters" % freedom)
-        self.freedom = freedom
 
 
 class NotScalarMultiple(AlgebraError):
@@ -198,8 +191,7 @@ def solve_coevaluation(alg: AlgebraObject, counit: Mor | None = None) -> Mor:
     b and b* occur with different multiplicities, when a pairing block is
     singular, or when either bent-line check fails; without an explicit
     counit, make_counit may raise UnitMultiplicityNotOne first.  The first
-    bent line fixes every block, so a solution is unique and
-    NonUniqueCoevaluation never arises here.
+    bent line fixes every block, so a solution is unique.
     """
     if counit is None:
         counit = make_counit(alg)

@@ -219,7 +219,7 @@ class CategorySpec:
 class Obj:
     """A multiplicity vector over the labels of one category."""
 
-    __slots__ = ("spec", "mult")
+    __slots__ = ("spec", "mult", "_key")
 
     def __init__(self, spec: CategorySpec, mult: dict):
         self.spec = spec
@@ -232,6 +232,7 @@ class Obj:
             if m:
                 clean[lab] = int(m)
         self.mult = clean
+        self._key = tuple((lab, clean[lab]) for lab in spec.labels if lab in clean)
 
     @staticmethod
     def simple(spec, label) -> "Obj":
@@ -249,7 +250,7 @@ class Obj:
         return self.mult.get(label, 0)
 
     def key(self):
-        return tuple((lab, self.mult[lab]) for lab in self.spec.labels if lab in self.mult)
+        return self._key
 
     def slots(self):
         return [(lab, i) for lab in self.spec.labels for i in range(self.m(lab))]

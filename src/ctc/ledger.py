@@ -4,9 +4,9 @@ Dimensions are additive across exact sequences, so composition-series
 data turns into linear relations between the dimensions of the symbols
 involved.  A problem lists symbols, relations (a left-hand symbol equals
 an integer combination of others), known values, and symbols declared
-projective, whose dimension is forced to zero.  Solving is incremental
-Gaussian elimination, so an inconsistency is reported against the first
-input line that produces it.
+projective, whose dimension is forced to zero.  Solving feeds one
+equation at a time to the incremental ``linalg.Echelon``, so an
+inconsistency is reported against the first input line that produces it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
+from .linalg import Echelon
 
 __all__ = [
     "LedgerError",
@@ -77,58 +78,34 @@ def solve_dims(problem: LedgerProblem) -> dict:
     field = problem.field
     index = {s: i for i, s in enumerate(problem.symbols)}
     n = len(problem.symbols)
-    zero, one = Scalar.zero(field), Scalar.one(field)
+    one = Scalar.one(field)
+    # the right-hand side sits in column n, so a pivot there reads 0 = c
+    ech = Echelon()
 
-    rows = []  # (pivot_col, coeffs, rhs) with coeffs[pivot] == 1
-
-    def reduce_and_insert(coeffs, rhs, source):
-        for pivot, pcoeffs, prhs in rows:
-            c = coeffs[pivot]
-            if c.is_zero():
-                continue
-            coeffs = [a - c * b for a, b in zip(coeffs, pcoeffs)]
-            rhs = rhs - c * prhs
-        lead = next((j for j in range(n) if not coeffs[j].is_zero()), None)
-        if lead is None:
-            if not rhs.is_zero():
-                raise Inconsistent(source)
-            return
-        inv = coeffs[lead].inverse()
-        coeffs = [a * inv for a in coeffs]
-        rhs = rhs * inv
-        for k, (pivot, pcoeffs, prhs) in enumerate(rows):
-            c = pcoeffs[lead]
-            if not c.is_zero():
-                rows[k] = (
-                    pivot,
-                    [a - c * b for a, b in zip(pcoeffs, coeffs)],
-                    prhs - c * rhs,
-                )
-        rows.append((lead, coeffs, rhs))
+    def insert(coeffs, source):
+        if ech.add(coeffs) == n:
+            raise Inconsistent(source)
 
     for lhs, rhs_terms, source in problem.relations:
-        coeffs = [zero] * n
-        coeffs[index[lhs]] = one
+        coeffs = {index[lhs]: one}
         for sym, k in rhs_terms.items():
-            coeffs[index[sym]] = coeffs[index[sym]] - Scalar.from_int(field, k)
-        reduce_and_insert(coeffs, zero, source)
+            j = index[sym]
+            term = -Scalar.from_int(field, k)
+            coeffs[j] = coeffs[j] + term if j in coeffs else term
+        insert(coeffs, source)
     for sym, value in problem.knowns.items():
-        coeffs = [zero] * n
-        coeffs[index[sym]] = one
-        reduce_and_insert(coeffs, value, "known %s" % sym)
+        insert({index[sym]: one, n: value}, "known %s" % sym)
     for sym in problem.projectives:
-        coeffs = [zero] * n
-        coeffs[index[sym]] = one
-        reduce_and_insert(coeffs, zero, "projective %s" % sym)
+        insert({index[sym]: one}, "projective %s" % sym)
 
-    pivots = {pivot for pivot, _c, _r in rows}
+    rows = ech.reduced()
+    pivots = {pivot for pivot, _row in rows}
     free = [s for s in problem.symbols if index[s] not in pivots]
     if free:
         raise Underdetermined(free)
-    # insertion keeps earlier rows reduced, so each row is just pivot = rhs
-    values = [zero] * n
-    for pivot, _coeffs, rhs in rows:
-        values[pivot] = rhs
+    # with no free symbol each reduced row reads symbol = value
+    zero = Scalar.zero(field)
+    values = {pivot: row.get(n, zero) for pivot, row in rows}
     return {s: values[index[s]] for s in problem.symbols}
 
 

@@ -1,12 +1,17 @@
 """Exact linear algebra over Scalar matrices.
 
-Dense matrices are plain lists of row lists of Scalar.  Elimination
-pivots on the first nonzero entry in each column (no magnitude heuristics
-exist for exact fields), which also makes every echelon form, nullspace
-basis, and image factorization deterministic for a given input.
+Every exact solve runs through one kernel, ``Echelon``: rows are sparse
+``{col: Scalar}`` dicts of the nonzero entries, added one at a time and
+reduced by the pivots already held; ``Echelon.reduced`` back-substitutes
+once.  A row's pivot is its least nonzero column (exact fields need no
+magnitude heuristics), and the reduced echelon form is unique, so every
+echelon form, nullspace basis, solution and image factorization is
+deterministic for a given input whatever order its rows arrive in.
 
-Sparse matrices are lists of rows, each a ``{col: Scalar}`` dict of the
-nonzero entries only; ``sparse_mul`` multiplies them.
+Dense matrices, plain lists of row lists of Scalar, appear only at the
+boundary: ``rref``, ``rank``, ``solve``, ``nullspace``, ``inverse`` and
+``image_factorization`` take them and convert once.  ``mat_mul``
+multiplies dense matrices and ``sparse_mul`` sparse ones.
 """
 
 from __future__ import annotations
@@ -18,11 +23,7 @@ __all__ = [
     "identity",
     "mat_mul",
     "sparse_mul",
-    "mat_add",
-    "mat_scale",
-    "mat_is_zero",
-    "mat_copy",
-    "transpose",
+    "Echelon",
     "rref",
     "rank",
     "solve",
@@ -46,16 +47,6 @@ def identity(field: FieldSpec, n: int):
     z = Scalar.zero(field)
     o = Scalar.one(field)
     return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a):
-    return [list(row) for row in a]
-
-
-def transpose(a, rows: int, cols: int, field: FieldSpec):
-    if not a:
-        return zeros(field, cols, rows)
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
 
 
 def mat_mul(a, b, field: FieldSpec, rows: int, inner: int, cols: int):
@@ -98,121 +89,164 @@ def sparse_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+class Echelon:
+    """Incremental sparse row echelon form: the one elimination loop.
+
+    ``rows`` holds ``(pivot, row)`` pairs in insertion order.  A row is a
+    ``{col: Scalar}`` dict of nonzero entries; it is one at its pivot, its
+    least column, and zero at the pivot of every row added before it.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, row: dict):
+        """Reduce a copy of ``row`` by the pivots held, in insertion order,
+        and keep it normalised; its pivot, or None if it reduced to zero."""
+        row = dict(row)
+        for pivot, prow in self.rows:
+            c = row.get(pivot)
+            if c is None or c.is_zero():
+                continue
+            _axpy(row, -c, prow)
+        row = {k: v for k, v in row.items() if not v.is_zero()}
+        if not row:
+            return None
+        pivot = min(row)
+        lead = row[pivot]
+        if not lead.is_one():
+            inv = lead.inverse()
+            row = {k: inv * v for k, v in row.items()}
+        self.rows.append((pivot, row))
+        return pivot
+
+    def reduced(self) -> list:
+        """The reduced row echelon form, as ``(pivot, row)`` pairs by pivot.
+
+        Back-substitutes once, from the last row up, so every row ends
+        zero at every other pivot.  That form is unique, so it does not
+        depend on the order the rows were added in.
+        """
+        rows = self.rows
+        for j in range(len(rows) - 2, -1, -1):
+            pivot, row = rows[j]
+            hit = [(-row[p], prow) for p, prow in rows[j + 1 :] if p in row]
+            if hit:
+                row = dict(row)
+                for c, prow in hit:
+                    _axpy(row, c, prow)
+                rows[j] = (pivot, {k: v for k, v in row.items() if not v.is_zero()})
+        return sorted(rows, key=lambda pr: pr[0])
+
+    def kernel(self, cols: int, field: FieldSpec) -> list:
+        """Basis of {x : row . x = 0 for every row} on columns 0..cols-1,
+        one sparse vector per free column c in order: x[c] = 1 and
+        x[pivot] = -row[c]."""
+        red = self.reduced()
+        pivots = {p for p, _ in red}
+        one = Scalar.one(field)
+        out = []
+        for c in range(cols):
+            if c in pivots:
+                continue
+            v = {p: -row[c] for p, row in red if c in row}
+            v[c] = one
+            out.append(v)
+        return out
 
 
-def mat_scale(a, s: Scalar):
-    return [[s * x for x in row] for row in a]
+def _axpy(row: dict, c: Scalar, prow: dict) -> None:
+    """row += c * prow in place; entries that cancel stay as zeros."""
+    for k, y in prow.items():
+        v = row.get(k)
+        row[k] = c * y if v is None else v + c * y
 
 
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
+def _sparse(row, shift: int = 0) -> dict:
+    return {shift + j: x for j, x in enumerate(row) if not x.is_zero()}
+
+
+def _echelon(a) -> Echelon:
+    ech = Echelon()
+    for row in a:
+        ech.add(_sparse(row))
+    return ech
+
+
+def _dense(row: dict, cols: int, zero: Scalar) -> list:
+    out = [zero] * cols
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def rref(a, field: FieldSpec):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = mat_copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        # first nonzero entry at or below row r
-        pivot_row = None
-        for i in range(r, rows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(a[0]) if a else 0
+    zero = Scalar.zero(field)
+    red = _echelon(a).reduced()
+    m = [_dense(row, cols, zero) for _p, row in red]
+    m.extend([zero] * cols for _ in range(len(a) - len(red)))
+    return m, [p for p, _row in red]
 
 
 def rank(a, field: FieldSpec) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a, field)[1])
+    return len(_echelon(a).rows)
 
 
 def solve(a, b, field: FieldSpec, rows: int, cols: int, rhs_cols: int):
     """Particular solution X of A X = B with free variables set to zero.
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent: some row reduces to a
+    pivot among B's columns.
     """
-    if rows == 0:
-        return zeros(field, cols, rhs_cols)
-    aug = [list(a[i]) + list(b[i]) for i in range(rows)]
-    red, pivots = rref(aug, field)
-    for pc in pivots:
-        if pc >= cols:
+    ech = Echelon()
+    for i in range(rows):
+        row = _sparse(a[i])
+        row.update(_sparse(b[i], cols))
+        pivot = ech.add(row)
+        if pivot is not None and pivot >= cols:
             return None
     x = zeros(field, cols, rhs_cols)
-    for r, pc in enumerate(pivots):
-        for j in range(rhs_cols):
-            x[pc][j] = red[r][cols + j]
+    for pivot, row in ech.reduced():
+        for j, v in row.items():
+            if j >= cols:
+                x[pivot][j - cols] = v
     return x
 
 
 def nullspace(a, field: FieldSpec, rows: int, cols: int):
     """Deterministic basis of the right nullspace, one vector per free column."""
-    if cols == 0:
-        return []
-    if rows == 0:
-        basis = []
-        for c in range(cols):
-            v = [Scalar.zero(field)] * cols
-            v[c] = Scalar.one(field)
-            basis.append(v)
-        return basis
-    red, pivots = rref(a, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Scalar.zero(field)] * cols
-        v[fc] = Scalar.one(field)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    zero = Scalar.zero(field)
+    return [_dense(v, cols, zero) for v in _echelon(a).kernel(cols, field)]
 
 
 def inverse(a, field: FieldSpec, n: int):
-    if n == 0:
-        return []
-    aug = [list(a[i]) + identity(field, n)[i] for i in range(n)]
-    red, pivots = rref(aug, field)
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in red]
+    """Inverse of the n x n matrix a; raises SingularMatrix if there is none."""
+    one, zero = Scalar.one(field), Scalar.zero(field)
+    ech = Echelon()
+    for i, arow in enumerate(a):
+        row = _sparse(arow)
+        row[n + i] = one
+        if ech.add(row) >= n:
+            raise SingularMatrix("matrix is not invertible")
+    return [[row.get(n + j, zero) for j in range(n)] for _p, row in ech.reduced()]
 
 
 def image_factorization(m, field: FieldSpec, rows: int, cols: int):
     """Factor M = U P with U a column-echelon basis of the column space.
 
     U is rows x r and P is r x cols, with r = rank(M).  U's columns are
-    the nonzero rows of rref(M^T) turned back into columns, so the
-    factorization is canonical for a given M.
+    the reduced echelon basis of M's columns, so the factorization is
+    canonical for a given M.  U is the identity on its pivot rows, so P
+    is M's rows at those pivots.
     """
-    if rows == 0 or cols == 0 or mat_is_zero(m):
-        return zeros(field, rows, 0), zeros(field, 0, cols)
-    mt = transpose(m, rows, cols, field)
-    red, pivots = rref(mt, field)
-    r = len(pivots)
-    u = [[red[j][i] for j in range(r)] for i in range(rows)]
-    p = solve(u, m, field, rows, r, cols)
-    if p is None:
-        raise SingularMatrix("image basis does not span its own matrix")
-    return u, p
+    ech = Echelon()
+    for j in range(cols):
+        ech.add({i: m[i][j] for i in range(rows) if not m[i][j].is_zero()})
+    red = ech.reduced()
+    zero = Scalar.zero(field)
+    u = [[row.get(i, zero) for _p, row in red] for i in range(rows)]
+    return u, [list(m[p]) for p, _row in red]

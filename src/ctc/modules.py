@@ -64,6 +64,7 @@ __all__ = [
     "NotALift",
     "NotAlgebraAutomorphism",
     "SectionPostconditionFailed",
+    "IsomorphismUndecided",
     "AModule",
     "check_module",
     "induce",
@@ -117,6 +118,10 @@ class NotAlgebraAutomorphism(ModuleError):
 
 class SectionPostconditionFailed(ModuleError):
     """The averaged map failed an exact postcondition; inputs were inconsistent."""
+
+
+class IsomorphismUndecided(ModuleError):
+    """Several hom basis elements are singular, so isomorphism is not decided."""
 
 
 class AModule:
@@ -223,43 +228,42 @@ def hom_A(m1: AModule, m2: AModule) -> list[Mor]:
     spec = m1.spec
     field = spec.field
     X1, X2 = m1.carrier, m2.carrier
-    A = m1.alg.carrier
-    ia = Mor.identity(A)
-    var_index = []
-    for lab in spec.labels:
-        for r in range(X2.m(lab)):
-            for c in range(X1.m(lab)):
-                var_index.append((lab, r, c))
-    if not var_index:
-        return []
+    ia = Mor.identity(m1.alg.carrier)
+    var_index = [(lab, r, c) for lab in spec.labels for r in range(X2.m(lab)) for c in range(X1.m(lab))]
 
-    def sparse_mor(entries):
+    def sparse_mor(coeffs):
         rows = {}
-        for (lab, r, c), v in entries:
-            blk = rows.setdefault(lab, [{} for _ in range(X2.m(lab))])
-            blk[r][c] = v
+        for t, v in coeffs.items():
+            lab, r, c = var_index[t]
+            rows.setdefault(lab, [{} for _ in range(X2.m(lab))])[r][c] = v
         return Mor.from_rows(X1, X2, rows)
 
-    def basis_mor(t):
-        return sparse_mor([(var_index[t], Scalar.one(field))])
+    one = Scalar.one(field)
+    images = []
+    for t in range(len(var_index)):
+        f = sparse_mor({t: one})
+        images.append(compose(f, m1.action) - compose(m2.action, tensor_mor(ia, f)))
+    return [sparse_mor(vec) for vec in _kernel_of_images(images, field)]
 
-    def defect(f: Mor) -> list:
-        d = compose(f, m1.action) - compose(m2.action, tensor_mor(ia, f))
-        out = []
-        dom = d.dom
-        for lab in spec.labels:
-            if dom.m(lab) and d.cod.m(lab):
-                for row in d.block(lab):
-                    out.extend(row)
-        return out
 
-    columns = [defect(basis_mor(t)) for t in range(len(var_index))]
-    rows = len(columns[0]) if columns else 0
-    if rows == 0:
-        return [basis_mor(t) for t in range(len(var_index))]
-    mat = [[columns[t][r] for t in range(len(var_index))] for r in range(rows)]
-    kernel = la.nullspace(mat, field, rows, len(var_index))
-    return [sparse_mor([(key, v) for key, v in zip(var_index, vec) if not v.is_zero()]) for vec in kernel]
+def _kernel_of_images(images: list[Mor], field) -> list[dict]:
+    """Which combinations of basis morphisms a linear map sends to zero.
+
+    ``images[t]`` is the image of basis morphism t; all share endpoints.
+    Returns a basis of {c : sum_t c_t images[t] = 0} as sparse
+    ``{t: Scalar}`` vectors, one per free coefficient, from one equation
+    per entry position (label, row, column) where some image is nonzero.
+    """
+    equations = {}
+    for t, img in enumerate(images):
+        for lab, rows in img.rows.items():
+            for r, row in enumerate(rows):
+                for c, v in row.items():
+                    equations.setdefault((lab, r, c), {})[t] = v
+    ech = la.Echelon()
+    for eq in equations.values():
+        ech.add(eq)
+    return ech.kernel(len(images), field)
 
 
 def _monodromy(a: Obj, x: Obj) -> Mor:
@@ -497,7 +501,7 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
     The closure is semi-naive: each round multiplies only the pairs with
     a factor admitted in the previous round, since every other product
     already lies in the span.  Candidates are reduced against an
-    echelon copy of the basis kept alongside it.
+    ``la.Echelon`` of the flattened basis kept alongside it.
     """
     spec = mod.spec
     field = spec.field
@@ -506,24 +510,12 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
         return ActionAlgebra(mod, [], [], [], 0)
 
     basis = []
-    # (pivot, nonzero entries) per basis element, reduced against the rows
-    # before it, so each row is zero at every earlier pivot
-    echelon = []
+    echelon = la.Echelon()
 
     def admit(m):
-        v = [x for row in m for x in row]
-        for pc, row in echelon:
-            c = v[pc]
-            if not c.is_zero():
-                for k, y in row:
-                    v[k] = v[k] - c * y
-        pc = next((k for k, x in enumerate(v) if not x.is_zero()), None)
-        if pc is None:
-            return False
-        inv = v[pc].inverse()
-        echelon.append((pc, [(k, inv * x) for k, x in enumerate(v) if not x.is_zero()]))
-        basis.append(m)
-        return True
+        flat = (x for row in m for x in row)
+        if echelon.add({k: x for k, x in enumerate(flat) if not x.is_zero()}) is not None:
+            basis.append(m)
 
     admit(la.identity(field, n))
     for m in ops + gradings:
@@ -633,13 +625,11 @@ def algebra_radical(basis, n, field):
         kernel = la.nullspace(gram, field, d, d)
     else:
         kernel = _ronyai_radical(basis, n, field)
+    zero = Scalar.zero(field)
     out = []
     for v in kernel:
-        m = la.zeros(field, n, n)
-        for t in range(d):
-            if not v[t].is_zero():
-                m = la.mat_add(m, la.mat_scale(basis[t], v[t]))
-        out.append(m)
+        terms = [(c, basis[t]) for t, c in enumerate(v) if not c.is_zero()]
+        out.append([[sum((c * m[i][j] for c, m in terms), zero) for j in range(n)] for i in range(n)])
     return out
 
 
@@ -673,15 +663,30 @@ def is_simple_module(mod: AModule) -> bool:
 
 
 def modules_isomorphic(m1: AModule, m2: AModule) -> Mor | None:
-    """An invertible intertwiner if one appears in the hom basis, else None."""
+    """An invertible intertwiner from the hom basis, or None if none exists.
+
+    None is exact: the carriers differ, the hom space of nonzero modules
+    is zero, or it is spanned by one singular element, of which every
+    intertwiner is a multiple.  When two or more basis elements are all
+    singular, some combination may still be invertible, and
+    IsomorphismUndecided is raised.  Simple modules never get there
+    (Schur).
+    """
     if m1.carrier.mult != m2.carrier.mult:
         return None
-    for b in hom_A(m1, m2):
+    basis = hom_A(m1, m2)
+    if m1.carrier.is_zero():
+        return Mor.zero(m1.carrier, m2.carrier)
+    for b in basis:
         try:
             b.inverse()
         except la.SingularMatrix:
             continue
         return b
+    if len(basis) > 1:
+        raise IsomorphismUndecided(
+            "none of the %d hom basis elements is invertible; a combination may be" % len(basis)
+        )
     return None
 
 
@@ -946,31 +951,16 @@ def _run_counterexample_suite(raw) -> Report:
 
 
 def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:
-    """Whether any intertwiner is a section of f; searched over the hom basis."""
-    basis = hom_A(m_cod, m_dom)
-    field = m_dom.spec.field
-    ident = Mor.identity(m_cod.carrier)
-    # f after a combination of basis elements is linear in the coefficients
-    flat_targets = []
-    for b in basis:
-        fb = compose(f, b)
-        flat_targets.append(_flatten_mor(fb))
-    want = _flatten_mor(ident)
-    if not flat_targets:
-        return all(x.is_zero() for x in want)
-    rows = len(want)
-    mat = [[flat_targets[t][r] for t in range(len(basis))] for r in range(rows)]
-    rhs = [[v] for v in want]
-    return la.solve(mat, rhs, field, rows, len(basis), 1) is not None
+    """Whether any intertwiner is a section of f; searched over the hom basis.
 
-
-def _flatten_mor(m: Mor) -> list:
-    out = []
-    for lab in m.dom.spec.labels:
-        if m.dom.m(lab) and m.cod.m(lab):
-            for row in m.block(lab):
-                out.extend(row)
-    return out
+    With the identity appended as a last image, a combination c of the
+    basis is a section exactly when (c, -1) lies in the kernel, so one
+    exists exactly when some kernel vector has a nonzero last entry.
+    """
+    images = [compose(f, b) for b in hom_A(m_cod, m_dom)]
+    images.append(Mor.identity(m_cod.carrier))
+    last = len(images) - 1
+    return any(last in v for v in _kernel_of_images(images, m_dom.spec.field))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from ctc.algebra import (
     Group,
     NotScalarMultiple,
     InvalidGroupTable,
-    NonUniqueCoevaluation,
     NotIsotropic,
     NotRigidSelfDual,
     UnitMultiplicityNotOne,
@@ -57,6 +56,10 @@ def grp(name):
 
 def statuses(report):
     return {i.check: i.status for i in report.items}
+
+
+class NonUniqueCoevaluation(Exception):
+    """The composed bent-line system leaves free parameters."""
 
 
 def _composed_coevaluation(alg, counit):
@@ -100,7 +103,7 @@ def _composed_coevaluation(alg, counit):
         raise NotRigidSelfDual("bent-line conditions are inconsistent")
     freedom = len(la.nullspace(mat, field, rows, n_unknowns))
     if freedom:
-        raise NonUniqueCoevaluation(freedom)
+        raise NonUniqueCoevaluation("%d free parameters" % freedom)
     return Mor(unit_o, aa, {spec.unit: [[sol[t][0]] for t in range(n_unknowns)]})
 
 

@@ -1,5 +1,6 @@
 """Dimension ledger: elimination, failure modes, the bundled instance."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,91 @@ def test_solution_report_shapes():
     rep2 = solution_report(bad)
     assert not rep2.ok
     assert rep2.items[0].witness == "projective X"
+
+
+# ---------------------------------------------------------------------------
+# reference: the dense incremental elimination the kernel replaced
+
+
+def reference_solve_dims(problem):
+    field = problem.field
+    index = {s: i for i, s in enumerate(problem.symbols)}
+    n = len(problem.symbols)
+    zero, one = Scalar.zero(field), Scalar.one(field)
+    rows = []  # (pivot_col, coeffs, rhs) with coeffs[pivot] == 1
+
+    def reduce_and_insert(coeffs, rhs, source):
+        for pivot, pcoeffs, prhs in rows:
+            c = coeffs[pivot]
+            if c.is_zero():
+                continue
+            coeffs = [a - c * b for a, b in zip(coeffs, pcoeffs)]
+            rhs = rhs - c * prhs
+        lead = next((j for j in range(n) if not coeffs[j].is_zero()), None)
+        if lead is None:
+            if not rhs.is_zero():
+                raise Inconsistent(source)
+            return
+        inv = coeffs[lead].inverse()
+        coeffs = [a * inv for a in coeffs]
+        rhs = rhs * inv
+        for k, (pivot, pcoeffs, prhs) in enumerate(rows):
+            c = pcoeffs[lead]
+            if not c.is_zero():
+                rows[k] = (pivot, [a - c * b for a, b in zip(pcoeffs, coeffs)], prhs - c * rhs)
+        rows.append((lead, coeffs, rhs))
+
+    for lhs, rhs_terms, source in problem.relations:
+        coeffs = [zero] * n
+        coeffs[index[lhs]] = one
+        for sym, k in rhs_terms.items():
+            coeffs[index[sym]] = coeffs[index[sym]] - Scalar.from_int(field, k)
+        reduce_and_insert(coeffs, zero, source)
+    for sym, value in problem.knowns.items():
+        coeffs = [zero] * n
+        coeffs[index[sym]] = one
+        reduce_and_insert(coeffs, value, "known %s" % sym)
+    for sym in problem.projectives:
+        coeffs = [zero] * n
+        coeffs[index[sym]] = one
+        reduce_and_insert(coeffs, zero, "projective %s" % sym)
+    pivots = {pivot for pivot, _c, _r in rows}
+    free = [s for s in problem.symbols if index[s] not in pivots]
+    if free:
+        raise Underdetermined(free)
+    values = [zero] * n
+    for pivot, _coeffs, rhs in rows:
+        values[pivot] = rhs
+    return {s: values[index[s]] for s in problem.symbols}
+
+
+def _outcome(solver, p):
+    try:
+        return "solved", solver(p)
+    except Inconsistent as exc:
+        return "inconsistent", exc.source
+    except Underdetermined as exc:
+        return "underdetermined", exc.free
+
+
+def random_problem(rng):
+    symbols = ["S%d" % k for k in range(rng.randint(1, 5))]
+    relations = []
+    for _ in range(rng.randint(0, 4)):
+        lhs = rng.choice(symbols)
+        others = rng.sample(symbols, rng.randint(0, len(symbols)))
+        relations.append((lhs, {s: rng.randint(-2, 2) for s in others}))
+    knowns = {s: rng.randint(-2, 2) for s in rng.sample(symbols, rng.randint(0, len(symbols)))}
+    projectives = rng.sample(symbols, rng.randint(0, 1))
+    return problem(symbols, relations, knowns, projectives)
+
+
+def test_solve_dims_matches_dense_reference():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(400):
+        p = random_problem(rng)
+        got = _outcome(solve_dims, p)
+        assert got == _outcome(reference_solve_dims, p)
+        kinds.add(got[0])
+    assert kinds == {"solved", "inconsistent", "underdetermined"}

@@ -58,6 +58,8 @@ from ctc.modules import (
     theorem_suite,
     trivial_module,
 )
+from ctc.modules import _augmentation, _equivariant_section_exists
+from test_linalg import dense_nullspace, dense_solve
 
 
 def cat(name):
@@ -691,6 +693,116 @@ def test_isomorphism_classification_toric():
     assert compose(iso, mods["1"].action) == compose(mods["e"].action, tensor_mor(ia, iso))
     assert modules_isomorphic(mods["m"], mods["f"]) is not None
     assert modules_isomorphic(mods["1"], mods["m"]) is None
+
+
+def test_isomorphism_undecided_on_a_singular_hom_basis():
+    # End(Q[Z2] + Q[Z2]) has 8 basis elements, none invertible, yet the
+    # identity is an isomorphism: a None here would be a false negative
+    reg = regular_module(galg("vec_q", "z2"))
+    m, _, _ = module_direct_sum(reg, reg)
+    assert len(hom_A(m, m)) == 8
+    with pytest.raises(ModuleError) as exc:
+        modules_isomorphic(m, m)
+    assert type(exc.value).__name__ == "IsomorphismUndecided"
+    # the zero module has an empty hom basis and is still isomorphic to itself
+    zero = induce(reg.alg, Obj.zero(reg.spec))
+    assert modules_isomorphic(zero, zero) == Mor.zero(zero.carrier, zero.carrier)
+
+
+# ---------------------------------------------------------------------------
+# flatten-based references for hom_A and the equivariant-section search:
+# every defect entry of every basis morphism, flattened into a dense
+# matrix and solved by the dense Gauss-Jordan reference
+
+
+def _flatten_mor(m):
+    out = []
+    for lab in m.dom.spec.labels:
+        if m.dom.m(lab) and m.cod.m(lab):
+            for row in m.block(lab):
+                out.extend(row)
+    return out
+
+
+def _basis_mor(x1, x2, key, field):
+    lab, r, c = key
+    rows = {lab: [{} for _ in range(x2.m(lab))]}
+    rows[lab][r][c] = Scalar.one(field)
+    return Mor.from_rows(x1, x2, rows)
+
+
+def reference_hom_A(m1, m2):
+    spec = m1.spec
+    field = spec.field
+    X1, X2 = m1.carrier, m2.carrier
+    ia = Mor.identity(m1.alg.carrier)
+    var_index = [(lab, r, c) for lab in spec.labels for r in range(X2.m(lab)) for c in range(X1.m(lab))]
+    if not var_index:
+        return []
+    columns = []
+    for key in var_index:
+        f = _basis_mor(X1, X2, key, field)
+        columns.append(_flatten_mor(compose(f, m1.action) - compose(m2.action, tensor_mor(ia, f))))
+    rows = len(columns[0])
+    mat = [[columns[t][r] for t in range(len(var_index))] for r in range(rows)]
+    out = []
+    for vec in dense_nullspace(mat, field, rows, len(var_index)):
+        acc = Mor.zero(X1, X2)
+        for key, v in zip(var_index, vec):
+            if not v.is_zero():
+                acc = acc + _basis_mor(X1, X2, key, field).scale(v)
+        out.append(acc)
+    return out
+
+
+def reference_section_exists(f, m_dom, m_cod):
+    basis = reference_hom_A(m_cod, m_dom)
+    flat = [_flatten_mor(compose(f, b)) for b in basis]
+    want = _flatten_mor(Mor.identity(m_cod.carrier))
+    if not flat:
+        return all(x.is_zero() for x in want)
+    rows = len(want)
+    mat = [[flat[t][r] for t in range(len(basis))] for r in range(rows)]
+    return dense_solve(mat, [[v] for v in want], m_dom.spec.field, rows, len(basis), 1) is not None
+
+
+def _bundled_module_families():
+    """Module lists over one algebra each: the bundled module, the regular
+    and induced modules of every bundled algebra, and the regular and
+    trivial modules of z2, z3 and s3 over Q, F_2 and F_3."""
+    mod = load_module(data_path("modules/mod_toric_m.json"))
+    yield "mod_toric_m", [mod, regular_module(mod.alg)]
+    for name in ("alg_qz3", "alg_h02", "alg_toric_1e"):
+        alg = load_algebra(data_path("algebras/%s.json" % name))
+        yield name, [regular_module(alg)] + [induce(alg, Obj.simple(alg.spec, s)) for s in alg.spec.labels]
+    for c in ("vec_q", "vec_f2", "vec_f3"):
+        for g in ("z2", "z3", "s3"):
+            alg = galg(c, g)
+            yield "%s/%s" % (c, g), [regular_module(alg), trivial_module(alg)]
+
+
+HOM_FAMILIES = dict(_bundled_module_families())
+
+
+@pytest.mark.parametrize("family", sorted(HOM_FAMILIES))
+def test_hom_A_matches_flattened_reference(family):
+    mods = HOM_FAMILIES[family]
+    for m1 in mods:
+        for m2 in mods:
+            assert hom_A(m1, m2) == reference_hom_A(m1, m2), (m1.name, m2.name)
+
+
+@pytest.mark.parametrize("family", [f for f in sorted(HOM_FAMILIES) if "/" in f])
+def test_equivariant_section_matches_reference(family):
+    reg, triv = HOM_FAMILIES[family]
+    aug = _augmentation(reg.alg)
+    cases = [(aug, reg, triv), (Mor.identity(reg.carrier), reg, reg), (Mor.zero(reg.carrier, triv.carrier), reg, triv)]
+    for f, m_dom, m_cod in cases:
+        assert _equivariant_section_exists(f, m_dom, m_cod) == reference_section_exists(f, m_dom, m_cod)
+    # regular over F_p with p | |G| has no equivariant section of the augmentation
+    field = reg.spec.field
+    want = field.char == 0 or len(reg.alg.carrier.slots()) % field.char != 0
+    assert _equivariant_section_exists(aug, reg, triv) == want
 
 
 # ---------------------------------------------------------------------------
