@@ -229,7 +229,7 @@ def _job(command: str, arg: str, algebra: str | None, seed: int) -> Report:
         if command == "suite":
             return _run_suite(path, seed)
         return _run_ledger(path, seed)
-    except (FileNotFoundError, ParseError, json.JSONDecodeError) as exc:
+    except (OSError, ParseError, json.JSONDecodeError) as exc:
         witness = str(exc)
     except (FieldError, CategoryError, AlgebraError, ModuleError, LedgerError) as exc:
         # inconsistent data: one error item for this input, the batch goes on

@@ -10,8 +10,10 @@ deterministic for a given input whatever order its rows arrive in.
 
 Dense matrices, plain lists of row lists of Scalar, appear only at the
 boundary: ``rref``, ``rank``, ``solve``, ``nullspace``, ``inverse`` and
-``image_factorization`` take them and convert once.  ``mat_mul``
-multiplies dense matrices and ``sparse_mul`` sparse ones.
+``image_factorization`` take them and convert once.  ``sparse_mul``
+multiplies sparse matrices.  ``mat_mul`` multiplies dense ones; nothing
+in the engine calls it any more, but the tests' dense references and
+the benchmark's layer counters still use it.
 """
 
 from __future__ import annotations

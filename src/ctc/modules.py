@@ -11,11 +11,15 @@ isomorphism classes).
 Semisimplicity is decided through the matrix algebra generated by the
 action components together with the grading projectors: carriers are
 graded by labels, and a subspace is a submodule exactly when it is
-invariant under both.  The module is semisimple exactly when that
-algebra has zero radical, which is decided by the trace form in
-characteristic zero or large characteristic, and over small prime
-fields by Ronyai's polynomial-time chain of ideals cut out by trace
-forms of p-power powers (J. Symb. Comput. 9 (1990)).
+invariant under both.  The operators are sparse rows read off the
+action, and the algebra is closed with sparse products.  The module is
+semisimple exactly when that algebra has zero radical.  In
+characteristic zero or above the matrix size that is the kernel of the
+trace form, whose entries are sums over nonzero entries.  Over small
+prime fields it is Ronyai's polynomial-time chain of ideals
+(J. Symb. Comput. 9 (1990)).  Each level's form g_i is linear on the
+previous ideal, so it is evaluated once per basis element of that ideal
+and read off as a trace against one weight matrix.
 """
 
 from __future__ import annotations
@@ -445,33 +449,44 @@ def split_with_rigid_target(f: Mor, sigma_tilde: Mor) -> Mor:
 
 
 def _action_operators(mod: AModule):
-    """One matrix on the flattened carrier per algebra slot, plus gradings."""
-    spec = mod.spec
-    field = spec.field
-    A = mod.alg.carrier
+    """One operator on the flattened carrier per algebra slot, plus gradings.
+
+    Each operator is a list of sparse ``{col: Scalar}`` rows holding its
+    nonzero entries, read straight off the rows of the action.
+    """
     X = mod.carrier
-    xslots = X.slots()
-    xpos = {sl: k for k, sl in enumerate(xslots)}
-    n = len(xslots)
-    pairs = pair_channels(A, X)
-    ops = []
-    for a, i in A.slots():
-        g = la.zeros(field, n, n)
-        for t, rows in mod.action.rows.items():
-            cols = pairs[t]
-            for r, row in enumerate(rows):
-                for cidx, v in row.items():
-                    a2, i2, s, kx = cols[cidx]
-                    if a2 == a and i2 == i:
-                        g[xpos[(t, r)]][xpos[(s, kx)]] = v
-        ops.append(g)
+    xpos = {sl: k for k, sl in enumerate(X.slots())}
+    n = len(xpos)
+    slot = {sl: k for k, sl in enumerate(mod.alg.carrier.slots())}
+    pairs = pair_channels(mod.alg.carrier, X)
+    ops = [[{} for _ in range(n)] for _ in slot]
+    for t, rows in mod.action.rows.items():
+        cols = pairs[t]
+        for r, row in enumerate(rows):
+            out = xpos[(t, r)]
+            for cidx, v in row.items():
+                a, i, s, kx = cols[cidx]
+                ops[slot[(a, i)]][out][xpos[(s, kx)]] = v
+    one = Scalar.one(mod.spec.field)
     gradings = []
     for t in X.labels_present():
-        p = la.zeros(field, n, n)
+        g = [{} for _ in range(n)]
         for r in range(X.m(t)):
-            p[xpos[(t, r)]][xpos[(t, r)]] = Scalar.one(field)
-        gradings.append(p)
+            g[xpos[(t, r)]][xpos[(t, r)]] = one
+        gradings.append(g)
     return ops, gradings, n
+
+
+def _dense(m, n, field):
+    """The dense n-column rows of a matrix held as sparse rows."""
+    zero = Scalar.zero(field)
+    out = []
+    for row in m:
+        dense = [zero] * n
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out
 
 
 @dataclass
@@ -500,11 +515,12 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
 
     The closure is semi-naive: each round multiplies only the pairs with
     a factor admitted in the previous round, since every other product
-    already lies in the span.  Candidates are reduced against an
-    ``la.Echelon`` of the flattened basis kept alongside it.
+    already lies in the span.  Operators stay sparse rows throughout;
+    each candidate is flattened to its nonzeros at ``r*n + c`` and
+    reduced against an ``la.Echelon`` of the basis kept alongside it.
+    The basis and generators are made dense once, at the end.
     """
-    spec = mod.spec
-    field = spec.field
+    field = mod.spec.field
     ops, gradings, n = _action_operators(mod)
     if n == 0:
         return ActionAlgebra(mod, [], [], [], 0)
@@ -513,11 +529,11 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
     echelon = la.Echelon()
 
     def admit(m):
-        flat = (x for row in m for x in row)
-        if echelon.add({k: x for k, x in enumerate(flat) if not x.is_zero()}) is not None:
+        if echelon.add({r * n + c: x for r, row in enumerate(m) for c, x in row.items()}) is not None:
             basis.append(m)
 
-    admit(la.identity(field, n))
+    one = Scalar.one(field)
+    admit([{k: one} for k in range(n)])
     for m in ops + gradings:
         admit(m)
     done = 0
@@ -527,17 +543,36 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
             for b, y in enumerate(snapshot):
                 if a < done and b < done:
                     continue
-                admit(la.mat_mul(x, y, field, n, n, n))
+                admit(la.sparse_mul(x, y))
         done = len(snapshot)
+    basis = [_dense(m, n, field) for m in basis]
     radical = algebra_radical(basis, n, field)
-    return ActionAlgebra(mod, ops + gradings, basis, radical, n)
+    return ActionAlgebra(mod, [_dense(m, n, field) for m in ops + gradings], basis, radical, n)
 
 
-def _trace(m, field, n) -> Scalar:
-    t = Scalar.zero(field)
-    for i in range(n):
-        t = t + m[i][i]
-    return t
+def _trace_form_kernel(flat, n, field):
+    """Kernel of the trace form Tr(x_i x_j) = sum over r, c of x_i[r][c] x_j[c][r].
+
+    Each entry is summed over the nonzeros of x_i, without forming x_i x_j.
+    """
+    d = len(flat)
+    zero = Scalar.zero(field)
+    gram = [[zero] * d for _ in range(d)]
+    for i, xi in enumerate(flat):
+        # x_i[r][c] meets x_j[c][r], at flat position c*n + r of x_j
+        moved = [((k % n) * n + k // n, v) for k, v in xi.items()]
+        for j in range(i, d):
+            xj = flat[j]
+            t = zero
+            for k, v in moved:
+                w = xj.get(k)
+                if w is not None:
+                    t = t + v * w
+            gram[i][j] = gram[j][i] = t
+    ech = la.Echelon()
+    for row in gram:
+        ech.add({j: v for j, v in enumerate(row) if not v.is_zero()})
+    return ech.kernel(d, field)
 
 
 def _int_mat_mul(a, b, q):
@@ -552,13 +587,13 @@ def _int_mat_mul(a, b, q):
     return out
 
 
-def _int_combination(weights, mats, q):
-    """sum_k weights[k] * mats[k] for integer matrices, entries reduced mod q."""
-    acc = [[0] * len(row) for row in mats[0]]
-    for w, m in zip(weights, mats):
-        if w:
-            acc = [[u + w * v for u, v in zip(arow, mrow)] for arow, mrow in zip(acc, m)]
-    return [[u % q for u in row] for row in acc]
+def _residues(row, n):
+    """The n x n integer matrix of residues held at flat positions below n*n."""
+    m = [[0] * n for _ in range(n)]
+    for k, x in row.items():
+        if k < n * n:
+            m[k // n][k % n] = x.residue()
+    return m
 
 
 def _ronyai_g(m, i, p):
@@ -575,42 +610,79 @@ def _ronyai_g(m, i, p):
     return sum(m[k][k] for k in range(len(m))) % q // p**i
 
 
-def _ronyai_radical(basis, n, field):
-    """Coefficients over ``basis`` of the radical, for 0 < p <= n.
+def _ronyai_radical(flat, n, field):
+    """Coefficients over the basis of the radical, for 0 < p <= n.
 
-    Returned as the rows of their reduced echelon form, last row first.
+    I_{i-1} is kept as flattened rows that carry their coefficients over
+    the basis in the columns from n*n on.  Its reduced echelon basis
+    B'_k, with pivot (r_k, c_k) below n*n, gives every z in I_{i-1} as
+    sum z[r_k][c_k] B'_k, so with W[c_k][r_k] = g_i(B'_k) the linear form
+    is g_i(z) = Tr(z W), and g_i(x y) = Tr(x (y W)).  The coefficients
+    are returned as the rows of their reduced echelon form, last row
+    first.
     """
     p = field.char
-    d = len(basis)
-    mats = [[[x.residue() for x in row] for row in m] for m in basis]
-    coeffs = [[int(j == k) for j in range(d)] for k in range(d)]
-    ideal = mats
+    nn = n * n
+    one = Scalar.one(field)
+    mats = [_residues(x, n) for x in flat]
+    ideal = [{**x, nn + t: one} for t, x in enumerate(flat)]
     level = 0
     while p ** (level + 1) <= n:
         level += 1
     for i in range(level + 1):
-        form = [[Scalar.from_int(field, _ronyai_g(_int_mat_mul(x, y, p), i, p)) for x in ideal] for y in mats]
-        weights = [[c.residue() for c in v] for v in la.nullspace(form, field, d, len(ideal))]
+        ech = la.Echelon()
+        for row in ideal:
+            ech.add(row)
+        red = ech.reduced()
+        w = [[0] * n for _ in range(n)]
+        for pivot, row in red:
+            r, c = divmod(pivot, n)
+            w[c][r] = _ronyai_g(_residues(row, n), i, p)
+        red = [row for _p, row in red]
+        xs = [[(k % n, k // n, x.residue()) for k, x in row.items() if k < nn] for row in red]
+        form = la.Echelon()
+        for y in mats:
+            yw = _int_mat_mul(y, w, p)
+            entries = {}
+            for k, x in enumerate(xs):
+                s = sum(v * yw[c][r] for c, r, v in x) % p
+                if s:
+                    entries[k] = Scalar.from_int(field, s)
+            form.add(entries)
+        weights = form.kernel(len(red), field)
         if not weights:
             return []
-        coeffs = [[sum(w * c[t] for w, c in zip(v, coeffs)) % p for t in range(d)] for v in weights]
-        ideal = [_int_combination(v, ideal, p) for v in weights]
-    red, pivots = la.rref([[Scalar.from_int(field, c) for c in v] for v in coeffs], field)
-    return red[: len(pivots)][::-1]
+        ideal = [_combine(v, red) for v in weights]
+    ech = la.Echelon()
+    for row in ideal:
+        ech.add({k - nn: x for k, x in row.items() if k >= nn})
+    return [row for _p, row in ech.reduced()][::-1]
+
+
+def _combine(weights, rows):
+    """sum_k weights[k] * rows[k] over sparse rows, zero entries dropped."""
+    acc = {}
+    for k, c in weights.items():
+        la._axpy(acc, c, rows[k])
+    return {j: x for j, x in acc.items() if not x.is_zero()}
 
 
 def algebra_radical(basis, n, field):
     """Radical of a unital matrix algebra given by a linearly independent basis.
 
+    The basis is read as sparse flattened matrices, nonzeros at r*n + c.
     When the characteristic is zero or larger than the matrix size the
-    radical is the kernel of the trace form.  Otherwise it is found by
-    Ronyai's chain of ideals (L. Ronyai, "Computing the structure of
-    finite algebras", J. Symb. Comput. 9 (1990); in the matrix form of
-    Cohen, Ivanyos and Wales, "Finding the radical of an algebra of
-    linear transformations", JPAA 117/118 (1997)): with I_{-1} = A,
+    radical is the kernel of the trace form, each Gram entry a sum over
+    nonzeros.  Otherwise it is found by Ronyai's chain of ideals
+    (L. Ronyai, "Computing the structure of finite algebras", J. Symb.
+    Comput. 9 (1990); in the matrix form of Cohen, Ivanyos and Wales,
+    "Finding the radical of an algebra of linear transformations", JPAA
+    117/118 (1997)): with I_{-1} = A,
     I_i = {x in I_{i-1} : g_i(x y) = 0 for every y in A}, where g_i is
     the F_p-linear form of ``_ronyai_g`` on I_{i-1}, and the radical is
-    I_l for l = floor(log_p n).
+    I_l for l = floor(log_p n).  Linearity means g_i is evaluated once
+    per basis element of I_{i-1} and read off as a trace against one
+    weight matrix, never on the products x y themselves.
 
     Over F_p the elements returned are the rows of the reduced echelon
     form of the radical's coefficients over ``basis``, last row first,
@@ -618,18 +690,22 @@ def algebra_radical(basis, n, field):
     """
     if not basis:
         return []
-    d = len(basis)
+    flat = [
+        {r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if not x.is_zero()}
+        for m in basis
+    ]
     p = field.char
     if p == 0 or p > n:
-        gram = [[_trace(la.mat_mul(basis[i], basis[j], field, n, n, n), field, n) for j in range(d)] for i in range(d)]
-        kernel = la.nullspace(gram, field, d, d)
+        kernel = _trace_form_kernel(flat, n, field)
     else:
-        kernel = _ronyai_radical(basis, n, field)
+        kernel = _ronyai_radical(flat, n, field)
     zero = Scalar.zero(field)
     out = []
     for v in kernel:
-        terms = [(c, basis[t]) for t, c in enumerate(v) if not c.is_zero()]
-        out.append([[sum((c * m[i][j] for c, m in terms), zero) for j in range(n)] for i in range(n)])
+        m = [[zero] * n for _ in range(n)]
+        for k, x in _combine(v, flat).items():
+            m[k // n][k % n] = x
+        out.append(m)
     return out
 
 

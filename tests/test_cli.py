@@ -128,6 +128,35 @@ def test_missing_input_is_error_exit(capsysbinary):
     assert items[0]["status"] == "error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "{dir}", "maschke_2_6"],
+        ["check-algebra", "{dir}", "alg_qz3"],
+        ["check-module", "{dir}", "mod_toric_m"],
+        ["ledger", "{dir}", "wp_triplet"],
+        ["check-category", "{dir}", "vec_q"],
+        ["condense", "{dir}", "toric_code", "--algebra", "alg_toric_1e"],
+    ],
+)
+def test_directory_input_is_one_error_item_and_the_batch_goes_on(tmp_path, capsysbinary, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code, out = run_json(capsysbinary, argv)
+    assert code == 2
+    items = json.loads(out)["items"]
+    assert items[0]["check"] == "load:%s" % tmp_path
+    assert items[0]["status"] == "error"
+    rest = items[1:]
+    assert rest and all(i["status"] == "pass" for i in rest)
+
+
+def test_unreadable_algebra_for_condense_is_an_error_item(tmp_path, capsysbinary):
+    code, out = run_json(capsysbinary, ["condense", "toric_code", "--algebra", str(tmp_path)])
+    assert code == 2
+    items = json.loads(out)["items"]
+    assert [(i["check"], i["status"]) for i in items] == [("load:toric_code", "error")]
+
+
 def test_domain_error_is_one_error_item_and_the_batch_goes_on(tmp_path, capsysbinary):
     raw = json.loads(open(data_path("categories/pointed_z4.json")).read())
     raw["dual"]["1"] = "2"

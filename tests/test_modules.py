@@ -58,7 +58,8 @@ from ctc.modules import (
     theorem_suite,
     trivial_module,
 )
-from ctc.modules import _augmentation, _equivariant_section_exists
+from ctc import modules as modules_mod
+from ctc.modules import _augmentation, _equivariant_section_exists, _int_mat_mul, _ronyai_g
 from test_linalg import dense_nullspace, dense_solve
 
 
@@ -600,6 +601,145 @@ def test_radical_matches_enumeration(cat_name, group, kind):
     assert algebra_radical(aa.basis, n, field) == aa.radical
 
 
+def _powered_ronyai_chain(basis, n, field):
+    """Reference Ronyai chain that evaluates g_i on every product x y.
+
+    Over F_p with 0 < p <= n: I_i is the kernel of the form
+    (x, y) -> g_i(x y) on I_{i-1} x A, with g_i raised to its p^i-th
+    power on each product, d * dim I_{i-1} powerings per level.  Returns
+    the radical's coefficients over ``basis`` as the rows of their
+    reduced echelon form, last row first, and dim I_{i-1} per level run.
+    """
+    p = field.char
+    d = len(basis)
+    mats = [[[x.residue() for x in row] for row in m] for m in basis]
+    coeffs = [[int(j == k) for j in range(d)] for k in range(d)]
+    ideal = mats
+    dims = []
+    level = 0
+    while p ** (level + 1) <= n:
+        level += 1
+    for i in range(level + 1):
+        dims.append(len(ideal))
+        form = [[Scalar.from_int(field, _ronyai_g(_int_mat_mul(x, y, p), i, p)) for x in ideal] for y in mats]
+        weights = [[c.residue() for c in v] for v in la.nullspace(form, field, d, len(ideal))]
+        if not weights:
+            return [], dims
+        coeffs = [[sum(w * c[t] for w, c in zip(v, coeffs)) % p for t in range(d)] for v in weights]
+        ideal = [_int_combination(v, ideal, p) for v in weights]
+    red, pivots = la.rref([[Scalar.from_int(field, c) for c in v] for v in coeffs], field)
+    return red[: len(pivots)][::-1], dims
+
+
+def _int_combination(weights, mats, q):
+    """sum_k weights[k] * mats[k] for integer matrices, entries reduced mod q."""
+    acc = [[0] * len(row) for row in mats[0]]
+    for w, m in zip(weights, mats):
+        if w:
+            acc = [[u + w * v for u, v in zip(arow, mrow)] for arow, mrow in zip(acc, m)]
+    return [[u % q for u in row] for row in acc]
+
+
+def _matrices(coeffs, basis, n, field):
+    """sum_t c[t] basis[t] for each coefficient row c, as dense matrices."""
+    zero = Scalar.zero(field)
+    out = []
+    for v in coeffs:
+        terms = [(c, basis[t]) for t, c in enumerate(v) if not c.is_zero()]
+        out.append([[sum((c * m[i][j] for c, m in terms), zero) for j in range(n)] for i in range(n)])
+    return out
+
+
+RONYAI_MODULES = MODULAR_MODULES + [
+    ("vec_f2", "z2", "regular+trivial"),
+    ("vec_f2", "z10", "regular"),
+    ("vec_f3", "z9", "regular"),
+    ("vec_f2", "z16", "regular"),
+]
+
+
+@pytest.mark.parametrize("cat_name, group, kind", RONYAI_MODULES)
+def test_linear_ronyai_matches_powered_reference(cat_name, group, kind):
+    aa = action_algebra(_modular_module(cat_name, group, kind))
+    field, n = aa.module.spec.field, aa.size
+    coeffs, _dims = _powered_ronyai_chain(aa.basis, n, field)
+    expected = _matrices(coeffs, aa.basis, n, field)
+    assert len(aa.radical) == len(expected)
+    flat = [[x for row in m for x in row] for m in aa.radical + expected]
+    assert la.rank(flat, field) == len(expected)
+    assert aa.radical[:1] == expected[:1]
+    if field.char <= n:
+        assert aa.radical == expected
+
+
+def test_ronyai_evaluates_g_once_per_ideal_basis_element(monkeypatch):
+    reg = regular_module(galg("vec_f2", "z16"))
+    basis = action_algebra(reg).basis
+    _coeffs, dims = _powered_ronyai_chain(basis, 16, reg.spec.field)
+    calls = []
+    real = modules_mod._ronyai_g
+    monkeypatch.setattr(modules_mod, "_ronyai_g", lambda m, i, p: calls.append(i) or real(m, i, p))
+    aa = action_algebra(reg)
+    assert aa.radical and len(calls) <= sum(dims)
+    assert [calls.count(i) for i in range(len(dims))] == dims
+
+
+def test_action_algebra_makes_no_dense_products(monkeypatch):
+    calls = []
+    real = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul", lambda *args: calls.append(1) or real(*args))
+    aa = action_algebra(regular_module(galg("vec_f2", "z16")))
+    assert aa.dimension == 16 and len(aa.radical) == 15
+    assert calls == []
+
+
+def _dense_trace_radical(basis, n, field):
+    """Reference trace-form radical: every Gram entry from a dense product."""
+
+    def trace(m):
+        t = Scalar.zero(field)
+        for i in range(n):
+            t = t + m[i][i]
+        return t
+
+    d = len(basis)
+    gram = [[trace(la.mat_mul(basis[i], basis[j], field, n, n, n)) for j in range(d)] for i in range(d)]
+    return _matrices(la.nullspace(gram, field, d, d), basis, n, field)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["alg_qz3", "alg_h02", "alg_toric_1e", "jordan", "jordan_f3"]
+    + ["vec_q/%s" % g for g in ("z2", "z3", "z4", "z5", "z6", "s3")],
+)
+def test_sparse_trace_form_matches_dense_reference(case):
+    aa = action_algebra(_closure_module(case))
+    field, n = aa.module.spec.field, aa.size
+    assert field.char == 0 or field.char > n
+    assert aa.radical == _dense_trace_radical(aa.basis, n, field)
+    assert bool(aa.radical) == case.startswith("jordan")
+
+
+def _s4():
+    perms = sorted(itertools.permutations(range(4)))
+    names = ["".join(map(str, g)) for g in perms]
+    # (g h)(x) = g(h(x))
+    table = [["".join(str(g[h[x]]) for x in range(4)) for h in perms] for g in perms]
+    return Group("s4", names, table)
+
+
+@pytest.mark.parametrize("cat_name", ["vec_q", "vec_f2", "vec_f3"])
+def test_order_24_maschke_oracle(cat_name):
+    group = _s4()
+    reg = regular_module(group_algebra(group, cat(cat_name)))
+    p = reg.spec.field.char
+    ok, cert = is_semisimple_module(reg)
+    # Maschke and its converse: k[G] is semisimple exactly when char k does not divide |G|
+    assert ok == (p == 0 or len(group) % p != 0)
+    if ok:
+        assert cert == {"algebra_dim": 24, "radical_dim": 0}
+
+
 def _naive_closure(generators, n, field):
     """Reference closure: every pair every round, rank of all candidates per admit."""
     basis, vecs = [], []
@@ -626,17 +766,17 @@ def _naive_closure(generators, n, field):
     return basis
 
 
-def _jordan_action():
-    """Slot 0 of Q[Z3] acting as a nilpotent 5 x 5 Jordan block, the others as zero.
+def _jordan_action(cat_name="vec_q", size=5):
+    """Slot 0 of k[Z3] acting as a nilpotent Jordan block, the others as zero.
 
     Not a module: the closure never reads the axioms, and the powers of
     one Jordan block take several rounds to reach.
     """
-    alg = galg("vec_q", "z3")
+    alg = galg(cat_name, "z3")
     spec = alg.spec
-    x = Obj(spec, {spec.unit: 5})
+    x = Obj(spec, {spec.unit: size})
     zero, one = Scalar.zero(spec.field), Scalar.one(spec.field)
-    block = [[one if (i, k) == (0, r + 1) else zero for i in range(3) for k in range(5)] for r in range(5)]
+    block = [[one if (i, k) == (0, r + 1) else zero for i in range(3) for k in range(size)] for r in range(size)]
     return AModule("jordan", alg, x, Mor(tensor_obj(alg.carrier, x), x, {spec.unit: block}))
 
 
@@ -645,6 +785,8 @@ def _closure_module(case):
         return load_module(data_path("modules/mod_toric_m.json"))
     if case == "jordan":
         return _jordan_action()
+    if case == "jordan_f3":
+        return _jordan_action("vec_f3", 2)
     if case.startswith("alg_"):
         return regular_module(load_algebra(data_path("algebras/%s.json" % case)))
     cat_name, group = case.split("/")
