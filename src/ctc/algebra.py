@@ -43,6 +43,7 @@ __all__ = [
     "check_algebra",
     "make_counit",
     "solve_coevaluation",
+    "frobenius_kit",
     "compute_index",
     "frobenius_identity_check",
     "algebra_dim_with_twist",
@@ -82,7 +83,8 @@ class NotIsotropic(AlgebraError):
 class AlgebraObject:
     """Carrier object plus unit and multiplication morphisms."""
 
-    __slots__ = ("name", "carrier", "unit_map", "mult_map", "counit")
+    # _kit: (counit, coev, index) once frobenius_kit has solved them
+    __slots__ = ("name", "carrier", "unit_map", "mult_map", "counit", "_kit")
 
     def __init__(self, name: str, carrier: Obj, unit_map: Mor, mult_map: Mor, counit: Mor | None = None):
         aa = tensor_obj(carrier, carrier)
@@ -101,6 +103,7 @@ class AlgebraObject:
         self.unit_map = unit_map
         self.mult_map = mult_map
         self.counit = counit
+        self._kit = None
 
     @property
     def spec(self) -> CategorySpec:
@@ -242,16 +245,36 @@ def _bent_line_left(A: Obj, pairing: Mor, coev: Mor) -> Mor:
     )
 
 
+def frobenius_kit(alg: AlgebraObject):
+    """(counit, coev, index) of the algebra, solved on first use and kept on it.
+
+    A failure is not kept: the next call solves again and raises again.
+    """
+    if alg._kit is None:
+        counit = make_counit(alg)
+        coev = solve_coevaluation(alg, counit)
+        alg._kit = (counit, coev, compute_index(alg, counit, coev))
+    return alg._kit
+
+
+def _counit_coev(alg: AlgebraObject, counit: Mor | None, coev: Mor | None):
+    """The given counit and copairing, a missing one made; neither given, the kit's."""
+    if counit is None and coev is None:
+        return frobenius_kit(alg)[:2]
+    counit = make_counit(alg) if counit is None else counit
+    return counit, solve_coevaluation(alg, counit) if coev is None else coev
+
+
 def compute_index(alg: AlgebraObject, counit: Mor | None = None, coev: Mor | None = None) -> Scalar:
     """The scalar [A:1] with mult after copairing = [A:1] * unit map.
 
     Cross-checked against the closed loop through the counit; a mismatch
-    means the structure maps are inconsistent and raises.
+    means the structure maps are inconsistent and raises.  With neither
+    counit nor copairing given, the index is read off the algebra's kit.
     """
-    if counit is None:
-        counit = make_counit(alg)
-    if coev is None:
-        coev = solve_coevaluation(alg, counit)
+    if counit is None and coev is None:
+        return frobenius_kit(alg)[2]
+    counit, coev = _counit_coev(alg, counit, coev)
     loop = compose(alg.mult_map, coev)
     index = proportionality_scalar(loop, alg.unit_map)
     if index is None:
@@ -264,10 +287,7 @@ def compute_index(alg: AlgebraObject, counit: Mor | None = None, coev: Mor | Non
 
 def frobenius_identity_check(alg: AlgebraObject, counit: Mor | None = None, coev: Mor | None = None) -> Report:
     """Compatibility of the copairing with multiplication on both sides."""
-    if counit is None:
-        counit = make_counit(alg)
-    if coev is None:
-        coev = solve_coevaluation(alg, counit)
+    counit, coev = _counit_coev(alg, counit, coev)
     report = Report()
     A = alg.carrier
     ident = Mor.identity(A)
@@ -294,10 +314,7 @@ def algebra_dim_with_twist(alg: AlgebraObject, counit: Mor | None = None, coev: 
     the comparison with the plain index is a locality probe for the
     algebra itself.
     """
-    if counit is None:
-        counit = make_counit(alg)
-    if coev is None:
-        coev = solve_coevaluation(alg, counit)
+    counit, coev = _counit_coev(alg, counit, coev)
     A = alg.carrier
     chain = compose(
         compose(counit, alg.mult_map),

@@ -23,7 +23,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "FieldSpec",
@@ -531,7 +531,10 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
             return int(tok2)
         return 1
 
-    total = Scalar.zero(field)
+    # Q and Q(zeta_n) sum Fraction coefficients per power of zeta, F_p sums
+    # residues; either is made canonical once, at the end
+    prime = field.kind == "prime"
+    total = 0 if prime else [Fraction(0)] * field._ctx.phi
     first = True
     while pos < len(tokens):
         sign = 1
@@ -552,11 +555,15 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
             if peek() == "*":
                 take()
                 power = parse_zpow()
-        term = Scalar.from_fraction(field, sign * coeff)
-        if power:
-            term = term * Scalar.zeta(field, power)
-        total = total + term
-    return total
+        if prime:
+            total += Scalar.from_fraction(field, sign * coeff)._v
+        else:
+            vec = field._ctx.power_vec[power % field.n if power else 0]
+            total = [t + sign * coeff * c for t, c in zip(total, vec)]
+    if prime:
+        return Scalar(field, total % field.p)
+    den = lcm(*(t.denominator for t in total))
+    return Scalar(field, _canon([t.numerator * (den // t.denominator) for t in total], den))
 
 
 def scalar_literal(s: Scalar) -> str:

@@ -33,13 +33,11 @@ from .algebra import (
     AlgebraObject,
     NotIsotropic,
     check_algebra,
-    compute_index,
+    frobenius_kit,
     group_algebra,
     load_algebra,
     load_group,
-    make_counit,
     resolve_category,
-    solve_coevaluation,
     subgroup_algebra,
 )
 from .category import (
@@ -304,13 +302,6 @@ def is_twisted_local(mod: AModule, g: Mor):
     return False, (twisted - mod.action).to_json()
 
 
-def _frobenius_kit(alg: AlgebraObject):
-    eps = make_counit(alg)
-    coev = solve_coevaluation(alg, eps)
-    index = compute_index(alg, eps, coev)
-    return eps, coev, index
-
-
 def maschke_section(f: Mor, m1: AModule, m2: AModule, sigma: Mor | None = None) -> Mor:
     """Average a plain section of a module surjection into a module map.
 
@@ -336,7 +327,7 @@ def maschke_section(f: Mor, m1: AModule, m2: AModule, sigma: Mor | None = None) 
         raise NotASection("sigma composed with f is not the identity")
     alg = m1.alg
     A = alg.carrier
-    _, coev, index = _frobenius_kit(alg)
+    _, coev, index = frobenius_kit(alg)
     if index.is_zero():
         raise IndexZero("algebra index vanishes in this field")
     ia = Mor.identity(A)
@@ -369,7 +360,7 @@ def projector_pi(mod: AModule) -> Mor:
     alg = mod.alg
     A = alg.carrier
     X = mod.carrier
-    _, coev, index = _frobenius_kit(alg)
+    _, coev, index = frobenius_kit(alg)
     if index.is_zero():
         raise IndexZero("algebra index vanishes in this field")
     ia = Mor.identity(A)
@@ -517,8 +508,9 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
     a factor admitted in the previous round, since every other product
     already lies in the span.  Operators stay sparse rows throughout;
     each candidate is flattened to its nonzeros at ``r*n + c`` and
-    reduced against an ``la.Echelon`` of the basis kept alongside it.
-    The basis and generators are made dense once, at the end.
+    reduced against an ``la.Echelon`` of the basis kept alongside it,
+    unless the same flattened candidate came before: it lies in the span
+    then.  The basis and generators are made dense once, at the end.
     """
     field = mod.spec.field
     ops, gradings, n = _action_operators(mod)
@@ -527,10 +519,14 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
 
     basis = []
     echelon = la.Echelon()
+    seen = set()
 
     def admit(m):
-        if echelon.add({r * n + c: x for r, row in enumerate(m) for c, x in row.items()}) is not None:
+        flat = {r * n + c: x for r, row in enumerate(m) for c, x in row.items()}
+        key = frozenset(flat.items())
+        if key not in seen and echelon.add(flat) is not None:
             basis.append(m)
+        seen.add(key)
 
     one = Scalar.one(field)
     admit([{k: one} for k in range(n)])

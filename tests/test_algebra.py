@@ -10,6 +10,7 @@ import pytest
 
 from ctc import data_path
 from ctc import linalg as la
+from ctc import algebra as algebra_mod
 from ctc.algebra import (
     AlgebraError,
     AlgebraObject,
@@ -24,6 +25,7 @@ from ctc.algebra import (
     check_algebra,
     compute_index,
     frobenius_identity_check,
+    frobenius_kit,
     group_algebra,
     load_algebra,
     load_group,
@@ -384,6 +386,19 @@ def test_copairing_solves_refuse_non_rigid(build, solve):
     alg = build()
     with pytest.raises(NotRigidSelfDual):
         solve(alg, make_counit(alg))
+
+
+@pytest.mark.parametrize("build", [dual_numbers_algebra, missing_dual_algebra])
+def test_failed_frobenius_kit_is_not_kept(build, monkeypatch):
+    # a failing solve leaves the kit empty, so every call solves and raises again
+    calls = []
+    solve = algebra_mod.solve_coevaluation
+    monkeypatch.setattr(algebra_mod, "solve_coevaluation", lambda alg, *args: calls.append(alg) or solve(alg, *args))
+    alg = build()
+    for check in (compute_index, frobenius_kit, frobenius_identity_check, algebra_dim_with_twist):
+        with pytest.raises(NotRigidSelfDual):
+            check(alg)
+    assert calls == [alg] * 4
 
 
 COPAIRING_CASES = [

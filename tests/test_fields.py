@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from ctc.fields import (
     DivisionByZero,
+    FieldError,
     FieldMismatch,
     FieldSpec,
     NoEmbedding,
     ParseError,
     Scalar,
+    _tokenize,
     approx,
     parse_scalar,
     scalar_embed,
@@ -628,3 +630,144 @@ def test_multiplying_by_one_or_zero_returns_the_other_factor():
         assert x * Scalar.one(field) is x
         assert Scalar.one(field) * x is x
         assert x * Scalar.zero(field) is Scalar.zero(field)
+
+
+# ------------------------------------------------- literals against Scalar arithmetic
+
+
+def arithmetic_parse_scalar(text, field):
+    """Reference parser: every term built and summed through Scalar arithmetic."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty scalar literal")
+    pos = 0
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of literal %r" % (text,))
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_number() -> Fraction:
+        tok, at = take()
+        if not tok.isdigit():
+            raise ParseError("expected number at position %d in %r" % (at, text))
+        num = int(tok)
+        if peek() == "/":
+            take()
+            tok2, at2 = take()
+            if not tok2.isdigit():
+                raise ParseError("expected denominator at position %d in %r" % (at2, text))
+            den = int(tok2)
+            if den == 0:
+                raise ParseError("zero denominator in %r" % (text,))
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def parse_zpow() -> int:
+        tok, at = take()
+        if tok != "z":
+            raise ParseError("expected z at position %d in %r" % (at, text))
+        if field.kind != "cyclotomic":
+            raise ParseError("symbol z is only meaningful in cyclotomic fields (%r)" % (text,))
+        if peek() == "^":
+            take()
+            tok2, at2 = take()
+            if not tok2.isdigit():
+                raise ParseError("expected exponent at position %d in %r" % (at2, text))
+            return int(tok2)
+        return 1
+
+    total = Scalar.zero(field)
+    first = True
+    while pos < len(tokens):
+        sign = 1
+        if peek() in ("+", "-"):
+            tok, at = take()
+            if first and tok == "+":
+                raise ParseError("leading + in %r" % (text,))
+            sign = -1 if tok == "-" else 1
+        elif not first:
+            raise ParseError("expected + or - at position %d in %r" % (tokens[pos][1], text))
+        first = False
+        if peek() == "z":
+            coeff = Fraction(1)
+            power = parse_zpow()
+        else:
+            coeff = parse_number()
+            power = 0
+            if peek() == "*":
+                take()
+                power = parse_zpow()
+        term = Scalar.from_fraction(field, sign * coeff)
+        if power:
+            term = term * Scalar.zeta(field, power)
+        total = total + term
+    return total
+
+
+PARSE_FIELDS = [Q, F2, F5] + [FieldSpec.cyclotomic(n) for n in (3, 4, 5, 8, 12)]
+
+
+@st.composite
+def literals(draw, field):
+    """Well-formed literals: repeated powers, powers of z at and beyond
+    phi(n) and n, and, half the time, every term cancelled again."""
+    cyclo = field.kind == "cyclotomic"
+    power = st.integers(0, 3 * field.n) if cyclo else st.just(0)
+    terms = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 7), st.integers(1, 6), power, st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    if draw(st.booleans()):
+        terms += [(not neg, num, den, k, bare) for neg, num, den, k, bare in terms]
+    parts = []
+    for neg, num, den, k, bare in terms:
+        coeff = str(num) if den == 1 else "%d/%d" % (num, den)
+        if cyclo and bare:
+            body = "z" if k == 1 else "z^%d" % k
+        elif k:
+            body = "%s*z^%d" % (coeff, k)
+        else:
+            body = coeff
+        if parts:
+            parts.append(" %s %s" % ("-" if neg else "+", body))
+        else:
+            parts.append(("-" if neg else "") + body)
+    return "".join(parts)
+
+
+def parse_outcome(parse, text, field):
+    try:
+        return parse(text, field)
+    except FieldError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", PARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parse_matches_arithmetic_parser(field, data):
+    text = data.draw(literals(field))
+    got = parse_outcome(parse_scalar, text, field)
+    want = parse_outcome(arithmetic_parse_scalar, text, field)
+    assert got == want
+    if isinstance(got, Scalar):
+        assert got._v == want._v
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [("1/2 + 3/5", F5), ("1 - 1", Q), ("z^5 - z^0", FieldSpec.cyclotomic(5)), ("z^7 + z^3", Z4)],
+    ids=repr,
+)
+def test_parse_matches_arithmetic_parser_on_edge_literals(text, field):
+    assert parse_outcome(parse_scalar, text, field) == parse_outcome(arithmetic_parse_scalar, text, field)

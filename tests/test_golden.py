@@ -9,11 +9,14 @@ failing test id and says why in its description, e.g.::
         > tests/golden/ledger_wp_triplet.json
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from ctc import data_path
 from ctc.cli import main
+from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,6 +33,17 @@ COMMANDS = {
     "ledger_wp_triplet": "ledger wp_triplet",
 }
 
+# single-entry sign flips, written as the benchmark writes its mutants:
+# stem -> (bundled category, table, key of the flipped entry).  The golden
+# file check_category_mutants.json is `check-category` on the three files
+# in this order; failing items pin the witness shapes.
+MUTANTS = {
+    # singular sigma recoupling block: zigzag-2 and hexagon-2 fail on it
+    "ising_F_sigma-sigma-sigma-sigma-1-1": ("ising", "F", "sigma,sigma,sigma,sigma,1,1"),
+    "fibonacci_F_tau-tau-tau-tau-1-1": ("fibonacci", "F", "tau,tau,tau,tau,1,1"),
+    "pointed_z4_R_1-1-2": ("pointed_z4", "R", "1,1,2"),
+}
+
 
 @pytest.mark.parametrize("stem", sorted(COMMANDS))
 def test_report_bytes_match_golden(stem, capsysbinary):
@@ -38,3 +52,18 @@ def test_report_bytes_match_golden(stem, capsysbinary):
     got = capsysbinary.readouterr().out
     want = (GOLDEN / ("%s.json" % stem)).read_bytes()
     assert got == want, "JSON report of `ctc %s` differs from tests/golden/%s.json" % (command, stem)
+
+
+def test_failing_report_bytes_match_golden(tmp_path, capsysbinary):
+    paths = []
+    for stem, (cat, table, key) in MUTANTS.items():
+        raw = json.loads(Path(data_path("categories/%s.json" % cat)).read_text())
+        field = FieldSpec.from_json(raw["field"])
+        raw[table][key] = scalar_literal(-parse_scalar(raw[table][key], field))
+        path = tmp_path / ("%s.json" % stem)
+        path.write_text(json.dumps(raw))
+        paths.append(str(path))
+    main(["check-category"] + paths + ["--report", "json"])
+    got = capsysbinary.readouterr().out
+    want = (GOLDEN / "check_category_mutants.json").read_bytes()
+    assert got == want, "JSON report of check-category on %s differs from the golden file" % sorted(MUTANTS)

@@ -8,11 +8,15 @@ import pytest
 
 from ctc import data_path
 from ctc import linalg as la
+from ctc import algebra as algebra_mod
 from ctc.algebra import (
     Group,
+    compute_index,
+    frobenius_identity_check,
     group_algebra,
     load_algebra,
     load_group,
+    make_counit,
     subgroup_algebra,
 )
 from ctc.category import (
@@ -367,6 +371,25 @@ def test_maschke_matches_group_average_z3_multiplication_split():
         sigma_fr[h * n + id_idx][h] = Fraction(1)
     expected = classical_average(group, rho_free, rho, sigma_fr)
     assert_block_matches_fractions(s, "1", expected)
+
+
+def test_frobenius_kit_is_solved_once_per_algebra(monkeypatch):
+    calls = []
+    solve = algebra_mod.solve_coevaluation
+    monkeypatch.setattr(algebra_mod, "solve_coevaluation", lambda alg, *args: calls.append(alg) or solve(alg, *args))
+    alg = galg("vec_q", "s3")
+    assert compute_index(alg) == Scalar.from_int(alg.spec.field, 6)
+    free, reg = induce(alg, alg.carrier), regular_module(alg)
+    sigma = tensor_mor(Mor.identity(alg.carrier), alg.unit_map)
+    maschke_section(alg.mult_map, free, reg, sigma)
+    maschke_section(alg.mult_map, free, reg, sigma)
+    projector_pi(reg)
+    assert calls == [alg]
+    # an explicit counit bypasses the kit; a rebuilt algebra starts without one
+    assert frobenius_identity_check(alg, make_counit(alg)).ok
+    twin = alg.with_structure(name="twin")
+    assert compute_index(twin) == compute_index(alg)
+    assert calls == [alg, alg, twin]
 
 
 def test_maschke_solves_sigma_when_omitted():
@@ -801,6 +824,19 @@ def _closure_module(case):
 def test_closure_matches_naive_closure(case):
     aa = action_algebra(_closure_module(case))
     assert aa.basis == _naive_closure(aa.generators, aa.size, aa.module.spec.field)
+
+
+def test_closure_skips_candidates_it_has_seen(monkeypatch):
+    # every product of two permutation matrices of S4 is one of them again,
+    # so only the identity and the generators reach the elimination; the
+    # radical, which eliminates too, is stubbed out of the count
+    adds = []
+    add = la.Echelon.add
+    monkeypatch.setattr(la.Echelon, "add", lambda self, row: adds.append(row) or add(self, row))
+    monkeypatch.setattr(modules_mod, "algebra_radical", lambda basis, n, field: [])
+    aa = action_algebra(regular_module(group_algebra(_s4(), cat("vec_q"))))
+    assert aa.dimension == 24
+    assert len(adds) <= 1 + len(aa.generators)
 
 
 @pytest.mark.parametrize(
