@@ -6,17 +6,44 @@ theory, and checks the structural identities that make averaging and
 local projection work, entirely without floating point.
 """
 
+import json
 from pathlib import Path
 
-from .fields import FieldSpec, Scalar, parse_scalar, scalar_literal
+from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 
 __version__ = "0.1.0"
+
+_DATA = Path(__file__).resolve().parent / "data"
 
 
 def data_path(name: str = "") -> Path:
     """Path into the bundled data tree shipped with the package."""
-    base = Path(__file__).resolve().parent / "data"
-    return base / name if name else base
+    return _DATA / name if name else _DATA
 
 
-__all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "__version__"]
+def resolve(kind: str, ref, base_dir=None) -> Path:
+    """The first file among ``base_dir / ref``, ``ref`` itself and the
+    bundled ``data/<kind>/<ref>`` (``.json`` appended unless present)."""
+    ref = str(ref)
+    bundled = _DATA / kind / (ref if ref.endswith(".json") else ref + ".json")
+    for path in ([Path(base_dir) / ref] if base_dir is not None else []) + [Path(ref), bundled]:
+        if path.is_file():
+            return path
+    raise ParseError("no file and no bundled %s named %r" % (kind, ref))
+
+
+def read_json(path) -> dict:
+    """The JSON object stored at ``path``; any failure is a ``ParseError``."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc)) from None
+    except ValueError as exc:
+        raise ParseError("bad JSON in %s: %s" % (path, exc)) from None
+    if not isinstance(raw, dict):
+        raise ParseError("bad JSON in %s: top level is %s, not an object" % (path, type(raw).__name__))
+    return raw
+
+
+__all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "resolve", "read_json",
+           "__version__"]

@@ -9,10 +9,8 @@ assumes the algebra is honest, the checks exist precisely to find out.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from . import linalg as la
+from . import read_json, resolve
 from .category import (
     CategorySpec,
     _dual_scales,
@@ -386,9 +384,9 @@ class Group:
         return "Group(%s, order %d)" % (self.name, len(self))
 
 
-def load_group(path) -> Group:
-    path = Path(path)
-    raw = json.loads(path.read_text())
+def load_group(ref) -> Group:
+    path = resolve("groups", ref)
+    raw = read_json(path)
     try:
         return Group(raw.get("name", path.stem), raw["elements"], raw["table"])
     except KeyError as exc:
@@ -462,10 +460,17 @@ def subgroup_algebra(labels: list, spec: CategorySpec) -> AlgebraObject:
 # loading
 
 
-def load_algebra(path) -> AlgebraObject:
-    path = Path(path).resolve()
-    raw = json.loads(path.read_text())
+def load_algebra(ref, base_dir=None) -> AlgebraObject:
+    path = resolve("algebras", ref, base_dir).resolve()
+    raw = read_json(path)
     return algebra_from_json(raw, base_dir=path.parent, name=raw.get("name", path.stem))
+
+
+def _parse_mor(dom: Obj, cod: Obj, blocks: dict) -> Mor:
+    """A morphism from per-label matrices of scalar literals."""
+    field = dom.spec.field
+    parsed = {lab: [[parse_scalar(x, field) for x in row] for row in mat] for lab, mat in blocks.items()}
+    return Mor(dom, cod, parsed)
 
 
 def algebra_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AlgebraObject:
@@ -476,30 +481,12 @@ def algebra_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> Alge
         mult_blocks = raw["mu"]
     except KeyError as exc:
         raise ParseError("missing algebra key %s" % (exc,)) from None
-    spec = resolve_category(cat_ref, base_dir)
+    spec = load_category(cat_ref, base_dir)
     carrier = Obj(spec, carrier_mult)
-
-    def parse_blocks(data):
-        return {
-            lab: [[parse_scalar(x, spec.field) for x in row] for row in mat]
-            for lab, mat in data.items()
-        }
-
-    unit_map = Mor(Obj.unit(spec), carrier, parse_blocks(unit_blocks))
-    mult_map = Mor(tensor_obj(carrier, carrier), carrier, parse_blocks(mult_blocks))
+    unit_map = _parse_mor(Obj.unit(spec), carrier, unit_blocks)
+    mult_map = _parse_mor(tensor_obj(carrier, carrier), carrier, mult_blocks)
     counit = None
     if "counit" in raw:
-        counit = Mor(carrier, Obj.unit(spec), parse_blocks(raw["counit"]))
+        counit = _parse_mor(carrier, Obj.unit(spec), raw["counit"])
     return AlgebraObject(name, carrier, unit_map, mult_map, counit)
 
-
-def resolve_category(ref: str, base_dir=None) -> CategorySpec:
-    """A category reference is a bundled name or a path to a JSON file."""
-    from . import data_path
-
-    if "/" not in ref and not ref.endswith(".json"):
-        return load_category(data_path("categories/%s.json" % ref))
-    p = Path(ref)
-    if not p.is_absolute() and base_dir is not None and (Path(base_dir) / p).exists():
-        p = Path(base_dir) / p
-    return load_category(p)

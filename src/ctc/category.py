@@ -24,10 +24,10 @@ identity matrices and keeps the triangle identity automatic.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import linalg as la
+from . import read_json, resolve
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .report import Report
 
@@ -1071,21 +1071,19 @@ def verify_zigzag(spec: CategorySpec) -> Report:
 _CATEGORY_CACHE: dict[Path, tuple[tuple[int, int], CategorySpec]] = {}
 
 
-def load_category(path) -> CategorySpec:
-    """Load a category description from JSON; repeated loads of an
+def load_category(ref, base_dir=None) -> CategorySpec:
+    """Load a category by bundled name or path; repeated loads of an
     unchanged file share the instance."""
-    path = Path(path).resolve()
+    path = resolve("categories", ref, base_dir).resolve()
     try:
         st = path.stat()
-        stamp = (st.st_mtime_ns, st.st_size)
-        hit = _CATEGORY_CACHE.get(path)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        raw = json.loads(path.read_text())
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError("bad JSON in %s: %s" % (path, exc)) from None
+    stamp = (st.st_mtime_ns, st.st_size)
+    hit = _CATEGORY_CACHE.get(path)
+    if hit is not None and hit[0] == stamp:
+        return hit[1]
+    raw = read_json(path)
     spec = category_from_json(raw, name=raw.get("name", path.stem))
     _CATEGORY_CACHE[path] = (stamp, spec)
     return spec

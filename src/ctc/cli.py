@@ -4,7 +4,6 @@ emit reports whose JSON form is byte-identical across runs and -j levels."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -13,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from . import data_path
+from . import read_json, resolve
 from .algebra import (
     AlgebraError,
     algebra_dim_with_twist,
@@ -36,7 +35,7 @@ from .category import (
     verify_triangle,
     verify_zigzag,
 )
-from .fields import FieldError, ParseError, Scalar, scalar_literal
+from .fields import FieldError, Scalar, scalar_literal
 from .ledger import LedgerError, load_ledger, solution_report
 from .modules import ModuleError, check_module, condense, is_local, load_module, run_suite_manifest
 from .report import Report
@@ -49,17 +48,6 @@ _KIND_DIRS = {
     "suite": "suites",
     "ledger": "ledger",
 }
-
-
-def _resolve(arg: str, subdir: str) -> Path:
-    p = Path(arg)
-    if p.exists():
-        return p
-    name = arg if arg.endswith(".json") else arg + ".json"
-    cand = Path(data_path("%s/%s" % (subdir, name)))
-    if cand.exists():
-        return cand
-    raise FileNotFoundError("no such file and no bundled %s named %r" % (subdir, arg))
 
 
 def _rand_scalar(rng, field) -> Scalar:
@@ -201,7 +189,7 @@ def _run_condense(category_path: Path, algebra_path: Path, seed: int) -> Report:
 
 
 def _run_suite(path: Path, seed: int) -> Report:
-    raw = json.loads(path.read_text())
+    raw = read_json(path)
     sub = run_suite_manifest(raw)
     out = Report()
     prefix = raw.get("name", path.stem)
@@ -216,7 +204,7 @@ def _run_ledger(path: Path, seed: int) -> Report:
 
 def _job(command: str, arg: str, algebra: str | None, seed: int) -> Report:
     try:
-        path = _resolve(arg, _KIND_DIRS[command])
+        path = resolve(_KIND_DIRS[command], arg)
         if command == "check-category":
             return _run_check_category(path, seed)
         if command == "check-algebra":
@@ -224,15 +212,12 @@ def _job(command: str, arg: str, algebra: str | None, seed: int) -> Report:
         if command == "check-module":
             return _run_check_module(path, seed)
         if command == "condense":
-            apath = _resolve(algebra, "algebras")
-            return _run_condense(path, apath, seed)
+            return _run_condense(path, resolve("algebras", algebra), seed)
         if command == "suite":
             return _run_suite(path, seed)
         return _run_ledger(path, seed)
-    except (OSError, ParseError, json.JSONDecodeError) as exc:
-        witness = str(exc)
     except (FieldError, CategoryError, AlgebraError, ModuleError, LedgerError) as exc:
-        # inconsistent data: one error item for this input, the batch goes on
+        # unreadable or inconsistent data: one error item for this input, the batch goes on
         witness = {"type": type(exc).__name__, "message": str(exc)}
     bad = Report()
     bad.append("load:%s" % arg, "error", witness=witness)

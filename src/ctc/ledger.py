@@ -11,10 +11,9 @@ inconsistency is reported against the first input line that produces it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
+from . import read_json, resolve
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .linalg import Echelon
 
@@ -133,9 +132,9 @@ def ledger_from_json(raw: dict, name: str = "anonymous") -> LedgerProblem:
     )
 
 
-def load_ledger(path) -> LedgerProblem:
-    path = Path(path).resolve()
-    return ledger_from_json(json.loads(path.read_text()), name=path.stem)
+def load_ledger(ref) -> LedgerProblem:
+    path = resolve("ledger", ref).resolve()
+    return ledger_from_json(read_json(path), name=path.stem)
 
 
 def solution_report(problem: LedgerProblem):

@@ -24,20 +24,19 @@ and read off as a trace against one weight matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 from . import linalg as la
+from . import read_json, resolve
 from .algebra import (
     AlgebraObject,
     NotIsotropic,
+    _parse_mor,
     check_algebra,
     frobenius_kit,
     group_algebra,
     load_algebra,
     load_group,
-    resolve_category,
     subgroup_algebra,
 )
 from .category import (
@@ -50,12 +49,13 @@ from .category import (
     direct_sum_with_maps,
     dual_obj,
     ev_coev,
+    load_category,
     mor_right_inverse,
     pair_channels,
     tensor_mor,
     tensor_obj,
 )
-from .fields import ParseError, Scalar, parse_scalar, scalar_literal
+from .fields import ParseError, Scalar, scalar_literal
 from .report import Report
 
 __all__ = [
@@ -853,14 +853,18 @@ def condense(alg: AlgebraObject) -> Condensation:
 
 def theorem_suite(name: str) -> Report:
     """Run one of the bundled suites by manifest name."""
-    from . import data_path
+    return run_suite_manifest(read_json(resolve("suites", name)))
 
-    path = data_path("suites/%s.json" % name)
-    return run_suite_manifest(json.loads(Path(path).read_text()))
+
+def _required(raw: dict, key: str, what: str):
+    try:
+        return raw[key]
+    except KeyError:
+        raise ParseError("missing %s key %r" % (what, key)) from None
 
 
 def run_suite_manifest(raw: dict) -> Report:
-    kind = raw.get("kind")
+    kind = _required(raw, "kind", "suite")
     if kind == "maschke":
         return _run_maschke_suite(raw)
     if kind == "local":
@@ -871,15 +875,13 @@ def run_suite_manifest(raw: dict) -> Report:
 
 
 def _case_algebra(case) -> AlgebraObject:
-    from . import data_path
-
     if "group" in case:
-        spec = resolve_category(case["category"])
-        return group_algebra(load_group(data_path("groups/%s.json" % case["group"])), spec)
+        spec = load_category(_required(case, "category", "suite case"))
+        return group_algebra(load_group(case["group"]), spec)
     if "algebra" in case:
-        return load_algebra(data_path("algebras/%s.json" % case["algebra"]))
+        return load_algebra(case["algebra"])
     if "labels" in case:
-        spec = resolve_category(case["category"])
+        spec = load_category(_required(case, "category", "suite case"))
         return subgroup_algebra(case["labels"], spec)
     raise ParseError("suite case needs a group, algebra, or labels key")
 
@@ -894,7 +896,7 @@ def _case_tag(case) -> str:
 
 def _run_maschke_suite(raw) -> Report:
     report = Report()
-    for case in raw["cases"]:
+    for case in _required(raw, "cases", "suite"):
         tag = _case_tag(case)
         alg = _case_algebra(case)
         A = alg.carrier
@@ -929,7 +931,7 @@ def _augmentation(alg: AlgebraObject) -> Mor:
 
 def _run_local_suite(raw) -> Report:
     report = Report()
-    for case in raw["cases"]:
+    for case in _required(raw, "cases", "suite"):
         tag = _case_tag(case)
         alg = _case_algebra(case)
         table = condense(alg)
@@ -981,9 +983,9 @@ def _run_local_suite(raw) -> Report:
 
 def _run_counterexample_suite(raw) -> Report:
     report = Report()
-    for case in raw["cases"]:
+    for case in _required(raw, "cases", "suite"):
         tag = _case_tag(case)
-        expect = case["expect"]
+        expect = _required(case, "expect", "suite case")
         if expect == "index-zero":
             alg = _case_algebra(case)
             reg = regular_module(alg)
@@ -1039,33 +1041,20 @@ def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:
 # loading
 
 
-def load_module(path) -> AModule:
-    path = Path(path).resolve()
-    raw = json.loads(path.read_text())
+def load_module(ref) -> AModule:
+    path = resolve("modules", ref).resolve()
+    raw = read_json(path)
     return module_from_json(raw, base_dir=path.parent, name=raw.get("name", path.stem))
 
 
 def module_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AModule:
-    from . import data_path
-
     try:
         alg_ref = raw["algebra"]
         carrier_mult = dict(raw["object"])
         action_blocks = raw["muX"]
     except KeyError as exc:
         raise ParseError("missing module key %s" % (exc,)) from None
-    if "/" not in alg_ref and not alg_ref.endswith(".json"):
-        alg = load_algebra(data_path("algebras/%s.json" % alg_ref))
-    else:
-        p = Path(alg_ref)
-        if not p.is_absolute() and base_dir is not None and (Path(base_dir) / p).exists():
-            p = Path(base_dir) / p
-        alg = load_algebra(p)
-    spec = alg.spec
-    carrier = Obj(spec, carrier_mult)
-    blocks = {
-        lab: [[parse_scalar(x, spec.field) for x in row] for row in mat]
-        for lab, mat in action_blocks.items()
-    }
-    action = Mor(tensor_obj(alg.carrier, carrier), carrier, blocks)
+    alg = load_algebra(alg_ref, base_dir)
+    carrier = Obj(alg.spec, carrier_mult)
+    action = _parse_mor(tensor_obj(alg.carrier, carrier), carrier, action_blocks)
     return AModule(name, alg, carrier, action)

@@ -284,3 +284,120 @@ def test_check_category_text_lines_carry_sweep_times():
 
 def test_jobs_validation(capsys):
     assert main(["check-category", "vec_q", "--jobs", "0"]) == 2
+
+
+# malformed inputs: each bad file gives one ParseError item, the bundled
+# input after it still reports
+MALFORMED = {
+    "bad-json": b'{"field": ',
+    "list": b"[]",
+    "string": b'"str"',
+    "not-utf8": b'\xff\xfe{"name": "x"}',
+    "missing-key": b"{}",
+}
+
+BATCHES = {
+    "check-category": ["{bad}", "vec_q"],
+    "check-algebra": ["{bad}", "alg_qz3"],
+    "check-module": ["{bad}", "mod_toric_m"],
+    "suite": ["{bad}", "maschke_2_6"],
+    "ledger": ["{bad}", "wp_triplet"],
+    "condense": ["{bad}", "toric_code", "--algebra", "alg_toric_1e"],
+}
+
+
+def _assert_one_parse_error(out, arg, message=None):
+    items = json.loads(out)["items"]
+    errors = [i for i in items if i["status"] != "pass"]
+    assert [i["check"] for i in errors] == ["load:%s" % arg]
+    assert items[0] == errors[0]
+    witness = errors[0]["witness"]
+    assert set(witness) == {"type", "message"}
+    assert witness["type"] == "ParseError"
+    if message is not None:
+        assert message in witness["message"]
+    assert len(items) > 1
+    return witness
+
+
+@pytest.mark.parametrize("command", sorted(BATCHES))
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_input_is_one_parse_error_and_the_batch_goes_on(tmp_path, capsysbinary, command, kind):
+    bad = tmp_path / ("%s.json" % kind)
+    bad.write_bytes(MALFORMED[kind])
+    argv = [command] + [a.format(bad=bad) for a in BATCHES[command]]
+    code, out = run_json(capsysbinary, argv)
+    assert code == 2
+    witness = _assert_one_parse_error(out, bad)
+    if kind == "missing-key":
+        assert witness["message"].startswith("missing ") and " key " in witness["message"]
+    else:
+        assert str(bad) in witness["message"]
+
+
+def _write(path, raw):
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _bundled(name):
+    return json.loads(data_path(name).read_text())
+
+
+def test_algebra_naming_an_unknown_category_is_one_error_item(tmp_path, capsysbinary):
+    raw = _bundled("algebras/alg_qz3.json")
+    raw["category"] = "no_such_category"
+    bad = _write(tmp_path / "alg_orphan.json", raw)
+    code, out = run_json(capsysbinary, ["check-algebra", str(bad), "alg_h02"])
+    assert code == 2
+    _assert_one_parse_error(out, bad, "no file and no bundled categories named 'no_such_category'")
+
+
+def test_module_naming_an_unknown_algebra_is_one_error_item(tmp_path, capsysbinary):
+    raw = _bundled("modules/mod_toric_m.json")
+    raw["algebra"] = "no_such_algebra"
+    bad = _write(tmp_path / "mod_orphan.json", raw)
+    code, out = run_json(capsysbinary, ["check-module", str(bad), "mod_toric_m"])
+    assert code == 2
+    _assert_one_parse_error(out, bad, "no file and no bundled algebras named 'no_such_algebra'")
+
+
+def test_suite_case_naming_an_unknown_group_is_one_error_item(tmp_path, capsysbinary):
+    raw = _bundled("suites/maschke_2_6.json")
+    raw["cases"].append({"category": "vec_q", "group": "no_such_group"})
+    bad = _write(tmp_path / "suite_orphan.json", raw)
+    code, out = run_json(capsysbinary, ["suite", str(bad), "local_3_1"])
+    assert code == 2
+    _assert_one_parse_error(out, bad, "no file and no bundled groups named 'no_such_group'")
+
+
+SUITES_MISSING_A_KEY = [
+    ({"kind": "maschke"}, "missing suite key 'cases'"),
+    ({"kind": "maschke", "cases": [{"group": "z2"}]}, "missing suite case key 'category'"),
+    ({"kind": "local", "cases": [{"labels": ["1", "e"]}]}, "missing suite case key 'category'"),
+    (
+        {"kind": "counterexamples", "cases": [{"category": "vec_f2", "group": "z2"}]},
+        "missing suite case key 'expect'",
+    ),
+]
+
+
+def test_suite_manifests_missing_a_key_are_error_items_in_one_batch(tmp_path, capsysbinary):
+    paths = [_write(tmp_path / ("m%d.json" % k), raw) for k, (raw, _) in enumerate(SUITES_MISSING_A_KEY)]
+    code, out = run_json(capsysbinary, ["suite"] + [str(p) for p in paths] + ["maschke_2_6"])
+    assert code == 2
+    items = json.loads(out)["items"]
+    errors = items[: len(paths)]
+    assert [i["check"] for i in errors] == ["load:%s" % p for p in paths]
+    assert [i["witness"] for i in errors] == [
+        {"type": "ParseError", "message": message} for _, message in SUITES_MISSING_A_KEY
+    ]
+    rest = items[len(paths):]
+    assert rest and all(i["check"].startswith("maschke_2_6/") and i["status"] == "pass" for i in rest)
+
+
+def test_suite_name_with_json_suffix_is_the_bundled_suite(capsysbinary):
+    code, named = run_json(capsysbinary, ["suite", "maschke_2_6"])
+    _, suffixed = run_json(capsysbinary, ["suite", "maschke_2_6.json"])
+    assert code == 0
+    assert suffixed == named

@@ -58,6 +58,7 @@ from ctc.modules import (
     modules_isomorphic,
     projector_pi,
     regular_module,
+    run_suite_manifest,
     split_with_rigid_target,
     theorem_suite,
     trivial_module,
@@ -1104,5 +1105,25 @@ def test_counterexample_suite_green():
 
 
 def test_unknown_suite_kind():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ParseError):
         theorem_suite("nope")
+
+
+def test_suite_without_cases_names_the_key():
+    with pytest.raises(ParseError, match="missing suite key 'cases'"):
+        run_suite_manifest({"kind": "maschke"})
+
+
+def test_group_case_without_category_names_the_key():
+    with pytest.raises(ParseError, match="missing suite case key 'category'"):
+        run_suite_manifest({"kind": "maschke", "cases": [{"group": "z2"}]})
+
+
+def test_labels_case_without_category_names_the_key():
+    with pytest.raises(ParseError, match="missing suite case key 'category'"):
+        run_suite_manifest({"kind": "local", "cases": [{"labels": ["1", "e"]}]})
+
+
+def test_counterexample_case_without_expect_names_the_key():
+    with pytest.raises(ParseError, match="missing suite case key 'expect'"):
+        run_suite_manifest({"kind": "counterexamples", "cases": [{"category": "vec_f2", "group": "z2"}]})
