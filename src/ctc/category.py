@@ -24,6 +24,8 @@ identity matrices and keeps the triangle identity automatic.
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
+from math import gcd
 from pathlib import Path
 
 from . import linalg as la
@@ -103,11 +105,6 @@ class CategorySpec:
         self.pivot = {lab: one for lab in self.labels}
         self.pivot.update(pivot or {})
         self._index = {lab: k for k, lab in enumerate(self.labels)}
-        self._channels = {}
-        for a, b, c in self.fusion:
-            self._channels.setdefault((a, b), []).append(c)
-        for key in self._channels:
-            self._channels[key].sort(key=self._index.__getitem__)
         self._pair_cache = {}
         self._assoc_cache = {}
         self._assoc_inv_cache = {}
@@ -171,6 +168,7 @@ class CategorySpec:
             for lab in (a, b, c):
                 if lab not in self._index:
                     raise FusionDataError("fusion rule uses unknown label %r" % (lab,))
+        self._channels = _ring(self.labels, self.fusion).channels
         for lab in self.labels:
             if self.channels(self.unit, lab) != [lab] or self.channels(lab, self.unit) != [lab]:
                 raise FusionDataError("unit does not fuse strictly with %r" % (lab,))
@@ -807,6 +805,181 @@ def _sum(zero: Scalar, terms) -> Scalar:
     return zero if acc is None else acc
 
 
+class _Ring:
+    """Facts of one fusion ring, shared by every category on it.
+
+    A pure function of the labels and the fusion rules: no F, R or
+    scalar enters, so the facts hold in every field.
+    ``channels[(a, b)]`` lists the c in a x b and ``into[c]`` the pairs
+    (a, b) fusing into c, both in label order; ``CategorySpec.channels``
+    reads the former.  An outer triple (a, b, c) is wide when, at some
+    total d with trees on both sides, its recoupling block is not 1x1;
+    ``blocks`` gives the wide triples and, for every other triple, the
+    keys (d, f, e) of its 1x1 blocks.
+
+    The outcome of each pentagon 4-tuple and each hexagon triple with
+    every symbol 1 is kept as the gcd of the nonzero differences
+    lhs - rhs of its term counts; a group with no such difference is
+    left out, and holds in every field.  The other groups hold exactly
+    in the characteristics that divide their gcd.  The hexagon-2
+    outcome is kept only for triples whose three inverse blocks are
+    not wide.  Each table is filled on first use.
+    """
+
+    def __init__(self, labels, fusion):
+        self.labels = labels
+        self.fusion = fusion
+        self._index = {lab: k for k, lab in enumerate(labels)}
+        self.ordered_fusion = sorted(fusion, key=self.order)
+        self.channels = {}
+        self.into = {lab: [] for lab in labels}
+        for a, b, c in sorted(fusion, key=lambda t: self.order((t[2], t[0], t[1]))):
+            self.channels.setdefault((a, b), []).append(c)
+            self.into[c].append((a, b))
+
+    def order(self, group) -> tuple:
+        """Sort key of a tuple of labels: label order, position by position."""
+        return tuple(self._index[x] for x in group)
+
+    def _ch(self, a, b):
+        return self.channels.get((a, b), ())
+
+    @cached_property
+    def blocks(self):
+        """(wide, support): the wide outer triples, and the 1x1 block keys
+        (d, f, e) of every other triple."""
+        fusion, ch, labels = self.fusion, self._ch, self.labels
+        wide, support = set(), {}
+        for a in labels:
+            for b in labels:
+                for c in labels:
+                    e_trees, f_trees = {}, {}
+                    for e in ch(a, b):
+                        for d in ch(e, c):
+                            e_trees.setdefault(d, []).append(e)
+                    for f in ch(b, c):
+                        for d in ch(a, f):
+                            f_trees.setdefault(d, []).append(f)
+                    keys = []
+                    for d, es in e_trees.items():
+                        fs = f_trees.get(d)
+                        if fs is None:
+                            continue
+                        if len(es) != 1 or len(fs) != 1:
+                            wide.add((a, b, c))
+                            break
+                        keys.append((d, fs[0], es[0]))
+                    else:
+                        support[(a, b, c)] = tuple(keys)
+        return frozenset(wide), support
+
+    @cached_property
+    def pentagon_defects(self):
+        """Pentagon outcomes with every symbol 1."""
+        fusion, ch, labels = self.fusion, self._ch, self.labels
+        out = {}
+        for a in labels:
+            for b in labels:
+                for c in labels:
+                    bc = ch(b, c)
+                    for d in labels:
+                        defect = 0
+                        for e in ch(a, b):
+                            for f in ch(e, c):
+                                ks = [k for k in bc if (a, k, f) in fusion]
+                                for u in ch(f, d):
+                                    for g in ch(c, d):
+                                        lhs = (e, g, u) in fusion
+                                        for h in ch(b, g):
+                                            if (a, h, u) in fusion:
+                                                diff = lhs - sum((k, d, h) in fusion for k in ks)
+                                                if diff:
+                                                    defect = gcd(defect, diff)
+                        if defect:
+                            out[(a, b, c, d)] = defect
+        return out
+
+    @cached_property
+    def hexagon_defects(self):
+        """(hexagon-1, hexagon-2) outcomes with every symbol 1."""
+        fusion, ch, labels = self.fusion, self._ch, self.labels
+        wide, support = self.blocks
+        hex1, hex2 = {}, {}
+        for a in labels:
+            for b in labels:
+                for c in labels:
+                    defect = 0
+                    for e in ch(a, b):
+                        right = (b, a, e) in fusion
+                        for d in ch(e, c):
+                            for g in ch(c, a):
+                                if (b, g, d) in fusion:
+                                    lhs = sum((a, f, d) in fusion and (f, a, d) in fusion for f in ch(b, c))
+                                    diff = lhs - (right and (a, c, g) in fusion)
+                                    if diff:
+                                        defect = gcd(defect, diff)
+                    if defect:
+                        hex1[(a, b, c)] = defect
+                    cab, abc, acb = support.get((c, a, b)), support.get((a, b, c)), support.get((a, c, b))
+                    if cab is None or abc is None or acb is None:
+                        continue
+                    defect = 0
+                    for f in ch(b, c):
+                        for d in ch(a, f):
+                            for g in ch(c, a):
+                                if (g, b, d) in fusion:
+                                    lhs = sum((d, f, e) in abc and (d, e, g) in cab for e in ch(a, b))
+                                    diff = lhs - ((d, f, g) in acb)
+                                    if diff:
+                                        defect = gcd(defect, diff)
+                    if defect:
+                        hex2[(a, b, c)] = defect
+        return hex1, hex2
+
+    def pentagon_touched(self, f_keys):
+        """The 4-tuples whose pentagon reads one of the F entries ``f_keys``."""
+        labels, into = self.labels, self.into
+        out = set()
+        for p, q, r in {key[:3] for key in f_keys}:
+            # F^{ecd}, F^{abg}, F^{abc}, F^{akd} and F^{bcd} in turn
+            out.update((a, b, q, r) for a, b in into[p])
+            out.update((p, q, c, d) for c, d in into[r])
+            out.update((p, q, r, d) for d in labels)
+            out.update((p, b, c, r) for b, c in into[q])
+            out.update((a, p, q, r) for a in labels)
+        return out
+
+    def hexagon_touched(self, r_keys, inverted):
+        """The triples whose hexagons read one of the R entries ``r_keys`` or
+        one of the outer triples ``inverted``: the wide triples and the
+        first three labels of every F entry other than 1."""
+        labels, into = self.labels, self.into
+        out = set()
+        for p, q, r in inverted:
+            # hexagon-1 reads F^{abc}, F^{bca}, F^{bac}; hexagon-2 G^{abc}, G^{cab}, G^{acb}
+            out.update(((p, q, r), (r, p, q), (q, p, r), (q, r, p), (p, r, q)))
+        for p, q, r in r_keys:
+            # R^{af}_d, R^{ab}_e and R^{ac}_g in hexagon-1; R^{ec}_d, R^{bc}_f
+            # and R^{ac}_g in hexagon-2
+            out.update((p, b, c) for b, c in into[q])
+            out.update((p, q, c) for c in labels)
+            out.update((p, b, q) for b in labels)
+            out.update((a, b, q) for a, b in into[p])
+            out.update((a, p, q) for a in labels)
+        return out
+
+
+@lru_cache(maxsize=8)
+def _ring(labels: tuple, fusion: frozenset) -> _Ring:
+    """The shared fusion-ring facts of the rules; a few rings are kept."""
+    return _Ring(labels, fusion)
+
+
+def _holds_in(char: int, defect: int) -> bool:
+    """Whether integer differences of gcd ``defect`` vanish in characteristic ``char``."""
+    return char != 0 and defect % char == 0
+
+
 def _pentagon_holds(spec: CategorySpec, F: dict, one: Scalar, zero: Scalar, a, b, c, d) -> bool:
     fusion, ch = spec.fusion, spec.channels
     for e in ch(a, b):
@@ -851,21 +1024,22 @@ def verify_pentagon(spec: CategorySpec) -> Report:
 
     the (g, h; e, f) entry of the two five-term associator composites
     ((ab)c)d -> a(b(cd)).  A 4-tuple with any unequal entry gives one
-    failing item.
+    failing item, in label order.
+
+    Only the 4-tuples that read an F entry other than 1 are evaluated;
+    every other one takes the outcome of its fusion ring with all
+    symbols 1, judged in the field's characteristic.
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    ring = _ring(spec.labels, spec.fusion)
     F = _shared_one(spec.F, one)
-    for a in spec.labels:
-        for b in spec.labels:
-            for c in spec.labels:
-                for d in spec.labels:
-                    if not _pentagon_holds(spec, F, one, zero, a, b, c, d):
-                        report.append(
-                            "pentagon:%s,%s,%s,%s" % (a, b, c, d),
-                            "fail",
-                            witness=[a, b, c, d],
-                        )
+    touched = ring.pentagon_touched([key for key, val in F.items() if val is not one])
+    char = spec.field.char
+    failing = [t for t, defect in ring.pentagon_defects.items() if t not in touched and not _holds_in(char, defect)]
+    failing += [t for t in touched if not _pentagon_holds(spec, F, one, zero, *t)]
+    for t in sorted(failing, key=ring.order):
+        report.append("pentagon:%s,%s,%s,%s" % t, "fail", witness=list(t))
     return report
 
 
@@ -967,38 +1141,60 @@ def verify_hexagon(spec: CategorySpec) -> Report:
     ``{"singular_f": [a, b, c, d]}`` of the first block found singular,
     looking at (c, a, b), then (a, b, c), then (a, c, b), each over the
     totals d in label order.
+
+    Only the triples that read an R entry other than 1, an F entry other
+    than 1, or an outer triple with a block larger than 1x1 are
+    evaluated, in label order; every other one takes the outcome of its
+    fusion ring with all symbols 1, judged in the field's characteristic.
+    An outer triple with only 1x1 blocks of F entries 1 has G = 1 on its
+    trees and is never inverted.
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    ring = _ring(spec.labels, spec.fusion)
+    wide, support = ring.blocks
     F = _shared_one(spec.F, one)
     R = _shared_one(spec.R, one)
+    inverted = wide | {key[:3] for key, val in F.items() if val is not one}
+    touched = ring.hexagon_touched([key for key, val in R.items() if val is not one], inverted)
     inverses = {}
 
-    def inverse_entries(x, y, z):
+    def inverse_entries(*outer):
         # each outer triple is looked up by three triples of the sweep;
         # a singular block is not stored, so it raises every time
-        hit = inverses.get((x, y, z))
+        hit = inverses.get(outer)
         if hit is None:
-            hit = inverses[(x, y, z)] = _inverse_entries(spec, one, x, y, z)
+            if outer in inverted:
+                hit = _inverse_entries(spec, one, *outer)
+            else:
+                hit = dict.fromkeys(support[outer], one)
+            inverses[outer] = hit
         return hit
 
-    for a in spec.labels:
-        for b in spec.labels:
-            for c in spec.labels:
-                if not _hexagon1_holds(spec, F, R, one, zero, a, b, c):
-                    report.append("hexagon-1:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
-                try:
-                    cab = inverse_entries(c, a, b)
-                    abc = inverse_entries(a, b, c)
-                    acb = inverse_entries(a, c, b)
-                except SingularFBlock as exc:
-                    witness = {"singular_f": list(exc.labels)}
-                    report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=witness)
-                    continue
-                if not _hexagon2_holds(spec, R, one, zero, a, b, c, cab, abc, acb):
-                    report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
+    char = spec.field.char
+    hex1, hex2 = ring.hexagon_defects
+    failing = {}
+    for eq, defects in ((1, hex1), (2, hex2)):
+        for t, defect in defects.items():
+            if t not in touched and not _holds_in(char, defect):
+                failing[(t, eq)] = list(t)
+    for t in sorted(touched, key=ring.order):
+        a, b, c = t
+        if not _hexagon1_holds(spec, F, R, one, zero, a, b, c):
+            failing[(t, 1)] = list(t)
+        try:
+            cab = inverse_entries(c, a, b)
+            abc = inverse_entries(a, b, c)
+            acb = inverse_entries(a, c, b)
+        except SingularFBlock as exc:
+            failing[(t, 2)] = {"singular_f": list(exc.labels)}
+            continue
+        if not _hexagon2_holds(spec, R, one, zero, a, b, c, cab, abc, acb):
+            failing[(t, 2)] = list(t)
+    for t, eq in sorted(failing, key=lambda k: (ring.order(k[0]), k[1])):
+        report.append("hexagon-%d:%s,%s,%s" % ((eq,) + t), "fail", witness=failing[(t, eq)])
     twist = spec.twist
-    for a, b, c in sorted(spec.fusion, key=lambda t: tuple(spec.label_order(x) for x in t)):
+    for a, b, c in ring.ordered_fusion:
         # R^{ab}_c R^{ba}_c = theta_c / (theta_a theta_b), cleared of the
         # division: twists are nonzero, so both forms agree
         mono = spec.r_symbol(a, b, c) * spec.r_symbol(b, a, c)
@@ -1089,15 +1285,31 @@ def load_category(ref, base_dir=None) -> CategorySpec:
     return spec
 
 
+def _strings(value) -> bool:
+    return all(isinstance(x, str) for x in value)
+
+
 def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:
+    """A category from its JSON object; a missing key or a field of the
+    wrong JSON type is a ``ParseError``."""
     try:
         field = FieldSpec.from_json(raw["field"])
-        labels = list(raw["labels"])
-        unit = raw["unit"]
-        dual = dict(raw["dual"])
-        fusion_list = [tuple(t) for t in raw["fusion"]]
+        labels, unit, dual, fusion = raw["labels"], raw["unit"], raw["dual"], raw["fusion"]
     except KeyError as exc:
         raise ParseError("missing category key %s" % (exc,)) from None
+    tables = {key: raw.get(key) or {} for key in ("F", "R", "twist", "pivot")}
+    checks = [
+        ("labels", isinstance(labels, list) and _strings(labels), "a list of labels"),
+        ("unit", isinstance(unit, str), "a label"),
+        ("dual", isinstance(dual, dict) and _strings(dual.values()), "an object of labels"),
+        ("fusion", isinstance(fusion, list) and all(isinstance(t, list) and _strings(t) for t in fusion),
+         "a list of label lists"),
+    ]
+    checks += [(key, isinstance(table, dict), "an object of scalar literals") for key, table in tables.items()]
+    for key, ok, kind in checks:
+        if not ok:
+            raise ParseError("category key %r must be %s" % (key, kind))
+    fusion_list = [tuple(t) for t in fusion]
     if len(set(fusion_list)) != len(fusion_list):
         raise FusionDataError("fusion multiplicity above one is not supported")
     for t in fusion_list:
@@ -1106,7 +1318,7 @@ def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:
 
     def parse_table(key, arity):
         table = {}
-        for k, lit in (raw.get(key) or {}).items():
+        for k, lit in tables[key].items():
             parts = tuple(k.split(","))
             if len(parts) != arity:
                 raise ParseError("%s key %r must have %d labels" % (key, k, arity))
@@ -1115,6 +1327,6 @@ def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:
 
     F = parse_table("F", 6)
     R = parse_table("R", 3)
-    twist = {lab: parse_scalar(lit, field) for lab, lit in (raw.get("twist") or {}).items()}
-    pivot = {lab: parse_scalar(lit, field) for lab, lit in (raw.get("pivot") or {}).items()}
+    twist = {lab: parse_scalar(lit, field) for lab, lit in tables["twist"].items()}
+    pivot = {lab: parse_scalar(lit, field) for lab, lit in tables["pivot"].items()}
     return CategorySpec(name, field, labels, unit, dual, fusion_list, F, R, twist, pivot)

@@ -203,6 +203,16 @@ def _run_ledger(path: Path, seed: int) -> Report:
 
 
 def _job(command: str, arg: str, algebra: str | None, seed: int) -> Report:
+    """The report of one input.  When no item carries a time, the first
+    carries the input's elapsed time (text reports only)."""
+    start = time.perf_counter()
+    report = _run(command, arg, algebra, seed)
+    if report.items and not any(item.elapsed for item in report.items):
+        report.items[0].elapsed = time.perf_counter() - start
+    return report
+
+
+def _run(command: str, arg: str, algebra: str | None, seed: int) -> Report:
     try:
         path = resolve(_KIND_DIRS[command], arg)
         if command == "check-category":

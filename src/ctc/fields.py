@@ -6,10 +6,13 @@ literal equality of representations: prime-field elements are residues in
 numerators (``phi(n)`` of them, reduced modulo the n-th cyclotomic
 polynomial; one for Q) over one positive common denominator, divided by
 their gcd.  All arithmetic is exact and works on integers; an inverse is
-the product of the Galois conjugates over the rational norm.  ``Fraction``
-appears only where literals are parsed and printed, in ``approx`` and in
-``scalar_embed``.  ``approx`` produces a floating-point rendering for
-display only; nothing downstream computes with it.
+the product of the Galois conjugates over the rational norm.  Literals
+of Q and Q(zeta_n) are parsed to integer numerators over the lcm of
+their denominators.  ``Fraction`` appears only where F_p literals are
+parsed, where literals are printed, and in ``Scalar.from_fraction``
+(which ``scalar_embed`` uses for Q).  ``approx`` produces a
+floating-point rendering for display only; nothing downstream computes
+with it.
 
 Scalar literals, used by every data file and report, are integers,
 fractions ``p/q``, and polynomials in the symbol ``z`` standing for
@@ -485,6 +488,8 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     ``coeff`` an integer or fraction ``p/q``.  ``z`` is rejected outside
     cyclotomic fields.
     """
+    if not isinstance(text, str):
+        raise ParseError("scalar literal must be a string, got %r" % (text,))
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty scalar literal")
@@ -501,7 +506,8 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
         pos += 1
         return tok
 
-    def parse_number() -> Fraction:
+    def parse_number():
+        """(numerator, denominator) of an integer or a fraction p/q."""
         tok, at = take()
         if not tok.isdigit():
             raise ParseError("expected number at position %d in %r" % (at, text))
@@ -514,8 +520,8 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
             den = int(tok2)
             if den == 0:
                 raise ParseError("zero denominator in %r" % (text,))
-            return Fraction(num, den)
-        return Fraction(num)
+            return num, den
+        return num, 1
 
     def parse_zpow() -> int:
         tok, at = take()
@@ -531,10 +537,7 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
             return int(tok2)
         return 1
 
-    # Q and Q(zeta_n) sum Fraction coefficients per power of zeta, F_p sums
-    # residues; either is made canonical once, at the end
-    prime = field.kind == "prime"
-    total = 0 if prime else [Fraction(0)] * field._ctx.phi
+    terms = []  # (signed numerator, denominator, power of zeta)
     first = True
     while pos < len(tokens):
         sign = 1
@@ -547,23 +550,30 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
             raise ParseError("expected + or - at position %d in %r" % (tokens[pos][1], text))
         first = False
         if peek() == "z":
-            coeff = Fraction(1)
+            num, den = 1, 1
             power = parse_zpow()
         else:
-            coeff = parse_number()
+            num, den = parse_number()
             power = 0
             if peek() == "*":
                 take()
                 power = parse_zpow()
-        if prime:
-            total += Scalar.from_fraction(field, sign * coeff)._v
-        else:
-            vec = field._ctx.power_vec[power % field.n if power else 0]
-            total = [t + sign * coeff * c for t, c in zip(total, vec)]
-    if prime:
+        terms.append((sign * num, den, power))
+    if field.kind == "prime":
+        # each term embeds on its own, so a denominator divisible by p raises
+        total = sum(Scalar.from_fraction(field, Fraction(num, den))._v for num, den, _ in terms)
         return Scalar(field, total % field.p)
-    den = lcm(*(t.denominator for t in total))
-    return Scalar(field, _canon([t.numerator * (den // t.denominator) for t in total], den))
+    # Q and Q(zeta_n): one integer vector over the lcm of the denominators,
+    # made canonical once
+    ctx = field._ctx
+    common = lcm(*(den for _, den, _ in terms))
+    total = [0] * ctx.phi
+    for num, den, power in terms:
+        coeff = num * (common // den)
+        for i, c in enumerate(ctx.power_vec[power % field.n if power else 0]):
+            if c:
+                total[i] += coeff * c
+    return Scalar(field, _canon(total, common))
 
 
 def scalar_literal(s: Scalar) -> str:
@@ -596,10 +606,10 @@ def approx(s: Scalar) -> complex | float:
         return float(s._v)
     nums, den = s._v
     if k == "rational":
-        return float(Fraction(nums[0], den))
+        return nums[0] / den
     z = cmath.exp(2j * cmath.pi / s.field.n)
     acc = 0j
     for power, c in enumerate(nums):
         if c:
-            acc += float(Fraction(c, den)) * z**power
+            acc += c / den * z**power
     return acc

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from ctc import data_path
 from ctc import linalg as la
 from ctc.algebra import Group, group_algebra, solve_coevaluation
+from ctc import category
 from ctc.category import (
     CategoryMismatch,
     CategorySpec,
@@ -27,6 +28,12 @@ from ctc.category import (
     SingularFBlock,
     _dual_scales,
     _f_matrix_inverse,
+    _hexagon1_holds,
+    _hexagon2_holds,
+    _inverse_entries,
+    _pentagon_holds,
+    _ring,
+    _shared_one,
     associator,
     associator_inv,
     braiding,
@@ -723,6 +730,156 @@ def test_balancing_matches_assembled_on_twist_mutants(spec):
 def test_twist_mutants_fail_balancing():
     failing = [s for s in twist_mutants() if any(i.check.startswith("balancing:") for i in verify_hexagon(s).items)]
     assert len(failing) >= 10
+
+
+# --- the touched-group sweeps against every-tuple sweeps --------------------
+
+
+def _every_tuple_pentagon(spec):
+    """Reference pentagon: the scalar equation evaluated on every 4-tuple."""
+    report = Report()
+    one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    F = _shared_one(spec.F, one)
+    for t in itertools.product(spec.labels, repeat=4):
+        if not _pentagon_holds(spec, F, one, zero, *t):
+            report.append("pentagon:%s,%s,%s,%s" % t, "fail", witness=list(t))
+    return report
+
+
+def _every_tuple_hexagon(spec):
+    """Reference hexagons: both scalar equations evaluated on every triple,
+    every outer triple inverted."""
+    report = Report()
+    one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    F = _shared_one(spec.F, one)
+    R = _shared_one(spec.R, one)
+    for a, b, c in itertools.product(spec.labels, repeat=3):
+        if not _hexagon1_holds(spec, F, R, one, zero, a, b, c):
+            report.append("hexagon-1:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
+        try:
+            cab = _inverse_entries(spec, one, c, a, b)
+            abc = _inverse_entries(spec, one, a, b, c)
+            acb = _inverse_entries(spec, one, a, c, b)
+        except SingularFBlock as exc:
+            report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness={"singular_f": list(exc.labels)})
+            continue
+        if not _hexagon2_holds(spec, R, one, zero, a, b, c, cab, abc, acb):
+            report.append("hexagon-2:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
+    return report
+
+
+def _hexagon_items(spec):
+    """The hexagon items of ``verify_hexagon``, without its balancing loop."""
+    return [i for i in verify_hexagon(spec).items if i.check.startswith("hexagon-")]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
+def test_pentagon_matches_every_tuple_sweep(spec):
+    assert verify_pentagon(spec).items == _every_tuple_pentagon(spec).items
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
+def test_hexagon_matches_every_tuple_sweep(spec):
+    assert _hexagon_items(spec) == _every_tuple_hexagon(spec).items
+
+
+def trivial_symbols(name, fusion, field):
+    """A category on the fusion rules ``fusion`` (self-dual labels, unit
+    "1") with every F, R, twist and pivot equal to 1."""
+    labels = sorted({a for a, _, _ in fusion}, key=lambda x: (x != "1", x))
+    raw = {"field": field, "labels": labels, "unit": "1", "dual": {x: x for x in labels}, "fusion": fusion}
+    return category_from_json(raw, name=name)
+
+
+def _commutative(products):
+    return sorted({(a, b, c) for (x, y), cs in products.items() for a, b in ((x, y), (y, x)) for c in cs})
+
+
+REP_S3_FUSION = _commutative(
+    {("1", "1"): "1", ("1", "s"): "s", ("1", "x"): "x", ("s", "s"): "1", ("s", "x"): "x", ("x", "x"): "1sx"}
+)
+FIBONACCI_FUSION = _commutative({("1", "1"): "1", ("1", "t"): "t", ("t", "t"): "1t"})
+TRIVIAL_FIELDS = {"Q": {"kind": "rational"}, "F2": {"kind": "prime", "p": 2}, "F3": {"kind": "prime", "p": 3}}
+
+
+@pytest.mark.parametrize("field", sorted(TRIVIAL_FIELDS))
+@pytest.mark.parametrize("ring", ["rep_s3", "fibonacci"])
+def test_trivial_symbols_match_every_tuple_sweeps(ring, field):
+    # every group takes the ring's outcome here, judged in the characteristic
+    fusion = REP_S3_FUSION if ring == "rep_s3" else FIBONACCI_FUSION
+    spec = trivial_symbols(ring, [list(t) for t in fusion], TRIVIAL_FIELDS[field])
+    pentagon, hexagon = verify_pentagon(spec).items, _hexagon_items(spec)
+    assert pentagon == _every_tuple_pentagon(spec).items
+    assert hexagon == _every_tuple_hexagon(spec).items
+    assert pentagon, "all-ones symbols on a non-pointed ring break the pentagon"
+
+
+def test_trivial_symbols_fail_by_characteristic():
+    counts = {}
+    for field in ("Q", "F2"):
+        spec = trivial_symbols("rep_s3", [list(t) for t in REP_S3_FUSION], TRIVIAL_FIELDS[field])
+        counts[field] = len(_hexagon_items(spec))
+    # a difference of 2 in the term counts holds over F_2 only
+    assert counts == {"Q": 2, "F2": 1}
+
+
+def non_associative():
+    """Self-dual labels 1, x, y with x x = 1 + y, x y = x, y x = x + y,
+    y y = 1: the block of (y, x, x) at total y is 2x1."""
+    fusion = [("1", a, a) for a in "1xy"] + [(a, "1", a) for a in "xy"]
+    fusion += [("x", "x", "1"), ("x", "x", "y"), ("x", "y", "x"), ("y", "x", "x"), ("y", "x", "y"), ("y", "y", "1")]
+    return trivial_symbols("non_associative", [list(t) for t in fusion], {"kind": "rational"})
+
+
+def test_non_square_block_raises_as_the_every_tuple_sweep():
+    spec = non_associative()
+    with pytest.raises(FusionDataError) as want:
+        _every_tuple_hexagon(spec)
+    with pytest.raises(FusionDataError) as got:
+        verify_hexagon(spec)
+    assert "not square" in str(want.value)
+    assert str(got.value) == str(want.value)
+    assert verify_pentagon(spec).items == _every_tuple_pentagon(spec).items
+
+
+@pytest.mark.parametrize("name", ["pointed_z4", "toric_code"])
+def test_second_pointed_spec_evaluates_no_pentagon_and_shares_the_ring(monkeypatch, name):
+    calls = []
+    real = category._pentagon_holds
+    monkeypatch.setattr(category, "_pentagon_holds", lambda *args: calls.append(args[-4:]) or real(*args))
+    first = cat(name)
+    assert verify_pentagon(first).items == []
+    ring, misses = _ring(first.labels, first.fusion), _ring.cache_info().misses
+    second = category_from_json(json.loads(Path(data_path("categories/%s.json" % name)).read_text()))
+    assert second is not first
+    assert verify_pentagon(second).items == []
+    assert calls == []
+    assert _ring.cache_info().misses == misses
+    assert _ring(second.labels, second.fusion) is ring
+
+
+@pytest.mark.parametrize("spec", [cat(name) for name in ALL_CATEGORIES] + sign_flip_mutants(), ids=lambda s: s.name)
+def test_hexagon_inverts_only_nontrivial_outer_triples(monkeypatch, spec):
+    inverted = []
+    real = category._inverse_entries
+    monkeypatch.setattr(category, "_inverse_entries", lambda sp, one, *t: inverted.append(t) or real(sp, one, *t))
+    verify_hexagon(spec)
+    wide, _ = _ring(spec.labels, spec.fusion).blocks
+    non_one_f = {key[:3] for key, val in spec.F.items() if not val.is_one()}
+    assert set(inverted) <= wide | non_one_f
+
+
+def test_ring_cache_stays_bounded():
+    maxsize = _ring.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    for n in range(1, maxsize + 4):
+        labels = ["1"] + ["g%d" % k for k in range(1, n)]
+        fusion = [[labels[i], labels[j], labels[(i + j) % n]] for i in range(n) for j in range(n)]
+        dual = {labels[i]: labels[-i % n] for i in range(n)}
+        raw = {"field": {"kind": "rational"}, "labels": labels, "unit": "1", "dual": dual, "fusion": fusion}
+        spec = category_from_json(raw, name="vec_z%d" % n)
+        assert verify_pentagon(spec).items == verify_hexagon(spec).items == []
+    assert _ring.cache_info().currsize == maxsize
 
 
 # --- helpers on top of the block algebra -----------------------------------

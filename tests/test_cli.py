@@ -10,7 +10,7 @@ import pytest
 
 import ctc
 from ctc import data_path
-from ctc.cli import _run_check_category, main
+from ctc.cli import _job, _run_check_category, main
 from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 
 ALL_CATEGORIES = [
@@ -333,6 +333,54 @@ def test_malformed_input_is_one_parse_error_and_the_batch_goes_on(tmp_path, caps
         assert witness["message"].startswith("missing ") and " key " in witness["message"]
     else:
         assert str(bad) in witness["message"]
+
+
+# wrong-typed fields of a category file: each gives one ParseError item too
+WRONG_TYPED = {
+    "labels": ("labels", 5),
+    "unit": ("unit", ["1"]),
+    "dual": ("dual", 3),
+    "fusion": ("fusion", [1]),
+    "fusion-entry": ("fusion", [["1", "1", 1]]),
+    "F": ("F", [1]),
+    "R": ("R", "1"),
+    "twist": ("twist", 2),
+    "pivot": ("pivot", [["1"]]),
+    "literal": ("R", {"sigma,sigma,1": 7}),
+}
+
+
+@pytest.mark.parametrize("command", ["check-category", "condense"])
+@pytest.mark.parametrize("kind", sorted(WRONG_TYPED))
+def test_wrong_typed_category_field_is_one_parse_error(tmp_path, capsysbinary, command, kind):
+    key, value = WRONG_TYPED[kind]
+    raw = json.loads(data_path("categories/ising.json").read_text())
+    raw[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_json(capsysbinary, [command] + [a.format(bad=bad) for a in BATCHES[command]])
+    assert code == 2
+    witness = _assert_one_parse_error(out, bad)
+    assert repr(key) in witness["message"] or "literal" in witness["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-algebra", "alg_qz3"],
+        ["check-module", "mod_toric_m"],
+        ["condense", "toric_code", "alg_toric_1e"],
+        ["suite", "maschke_2_6"],
+        ["ledger", "wp_triplet"],
+        ["check-category", "no_such_category"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_input_reports_its_time_on_its_first_item(argv):
+    command, arg, algebra = argv[0], argv[1], (argv[2:] or [None])[0]
+    items = _job(command, arg, algebra, 0).items
+    assert items[0].elapsed > 0
+    assert all(i.elapsed == 0 for i in items[1:])
 
 
 def _write(path, raw):

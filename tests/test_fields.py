@@ -237,6 +237,12 @@ def test_parse_rejects_z_outside_cyclotomic():
         parse_scalar("z + 1", Q)
 
 
+def test_parse_rejects_a_literal_that_is_not_a_string():
+    for bad in (7, None, ["1"]):
+        with pytest.raises(ParseError):
+            parse_scalar(bad, Q)
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "1 +", "* 2", "z^", "1//2", "q"):
         with pytest.raises(ParseError):
@@ -766,7 +772,15 @@ def test_parse_matches_arithmetic_parser(field, data):
 
 @pytest.mark.parametrize(
     "text, field",
-    [("1/2 + 3/5", F5), ("1 - 1", Q), ("z^5 - z^0", FieldSpec.cyclotomic(5)), ("z^7 + z^3", Z4)],
+    [
+        ("1/2 + 3/5", F5),
+        ("1/5 - 1/5", F5),
+        ("1 - 1", Q),
+        ("1/6 - 1/3 + 1/2", Q),
+        ("z^5 - z^0", FieldSpec.cyclotomic(5)),
+        ("z^7 + z^3", Z4),
+        ("1/4*z - 1/6*z^3 + 5/12", Z8),
+    ],
     ids=repr,
 )
 def test_parse_matches_arithmetic_parser_on_edge_literals(text, field):
