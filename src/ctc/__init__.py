@@ -45,5 +45,18 @@ def read_json(path) -> dict:
     return raw
 
 
+def strings(values) -> bool:
+    """Whether every one of ``values`` is a string."""
+    return all(isinstance(x, str) for x in values)
+
+
+def check_fields(what: str, checks) -> None:
+    """Raise ``ParseError`` for the first ``(key, ok, kind)`` with ``ok`` false:
+    a field of a ``what`` file has the wrong JSON type."""
+    for key, ok, kind in checks:
+        if not ok:
+            raise ParseError("%s key %r must be %s" % (what, key, kind))
+
+
 __all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "resolve", "read_json",
-           "__version__"]
+           "strings", "check_fields", "__version__"]

@@ -10,7 +10,7 @@ assumes the algebra is honest, the checks exist precisely to find out.
 from __future__ import annotations
 
 from . import linalg as la
-from . import read_json, resolve
+from . import check_fields, read_json, resolve, strings
 from .category import (
     CategorySpec,
     _dual_scales,
@@ -342,28 +342,29 @@ class Group:
                 if g not in self._index:
                     raise InvalidGroupTable("table entry %r is not an element" % (g,))
         self.table = [list(row) for row in table]
-        ident = None
-        for g in self.elements:
-            if all(self.mul(g, h) == h and self.mul(h, g) == h for h in self.elements):
-                ident = g
-                break
+        # every check runs on element indices, which compare as plain ints
+        t = [[self._index[g] for g in row] for row in table]
+        elems = range(n)
+        ident = next((e for e in elems if all(t[e][h] == h and t[h][e] == h for h in elems)), None)
         if ident is None:
             raise InvalidGroupTable("no identity element")
-        self.identity = ident
-        for row in self.table:
-            if sorted(row) != sorted(self.elements):
+        self.identity = self.elements[ident]
+        perm = list(elems)
+        for row in t:
+            if sorted(row) != perm:
                 raise InvalidGroupTable("rows must be permutations")
-        for j in range(n):
-            if sorted(self.table[i][j] for i in range(n)) != sorted(self.elements):
+        for j in elems:
+            if sorted(row[j] for row in t) != perm:
                 raise InvalidGroupTable("columns must be permutations")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                        raise InvalidGroupTable("table is not associative")
-        for g in self.elements:
-            if not any(self.mul(g, h) == self.identity for h in self.elements):
-                raise InvalidGroupTable("%r has no inverse" % (g,))
+        # (a b) c = a (b c) for every c at once: row ab of the table is row a
+        # read through row b
+        for ta in t:
+            for b in elems:
+                if t[ta[b]] != [ta[x] for x in t[b]]:
+                    raise InvalidGroupTable("table is not associative")
+        for g in elems:
+            if ident not in t[g]:
+                raise InvalidGroupTable("%r has no inverse" % (self.elements[g],))
 
     def mul(self, a, b):
         return self.table[self._index[a]][self._index[b]]
@@ -388,9 +389,14 @@ def load_group(ref) -> Group:
     path = resolve("groups", ref)
     raw = read_json(path)
     try:
-        return Group(raw.get("name", path.stem), raw["elements"], raw["table"])
+        elements, table = raw["elements"], raw["table"]
     except KeyError as exc:
         raise ParseError("missing group key %s" % (exc,)) from None
+    check_fields("group", [
+        ("elements", isinstance(elements, list) and strings(elements), "a list of element names"),
+        ("table", isinstance(table, list) and all(isinstance(row, list) for row in table), "a list of rows"),
+    ])
+    return Group(raw.get("name", path.stem), elements, table)
 
 
 def group_algebra(group: Group, spec: CategorySpec) -> AlgebraObject:
@@ -473,14 +479,34 @@ def _parse_mor(dom: Obj, cod: Obj, blocks: dict) -> Mor:
     return Mor(dom, cod, parsed)
 
 
+def _object_field(value):
+    """The ``check_fields`` entry of a carrier's ``object`` field."""
+    ok = isinstance(value, dict) and all(isinstance(m, int) for m in value.values())
+    return "object", ok, "an object of label multiplicities"
+
+
+def _blocks_field(key: str, value):
+    """The ``check_fields`` entry of a field of per-label literal matrices."""
+    ok = isinstance(value, dict) and all(
+        isinstance(m, list) and all(isinstance(row, list) for row in m) for m in value.values()
+    )
+    return key, ok, "an object of literal matrices"
+
+
 def algebra_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AlgebraObject:
     try:
         cat_ref = raw["category"]
-        carrier_mult = dict(raw["object"])
+        carrier_mult = raw["object"]
         unit_blocks = raw["iota"]
         mult_blocks = raw["mu"]
     except KeyError as exc:
         raise ParseError("missing algebra key %s" % (exc,)) from None
+    check_fields("algebra", [
+        _object_field(carrier_mult),
+        _blocks_field("iota", unit_blocks),
+        _blocks_field("mu", mult_blocks),
+        _blocks_field("counit", raw.get("counit", {})),
+    ])
     spec = load_category(cat_ref, base_dir)
     carrier = Obj(spec, carrier_mult)
     unit_map = _parse_mor(Obj.unit(spec), carrier, unit_blocks)

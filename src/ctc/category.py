@@ -29,7 +29,7 @@ from math import gcd
 from pathlib import Path
 
 from . import linalg as la
-from . import read_json, resolve
+from . import check_fields, read_json, resolve, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .report import Report
 
@@ -1285,10 +1285,6 @@ def load_category(ref, base_dir=None) -> CategorySpec:
     return spec
 
 
-def _strings(value) -> bool:
-    return all(isinstance(x, str) for x in value)
-
-
 def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:
     """A category from its JSON object; a missing key or a field of the
     wrong JSON type is a ``ParseError``."""
@@ -1299,16 +1295,14 @@ def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:
         raise ParseError("missing category key %s" % (exc,)) from None
     tables = {key: raw.get(key) or {} for key in ("F", "R", "twist", "pivot")}
     checks = [
-        ("labels", isinstance(labels, list) and _strings(labels), "a list of labels"),
+        ("labels", isinstance(labels, list) and strings(labels), "a list of labels"),
         ("unit", isinstance(unit, str), "a label"),
-        ("dual", isinstance(dual, dict) and _strings(dual.values()), "an object of labels"),
-        ("fusion", isinstance(fusion, list) and all(isinstance(t, list) and _strings(t) for t in fusion),
+        ("dual", isinstance(dual, dict) and strings(dual.values()), "an object of labels"),
+        ("fusion", isinstance(fusion, list) and all(isinstance(t, list) and strings(t) for t in fusion),
          "a list of label lists"),
     ]
     checks += [(key, isinstance(table, dict), "an object of scalar literals") for key, table in tables.items()]
-    for key, ok, kind in checks:
-        if not ok:
-            raise ParseError("category key %r must be %s" % (key, kind))
+    check_fields("category", checks)
     fusion_list = [tuple(t) for t in fusion]
     if len(set(fusion_list)) != len(fusion_list):
         raise FusionDataError("fusion multiplicity above one is not supported")

@@ -4,6 +4,7 @@ emit reports whose JSON form is byte-identical across runs and -j levels."""
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -234,7 +235,9 @@ def _run(command: str, arg: str, algebra: str | None, seed: int) -> Report:
     return bad
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ctc",
         description="exact checks for braided categories, algebra objects, and their modules",

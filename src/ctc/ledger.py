@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from . import read_json, resolve
+from . import check_fields, read_json, resolve, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .linalg import Echelon
 
@@ -110,23 +110,27 @@ def solve_dims(problem: LedgerProblem) -> dict:
 
 def ledger_from_json(raw: dict, name: str = "anonymous") -> LedgerProblem:
     try:
-        symbols = list(raw["symbols"])
+        symbols = raw["symbols"]
         raw_relations = raw["relations"]
     except KeyError as exc:
         raise ParseError("missing ledger key %s" % (exc,)) from None
+    raw_knowns = raw.get("knowns", {})
+    projectives = raw.get("projectives", [])
+    check_fields("ledger", [
+        ("symbols", isinstance(symbols, list) and strings(symbols), "a list of symbols"),
+        ("relations", isinstance(raw_relations, list), "a list of relations"),
+        ("knowns", isinstance(raw_knowns, dict), "an object of scalar literals"),
+        ("projectives", isinstance(projectives, list) and strings(projectives), "a list of symbols"),
+    ])
     field = FieldSpec.rational()
     relations = []
     for k, rel in enumerate(raw_relations):
-        try:
-            lhs = rel["lhs"]
-            rhs = {sym: int(c) for sym, c in rel["rhs"].items()}
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("relation %d needs lhs and integer rhs terms" % k) from None
+        lhs, rhs = (rel.get("lhs"), rel.get("rhs")) if isinstance(rel, dict) else (None, None)
+        # JSON integers only, so 1.5 or true is refused rather than read as 1
+        if not (isinstance(lhs, str) and isinstance(rhs, dict) and all(type(c) is int for c in rhs.values())):
+            raise ParseError("relation %d needs lhs and integer rhs terms" % k)
         relations.append((lhs, rhs, "relation %d (%s = ...)" % (k, lhs)))
-    knowns = {
-        sym: parse_scalar(lit, field) for sym, lit in raw.get("knowns", {}).items()
-    }
-    projectives = list(raw.get("projectives", []))
+    knowns = {sym: parse_scalar(lit, field) for sym, lit in raw_knowns.items()}
     return LedgerProblem(
         raw.get("name", name), symbols, relations, knowns, projectives, field
     )

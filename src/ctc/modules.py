@@ -12,14 +12,19 @@ Semisimplicity is decided through the matrix algebra generated by the
 action components together with the grading projectors: carriers are
 graded by labels, and a subspace is a submodule exactly when it is
 invariant under both.  The operators are sparse rows read off the
-action, and the algebra is closed with sparse products.  The module is
-semisimple exactly when that algebra has zero radical.  In
-characteristic zero or above the matrix size that is the kernel of the
-trace form, whose entries are sums over nonzero entries.  Over small
-prime fields it is Ronyai's polynomial-time chain of ideals
-(J. Symb. Comput. 9 (1990)).  Each level's form g_i is linear on the
-previous ideal, so it is evaluated once per basis element of that ideal
-and read off as a trace against one weight matrix.
+action, and the algebra is spun from a greedy generating set with
+sparse products: each word is multiplied by the generators only (the
+spinning of Holt, Eick and O'Brien, Handbook of Computational Group
+Theory), dim x |gens| products.  The module is semisimple exactly when
+that algebra has zero radical.  In characteristic zero or above the
+matrix size that is the kernel of the trace form, whose entries are
+sums over nonzero entries.  Over a small prime field, a commutative
+algebra's radical is its set of nilpotents, the kernel of the linear
+map x -> x^(p^k) with p^k >= n.  Every other algebra there goes through
+Ronyai's polynomial-time chain of ideals (J. Symb. Comput. 9 (1990)).
+Each level's form g_i is linear on the previous ideal, so it is
+evaluated once per basis element of that ideal and read off as a trace
+against one weight matrix.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg as la
-from . import read_json, resolve
+from . import check_fields, read_json, resolve, strings
 from .algebra import (
     AlgebraObject,
     NotIsotropic,
+    _blocks_field,
+    _object_field,
     _parse_mor,
     check_algebra,
     frobenius_kit,
@@ -502,48 +509,97 @@ class ActionAlgebra:
 
 
 def action_algebra(mod: AModule) -> ActionAlgebra:
-    """Close action components and gradings into a unital matrix algebra.
+    """Spin action components and gradings into a unital matrix algebra.
 
-    The closure is semi-naive: each round multiplies only the pairs with
-    a factor admitted in the previous round, since every other product
-    already lies in the span.  Operators stay sparse rows throughout;
-    each candidate is flattened to its nonzeros at ``r*n + c`` and
-    reduced against an ``la.Echelon`` of the basis kept alongside it,
-    unless the same flattened candidate came before: it lies in the span
-    then.  The basis and generators are made dense once, at the end.
+    The identity, the slot operators and the gradings are admitted to
+    the basis first, in that order; ``_spin`` then multiplies out a
+    generating set chosen from them.  The basis and generators are made
+    dense once, at the end.  A commutative algebra over F_p with
+    p <= n takes its radical from ``_frobenius_radical``; every other
+    algebra from ``algebra_radical``.
     """
     field = mod.spec.field
     ops, gradings, n = _action_operators(mod)
     if n == 0:
         return ActionAlgebra(mod, [], [], [], 0)
+    basis, gens = _spin(ops + gradings, n, field)
+    dense = [_dense(m, n, field) for m in basis]
+    p = field.char
+    if 0 < p <= n and _commute(gens):
+        flat = [_flat(m, n) for m in basis]
+        radical = _radical_matrices(_frobenius_radical(flat, n, field), flat, n, field)
+    else:
+        radical = algebra_radical(dense, n, field)
+    return ActionAlgebra(mod, [_dense(m, n, field) for m in ops + gradings], dense, radical, n)
 
-    basis = []
-    echelon = la.Echelon()
-    seen = set()
 
-    def admit(m):
-        flat = {r * n + c: x for r, row in enumerate(m) for c, x in row.items()}
-        key = frozenset(flat.items())
+def _spin(candidates, n, field):
+    """Basis of the unital algebra the candidates generate, and the generators.
+
+    Operators are sparse rows, flattened to their nonzeros at ``r*n + c``.
+    The identity and the candidates are admitted to the basis first, each
+    reduced against an ``la.Echelon`` of the basis unless the same
+    flattened matrix came before.  Then a candidate becomes a generator
+    only when it lies outside the span of the words found so far, which a
+    second echelon tracks.  Every word is multiplied by each new
+    generator and every new word by each generator, so the words end
+    spanning a space closed under right multiplication by the generators
+    and holding the identity: the algebra they generate, which holds every
+    candidate.  A product new among the words is admitted to the basis
+    too.  That is dim x |gens| products, and in a regular group algebra
+    each generator at least doubles the subgroup it joins.
+    """
+    basis, echelon, seen = [], la.Echelon(), set()
+    words, span, known = [], la.Echelon(), set()
+
+    def admit(m, flat, key):
         if key not in seen and echelon.add(flat) is not None:
             basis.append(m)
         seen.add(key)
 
+    def grow(m):
+        flat = _flat(m, n)
+        key = frozenset(flat.items())
+        if key in known:
+            return False
+        known.add(key)
+        if span.add(flat) is None:
+            return False
+        words.append(m)
+        admit(m, flat, key)
+        return True
+
     one = Scalar.one(field)
-    admit([{k: one} for k in range(n)])
-    for m in ops + gradings:
-        admit(m)
-    done = 0
-    while done < len(basis):
-        snapshot = list(basis)
-        for a, x in enumerate(snapshot):
-            for b, y in enumerate(snapshot):
-                if a < done and b < done:
-                    continue
-                admit(la.sparse_mul(x, y))
-        done = len(snapshot)
-    basis = [_dense(m, n, field) for m in basis]
-    radical = algebra_radical(basis, n, field)
-    return ActionAlgebra(mod, [_dense(m, n, field) for m in ops + gradings], basis, radical, n)
+    for m in [[{k: one} for k in range(n)]] + candidates:
+        flat = _flat(m, n)
+        admit(m, flat, frozenset(flat.items()))
+    grow(basis[0])
+    gens = []
+    for g in candidates:
+        start = len(words)
+        if not grow(g):
+            continue
+        gens.append(g)
+        for w in words[1 : start]:
+            grow(la.sparse_mul(w, g))
+        k = start
+        while k < len(words):
+            for h in gens:
+                grow(la.sparse_mul(words[k], h))
+            k += 1
+    return basis, gens
+
+
+def _flat(m, n) -> dict:
+    """The nonzeros of a sparse-row n x n matrix, at r*n + c."""
+    return {r * n + c: x for r, row in enumerate(m) for c, x in row.items()}
+
+
+def _commute(gens) -> bool:
+    """Whether the generators commute pairwise, so the algebra they generate does."""
+    return all(
+        la.sparse_mul(a, b) == la.sparse_mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
+    )
 
 
 def _trace_form_kernel(flat, n, field):
@@ -655,6 +711,59 @@ def _ronyai_radical(flat, n, field):
     return [row for _p, row in ech.reduced()][::-1]
 
 
+def _frobenius_radical(flat, n, field):
+    """Coefficients over the basis of the radical of a commutative algebra, 0 < p <= n.
+
+    In a commutative algebra the radical is the set of nilpotents, and
+    x -> x^p is F_p-linear, so the radical is the kernel of its k-th
+    power for p^k >= n.  Each basis element's p-th power is read back
+    as coefficients through the reduced echelon of the basis rows, each
+    carrying its index from column n*n on, as in ``_ronyai_radical``.
+    The coefficients are returned as the rows of their reduced echelon
+    form, last row first.
+    """
+    p = field.char
+    nn = n * n
+    d = len(flat)
+    one = Scalar.one(field)
+    ech = la.Echelon()
+    for t, x in enumerate(flat):
+        ech.add({**x, nn + t: one})
+    red = ech.reduced()
+    cells = [divmod(pivot, n) for pivot, _row in red]
+    coeffs = [{k - nn: x.residue() for k, x in row.items() if k >= nn} for _pivot, row in red]
+    frob = []
+    for x in flat:
+        m = [{} for _ in range(n)]
+        for k, v in x.items():
+            m[k // n][k % n] = v.residue()
+        power = m
+        for _ in range(p - 1):
+            power = [_int_combination(row, m, p) for row in power]
+        at_pivots = {j: power[r][c] for j, (r, c) in enumerate(cells) if c in power[r]}
+        frob.append(_int_combination(at_pivots, coeffs, p))
+    images, reach = frob, p
+    while reach < n:
+        images = [_int_combination(v, frob, p) for v in images]
+        reach *= p
+    kernel = la.Echelon()
+    for t, v in enumerate(images):
+        row = {j: Scalar.from_int(field, x) for j, x in v.items()}
+        row[d + t] = one
+        kernel.add(row)
+    return [{j - d: x for j, x in row.items()} for pivot, row in kernel.reduced() if pivot >= d][::-1]
+
+
+def _int_combination(weights, rows, p):
+    """sum_t weights[t] * rows[t] over sparse integer rows, mod p; with
+    the rows of a matrix b and a row of a, that row of a times b."""
+    acc = {}
+    for t, c in weights.items():
+        for j, x in rows[t].items():
+            acc[j] = acc.get(j, 0) + c * x
+    return {j: v % p for j, v in acc.items() if v % p}
+
+
 def _combine(weights, rows):
     """sum_k weights[k] * rows[k] over sparse rows, zero entries dropped."""
     acc = {}
@@ -695,6 +804,11 @@ def algebra_radical(basis, n, field):
         kernel = _trace_form_kernel(flat, n, field)
     else:
         kernel = _ronyai_radical(flat, n, field)
+    return _radical_matrices(kernel, flat, n, field)
+
+
+def _radical_matrices(kernel, flat, n, field):
+    """The dense n x n matrix of each coefficient vector over the flattened basis."""
     zero = Scalar.zero(field)
     out = []
     for v in kernel:
@@ -863,6 +977,23 @@ def _required(raw: dict, key: str, what: str):
         raise ParseError("missing %s key %r" % (what, key)) from None
 
 
+def _cases(raw: dict) -> list:
+    cases = _required(raw, "cases", "suite")
+    ok = isinstance(cases, list) and all(isinstance(c, dict) for c in cases)
+    check_fields("suite", [("cases", ok, "a list of case objects")])
+    for case in cases:
+        names = [
+            (key, isinstance(case[key], str), "a name") for key in ("category", "group", "algebra") if key in case
+        ]
+        labels = [
+            (key, isinstance(case[key], list) and strings(case[key]), "a list of labels")
+            for key in ("labels", "local_sources")
+            if key in case
+        ]
+        check_fields("suite case", names + labels)
+    return cases
+
+
 def run_suite_manifest(raw: dict) -> Report:
     kind = _required(raw, "kind", "suite")
     if kind == "maschke":
@@ -896,7 +1027,7 @@ def _case_tag(case) -> str:
 
 def _run_maschke_suite(raw) -> Report:
     report = Report()
-    for case in _required(raw, "cases", "suite"):
+    for case in _cases(raw):
         tag = _case_tag(case)
         alg = _case_algebra(case)
         A = alg.carrier
@@ -931,7 +1062,7 @@ def _augmentation(alg: AlgebraObject) -> Mor:
 
 def _run_local_suite(raw) -> Report:
     report = Report()
-    for case in _required(raw, "cases", "suite"):
+    for case in _cases(raw):
         tag = _case_tag(case)
         alg = _case_algebra(case)
         table = condense(alg)
@@ -983,7 +1114,7 @@ def _run_local_suite(raw) -> Report:
 
 def _run_counterexample_suite(raw) -> Report:
     report = Report()
-    for case in _required(raw, "cases", "suite"):
+    for case in _cases(raw):
         tag = _case_tag(case)
         expect = _required(case, "expect", "suite case")
         if expect == "index-zero":
@@ -1050,10 +1181,11 @@ def load_module(ref) -> AModule:
 def module_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AModule:
     try:
         alg_ref = raw["algebra"]
-        carrier_mult = dict(raw["object"])
+        carrier_mult = raw["object"]
         action_blocks = raw["muX"]
     except KeyError as exc:
         raise ParseError("missing module key %s" % (exc,)) from None
+    check_fields("module", [_object_field(carrier_mult), _blocks_field("muX", action_blocks)])
     alg = load_algebra(alg_ref, base_dir)
     carrier = Obj(alg.spec, carrier_mult)
     action = _parse_mor(tensor_obj(alg.carrier, carrier), carrier, action_blocks)

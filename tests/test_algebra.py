@@ -153,6 +153,28 @@ def test_group_rejects_missing_identity():
         Group("bad", els, table)
 
 
+BAD_GROUP_TABLES = [
+    (["a", "a"], [["a", "a"], ["a", "a"]], "elements must be distinct and nonempty"),
+    (["a", "b"], [["a", "b"]], "table must be 2x2"),
+    (["a", "b"], [["a", "b"], ["b", "x"]], "table entry 'x' is not an element"),
+    (["0", "1", "2"], [["1", "0", "2"], ["0", "2", "1"], ["2", "1", "0"]], "no identity element"),
+    (["e", "a"], [["e", "a"], ["a", "a"]], "rows must be permutations"),
+    (list("eabc"), [list("eabc"), list("aebc"), list("beac"), list("ceab")], "columns must be permutations"),
+    (
+        ["e", "1", "2", "3", "4"],
+        [list("e1234"), list("1e342"), list("24e13"), list("324e1"), list("4312e")],
+        "table is not associative",
+    ),
+]
+
+
+@pytest.mark.parametrize("elements, table, message", BAD_GROUP_TABLES)
+def test_group_checks_keep_their_messages_and_order(elements, table, message):
+    with pytest.raises(InvalidGroupTable) as err:
+        Group("bad", elements, table)
+    assert str(err.value) == message
+
+
 # --- group algebras in one-label categories --------------------------------
 
 

@@ -1,5 +1,6 @@
 """Runner behavior: golden bytes, parallel determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -286,6 +287,24 @@ def test_jobs_validation(capsys):
     assert main(["check-category", "vec_q", "--jobs", "0"]) == 2
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsysbinary):
+    assert main(["ledger", "wp_triplet", "--report", "json"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+    )
+    for _ in range(3):
+        assert main(["ledger", "wp_triplet", "--report", "json"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command", "x"])
+        assert exc.value.code == 2
+    assert built == []
+    out = capsysbinary.readouterr()
+    assert out.out == (LEDGER_GOLDEN * 4)
+    assert out.err.count(b"argument command: invalid choice: 'no-such-command'") == 3
+
+
 # malformed inputs: each bad file gives one ParseError item, the bundled
 # input after it still reports
 MALFORMED = {
@@ -362,6 +381,45 @@ def test_wrong_typed_category_field_is_one_parse_error(tmp_path, capsysbinary, c
     assert code == 2
     witness = _assert_one_parse_error(out, bad)
     assert repr(key) in witness["message"] or "literal" in witness["message"]
+
+
+# wrong-typed fields of the other data files: (command, bundled file, key,
+# value, part of the message); each gives one ParseError item as well
+ALGEBRA, MODULE, LEDGER = "algebras/alg_qz3.json", "modules/mod_toric_m.json", "ledger/wp_triplet.json"
+MASCHKE, LOCAL = "suites/maschke_2_6.json", "suites/local_3_1.json"
+WRONG_TYPED_FILES = {
+    "algebra-mu": ("check-algebra", ALGEBRA, "mu", 3, "'mu'"),
+    "algebra-iota": ("check-algebra", ALGEBRA, "iota", 3, "'iota'"),
+    "algebra-object": ("check-algebra", ALGEBRA, "object", 5, "'object'"),
+    "algebra-counit": ("check-algebra", ALGEBRA, "counit", [["1"]], "'counit'"),
+    "algebra-block-row": ("check-algebra", ALGEBRA, "mu", {"1": [1]}, "'mu'"),
+    "module-muX": ("check-module", MODULE, "muX", 3, "'muX'"),
+    "module-object": ("check-module", MODULE, "object", 5, "'object'"),
+    "ledger-knowns": ("ledger", LEDGER, "knowns", [1], "'knowns'"),
+    "ledger-symbols": ("ledger", LEDGER, "symbols", 5, "'symbols'"),
+    "ledger-projectives": ("ledger", LEDGER, "projectives", 5, "'projectives'"),
+    "ledger-relation": ("ledger", LEDGER, "relations", [{"lhs": "V", "rhs": [1]}], "relation 0"),
+    "ledger-fraction": ("ledger", LEDGER, "relations", [{"lhs": "V", "rhs": {"W": 1.5, "X": 1}}], "relation 0"),
+    "suite-cases": ("suite", MASCHKE, "cases", 5, "'cases'"),
+    "suite-case": ("suite", MASCHKE, "cases", [1], "'cases'"),
+    "suite-case-group": ("suite", MASCHKE, "cases", [{"category": "vec_q", "group": [1]}], "'group'"),
+    "suite-case-labels": ("suite", LOCAL, "cases", [{"category": "toric_code", "labels": 5}], "'labels'"),
+    "suite-case-local-sources": (
+        "suite", LOCAL, "cases", [{"category": "toric_code", "labels": ["1", "e"], "local_sources": 5}], "'local_sources'"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_TYPED_FILES))
+def test_wrong_typed_field_of_other_files_is_one_parse_error(tmp_path, capsysbinary, kind):
+    command, name, key, value, message = WRONG_TYPED_FILES[kind]
+    raw = json.loads(data_path(name).read_text())
+    raw[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_json(capsysbinary, [command] + [a.format(bad=bad) for a in BATCHES[command]])
+    assert code == 2
+    _assert_one_parse_error(out, bad, message)
 
 
 @pytest.mark.parametrize(

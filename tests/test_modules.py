@@ -703,8 +703,10 @@ def test_ronyai_evaluates_g_once_per_ideal_basis_element(monkeypatch):
     calls = []
     real = modules_mod._ronyai_g
     monkeypatch.setattr(modules_mod, "_ronyai_g", lambda m, i, p: calls.append(i) or real(m, i, p))
-    aa = action_algebra(reg)
-    assert aa.radical and len(calls) <= sum(dims)
+    # the algebra is commutative, so action_algebra takes the Frobenius
+    # kernel; the chain is asked for directly
+    radical = algebra_radical(basis, 16, reg.spec.field)
+    assert radical and len(calls) <= sum(dims)
     assert [calls.count(i) for i in range(len(dims))] == dims
 
 
@@ -829,15 +831,72 @@ def test_closure_matches_naive_closure(case):
 
 def test_closure_skips_candidates_it_has_seen(monkeypatch):
     # every product of two permutation matrices of S4 is one of them again,
-    # so only the identity and the generators reach the elimination; the
-    # radical, which eliminates too, is stubbed out of the count
-    adds = []
+    # so only the identity and the generators reach the basis elimination;
+    # the radical, which eliminates too, is stubbed out of the count
+    adds = {}
     add = la.Echelon.add
-    monkeypatch.setattr(la.Echelon, "add", lambda self, row: adds.append(row) or add(self, row))
+    monkeypatch.setattr(
+        la.Echelon, "add", lambda self, row: adds.setdefault(id(self), []).append(row) or add(self, row)
+    )
     monkeypatch.setattr(modules_mod, "algebra_radical", lambda basis, n, field: [])
     aa = action_algebra(regular_module(group_algebra(_s4(), cat("vec_q"))))
     assert aa.dimension == 24
-    assert len(adds) <= 1 + len(aa.generators)
+    # the basis echelon takes the identity first; the spin's word echelon
+    # sees each permutation matrix once at most
+    basis_adds, word_adds = adds.values()
+    assert len(basis_adds) <= 1 + len(aa.generators)
+    assert len(word_adds) <= aa.dimension
+
+
+def _spun(monkeypatch, mod):
+    """action_algebra(mod), the generators its spin chose, and its count of
+    sparse products; every patch of the calling test is undone after it."""
+    gens, products = [], []
+    real_spin, mul = modules_mod._spin, la.sparse_mul
+
+    def spin(*args):
+        basis, chosen = real_spin(*args)
+        gens.extend(chosen)
+        return basis, chosen
+
+    monkeypatch.setattr(modules_mod, "_spin", spin)
+    monkeypatch.setattr(la, "sparse_mul", lambda a, b: products.append(1) or mul(a, b))
+    aa = action_algebra(mod)
+    monkeypatch.undo()
+    return aa, gens, len(products)
+
+
+@pytest.mark.parametrize("cat_name, group", [("vec_q", "s4"), ("vec_f2", "z16")])
+def test_spin_multiplies_by_generators_only(monkeypatch, cat_name, group):
+    # all pairs of the 24 basis elements of Q[S4] are 576 products
+    group = _s4() if group == "s4" else small_group(group)
+    aa, gens, products = _spun(monkeypatch, regular_module(group_algebra(group, cat(cat_name))))
+    order = len(group)
+    assert aa.dimension == order
+    assert 2 ** len(gens) <= order
+    assert products <= order * len(gens) + len(gens) ** 2
+
+
+# the abelian regular modules with p <= n, where the algebra is commutative
+FROBENIUS_MODULES = [
+    (c, g, kind)
+    for c, g, kind in MODULAR_MODULES
+    if kind == "regular" and g != "s3" and int(c[-1]) <= len(small_group(g))
+] + [("vec_f2", "z10", "regular"), ("vec_f3", "z9", "regular"), ("vec_f2", "z16", "regular")]
+
+
+@pytest.mark.parametrize(
+    "case", FROBENIUS_MODULES + [("vec_f2", 2), ("vec_f2", 4), ("vec_f2", 5), ("vec_f3", 3), ("vec_f3", 4)]
+)
+def test_frobenius_radical_matches_ronyai(monkeypatch, case):
+    mod = _modular_module(*case) if len(case) == 3 else _jordan_action(*case)
+    calls = []
+    monkeypatch.setattr(modules_mod, "algebra_radical", lambda *args: calls.append(1) or [])
+    aa, gens, _products = _spun(monkeypatch, mod)
+    field, n = aa.module.spec.field, aa.size
+    assert 0 < field.char <= n and modules_mod._commute(gens)
+    assert calls == []
+    assert aa.radical == algebra_radical(aa.basis, n, field)
 
 
 @pytest.mark.parametrize(
