@@ -14,6 +14,7 @@ from . import check_fields, read_json, resolve, strings
 from .category import (
     CategorySpec,
     _dual_scales,
+    _tensor_plan,
     Mor,
     Obj,
     associator,
@@ -326,7 +327,10 @@ def algebra_dim_with_twist(alg: AlgebraObject, counit: Mor | None = None, coev: 
 
 
 class Group:
-    __slots__ = ("name", "elements", "table", "identity", "_index")
+    """A finite group from its multiplication table; ``products[i][j]`` is
+    the index of ``elements[i] * elements[j]``."""
+
+    __slots__ = ("name", "elements", "table", "products", "identity", "_index")
 
     def __init__(self, name, elements, table):
         self.name = name
@@ -343,7 +347,7 @@ class Group:
                     raise InvalidGroupTable("table entry %r is not an element" % (g,))
         self.table = [list(row) for row in table]
         # every check runs on element indices, which compare as plain ints
-        t = [[self._index[g] for g in row] for row in table]
+        t = self.products = [[self._index[g] for g in row] for row in table]
         elems = range(n)
         ident = next((e for e in elems if all(t[e][h] == h and t[h][e] == h for h in elems)), None)
         if ident is None:
@@ -413,9 +417,10 @@ def group_algebra(group: Group, spec: CategorySpec) -> AlgebraObject:
     one = Scalar.one(spec.field)
     unit_rows = [{0: one} if g == group.identity else {} for g in group.elements]
     mult_rows = [{} for _ in range(n)]
-    for i, g in enumerate(group.elements):
-        for j, h in enumerate(group.elements):
-            mult_rows[group.index_of(group.mul(g, h))][i * n + j] = one
+    base, step = _tensor_plan(carrier, carrier)[2][lab][(lab, lab)]
+    for i, row in enumerate(group.products):
+        for j, k in enumerate(row):
+            mult_rows[k][base + i * step + j] = one
     return AlgebraObject(
         "group_algebra(%s)" % group.name,
         carrier,

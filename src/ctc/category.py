@@ -10,10 +10,14 @@ Objects are multiplicity vectors over the labels; the zero object is
 allowed.  A morphism stores one exact matrix per label, shaped
 cod.mult(s) x dom.mult(s), as rows of nonzero entries.  Tensor products
 of objects are identified with their direct-sum decomposition through a
-fixed enumeration: the
-summands of X (x) Y isotypic to c are the triples (x-slot, y-slot, c),
-ordered by x-slot, then y-slot (slots in label order, copies in order),
-then c in label order.  Every structural morphism below (associator,
+fixed enumeration: the summands of X (x) Y isotypic to c are the
+(a, i, b, j) with c in a (x) b, ordered by x-slot (a, i), then y-slot
+(b, j) (slots in label order, copies in order).  So summand (a, i, b, j)
+is row t = base + i*step + j of the c-block, with base the row of
+(a, 0, b, 0) and step the number of c-summands per copy of a; the tensor
+plan of X and Y keeps (base, step) per fusion triple (a, b, c), and
+``tensor_mor``, the braiding and the associators place every entry by
+that arithmetic.  Every structural morphism below (associator,
 braiding, unit maps, evaluation and coevaluation) is a matrix written in
 exactly these bases, so composing the matrices composes the diagrams.
 
@@ -107,7 +111,6 @@ class CategorySpec:
         self._index = {lab: k for k, lab in enumerate(self.labels)}
         self._pair_cache = {}
         self._assoc_cache = {}
-        self._assoc_inv_cache = {}
         self._fmat_inv_cache = {}
         self._dual_scale_cache = None
         self._dim_cache = {}
@@ -455,7 +458,8 @@ def compose(g: Mor, f: Mor) -> Mor:
 def _tensor_plan(x: Obj, y: Obj):
     """The tensor plan of x (x) y, built once per pair of objects and kept
     in the category: the summand table of ``pair_channels``, the product
-    object, and per label the column index {(a, i, b, j): t} of the table.
+    object, and the offsets c -> {(a, b): (base, step)} of each fusion
+    triple; summand (a, i, b, j) is row base + i*step + j of the c-table.
     """
     _same_spec(x, y)
     spec = x.spec
@@ -464,14 +468,26 @@ def _tensor_plan(x: Obj, y: Obj):
     if hit is not None:
         return hit
     table = {lab: [] for lab in spec.labels}
-    for a, i in x.slots():
-        for b, j in y.slots():
-            for c in spec.channels(a, b):
-                table[c].append((a, i, b, j))
-    table = {lab: rows for lab, rows in table.items() if rows}
+    offsets = {lab: {} for lab in spec.labels}
+    for a, ma in cache_key[0]:
+        steps, fused = {}, []
+        for b, mb in cache_key[1]:
+            cs = spec.channels(a, b)
+            fused.append((b, mb, cs))
+            for c in cs:
+                steps[c] = steps.get(c, 0) + mb
+        for i in range(ma):
+            for b, mb, cs in fused:
+                for c in cs:
+                    rows = table[c]
+                    if not i:
+                        offsets[c][a, b] = (len(rows), steps[c])
+                    for j in range(mb):
+                        rows.append((a, i, b, j))
+    offsets = {lab: off for lab, off in offsets.items() if off}
+    table = {lab: table[lab] for lab in offsets}
     product = Obj(spec, {lab: len(rows) for lab, rows in table.items()})
-    cols = {lab: {key: t for t, key in enumerate(rows)} for lab, rows in table.items()}
-    plan = spec._pair_cache[cache_key] = (table, product, cols)
+    plan = spec._pair_cache[cache_key] = (table, product, offsets)
     return plan
 
 
@@ -486,28 +502,30 @@ def tensor_obj(x: Obj, y: Obj) -> Obj:
 
 
 def tensor_mor(f: Mor, g: Mor) -> Mor:
-    """f (x) g in the fixed summand bases of the endpoint tensor products.
-
-    Row (a, i2, b, j2) holds the products of the nonzero entries of row i2
-    of f's a-block and row j2 of g's b-block.
-    """
+    """f (x) g in the fixed summand bases of the endpoint tensor products:
+    one Kronecker block f_a (x) g_b per fusion triple (a, b, c), placed by
+    the offsets of the two plans."""
     if f.spec_of() is not g.spec_of():
         raise CategoryMismatch("morphisms from different categories")
-    _, dom, dom_cols = _tensor_plan(f.dom, g.dom)
-    cod_pairs, cod, _ = _tensor_plan(f.cod, g.cod)
-    rows = {}
-    for lab, keys in cod_pairs.items():
-        cols = dom_cols.get(lab)
-        if cols is None:
-            continue
-        rows[lab] = out = []
-        for a, i2, b, j2 in keys:
+    _, dom, dom_off = _tensor_plan(f.dom, g.dom)
+    _, cod, cod_off = _tensor_plan(f.cod, g.cod)
+    one = Scalar.one(dom.spec.field)
+    rows = {c: [{} for _ in range(m)] for c, m in cod.key() if c in dom.mult}
+    for c, pairs in cod_off.items():
+        for (a, b), (rbase, rstep) in pairs.items():
             fa, gb = f.rows.get(a), g.rows.get(b)
             if fa is None or gb is None:
-                out.append({})
                 continue
-            grow = gb[j2]
-            out.append({cols[(a, i, b, j)]: x * y for i, x in fa[i2].items() for j, y in grow.items()})
+            cbase, cstep = dom_off[c][a, b]
+            out = rows[c]
+            for i2, frow in enumerate(fa):
+                for j2, grow in enumerate(gb):
+                    row = out[rbase + i2 * rstep + j2]
+                    for i, x in frow.items():
+                        col = cbase + i * cstep
+                        for j, y in grow.items():
+                            # a factor that is the field's shared one costs no product
+                            row[col + j] = x if y is one else y if x is one else x * y
     return Mor.from_rows(dom, cod, rows)
 
 
@@ -536,45 +554,54 @@ def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
     return result
 
 
-def associator(x: Obj, y: Obj, z: Obj) -> Mor:
-    """The isomorphism (x (x) y) (x) z -> x (x) (y (x) z)."""
+def _associator(x: Obj, y: Obj, z: Obj, inverse: bool) -> Mor:
+    """(x (x) y) (x) z -> x (x) (y (x) z), or its inverse, kept in the category.
+
+    Copies (i, j, l) of (a, b, c) on ((ab)_e c)_d and (a(bc)_f)_d sit at
+    column lb + (xb + i*xs + j)*ls + l and row rb + i*rs + yb + j*ys + l,
+    from the offsets of (a, b, e), (e, c, d), (b, c, f) and (a, f, d).  Tree
+    pairs go by d, a, f, b, c in label order, the order blocks are inverted in.
+    """
     _same_spec(x, y)
     _same_spec(y, z)
     spec = x.spec
-    cache_key = (x.key(), y.key(), z.key())
+    cache_key = (inverse, x.key(), y.key(), z.key())
     hit = spec._assoc_cache.get(cache_key)
     if hit is not None:
         return hit
-    xy = tensor_obj(x, y)
-    yz = tensor_obj(y, z)
-    dom = tensor_obj(xy, z)
-    cod = tensor_obj(x, yz)
-    xy_pairs = pair_channels(x, y)
-    yz_pairs = pair_channels(y, z)
-    dom_pairs = pair_channels(xy, z)
-    cod_pairs = pair_channels(x, yz)
-    blocks = {}
-    for d, cols in dom_pairs.items():
-        rows = cod_pairs.get(d)
-        if not rows:
-            continue
-        row_index = {}
-        for ridx, (a, i, fch, k) in enumerate(rows):
-            b, j, c, l = yz_pairs[fch][k]
-            row_index[(a, i, b, j, c, l, fch)] = ridx
-        blk = [{} for _ in rows]
-        for cidx, (ech, k, c, l) in enumerate(cols):
-            a, i, b, j = xy_pairs[ech][k]
-            for fch in spec.channels(b, c):
-                if not spec.admissible(a, fch, d):
-                    continue
-                ridx = row_index[(a, i, b, j, c, l, fch)]
-                # F entries are validated nonzero
-                blk[ridx][cidx] = spec.f_symbol(a, b, c, d, ech, fch)
-        blocks[d] = blk
-    out = Mor.from_rows(dom, cod, blocks)
-    spec._assoc_cache[cache_key] = out
+    F, one = spec.F, Scalar.one(spec.field)
+    (_, xy, xy_off), (_, yz, yz_off) = _tensor_plan(x, y), _tensor_plan(y, z)
+    _, left, left_off = _tensor_plan(xy, z)
+    _, right, right_off = _tensor_plan(x, yz)
+    dom, cod = (right, left) if inverse else (left, right)
+    blocks = {d: [{} for _ in range(m)] for d, m in cod.key() if d in dom.mult}
+    for d, blk in blocks.items():
+        left_d = left_off[d]
+        for (a, f), (rb, rs) in right_off[d].items():
+            for (b, c), (yb, ys) in yz_off[f].items():
+                if inverse:
+                    e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
+                    entries = [(e, v) for e, v in zip(e_list, inv[f_list.index(f)]) if not v.is_zero()]
+                else:
+                    # F entries are validated nonzero
+                    entries = [(e, F.get((a, b, c, d, e, f), one)) for e in spec.channels(a, b) if (e, c) in left_d]
+                ma, mb, mc = x.mult[a], y.mult[b], z.mult[c]
+                for e, val in entries:
+                    (xb, xs), (lb, ls) = xy_off[e][a, b], left_d[e, c]
+                    for i in range(ma):
+                        for j in range(mb):
+                            for l in range(mc):
+                                row, col = rb + i * rs + yb + j * ys + l, lb + (xb + i * xs + j) * ls + l
+                                if inverse:
+                                    row, col = col, row
+                                blk[row][col] = val
+    out = spec._assoc_cache[cache_key] = Mor.from_rows(dom, cod, blocks)
     return out
+
+
+def associator(x: Obj, y: Obj, z: Obj) -> Mor:
+    """The isomorphism (x (x) y) (x) z -> x (x) (y (x) z)."""
+    return _associator(x, y, z, False)
 
 
 def associator_inv(x: Obj, y: Obj, z: Obj) -> Mor:
@@ -583,66 +610,24 @@ def associator_inv(x: Obj, y: Obj, z: Obj) -> Mor:
     Assembled from per-quadruple inverse recoupling matrices rather than
     by inverting the assembled block matrix.
     """
-    _same_spec(x, y)
-    _same_spec(y, z)
-    spec = x.spec
-    cache_key = (x.key(), y.key(), z.key())
-    hit = spec._assoc_inv_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    xy = tensor_obj(x, y)
-    yz = tensor_obj(y, z)
-    dom = tensor_obj(x, yz)
-    cod = tensor_obj(xy, z)
-    xy_pairs = pair_channels(x, y)
-    yz_pairs = pair_channels(y, z)
-    dom_pairs = pair_channels(x, yz)
-    cod_pairs = pair_channels(xy, z)
-    blocks = {}
-    for d, cols in dom_pairs.items():
-        rows = cod_pairs.get(d)
-        if not rows:
-            continue
-        row_index = {}
-        for ridx, (ech, k, c, l) in enumerate(rows):
-            a, i, b, j = xy_pairs[ech][k]
-            row_index[(a, i, b, j, c, l, ech)] = ridx
-        blk = [{} for _ in rows]
-        for cidx, (a, i, fch, k) in enumerate(cols):
-            b, j, c, l = yz_pairs[fch][k]
-            e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
-            fpos = f_list.index(fch)
-            for epos, ech in enumerate(e_list):
-                val = inv[fpos][epos]
-                if val.is_zero():
-                    continue
-                ridx = row_index[(a, i, b, j, c, l, ech)]
-                blk[ridx][cidx] = val
-        blocks[d] = blk
-    out = Mor.from_rows(dom, cod, blocks)
-    spec._assoc_inv_cache[cache_key] = out
-    return out
+    return _associator(x, y, z, True)
 
 
 def braiding(x: Obj, y: Obj) -> Mor:
     """The braiding isomorphism x (x) y -> y (x) x."""
     _same_spec(x, y)
-    spec = x.spec
-    dom_pairs = pair_channels(x, y)
-    cod_pairs = pair_channels(y, x)
-    dom = tensor_obj(x, y)
-    cod = tensor_obj(y, x)
-    blocks = {}
-    for c, cols in dom_pairs.items():
-        rows = cod_pairs.get(c)
-        if not rows:
-            continue
-        row_index = {key: ridx for ridx, key in enumerate(rows)}
-        blk = [{} for _ in rows]
-        for cidx, (a, i, b, j) in enumerate(cols):
+    R, one = x.spec.R, Scalar.one(x.spec.field)
+    _, dom, dom_off = _tensor_plan(x, y)
+    _, cod, cod_off = _tensor_plan(y, x)
+    blocks = {c: [{} for _ in range(m)] for c, m in cod.key() if c in dom.mult}
+    for c, blk in blocks.items():
+        for (a, b), (cbase, cstep) in dom_off[c].items():
+            rbase, rstep = cod_off[c][b, a]
             # R entries are validated nonzero
-            blk[row_index[(b, j, a, i)]][cidx] = spec.r_symbol(a, b, c)
-        blocks[c] = blk
+            val = R.get((a, b, c), one)
+            for i in range(x.mult[a]):
+                for j in range(y.mult[b]):
+                    blk[rbase + j * rstep + i][cbase + i * cstep + j] = val
     return Mor.from_rows(dom, cod, blocks)
 
 
@@ -875,7 +860,19 @@ class _Ring:
 
     @cached_property
     def pentagon_defects(self):
-        """Pentagon outcomes with every symbol 1."""
+        """Pentagon outcomes with every symbol 1.  In a pointed ring (one
+        channel per pair) with associative rules each side of every
+        pentagon is the one tree ((ab)c)d = a(b(cd)), so none fails."""
+        labels = self.labels
+        mul = {pair: cs[0] for pair, cs in self.channels.items() if len(cs) == 1}
+        if len(mul) == len(labels) ** 2 and all(
+            mul[mul[a, b], c] == mul[a, mul[b, c]] for a in labels for b in labels for c in labels
+        ):
+            return {}
+        return self.pentagon_walk()
+
+    def pentagon_walk(self):
+        """Pentagon outcomes with every symbol 1, over every label 4-tuple."""
         fusion, ch, labels = self.fusion, self._ch, self.labels
         out = {}
         for a in labels:

@@ -56,12 +56,10 @@ def _rand_scalar(rng, field) -> Scalar:
         return Scalar.from_fraction(field, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
     if field.kind == "prime":
         return Scalar.from_int(field, rng.randrange(field.p))
-    acc = Scalar.zero(field)
-    for k in range(min(field.degree, 3)):
-        c = rng.randint(-3, 3)
-        if c:
-            acc = acc + Scalar.zeta(field, k).scale(c)
-    return acc
+    # zeta^k is the k-th basis vector for k < phi, so c_0 + c_1 zeta + c_2 zeta^2
+    # is its numerators over 1
+    nums = [rng.randint(-3, 3) for _ in range(min(field.degree, 3))]
+    return Scalar(field, (tuple(nums) + (0,) * (field.degree - len(nums)), 1))
 
 
 def _rand_endo(rng, x: Obj) -> Mor:
@@ -84,14 +82,15 @@ def _naturality_probe(spec, seed: int, trials: int = 3) -> Report:
         y = Obj(spec, {rng.choice(labels): 1})
         z = Obj(spec, {rng.choice(labels): 1})
         f, g, h = _rand_endo(rng, x), _rand_endo(rng, y), _rand_endo(rng, z)
-        lhs = compose(braiding(x, y), tensor_mor(f, g))
-        rhs = compose(tensor_mor(g, f), braiding(x, y))
+        braid, fg = braiding(x, y), tensor_mor(f, g)
+        lhs = compose(braid, fg)
+        rhs = compose(tensor_mor(g, f), braid)
         report.append(
             "braid-natural:%d" % k,
             "pass" if lhs == rhs else "fail",
             witness=None if lhs == rhs else (lhs - rhs).to_json(),
         )
-        fgh = tensor_mor(tensor_mor(f, g), h)
+        fgh = tensor_mor(fg, h)
         gfh = tensor_mor(f, tensor_mor(g, h))
         lhs = compose(associator(x, y, z), fgh)
         rhs = compose(gfh, associator(x, y, z))

@@ -71,19 +71,22 @@ def mat_mul(a, b, field: FieldSpec, rows: int, inner: int, cols: int):
 
 def sparse_mul(a, b):
     """Sparse a times sparse b, one product per pair of nonzero entries
-    a[i][k], b[k][j]; a row only needs its zero sums dropped if two
-    products met in one entry."""
-    out = []
+    a[i][k], b[k][j], none where either is the field's shared one; a row
+    only needs its zero sums dropped if two products met in one entry."""
+    out, one = [], None
     for arow in a:
         acc = {}
         met = False
         for k, x in arow.items():
+            if one is None:
+                one = Scalar.one(x.field)
             for j, y in b[k].items():
+                p = y if x is one else x if y is one else x * y
                 v = acc.get(j)
                 if v is None:
-                    acc[j] = x * y
+                    acc[j] = p
                 else:
-                    acc[j] = v + x * y
+                    acc[j] = v + p
                     met = True
         if met:
             acc = {j: v for j, v in acc.items() if not v.is_zero()}

@@ -6,6 +6,9 @@ closed-form copairing is checked against a generic solve that composes
 both bent lines for every unknown.
 """
 
+import itertools
+import random
+
 import pytest
 
 from ctc import data_path
@@ -230,6 +233,41 @@ def test_group_algebra_z3_char_three_index_vanishes():
     spec = cat("vec_f3")
     alg = group_algebra(grp("z3"), spec)
     assert compute_index(alg).is_zero()
+
+
+def _abstract_groups():
+    """name -> (elements, product) for z2-z6, z2xz2 and s3."""
+    groups = {"z%d" % n: (list(range(n)), lambda g, h, n=n: (g + h) % n) for n in range(2, 7)}
+    pairs = list(itertools.product(range(2), repeat=2))
+    groups["z2xz2"] = (pairs, lambda g, h: tuple((u + v) % 2 for u, v in zip(g, h)))
+    groups["s3"] = (list(itertools.permutations(range(3))), lambda g, h: tuple(g[h[k]] for k in range(3)))
+    return groups
+
+
+def _indexed_mult_rows(group, one):
+    """The multiplication rows of the group algebra by element lookups, as
+    ``group_algebra`` built them before the integer product table."""
+    n = len(group)
+    rows = [{} for _ in range(n)]
+    for i, g in enumerate(group.elements):
+        for j, h in enumerate(group.elements):
+            rows[group.index_of(group.mul(g, h))][i * n + j] = one
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(_abstract_groups()))
+@pytest.mark.parametrize("seed", range(3))
+def test_group_algebra_rows_match_element_lookups(name, seed):
+    elements, product = _abstract_groups()[name]
+    rng = random.Random("%s %d" % (name, seed))
+    order = list(elements)
+    if seed:
+        rng.shuffle(order)
+    names = {g: "g%d" % k for g, k in zip(order, rng.sample(range(100), len(order)))}
+    group = Group(name, [names[g] for g in order], [[names[product(g, h)] for h in order] for g in order])
+    for spec in (cat("vec_q"), cat("vec_f2")):
+        alg = group_algebra(group, spec)
+        assert alg.mult_map.rows["1"] == _indexed_mult_rows(group, Scalar.one(spec.field))
 
 
 def test_group_algebra_needs_single_label():

@@ -882,6 +882,43 @@ def test_ring_cache_stays_bounded():
     assert _ring.cache_info().currsize == maxsize
 
 
+def _zn_squared_fusion(n):
+    """The fusion rules of Z_n x Z_n, labels "a.b", as a ring's inputs."""
+    labels = tuple("%d.%d" % (a, b) for a in range(n) for b in range(n))
+    fusion = frozenset(
+        ("%d.%d" % (a, b), "%d.%d" % (c, d), "%d.%d" % ((a + c) % n, (b + d) % n))
+        for a in range(n) for b in range(n) for c in range(n) for d in range(n)
+    )
+    return labels, fusion
+
+
+def _ring_inputs():
+    rings = {name: (cat(name).labels, cat(name).fusion) for name in ALL_CATEGORIES}
+    rings.update({"z%d^2" % n: _zn_squared_fusion(n) for n in range(1, 6)})
+    rings["rep_s3"] = (("1", "s", "x"), frozenset(REP_S3_FUSION))
+    rings["fibonacci_rules"] = (("1", "t"), frozenset(FIBONACCI_FUSION))
+    # pointed, every pair has one channel, but -(a + b) mod 3 is not associative
+    negated = frozenset((str(a), str(b), str(-(a + b) % 3)) for a in range(3) for b in range(3))
+    rings["z3_negated"] = (("0", "1", "2"), negated)
+    return rings
+
+
+@pytest.mark.parametrize("name", sorted(_ring_inputs()))
+def test_pentagon_table_matches_the_walk(name):
+    labels, fusion = _ring_inputs()[name]
+    ring = category._Ring(labels, fusion)
+    walk = ring.pentagon_walk()
+    assert ring.pentagon_defects == walk
+    if name in ("z3_negated", "rep_s3", "fibonacci_rules"):
+        assert walk, "the oracle is not vacuous: these rings break an all-ones pentagon"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pointed_associative_ring_skips_the_walk(monkeypatch, n):
+    monkeypatch.setattr(category._Ring, "pentagon_walk", lambda self: pytest.fail("walked a pointed ring"))
+    assert category._Ring(*_zn_squared_fusion(n)).pentagon_defects == {}
+
+
 # --- helpers on top of the block algebra -----------------------------------
 
 
@@ -1362,6 +1399,131 @@ def test_tensor_plan_is_shared_and_matches_rebuilt_index(name):
         assert_same(tensor_mor(g, f), _rebuilt_tensor_mor(g, f))
 
 
+# --- offset placement against the tuple-keyed structural maps --------------
+#
+# The bodies below are the sparse structural maps that located each entry
+# by looking up a summand tuple in a dict of the row or column table;
+# ``_rebuilt_tensor_mor`` above is the tensor product of that design.
+
+
+def _tuple_associator(x, y, z):
+    spec = x.spec
+    xy_pairs, yz_pairs = pair_channels(x, y), pair_channels(y, z)
+    xy, yz = tensor_obj(x, y), tensor_obj(y, z)
+    dom_pairs, cod_pairs = pair_channels(xy, z), pair_channels(x, yz)
+    blocks = {}
+    for d, cols in dom_pairs.items():
+        rows = cod_pairs.get(d)
+        if not rows:
+            continue
+        row_index = {}
+        for ridx, (a, i, fch, k) in enumerate(rows):
+            b, j, c, l = yz_pairs[fch][k]
+            row_index[(a, i, b, j, c, l, fch)] = ridx
+        blk = [{} for _ in rows]
+        for cidx, (ech, k, c, l) in enumerate(cols):
+            a, i, b, j = xy_pairs[ech][k]
+            for fch in spec.channels(b, c):
+                if spec.admissible(a, fch, d):
+                    blk[row_index[(a, i, b, j, c, l, fch)]][cidx] = spec.f_symbol(a, b, c, d, ech, fch)
+        blocks[d] = blk
+    return Mor.from_rows(tensor_obj(xy, z), tensor_obj(x, yz), blocks)
+
+
+def _tuple_associator_inv(x, y, z):
+    spec = x.spec
+    xy_pairs, yz_pairs = pair_channels(x, y), pair_channels(y, z)
+    xy, yz = tensor_obj(x, y), tensor_obj(y, z)
+    dom_pairs, cod_pairs = pair_channels(x, yz), pair_channels(xy, z)
+    blocks = {}
+    for d, cols in dom_pairs.items():
+        rows = cod_pairs.get(d)
+        if not rows:
+            continue
+        row_index = {}
+        for ridx, (ech, k, c, l) in enumerate(rows):
+            a, i, b, j = xy_pairs[ech][k]
+            row_index[(a, i, b, j, c, l, ech)] = ridx
+        blk = [{} for _ in rows]
+        for cidx, (a, i, fch, k) in enumerate(cols):
+            b, j, c, l = yz_pairs[fch][k]
+            e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
+            for epos, ech in enumerate(e_list):
+                val = inv[f_list.index(fch)][epos]
+                if not val.is_zero():
+                    blk[row_index[(a, i, b, j, c, l, ech)]][cidx] = val
+        blocks[d] = blk
+    return Mor.from_rows(tensor_obj(x, yz), tensor_obj(xy, z), blocks)
+
+
+def _tuple_braiding(x, y):
+    spec = x.spec
+    dom_pairs, cod_pairs = pair_channels(x, y), pair_channels(y, x)
+    blocks = {}
+    for c, cols in dom_pairs.items():
+        rows = cod_pairs.get(c)
+        if not rows:
+            continue
+        row_index = {key: ridx for ridx, key in enumerate(rows)}
+        blk = [{} for _ in rows]
+        for cidx, (a, i, b, j) in enumerate(cols):
+            blk[row_index[(b, j, a, i)]][cidx] = spec.r_symbol(a, b, c)
+        blocks[c] = blk
+    return Mor.from_rows(tensor_obj(x, y), tensor_obj(y, x), blocks)
+
+
+def _assert_offsets_match_tuples(f, g, x, y, z):
+    # identities carry the field's shared one, which costs no product
+    for left, right in [(f, g), (g, f), (Mor.identity(x), g), (f, Mor.identity(y))]:
+        assert_same(tensor_mor(left, right), _rebuilt_tensor_mor(left, right))
+    assert_same(associator(x, y, z), _tuple_associator(x, y, z))
+    assert_same(associator_inv(x, y, z), _tuple_associator_inv(x, y, z))
+    assert_same(braiding(x, y), _tuple_braiding(x, y))
+    assert_same(braiding(y, z), _tuple_braiding(y, z))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_offset_structural_maps_match_tuple_keyed(data):
+    # multiplicities 0-3 give zero objects and labels carried by only one
+    # endpoint; f and g run between different objects, so blocks are not square
+    spec = data.draw(categories)
+    X, Y, Z, X2, Y2 = (data.draw(objects(spec, 3)) for _ in range(5))
+    f, g = data.draw(morphisms(X, X2)), data.draw(morphisms(Y, Y2))
+    _assert_offsets_match_tuples(f, g, X, Y, Z)
+
+
+@pytest.mark.parametrize("name", ALL_CATEGORIES)
+def test_offset_structural_maps_on_zero_and_one_sided_objects(name):
+    spec = cat(name)
+    rng = random.Random("one-sided " + name)
+    zero, first, rest = Obj.zero(spec), spec.labels[0], spec.labels[1:] or spec.labels
+    X = Obj(spec, {first: 2})
+    Y = Obj(spec, {lab: rng.randint(1, 3) for lab in rest})
+    for dom, cod, other in [(zero, X, Y), (X, zero, Y), (X, Y, X + Y), (X + Y, Y, X), (Y, X + Y, zero)]:
+        f, g = rand_mor(rng, dom, cod), rand_mor(rng, cod, other)
+        _assert_offsets_match_tuples(f, g, dom, cod, other)
+
+
+@pytest.mark.parametrize("name", ALL_CATEGORIES)
+def test_tensor_plan_holds_one_offset_pair_per_fusion_triple(name):
+    spec = cat(name)
+    rng = random.Random("offsets " + name)
+    for _ in range(6):
+        X, Y = rand_obj(rng, spec, 3), rand_obj(rng, spec, 3)
+        table, product, offsets = category._tensor_plan(X, Y)
+        triples = {(a, b, c) for a in X.labels_present() for b in Y.labels_present() for c in spec.channels(a, b)}
+        assert {(a, b, c) for c, pairs in offsets.items() for a, b in pairs} == triples
+        assert sum(len(pairs) for pairs in offsets.values()) == len(triples)
+        for c, pairs in offsets.items():
+            assert all(isinstance(v, int) for pair in pairs.values() for v in pair)
+            for (a, b), (base, step) in pairs.items():
+                for i in range(X.m(a)):
+                    for j in range(Y.m(b)):
+                        assert table[c][base + i * step + j] == (a, i, b, j)
+        assert product.mult == {c: len(rows) for c, rows in table.items()}
+
+
 # --- work counts: the sparse kernel multiplies nonzeros only ----------------
 
 
@@ -1404,6 +1566,19 @@ def test_associator_round_trip_does_nnz_work(scalar_ops):
     scalar_ops.clear()
     _dense_compose(alpha_inv, alpha)
     assert scalar_ops["is_zero"] > 100 * nnz(alpha)
+
+
+def test_identity_factor_costs_no_products(scalar_ops):
+    spec, alg = _z6_over_q()
+    A = alg.carrier
+    ident, mult = Mor.identity(A), alg.mult_map
+    AA = tensor_obj(A, A)
+    scalar_ops.clear()
+    left, right = tensor_mor(ident, mult), tensor_mor(mult, ident)
+    out = compose(mult, compose(tensor_mor(ident, mult), Mor.identity(tensor_obj(A, AA))))
+    assert scalar_ops["mul"] == 0
+    assert left == _dense_tensor_mor(ident, mult) and right == _dense_tensor_mor(mult, ident)
+    assert out == _dense_compose(mult, _dense_tensor_mor(ident, mult))
 
 
 def test_tensor_with_copairing_does_nnz_work(scalar_ops):

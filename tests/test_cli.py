@@ -3,16 +3,19 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ctc
 from ctc import data_path
-from ctc.cli import _job, _run_check_category, main
-from ctc.fields import FieldSpec, parse_scalar, scalar_literal
+from ctc.category import load_category
+from ctc.cli import _job, _rand_scalar, _run_check_category, main
+from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
 
 ALL_CATEGORIES = [
     "vec_q",
@@ -507,3 +510,49 @@ def test_suite_name_with_json_suffix_is_the_bundled_suite(capsysbinary):
     _, suffixed = run_json(capsysbinary, ["suite", "maschke_2_6.json"])
     assert code == 0
     assert suffixed == named
+
+
+def _summed_rand_scalar(rng, field):
+    """The probe's random scalar with the same draws as ``_rand_scalar``, a
+    cyclotomic one as a sum of scaled powers of zeta."""
+    if field.kind == "rational":
+        return Scalar.from_fraction(field, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    if field.kind == "prime":
+        return Scalar.from_int(field, rng.randrange(field.p))
+    acc = Scalar.zero(field)
+    for k in range(min(field.degree, 3)):
+        c = rng.randint(-3, 3)
+        if c:
+            acc = acc + Scalar.zeta(field, k).scale(c)
+    return acc
+
+
+PROBE_FIELDS = sorted(
+    {load_category(data_path("categories/%s.json" % name)).field for name in ALL_CATEGORIES}
+    | {FieldSpec.cyclotomic(n) for n in range(1, 17)},
+    key=lambda f: (f.kind, f.p or 0, f.n or 0),
+)
+
+
+@pytest.mark.parametrize("field", PROBE_FIELDS, ids=lambda f: "%s-%s" % (f.kind, f.p or f.n))
+def test_rand_scalar_equals_the_summed_powers(field):
+    for seed in range(120):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            got, want = _rand_scalar(got_rng, field), _summed_rand_scalar(want_rng, field)
+            assert got == want and got._v == want._v
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_naturality_probe_builds_each_map_once_per_trial(monkeypatch):
+    import ctc.cli as cli_mod
+
+    calls = []
+    for name in ("braiding", "tensor_mor"):
+        real = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    report = cli_mod._naturality_probe(load_category(data_path("categories/ising.json")), seed=3, trials=3)
+    assert [item.status for item in report.items] == ["pass"] * 6
+    # per trial: one braiding; f (x) g, g (x) f, (f (x) g) (x) h, g (x) h and f (x) (g (x) h)
+    assert calls.count("braiding") == 3
+    assert calls.count("tensor_mor") == 15
