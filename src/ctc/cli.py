@@ -9,7 +9,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -266,6 +265,10 @@ def main(argv=None) -> int:
     if args.jobs == 1 or len(jobs) == 1:
         partials = [_job(*j) for j in jobs]
     else:
+        # imported here: the pool pulls in threading and logging, which a
+        # serial run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             partials = list(pool.map(lambda j: _job(*j), jobs))
     report = Report()

@@ -10,9 +10,7 @@ the product of the Galois conjugates over the rational norm.  Literals
 of Q and Q(zeta_n) are parsed to integer numerators over the lcm of
 their denominators.  ``Fraction`` appears only where F_p literals are
 parsed, where literals are printed, and in ``Scalar.from_fraction``
-(which ``scalar_embed`` uses for Q).  ``approx`` produces a
-floating-point rendering for display only; nothing downstream computes
-with it.
+(which ``scalar_embed`` uses for Q).
 
 Scalar literals, used by every data file and report, are integers,
 fractions ``p/q``, and polynomials in the symbol ``z`` standing for
@@ -22,8 +20,6 @@ zeta_n, e.g. ``z^2 - 1`` or ``1/2*z + 1/2*z^7``.  ``parse_scalar`` and
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -39,7 +35,6 @@ __all__ = [
     "scalar_embed",
     "parse_scalar",
     "scalar_literal",
-    "approx",
 ]
 
 
@@ -76,40 +71,57 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """One of Q, F_p, or Q(zeta_n), identified by kind and parameter.
 
     ``rational``, ``prime``, ``cyclotomic`` and ``from_json`` return one
     shared instance per field, so a field check is an identity test in
-    the common case.
+    the common case.  Instances are immutable; equality and hashing see
+    (kind, p, n) only, and the hash is computed once because every
+    ``Scalar`` hash includes its field's.
     """
 
-    kind: str
-    p: int | None = None
-    n: int | None = None
+    __slots__ = ("kind", "p", "n", "_key", "_hash", "_ctx", "_zero", "_one")
 
-    def __post_init__(self):
-        if self.kind == "rational":
-            if self.p is not None or self.n is not None:
+    def __init__(self, kind: str, p: int | None = None, n: int | None = None):
+        if kind == "rational":
+            if p is not None or n is not None:
                 raise ValueError("rational field takes no parameters")
-        elif self.kind == "prime":
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError("prime field needs a prime p, got %r" % (self.p,))
-            if self.n is not None:
+        elif kind == "prime":
+            if p is None or not _is_prime(p):
+                raise ValueError("prime field needs a prime p, got %r" % (p,))
+            if n is not None:
                 raise ValueError("prime field takes no n")
-        elif self.kind == "cyclotomic":
-            if self.n is None or self.n < 1:
-                raise ValueError("cyclotomic field needs n >= 1, got %r" % (self.n,))
-            if self.p is not None:
+        elif kind == "cyclotomic":
+            if n is None or n < 1:
+                raise ValueError("cyclotomic field needs n >= 1, got %r" % (n,))
+            if p is not None:
                 raise ValueError("cyclotomic field takes no p")
         else:
-            raise ValueError("unknown field kind %r" % (self.kind,))
-        # not dataclass fields, so equality and hashing see (kind, p, n) only
-        ctx = None if self.kind == "prime" else _cyclo_ctx(self.n or 1)
-        object.__setattr__(self, "_ctx", ctx)
-        object.__setattr__(self, "_zero", Scalar.from_int(self, 0))
-        object.__setattr__(self, "_one", Scalar.from_int(self, 1))
+            raise ValueError("unknown field kind %r" % (kind,))
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "p", p)
+        init(self, "n", n)
+        init(self, "_key", (kind, p, n))
+        init(self, "_hash", hash(self._key))
+        init(self, "_ctx", None if kind == "prime" else _cyclo_ctx(n or 1))
+        init(self, "_zero", Scalar.from_int(self, 0))
+        init(self, "_one", Scalar.from_int(self, 1))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def rational() -> "FieldSpec":
@@ -597,19 +609,3 @@ def scalar_literal(s: Scalar) -> str:
         else:
             parts.append((" - " if neg else " + ") + body)
     return "".join(parts) if parts else "0"
-
-
-def approx(s: Scalar) -> complex | float:
-    """Display-only numeric rendering; never feeds back into computation."""
-    k = s.field.kind
-    if k == "prime":
-        return float(s._v)
-    nums, den = s._v
-    if k == "rational":
-        return nums[0] / den
-    z = cmath.exp(2j * cmath.pi / s.field.n)
-    acc = 0j
-    for power, c in enumerate(nums):
-        if c:
-            acc += c / den * z**power
-    return acc

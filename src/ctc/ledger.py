@@ -11,11 +11,10 @@ inconsistency is reported against the first input line that produces it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from . import check_fields, read_json, resolve, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .linalg import Echelon
+from .report import Report
 
 __all__ = [
     "LedgerError",
@@ -44,26 +43,34 @@ class Underdetermined(LedgerError):
         self.free = list(free)
 
 
-@dataclass
 class LedgerProblem:
-    name: str
-    symbols: list
-    relations: list  # (lhs, {symbol: int_coeff}, source_tag)
-    knowns: dict  # symbol -> Scalar
-    projectives: list
-    field: FieldSpec = dc_field(default_factory=FieldSpec.rational)
+    __slots__ = ("name", "symbols", "relations", "knowns", "projectives", "field")
 
-    def __post_init__(self):
-        index = {s: i for i, s in enumerate(self.symbols)}
-        if len(index) != len(self.symbols):
+    def __init__(
+        self,
+        name: str,
+        symbols: list,
+        relations: list,  # (lhs, {symbol: int_coeff}, source_tag)
+        knowns: dict,  # symbol -> Scalar
+        projectives: list,
+        field: FieldSpec | None = None,
+    ):
+        index = {s: i for i, s in enumerate(symbols)}
+        if len(index) != len(symbols):
             raise ParseError("duplicate ledger symbols")
-        for lhs, rhs, _src in self.relations:
+        for lhs, rhs, _src in relations:
             for sym in [lhs, *rhs]:
                 if sym not in index:
                     raise ParseError("relation uses unknown symbol %r" % (sym,))
-        for sym in list(self.knowns) + list(self.projectives):
+        for sym in list(knowns) + list(projectives):
             if sym not in index:
                 raise ParseError("unknown symbol %r" % (sym,))
+        self.name = name
+        self.symbols = symbols
+        self.relations = relations
+        self.knowns = knowns
+        self.projectives = projectives
+        self.field = FieldSpec.rational() if field is None else field
 
 
 def solve_dims(problem: LedgerProblem) -> dict:
@@ -143,8 +150,6 @@ def load_ledger(ref) -> LedgerProblem:
 
 def solution_report(problem: LedgerProblem):
     """Solve and phrase the outcome as report items; used by the runner."""
-    from .report import Report
-
     report = Report()
     try:
         values = solve_dims(problem)

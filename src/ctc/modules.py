@@ -29,8 +29,6 @@ against one weight matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from . import linalg as la
 from . import check_fields, read_json, resolve, strings
 from .algebra import (
@@ -487,7 +485,6 @@ def _dense(m, n, field):
     return out
 
 
-@dataclass
 class ActionAlgebra:
     """Matrix algebra generated by the action on the flattened carrier.
 
@@ -497,11 +494,14 @@ class ActionAlgebra:
     consists of matrices here, so that means it is empty.
     """
 
-    module: AModule
-    generators: list
-    basis: list
-    radical: list
-    size: int
+    __slots__ = ("module", "generators", "basis", "radical", "size")
+
+    def __init__(self, module: AModule, generators: list, basis: list, radical: list, size: int):
+        self.module = module
+        self.generators = generators
+        self.basis = basis
+        self.radical = radical
+        self.size = size
 
     @property
     def dimension(self) -> int:
@@ -880,22 +880,28 @@ def modules_isomorphic(m1: AModule, m2: AModule) -> Mor | None:
 # condensation
 
 
-@dataclass
 class CondenseRow:
-    source: str
-    module: AModule
-    local: bool
-    simple: bool
-    projector_rank: int
-    iso_class: int
+    __slots__ = ("source", "module", "local", "simple", "projector_rank", "iso_class")
+
+    def __init__(
+        self, source: str, module: AModule, local: bool, simple: bool, projector_rank: int, iso_class: int
+    ):
+        self.source = source
+        self.module = module
+        self.local = local
+        self.simple = simple
+        self.projector_rank = projector_rank
+        self.iso_class = iso_class
 
 
-@dataclass
 class Condensation:
-    algebra: AlgebraObject
-    rows: list[CondenseRow] = dc_field(default_factory=list)
-    classes: list[AModule] = dc_field(default_factory=list)
-    class_local: list[bool] = dc_field(default_factory=list)
+    __slots__ = ("algebra", "rows", "classes", "class_local")
+
+    def __init__(self, algebra: AlgebraObject):
+        self.algebra = algebra
+        self.rows: list[CondenseRow] = []
+        self.classes: list[AModule] = []
+        self.class_local: list[bool] = []
 
     def simple_class_count(self) -> int:
         return len(self.classes)

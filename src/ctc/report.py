@@ -10,28 +10,48 @@ text rendering only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 __all__ = ["Item", "Report"]
 
 _STATUS = ("pass", "fail", "error")
 
 
-@dataclass
 class Item:
-    check: str
-    status: str
-    witness: object | None = None
-    elapsed: float = 0.0
+    __slots__ = ("check", "status", "witness", "elapsed")
 
-    def __post_init__(self):
-        if self.status not in _STATUS:
-            raise ValueError("bad status %r" % (self.status,))
+    def __init__(self, check: str, status: str, witness=None, elapsed: float = 0.0):
+        if status not in _STATUS:
+            raise ValueError("bad status %r" % (status,))
+        self.check = check
+        self.status = status
+        self.witness = witness
+        self.elapsed = elapsed
+
+    def _fields(self) -> tuple:
+        return (self.check, self.status, self.witness, self.elapsed)
+
+    def __eq__(self, other):
+        if other.__class__ is not Item:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "Item(%r, %r, %r, %r)" % self._fields()
 
 
-@dataclass
 class Report:
-    items: list[Item] = field(default_factory=list)
+    __slots__ = ("items",)
+
+    def __init__(self):
+        self.items: list[Item] = []
+
+    def __eq__(self, other):
+        if other.__class__ is not Report:
+            return NotImplemented
+        return self.items == other.items
+
+    def __repr__(self):
+        return "Report(%r)" % (self.items,)
 
     @property
     def ok(self) -> bool:

@@ -1,6 +1,7 @@
 """Runner behavior: golden bytes, parallel determinism, exit codes."""
 
 import argparse
+import concurrent.futures
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from ctc import data_path
 from ctc.category import load_category
 from ctc.cli import _job, _rand_scalar, _run_check_category, main
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
+from ctc.report import Item, Report
 
 ALL_CATEGORIES = [
     "vec_q",
@@ -59,7 +61,15 @@ def test_check_category_all_bundled_pass(capsysbinary):
     assert "fibonacci/naturality-probe" in checks
 
 
-def test_jobs_levels_byte_identical(capsysbinary):
+def test_jobs_levels_byte_identical(capsysbinary, monkeypatch):
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(kwargs["max_workers"])
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     _, serial = run_json(capsysbinary, ["check-category"] + ALL_CATEGORIES + ["--jobs", "1"])
     _, parallel = run_json(capsysbinary, ["check-category"] + ALL_CATEGORIES + ["--jobs", "4"])
     assert serial == parallel
@@ -69,6 +79,29 @@ def test_jobs_levels_byte_identical(capsysbinary):
         ["suite", "maschke_2_6", "local_3_1", "counterexamples", "--jobs", "4"],
     )
     assert s1 == s4
+    # both --jobs 4 runs went through the pool, the serial ones did not
+    assert pools == [4, 4]
+
+
+def _env_with_src() -> dict:
+    src = str(Path(ctc.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_import_loads_no_introspection_logging_or_thread_pool():
+    # a fresh interpreter; modules that site loaded before the import cancel out
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ctc.algebra, ctc.category, ctc.cli, ctc.fields, ctc.ledger, ctc.modules\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    added = set(out.split())
+    assert {"ctc.cli", "ctc.ledger", "ctc.modules"} <= added
+    assert not added & {"dataclasses", "inspect", "logging", "concurrent.futures"}
 
 
 def test_repeat_runs_byte_identical(capsysbinary):
@@ -241,13 +274,11 @@ def test_failing_sweep_text_lines_carry_sweep_time(tmp_path, capsys):
 
 
 def test_closed_stdout_exits_quietly():
-    src = str(Path(ctc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "ctc.cli", "suite", "maschke_2_6"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_env_with_src(),
     )
     proc.stdout.close()
     try:
@@ -277,6 +308,22 @@ def test_text_report_has_tally(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "0 failed, 0 errored" in out
+
+
+def test_report_items_compare_on_every_field():
+    assert Item("a", "fail", {"x": 1}, 0.5) == Item("a", "fail", {"x": 1}, 0.5)
+    assert Item("a", "pass", None, 0.5) != Item("a", "pass", None, 0.25)
+    assert Item("a", "fail", 1) != Item("a", "fail", 2)
+    assert Item("a", "pass") != Item("b", "pass")
+    with pytest.raises(ValueError, match="bad status"):
+        Item("a", "passed")
+    one, two = Report(), Report()
+    assert one.items is not two.items
+    one.append("a", "pass", elapsed=0.5)
+    two.append("a", "pass", elapsed=0.5)
+    assert one == two
+    two.items[0].elapsed = 0.25
+    assert one != two
 
 
 def test_check_category_text_lines_carry_sweep_times():

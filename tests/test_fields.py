@@ -9,6 +9,7 @@ scalar with the polynomial extended-gcd inverse; hypothesis compares
 every operation of the integer-vector engine against it.
 """
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from ctc.fields import (
     ParseError,
     Scalar,
     _tokenize,
-    approx,
     parse_scalar,
     scalar_embed,
     scalar_literal,
@@ -254,9 +254,43 @@ def test_field_spec_json_round_trip():
         assert FieldSpec.from_json(f.to_json()) == f
 
 
-def test_approx_is_display_only():
+def test_field_spec_built_directly_equals_interned():
+    for f in (Q, F3, Z16):
+        direct = FieldSpec(f.kind, f.p, f.n)
+        assert direct is not f
+        assert direct == f and hash(direct) == hash(f)
+        assert {direct: 1}[f] == 1
+    assert FieldSpec("prime", 3) != FieldSpec("prime", 5)
+    assert FieldSpec("cyclotomic", n=8) != FieldSpec("cyclotomic", n=16)
+    assert Q != "rational"
+
+
+def test_field_spec_is_immutable():
+    for name, value in (("p", 7), ("kind", "prime"), ("_hash", 0), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(F3, name, value)
+    with pytest.raises(AttributeError):
+        del F3.p
+    assert F3.p == 3 and hash(F3) == hash(("prime", 3, None))
+
+
+def approx(s: Scalar) -> complex | float:
+    """Floating-point rendering of an exact scalar, for the check below."""
+    k = s.field.kind
+    if k == "prime":
+        return float(s._v)
+    nums, den = s._v
+    if k == "rational":
+        return nums[0] / den
+    z = cmath.exp(2j * cmath.pi / s.field.n)
+    return sum(c / den * z**power for power, c in enumerate(nums))
+
+
+def test_approx_matches_the_complex_value():
     val = approx(parse_scalar("1/2*z + 1/2*z^7", Z8))
     assert abs(val - complex(2**-0.5, 0)) < 1e-12
+    assert approx(parse_scalar("-3/4", Q)) == -0.75
+    assert approx(parse_scalar("2", F3)) == 2.0
 
 
 # --------------------------------------------------------------- axioms

@@ -117,6 +117,14 @@ def test_unknown_symbol_rejected():
         ledger_from_json({"symbols": ["A"]})
 
 
+def test_problem_defaults_to_q_and_checks_knowns_and_projectives():
+    assert problem(["A"], []).field is FieldSpec.rational()
+    with pytest.raises(ParseError, match="unknown symbol 'Z'"):
+        problem(["A"], [], knowns={"Z": 1})
+    with pytest.raises(ParseError, match="unknown symbol 'Z'"):
+        problem(["A"], [], projectives=["Z"])
+
+
 def test_solution_report_shapes():
     p = load_ledger(data_path("ledger/wp_triplet.json"))
     rep = solution_report(p)

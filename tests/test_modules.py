@@ -34,6 +34,7 @@ from ctc.fields import ParseError, Scalar, parse_scalar
 from ctc.modules import (
     AlgebraMismatch,
     AModule,
+    Condensation,
     IndexZero,
     ModuleError,
     NotALift,
@@ -1114,6 +1115,14 @@ def test_condense_z4_both_classes_local():
     assert table.simple_class_count() == 2
     assert table.local_class_count() == 2
     assert [r.projector_rank for r in table.rows] == [2, 2, 2, 2]
+
+
+def test_condensation_lists_are_per_instance():
+    alg = load_algebra(data_path("algebras/alg_h02.json"))
+    first, second = Condensation(alg), Condensation(alg)
+    for name in ("rows", "classes", "class_local"):
+        assert getattr(first, name) == [] and getattr(first, name) is not getattr(second, name)
+    assert condense(alg).rows and first.rows == []
 
 
 def test_condense_rejects_broken_algebra():
