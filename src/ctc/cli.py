@@ -101,6 +101,12 @@ def _naturality_probe(spec, seed: int, trials: int = 3) -> Report:
     return report
 
 
+def _prefixed(out: Report, prefix: str, report: Report) -> None:
+    """Append every item of ``report`` to ``out`` as ``prefix/check``, dropping ``elapsed``."""
+    for item in report.items:
+        out.append("%s/%s" % (prefix, item.check), item.status, witness=item.witness)
+
+
 def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Report:
     """Collapse a clean sub-report to one pass line; namespace the items of
     a failing one.  The first line carries the sweep's ``elapsed``."""
@@ -108,8 +114,7 @@ def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Rep
     if report.ok and not report.failing():
         out.append("%s/%s" % (prefix, summary), "pass", elapsed=elapsed)
         return out
-    for item in report.items:
-        out.append("%s/%s" % (prefix, item.check), item.status, witness=item.witness)
+    _prefixed(out, prefix, report)
     out.items[0].elapsed = elapsed
     return out
 
@@ -136,11 +141,9 @@ def _run_check_algebra(path: Path, seed: int) -> Report:
     alg = load_algebra(path)
     out = Report()
     stem = path.stem
-    for item in check_algebra(alg).items:
-        out.append("%s/%s" % (stem, item.check), item.status, witness=item.witness)
+    _prefixed(out, stem, check_algebra(alg))
     try:
-        for item in frobenius_identity_check(alg).items:
-            out.append("%s/%s" % (stem, item.check), item.status, witness=item.witness)
+        _prefixed(out, stem, frobenius_identity_check(alg))
         index = compute_index(alg)
         out.append("%s/index" % stem, "pass", witness=scalar_literal(index))
         twisted = algebra_dim_with_twist(alg)
@@ -154,8 +157,7 @@ def _run_check_module(path: Path, seed: int) -> Report:
     mod = load_module(path)
     out = Report()
     stem = path.stem
-    for item in check_module(mod).items:
-        out.append("%s/%s" % (stem, item.check), item.status, witness=item.witness)
+    _prefixed(out, stem, check_module(mod))
     local_flag, _ = is_local(mod)
     out.append("%s/is-local" % stem, "pass", witness=local_flag)
     return out
@@ -182,18 +184,14 @@ def _run_condense(category_path: Path, algebra_path: Path, seed: int) -> Report:
         out.append("%s/index" % stem, "error", witness=str(exc))
         return out
     table = condense(alg)
-    for item in table.to_report().items:
-        out.append("%s/%s" % (stem, item.check), item.status, witness=item.witness)
+    _prefixed(out, stem, table.to_report())
     return out
 
 
 def _run_suite(path: Path, seed: int) -> Report:
     raw = read_json(path)
-    sub = run_suite_manifest(raw)
     out = Report()
-    prefix = raw.get("name", path.stem)
-    for item in sub.items:
-        out.append("%s/%s" % (prefix, item.check), item.status, witness=item.witness)
+    _prefixed(out, raw.get("name", path.stem), run_suite_manifest(raw))
     return out
 
 

@@ -8,23 +8,30 @@ that braids trivially past the algebra), and the condensation table
 (inducing from every simple label and sorting the results into
 isomorphism classes).
 
+The action is read once as sparse slot operators rho(s), one per
+algebra slot, plus the label gradings.  Hom_A(M, N) is their
+commutant: 1_A (x) f acts channel by channel, so a label-blocked f,
+which commutes with the gradings, is a module map exactly when
+f rho_M(s) = rho_N(s) f for every slot.  A module is simple (nonzero,
+semisimple, one-dimensional End_A) exactly when those operators
+generate all matrices on the carrier (Jacobson density).
+
 Semisimplicity is decided through the matrix algebra generated by the
 action components together with the grading projectors: carriers are
 graded by labels, and a subspace is a submodule exactly when it is
-invariant under both.  The operators are sparse rows read off the
-action, and the algebra is spun from a greedy generating set with
-sparse products: each word is multiplied by the generators only (the
-spinning of Holt, Eick and O'Brien, Handbook of Computational Group
-Theory), dim x |gens| products.  The module is semisimple exactly when
-that algebra has zero radical.  In characteristic zero or above the
-matrix size that is the kernel of the trace form, whose entries are
-sums over nonzero entries.  Over a small prime field, a commutative
-algebra's radical is its set of nilpotents, the kernel of the linear
-map x -> x^(p^k) with p^k >= n.  Every other algebra there goes through
-Ronyai's polynomial-time chain of ideals (J. Symb. Comput. 9 (1990)).
-Each level's form g_i is linear on the previous ideal, so it is
-evaluated once per basis element of that ideal and read off as a trace
-against one weight matrix.
+invariant under both.  The algebra is spun from a greedy generating
+set with sparse products: each word is multiplied by the generators
+only (the spinning of Holt, Eick and O'Brien, Handbook of
+Computational Group Theory), dim x |gens| products.  The module is
+semisimple exactly when that algebra has zero radical.  In
+characteristic zero or above the matrix size that is the kernel of the
+trace form, whose entries are sums over nonzero entries.  Over a small
+prime field, a commutative algebra's radical is its set of nilpotents,
+the kernel of the linear map x -> x^(p^k) with p^k >= n.  Every other
+algebra there goes through Ronyai's polynomial-time chain of ideals
+(J. Symb. Comput. 9 (1990)).  Each level's form g_i is linear on the
+previous ideal, so it is evaluated once per basis element of that
+ideal and read off as a trace against one weight matrix.
 """
 
 from __future__ import annotations
@@ -149,9 +156,6 @@ class AModule:
     def spec(self):
         return self.carrier.spec
 
-    def with_action(self, action: Mor, name: str | None = None) -> "AModule":
-        return AModule(name or self.name + "*", self.alg, self.carrier, action)
-
     def __repr__(self):
         return "AModule(%s on %r)" % (self.name, self.carrier)
 
@@ -229,48 +233,47 @@ def module_direct_sum(m1: AModule, m2: AModule):
 
 
 def hom_A(m1: AModule, m2: AModule) -> list[Mor]:
-    """Deterministic basis of the space of action-intertwining morphisms."""
+    """Deterministic basis of the action-intertwining morphisms: the
+    label-blocked f with f rho_1(s) = rho_2(s) f for every algebra slot s,
+    solved on the entries of f in label, row, column order; the reduced
+    echelon form of those equations fixes the basis."""
     if m1.alg is not m2.alg:
         raise AlgebraMismatch("modules over different algebra instances")
-    spec = m1.spec
-    field = spec.field
     X1, X2 = m1.carrier, m2.carrier
-    ia = Mor.identity(m1.alg.carrier)
-    var_index = [(lab, r, c) for lab in spec.labels for r in range(X2.m(lab)) for c in range(X1.m(lab))]
-
-    def sparse_mor(coeffs):
-        rows = {}
-        for t, v in coeffs.items():
-            lab, r, c = var_index[t]
-            rows.setdefault(lab, [{} for _ in range(X2.m(lab))])[r][c] = v
-        return Mor.from_rows(X1, X2, rows)
-
-    one = Scalar.one(field)
-    images = []
-    for t in range(len(var_index)):
-        f = sparse_mor({t: one})
-        images.append(compose(f, m1.action) - compose(m2.action, tensor_mor(ia, f)))
-    return [sparse_mor(vec) for vec in _kernel_of_images(images, field)]
-
-
-def _kernel_of_images(images: list[Mor], field) -> list[dict]:
-    """Which combinations of basis morphisms a linear map sends to zero.
-
-    ``images[t]`` is the image of basis morphism t; all share endpoints.
-    Returns a basis of {c : sum_t c_t images[t] = 0} as sparse
-    ``{t: Scalar}`` vectors, one per free coefficient, from one equation
-    per entry position (label, row, column) where some image is nonzero.
-    """
-    equations = {}
-    for t, img in enumerate(images):
-        for lab, rows in img.rows.items():
-            for r, row in enumerate(rows):
-                for c, v in row.items():
-                    equations.setdefault((lab, r, c), {})[t] = v
+    ops1, ops2 = _action_operators(m1)[0], _action_operators(m2)[0]
+    base, total = {}, 0
+    for lab in X1.labels_present():
+        if X2.m(lab):
+            base[lab] = total
+            total += X2.m(lab) * X1.m(lab)
+    x1, x2 = X1.slots(), X2.slots()
+    # the unknown t of each entry f[q][p]: by column p as (q, t), by row q as (p, t)
+    in_col = [[(q, base[lab] + r * X1.m(lab) + c) for q, (s, r) in enumerate(x2) if s == lab] for lab, c in x1]
+    in_row = [[(p, base[lab] + r * X1.m(lab) + c) for p, (s, c) in enumerate(x1) if s == lab] for lab, r in x2]
     ech = la.Echelon()
-    for eq in equations.values():
-        ech.add(eq)
-    return ech.kernel(len(images), field)
+    for rho1, rho2 in zip(ops1, ops2):
+        eqs = {}
+        # (f rho1)[q][p] = sum over p2 of f[q][p2] rho1[p2][p]
+        for p2, row in enumerate(rho1):
+            for q, t in in_col[p2]:
+                for p, v in row.items():
+                    eqs.setdefault((q, p), {})[t] = v
+        # (rho2 f)[q][p] = sum over q2 of rho2[q][q2] f[q2][p]
+        for q, row in enumerate(rho2):
+            for q2, w in row.items():
+                for p, t in in_row[q2]:
+                    eq = eqs.setdefault((q, p), {})
+                    eq[t] = eq[t] - w if t in eq else -w
+        for eq in eqs.values():
+            ech.add(eq)
+    out = []
+    for v in ech.kernel(total, m1.spec.field):
+        rows = {}
+        for lab, b in base.items():
+            m = X1.m(lab)
+            rows[lab] = [{c: v[b + r * m + c] for c in range(m) if b + r * m + c in v} for r in range(X2.m(lab))]
+        out.append(Mor.from_rows(X1, X2, rows))
+    return out
 
 
 def _monodromy(a: Obj, x: Obj) -> Mor:
@@ -494,11 +497,10 @@ class ActionAlgebra:
     consists of matrices here, so that means it is empty.
     """
 
-    __slots__ = ("module", "generators", "basis", "radical", "size")
+    __slots__ = ("module", "basis", "radical", "size")
 
-    def __init__(self, module: AModule, generators: list, basis: list, radical: list, size: int):
+    def __init__(self, module: AModule, basis: list, radical: list, size: int):
         self.module = module
-        self.generators = generators
         self.basis = basis
         self.radical = radical
         self.size = size
@@ -513,15 +515,15 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
 
     The identity, the slot operators and the gradings are admitted to
     the basis first, in that order; ``_spin`` then multiplies out a
-    generating set chosen from them.  The basis and generators are made
-    dense once, at the end.  A commutative algebra over F_p with
-    p <= n takes its radical from ``_frobenius_radical``; every other
-    algebra from ``algebra_radical``.
+    generating set chosen from them.  The basis is made dense once, at
+    the end.  A commutative algebra over F_p with p <= n takes its
+    radical from ``_frobenius_radical``; every other algebra from
+    ``algebra_radical``.
     """
     field = mod.spec.field
     ops, gradings, n = _action_operators(mod)
     if n == 0:
-        return ActionAlgebra(mod, [], [], [], 0)
+        return ActionAlgebra(mod, [], [], 0)
     basis, gens = _spin(ops + gradings, n, field)
     dense = [_dense(m, n, field) for m in basis]
     p = field.char
@@ -530,7 +532,7 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
         radical = _radical_matrices(_frobenius_radical(flat, n, field), flat, n, field)
     else:
         radical = algebra_radical(dense, n, field)
-    return ActionAlgebra(mod, [_dense(m, n, field) for m in ops + gradings], dense, radical, n)
+    return ActionAlgebra(mod, dense, radical, n)
 
 
 def _spin(candidates, n, field):
@@ -836,16 +838,14 @@ def is_semisimple_module(mod: AModule):
 def is_simple_module(mod: AModule) -> bool:
     """Nonzero, semisimple, and with a one-dimensional self-hom space.
 
-    Over a field that does not split the endomorphism ring this is
-    stricter than having no proper submodule; for the bundled data the
-    two notions agree.
+    By Jacobson density (Burnside's theorem) that holds exactly when the
+    action algebra is all n x n matrices on a carrier of size n > 0, so
+    it is read off the algebra's dimension.  Over a field that does not
+    split the endomorphism ring this is stricter than having no proper
+    submodule; for the bundled data the two notions agree.
     """
-    if mod.carrier.is_zero():
-        return False
-    ok, _ = is_semisimple_module(mod)
-    if not ok:
-        return False
-    return len(hom_A(mod, mod)) == 1
+    aa = action_algebra(mod)
+    return aa.size > 0 and aa.dimension == aa.size**2
 
 
 def modules_isomorphic(m1: AModule, m2: AModule) -> Mor | None:
@@ -1162,16 +1162,16 @@ def _run_counterexample_suite(raw) -> Report:
 
 
 def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:
-    """Whether any intertwiner is a section of f; searched over the hom basis.
+    """Whether any intertwiner is a section of f: whether the identity of
+    the codomain lies in the span of f b over the hom basis b."""
 
-    With the identity appended as a last image, a combination c of the
-    basis is a section exactly when (c, -1) lies in the kernel, so one
-    exists exactly when some kernel vector has a nonzero last entry.
-    """
-    images = [compose(f, b) for b in hom_A(m_cod, m_dom)]
-    images.append(Mor.identity(m_cod.carrier))
-    last = len(images) - 1
-    return any(last in v for v in _kernel_of_images(images, m_dom.spec.field))
+    def entries(m: Mor) -> dict:
+        return {(lab, r, c): v for lab, rows in m.rows.items() for r, row in enumerate(rows) for c, v in row.items()}
+
+    span = la.Echelon()
+    for b in hom_A(m_cod, m_dom):
+        span.add(entries(compose(f, b)))
+    return span.add(entries(Mor.identity(m_cod.carrier))) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Module layer: axioms, averaging against a classical oracle, locality,
 semisimplicity, condensation against an orbit-counting oracle, suites."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctc import category as category_mod
 from ctc import data_path
 from ctc import linalg as la
 from ctc import algebra as algebra_mod
@@ -27,6 +30,7 @@ from ctc.category import (
     ev_coev,
     load_category,
     mor_right_inverse,
+    pair_channels,
     tensor_mor,
     tensor_obj,
 )
@@ -536,7 +540,7 @@ def test_action_algebra_dimensions():
     alg = load_algebra(data_path("algebras/alg_qz3.json"))
     aa = action_algebra(regular_module(alg))
     assert aa.size == 3 and aa.dimension == 3
-    assert len(aa.generators) == 4 and aa.radical == []
+    assert len(_candidates(aa.module)) == 4 and aa.radical == []
     toric = load_algebra(data_path("algebras/alg_toric_1e.json"))
     aa = action_algebra(induce(toric, Obj.simple(toric.spec, "m")))
     assert aa.size == 2 and aa.dimension == 4
@@ -747,12 +751,26 @@ def test_sparse_trace_form_matches_dense_reference(case):
     assert bool(aa.radical) == case.startswith("jordan")
 
 
-def _s4():
-    perms = sorted(itertools.permutations(range(4)))
+def _perm_group(name, perms):
+    perms = sorted(perms)
     names = ["".join(map(str, g)) for g in perms]
     # (g h)(x) = g(h(x))
     table = [["".join(str(g[h[x]]) for x in range(4)) for h in perms] for g in perms]
-    return Group("s4", names, table)
+    return Group(name, names, table)
+
+
+def _s4():
+    return _perm_group("s4", itertools.permutations(range(4)))
+
+
+def _a4():
+    """A4, closed up from the permutations (0 1 2) and (0 1)(2 3)."""
+    gens = [(1, 2, 0, 3), (1, 0, 3, 2)]
+    perms = frontier = {(0, 1, 2, 3)}
+    while frontier:
+        frontier = {tuple(g[h[x]] for x in range(4)) for g in frontier for h in gens} - perms
+        perms = perms | frontier
+    return _perm_group("a4", perms)
 
 
 @pytest.mark.parametrize("cat_name", ["vec_q", "vec_f2", "vec_f3"])
@@ -765,6 +783,12 @@ def test_order_24_maschke_oracle(cat_name):
     assert ok == (p == 0 or len(group) % p != 0)
     if ok:
         assert cert == {"algebra_dim": 24, "radical_dim": 0}
+
+
+def _candidates(mod):
+    """The slot operators and gradings the closure starts from, as dense matrices."""
+    ops, gradings, n = modules_mod._action_operators(mod)
+    return [modules_mod._dense(m, n, mod.spec.field) for m in ops + gradings]
 
 
 def _naive_closure(generators, n, field):
@@ -827,7 +851,7 @@ def _closure_module(case):
 )
 def test_closure_matches_naive_closure(case):
     aa = action_algebra(_closure_module(case))
-    assert aa.basis == _naive_closure(aa.generators, aa.size, aa.module.spec.field)
+    assert aa.basis == _naive_closure(_candidates(aa.module), aa.size, aa.module.spec.field)
 
 
 def test_closure_skips_candidates_it_has_seen(monkeypatch):
@@ -845,7 +869,7 @@ def test_closure_skips_candidates_it_has_seen(monkeypatch):
     # the basis echelon takes the identity first; the spin's word echelon
     # sees each permutation matrix once at most
     basis_adds, word_adds = adds.values()
-    assert len(basis_adds) <= 1 + len(aa.generators)
+    assert len(basis_adds) <= 1 + len(_candidates(aa.module))
     assert len(word_adds) <= aa.dimension
 
 
@@ -970,6 +994,7 @@ def _basis_mor(x1, x2, key, field):
     return Mor.from_rows(x1, x2, rows)
 
 
+@functools.lru_cache(maxsize=None)
 def reference_hom_A(m1, m2):
     spec = m1.spec
     field = spec.field
@@ -1006,17 +1031,20 @@ def reference_section_exists(f, m_dom, m_cod):
 
 
 def _bundled_module_families():
-    """Module lists over one algebra each: the bundled module, the regular
-    and induced modules of every bundled algebra, and the regular and
-    trivial modules of z2, z3 and s3 over Q, F_2 and F_3."""
+    """Module lists over one algebra each: the bundled module; the regular
+    module of every bundled algebra, its induced modules and their local
+    parts (zero carriers among them); and the regular and trivial modules
+    of the small groups and A4 over Q, F_2 and F_3."""
     mod = load_module(data_path("modules/mod_toric_m.json"))
     yield "mod_toric_m", [mod, regular_module(mod.alg)]
     for name in ("alg_qz3", "alg_h02", "alg_toric_1e"):
         alg = load_algebra(data_path("algebras/%s.json" % name))
-        yield name, [regular_module(alg)] + [induce(alg, Obj.simple(alg.spec, s)) for s in alg.spec.labels]
+        induced = [induce(alg, Obj.simple(alg.spec, s)) for s in alg.spec.labels]
+        yield name, [regular_module(alg)] + induced + [local_projection(m)[0] for m in induced]
+    groups = [(g, small_group(g)) for g in SMALL_GROUPS] + [("a4", _a4())]
     for c in ("vec_q", "vec_f2", "vec_f3"):
-        for g in ("z2", "z3", "s3"):
-            alg = galg(c, g)
+        for g, group in groups:
+            alg = group_algebra(group, cat(c))
             yield "%s/%s" % (c, g), [regular_module(alg), trivial_module(alg)]
 
 
@@ -1042,6 +1070,84 @@ def test_equivariant_section_matches_reference(family):
     field = reg.spec.field
     want = field.char == 0 or len(reg.alg.carrier.slots()) % field.char != 0
     assert _equivariant_section_exists(aug, reg, triv) == want
+
+
+def reference_is_simple(mod):
+    """Simplicity the long way: nonzero, semisimple, one-dimensional End_A."""
+    return not mod.carrier.is_zero() and is_semisimple_module(mod)[0] and len(hom_A(mod, mod)) == 1
+
+
+@pytest.mark.parametrize("family", sorted(HOM_FAMILIES))
+def test_is_simple_matches_reference(family):
+    for m in HOM_FAMILIES[family]:
+        assert is_simple_module(m) == reference_is_simple(m), m.name
+
+
+def test_hom_families_hold_zero_and_simple_carriers():
+    mods = [m for family in HOM_FAMILIES.values() for m in family]
+    assert any(m.carrier.is_zero() for m in mods)
+    assert any(is_simple_module(m) for m in mods) and not all(is_simple_module(m) for m in mods)
+
+
+def _z3_rotation_module():
+    """Q^2 with the generator of Z3 acting by [[0, -1], [1, -1]]: irreducible
+    over Q, yet its endomorphisms form Q(zeta_3), two-dimensional."""
+    alg = galg("vec_q", "z3")
+    spec = alg.spec
+    x = Obj(spec, {spec.unit: 2})
+    # g^0, g^1, g^2 for the elements "0", "1", "2", in slot order
+    powers = [[[1, 0], [0, 1]], [[0, -1], [1, -1]], [[-1, 1], [-1, 0]]]
+    cols = pair_channels(alg.carrier, x)[spec.unit]
+    block = [[Scalar.from_int(spec.field, powers[i][r][k]) for _a, i, _s, k in cols] for r in range(2)]
+    return AModule("rotation", alg, x, Mor(tensor_obj(alg.carrier, x), x, {spec.unit: block}))
+
+
+def test_z3_rotation_module_is_not_simple_either_way():
+    # over Q it has no proper submodule, but End_A is not the field: both
+    # predicates say no, the known gap between the two notions of simple
+    mod = _z3_rotation_module()
+    assert check_module(mod).ok
+    assert action_algebra(mod).dimension == 2 and len(hom_A(mod, mod)) == 2
+    assert is_simple_module(mod) is False
+    assert reference_is_simple(mod) is False
+
+
+SUM_FAMILIES = sorted(f for f, mods in HOM_FAMILIES.items() if max(m.carrier.total() for m in mods) <= 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SUM_FAMILIES), st.lists(st.integers(0, 11), min_size=2, max_size=3))
+def test_direct_sums_match_references(family, picks):
+    mods = HOM_FAMILIES[family]
+    first, *others = [mods[k % len(mods)] for k in picks]
+    rest = others[0]
+    for m in others[1:]:
+        rest, _, _ = module_direct_sum(rest, m)
+    total, (i1, _), (p1, _) = module_direct_sum(first, rest)
+    for m1, m2 in ((total, total), (total, first), (rest, total)):
+        assert hom_A(m1, m2) == reference_hom_A(m1, m2)
+    for f, m_dom, m_cod in ((p1, total, first), (i1, first, total)):
+        assert _equivariant_section_exists(f, m_dom, m_cod) == reference_section_exists(f, m_dom, m_cod)
+    assert is_simple_module(total) == reference_is_simple(total)
+
+
+def test_hom_A_and_simplicity_make_no_morphism_products(monkeypatch):
+    # both read the slot operators only: no compose or tensor_mor, and
+    # simplicity never asks for the hom space
+    regs = [HOM_FAMILIES[f][0] for f in ("vec_q/s3", "vec_f2/a4", "alg_h02", "alg_toric_1e")]
+    total, _, _ = module_direct_sum(*HOM_FAMILIES["alg_toric_1e"][1:3])
+    mods = regs + [total]
+    calls = []
+    for owner in (modules_mod, category_mod):
+        for name in ("compose", "tensor_mor"):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    real_hom = modules_mod.hom_A
+    monkeypatch.setattr(modules_mod, "hom_A", lambda *a: calls.append("hom_A") or real_hom(*a))
+    for m in mods:
+        is_simple_module(m)
+        real_hom(m, m)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
