@@ -24,11 +24,18 @@ exactly these bases, so composing the matrices composes the diagrams.
 The unit is strict for this engine: F entries touching the unit label
 must be 1 (enforced at validation), which makes both unit isomorphisms
 identity matrices and keeps the triangle identity automatic.
+
+The coherence sweeps check the equations on the F- and R-symbols.  Each
+fusion ring compiles its pentagon and hexagon equations once, on its
+first sweep, into programs of integer slots (``_Ring``); a category is
+checked by filling one value list with its symbols and evaluating the
+programs of the groups its entries other than 1 touch.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -534,6 +541,8 @@ def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
     key = (a, b, c, d)
     hit = spec._fmat_inv_cache.get(key)
     if hit is not None:
+        if not hit:
+            raise SingularFBlock(key)
         return hit
     e_list = [e for e in spec.channels(a, b) if spec.admissible(e, c, d)]
     f_list = [f for f in spec.channels(b, c) if spec.admissible(a, f, d)]
@@ -548,6 +557,8 @@ def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
         try:
             inv = la.inverse(m, spec.field, len(e_list)) if e_list else []
         except la.SingularMatrix:
+            # kept as (), so the block is eliminated once however often it is asked for
+            spec._fmat_inv_cache[key] = ()
             raise SingularFBlock(key) from None
     result = (e_list, f_list, inv)
     spec._fmat_inv_cache[key] = result
@@ -764,32 +775,6 @@ def proportionality_scalar(f: Mor, base: Mor) -> Scalar | None:
 # coherence checks
 
 
-def _shared_one(table: dict, one: Scalar) -> dict:
-    """An F or R table with every entry equal to 1 replaced by ``one`` itself.
-
-    Lookups then default to the same object, so ``_product`` can skip a
-    factor of 1 by identity.
-    """
-    return {key: one if val == one else val for key, val in table.items()}
-
-
-def _product(one: Scalar, *factors: Scalar) -> Scalar:
-    """The product of the factors; a factor that is ``one`` costs nothing."""
-    acc = one
-    for x in factors:
-        if x is not one:
-            acc = x if acc is one else acc * x
-    return acc
-
-
-def _sum(zero: Scalar, terms) -> Scalar:
-    """The sum of the terms; ``zero`` when there are none."""
-    acc = None
-    for x in terms:
-        acc = x if acc is None else acc + x
-    return zero if acc is None else acc
-
-
 class _Ring:
     """Facts of one fusion ring, shared by every category on it.
 
@@ -797,18 +782,21 @@ class _Ring:
     scalar enters, so the facts hold in every field.
     ``channels[(a, b)]`` lists the c in a x b and ``into[c]`` the pairs
     (a, b) fusing into c, both in label order; ``CategorySpec.channels``
-    reads the former.  An outer triple (a, b, c) is wide when, at some
-    total d with trees on both sides, its recoupling block is not 1x1;
-    ``blocks`` gives the wide triples and, for every other triple, the
-    keys (d, f, e) of its 1x1 blocks.
+    reads the former.
 
-    The outcome of each pentagon 4-tuple and each hexagon triple with
-    every symbol 1 is kept as the gcd of the nonzero differences
-    lhs - rhs of its term counts; a group with no such difference is
-    left out, and holds in every field.  The other groups hold exactly
-    in the characteristics that divide their gcd.  The hexagon-2
-    outcome is kept only for triples whose three inverse blocks are
-    not wide.  Each table is filled on first use.
+    ``blocks`` numbers the slots of a value list (see ``_slot_values``)
+    and finds the wide outer triples: those with a recoupling block
+    larger than 1x1 at some total.  A program lists the equations of one
+    pentagon 4-tuple or hexagon triple as pairs (lhs, rhs) of terms, each
+    term the tuple of slots whose values multiply.  A ring's first sweep
+    compiles them, never its load: the hexagon walk every triple, the
+    pentagon walk the 4-tuples ``pentagon_defects`` cannot settle at once;
+    any other 4-tuple is compiled when a sweep first reads it.  Each walk
+    keeps the outcome of a group with every symbol 1, the gcd of the
+    differences len(lhs) - len(rhs) over its program: a group with none is
+    left out and holds in every field, the others hold exactly in the
+    characteristics dividing their gcd.  G is not all 1 on a wide outer
+    triple, so a hexagon-2 reading one is always evaluated.
     """
 
     def __init__(self, labels, fusion):
@@ -821,6 +809,7 @@ class _Ring:
         for a, b, c in sorted(fusion, key=lambda t: self.order((t[2], t[0], t[1]))):
             self.channels.setdefault((a, b), []).append(c)
             self.into[c].append((a, b))
+        self._pentagon = {}
 
     def order(self, group) -> tuple:
         """Sort key of a tuple of labels: label order, position by position."""
@@ -831,10 +820,16 @@ class _Ring:
 
     @cached_property
     def blocks(self):
-        """(wide, support): the wide outer triples, and the 1x1 block keys
-        (d, f, e) of every other triple."""
-        fusion, ch, labels = self.fusion, self._ch, self.labels
-        wide, support = set(), {}
+        """(wide, trees, slots, size): the wide outer triples; per outer
+        triple, the pairs (d, rows) of the totals d with trees on both
+        sides, ``rows[f][e]`` the F slot of
+        ((ab)_e c)_d -> (a(bc)_f)_d with e and f in channel order, as
+        ``_f_matrix_inverse`` orders its block; the slot of every R and F
+        key; and the length of a value list."""
+        ch, labels = self._ch, self.labels
+        slots = {t: k for k, t in enumerate(self.ordered_fusion, 1)}
+        size = len(slots) + 1
+        wide, trees = set(), {}
         for a in labels:
             for b in labels:
                 for c in labels:
@@ -845,93 +840,137 @@ class _Ring:
                     for f in ch(b, c):
                         for d in ch(a, f):
                             f_trees.setdefault(d, []).append(f)
-                    keys = []
+                    outer = trees[a, b, c] = []
                     for d, es in e_trees.items():
                         fs = f_trees.get(d)
                         if fs is None:
                             continue
                         if len(es) != 1 or len(fs) != 1:
                             wide.add((a, b, c))
-                            break
-                        keys.append((d, fs[0], es[0]))
-                    else:
-                        support[(a, b, c)] = tuple(keys)
-        return frozenset(wide), support
+                        rows = []
+                        for f in fs:
+                            row = []
+                            for e in es:
+                                slots[a, b, c, d, e, f] = size
+                                row.append(size)
+                                size += 2
+                            rows.append(row)
+                        outer.append((d, rows))
+        return frozenset(wide), trees, slots, size
 
     @cached_property
     def pentagon_defects(self):
         """Pentagon outcomes with every symbol 1.  In a pointed ring (one
         channel per pair) with associative rules each side of every
-        pentagon is the one tree ((ab)c)d = a(b(cd)), so none fails."""
-        labels = self.labels
+        pentagon is the one tree ((ab)c)d = a(b(cd)), so none fails and no
+        4-tuple is compiled here.  Nor is a 4-tuple through the unit: its
+        equations pair off term by term, and its F entries are 1."""
+        labels, ch = self.labels, self._ch
         mul = {pair: cs[0] for pair, cs in self.channels.items() if len(cs) == 1}
         if len(mul) == len(labels) ** 2 and all(
             mul[mul[a, b], c] == mul[a, mul[b, c]] for a in labels for b in labels for c in labels
         ):
             return {}
-        return self.pentagon_walk()
+        unit = next((u for u in labels if all(ch(u, x) == [x] == ch(x, u) for x in labels)), None)
+        out = {}
+        for t in product(labels, repeat=4):
+            defect = 0 if unit in t else _defect(self.pentagon_program(t))
+            if defect:
+                out[t] = defect
+        return out
 
-    def pentagon_walk(self):
-        """Pentagon outcomes with every symbol 1, over every label 4-tuple."""
-        fusion, ch, labels = self.fusion, self._ch, self.labels
+    def pentagon_program(self, t):
+        """The program of the 4-tuple t = (a, b, c, d), compiled on first
+        use: for the source tree (((ab)_e c)_f d)_u and the target tree
+        (a(b(cd)_g)_h)_u, the lhs F^{ecd}_{u;f,g} F^{abg}_{u;e,h} and the rhs
+        terms F^{abc}_{f;e,k} F^{akd}_{u;f,h} F^{bcd}_{h;k,g}."""
+        program = self._pentagon.get(t)
+        if program is not None:
+            return program
+        fusion, ch, slot = self.fusion, self._ch, self.blocks[2]
+        a, b, c, d = t
+        bc, gh = ch(b, c), [(g, ch(b, g)) for g in ch(c, d)]
+        program = []
+        for e in ch(a, b):
+            for f in ch(e, c):
+                abc = [(k, slot[a, b, c, f, e, k]) for k in bc if (a, k, f) in fusion]
+                for u in ch(f, d):
+                    for g, hs in gh:
+                        # None when there is no tree through g on the left
+                        ecd = slot.get((e, c, d, u, f, g))
+                        for h in hs:
+                            if (a, h, u) not in fusion:
+                                continue
+                            lhs = () if ecd is None else ((ecd, slot[a, b, g, u, e, h]),)
+                            rhs = [
+                                (s, slot[a, k, d, u, f, h], slot[b, c, d, h, k, g])
+                                for k, s in abc
+                                if (k, d, h) in fusion
+                            ]
+                            if lhs or rhs:
+                                program.append((lhs, tuple(rhs)))
+        program = self._pentagon[t] = tuple(program)
+        return program
+
+    @cached_property
+    def hexagon_programs(self):
+        """The (hexagon-1, hexagon-2) programs of every label triple
+        (a, b, c): per total d and tree pair, the two sides of
+        ``verify_hexagon``'s equations, a G slot one past the F slot of
+        its trees."""
+        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[2]
         out = {}
         for a in labels:
             for b in labels:
                 for c in labels:
-                    bc = ch(b, c)
-                    for d in labels:
-                        defect = 0
-                        for e in ch(a, b):
-                            for f in ch(e, c):
-                                ks = [k for k in bc if (a, k, f) in fusion]
-                                for u in ch(f, d):
-                                    for g in ch(c, d):
-                                        lhs = (e, g, u) in fusion
-                                        for h in ch(b, g):
-                                            if (a, h, u) in fusion:
-                                                diff = lhs - sum((k, d, h) in fusion for k in ks)
-                                                if diff:
-                                                    defect = gcd(defect, diff)
-                        if defect:
-                            out[(a, b, c, d)] = defect
+                    hex1, hex2 = [], []
+                    for e in ch(a, b):
+                        back = (b, a, e) in fusion
+                        for d in ch(e, c):
+                            for g in ch(c, a):
+                                if (b, g, d) not in fusion:
+                                    continue
+                                lhs = tuple([
+                                    (slot[a, b, c, d, e, f], slot[a, f, d], slot[b, c, a, d, f, g])
+                                    for f in ch(b, c)
+                                    if (a, f, d) in fusion and (f, a, d) in fusion
+                                ])
+                                mid = back and (a, c, g) in fusion
+                                rhs = ((slot[a, b, e], slot[b, a, c, d, e, g], slot[a, c, g]),) if mid else ()
+                                if lhs or rhs:
+                                    hex1.append((lhs, rhs))
+                    for f in ch(b, c):
+                        for d in ch(a, f):
+                            for g in ch(c, a):
+                                if (g, b, d) not in fusion:
+                                    continue
+                                lhs = tuple([
+                                    (slot[a, b, c, d, e, f] + 1, slot[e, c, d], slot[c, a, b, d, g, e] + 1)
+                                    for e in ch(a, b)
+                                    if (e, c, d) in fusion and (c, e, d) in fusion
+                                ])
+                                mid = (a, c, g) in fusion and (c, b, f) in fusion
+                                rhs = ((slot[b, c, f], slot[a, c, b, d, g, f] + 1, slot[a, c, g]),) if mid else ()
+                                if lhs or rhs:
+                                    hex2.append((lhs, rhs))
+                    out[a, b, c] = (tuple(hex1), tuple(hex2))
         return out
 
     @cached_property
     def hexagon_defects(self):
         """(hexagon-1, hexagon-2) outcomes with every symbol 1."""
-        fusion, ch, labels = self.fusion, self._ch, self.labels
-        wide, support = self.blocks
-        hex1, hex2 = {}, {}
-        for a in labels:
-            for b in labels:
-                for c in labels:
-                    defect = 0
-                    for e in ch(a, b):
-                        right = (b, a, e) in fusion
-                        for d in ch(e, c):
-                            for g in ch(c, a):
-                                if (b, g, d) in fusion:
-                                    lhs = sum((a, f, d) in fusion and (f, a, d) in fusion for f in ch(b, c))
-                                    diff = lhs - (right and (a, c, g) in fusion)
-                                    if diff:
-                                        defect = gcd(defect, diff)
-                    if defect:
-                        hex1[(a, b, c)] = defect
-                    cab, abc, acb = support.get((c, a, b)), support.get((a, b, c)), support.get((a, c, b))
-                    if cab is None or abc is None or acb is None:
-                        continue
-                    defect = 0
-                    for f in ch(b, c):
-                        for d in ch(a, f):
-                            for g in ch(c, a):
-                                if (g, b, d) in fusion:
-                                    lhs = sum((d, f, e) in abc and (d, e, g) in cab for e in ch(a, b))
-                                    diff = lhs - ((d, f, g) in acb)
-                                    if diff:
-                                        defect = gcd(defect, diff)
-                    if defect:
-                        hex2[(a, b, c)] = defect
-        return hex1, hex2
+        programs = self.hexagon_programs.items()
+        return tuple({t: defect for t, pair in programs if (defect := _defect(pair[eq]))} for eq in (0, 1))
+
+    @cached_property
+    def balancing(self):
+        """Per fusion triple (a, b, c) in label order: the R slots of
+        (a, b, c) and of (b, a, c), the latter 0 (the slot of 1) outside
+        the rules, and the positions of a, b and c in the labels."""
+        slot, index = {t: k for k, t in enumerate(self.ordered_fusion, 1)}, self._index
+        return [
+            (slot[a, b, c], slot.get((b, a, c), 0), index[a], index[b], index[c]) for a, b, c in self.ordered_fusion
+        ]
 
     def pentagon_touched(self, f_keys):
         """The 4-tuples whose pentagon reads one of the F entries ``f_keys``."""
@@ -977,34 +1016,64 @@ def _holds_in(char: int, defect: int) -> bool:
     return char != 0 and defect % char == 0
 
 
-def _pentagon_holds(spec: CategorySpec, F: dict, one: Scalar, zero: Scalar, a, b, c, d) -> bool:
-    fusion, ch = spec.fusion, spec.channels
-    for e in ch(a, b):
-        for f in ch(e, c):
-            for u in ch(f, d):
-                for g in ch(c, d):
-                    through_g = (e, g, u) in fusion
-                    ecd = F.get((e, c, d, u, f, g), one)
-                    for h in ch(b, g):
-                        if (a, h, u) not in fusion:
-                            continue
-                        lhs = _product(one, ecd, F.get((a, b, g, u, e, h), one)) if through_g else zero
-                        rhs = _sum(
-                            zero,
-                            (
-                                _product(
-                                    one,
-                                    F.get((a, b, c, f, e, k), one),
-                                    F.get((a, k, d, u, f, h), one),
-                                    F.get((b, c, d, h, k, g), one),
-                                )
-                                for k in ch(b, c)
-                                if (a, k, f) in fusion and (k, d, h) in fusion
-                            ),
-                        )
-                        if lhs is not rhs and lhs != rhs:
-                            return False
+def _defect(program) -> int:
+    """The gcd of the term-count differences of a program's equations:
+    its outcome with every symbol 1."""
+    out = 0
+    for lhs, rhs in program:
+        out = gcd(out, len(lhs) - len(rhs))
+    return out
+
+
+def _holds(program, values, one: Scalar, zero: Scalar) -> bool:
+    """Whether every equation of a program holds on the slot values: on
+    each side, the sum over the terms of the product of their values.  A
+    value that is ``one`` itself costs no product."""
+    for equation in program:
+        sums = []
+        for terms in equation:
+            total = zero
+            for term in terms:
+                p = one
+                for s in term:
+                    x = values[s]
+                    if x is not one:
+                        p = x if p is one else p * x
+                total = p if total is zero else total + p
+            sums.append(total)
+        left, right = sums
+        if left is not right and left != right:
+            return False
     return True
+
+
+def _slot_values(spec: CategorySpec, ring: _Ring, one: Scalar) -> list:
+    """The symbols of ``spec`` by slot: 1 at slot 0, the R entries of the
+    fusion triples in label order, then every admissible F entry, each
+    followed by the entry G of the inverse recoupling block on the same
+    trees; an entry 1 is ``one`` itself.  Every G is 1, right for an outer
+    triple with only 1x1 blocks of F entries 1; ``_invert_outer`` writes
+    the others."""
+    _, _, slots, size = ring.blocks
+    values = [one] * size
+    for table in (spec.R, spec.F):
+        for key, val in table.items():
+            if val != one:
+                values[slots[key]] = val
+    return values
+
+
+def _invert_outer(spec: CategorySpec, values: list, one: Scalar, a, b, c):
+    """Write the inverse recoupling blocks of the outer triple (a, b, c)
+    into its G slots.  Blocks are inverted for the totals d in label
+    order, as ``associator_inv`` does, so a singular block raises
+    ``SingularFBlock`` for the same labels."""
+    ring = _ring(spec.labels, spec.fusion)
+    for d, rows in sorted(ring.blocks[1][a, b, c], key=lambda block: ring._index[block[0]]):
+        inv = _f_matrix_inverse(spec, a, b, c, d)[2]
+        for slots, entries in zip(rows, inv):
+            for s, val in zip(slots, entries):
+                values[s + 1] = one if val == one else val
 
 
 def verify_pentagon(spec: CategorySpec) -> Report:
@@ -1023,99 +1092,25 @@ def verify_pentagon(spec: CategorySpec) -> Report:
     ((ab)c)d -> a(b(cd)).  A 4-tuple with any unequal entry gives one
     failing item, in label order.
 
-    Only the 4-tuples that read an F entry other than 1 are evaluated;
-    every other one takes the outcome of its fusion ring with all
-    symbols 1, judged in the field's characteristic.
+    Only the 4-tuples that read an F entry other than 1 are evaluated,
+    by their ring's programs on the slot values of ``spec``; every other
+    one takes the outcome of its fusion ring with all symbols 1, judged
+    in the field's characteristic.
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
     ring = _ring(spec.labels, spec.fusion)
-    F = _shared_one(spec.F, one)
-    touched = ring.pentagon_touched([key for key, val in F.items() if val is not one])
+    f_keys = [key for key, val in spec.F.items() if val != one]
+    # a 4-tuple through the unit holds (see ``_Ring.pentagon_defects``)
+    touched = {t for t in ring.pentagon_touched(f_keys) if spec.unit not in t}
     char = spec.field.char
     failing = [t for t, defect in ring.pentagon_defects.items() if t not in touched and not _holds_in(char, defect)]
-    failing += [t for t in touched if not _pentagon_holds(spec, F, one, zero, *t)]
+    if touched:
+        values = _slot_values(spec, ring, one)
+        failing += [t for t in touched if not _holds(ring.pentagon_program(t), values, one, zero)]
     for t in sorted(failing, key=ring.order):
         report.append("pentagon:%s,%s,%s,%s" % t, "fail", witness=list(t))
     return report
-
-
-def _hexagon1_holds(spec: CategorySpec, F: dict, R: dict, one: Scalar, zero: Scalar, a, b, c) -> bool:
-    fusion, ch = spec.fusion, spec.channels
-    for d in spec.labels:
-        for e in ch(a, b):
-            if (e, c, d) not in fusion:
-                continue
-            for g in ch(c, a):
-                if (b, g, d) not in fusion:
-                    continue
-                lhs = _sum(
-                    zero,
-                    (
-                        _product(
-                            one,
-                            F.get((a, b, c, d, e, f), one),
-                            R.get((a, f, d), one),
-                            F.get((b, c, a, d, f, g), one),
-                        )
-                        for f in ch(b, c)
-                        if (a, f, d) in fusion and (f, a, d) in fusion
-                    ),
-                )
-                if (b, a, e) in fusion and (a, c, g) in fusion:
-                    rhs = _product(one, R.get((a, b, e), one), F.get((b, a, c, d, e, g), one), R.get((a, c, g), one))
-                else:
-                    rhs = zero
-                if lhs is not rhs and lhs != rhs:
-                    return False
-    return True
-
-
-def _inverse_entries(spec: CategorySpec, one: Scalar, a, b, c) -> dict:
-    """Nonzero entries ``(d, f, e) -> G`` of the inverse recoupling blocks.
-
-    G is the coefficient of ((ab)_e c)_d in the inverse associator applied
-    to (a(bc)_f)_d.  Blocks are inverted for totals d in label order and
-    only where both trees exist, as ``associator_inv`` does, so a singular
-    block raises ``SingularFBlock`` for the same labels.
-    """
-    out = {}
-    for d in spec.labels:
-        if not any(spec.admissible(e, c, d) for e in spec.channels(a, b)):
-            continue
-        if not any(spec.admissible(a, f, d) for f in spec.channels(b, c)):
-            continue
-        e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
-        for fpos, f in enumerate(f_list):
-            for epos, e in enumerate(e_list):
-                val = inv[fpos][epos]
-                if not val.is_zero():
-                    out[(d, f, e)] = one if val == one else val
-    return out
-
-
-def _hexagon2_holds(spec: CategorySpec, R: dict, one: Scalar, zero: Scalar, a, b, c, cab, abc, acb) -> bool:
-    fusion, ch = spec.fusion, spec.channels
-    for d in spec.labels:
-        for f in ch(b, c):
-            if (a, f, d) not in fusion:
-                continue
-            for g in ch(c, a):
-                if (g, b, d) not in fusion:
-                    continue
-                lhs = _sum(
-                    zero,
-                    (
-                        _product(one, abc[(d, f, e)], R.get((e, c, d), one), cab[(d, e, g)])
-                        for e in ch(a, b)
-                        if (d, f, e) in abc and (d, e, g) in cab
-                    ),
-                )
-                mid = acb.get((d, f, g))
-                rhs = zero if mid is None else _product(one, R.get((b, c, f), one), mid, R.get((a, c, g), one))
-                if lhs is not rhs and lhs != rhs:
-                    return False
-    return True
 
 
 def verify_hexagon(spec: CategorySpec) -> Report:
@@ -1141,68 +1136,69 @@ def verify_hexagon(spec: CategorySpec) -> Report:
 
     Only the triples that read an R entry other than 1, an F entry other
     than 1, or an outer triple with a block larger than 1x1 are
-    evaluated, in label order; every other one takes the outcome of its
-    fusion ring with all symbols 1, judged in the field's characteristic.
-    An outer triple with only 1x1 blocks of F entries 1 has G = 1 on its
-    trees and is never inverted.
+    evaluated, by their ring's programs on the slot values of ``spec``;
+    every other one takes the outcome of its fusion ring with all symbols
+    1, judged in the field's characteristic.  Only those outer triples
+    are inverted, into their G slots, in the order the evaluated triples
+    read them.
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
     ring = _ring(spec.labels, spec.fusion)
-    wide, support = ring.blocks
-    F = _shared_one(spec.F, one)
-    R = _shared_one(spec.R, one)
-    inverted = wide | {key[:3] for key, val in F.items() if val is not one}
-    touched = ring.hexagon_touched([key for key, val in R.items() if val is not one], inverted)
-    inverses = {}
-
-    def inverse_entries(*outer):
-        # each outer triple is looked up by three triples of the sweep;
-        # a singular block is not stored, so it raises every time
-        hit = inverses.get(outer)
-        if hit is None:
-            if outer in inverted:
-                hit = _inverse_entries(spec, one, *outer)
-            else:
-                hit = dict.fromkeys(support[outer], one)
-            inverses[outer] = hit
-        return hit
-
+    values = _slot_values(spec, ring, one)
+    inverted = ring.blocks[0] | {key[:3] for key, val in spec.F.items() if val != one}
+    touched = ring.hexagon_touched([key for key, val in spec.R.items() if val != one], inverted)
+    programs = ring.hexagon_programs
+    # the programs are compiled in label order
+    order = [t for t in programs if t in touched]
+    # G is written in the order the triples read it; a triple whose
+    # hexagon-2 reads a singular block reads no block after it, so the
+    # first non-square block read is the one that raises
+    pending, singular, blocked = set(inverted), {}, {}
+    for t in order:
+        if not (pending or singular):
+            break
+        a, b, c = t
+        for outer in ((c, a, b), t, (a, c, b)):
+            if outer in pending:
+                pending.discard(outer)
+                try:
+                    _invert_outer(spec, values, one, *outer)
+                except SingularFBlock as exc:
+                    singular[outer] = exc.labels
+            if outer in singular:
+                blocked[t] = {"singular_f": list(singular[outer])}
+                break
     char = spec.field.char
-    hex1, hex2 = ring.hexagon_defects
     failing = {}
-    for eq, defects in ((1, hex1), (2, hex2)):
+    for eq, defects in enumerate(ring.hexagon_defects, 1):
         for t, defect in defects.items():
             if t not in touched and not _holds_in(char, defect):
                 failing[(t, eq)] = list(t)
-    for t in sorted(touched, key=ring.order):
-        a, b, c = t
-        if not _hexagon1_holds(spec, F, R, one, zero, a, b, c):
+    for t in order:
+        hex1, hex2 = programs[t]
+        if not _holds(hex1, values, one, zero):
             failing[(t, 1)] = list(t)
-        try:
-            cab = inverse_entries(c, a, b)
-            abc = inverse_entries(a, b, c)
-            acb = inverse_entries(a, c, b)
-        except SingularFBlock as exc:
-            failing[(t, 2)] = {"singular_f": list(exc.labels)}
-            continue
-        if not _hexagon2_holds(spec, R, one, zero, a, b, c, cab, abc, acb):
-            failing[(t, 2)] = list(t)
+        witness = blocked.get(t)
+        if witness is None and not _holds(hex2, values, one, zero):
+            witness = list(t)
+        if witness is not None:
+            failing[(t, 2)] = witness
     for t, eq in sorted(failing, key=lambda k: (ring.order(k[0]), k[1])):
         report.append("hexagon-%d:%s,%s,%s" % ((eq,) + t), "fail", witness=failing[(t, eq)])
-    twist = spec.twist
-    for a, b, c in ring.ordered_fusion:
+    twist = [spec.twist[lab] for lab in spec.labels]
+    for (a, b, c), (r, r_swapped, ia, ib, ic) in zip(ring.ordered_fusion, ring.balancing):
         # R^{ab}_c R^{ba}_c = theta_c / (theta_a theta_b), cleared of the
         # division: twists are nonzero, so both forms agree
-        mono = spec.r_symbol(a, b, c) * spec.r_symbol(b, a, c)
-        if mono * twist[a] * twist[b] != twist[c]:
+        mono = values[r] * values[r_swapped]
+        if mono * twist[ia] * twist[ib] != twist[ic]:
             report.append(
                 "balancing:%s,%s,%s" % (a, b, c),
                 "fail",
                 witness={
                     "triple": [a, b, c],
                     "monodromy": scalar_literal(mono),
-                    "twist_ratio": scalar_literal(twist[c] * (twist[a] * twist[b]).inverse()),
+                    "twist_ratio": scalar_literal(twist[ic] * (twist[ia] * twist[ib]).inverse()),
                 },
             )
     return report
@@ -1228,12 +1224,16 @@ def verify_zigzag(spec: CategorySpec) -> Report:
     second s* -> s* (s s*) -> (s* s) s* -> s* is scale_s G^{s* s s*}_{s*;1,1},
     G the inverse recoupling block; each must be 1.  A failing move's
     witness is that 1x1 composite as a morphism; a singular recoupling
-    block is named as ``associator_inv`` finds it.
+    block is named as ``associator_inv`` finds it.  Both are read from
+    the slot values of ``spec``.
     """
     report = Report()
-    one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    one = Scalar.one(spec.field)
     u = spec.unit
     scales = _dual_scales(spec)
+    ring = _ring(spec.labels, spec.fusion)
+    slots = ring.blocks[2]
+    values = _slot_values(spec, ring, one)
 
     def composite(lab, z):
         x = Obj.simple(spec, lab)
@@ -1241,15 +1241,15 @@ def verify_zigzag(spec: CategorySpec) -> Report:
 
     for s in spec.labels:
         sd = spec.dual[s]
-        z1 = scales[s] * spec.f_symbol(s, sd, s, s, u, u)
+        z1 = scales[s] * values[slots[s, sd, s, s, u, u]]
         if not z1.is_one():
             report.append("zigzag-1:%s" % s, "fail", witness=composite(s, z1))
         try:
-            inv = _inverse_entries(spec, one, sd, s, sd)
+            _invert_outer(spec, values, one, sd, s, sd)
         except SingularFBlock as exc:
             report.append("zigzag-2:%s" % s, "fail", witness={"singular_f": list(exc.labels)})
             continue
-        z2 = scales[s] * inv.get((sd, u, u), zero)
+        z2 = scales[s] * values[slots[sd, s, sd, sd, u, u] + 1]
         if not z2.is_one():
             report.append("zigzag-2:%s" % s, "fail", witness=composite(sd, z2))
     return report

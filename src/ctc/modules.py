@@ -141,7 +141,9 @@ class IsomorphismUndecided(ModuleError):
 class AModule:
     """Carrier object with an action of a fixed algebra object."""
 
-    __slots__ = ("name", "alg", "carrier", "action")
+    # _pi, _aa: the monodromy projector and (basis, radical, size) of the
+    # action algebra, once projector_pi and action_algebra have computed them
+    __slots__ = ("name", "alg", "carrier", "action", "_pi", "_aa")
 
     def __init__(self, name: str, alg: AlgebraObject, carrier: Obj, action: Mor):
         ax = tensor_obj(alg.carrier, carrier)
@@ -151,6 +153,7 @@ class AModule:
         self.alg = alg
         self.carrier = carrier
         self.action = action
+        self._pi = self._aa = None
 
     @property
     def spec(self):
@@ -363,8 +366,10 @@ def projector_pi(mod: AModule) -> Mor:
     Acts as the identity exactly on the part of the carrier that braids
     trivially past the algebra and kills the rest; it is an idempotent
     module endomorphism whenever the algebra is commutative with
-    invertible index.
+    invertible index.  Computed on first use and kept on the module.
     """
+    if mod._pi is not None:
+        return mod._pi
     alg = mod.alg
     A = alg.carrier
     X = mod.carrier
@@ -382,7 +387,8 @@ def projector_pi(mod: AModule) -> Mor:
             ),
         ),
     )
-    return core.scale(index.inverse())
+    mod._pi = core.scale(index.inverse())
+    return mod._pi
 
 
 def local_projection(mod: AModule):
@@ -518,12 +524,20 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
     generating set chosen from them.  The basis is made dense once, at
     the end.  A commutative algebra over F_p with p <= n takes its
     radical from ``_frobenius_radical``; every other algebra from
-    ``algebra_radical``.
+    ``algebra_radical``.  Computed on first use and kept on the module.
     """
+    if mod._aa is None:
+        mod._aa = _action_algebra(mod)
+    return ActionAlgebra(mod, *mod._aa)
+
+
+def _action_algebra(mod: AModule):
+    """(basis, radical, size) of ``action_algebra``; kept on the module
+    without the module, so the two hold no reference cycle."""
     field = mod.spec.field
     ops, gradings, n = _action_operators(mod)
     if n == 0:
-        return ActionAlgebra(mod, [], [], 0)
+        return [], [], 0
     basis, gens = _spin(ops + gradings, n, field)
     dense = [_dense(m, n, field) for m in basis]
     p = field.char
@@ -532,7 +546,7 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
         radical = _radical_matrices(_frobenius_radical(flat, n, field), flat, n, field)
     else:
         radical = algebra_radical(dense, n, field)
-    return ActionAlgebra(mod, dense, radical, n)
+    return dense, radical, n
 
 
 def _spin(candidates, n, field):

@@ -6,6 +6,7 @@ independently inside this file, not read back from the engine.
 
 import itertools
 import json
+import math
 import os
 import random
 from collections import Counter
@@ -28,12 +29,7 @@ from ctc.category import (
     SingularFBlock,
     _dual_scales,
     _f_matrix_inverse,
-    _hexagon1_holds,
-    _hexagon2_holds,
-    _inverse_entries,
-    _pentagon_holds,
     _ring,
-    _shared_one,
     associator,
     associator_inv,
     braiding,
@@ -732,7 +728,194 @@ def test_twist_mutants_fail_balancing():
     assert len(failing) >= 10
 
 
-# --- the touched-group sweeps against every-tuple sweeps --------------------
+# --- the compiled sweeps against label-walking sweeps ----------------------
+#
+# The label-walking scalar sweeps below are the reference for the programs
+# each fusion ring compiles: they read the symbols by label tuple, channel
+# by channel, and share only `_f_matrix_inverse` with the compiled path.
+
+
+def _shared_one(table: dict, one: Scalar) -> dict:
+    """An F or R table with every entry equal to 1 replaced by ``one`` itself."""
+    return {key: one if val == one else val for key, val in table.items()}
+
+
+def _product(one, *factors):
+    acc = one
+    for x in factors:
+        if x is not one:
+            acc = x if acc is one else acc * x
+    return acc
+
+
+def _sum(zero, terms):
+    acc = None
+    for x in terms:
+        acc = x if acc is None else acc + x
+    return zero if acc is None else acc
+
+
+def _pentagon_holds(spec, F, one, zero, a, b, c, d):
+    fusion, ch = spec.fusion, spec.channels
+    for e in ch(a, b):
+        for f in ch(e, c):
+            for u in ch(f, d):
+                for g in ch(c, d):
+                    through_g = (e, g, u) in fusion
+                    ecd = F.get((e, c, d, u, f, g), one)
+                    for h in ch(b, g):
+                        if (a, h, u) not in fusion:
+                            continue
+                        lhs = _product(one, ecd, F.get((a, b, g, u, e, h), one)) if through_g else zero
+                        rhs = _sum(
+                            zero,
+                            (
+                                _product(
+                                    one,
+                                    F.get((a, b, c, f, e, k), one),
+                                    F.get((a, k, d, u, f, h), one),
+                                    F.get((b, c, d, h, k, g), one),
+                                )
+                                for k in ch(b, c)
+                                if (a, k, f) in fusion and (k, d, h) in fusion
+                            ),
+                        )
+                        if lhs is not rhs and lhs != rhs:
+                            return False
+    return True
+
+
+def _hexagon1_holds(spec, F, R, one, zero, a, b, c):
+    fusion, ch = spec.fusion, spec.channels
+    for d in spec.labels:
+        for e in ch(a, b):
+            if (e, c, d) not in fusion:
+                continue
+            for g in ch(c, a):
+                if (b, g, d) not in fusion:
+                    continue
+                lhs = _sum(
+                    zero,
+                    (
+                        _product(
+                            one,
+                            F.get((a, b, c, d, e, f), one),
+                            R.get((a, f, d), one),
+                            F.get((b, c, a, d, f, g), one),
+                        )
+                        for f in ch(b, c)
+                        if (a, f, d) in fusion and (f, a, d) in fusion
+                    ),
+                )
+                if (b, a, e) in fusion and (a, c, g) in fusion:
+                    rhs = _product(one, R.get((a, b, e), one), F.get((b, a, c, d, e, g), one), R.get((a, c, g), one))
+                else:
+                    rhs = zero
+                if lhs is not rhs and lhs != rhs:
+                    return False
+    return True
+
+
+def _inverse_entries(spec, one, a, b, c):
+    """Nonzero entries ``(d, f, e) -> G`` of the inverse recoupling blocks,
+    inverted for totals d in label order where both trees exist."""
+    out = {}
+    for d in spec.labels:
+        if not any(spec.admissible(e, c, d) for e in spec.channels(a, b)):
+            continue
+        if not any(spec.admissible(a, f, d) for f in spec.channels(b, c)):
+            continue
+        e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
+        for fpos, f in enumerate(f_list):
+            for epos, e in enumerate(e_list):
+                val = inv[fpos][epos]
+                if not val.is_zero():
+                    out[(d, f, e)] = one if val == one else val
+    return out
+
+
+def _hexagon2_holds(spec, R, one, zero, a, b, c, cab, abc, acb):
+    fusion, ch = spec.fusion, spec.channels
+    for d in spec.labels:
+        for f in ch(b, c):
+            if (a, f, d) not in fusion:
+                continue
+            for g in ch(c, a):
+                if (g, b, d) not in fusion:
+                    continue
+                lhs = _sum(
+                    zero,
+                    (
+                        _product(one, abc[(d, f, e)], R.get((e, c, d), one), cab[(d, e, g)])
+                        for e in ch(a, b)
+                        if (d, f, e) in abc and (d, e, g) in cab
+                    ),
+                )
+                mid = acb.get((d, f, g))
+                rhs = zero if mid is None else _product(one, R.get((b, c, f), one), mid, R.get((a, c, g), one))
+                if lhs is not rhs and lhs != rhs:
+                    return False
+    return True
+
+
+def pentagon_walk(ring):
+    """Pentagon outcomes with every symbol 1, over every label 4-tuple,
+    counted by fusion-membership tests."""
+    fusion, ch, labels = ring.fusion, ring._ch, ring.labels
+    out = {}
+    for a, b, c, d in itertools.product(labels, repeat=4):
+        bc = ch(b, c)
+        defect = 0
+        for e in ch(a, b):
+            for f in ch(e, c):
+                ks = [k for k in bc if (a, k, f) in fusion]
+                for u in ch(f, d):
+                    for g in ch(c, d):
+                        lhs = (e, g, u) in fusion
+                        for h in ch(b, g):
+                            if (a, h, u) in fusion:
+                                diff = lhs - sum((k, d, h) in fusion for k in ks)
+                                if diff:
+                                    defect = math.gcd(defect, diff)
+        if defect:
+            out[(a, b, c, d)] = defect
+    return out
+
+
+def hexagon_walk(ring):
+    """(hexagon-1, hexagon-2) outcomes with every symbol 1, counted by
+    fusion-membership tests; hexagon-2 only where none of the three outer
+    triples it reads is wide, the only triples whose outcome is read."""
+    fusion, ch, labels = ring.fusion, ring._ch, ring.labels
+    wide = ring.blocks[0]
+    hex1, hex2 = {}, {}
+    for a, b, c in itertools.product(labels, repeat=3):
+        defect = 0
+        for e in ch(a, b):
+            right = (b, a, e) in fusion
+            for d in ch(e, c):
+                for g in ch(c, a):
+                    if (b, g, d) in fusion:
+                        lhs = sum((a, f, d) in fusion and (f, a, d) in fusion for f in ch(b, c))
+                        diff = lhs - (right and (a, c, g) in fusion)
+                        if diff:
+                            defect = math.gcd(defect, diff)
+        if defect:
+            hex1[(a, b, c)] = defect
+        if wide & {(c, a, b), (a, b, c), (a, c, b)}:
+            continue
+        defect = 0
+        for f in ch(b, c):
+            for d in ch(a, f):
+                for g in ch(c, a):
+                    if (g, b, d) in fusion:
+                        lhs = sum((e, c, d) in fusion and (c, e, d) in fusion for e in ch(a, b))
+                        diff = lhs - ((a, c, g) in fusion and (c, b, f) in fusion)
+                        if diff:
+                            defect = math.gcd(defect, diff)
+        if defect:
+            hex2[(a, b, c)] = defect
+    return hex1, hex2
 
 
 def _every_tuple_pentagon(spec):
@@ -845,8 +1028,8 @@ def test_non_square_block_raises_as_the_every_tuple_sweep():
 @pytest.mark.parametrize("name", ["pointed_z4", "toric_code"])
 def test_second_pointed_spec_evaluates_no_pentagon_and_shares_the_ring(monkeypatch, name):
     calls = []
-    real = category._pentagon_holds
-    monkeypatch.setattr(category, "_pentagon_holds", lambda *args: calls.append(args[-4:]) or real(*args))
+    real = category._holds
+    monkeypatch.setattr(category, "_holds", lambda *args: calls.append(args[0]) or real(*args))
     first = cat(name)
     assert verify_pentagon(first).items == []
     ring, misses = _ring(first.labels, first.fusion), _ring.cache_info().misses
@@ -861,10 +1044,12 @@ def test_second_pointed_spec_evaluates_no_pentagon_and_shares_the_ring(monkeypat
 @pytest.mark.parametrize("spec", [cat(name) for name in ALL_CATEGORIES] + sign_flip_mutants(), ids=lambda s: s.name)
 def test_hexagon_inverts_only_nontrivial_outer_triples(monkeypatch, spec):
     inverted = []
-    real = category._inverse_entries
-    monkeypatch.setattr(category, "_inverse_entries", lambda sp, one, *t: inverted.append(t) or real(sp, one, *t))
+    real = category._invert_outer
+    monkeypatch.setattr(
+        category, "_invert_outer", lambda sp, values, one, *t: inverted.append(t) or real(sp, values, one, *t)
+    )
     verify_hexagon(spec)
-    wide, _ = _ring(spec.labels, spec.fusion).blocks
+    wide = _ring(spec.labels, spec.fusion).blocks[0]
     non_one_f = {key[:3] for key, val in spec.F.items() if not val.is_one()}
     assert set(inverted) <= wide | non_one_f
 
@@ -907,7 +1092,7 @@ def _ring_inputs():
 def test_pentagon_table_matches_the_walk(name):
     labels, fusion = _ring_inputs()[name]
     ring = category._Ring(labels, fusion)
-    walk = ring.pentagon_walk()
+    walk = pentagon_walk(ring)
     assert ring.pentagon_defects == walk
     if name in ("z3_negated", "rep_s3", "fibonacci_rules"):
         assert walk, "the oracle is not vacuous: these rings break an all-ones pentagon"
@@ -915,9 +1100,117 @@ def test_pentagon_table_matches_the_walk(name):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_pointed_associative_ring_skips_the_walk(monkeypatch, n):
-    monkeypatch.setattr(category._Ring, "pentagon_walk", lambda self: pytest.fail("walked a pointed ring"))
+    monkeypatch.setattr(category._Ring, "pentagon_program", lambda self, t: pytest.fail("compiled a pointed ring"))
     assert category._Ring(*_zn_squared_fusion(n)).pentagon_defects == {}
 
+
+
+@pytest.mark.parametrize("name", sorted(_ring_inputs()))
+def test_hexagon_tables_match_the_walk(name):
+    ring = category._Ring(*_ring_inputs()[name])
+    hex1, hex2 = ring.hexagon_defects
+    want1, want2 = hexagon_walk(ring)
+    wide = ring.blocks[0]
+    assert hex1 == want1
+    assert {t: d for t, d in hex2.items() if not wide & {t[2:] + t[:2], t, (t[0], t[2], t[1])}} == want2
+
+
+def toric_zn(n):
+    """The Z_n toric code over Q(zeta_n), labels "a.b" for (a, b) in Z_n^2:
+    trivial F, R^{(a1,a2),(b1,b2)} = zeta^{a2 b1} and theta_(a,b) = zeta^{ab}."""
+
+    def lab(a, b):
+        return "%d.%d" % (a % n, b % n)
+
+    def power(k):
+        return "z^%d" % (k % n) if k % n else "1"
+
+    pairs = list(itertools.product(range(n), repeat=2))
+    raw = {
+        "field": {"kind": "cyclotomic", "n": n},
+        "labels": [lab(*x) for x in pairs],
+        "unit": lab(0, 0),
+        "dual": {lab(a, b): lab(-a, -b) for a, b in pairs},
+        "fusion": [[lab(*x), lab(*y), lab(x[0] + y[0], x[1] + y[1])] for x in pairs for y in pairs],
+        "R": {
+            "%s,%s,%s" % (lab(*x), lab(*y), lab(x[0] + y[0], x[1] + y[1])): power(x[1] * y[0])
+            for x in pairs
+            for y in pairs
+        },
+        "twist": {lab(a, b): power(a * b) for a, b in pairs},
+    }
+    return category_from_json(raw, name="toric_z%d" % n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_toric_codes_match_every_tuple_sweeps(n):
+    spec = toric_zn(n)
+    assert verify_pentagon(spec).items == _every_tuple_pentagon(spec).items == []
+    assert _hexagon_items(spec) == _every_tuple_hexagon(spec).items == []
+    assert verify_hexagon(spec).items == verify_zigzag(spec).items == []
+
+
+def test_every_r_sign_flip_of_the_z3_toric_code_fails_the_hexagon():
+    spec = toric_zn(3)
+    flips = [spec.mutated(R={key: -val}) for key, val in sorted(spec.R.items())]
+    assert len(flips) == 81
+    for bad in flips:
+        assert _hexagon_items(bad), bad.R
+    for bad in flips[::8]:
+        assert _hexagon_items(bad) == _every_tuple_hexagon(bad).items
+
+
+def test_sign_flip_mutants_compile_each_ring_once(monkeypatch):
+    # each of blocks and hexagon_programs is compiled once per ring, and
+    # each pentagon 4-tuple at most once per ring, however many mutants
+    # share the ring
+    compiled = Counter()
+
+    def counting(name):
+        func = getattr(category._Ring, name).func
+
+        def wrapper(self):
+            compiled[name] += 1
+            return func(self)
+
+        prop = category.cached_property(wrapper)
+        prop.__set_name__(category._Ring, name)
+        return prop
+
+    for name in ("blocks", "hexagon_programs"):
+        monkeypatch.setattr(category._Ring, name, counting(name))
+    real = category._Ring.pentagon_program
+
+    def pentagon_program(self, t):
+        if t not in self._pentagon:
+            compiled[id(self), t] += 1
+        return real(self, t)
+
+    monkeypatch.setattr(category._Ring, "pentagon_program", pentagon_program)
+    _ring.cache_clear()
+    mutants = sign_flip_mutants()
+    for spec in mutants:
+        verify_pentagon(spec)
+        verify_hexagon(spec)
+        verify_zigzag(spec)
+    rings = {_ring(spec.labels, spec.fusion) for spec in mutants}
+    assert len(rings) == 4
+    assert compiled.pop("blocks") == compiled.pop("hexagon_programs") == 4
+    assert compiled and set(compiled.values()) == {1}
+
+
+@pytest.mark.parametrize("spec", [cat(name) for name in ALL_CATEGORIES] + sign_flip_mutants(), ids=lambda s: s.name)
+def test_evaluation_reads_no_channels(monkeypatch, spec):
+    # a first run compiles the ring's programs and inverts the spec's
+    # blocks; a second run evaluates by slot alone
+    want = [sweep(spec).items for sweep in (verify_pentagon, verify_hexagon, verify_zigzag)]
+
+    def refuse(*args):
+        raise AssertionError("channels read during evaluation")
+
+    monkeypatch.setattr(CategorySpec, "channels", refuse)
+    monkeypatch.setattr(category._Ring, "_ch", refuse)
+    assert [sweep(spec).items for sweep in (verify_pentagon, verify_hexagon, verify_zigzag)] == want
 
 # --- helpers on top of the block algebra -----------------------------------
 

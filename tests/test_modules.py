@@ -1266,6 +1266,23 @@ def test_local_suite_green():
     assert "local-semisimple:alg_toric_1e:e" in checks
 
 
+def test_local_suite_computes_each_projector_and_action_algebra_once(monkeypatch):
+    # modules reads frobenius_kit once per projector it computes, and
+    # _spin once per action algebra; the suite induces 8 modules, and
+    # condense, the suite rows and local_projection share their results
+    counts = {"frobenius_kit": 0, "_spin": 0}
+    for name in counts:
+        real = getattr(modules_mod, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(modules_mod, name, counted)
+    assert theorem_suite("local_3_1").ok
+    assert counts == {"frobenius_kit": 8, "_spin": 8}
+
+
 def test_counterexample_suite_green():
     rep = theorem_suite("counterexamples")
     assert rep.ok
