@@ -161,16 +161,14 @@ def make_counit(alg: AlgebraObject) -> Mor:
     n = A.m(spec.unit)
     if n == 0:
         raise UnitMultiplicityNotOne("carrier misses the tensor unit label")
-    col = [row[0] for row in alg.unit_map.block(spec.unit)]
-    hits = [i for i, v in enumerate(col) if not v.is_zero()]
+    col = alg.unit_map.rows[spec.unit]
+    hits = [i for i, row in enumerate(col) if row]
     if len(hits) != 1:
         raise UnitMultiplicityNotOne(
             "unit map touches %d unit summands, no canonical counit" % len(hits)
         )
     i = hits[0]
-    row = [Scalar.zero(spec.field)] * n
-    row[i] = col[i].inverse()
-    return Mor(A, Obj.unit(spec), {spec.unit: [row]})
+    return Mor.from_rows(A, Obj.unit(spec), {spec.unit: [{i: col[i][0].inverse()}]})
 
 
 def _pairing(alg: AlgebraObject, counit: Mor) -> Mor:
@@ -204,10 +202,10 @@ def solve_coevaluation(alg: AlgebraObject, counit: Mor | None = None) -> Mor:
     if not slots:
         raise NotRigidSelfDual("tensor square misses the unit label")
     pairing = _pairing(alg, counit)
-    pair_row = pairing.block(spec.unit)[0]
+    pair_row = pairing.rows[spec.unit][0]
     slot_at = {slot: t for t, slot in enumerate(slots)}
     scales = _dual_scales(spec)
-    col = [None] * len(slots)
+    col = [{} for _ in slots]
     for b in A.labels_present():
         bd = spec.dual[b]
         m = A.m(b)
@@ -215,15 +213,20 @@ def solve_coevaluation(alg: AlgebraObject, counit: Mor | None = None) -> Mor:
             raise NotRigidSelfDual(
                 "label %s occurs %d times but its dual %s occurs %d times" % (b, m, bd, A.m(bd))
             )
-        block = [[pair_row[slot_at[(bd, j, b, k)]] for k in range(m)] for j in range(m)]
+        block = [{} for _ in range(m)]
+        for j, row in enumerate(block):
+            for k in range(m):
+                x = pair_row.get(slot_at[(bd, j, b, k)])
+                if x is not None:
+                    row[k] = x
         try:
-            inv = la.inverse(block, field, m)
+            inv = la.inverse(block, field)
         except la.SingularMatrix:
             raise NotRigidSelfDual("pairing block on %s is singular" % bd) from None
-        for i in range(m):
-            for j in range(m):
-                col[slot_at[(b, i, bd, j)]] = [inv[i][j] * scales[b]]
-    coev = Mor(Obj.unit(spec), tensor_obj(A, A), {spec.unit: col})
+        for i, row in enumerate(inv):
+            for j, x in row.items():
+                col[slot_at[(b, i, bd, j)]] = {0: x * scales[b]}
+    coev = Mor.from_rows(Obj.unit(spec), tensor_obj(A, A), {spec.unit: col})
     ident = Mor.identity(A)
     if _bent_line_left(A, pairing, coev) != ident:
         raise NotRigidSelfDual("first bent-line identity fails")
@@ -486,7 +489,7 @@ def _parse_mor(dom: Obj, cod: Obj, blocks: dict) -> Mor:
 
 def _object_field(value):
     """The ``check_fields`` entry of a carrier's ``object`` field."""
-    ok = isinstance(value, dict) and all(isinstance(m, int) for m in value.values())
+    ok = isinstance(value, dict) and all(type(m) is int for m in value.values())
     return "object", ok, "an object of label multiplicities"
 
 

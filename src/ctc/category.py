@@ -120,7 +120,6 @@ class CategorySpec:
         self._assoc_cache = {}
         self._fmat_inv_cache = {}
         self._dual_scale_cache = None
-        self._dim_cache = {}
         self._validate()
 
     # -- data access --------------------------------------------------
@@ -326,8 +325,7 @@ class Mor:
                 continue
             if len(blk) != cm or any(len(row) != dm for row in blk):
                 raise DomainMismatch(
-                    "block %r has shape %dx%d, expected %dx%d"
-                    % (lab, len(blk), len(blk[0]) if blk else 0, cm, dm)
+                    "block %r has rows of lengths %s, expected %dx%d" % (lab, [len(row) for row in blk], cm, dm)
                 )
             rows[lab] = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in blk]
         self._init(dom, cod, rows)
@@ -427,11 +425,7 @@ class Mor:
         if self.dom.mult != self.cod.mult:
             raise DomainMismatch("only square morphisms can be inverted")
         field = self.dom.spec.field
-        return Mor(
-            self.cod,
-            self.dom,
-            {lab: la.inverse(self.block(lab), field, self.dom.m(lab)) for lab in self.rows},
-        )
+        return Mor.from_rows(self.cod, self.dom, {lab: la.inverse(rows, field) for lab, rows in self.rows.items()})
 
     def to_json(self) -> dict:
         return {
@@ -548,14 +542,15 @@ def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
     f_list = [f for f in spec.channels(b, c) if spec.admissible(a, f, d)]
     if len(e_list) != len(f_list):
         raise FusionDataError("recoupling matrix for %r is not square" % (key,))
-    m = [[spec.f_symbol(a, b, c, d, e, f) for f in f_list] for e in e_list]
+    # F entries are validated nonzero, so every one is a row entry
+    m = [{k: spec.f_symbol(a, b, c, d, e, f) for k, f in enumerate(f_list)} for e in e_list]
     if len(e_list) == 1:
-        # F entries are nonzero, so a 1x1 block inverts as a scalar; [1] is its own inverse
+        # a 1x1 block inverts as a scalar; [1] is its own inverse
         x = m[0][0]
-        inv = m if x.is_one() else [[x.inverse()]]
+        inv = m if x.is_one() else [{0: x.inverse()}]
     else:
         try:
-            inv = la.inverse(m, spec.field, len(e_list)) if e_list else []
+            inv = la.inverse(m, spec.field)
         except la.SingularMatrix:
             # kept as (), so the block is eliminated once however often it is asked for
             spec._fmat_inv_cache[key] = ()
@@ -592,7 +587,7 @@ def _associator(x: Obj, y: Obj, z: Obj, inverse: bool) -> Mor:
             for (b, c), (yb, ys) in yz_off[f].items():
                 if inverse:
                     e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
-                    entries = [(e, v) for e, v in zip(e_list, inv[f_list.index(f)]) if not v.is_zero()]
+                    entries = [(e_list[k], v) for k, v in inv[f_list.index(f)].items()]
                 else:
                     # F entries are validated nonzero
                     entries = [(e, F.get((a, b, c, d, e, f), one)) for e in spec.channels(a, b) if (e, c) in left_d]
@@ -671,16 +666,13 @@ def ev_coev(x: Obj):
     scales = _dual_scales(spec)
     xd = dual_obj(x)
     unit_o = Obj.unit(spec)
+    one = Scalar.one(spec.field)
     ev_pairs = pair_channels(xd, x).get(spec.unit, [])
-    ev_row = []
-    for t, i, s, j in ev_pairs:
-        ev_row.append(scales[s] if i == j else Scalar.zero(spec.field))
-    ev = Mor(tensor_obj(xd, x), unit_o, {spec.unit: [ev_row]} if ev_pairs else {})
+    ev_row = {k: scales[s] for k, (_, i, s, j) in enumerate(ev_pairs) if i == j}
+    ev = Mor.from_rows(tensor_obj(xd, x), unit_o, {spec.unit: [ev_row]} if ev_pairs else {})
     coev_pairs = pair_channels(x, xd).get(spec.unit, [])
-    coev_col = []
-    for s, i, t, j in coev_pairs:
-        coev_col.append(Scalar.one(spec.field) if i == j else Scalar.zero(spec.field))
-    coev = Mor(unit_o, tensor_obj(x, xd), {spec.unit: [[v] for v in coev_col]} if coev_pairs else {})
+    coev_col = [{0: one} if i == j else {} for _, i, _, j in coev_pairs]
+    coev = Mor.from_rows(unit_o, tensor_obj(x, xd), {spec.unit: coev_col} if coev_pairs else {})
     return ev, coev
 
 
@@ -689,29 +681,18 @@ def twist_mor(x: Obj) -> Mor:
     return Mor.from_rows(x, x, {lab: [{i: twist[lab]} for i in range(m)] for lab, m in x.mult.items()})
 
 
-def _simple_dim(spec: CategorySpec, s) -> Scalar:
-    hit = spec._dim_cache.get(s)
-    if hit is not None:
-        return hit
-    sd = spec.dual[s]
-    _, coev_s = ev_coev(Obj.simple(spec, s))
-    ev_sd, _ = ev_coev(Obj.simple(spec, sd))
-    pivoted = tensor_mor(
-        Mor.identity(Obj.simple(spec, s)).scale(spec.pivot[s]),
-        Mor.identity(Obj.simple(spec, sd)),
-    )
-    loop = compose(ev_sd, compose(pivoted, coev_s))
-    d = loop.block(spec.unit)[0][0]
-    spec._dim_cache[s] = d
-    return d
-
-
 def categorical_dim(x: Obj) -> Scalar:
-    """Sum of pivotal dimensions over the summands of x."""
+    """Sum of pivotal dimensions over the summands of x.
+
+    On the simple s the loop ev_{s*} (pivot_s (x) 1) coev_s is pivot_s
+    times the evaluation coefficient of s*, coevaluation coefficients
+    being 1 (``ev_coev``), so it is read off the symbols.
+    """
     spec = x.spec
+    scales = _dual_scales(spec)
     total = Scalar.zero(spec.field)
     for lab, m in x.mult.items():
-        total = total + _simple_dim(spec, lab).scale(m)
+        total = total + (spec.pivot[lab] * scales[spec.dual[lab]]).scale(m)
     return total
 
 
@@ -738,18 +719,17 @@ def direct_sum_with_maps(x1: Obj, x2: Obj):
 
 def mor_right_inverse(f: Mor) -> Mor | None:
     """A section of f solved blockwise by elimination, or None if f is not surjective."""
-    field = f.dom.spec.field
+    one = Scalar.one(f.dom.spec.field)
     blocks = {}
     for lab in f.cod.labels_present():
-        cm = f.cod.m(lab)
         dm = f.dom.m(lab)
         if dm == 0:
             return None
-        sol = la.solve(f.block(lab), la.identity(field, cm), field, cm, dm, cm)
+        sol = la.solve(f.rows[lab], [{i: one} for i in range(f.cod.m(lab))], dm)
         if sol is None:
             return None
         blocks[lab] = sol
-    return Mor(f.cod, f.dom, blocks)
+    return Mor.from_rows(f.cod, f.dom, blocks)
 
 
 def proportionality_scalar(f: Mor, base: Mor) -> Scalar | None:
@@ -1065,14 +1045,17 @@ def _slot_values(spec: CategorySpec, ring: _Ring, one: Scalar) -> list:
 
 def _invert_outer(spec: CategorySpec, values: list, one: Scalar, a, b, c):
     """Write the inverse recoupling blocks of the outer triple (a, b, c)
-    into its G slots.  Blocks are inverted for the totals d in label
-    order, as ``associator_inv`` does, so a singular block raises
-    ``SingularFBlock`` for the same labels."""
+    into its G slots, an explicit zero where an inverse row has no entry,
+    since ``_slot_values`` fills every G slot with 1.  Blocks are
+    inverted for the totals d in label order, as ``associator_inv`` does,
+    so a singular block raises ``SingularFBlock`` for the same labels."""
     ring = _ring(spec.labels, spec.fusion)
+    zero = Scalar.zero(spec.field)
     for d, rows in sorted(ring.blocks[1][a, b, c], key=lambda block: ring._index[block[0]]):
         inv = _f_matrix_inverse(spec, a, b, c, d)[2]
-        for slots, entries in zip(rows, inv):
-            for s, val in zip(slots, entries):
+        for slots, row in zip(rows, inv):
+            for k, s in enumerate(slots):
+                val = row.get(k, zero)
                 values[s + 1] = one if val == one else val
 
 
@@ -1290,7 +1273,7 @@ def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:
         labels, unit, dual, fusion = raw["labels"], raw["unit"], raw["dual"], raw["fusion"]
     except KeyError as exc:
         raise ParseError("missing category key %s" % (exc,)) from None
-    tables = {key: raw.get(key) or {} for key in ("F", "R", "twist", "pivot")}
+    tables = {key: raw.get(key, {}) for key in ("F", "R", "twist", "pivot")}
     checks = [
         ("labels", isinstance(labels, list) and strings(labels), "a list of labels"),
         ("unit", isinstance(unit, str), "a label"),

@@ -158,9 +158,9 @@ class FieldSpec:
             if kind == "rational":
                 return FieldSpec.rational()
             if kind == "prime":
-                return FieldSpec.prime(int(data["p"]))
+                return FieldSpec.prime(_json_int(data["p"]))
             if kind == "cyclotomic":
-                return FieldSpec.cyclotomic(int(data["n"]))
+                return FieldSpec.cyclotomic(_json_int(data["n"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("bad field description %r: %s" % (data, exc)) from None
         raise ParseError("unknown field kind %r" % (kind,))
@@ -171,6 +171,13 @@ class FieldSpec:
         if self.kind == "prime":
             return "F_%d" % self.p
         return "Q(zeta_%d)" % self.n
+
+
+def _json_int(value) -> int:
+    """A JSON integer as it stands: no float, string or boolean is read as one."""
+    if type(value) is not int:
+        raise TypeError("%r is not an integer" % (value,))
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -1,19 +1,19 @@
 """Exact linear algebra over Scalar matrices.
 
-Every exact solve runs through one kernel, ``Echelon``: rows are sparse
-``{col: Scalar}`` dicts of the nonzero entries, added one at a time and
-reduced by the pivots already held; ``Echelon.reduced`` back-substitutes
-once.  A row's pivot is its least nonzero column (exact fields need no
-magnitude heuristics), and the reduced echelon form is unique, so every
-echelon form, nullspace basis, solution and image factorization is
+A matrix is a list of sparse rows, ``{col: Scalar}`` dicts of the
+nonzero entries.  Every exact solve runs through one kernel,
+``Echelon``: rows are added one at a time and reduced by the pivots
+already held; ``Echelon.reduced`` back-substitutes once.  A row's pivot
+is its least nonzero column (exact fields need no magnitude
+heuristics), and the reduced echelon form is unique, so every echelon
+form, nullspace basis, solution and image factorization is
 deterministic for a given input whatever order its rows arrive in.
 
-Dense matrices, plain lists of row lists of Scalar, appear only at the
-boundary: ``rref``, ``rank``, ``solve``, ``nullspace``, ``inverse`` and
-``image_factorization`` take them and convert once.  ``sparse_mul``
-multiplies sparse matrices.  ``mat_mul`` multiplies dense ones; nothing
-in the engine calls it any more, but the tests' dense references and
-the benchmark's layer counters still use it.
+``rref``, ``rank``, ``solve``, ``nullspace``, ``inverse`` and
+``image_factorization`` take sparse rows and return them, and
+``sparse_mul`` multiplies them.  ``mat_mul`` multiplies dense matrices,
+plain lists of row lists of Scalar; nothing in the engine calls it, but
+the tests' dense references and the benchmark's layer counters do.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 from .fields import FieldSpec, Scalar
 
 __all__ = [
-    "zeros",
-    "identity",
     "mat_mul",
     "sparse_mul",
     "Echelon",
@@ -40,20 +38,10 @@ class SingularMatrix(Exception):
     pass
 
 
-def zeros(field: FieldSpec, rows: int, cols: int):
-    z = Scalar.zero(field)
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
-def identity(field: FieldSpec, n: int):
-    z = Scalar.zero(field)
-    o = Scalar.one(field)
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b, field: FieldSpec, rows: int, inner: int, cols: int):
-    """a (rows x inner) times b (inner x cols), skipping zero entries."""
-    out = zeros(field, rows, cols)
+    """Dense a (rows x inner) times dense b (inner x cols), skipping zero entries."""
+    zero = Scalar.zero(field)
+    out = [[zero] * cols for _ in range(rows)]
     for i in range(rows):
         arow = a[i]
         orow = out[i]
@@ -169,89 +157,76 @@ def _axpy(row: dict, c: Scalar, prow: dict) -> None:
         row[k] = c * y if v is None else v + c * y
 
 
-def _sparse(row, shift: int = 0) -> dict:
-    return {shift + j: x for j, x in enumerate(row) if not x.is_zero()}
-
-
 def _echelon(a) -> Echelon:
     ech = Echelon()
     for row in a:
-        ech.add(_sparse(row))
+        ech.add(row)
     return ech
 
 
-def _dense(row: dict, cols: int, zero: Scalar) -> list:
-    out = [zero] * cols
-    for j, x in row.items():
-        out[j] = x
-    return out
-
-
 def rref(a, field: FieldSpec):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    cols = len(a[0]) if a else 0
-    zero = Scalar.zero(field)
+    """Reduced row echelon form of a: (its nonzero rows, their pivot columns)."""
     red = _echelon(a).reduced()
-    m = [_dense(row, cols, zero) for _p, row in red]
-    m.extend([zero] * cols for _ in range(len(a) - len(red)))
-    return m, [p for p, _row in red]
+    return [row for _p, row in red], [p for p, _row in red]
 
 
-def rank(a, field: FieldSpec) -> int:
+def rank(a) -> int:
     return len(_echelon(a).rows)
 
 
-def solve(a, b, field: FieldSpec, rows: int, cols: int, rhs_cols: int):
-    """Particular solution X of A X = B with free variables set to zero.
+def solve(a, b, cols: int):
+    """Particular solution X of A X = B, one row per column of A, with free
+    variables set to zero.
 
     Returns None when the system is inconsistent: some row reduces to a
-    pivot among B's columns.
+    pivot among B's columns, which are placed from ``cols`` on.
     """
     ech = Echelon()
-    for i in range(rows):
-        row = _sparse(a[i])
-        row.update(_sparse(b[i], cols))
+    for arow, brow in zip(a, b):
+        row = dict(arow)
+        for j, x in brow.items():
+            row[cols + j] = x
         pivot = ech.add(row)
         if pivot is not None and pivot >= cols:
             return None
-    x = zeros(field, cols, rhs_cols)
+    x = [{} for _ in range(cols)]
     for pivot, row in ech.reduced():
-        for j, v in row.items():
-            if j >= cols:
-                x[pivot][j - cols] = v
+        x[pivot] = {j - cols: v for j, v in row.items() if j >= cols}
     return x
 
 
-def nullspace(a, field: FieldSpec, rows: int, cols: int):
+def nullspace(a, cols: int, field: FieldSpec):
     """Deterministic basis of the right nullspace, one vector per free column."""
-    zero = Scalar.zero(field)
-    return [_dense(v, cols, zero) for v in _echelon(a).kernel(cols, field)]
+    return _echelon(a).kernel(cols, field)
 
 
-def inverse(a, field: FieldSpec, n: int):
-    """Inverse of the n x n matrix a; raises SingularMatrix if there is none."""
-    one, zero = Scalar.one(field), Scalar.zero(field)
+def inverse(a, field: FieldSpec):
+    """Inverse of the square matrix a; raises SingularMatrix if there is none."""
+    n, one = len(a), Scalar.one(field)
     ech = Echelon()
     for i, arow in enumerate(a):
-        row = _sparse(arow)
+        row = dict(arow)
         row[n + i] = one
         if ech.add(row) >= n:
             raise SingularMatrix("matrix is not invertible")
-    return [[row.get(n + j, zero) for j in range(n)] for _p, row in ech.reduced()]
+    return [{j - n: v for j, v in row.items() if j >= n} for _p, row in ech.reduced()]
 
 
-def image_factorization(m, field: FieldSpec, rows: int, cols: int):
+def image_factorization(m):
     """Factor M = U P with U a column-echelon basis of the column space.
 
-    U is rows x r and P is r x cols, with r = rank(M).  U's columns are
-    the reduced echelon basis of M's columns, so the factorization is
-    canonical for a given M.  U is the identity on its pivot rows, so P
-    is M's rows at those pivots.
+    U has one row per row of M and r = rank(M) columns, and P has r rows.
+    U's columns are the reduced echelon basis of M's columns, so the
+    factorization is canonical for a given M.  U is the identity on its
+    pivot rows, so P is M's rows at those pivots.
     """
-    ech = Echelon()
-    for j in range(cols):
-        ech.add({i: m[i][j] for i in range(rows) if not m[i][j].is_zero()})
-    red = ech.reduced()
-    zero = Scalar.zero(field)
-    u = [[row.get(i, zero) for _p, row in red] for i in range(rows)]
-    return u, [list(m[p]) for p, _row in red]
+    columns = {}
+    for i, row in enumerate(m):
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    red = _echelon(columns.values()).reduced()
+    u = [{} for _ in m]
+    for k, (_p, col) in enumerate(red):
+        for i, x in col.items():
+            u[i][k] = x
+    return u, [dict(m[p]) for p, _col in red]

@@ -16,12 +16,16 @@ f rho_M(s) = rho_N(s) f for every slot.  A module is simple (nonzero,
 semisimple, one-dimensional End_A) exactly when those operators
 generate all matrices on the carrier (Jacobson density).
 
+Every matrix is held as sparse rows of its nonzero entries, and every
+exact solve takes and returns them (``linalg``).
+
 Semisimplicity is decided through the matrix algebra generated by the
 action components together with the grading projectors: carriers are
 graded by labels, and a subspace is a submodule exactly when it is
-invariant under both.  The algebra is spun from a greedy generating
-set with sparse products: each word is multiplied by the generators
-only (the spinning of Holt, Eick and O'Brien, Handbook of
+invariant under both.  Its elements are kept flattened, the nonzeros
+of an n x n matrix at r*n + c.  The algebra is spun from a greedy
+generating set with sparse products: each word is multiplied by the
+generators only (the spinning of Holt, Eick and O'Brien, Handbook of
 Computational Group Theory), dim x |gens| products.  The module is
 semisimple exactly when that algebra has zero radical.  In
 characteristic zero or above the matrix size that is the kernel of the
@@ -141,8 +145,8 @@ class IsomorphismUndecided(ModuleError):
 class AModule:
     """Carrier object with an action of a fixed algebra object."""
 
-    # _pi, _aa: the monodromy projector and (basis, radical, size) of the
-    # action algebra, once projector_pi and action_algebra have computed them
+    # _pi, _aa: the monodromy projector and the action algebra, once
+    # projector_pi and action_algebra have computed them
     __slots__ = ("name", "alg", "carrier", "action", "_pi", "_aa")
 
     def __init__(self, name: str, alg: AlgebraObject, carrier: Obj, action: Mor):
@@ -211,9 +215,9 @@ def trivial_module(alg: AlgebraObject) -> AModule:
     if len(spec.labels) != 1:
         raise ModuleError("trivial module needs a single-label category")
     unit_o = Obj.unit(spec)
-    n = alg.carrier.m(spec.unit)
-    row = [[Scalar.one(spec.field)] * n]
-    action = Mor(tensor_obj(alg.carrier, unit_o), unit_o, {spec.unit: row})
+    one = Scalar.one(spec.field)
+    row = {k: one for k in range(alg.carrier.m(spec.unit))}
+    action = Mor.from_rows(tensor_obj(alg.carrier, unit_o), unit_o, {spec.unit: [row]})
     mod = AModule("trivial", alg, unit_o, action)
     rep = check_module(mod)
     if not rep.ok:
@@ -397,22 +401,18 @@ def local_projection(mod: AModule):
     Returns the local part as a module, with the inclusion and the
     projection morphisms; projection after inclusion is the identity.
     """
-    spec = mod.spec
-    field = spec.field
     pi = projector_pi(mod)
     X = mod.carrier
     inc_blocks, prj_blocks, img_mult = {}, {}, {}
     for lab in X.labels_present():
-        n = X.m(lab)
-        U, P = la.image_factorization(pi.block(lab), field, n, n)
-        r = len(P)
-        img_mult[lab] = r
-        if r:
+        U, P = la.image_factorization(pi.rows[lab])
+        img_mult[lab] = len(P)
+        if P:
             inc_blocks[lab] = U
             prj_blocks[lab] = P
-    img = Obj(spec, img_mult)
-    inc = Mor(img, X, inc_blocks)
-    prj = Mor(X, img, prj_blocks)
+    img = Obj(mod.spec, img_mult)
+    inc = Mor.from_rows(img, X, inc_blocks)
+    prj = Mor.from_rows(X, img, prj_blocks)
     # U P = pi by construction; P U = Id is equivalent to pi being idempotent
     if compose(prj, inc) != Mor.identity(img):
         raise ModuleError("projector is not idempotent; no local part here")
@@ -482,31 +482,20 @@ def _action_operators(mod: AModule):
     return ops, gradings, n
 
 
-def _dense(m, n, field):
-    """The dense n-column rows of a matrix held as sparse rows."""
-    zero = Scalar.zero(field)
-    out = []
-    for row in m:
-        dense = [zero] * n
-        for c, x in row.items():
-            dense[c] = x
-        out.append(dense)
-    return out
-
-
 class ActionAlgebra:
     """Matrix algebra generated by the action on the flattened carrier.
 
+    ``basis`` and ``radical`` hold n x n matrices, n = ``size``, each
+    flattened to its nonzeros with the entry (r, c) at ``r*n + c``.
     A subspace of the carrier is a submodule exactly when the slot
     operators and the label gradings both preserve it, so the module is
     semisimple exactly when the radical acts as zero, and the radical
     consists of matrices here, so that means it is empty.
     """
 
-    __slots__ = ("module", "basis", "radical", "size")
+    __slots__ = ("basis", "radical", "size")
 
-    def __init__(self, module: AModule, basis: list, radical: list, size: int):
-        self.module = module
+    def __init__(self, basis: list, radical: list, size: int):
         self.basis = basis
         self.radical = radical
         self.size = size
@@ -521,43 +510,37 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
 
     The identity, the slot operators and the gradings are admitted to
     the basis first, in that order; ``_spin`` then multiplies out a
-    generating set chosen from them.  The basis is made dense once, at
-    the end.  A commutative algebra over F_p with p <= n takes its
-    radical from ``_frobenius_radical``; every other algebra from
-    ``algebra_radical``.  Computed on first use and kept on the module.
+    generating set chosen from them.  A commutative algebra over F_p with
+    p <= n takes its radical from ``_frobenius_radical``; every other
+    algebra from ``algebra_radical``.  Computed on first use and kept on
+    the module.
     """
-    if mod._aa is None:
-        mod._aa = _action_algebra(mod)
-    return ActionAlgebra(mod, *mod._aa)
-
-
-def _action_algebra(mod: AModule):
-    """(basis, radical, size) of ``action_algebra``; kept on the module
-    without the module, so the two hold no reference cycle."""
+    if mod._aa is not None:
+        return mod._aa
     field = mod.spec.field
     ops, gradings, n = _action_operators(mod)
     if n == 0:
-        return [], [], 0
+        mod._aa = ActionAlgebra([], [], 0)
+        return mod._aa
     basis, gens = _spin(ops + gradings, n, field)
-    dense = [_dense(m, n, field) for m in basis]
     p = field.char
     if 0 < p <= n and _commute(gens):
-        flat = [_flat(m, n) for m in basis]
-        radical = _radical_matrices(_frobenius_radical(flat, n, field), flat, n, field)
+        radical = [_combine(v, basis) for v in _frobenius_radical(basis, n, field)]
     else:
-        radical = algebra_radical(dense, n, field)
-    return dense, radical, n
+        radical = algebra_radical(basis, n, field)
+    mod._aa = ActionAlgebra(basis, radical, n)
+    return mod._aa
 
 
 def _spin(candidates, n, field):
     """Basis of the unital algebra the candidates generate, and the generators.
 
-    Operators are sparse rows, flattened to their nonzeros at ``r*n + c``.
-    The identity and the candidates are admitted to the basis first, each
-    reduced against an ``la.Echelon`` of the basis unless the same
-    flattened matrix came before.  Then a candidate becomes a generator
-    only when it lies outside the span of the words found so far, which a
-    second echelon tracks.  Every word is multiplied by each new
+    Operators are sparse rows; the basis holds them flattened to their
+    nonzeros at ``r*n + c``.  The identity and the candidates are admitted
+    to the basis first, each reduced against an ``la.Echelon`` of the
+    basis unless the same flattened matrix came before.  Then a candidate
+    becomes a generator only when it lies outside the span of the words
+    found so far, which a second echelon tracks.  Every word is multiplied by each new
     generator and every new word by each generator, so the words end
     spanning a space closed under right multiplication by the generators
     and holding the identity: the algebra they generate, which holds every
@@ -568,9 +551,9 @@ def _spin(candidates, n, field):
     basis, echelon, seen = [], la.Echelon(), set()
     words, span, known = [], la.Echelon(), set()
 
-    def admit(m, flat, key):
+    def admit(flat, key):
         if key not in seen and echelon.add(flat) is not None:
-            basis.append(m)
+            basis.append(flat)
         seen.add(key)
 
     def grow(m):
@@ -582,14 +565,15 @@ def _spin(candidates, n, field):
         if span.add(flat) is None:
             return False
         words.append(m)
-        admit(m, flat, key)
+        admit(flat, key)
         return True
 
     one = Scalar.one(field)
-    for m in [[{k: one} for k in range(n)]] + candidates:
+    identity = [{k: one} for k in range(n)]
+    for m in [identity] + candidates:
         flat = _flat(m, n)
-        admit(m, flat, frozenset(flat.items()))
-    grow(basis[0])
+        admit(flat, frozenset(flat.items()))
+    grow(identity)
     gens = []
     for g in candidates:
         start = len(words)
@@ -625,7 +609,7 @@ def _trace_form_kernel(flat, n, field):
     """
     d = len(flat)
     zero = Scalar.zero(field)
-    gram = [[zero] * d for _ in range(d)]
+    gram = [{} for _ in range(d)]
     for i, xi in enumerate(flat):
         # x_i[r][c] meets x_j[c][r], at flat position c*n + r of x_j
         moved = [((k % n) * n + k // n, v) for k, v in xi.items()]
@@ -636,11 +620,9 @@ def _trace_form_kernel(flat, n, field):
                 w = xj.get(k)
                 if w is not None:
                     t = t + v * w
-            gram[i][j] = gram[j][i] = t
-    ech = la.Echelon()
-    for row in gram:
-        ech.add({j: v for j, v in enumerate(row) if not v.is_zero()})
-    return ech.kernel(d, field)
+            if not t.is_zero():
+                gram[i][j] = gram[j][i] = t
+    return la.nullspace(gram, d, field)
 
 
 def _int_mat_mul(a, b, q):
@@ -791,8 +773,8 @@ def _combine(weights, rows):
 def algebra_radical(basis, n, field):
     """Radical of a unital matrix algebra given by a linearly independent basis.
 
-    The basis is read as sparse flattened matrices, nonzeros at r*n + c.
-    When the characteristic is zero or larger than the matrix size the
+    The basis and the radical elements returned are n x n matrices
+    flattened to their nonzeros at r*n + c.  When the characteristic is zero or larger than the matrix size the
     radical is the kernel of the trace form, each Gram entry a sum over
     nonzeros.  Otherwise it is found by Ronyai's chain of ideals
     (L. Ronyai, "Computing the structure of finite algebras", J. Symb.
@@ -811,42 +793,26 @@ def algebra_radical(basis, n, field):
     """
     if not basis:
         return []
-    flat = [
-        {r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if not x.is_zero()}
-        for m in basis
-    ]
     p = field.char
     if p == 0 or p > n:
-        kernel = _trace_form_kernel(flat, n, field)
+        kernel = _trace_form_kernel(basis, n, field)
     else:
-        kernel = _ronyai_radical(flat, n, field)
-    return _radical_matrices(kernel, flat, n, field)
-
-
-def _radical_matrices(kernel, flat, n, field):
-    """The dense n x n matrix of each coefficient vector over the flattened basis."""
-    zero = Scalar.zero(field)
-    out = []
-    for v in kernel:
-        m = [[zero] * n for _ in range(n)]
-        for k, x in _combine(v, flat).items():
-            m[k // n][k % n] = x
-        out.append(m)
-    return out
+        kernel = _ronyai_radical(basis, n, field)
+    return [_combine(v, basis) for v in kernel]
 
 
 def is_semisimple_module(mod: AModule):
     """Whether every submodule is a direct summand.
 
     The certificate on failure is a nonzero radical element written out
-    as a matrix of literals; on success it is the dimension summary of
-    the radical-free action algebra.
+    as rows of literals; on success it is the dimension summary of the
+    radical-free action algebra.
     """
     aa = action_algebra(mod)
     if not aa.radical:
         return True, {"algebra_dim": aa.dimension, "radical_dim": 0}
-    w = aa.radical[0]
-    return False, [[scalar_literal(x) for x in row] for row in w]
+    w, n, zero = aa.radical[0], aa.size, Scalar.zero(mod.spec.field)
+    return False, [[scalar_literal(w.get(r * n + c, zero)) for c in range(n)] for r in range(n)]
 
 
 def is_simple_module(mod: AModule) -> bool:
@@ -964,7 +930,7 @@ def condense(alg: AlgebraObject) -> Condensation:
     for s in spec.labels:
         mod = induce(alg, Obj.simple(spec, s))
         pi = projector_pi(mod)
-        rank = sum(la.rank(pi.block(lab), spec.field) for lab in pi.rows)
+        rank = sum(la.rank(rows) for rows in pi.rows.values())
         local_flag, _ = is_local(mod)
         simple_flag = is_simple_module(mod)
         cls = -1
@@ -1076,8 +1042,9 @@ def _run_maschke_suite(raw) -> Report:
 
 def _augmentation(alg: AlgebraObject) -> Mor:
     spec = alg.spec
-    n = alg.carrier.m(spec.unit)
-    return Mor(alg.carrier, Obj.unit(spec), {spec.unit: [[Scalar.one(spec.field)] * n]})
+    one = Scalar.one(spec.field)
+    row = {k: one for k in range(alg.carrier.m(spec.unit))}
+    return Mor.from_rows(alg.carrier, Obj.unit(spec), {spec.unit: [row]})
 
 
 def _run_local_suite(raw) -> Report:

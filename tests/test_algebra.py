@@ -12,7 +12,6 @@ import random
 import pytest
 
 from ctc import data_path
-from ctc import linalg as la
 from ctc import algebra as algebra_mod
 from ctc.algebra import (
     AlgebraError,
@@ -49,6 +48,7 @@ from ctc.category import (
     tensor_obj,
 )
 from ctc.fields import ParseError, Scalar, parse_scalar
+from test_linalg import dense_nullspace, dense_solve
 
 
 def cat(name):
@@ -103,10 +103,10 @@ def _composed_coevaluation(alg, counit):
     rows = len(columns[0])
     mat = [[columns[t][r] for t in range(n_unknowns)] for r in range(rows)]
     rhs = [[v] for v in flatten(ident) + flatten(ident)]
-    sol = la.solve(mat, rhs, field, rows, n_unknowns, 1)
+    sol = dense_solve(mat, rhs, field, rows, n_unknowns, 1)
     if sol is None:
         raise NotRigidSelfDual("bent-line conditions are inconsistent")
-    freedom = len(la.nullspace(mat, field, rows, n_unknowns))
+    freedom = len(dense_nullspace(mat, field, rows, n_unknowns))
     if freedom:
         raise NonUniqueCoevaluation("%d free parameters" % freedom)
     return Mor(unit_o, aa, {spec.unit: [[sol[t][0]] for t in range(n_unknowns)]})

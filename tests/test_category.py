@@ -53,6 +53,7 @@ from ctc.category import (
 )
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
 from ctc.report import Report
+from test_linalg import dense_inverse, to_dense, zeros
 
 ALL_CATEGORIES = ["vec_q", "vec_f2", "vec_f3", "pointed_z4", "toric_code", "ising", "fibonacci"]
 
@@ -141,6 +142,15 @@ def test_mor_shape_validation():
     X = Obj(spec, {"e": 2})
     with pytest.raises(DomainMismatch):
         Mor(X, X, {"e": [[Scalar.one(spec.field)]]})
+
+
+def test_ragged_block_is_named_as_such():
+    spec = cat("toric_code")
+    X = Obj(spec, {"e": 2})
+    one = Scalar.one(spec.field)
+    with pytest.raises(DomainMismatch) as exc:
+        Mor(X, X, {"e": [[one, one], [one]]})
+    assert str(exc.value) == "block 'e' has rows of lengths [2, 1], expected 2x2"
 
 
 def test_domain_mismatch_on_compose():
@@ -325,6 +335,39 @@ def test_dim_sqrt_two():
     d = categorical_dim(Obj.simple(spec, "sigma"))
     assert d * d == Scalar.from_int(spec.field, 2)
     assert categorical_dim(Obj.simple(spec, "psi")).is_one()
+
+
+def _loop_dim(spec, s):
+    """Reference dimension of the simple s: the loop ev_{s*} (pivot_s (x) 1) coev_s
+    composed from morphisms, read off its 1x1 block."""
+    sd = spec.dual[s]
+    _, coev_s = ev_coev(Obj.simple(spec, s))
+    ev_sd, _ = ev_coev(Obj.simple(spec, sd))
+    pivoted = tensor_mor(
+        Mor.identity(Obj.simple(spec, s)).scale(spec.pivot[s]),
+        Mor.identity(Obj.simple(spec, sd)),
+    )
+    return compose(ev_sd, compose(pivoted, coev_s)).block(spec.unit)[0][0]
+
+
+def _pivoted(name, F, pivot):
+    raw = json.loads(Path(data_path("categories/%s.json" % name)).read_text())
+    raw.setdefault("F", {}).update(F)
+    raw["pivot"] = pivot
+    return category_from_json(raw, name=name + "-pivoted")
+
+
+PIVOTED = [
+    # 1 and 3 are dual to each other, and only F^{1 3 1}_1 is not 1
+    _pivoted("pointed_z4", {"1,3,1,1,0,0": "2"}, {"1": "z", "2": "-1", "3": "-1/3"}),
+    _pivoted("fibonacci", {}, {"tau": "-1"}),
+]
+
+
+@pytest.mark.parametrize("spec", [cat(name) for name in ALL_CATEGORIES] + PIVOTED, ids=lambda s: s.name)
+def test_dims_match_the_composed_loop(spec):
+    for lab in spec.labels:
+        assert categorical_dim(Obj.simple(spec, lab)) == _loop_dim(spec, lab)
 
 
 def test_dim_additive():
@@ -826,6 +869,7 @@ def _inverse_entries(spec, one, a, b, c):
         if not any(spec.admissible(a, f, d) for f in spec.channels(b, c)):
             continue
         e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
+        inv = to_dense(inv, len(e_list), spec.field)
         for fpos, f in enumerate(f_list):
             for epos, e in enumerate(e_list):
                 val = inv[fpos][epos]
@@ -1052,6 +1096,26 @@ def test_hexagon_inverts_only_nontrivial_outer_triples(monkeypatch, spec):
     wide = _ring(spec.labels, spec.fusion).blocks[0]
     non_one_f = {key[:3] for key, val in spec.F.items() if not val.is_one()}
     assert set(inverted) <= wide | non_one_f
+
+
+def test_inverted_blocks_write_their_zero_entries():
+    # F^{xxx}_x = [[1,1,1],[1,2,1],[1,1,2]] on (e, f) in {1, s, x} has no
+    # zero entry; its inverse [[3,-1,-1],[-1,1,0],[-1,0,1]] has two, which
+    # must overwrite the 1 every G slot starts from
+    spec = trivial_symbols("rep_s3", [list(t) for t in REP_S3_FUSION], {"kind": "rational"})
+    two = Scalar.from_int(spec.field, 2)
+    spec = spec.mutated(F={("x", "x", "x", "x", "s", "s"): two, ("x", "x", "x", "x", "x", "x"): two})
+    ring, one = _ring(spec.labels, spec.fusion), Scalar.one(spec.field)
+    values = category._slot_values(spec, ring, one)
+    category._invert_outer(spec, values, one, "x", "x", "x")
+    zeros_seen = 0
+    for d, rows in ring.blocks[1]["x", "x", "x"]:
+        e_list, f_list, _inv = _f_matrix_inverse(spec, "x", "x", "x", d)
+        block = [[spec.f_symbol("x", "x", "x", d, e, f) for f in f_list] for e in e_list]
+        want = dense_inverse(block, spec.field, len(e_list))
+        assert [[values[s + 1] for s in slots] for slots in rows] == want
+        zeros_seen += sum(x.is_zero() for row in want for x in row)
+    assert zeros_seen == 2
 
 
 def test_ring_cache_stays_bounded():
@@ -1398,7 +1462,7 @@ def _dense_compose(g, f):
         if dm == 0 or cm == 0:
             continue
         if mm == 0:
-            blocks[lab] = la.zeros(field, cm, dm)
+            blocks[lab] = zeros(field, cm, dm)
         else:
             blocks[lab] = la.mat_mul(g.block(lab), f.block(lab), field, cm, mm, dm)
     return Mor(f.dom, g.cod, blocks)
@@ -1415,7 +1479,7 @@ def _dense_tensor_mor(f, g):
         rows = cod_pairs.get(lab)
         if not rows:
             continue
-        blk = la.zeros(spec.field, len(rows), len(cols))
+        blk = zeros(spec.field, len(rows), len(cols))
         for cidx, (a, i, b, j) in enumerate(cols):
             fa = f.block(a)
             gb = g.block(b)
@@ -1449,7 +1513,7 @@ def _dense_associator(x, y, z):
         for ridx, (a, i, fch, k) in enumerate(rows):
             b, j, c, l = yz_pairs[fch][k]
             row_index[(a, i, b, j, c, l, fch)] = ridx
-        blk = la.zeros(spec.field, len(rows), len(cols))
+        blk = zeros(spec.field, len(rows), len(cols))
         for cidx, (ech, k, c, l) in enumerate(cols):
             a, i, b, j = xy_pairs[ech][k]
             for fch in spec.channels(b, c):
@@ -1477,10 +1541,11 @@ def _dense_associator_inv(x, y, z):
         for ridx, (ech, k, c, l) in enumerate(rows):
             a, i, b, j = xy_pairs[ech][k]
             row_index[(a, i, b, j, c, l, ech)] = ridx
-        blk = la.zeros(spec.field, len(rows), len(cols))
+        blk = zeros(spec.field, len(rows), len(cols))
         for cidx, (a, i, fch, k) in enumerate(cols):
             b, j, c, l = yz_pairs[fch][k]
             e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
+            inv = to_dense(inv, len(e_list), spec.field)
             fpos = f_list.index(fch)
             for epos, ech in enumerate(e_list):
                 val = inv[fpos][epos]
@@ -1502,7 +1567,7 @@ def _dense_braiding(x, y):
         if not rows:
             continue
         row_index = {key: ridx for ridx, key in enumerate(rows)}
-        blk = la.zeros(spec.field, len(rows), len(cols))
+        blk = zeros(spec.field, len(rows), len(cols))
         for cidx, (a, i, b, j) in enumerate(cols):
             ridx = row_index[(b, j, a, i)]
             blk[ridx][cidx] = spec.r_symbol(a, b, c)
@@ -1741,6 +1806,7 @@ def _tuple_associator_inv(x, y, z):
         for cidx, (a, i, fch, k) in enumerate(cols):
             b, j, c, l = yz_pairs[fch][k]
             e_list, f_list, inv = _f_matrix_inverse(spec, a, b, c, d)
+            inv = to_dense(inv, len(e_list), spec.field)
             for epos, ech in enumerate(e_list):
                 val = inv[f_list.index(fch)][epos]
                 if not val.is_zero():

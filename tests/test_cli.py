@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import ctc
-from ctc import data_path
+from ctc import category, data_path
+from ctc import linalg as la
 from ctc.category import load_category
 from ctc.cli import _job, _rand_scalar, _run_check_category, main
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
@@ -416,6 +417,11 @@ WRONG_TYPED = {
     "twist": ("twist", 2),
     "pivot": ("pivot", [["1"]]),
     "literal": ("R", {"sigma,sigma,1": 7}),
+    # falsy values of the wrong type are no empty table
+    "F-empty-list": ("F", []),
+    "R-zero": ("R", 0),
+    "twist-empty-string": ("twist", ""),
+    "pivot-false": ("pivot", False),
 }
 
 
@@ -433,6 +439,28 @@ def test_wrong_typed_category_field_is_one_parse_error(tmp_path, capsysbinary, c
     assert repr(key) in witness["message"] or "literal" in witness["message"]
 
 
+# field descriptions whose parameter is no JSON integer, each on a category
+# whose literals the coerced field would read: (category, field)
+NON_INTEGER_FIELDS = {
+    "prime-float": ("vec_f2", {"kind": "prime", "p": 2.9}),
+    "prime-string": ("vec_f3", {"kind": "prime", "p": "3"}),
+    "cyclotomic-float": ("pointed_z4", {"kind": "cyclotomic", "n": 4.5}),
+    "cyclotomic-bool": ("vec_q", {"kind": "cyclotomic", "n": True}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER_FIELDS))
+def test_non_integer_field_parameter_is_one_parse_error(tmp_path, capsysbinary, kind):
+    name, field = NON_INTEGER_FIELDS[kind]
+    raw = json.loads(data_path("categories/%s.json" % name).read_text())
+    raw["field"] = field
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_json(capsysbinary, ["check-category", str(bad), "vec_q"])
+    assert code == 2
+    _assert_one_parse_error(out, bad, "bad field description")
+
+
 # wrong-typed fields of the other data files: (command, bundled file, key,
 # value, part of the message); each gives one ParseError item as well
 ALGEBRA, MODULE, LEDGER = "algebras/alg_qz3.json", "modules/mod_toric_m.json", "ledger/wp_triplet.json"
@@ -441,6 +469,7 @@ WRONG_TYPED_FILES = {
     "algebra-mu": ("check-algebra", ALGEBRA, "mu", 3, "'mu'"),
     "algebra-iota": ("check-algebra", ALGEBRA, "iota", 3, "'iota'"),
     "algebra-object": ("check-algebra", ALGEBRA, "object", 5, "'object'"),
+    "algebra-object-bool": ("check-algebra", ALGEBRA, "object", {"1": True}, "'object'"),
     "algebra-counit": ("check-algebra", ALGEBRA, "counit", [["1"]], "'counit'"),
     "algebra-block-row": ("check-algebra", ALGEBRA, "mu", {"1": [1]}, "'mu'"),
     "module-muX": ("check-module", MODULE, "muX", 3, "'muX'"),
@@ -603,3 +632,38 @@ def test_naturality_probe_builds_each_map_once_per_trial(monkeypatch):
     # per trial: one braiding; f (x) g, g (x) f, (f (x) g) (x) h, g (x) h and f (x) (g (x) h)
     assert calls.count("braiding") == 3
     assert calls.count("tensor_mor") == 15
+
+
+SOLVES = ("rref", "rank", "solve", "nullspace", "inverse", "image_factorization")
+
+
+def test_bundled_commands_pass_sparse_rows_to_every_solve(monkeypatch, capsysbinary):
+    # the bundled suites, check-category on every bundled category and both
+    # bundled condense pairs; the category cache is emptied, so every
+    # recoupling block is inverted afresh
+    monkeypatch.setattr(category, "_CATEGORY_CACHE", {})
+    calls, dense = set(), []
+
+    def guard(name, solve):
+        def guarded(*args):
+            calls.add(name)
+            for arg in args:
+                if isinstance(arg, list) and not all(isinstance(row, dict) for row in arg):
+                    dense.append(name)
+            return solve(*args)
+
+        return guarded
+
+    for name in SOLVES:
+        monkeypatch.setattr(la, name, guard(name, getattr(la, name)))
+    argvs = [
+        ["suite", "maschke_2_6", "local_3_1", "counterexamples"],
+        ["check-category"] + ALL_CATEGORIES,
+        ["condense", "toric_code", "--algebra", "alg_toric_1e"],
+        ["condense", "pointed_z4", "--algebra", "alg_h02"],
+    ]
+    for argv in argvs:
+        assert main(argv + ["--report", "json"]) == 0
+    capsysbinary.readouterr()
+    assert calls >= {"inverse", "rank", "image_factorization"}
+    assert dense == []

@@ -1,6 +1,10 @@
 """Exact elimination: identities checked over Q and Q(zeta_4), and the
 sparse kernel compared with dense Gauss-Jordan references over Q, F_2,
-F_5 and Q(zeta_8)."""
+F_5 and Q(zeta_8).
+
+The solves take and return sparse ``{col: Scalar}`` rows; ``to_rows``
+and ``to_dense`` convert at the boundary of every test that states its
+matrices as dense row lists."""
 
 import random
 from fractions import Fraction
@@ -13,6 +17,27 @@ from ctc import linalg as la
 
 Q = FieldSpec.rational()
 Z4 = FieldSpec.cyclotomic(4)
+
+
+def to_rows(m):
+    """The sparse rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in m]
+
+
+def to_dense(rows, cols, field):
+    """The dense matrix, ``cols`` wide, of sparse rows."""
+    zero = Scalar.zero(field)
+    return [[row.get(j, zero) for j in range(cols)] for row in rows]
+
+
+def zeros(field, rows, cols):
+    z = Scalar.zero(field)
+    return [[z] * cols for _ in range(rows)]
+
+
+def identity(field, n):
+    z, o = Scalar.zero(field), Scalar.one(field)
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
 def _is_zero(m):
@@ -40,19 +65,19 @@ def test_inverse_times_self_is_identity(field):
         while True:
             a = rand_matrix(field, rng, n, n)
             try:
-                inv = la.inverse(a, field, n)
+                inv = to_dense(la.inverse(to_rows(a), field), n, field)
                 break
             except la.SingularMatrix:
                 continue
-        assert la.mat_mul(a, inv, field, n, n, n) == la.identity(field, n)
-        assert la.mat_mul(inv, a, field, n, n, n) == la.identity(field, n)
+        assert la.mat_mul(a, inv, field, n, n, n) == identity(field, n)
+        assert la.mat_mul(inv, a, field, n, n, n) == identity(field, n)
 
 
 def test_singular_matrix_raises():
     one = Scalar.one(Q)
     m = [[one, one], [one, one]]
     with pytest.raises(la.SingularMatrix):
-        la.inverse(m, Q, 2)
+        la.inverse(to_rows(m), Q)
 
 
 @pytest.mark.parametrize("field", [Q, Z4], ids=repr)
@@ -61,11 +86,12 @@ def test_nullspace_vectors_annihilate(field):
     for _ in range(8):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         a = rand_matrix(field, rng, rows, cols)
-        for v in la.nullspace(a, field, rows, cols):
+        kernel = la.nullspace(to_rows(a), cols, field)
+        for v in to_dense(kernel, cols, field):
             col = [[x] for x in v]
             prod = la.mat_mul(a, col, field, rows, cols, 1)
             assert _is_zero(prod)
-        assert len(la.nullspace(a, field, rows, cols)) == cols - la.rank(a, field)
+        assert len(kernel) == cols - la.rank(to_rows(a))
 
 
 def test_solve_consistent_and_inconsistent():
@@ -75,13 +101,13 @@ def test_solve_consistent_and_inconsistent():
     a = [[one, one], [two, two]]
     # consistent: b in the column span
     b = [[one], [two]]
-    x = la.solve(a, b, Q, 2, 2, 1)
+    x = la.solve(to_rows(a), to_rows(b), 2)
     assert x is not None
-    assert la.mat_mul(a, x, Q, 2, 2, 1) == b
+    assert la.mat_mul(a, to_dense(x, 1, Q), Q, 2, 2, 1) == b
     # inconsistent
     b2 = [[one], [one]]
-    assert la.solve(a, b2, Q, 2, 2, 1) is None
-    assert la.solve([[zero]], [[one]], Q, 1, 1, 1) is None
+    assert la.solve(to_rows(a), to_rows(b2), 2) is None
+    assert la.solve(to_rows([[zero]]), to_rows([[one]]), 1) is None
 
 
 @pytest.mark.parametrize("field", [Q, Z4], ids=repr)
@@ -90,20 +116,20 @@ def test_image_factorization_reconstructs(field):
     for _ in range(10):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = rand_matrix(field, rng, rows, cols)
-        u, p = la.image_factorization(m, field, rows, cols)
-        r = len(u[0]) if u and u[0] else 0
+        u, p = la.image_factorization(to_rows(m))
+        r = len(p)
         if r == 0:
             assert _is_zero(m)
             continue
-        assert la.mat_mul(u, p, field, rows, r, cols) == m
-        assert la.rank(u, field) == r == la.rank(m, field)
+        assert la.mat_mul(to_dense(u, r, field), to_dense(p, cols, field), field, rows, r, cols) == m
+        assert la.rank(u) == r == la.rank(to_rows(m))
 
 
 def test_image_factorization_deterministic():
     rng = random.Random(5)
     m = rand_matrix(Q, rng, 3, 3)
-    a1 = la.image_factorization(m, Q, 3, 3)
-    a2 = la.image_factorization([list(r) for r in m], Q, 3, 3)
+    a1 = la.image_factorization(to_rows(m))
+    a2 = la.image_factorization(to_rows([list(r) for r in m]))
     assert a1 == a2
 
 
@@ -112,23 +138,18 @@ def test_rref_known_case():
     two = Scalar.from_int(Q, 2)
     four = Scalar.from_int(Q, 4)
     m = [[two, four], [one, two]]
-    red, pivots = la.rref(m, Q)
+    red, pivots = la.rref(to_rows(m), Q)
     assert pivots == [0]
-    assert red[0] == [one, two]
-    assert _is_zero([red[1]])
+    assert red == [{0: one, 1: two}]
 
 
 def test_empty_shapes():
-    assert la.rank([], Q) == 0
-    assert la.nullspace([], Q, 0, 3) and len(la.nullspace([], Q, 0, 3)) == 3
-    u, p = la.image_factorization([], Q, 0, 0)
+    assert la.rank([]) == 0
+    assert len(la.nullspace([], 3, Q)) == 3
+    u, p = la.image_factorization([])
     assert u == [] and p == []
     for rows, cols in [(0, 0), (0, 3), (3, 0)]:
-        a, b = la.zeros(Q, rows, cols), la.zeros(Q, rows, 1)
-        assert la.rref(a, Q) == dense_rref(a, Q)
-        assert la.nullspace(a, Q, rows, cols) == dense_nullspace(a, Q, rows, cols)
-        assert la.image_factorization(a, Q, rows, cols) == dense_image_factorization(a, Q, rows, cols)
-        assert la.solve(a, b, Q, rows, cols, 1) == dense_solve(a, b, Q, rows, cols, 1)
+        assert_matches_dense(zeros(Q, rows, cols), zeros(Q, rows, 1), Q, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +184,11 @@ def dense_rref(a, field):
 
 def dense_solve(a, b, field, rows, cols, rhs_cols):
     if rows == 0:
-        return la.zeros(field, cols, rhs_cols)
+        return zeros(field, cols, rhs_cols)
     red, pivots = dense_rref([list(a[i]) + list(b[i]) for i in range(rows)], field)
     if any(pc >= cols for pc in pivots):
         return None
-    x = la.zeros(field, cols, rhs_cols)
+    x = zeros(field, cols, rhs_cols)
     for r, pc in enumerate(pivots):
         for j in range(rhs_cols):
             x[pc][j] = red[r][cols + j]
@@ -190,7 +211,7 @@ def dense_nullspace(a, field, rows, cols):
 def dense_inverse(a, field, n):
     if n == 0:
         return []
-    red, pivots = dense_rref([list(a[i]) + la.identity(field, n)[i] for i in range(n)], field)
+    red, pivots = dense_rref([list(a[i]) + identity(field, n)[i] for i in range(n)], field)
     if pivots != list(range(n)):
         raise la.SingularMatrix("matrix is not invertible")
     return [row[n:] for row in red]
@@ -198,7 +219,7 @@ def dense_inverse(a, field, n):
 
 def dense_image_factorization(m, field, rows, cols):
     if rows == 0 or cols == 0 or _is_zero(m):
-        return la.zeros(field, rows, 0), la.zeros(field, 0, cols)
+        return zeros(field, rows, 0), zeros(field, 0, cols)
     red, pivots = dense_rref([[m[i][j] for i in range(rows)] for j in range(cols)], field)
     r = len(pivots)
     u = [[red[j][i] for j in range(r)] for i in range(rows)]
@@ -247,6 +268,20 @@ def _shape(m):
     return len(m), len(m[0]) if m else 0
 
 
+def assert_matches_dense(a, b, field, cols):
+    """Every solve on the rows of a, and of b for ``solve``, equals its
+    dense reference; a has ``cols`` columns."""
+    rows, k = len(a), len(b[0]) if b else 0
+    red, pivots = la.rref(to_rows(a), field)
+    assert (to_dense(red, cols, field) + zeros(field, rows - len(red), cols), pivots) == dense_rref(a, field)
+    assert la.rank(to_rows(a)) == len(pivots)
+    assert to_dense(la.nullspace(to_rows(a), cols, field), cols, field) == dense_nullspace(a, field, rows, cols)
+    u, p = la.image_factorization(to_rows(a))
+    assert (to_dense(u, len(p), field), to_dense(p, cols, field)) == dense_image_factorization(a, field, rows, cols)
+    x = la.solve(to_rows(a), to_rows(b), cols)
+    assert (None if x is None else to_dense(x, k, field)) == dense_solve(a, b, field, rows, cols, k)
+
+
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -255,13 +290,7 @@ def test_kernel_matches_dense_reference(field, data):
     rows, cols = _shape(a)
     if rows == 0:
         cols = data.draw(st.integers(0, 4))
-    assert la.rref(a, field) == dense_rref(a, field)
-    assert la.rank(a, field) == len(dense_rref(a, field)[1])
-    assert la.nullspace(a, field, rows, cols) == dense_nullspace(a, field, rows, cols)
-    assert la.image_factorization(a, field, rows, cols) == dense_image_factorization(a, field, rows, cols)
-    b = data.draw(sparse_matrices(field, rows=rows))
-    k = len(b[0]) if b else 0
-    assert la.solve(a, b, field, rows, cols, k) == dense_solve(a, b, field, rows, cols, k)
+    assert_matches_dense(a, data.draw(sparse_matrices(field, rows=rows)), field, cols)
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
@@ -274,9 +303,9 @@ def test_inverse_matches_dense_reference(field, data):
         want = dense_inverse(a, field, n)
     except la.SingularMatrix:
         with pytest.raises(la.SingularMatrix):
-            la.inverse(a, field, n)
+            la.inverse(to_rows(a), field)
         return
-    assert la.inverse(a, field, n) == want
+    assert to_dense(la.inverse(to_rows(a), field), n, field) == want
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
@@ -286,8 +315,9 @@ def test_reduced_form_ignores_insertion_order(field, data):
     a = data.draw(sparse_matrices(field))
     order = data.draw(st.permutations(range(len(a))))
     forward, shuffled = la.Echelon(), la.Echelon()
-    for row in a:
-        forward.add({j: x for j, x in enumerate(row) if not x.is_zero()})
+    rows = to_rows(a)
+    for row in rows:
+        forward.add(row)
     for i in order:
-        shuffled.add({j: x for j, x in enumerate(a[i]) if not x.is_zero()})
+        shuffled.add(rows[i])
     assert forward.reduced() == shuffled.reduced()

@@ -2,6 +2,7 @@
 semisimplicity, condensation against an orbit-counting oracle, suites."""
 
 import functools
+import gc
 import itertools
 from fractions import Fraction
 
@@ -70,7 +71,7 @@ from ctc.modules import (
 )
 from ctc import modules as modules_mod
 from ctc.modules import _augmentation, _equivariant_section_exists, _int_mat_mul, _ronyai_g
-from test_linalg import dense_nullspace, dense_solve
+from test_linalg import dense_nullspace, dense_rref, dense_solve, identity, to_dense
 
 
 def cat(name):
@@ -538,13 +539,21 @@ def test_local_projection_of_nonlocal_module_is_zero():
 
 def test_action_algebra_dimensions():
     alg = load_algebra(data_path("algebras/alg_qz3.json"))
-    aa = action_algebra(regular_module(alg))
+    reg = regular_module(alg)
+    aa = action_algebra(reg)
     assert aa.size == 3 and aa.dimension == 3
-    assert len(_candidates(aa.module)) == 4 and aa.radical == []
+    assert len(_candidates(reg)) == 4 and aa.radical == []
     toric = load_algebra(data_path("algebras/alg_toric_1e.json"))
     aa = action_algebra(induce(toric, Obj.simple(toric.spec, "m")))
     assert aa.size == 2 and aa.dimension == 4
     assert aa.radical == []
+
+
+def test_module_keeps_its_action_algebra_without_a_cycle():
+    reg = regular_module(galg("vec_q", "z3"))
+    aa = action_algebra(reg)
+    assert action_algebra(reg) is aa
+    assert reg not in gc.get_referents(aa)
 
 
 def test_group_regular_semisimple_in_char_zero():
@@ -562,6 +571,20 @@ def test_modular_group_algebra_not_semisimple():
     reg3 = regular_module(galg("vec_f3", "z3"))
     ok3, witness3 = is_semisimple_module(reg3)
     assert not ok3 and witness3 is not None
+
+
+def _square(flat, n, field):
+    """The dense n x n matrix of a matrix flattened to its nonzeros at r*n + c."""
+    v = to_dense([flat], n * n, field)[0]
+    return [v[r * n : (r + 1) * n] for r in range(n)]
+
+
+def _squares(aa, field):
+    return [_square(m, aa.size, field) for m in aa.basis], [_square(m, aa.size, field) for m in aa.radical]
+
+
+def _dense_rank(m, field):
+    return len(dense_rref(m, field)[1])
 
 
 def _enumerated_radical(basis, n, field):
@@ -598,7 +621,7 @@ def _enumerated_radical(basis, n, field):
         if x not in nilpotents:
             continue
         v = [Scalar.from_int(field, c) for c in x]
-        if la.rank(vecs + [v], field) == len(vecs):
+        if _dense_rank(vecs + [v], field) == len(vecs):
             continue
         if all(mul(y, x) in nilpotents for y in elements):
             vecs.append(v)
@@ -620,13 +643,15 @@ def _modular_module(cat_name, group, kind):
 
 @pytest.mark.parametrize("cat_name, group, kind", MODULAR_MODULES + [("vec_f2", "z2", "regular+trivial")])
 def test_radical_matches_enumeration(cat_name, group, kind):
-    aa = action_algebra(_modular_module(cat_name, group, kind))
-    field, n = aa.module.spec.field, aa.size
-    expected = _enumerated_radical(aa.basis, n, field)
-    assert len(aa.radical) == len(expected)
-    flat = [[x for row in m for x in row] for m in aa.radical + expected]
-    assert la.rank(flat, field) == len(expected)
-    assert aa.radical[:1] == expected[:1]
+    mod = _modular_module(cat_name, group, kind)
+    aa = action_algebra(mod)
+    field, n = mod.spec.field, aa.size
+    basis, radical = _squares(aa, field)
+    expected = _enumerated_radical(basis, n, field)
+    assert len(radical) == len(expected)
+    flat = [[x for row in m for x in row] for m in radical + expected]
+    assert _dense_rank(flat, field) == len(expected)
+    assert radical[:1] == expected[:1]
     assert algebra_radical(aa.basis, n, field) == aa.radical
 
 
@@ -651,12 +676,12 @@ def _powered_ronyai_chain(basis, n, field):
     for i in range(level + 1):
         dims.append(len(ideal))
         form = [[Scalar.from_int(field, _ronyai_g(_int_mat_mul(x, y, p), i, p)) for x in ideal] for y in mats]
-        weights = [[c.residue() for c in v] for v in la.nullspace(form, field, d, len(ideal))]
+        weights = [[c.residue() for c in v] for v in dense_nullspace(form, field, d, len(ideal))]
         if not weights:
             return [], dims
         coeffs = [[sum(w * c[t] for w, c in zip(v, coeffs)) % p for t in range(d)] for v in weights]
         ideal = [_int_combination(v, ideal, p) for v in weights]
-    red, pivots = la.rref([[Scalar.from_int(field, c) for c in v] for v in coeffs], field)
+    red, pivots = dense_rref([[Scalar.from_int(field, c) for c in v] for v in coeffs], field)
     return red[: len(pivots)][::-1], dims
 
 
@@ -689,22 +714,24 @@ RONYAI_MODULES = MODULAR_MODULES + [
 
 @pytest.mark.parametrize("cat_name, group, kind", RONYAI_MODULES)
 def test_linear_ronyai_matches_powered_reference(cat_name, group, kind):
-    aa = action_algebra(_modular_module(cat_name, group, kind))
-    field, n = aa.module.spec.field, aa.size
-    coeffs, _dims = _powered_ronyai_chain(aa.basis, n, field)
-    expected = _matrices(coeffs, aa.basis, n, field)
-    assert len(aa.radical) == len(expected)
-    flat = [[x for row in m for x in row] for m in aa.radical + expected]
-    assert la.rank(flat, field) == len(expected)
-    assert aa.radical[:1] == expected[:1]
+    mod = _modular_module(cat_name, group, kind)
+    aa = action_algebra(mod)
+    field, n = mod.spec.field, aa.size
+    basis, radical = _squares(aa, field)
+    coeffs, _dims = _powered_ronyai_chain(basis, n, field)
+    expected = _matrices(coeffs, basis, n, field)
+    assert len(radical) == len(expected)
+    flat = [[x for row in m for x in row] for m in radical + expected]
+    assert _dense_rank(flat, field) == len(expected)
+    assert radical[:1] == expected[:1]
     if field.char <= n:
-        assert aa.radical == expected
+        assert radical == expected
 
 
 def test_ronyai_evaluates_g_once_per_ideal_basis_element(monkeypatch):
     reg = regular_module(galg("vec_f2", "z16"))
     basis = action_algebra(reg).basis
-    _coeffs, dims = _powered_ronyai_chain(basis, 16, reg.spec.field)
+    _coeffs, dims = _powered_ronyai_chain([_square(m, 16, reg.spec.field) for m in basis], 16, reg.spec.field)
     calls = []
     real = modules_mod._ronyai_g
     monkeypatch.setattr(modules_mod, "_ronyai_g", lambda m, i, p: calls.append(i) or real(m, i, p))
@@ -735,7 +762,7 @@ def _dense_trace_radical(basis, n, field):
 
     d = len(basis)
     gram = [[trace(la.mat_mul(basis[i], basis[j], field, n, n, n)) for j in range(d)] for i in range(d)]
-    return _matrices(la.nullspace(gram, field, d, d), basis, n, field)
+    return _matrices(dense_nullspace(gram, field, d, d), basis, n, field)
 
 
 @pytest.mark.parametrize(
@@ -744,10 +771,12 @@ def _dense_trace_radical(basis, n, field):
     + ["vec_q/%s" % g for g in ("z2", "z3", "z4", "z5", "z6", "s3")],
 )
 def test_sparse_trace_form_matches_dense_reference(case):
-    aa = action_algebra(_closure_module(case))
-    field, n = aa.module.spec.field, aa.size
+    mod = _closure_module(case)
+    aa = action_algebra(mod)
+    field, n = mod.spec.field, aa.size
     assert field.char == 0 or field.char > n
-    assert aa.radical == _dense_trace_radical(aa.basis, n, field)
+    basis, radical = _squares(aa, field)
+    assert radical == _dense_trace_radical(basis, n, field)
     assert bool(aa.radical) == case.startswith("jordan")
 
 
@@ -788,7 +817,7 @@ def test_order_24_maschke_oracle(cat_name):
 def _candidates(mod):
     """The slot operators and gradings the closure starts from, as dense matrices."""
     ops, gradings, n = modules_mod._action_operators(mod)
-    return [modules_mod._dense(m, n, mod.spec.field) for m in ops + gradings]
+    return [to_dense(m, n, mod.spec.field) for m in ops + gradings]
 
 
 def _naive_closure(generators, n, field):
@@ -797,13 +826,13 @@ def _naive_closure(generators, n, field):
 
     def admit(m):
         v = [x for row in m for x in row]
-        if all(x.is_zero() for x in v) or la.rank(vecs + [v], field) == len(vecs):
+        if all(x.is_zero() for x in v) or _dense_rank(vecs + [v], field) == len(vecs):
             return False
         basis.append(m)
         vecs.append(v)
         return True
 
-    admit(la.identity(field, n))
+    admit(identity(field, n))
     for m in generators:
         admit(m)
     changed = True
@@ -850,8 +879,10 @@ def _closure_module(case):
     + ["%s/%s" % (c, g) for c in ("vec_q", "vec_f2", "vec_f3") for g in SMALL_GROUPS],
 )
 def test_closure_matches_naive_closure(case):
-    aa = action_algebra(_closure_module(case))
-    assert aa.basis == _naive_closure(_candidates(aa.module), aa.size, aa.module.spec.field)
+    mod = _closure_module(case)
+    aa = action_algebra(mod)
+    field = mod.spec.field
+    assert _squares(aa, field)[0] == _naive_closure(_candidates(mod), aa.size, field)
 
 
 def test_closure_skips_candidates_it_has_seen(monkeypatch):
@@ -864,12 +895,13 @@ def test_closure_skips_candidates_it_has_seen(monkeypatch):
         la.Echelon, "add", lambda self, row: adds.setdefault(id(self), []).append(row) or add(self, row)
     )
     monkeypatch.setattr(modules_mod, "algebra_radical", lambda basis, n, field: [])
-    aa = action_algebra(regular_module(group_algebra(_s4(), cat("vec_q"))))
+    reg = regular_module(group_algebra(_s4(), cat("vec_q")))
+    aa = action_algebra(reg)
     assert aa.dimension == 24
     # the basis echelon takes the identity first; the spin's word echelon
     # sees each permutation matrix once at most
     basis_adds, word_adds = adds.values()
-    assert len(basis_adds) <= 1 + len(_candidates(aa.module))
+    assert len(basis_adds) <= 1 + len(_candidates(reg))
     assert len(word_adds) <= aa.dimension
 
 
@@ -918,7 +950,7 @@ def test_frobenius_radical_matches_ronyai(monkeypatch, case):
     calls = []
     monkeypatch.setattr(modules_mod, "algebra_radical", lambda *args: calls.append(1) or [])
     aa, gens, _products = _spun(monkeypatch, mod)
-    field, n = aa.module.spec.field, aa.size
+    field, n = mod.spec.field, aa.size
     assert 0 < field.char <= n and modules_mod._commute(gens)
     assert calls == []
     assert aa.radical == algebra_radical(aa.basis, n, field)
