@@ -59,4 +59,4 @@ def check_fields(what: str, checks) -> None:
 
 
 __all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "resolve", "read_json",
-           "strings", "check_fields", "__version__"]
+           "strings", "check_fields"]

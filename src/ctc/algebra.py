@@ -108,16 +108,6 @@ class AlgebraObject:
     def spec(self) -> CategorySpec:
         return self.carrier.spec
 
-    def with_structure(self, unit_map: Mor | None = None, mult_map: Mor | None = None, name: str | None = None):
-        # a replaced unit map invalidates a stored counit, so drop it then
-        return AlgebraObject(
-            name or self.name + "*",
-            self.carrier,
-            unit_map if unit_map is not None else self.unit_map,
-            mult_map if mult_map is not None else self.mult_map,
-            self.counit if unit_map is None else None,
-        )
-
     def __repr__(self):
         return "AlgebraObject(%s on %r)" % (self.name, self.carrier)
 
@@ -175,7 +165,7 @@ def _pairing(alg: AlgebraObject, counit: Mor) -> Mor:
     return compose(counit, alg.mult_map)
 
 
-def solve_coevaluation(alg: AlgebraObject, counit: Mor | None = None) -> Mor:
+def solve_coevaluation(alg: AlgebraObject) -> Mor:
     """The copairing making both bent-line identities for the algebra exact.
 
     Found label by label.  For each label b of the carrier with dual b*,
@@ -189,12 +179,11 @@ def solve_coevaluation(alg: AlgebraObject, counit: Mor | None = None) -> Mor:
 
     Raises NotRigidSelfDual when the tensor square misses the unit, when
     b and b* occur with different multiplicities, when a pairing block is
-    singular, or when either bent-line check fails; without an explicit
-    counit, make_counit may raise UnitMultiplicityNotOne first.  The first
-    bent line fixes every block, so a solution is unique.
+    singular, or when either bent-line check fails; make_counit may raise
+    UnitMultiplicityNotOne first.  The first bent line fixes every block,
+    so a solution is unique.
     """
-    if counit is None:
-        counit = make_counit(alg)
+    counit = make_counit(alg)
     spec = alg.spec
     field = spec.field
     A = alg.carrier
@@ -250,46 +239,33 @@ def _bent_line_left(A: Obj, pairing: Mor, coev: Mor) -> Mor:
 def frobenius_kit(alg: AlgebraObject):
     """(counit, coev, index) of the algebra, solved on first use and kept on it.
 
-    A failure is not kept: the next call solves again and raises again.
+    The index [A:1] is the scalar with mult after copairing = [A:1] * unit
+    map, cross-checked against the closed loop through the counit; a
+    mismatch means the structure maps are inconsistent and raises
+    NotScalarMultiple.  A failure is not kept: the next call solves again
+    and raises again.
     """
     if alg._kit is None:
         counit = make_counit(alg)
-        coev = solve_coevaluation(alg, counit)
-        alg._kit = (counit, coev, compute_index(alg, counit, coev))
+        coev = solve_coevaluation(alg)
+        loop = compose(alg.mult_map, coev)
+        index = proportionality_scalar(loop, alg.unit_map)
+        if index is None:
+            raise NotScalarMultiple("mult after copairing is not proportional to the unit map")
+        if compose(counit, loop).block(alg.spec.unit)[0][0] != index:
+            raise NotScalarMultiple("closed-loop value disagrees with the proportionality scalar")
+        alg._kit = (counit, coev, index)
     return alg._kit
 
 
-def _counit_coev(alg: AlgebraObject, counit: Mor | None, coev: Mor | None):
-    """The given counit and copairing, a missing one made; neither given, the kit's."""
-    if counit is None and coev is None:
-        return frobenius_kit(alg)[:2]
-    counit = make_counit(alg) if counit is None else counit
-    return counit, solve_coevaluation(alg, counit) if coev is None else coev
+def compute_index(alg: AlgebraObject) -> Scalar:
+    """The index [A:1] of the algebra's kit (``frobenius_kit``)."""
+    return frobenius_kit(alg)[2]
 
 
-def compute_index(alg: AlgebraObject, counit: Mor | None = None, coev: Mor | None = None) -> Scalar:
-    """The scalar [A:1] with mult after copairing = [A:1] * unit map.
-
-    Cross-checked against the closed loop through the counit; a mismatch
-    means the structure maps are inconsistent and raises.  With neither
-    counit nor copairing given, the index is read off the algebra's kit.
-    """
-    if counit is None and coev is None:
-        return frobenius_kit(alg)[2]
-    counit, coev = _counit_coev(alg, counit, coev)
-    loop = compose(alg.mult_map, coev)
-    index = proportionality_scalar(loop, alg.unit_map)
-    if index is None:
-        raise NotScalarMultiple("mult after copairing is not proportional to the unit map")
-    closed = compose(counit, loop).block(alg.spec.unit)[0][0]
-    if closed != index:
-        raise NotScalarMultiple("closed-loop value disagrees with the proportionality scalar")
-    return index
-
-
-def frobenius_identity_check(alg: AlgebraObject, counit: Mor | None = None, coev: Mor | None = None) -> Report:
-    """Compatibility of the copairing with multiplication on both sides."""
-    counit, coev = _counit_coev(alg, counit, coev)
+def frobenius_identity_check(alg: AlgebraObject) -> Report:
+    """Compatibility of the kit's copairing with multiplication on both sides."""
+    counit, coev, _ = frobenius_kit(alg)
     report = Report()
     A = alg.carrier
     ident = Mor.identity(A)
@@ -309,14 +285,15 @@ def frobenius_identity_check(alg: AlgebraObject, counit: Mor | None = None, coev
     return report
 
 
-def algebra_dim_with_twist(alg: AlgebraObject, counit: Mor | None = None, coev: Mor | None = None) -> Scalar:
-    """Closed loop through the twist and the braiding.
+def algebra_dim_with_twist(alg: AlgebraObject) -> Scalar:
+    """Closed loop through the twist and the braiding, on the kit's counit
+    and copairing.
 
     Equals the index exactly when the carrier is twist-transparent, so
     the comparison with the plain index is a locality probe for the
     algebra itself.
     """
-    counit, coev = _counit_coev(alg, counit, coev)
+    counit, coev, _ = frobenius_kit(alg)
     A = alg.carrier
     chain = compose(
         compose(counit, alg.mult_map),
@@ -373,6 +350,8 @@ class Group:
             if ident not in t[g]:
                 raise InvalidGroupTable("%r has no inverse" % (self.elements[g],))
 
+    # mul, inverse and index_of look elements up by name, for the
+    # benchmark's checks and the tests' oracles; the engine reads products
     def mul(self, a, b):
         return self.table[self._index[a]][self._index[b]]
 
@@ -392,8 +371,8 @@ class Group:
         return "Group(%s, order %d)" % (self.name, len(self))
 
 
-def load_group(ref) -> Group:
-    path = resolve("groups", ref)
+def load_group(ref, base_dir=None) -> Group:
+    path = resolve("groups", ref, base_dir)
     raw = read_json(path)
     try:
         elements, table = raw["elements"], raw["table"]

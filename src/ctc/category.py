@@ -63,7 +63,6 @@ __all__ = [
     "twist_mor",
     "categorical_dim",
     "dual_obj",
-    "direct_sum_with_maps",
     "mor_right_inverse",
     "proportionality_scalar",
     "verify_pentagon",
@@ -135,9 +134,6 @@ class CategorySpec:
 
     def r_symbol(self, a, b, c) -> Scalar:
         return self.R.get((a, b, c), Scalar.one(self.field))
-
-    def label_order(self, lab) -> int:
-        return self._index[lab]
 
     def mutated(self, F=None, R=None, twist=None, name=None) -> "CategorySpec":
         """Copy with individual coefficient entries replaced; for probing checks."""
@@ -262,21 +258,11 @@ class Obj:
     def slots(self):
         return [(lab, i) for lab in self.spec.labels for i in range(self.m(lab))]
 
-    def total(self) -> int:
-        return sum(self.mult.values())
-
     def labels_present(self):
         return [lab for lab in self.spec.labels if lab in self.mult]
 
     def is_zero(self) -> bool:
         return not self.mult
-
-    def __add__(self, other: "Obj") -> "Obj":
-        _same_spec(self, other)
-        out = dict(self.mult)
-        for lab, m in other.mult.items():
-            out[lab] = out.get(lab, 0) + m
-        return Obj(self.spec, out)
 
     def __eq__(self, other):
         if not isinstance(other, Obj):
@@ -317,17 +303,24 @@ class Mor:
     __slots__ = ("dom", "cod", "rows")
 
     def __init__(self, dom: Obj, cod: Obj, blocks: dict):
+        """Every given block names a label of the category and is
+        cod.m(lab) x dom.m(lab), so ``[]`` is the only block on a label the
+        codomain lacks; anything else raises ``DomainMismatch``."""
         _same_spec(dom, cod)
+        for lab in blocks:
+            if lab not in dom.spec._index:
+                raise DomainMismatch("block %r is not on a label of %s" % (lab, dom.spec.name))
         rows = {}
         for lab in dom.spec.labels:
             dm, cm, blk = dom.m(lab), cod.m(lab), blocks.get(lab)
-            if dm == 0 or cm == 0 or blk is None:
+            if blk is None:
                 continue
             if len(blk) != cm or any(len(row) != dm for row in blk):
                 raise DomainMismatch(
                     "block %r has rows of lengths %s, expected %dx%d" % (lab, [len(row) for row in blk], cm, dm)
                 )
-            rows[lab] = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in blk]
+            if dm and cm:
+                rows[lab] = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in blk]
         self._init(dom, cod, rows)
 
     def _init(self, dom: Obj, cod: Obj, rows: dict):
@@ -407,18 +400,12 @@ class Mor:
         if self.dom != other.dom or self.cod != other.cod:
             raise DomainMismatch("morphism endpoints differ")
 
-    def __matmul__(self, other: "Mor") -> "Mor":
-        return compose(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, Mor):
             return NotImplemented
         return self.dom == other.dom and self.cod == other.cod and self.rows == other.rows
 
     __hash__ = None
-
-    def spec_of(self) -> CategorySpec:
-        return self.dom.spec
 
     def inverse(self) -> "Mor":
         """Blockwise exact inverse; raises SingularMatrix if not invertible."""
@@ -440,7 +427,7 @@ class Mor:
 
 def compose(g: Mor, f: Mor) -> Mor:
     """g after f."""
-    if f.spec_of() is not g.spec_of():
+    if f.dom.spec is not g.dom.spec:
         raise CategoryMismatch("morphisms from different categories")
     if f.cod != g.dom:
         raise DomainMismatch("cannot compose %r after %r" % (g, f))
@@ -506,7 +493,7 @@ def tensor_mor(f: Mor, g: Mor) -> Mor:
     """f (x) g in the fixed summand bases of the endpoint tensor products:
     one Kronecker block f_a (x) g_b per fusion triple (a, b, c), placed by
     the offsets of the two plans."""
-    if f.spec_of() is not g.spec_of():
+    if f.dom.spec is not g.dom.spec:
         raise CategoryMismatch("morphisms from different categories")
     _, dom, dom_off = _tensor_plan(f.dom, g.dom)
     _, cod, cod_off = _tensor_plan(f.cod, g.cod)
@@ -694,27 +681,6 @@ def categorical_dim(x: Obj) -> Scalar:
     for lab, m in x.mult.items():
         total = total + (spec.pivot[lab] * scales[spec.dual[lab]]).scale(m)
     return total
-
-
-def direct_sum_with_maps(x1: Obj, x2: Obj):
-    """x1 (+) x2 together with (inclusions, projections); x1 copies first."""
-    _same_spec(x1, x2)
-    one = Scalar.one(x1.spec.field)
-    total = x1 + x2
-    inc1, inc2, pr1, pr2 = {}, {}, {}, {}
-    for lab in total.labels_present():
-        n1, n2 = x1.m(lab), x2.m(lab)
-        if n1:
-            inc1[lab] = [{i: one} for i in range(n1)] + [{} for _ in range(n2)]
-            pr1[lab] = [{i: one} for i in range(n1)]
-        if n2:
-            inc2[lab] = [{} for _ in range(n1)] + [{i: one} for i in range(n2)]
-            pr2[lab] = [{n1 + i: one} for i in range(n2)]
-    return (
-        total,
-        (Mor.from_rows(x1, total, inc1), Mor.from_rows(x2, total, inc2)),
-        (Mor.from_rows(total, x1, pr1), Mor.from_rows(total, x2, pr2)),
-    )
 
 
 def mor_right_inverse(f: Mor) -> Mor | None:

@@ -70,13 +70,13 @@ def _rand_endo(rng, x: Obj) -> Mor:
     return Mor(x, x, blocks)
 
 
-def _naturality_probe(spec, seed: int, trials: int = 3) -> Report:
-    """Seeded spot checks that braiding and the associator are natural
-    against random endomorphisms of random small objects."""
+def _naturality_probe(spec, seed: int) -> Report:
+    """Three seeded spot checks that braiding and the associator are
+    natural against random endomorphisms of random small objects."""
     report = Report()
     rng = random.Random(seed)
     labels = list(spec.labels)
-    for k in range(trials):
+    for k in range(3):
         x = Obj(spec, {rng.choice(labels): 1, rng.choice(labels): 1})
         y = Obj(spec, {rng.choice(labels): 1})
         z = Obj(spec, {rng.choice(labels): 1})
@@ -137,6 +137,12 @@ def _run_check_category(path: Path, seed: int) -> Report:
     return out
 
 
+def _index_items(out: Report, stem: str, alg) -> None:
+    """Append the index and the twisted loop of ``alg`` as passing items."""
+    out.append("%s/index" % stem, "pass", witness=scalar_literal(compute_index(alg)))
+    out.append("%s/twisted-dim" % stem, "pass", witness=scalar_literal(algebra_dim_with_twist(alg)))
+
+
 def _run_check_algebra(path: Path, seed: int) -> Report:
     alg = load_algebra(path)
     out = Report()
@@ -144,10 +150,7 @@ def _run_check_algebra(path: Path, seed: int) -> Report:
     _prefixed(out, stem, check_algebra(alg))
     try:
         _prefixed(out, stem, frobenius_identity_check(alg))
-        index = compute_index(alg)
-        out.append("%s/index" % stem, "pass", witness=scalar_literal(index))
-        twisted = algebra_dim_with_twist(alg)
-        out.append("%s/twisted-dim" % stem, "pass", witness=scalar_literal(twisted))
+        _index_items(out, stem, alg)
     except AlgebraError as exc:
         out.append("%s/frobenius" % stem, "error", witness=str(exc))
     return out
@@ -176,10 +179,7 @@ def _run_condense(category_path: Path, algebra_path: Path, seed: int) -> Report:
         )
         return out
     try:
-        index = compute_index(alg)
-        out.append("%s/index" % stem, "pass", witness=scalar_literal(index))
-        twisted = algebra_dim_with_twist(alg)
-        out.append("%s/twisted-dim" % stem, "pass", witness=scalar_literal(twisted))
+        _index_items(out, stem, alg)
     except AlgebraError as exc:
         out.append("%s/index" % stem, "error", witness=str(exc))
         return out
@@ -191,7 +191,7 @@ def _run_condense(category_path: Path, algebra_path: Path, seed: int) -> Report:
 def _run_suite(path: Path, seed: int) -> Report:
     raw = read_json(path)
     out = Report()
-    _prefixed(out, raw.get("name", path.stem), run_suite_manifest(raw))
+    _prefixed(out, raw.get("name", path.stem), run_suite_manifest(raw, path.parent))
     return out
 
 

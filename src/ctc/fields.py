@@ -9,8 +9,7 @@ their gcd.  All arithmetic is exact and works on integers; an inverse is
 the product of the Galois conjugates over the rational norm.  Literals
 of Q and Q(zeta_n) are parsed to integer numerators over the lcm of
 their denominators.  ``Fraction`` appears only where F_p literals are
-parsed, where literals are printed, and in ``Scalar.from_fraction``
-(which ``scalar_embed`` uses for Q).
+parsed, where literals are printed, and in ``Scalar.from_fraction``.
 
 Scalar literals, used by every data file and report, are integers,
 fractions ``p/q``, and polynomials in the symbol ``z`` standing for
@@ -32,7 +31,6 @@ __all__ = [
     "DivisionByZero",
     "NoEmbedding",
     "ParseError",
-    "scalar_embed",
     "parse_scalar",
     "scalar_literal",
 ]
@@ -445,32 +443,6 @@ class Scalar:
 
     def __repr__(self):
         return "Scalar(%r, %s)" % (self.field, scalar_literal(self))
-
-
-def scalar_embed(x: Scalar, target: FieldSpec) -> Scalar:
-    """Move x along the canonical embedding into target, or raise NoEmbedding.
-
-    Embeddings supported: Q into anything, Q(zeta_m) into Q(zeta_n) when
-    m divides n (zeta_m goes to zeta_n^(n/m)), and identity embeddings.
-    """
-    src = x.field
-    if src == target:
-        return x
-    if src.kind == "rational":
-        nums, den = x._v
-        return Scalar.from_fraction(target, Fraction(nums[0], den))
-    if src.kind == "cyclotomic" and target.kind == "cyclotomic" and target.n % src.n == 0:
-        step = target.n // src.n
-        ctx = target._ctx
-        nums, den = x._v
-        acc = [0] * ctx.phi
-        for j, c in enumerate(nums):
-            if not c:
-                continue
-            for i, t in enumerate(ctx.power_vec[(j * step) % target.n]):
-                acc[i] += c * t
-        return Scalar(target, _canon(acc, den))
-    raise NoEmbedding("no canonical embedding %r -> %r" % (src, target))
 
 
 # ---------------------------------------------------------------------------

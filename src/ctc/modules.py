@@ -62,7 +62,6 @@ from .category import (
     associator_inv,
     braiding,
     compose,
-    direct_sum_with_maps,
     dual_obj,
     ev_coev,
     load_category,
@@ -88,7 +87,6 @@ __all__ = [
     "induce",
     "regular_module",
     "trivial_module",
-    "module_direct_sum",
     "hom_A",
     "is_local",
     "is_twisted_local",
@@ -104,7 +102,6 @@ __all__ = [
     "modules_isomorphic",
     "Condensation",
     "condense",
-    "theorem_suite",
     "run_suite_manifest",
     "load_module",
     "module_from_json",
@@ -215,28 +212,13 @@ def trivial_module(alg: AlgebraObject) -> AModule:
     if len(spec.labels) != 1:
         raise ModuleError("trivial module needs a single-label category")
     unit_o = Obj.unit(spec)
-    one = Scalar.one(spec.field)
-    row = {k: one for k in range(alg.carrier.m(spec.unit))}
-    action = Mor.from_rows(tensor_obj(alg.carrier, unit_o), unit_o, {spec.unit: [row]})
+    # with one label, A (x) 1 has the slots of A, so the action is the augmentation
+    action = Mor.from_rows(tensor_obj(alg.carrier, unit_o), unit_o, _augmentation(alg).rows)
     mod = AModule("trivial", alg, unit_o, action)
     rep = check_module(mod)
     if not rep.ok:
         raise ModuleError("coordinate-sum action is not a module structure here")
     return mod
-
-
-def module_direct_sum(m1: AModule, m2: AModule):
-    """Direct sum with the four structure maps; left summand slots first."""
-    if m1.alg is not m2.alg:
-        raise AlgebraMismatch("modules over different algebra instances")
-    A = m1.alg.carrier
-    total, (i1, i2), (p1, p2) = direct_sum_with_maps(m1.carrier, m2.carrier)
-    ia = Mor.identity(A)
-    action = compose(i1, compose(m1.action, tensor_mor(ia, p1))) + compose(
-        i2, compose(m2.action, tensor_mor(ia, p2))
-    )
-    out = AModule("(%s + %s)" % (m1.name, m2.name), m1.alg, total, action)
-    return out, (i1, i2), (p1, p2)
 
 
 def hom_A(m1: AModule, m2: AModule) -> list[Mor]:
@@ -317,49 +299,46 @@ def is_twisted_local(mod: AModule, g: Mor):
     return False, (twisted - mod.action).to_json()
 
 
-def maschke_section(f: Mor, m1: AModule, m2: AModule, sigma: Mor | None = None) -> Mor:
+def _average(alg: AlgebraObject, act: Mor, g: Mor, x: Obj) -> Mor:
+    """act o (1_A (x) g) o alpha_{A,A,x} o (coev (x) 1_x), divided by the index.
+
+    One copairing leg enters g : A (x) x -> Y, the other acts on Y through
+    act : A (x) Y -> Y.  The averaged section and the monodromy projector
+    are this sum with g = sigma o act_2 and g = act o monodromy.
+    """
+    _, coev, index = frobenius_kit(alg)
+    if index.is_zero():
+        raise IndexZero("algebra index vanishes in this field")
+    A = alg.carrier
+    core = compose(
+        act,
+        compose(tensor_mor(Mor.identity(A), g), compose(associator(A, A, x), tensor_mor(coev, Mor.identity(x)))),
+    )
+    return core.scale(index.inverse())
+
+
+def maschke_section(f: Mor, m1: AModule, m2: AModule, sigma: Mor) -> Mor:
     """Average a plain section of a module surjection into a module map.
 
     f goes from the carrier of m1 onto the carrier of m2 and must
     intertwine the actions; sigma is any section of f in the underlying
-    category, solved for by elimination when omitted.  The result is a
-    section that also intertwines, obtained by pushing sigma through the
-    copairing and dividing by the index.  Both properties are rechecked
-    exactly before returning.
+    category.  The result is a section that also intertwines, obtained by
+    pushing sigma through the copairing and dividing by the index.  Both
+    properties are rechecked exactly before returning.
     """
     if m1.alg is not m2.alg:
         raise AlgebraMismatch("modules over different algebra instances")
     if f.dom != m1.carrier or f.cod != m2.carrier:
         raise ModuleError("f must run between the module carriers")
-    if sigma is None:
-        sigma = mor_right_inverse(f)
-        if sigma is None:
-            raise NotASection("f has no right inverse, nothing to average")
     if sigma.dom != m2.carrier or sigma.cod != m1.carrier:
         raise ModuleError("sigma must run opposite to f")
     X2 = m2.carrier
     if compose(f, sigma) != Mor.identity(X2):
         raise NotASection("sigma composed with f is not the identity")
-    alg = m1.alg
-    A = alg.carrier
-    _, coev, index = frobenius_kit(alg)
-    if index.is_zero():
-        raise IndexZero("algebra index vanishes in this field")
-    ia = Mor.identity(A)
-    core = compose(
-        m1.action,
-        compose(
-            tensor_mor(ia, sigma),
-            compose(
-                tensor_mor(ia, m2.action),
-                compose(associator(A, A, X2), tensor_mor(coev, Mor.identity(X2))),
-            ),
-        ),
-    )
-    s = core.scale(index.inverse())
+    s = _average(m1.alg, m1.action, compose(sigma, m2.action), X2)
     if compose(f, s) != Mor.identity(X2):
         raise SectionPostconditionFailed("averaged map is not a section; f was not equivariant")
-    if compose(s, m2.action) != compose(m1.action, tensor_mor(ia, s)):
+    if compose(s, m2.action) != compose(m1.action, tensor_mor(Mor.identity(m1.alg.carrier), s)):
         raise SectionPostconditionFailed("averaged section does not intertwine the actions")
     return s
 
@@ -372,26 +351,9 @@ def projector_pi(mod: AModule) -> Mor:
     module endomorphism whenever the algebra is commutative with
     invertible index.  Computed on first use and kept on the module.
     """
-    if mod._pi is not None:
-        return mod._pi
-    alg = mod.alg
-    A = alg.carrier
-    X = mod.carrier
-    _, coev, index = frobenius_kit(alg)
-    if index.is_zero():
-        raise IndexZero("algebra index vanishes in this field")
-    ia = Mor.identity(A)
-    core = compose(
-        mod.action,
-        compose(
-            tensor_mor(ia, mod.action),
-            compose(
-                tensor_mor(ia, _monodromy(A, X)),
-                compose(associator(A, A, X), tensor_mor(coev, Mor.identity(X))),
-            ),
-        ),
-    )
-    mod._pi = core.scale(index.inverse())
+    if mod._pi is None:
+        X = mod.carrier
+        mod._pi = _average(mod.alg, mod.action, compose(mod.action, _monodromy(mod.alg.carrier, X)), X)
     return mod._pi
 
 
@@ -951,11 +913,6 @@ def condense(alg: AlgebraObject) -> Condensation:
 # bundled verification suites
 
 
-def theorem_suite(name: str) -> Report:
-    """Run one of the bundled suites by manifest name."""
-    return run_suite_manifest(read_json(resolve("suites", name)))
-
-
 def _required(raw: dict, key: str, what: str):
     try:
         return raw[key]
@@ -980,25 +937,27 @@ def _cases(raw: dict) -> list:
     return cases
 
 
-def run_suite_manifest(raw: dict) -> Report:
+def run_suite_manifest(raw: dict, base_dir=None) -> Report:
+    """The report of a suite manifest; its cases' references resolve
+    beside ``base_dir``, the manifest's directory, first."""
     kind = _required(raw, "kind", "suite")
     if kind == "maschke":
-        return _run_maschke_suite(raw)
+        return _run_maschke_suite(raw, base_dir)
     if kind == "local":
-        return _run_local_suite(raw)
+        return _run_local_suite(raw, base_dir)
     if kind == "counterexamples":
-        return _run_counterexample_suite(raw)
+        return _run_counterexample_suite(raw, base_dir)
     raise ParseError("unknown suite kind %r" % (kind,))
 
 
-def _case_algebra(case) -> AlgebraObject:
+def _case_algebra(case, base_dir) -> AlgebraObject:
     if "group" in case:
-        spec = load_category(_required(case, "category", "suite case"))
-        return group_algebra(load_group(case["group"]), spec)
+        spec = load_category(_required(case, "category", "suite case"), base_dir)
+        return group_algebra(load_group(case["group"], base_dir), spec)
     if "algebra" in case:
-        return load_algebra(case["algebra"])
+        return load_algebra(case["algebra"], base_dir)
     if "labels" in case:
-        spec = load_category(_required(case, "category", "suite case"))
+        spec = load_category(_required(case, "category", "suite case"), base_dir)
         return subgroup_algebra(case["labels"], spec)
     raise ParseError("suite case needs a group, algebra, or labels key")
 
@@ -1011,11 +970,11 @@ def _case_tag(case) -> str:
     return "?"
 
 
-def _run_maschke_suite(raw) -> Report:
+def _run_maschke_suite(raw, base_dir) -> Report:
     report = Report()
     for case in _cases(raw):
         tag = _case_tag(case)
-        alg = _case_algebra(case)
+        alg = _case_algebra(case, base_dir)
         A = alg.carrier
         free = induce(alg, A)
         reg = regular_module(alg)
@@ -1047,11 +1006,11 @@ def _augmentation(alg: AlgebraObject) -> Mor:
     return Mor.from_rows(alg.carrier, Obj.unit(spec), {spec.unit: [row]})
 
 
-def _run_local_suite(raw) -> Report:
+def _run_local_suite(raw, base_dir) -> Report:
     report = Report()
     for case in _cases(raw):
         tag = _case_tag(case)
-        alg = _case_algebra(case)
+        alg = _case_algebra(case, base_dir)
         table = condense(alg)
         expect_classes = case.get("simple_classes")
         if expect_classes is not None:
@@ -1099,13 +1058,13 @@ def _run_local_suite(raw) -> Report:
     return report
 
 
-def _run_counterexample_suite(raw) -> Report:
+def _run_counterexample_suite(raw, base_dir) -> Report:
     report = Report()
     for case in _cases(raw):
         tag = _case_tag(case)
         expect = _required(case, "expect", "suite case")
         if expect == "index-zero":
-            alg = _case_algebra(case)
+            alg = _case_algebra(case, base_dir)
             reg = regular_module(alg)
             free = induce(alg, alg.carrier)
             sigma = tensor_mor(Mor.identity(alg.carrier), alg.unit_map)
@@ -1125,7 +1084,7 @@ def _run_counterexample_suite(raw) -> Report:
             sec = _equivariant_section_exists(aug, reg, triv)
             report.append("no-equivariant-section:%s" % tag, "pass" if not sec else "fail")
         elif expect == "not-commutative":
-            alg = _case_algebra(case)
+            alg = _case_algebra(case, base_dir)
             st = {i.check: i.status for i in check_algebra(alg).items}
             report.append(
                 "not-commutative:%s" % tag,
@@ -1133,7 +1092,7 @@ def _run_counterexample_suite(raw) -> Report:
             )
         elif expect == "not-isotropic":
             try:
-                _case_algebra(case)
+                _case_algebra(case, base_dir)
                 report.append("not-isotropic:%s" % tag, "fail", witness="construction succeeded")
             except NotIsotropic as exc:
                 report.append("not-isotropic:%s" % tag, "pass", witness=str(exc))

@@ -43,8 +43,8 @@ from ctc.modules import (
     maschke_section,
     projector_pi,
     regular_module,
-    theorem_suite,
 )
+from test_modules import theorem_suite
 
 ALL_CATEGORIES = [
     "vec_q",

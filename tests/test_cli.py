@@ -556,6 +556,52 @@ def test_suite_case_naming_an_unknown_group_is_one_error_item(tmp_path, capsysbi
     _assert_one_parse_error(out, bad, "no file and no bundled groups named 'no_such_group'")
 
 
+# blocks the carriers do not hold: an unknown label, and rows on a label
+# (m for the algebra, e for the module) that the codomain lacks
+STRAY_BLOCKS = [
+    ("check-algebra", "algebras/alg_toric_1e.json", "mu", "zz", [["1"]], "block 'zz' is not on a label of toric_code"),
+    ("check-algebra", "algebras/alg_toric_1e.json", "mu", "m", [["1", "1"]], "expected 0x0"),
+    ("check-module", "modules/mod_toric_m.json", "muX", "zz", [], "block 'zz' is not on a label of toric_code"),
+    ("check-module", "modules/mod_toric_m.json", "muX", "e", [["1"]], "expected 0x0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, key, lab, block, message",
+    STRAY_BLOCKS,
+    ids=["algebra-unknown-label", "algebra-absent-label", "module-unknown-label", "module-absent-label"],
+)
+def test_stray_block_is_one_domain_error_item(tmp_path, capsysbinary, command, name, key, lab, block, message):
+    raw = _bundled(name)
+    raw[key][lab] = block
+    bad = _write(tmp_path / "stray.json", raw)
+    code, out = run_json(capsysbinary, [command, str(bad)])
+    assert code == 2
+    [item] = json.loads(out)["items"]
+    assert item["check"] == "load:%s" % bad and item["status"] == "error"
+    assert item["witness"]["type"] == "DomainMismatch"
+    assert message in item["witness"]["message"]
+
+
+def test_suite_cases_resolve_beside_the_manifest(tmp_path, capsysbinary, monkeypatch):
+    sdir = tmp_path / "sdir"
+    sdir.mkdir()
+    _write(sdir / "myvec.json", _bundled("categories/vec_q.json"))
+    _write(sdir / "myz3.json", _bundled("groups/z3.json"))
+    _write(sdir / "myalg.json", dict(_bundled("algebras/alg_qz3.json"), category="myvec.json"))
+    raw = {
+        "name": "mine",
+        "kind": "maschke",
+        "cases": [{"category": "myvec.json", "group": "myz3.json"}, {"category": "myvec.json", "algebra": "myalg.json"}],
+    }
+    suite = _write(sdir / "suite.json", raw)
+    monkeypatch.chdir(tmp_path)
+    code, out = run_json(capsysbinary, ["suite", str(suite.relative_to(tmp_path))])
+    assert code == 0
+    checks = [i["check"] for i in json.loads(out)["items"]]
+    assert "mine/augmentation-splits:myz3.json" in checks and "mine/regular-semisimple:myalg.json" in checks
+
+
 SUITES_MISSING_A_KEY = [
     ({"kind": "maschke"}, "missing suite key 'cases'"),
     ({"kind": "maschke", "cases": [{"group": "z2"}]}, "missing suite case key 'category'"),
@@ -627,7 +673,7 @@ def test_naturality_probe_builds_each_map_once_per_trial(monkeypatch):
     for name in ("braiding", "tensor_mor"):
         real = getattr(cli_mod, name)
         monkeypatch.setattr(cli_mod, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    report = cli_mod._naturality_probe(load_category(data_path("categories/ising.json")), seed=3, trials=3)
+    report = cli_mod._naturality_probe(load_category(data_path("categories/ising.json")), seed=3)
     assert [item.status for item in report.items] == ["pass"] * 6
     # per trial: one braiding; f (x) g, g (x) f, (f (x) g) (x) h, g (x) h and f (x) (g (x) h)
     assert calls.count("braiding") == 3

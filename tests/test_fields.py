@@ -25,7 +25,6 @@ from ctc.fields import (
     Scalar,
     _tokenize,
     parse_scalar,
-    scalar_embed,
     scalar_literal,
 )
 
@@ -169,35 +168,13 @@ def test_cyclotomic_poly_kills_zeta():
 # --------------------------------------------------------------- embeddings
 
 def test_embed_rational_into_prime():
-    assert scalar_embed(Scalar.one(Q), F3) == Scalar.one(F3)
-    assert scalar_embed(parse_scalar("1/2", Q), F3) == Scalar.from_int(F3, 2)
+    assert Scalar.from_fraction(F3, Fraction(1)) == Scalar.one(F3)
+    assert Scalar.from_fraction(F3, Fraction(1, 2)) == Scalar.from_int(F3, 2)
 
 
 def test_embed_rational_into_prime_bad_denominator():
     with pytest.raises(NoEmbedding):
-        scalar_embed(parse_scalar("1/3", Q), F3)
-
-
-def test_embed_zeta4_into_zeta8():
-    assert scalar_embed(Scalar.zeta(Z4), Z8) == Scalar.zeta(Z8, 2)
-
-
-def test_embed_zeta_into_incompatible_cyclotomic():
-    with pytest.raises(NoEmbedding):
-        scalar_embed(Scalar.zeta(Z5), Z8)
-
-
-def test_embed_prime_into_rational_refused():
-    with pytest.raises(NoEmbedding):
-        scalar_embed(Scalar.one(F3), Q)
-
-
-def test_embed_respects_ring_structure():
-    x = parse_scalar("1/2 + z", Z4)
-    y = parse_scalar("3 - z", Z4)
-    ex, ey = scalar_embed(x, Z16), scalar_embed(y, Z16)
-    assert scalar_embed(x * y, Z16) == ex * ey
-    assert scalar_embed(x + y, Z16) == ex + ey
+        Scalar.from_fraction(F3, Fraction(1, 3))
 
 
 # --------------------------------------------------------------- literals
