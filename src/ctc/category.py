@@ -28,15 +28,14 @@ identity matrices and keeps the triangle identity automatic.
 The coherence sweeps check the equations on the F- and R-symbols.  Each
 fusion ring compiles its pentagon and hexagon equations once, on its
 first sweep, into programs of integer slots (``_Ring``); a category is
-checked by filling one value list with its symbols and evaluating the
-programs of the groups its entries other than 1 touch.
+checked by filling one value list with its symbols and evaluating every
+program.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
 from pathlib import Path
 
 from . import linalg as la
@@ -59,10 +58,8 @@ __all__ = [
     "associator",
     "associator_inv",
     "braiding",
-    "ev_coev",
     "twist_mor",
     "categorical_dim",
-    "dual_obj",
     "mor_right_inverse",
     "proportionality_scalar",
     "verify_pentagon",
@@ -244,10 +241,6 @@ class Obj:
     @staticmethod
     def unit(spec) -> "Obj":
         return Obj(spec, {spec.unit: 1})
-
-    @staticmethod
-    def zero(spec) -> "Obj":
-        return Obj(spec, {})
 
     def m(self, label) -> int:
         return self.mult.get(label, 0)
@@ -624,10 +617,6 @@ def braiding(x: Obj, y: Obj) -> Mor:
     return Mor.from_rows(dom, cod, blocks)
 
 
-def dual_obj(x: Obj) -> Obj:
-    return Obj(x.spec, {x.spec.dual[lab]: m for lab, m in x.mult.items()})
-
-
 def _dual_scales(spec: CategorySpec):
     """Per-label coevaluation normalizations making both bent-line moves exact.
 
@@ -642,27 +631,6 @@ def _dual_scales(spec: CategorySpec):
     return spec._dual_scale_cache
 
 
-def ev_coev(x: Obj):
-    """Evaluation x* (x) x -> 1 and coevaluation 1 -> x (x) x*.
-
-    Slots pair up by equal copy index; coefficients are the per-simple
-    normalizations from the bent-line condition, so both duality moves
-    compose to the identity exactly.
-    """
-    spec = x.spec
-    scales = _dual_scales(spec)
-    xd = dual_obj(x)
-    unit_o = Obj.unit(spec)
-    one = Scalar.one(spec.field)
-    ev_pairs = pair_channels(xd, x).get(spec.unit, [])
-    ev_row = {k: scales[s] for k, (_, i, s, j) in enumerate(ev_pairs) if i == j}
-    ev = Mor.from_rows(tensor_obj(xd, x), unit_o, {spec.unit: [ev_row]} if ev_pairs else {})
-    coev_pairs = pair_channels(x, xd).get(spec.unit, [])
-    coev_col = [{0: one} if i == j else {} for _, i, _, j in coev_pairs]
-    coev = Mor.from_rows(unit_o, tensor_obj(x, xd), {spec.unit: coev_col} if coev_pairs else {})
-    return ev, coev
-
-
 def twist_mor(x: Obj) -> Mor:
     twist = x.spec.twist
     return Mor.from_rows(x, x, {lab: [{i: twist[lab]} for i in range(m)] for lab, m in x.mult.items()})
@@ -672,8 +640,8 @@ def categorical_dim(x: Obj) -> Scalar:
     """Sum of pivotal dimensions over the summands of x.
 
     On the simple s the loop ev_{s*} (pivot_s (x) 1) coev_s is pivot_s
-    times the evaluation coefficient of s*, coevaluation coefficients
-    being 1 (``ev_coev``), so it is read off the symbols.
+    times the evaluation coefficient of s*, with coevaluation
+    coefficient 1 (``_dual_scales``), so it is read off the symbols.
     """
     spec = x.spec
     scales = _dual_scales(spec)
@@ -726,23 +694,16 @@ class _Ring:
 
     A pure function of the labels and the fusion rules: no F, R or
     scalar enters, so the facts hold in every field.
-    ``channels[(a, b)]`` lists the c in a x b and ``into[c]`` the pairs
-    (a, b) fusing into c, both in label order; ``CategorySpec.channels``
-    reads the former.
+    ``channels[(a, b)]`` lists the c in a x b in label order;
+    ``CategorySpec.channels`` reads it.
 
     ``blocks`` numbers the slots of a value list (see ``_slot_values``)
     and finds the wide outer triples: those with a recoupling block
     larger than 1x1 at some total.  A program lists the equations of one
     pentagon 4-tuple or hexagon triple as pairs (lhs, rhs) of terms, each
     term the tuple of slots whose values multiply.  A ring's first sweep
-    compiles them, never its load: the hexagon walk every triple, the
-    pentagon walk the 4-tuples ``pentagon_defects`` cannot settle at once;
-    any other 4-tuple is compiled when a sweep first reads it.  Each walk
-    keeps the outcome of a group with every symbol 1, the gcd of the
-    differences len(lhs) - len(rhs) over its program: a group with none is
-    left out and holds in every field, the others hold exactly in the
-    characteristics dividing their gcd.  G is not all 1 on a wide outer
-    triple, so a hexagon-2 reading one is always evaluated.
+    compiles the programs of its kind, never its load, and every sweep
+    evaluates all of them.
     """
 
     def __init__(self, labels, fusion):
@@ -751,11 +712,8 @@ class _Ring:
         self._index = {lab: k for k, lab in enumerate(labels)}
         self.ordered_fusion = sorted(fusion, key=self.order)
         self.channels = {}
-        self.into = {lab: [] for lab in labels}
-        for a, b, c in sorted(fusion, key=lambda t: self.order((t[2], t[0], t[1]))):
+        for a, b, c in self.ordered_fusion:
             self.channels.setdefault((a, b), []).append(c)
-            self.into[c].append((a, b))
-        self._pentagon = {}
 
     def order(self, group) -> tuple:
         """Sort key of a tuple of labels: label order, position by position."""
@@ -805,58 +763,54 @@ class _Ring:
         return frozenset(wide), trees, slots, size
 
     @cached_property
-    def pentagon_defects(self):
-        """Pentagon outcomes with every symbol 1.  In a pointed ring (one
-        channel per pair) with associative rules each side of every
-        pentagon is the one tree ((ab)c)d = a(b(cd)), so none fails and no
-        4-tuple is compiled here.  Nor is a 4-tuple through the unit: its
-        equations pair off term by term, and its F entries are 1."""
-        labels, ch = self.labels, self._ch
+    def pentagon_settled(self):
+        """Whether every pentagon holds when every F entry is 1, with no
+        program: in a pointed ring (one channel per pair) with associative
+        rules each side of every pentagon is the one tree
+        ((ab)c)d = a(b(cd))."""
+        labels = self.labels
         mul = {pair: cs[0] for pair, cs in self.channels.items() if len(cs) == 1}
-        if len(mul) == len(labels) ** 2 and all(
+        return len(mul) == len(labels) ** 2 and all(
             mul[mul[a, b], c] == mul[a, mul[b, c]] for a in labels for b in labels for c in labels
-        ):
-            return {}
+        )
+
+    @cached_property
+    def pentagon_programs(self):
+        """The programs of the 4-tuples t = (a, b, c, d) in label order:
+        for the source tree (((ab)_e c)_f d)_u and the target tree
+        (a(b(cd)_g)_h)_u, the lhs F^{ecd}_{u;f,g} F^{abg}_{u;e,h} and the
+        rhs terms F^{abc}_{f;e,k} F^{akd}_{u;f,h} F^{bcd}_{h;k,g}.  A
+        4-tuple through the unit is left out: its equations pair off term
+        by term, and its F entries are 1."""
+        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[2]
         unit = next((u for u in labels if all(ch(u, x) == [x] == ch(x, u) for x in labels)), None)
         out = {}
         for t in product(labels, repeat=4):
-            defect = 0 if unit in t else _defect(self.pentagon_program(t))
-            if defect:
-                out[t] = defect
+            if unit in t:
+                continue
+            a, b, c, d = t
+            bc, gh = ch(b, c), [(g, ch(b, g)) for g in ch(c, d)]
+            program = []
+            for e in ch(a, b):
+                for f in ch(e, c):
+                    abc = [(k, slot[a, b, c, f, e, k]) for k in bc if (a, k, f) in fusion]
+                    for u in ch(f, d):
+                        for g, hs in gh:
+                            # None when there is no tree through g on the left
+                            ecd = slot.get((e, c, d, u, f, g))
+                            for h in hs:
+                                if (a, h, u) not in fusion:
+                                    continue
+                                lhs = () if ecd is None else ((ecd, slot[a, b, g, u, e, h]),)
+                                rhs = [
+                                    (s, slot[a, k, d, u, f, h], slot[b, c, d, h, k, g])
+                                    for k, s in abc
+                                    if (k, d, h) in fusion
+                                ]
+                                if lhs or rhs:
+                                    program.append((lhs, tuple(rhs)))
+            out[t] = tuple(program)
         return out
-
-    def pentagon_program(self, t):
-        """The program of the 4-tuple t = (a, b, c, d), compiled on first
-        use: for the source tree (((ab)_e c)_f d)_u and the target tree
-        (a(b(cd)_g)_h)_u, the lhs F^{ecd}_{u;f,g} F^{abg}_{u;e,h} and the rhs
-        terms F^{abc}_{f;e,k} F^{akd}_{u;f,h} F^{bcd}_{h;k,g}."""
-        program = self._pentagon.get(t)
-        if program is not None:
-            return program
-        fusion, ch, slot = self.fusion, self._ch, self.blocks[2]
-        a, b, c, d = t
-        bc, gh = ch(b, c), [(g, ch(b, g)) for g in ch(c, d)]
-        program = []
-        for e in ch(a, b):
-            for f in ch(e, c):
-                abc = [(k, slot[a, b, c, f, e, k]) for k in bc if (a, k, f) in fusion]
-                for u in ch(f, d):
-                    for g, hs in gh:
-                        # None when there is no tree through g on the left
-                        ecd = slot.get((e, c, d, u, f, g))
-                        for h in hs:
-                            if (a, h, u) not in fusion:
-                                continue
-                            lhs = () if ecd is None else ((ecd, slot[a, b, g, u, e, h]),)
-                            rhs = [
-                                (s, slot[a, k, d, u, f, h], slot[b, c, d, h, k, g])
-                                for k, s in abc
-                                if (k, d, h) in fusion
-                            ]
-                            if lhs or rhs:
-                                program.append((lhs, tuple(rhs)))
-        program = self._pentagon[t] = tuple(program)
-        return program
 
     @cached_property
     def hexagon_programs(self):
@@ -903,12 +857,6 @@ class _Ring:
         return out
 
     @cached_property
-    def hexagon_defects(self):
-        """(hexagon-1, hexagon-2) outcomes with every symbol 1."""
-        programs = self.hexagon_programs.items()
-        return tuple({t: defect for t, pair in programs if (defect := _defect(pair[eq]))} for eq in (0, 1))
-
-    @cached_property
     def balancing(self):
         """Per fusion triple (a, b, c) in label order: the R slots of
         (a, b, c) and of (b, a, c), the latter 0 (the slot of 1) outside
@@ -918,57 +866,11 @@ class _Ring:
             (slot[a, b, c], slot.get((b, a, c), 0), index[a], index[b], index[c]) for a, b, c in self.ordered_fusion
         ]
 
-    def pentagon_touched(self, f_keys):
-        """The 4-tuples whose pentagon reads one of the F entries ``f_keys``."""
-        labels, into = self.labels, self.into
-        out = set()
-        for p, q, r in {key[:3] for key in f_keys}:
-            # F^{ecd}, F^{abg}, F^{abc}, F^{akd} and F^{bcd} in turn
-            out.update((a, b, q, r) for a, b in into[p])
-            out.update((p, q, c, d) for c, d in into[r])
-            out.update((p, q, r, d) for d in labels)
-            out.update((p, b, c, r) for b, c in into[q])
-            out.update((a, p, q, r) for a in labels)
-        return out
-
-    def hexagon_touched(self, r_keys, inverted):
-        """The triples whose hexagons read one of the R entries ``r_keys`` or
-        one of the outer triples ``inverted``: the wide triples and the
-        first three labels of every F entry other than 1."""
-        labels, into = self.labels, self.into
-        out = set()
-        for p, q, r in inverted:
-            # hexagon-1 reads F^{abc}, F^{bca}, F^{bac}; hexagon-2 G^{abc}, G^{cab}, G^{acb}
-            out.update(((p, q, r), (r, p, q), (q, p, r), (q, r, p), (p, r, q)))
-        for p, q, r in r_keys:
-            # R^{af}_d, R^{ab}_e and R^{ac}_g in hexagon-1; R^{ec}_d, R^{bc}_f
-            # and R^{ac}_g in hexagon-2
-            out.update((p, b, c) for b, c in into[q])
-            out.update((p, q, c) for c in labels)
-            out.update((p, b, q) for b in labels)
-            out.update((a, b, q) for a, b in into[p])
-            out.update((a, p, q) for a in labels)
-        return out
-
 
 @lru_cache(maxsize=8)
 def _ring(labels: tuple, fusion: frozenset) -> _Ring:
     """The shared fusion-ring facts of the rules; a few rings are kept."""
     return _Ring(labels, fusion)
-
-
-def _holds_in(char: int, defect: int) -> bool:
-    """Whether integer differences of gcd ``defect`` vanish in characteristic ``char``."""
-    return char != 0 and defect % char == 0
-
-
-def _defect(program) -> int:
-    """The gcd of the term-count differences of a program's equations:
-    its outcome with every symbol 1."""
-    out = 0
-    for lhs, rhs in program:
-        out = gcd(out, len(lhs) - len(rhs))
-    return out
 
 
 def _holds(program, values, one: Scalar, zero: Scalar) -> bool:
@@ -1041,24 +943,20 @@ def verify_pentagon(spec: CategorySpec) -> Report:
     ((ab)c)d -> a(b(cd)).  A 4-tuple with any unequal entry gives one
     failing item, in label order.
 
-    Only the 4-tuples that read an F entry other than 1 are evaluated,
-    by their ring's programs on the slot values of ``spec``; every other
-    one takes the outcome of its fusion ring with all symbols 1, judged
-    in the field's characteristic.
+    Every 4-tuple not through the unit is evaluated, by its ring's
+    program on the slot values of ``spec``.  A pointed ring with
+    associative rules needs no program when every F entry is 1
+    (``_Ring.pentagon_settled``).
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
     ring = _ring(spec.labels, spec.fusion)
-    f_keys = [key for key, val in spec.F.items() if val != one]
-    # a 4-tuple through the unit holds (see ``_Ring.pentagon_defects``)
-    touched = {t for t in ring.pentagon_touched(f_keys) if spec.unit not in t}
-    char = spec.field.char
-    failing = [t for t, defect in ring.pentagon_defects.items() if t not in touched and not _holds_in(char, defect)]
-    if touched:
-        values = _slot_values(spec, ring, one)
-        failing += [t for t in touched if not _holds(ring.pentagon_program(t), values, one, zero)]
-    for t in sorted(failing, key=ring.order):
-        report.append("pentagon:%s,%s,%s,%s" % t, "fail", witness=list(t))
+    if ring.pentagon_settled and all(val.is_one() for val in spec.F.values()):
+        return report
+    values = _slot_values(spec, ring, one)
+    for t, program in ring.pentagon_programs.items():
+        if not _holds(program, values, one, zero):
+            report.append("pentagon:%s,%s,%s,%s" % t, "fail", witness=list(t))
     return report
 
 
@@ -1083,31 +981,23 @@ def verify_hexagon(spec: CategorySpec) -> Report:
     looking at (c, a, b), then (a, b, c), then (a, c, b), each over the
     totals d in label order.
 
-    Only the triples that read an R entry other than 1, an F entry other
-    than 1, or an outer triple with a block larger than 1x1 are
-    evaluated, by their ring's programs on the slot values of ``spec``;
-    every other one takes the outcome of its fusion ring with all symbols
-    1, judged in the field's characteristic.  Only those outer triples
-    are inverted, into their G slots, in the order the evaluated triples
-    read them.
+    Every triple is evaluated, in label order, by its ring's programs on
+    the slot values of ``spec``.  Only the wide outer triples and those
+    with an F entry other than 1 are inverted, into their G slots, in
+    the order the triples read them.
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
     ring = _ring(spec.labels, spec.fusion)
     values = _slot_values(spec, ring, one)
-    inverted = ring.blocks[0] | {key[:3] for key, val in spec.F.items() if val != one}
-    touched = ring.hexagon_touched([key for key, val in spec.R.items() if val != one], inverted)
-    programs = ring.hexagon_programs
-    # the programs are compiled in label order
-    order = [t for t in programs if t in touched]
-    # G is written in the order the triples read it; a triple whose
-    # hexagon-2 reads a singular block reads no block after it, so the
-    # first non-square block read is the one that raises
-    pending, singular, blocked = set(inverted), {}, {}
-    for t in order:
-        if not (pending or singular):
-            break
+    pending = {key[:3] for key, val in spec.F.items() if val != one}.union(ring.blocks[0])
+    singular = {}
+    for t, (hex1, hex2) in ring.hexagon_programs.items():
         a, b, c = t
+        # hexagon-2 of t reads G of these outer triples; one that reads a
+        # singular block reads no block after it, so the first non-square
+        # block read is the one that raises
+        witness = None
         for outer in ((c, a, b), t, (a, c, b)):
             if outer in pending:
                 pending.discard(outer)
@@ -1116,25 +1006,14 @@ def verify_hexagon(spec: CategorySpec) -> Report:
                 except SingularFBlock as exc:
                     singular[outer] = exc.labels
             if outer in singular:
-                blocked[t] = {"singular_f": list(singular[outer])}
+                witness = {"singular_f": list(singular[outer])}
                 break
-    char = spec.field.char
-    failing = {}
-    for eq, defects in enumerate(ring.hexagon_defects, 1):
-        for t, defect in defects.items():
-            if t not in touched and not _holds_in(char, defect):
-                failing[(t, eq)] = list(t)
-    for t in order:
-        hex1, hex2 = programs[t]
         if not _holds(hex1, values, one, zero):
-            failing[(t, 1)] = list(t)
-        witness = blocked.get(t)
+            report.append("hexagon-1:%s,%s,%s" % t, "fail", witness=list(t))
         if witness is None and not _holds(hex2, values, one, zero):
             witness = list(t)
         if witness is not None:
-            failing[(t, 2)] = witness
-    for t, eq in sorted(failing, key=lambda k: (ring.order(k[0]), k[1])):
-        report.append("hexagon-%d:%s,%s,%s" % ((eq,) + t), "fail", witness=failing[(t, eq)])
+            report.append("hexagon-2:%s,%s,%s" % t, "fail", witness=witness)
     twist = [spec.twist[lab] for lab in spec.labels]
     for (a, b, c), (r, r_swapped, ia, ib, ic) in zip(ring.ordered_fusion, ring.balancing):
         # R^{ab}_c R^{ba}_c = theta_c / (theta_a theta_b), cleared of the
@@ -1168,7 +1047,8 @@ def verify_triangle(spec: CategorySpec) -> Report:
 def verify_zigzag(spec: CategorySpec) -> Report:
     """Both duality moves on every simple label, on the symbols.
 
-    With the ``ev_coev`` maps of the simple s, the first move
+    With evaluation coefficient scale_s and coevaluation coefficient 1 on
+    the simple s (``_dual_scales``), the first move
     s -> (s s*) s -> s (s* s) -> s is scale_s F^{s s* s}_{s;1,1} and the
     second s* -> s* (s s*) -> (s* s) s* -> s* is scale_s G^{s* s s*}_{s*;1,1},
     G the inverse recoupling block; each must be 1.  A failing move's

@@ -143,7 +143,7 @@ def _index_items(out: Report, stem: str, alg) -> None:
     out.append("%s/twisted-dim" % stem, "pass", witness=scalar_literal(algebra_dim_with_twist(alg)))
 
 
-def _run_check_algebra(path: Path, seed: int) -> Report:
+def _run_check_algebra(path: Path) -> Report:
     alg = load_algebra(path)
     out = Report()
     stem = path.stem
@@ -156,7 +156,7 @@ def _run_check_algebra(path: Path, seed: int) -> Report:
     return out
 
 
-def _run_check_module(path: Path, seed: int) -> Report:
+def _run_check_module(path: Path) -> Report:
     mod = load_module(path)
     out = Report()
     stem = path.stem
@@ -166,7 +166,7 @@ def _run_check_module(path: Path, seed: int) -> Report:
     return out
 
 
-def _run_condense(category_path: Path, algebra_path: Path, seed: int) -> Report:
+def _run_condense(category_path: Path, algebra_path: Path) -> Report:
     spec = load_category(category_path)
     alg = load_algebra(algebra_path)
     out = Report()
@@ -188,14 +188,14 @@ def _run_condense(category_path: Path, algebra_path: Path, seed: int) -> Report:
     return out
 
 
-def _run_suite(path: Path, seed: int) -> Report:
+def _run_suite(path: Path) -> Report:
     raw = read_json(path)
     out = Report()
     _prefixed(out, raw.get("name", path.stem), run_suite_manifest(raw, path.parent))
     return out
 
 
-def _run_ledger(path: Path, seed: int) -> Report:
+def _run_ledger(path: Path) -> Report:
     return solution_report(load_ledger(path))
 
 
@@ -215,14 +215,14 @@ def _run(command: str, arg: str, algebra: str | None, seed: int) -> Report:
         if command == "check-category":
             return _run_check_category(path, seed)
         if command == "check-algebra":
-            return _run_check_algebra(path, seed)
+            return _run_check_algebra(path)
         if command == "check-module":
-            return _run_check_module(path, seed)
+            return _run_check_module(path)
         if command == "condense":
-            return _run_condense(path, resolve("algebras", algebra), seed)
+            return _run_condense(path, resolve("algebras", algebra))
         if command == "suite":
-            return _run_suite(path, seed)
-        return _run_ledger(path, seed)
+            return _run_suite(path)
+        return _run_ledger(path)
     except (FieldError, CategoryError, AlgebraError, ModuleError, LedgerError) as exc:
         # unreadable or inconsistent data: one error item for this input, the batch goes on
         witness = {"type": type(exc).__name__, "message": str(exc)}

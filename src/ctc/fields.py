@@ -142,13 +142,6 @@ class FieldSpec:
         """Dimension over the prime field (phi(n) for cyclotomic)."""
         return self._ctx.phi if self.kind == "cyclotomic" else 1
 
-    def to_json(self) -> dict:
-        if self.kind == "rational":
-            return {"kind": "rational"}
-        if self.kind == "prime":
-            return {"kind": "prime", "p": self.p}
-        return {"kind": "cyclotomic", "n": self.n}
-
     @staticmethod
     def from_json(data: dict) -> "FieldSpec":
         try:
@@ -311,14 +304,6 @@ class Scalar:
                 raise NoEmbedding("denominator %d not invertible mod %d" % (q.denominator, p))
             return Scalar(field, (q.numerator * pow(q.denominator, -1, p)) % p)
         return Scalar(field, ((q.numerator,) + field._ctx.pad, q.denominator))
-
-    @staticmethod
-    def zeta(field: FieldSpec, k: int = 1) -> "Scalar":
-        """zeta_n^k in Q(zeta_n)."""
-        if field.kind != "cyclotomic":
-            raise FieldMismatch("zeta lives in cyclotomic fields only")
-        # zeta^k is a unit of Z[zeta], so its coefficients have gcd 1
-        return Scalar(field, (field._ctx.power_vec[k % field.n], 1))
 
     # predicates -----------------------------------------------------------
 

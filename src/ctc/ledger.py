@@ -44,7 +44,9 @@ class Underdetermined(LedgerError):
 
 
 class LedgerProblem:
-    __slots__ = ("name", "symbols", "relations", "knowns", "projectives", "field")
+    __slots__ = ("name", "symbols", "relations", "knowns", "projectives")
+    # dimensions are rational
+    field = FieldSpec.rational()
 
     def __init__(
         self,
@@ -53,7 +55,6 @@ class LedgerProblem:
         relations: list,  # (lhs, {symbol: int_coeff}, source_tag)
         knowns: dict,  # symbol -> Scalar
         projectives: list,
-        field: FieldSpec | None = None,
     ):
         index = {s: i for i, s in enumerate(symbols)}
         if len(index) != len(symbols):
@@ -70,7 +71,6 @@ class LedgerProblem:
         self.relations = relations
         self.knowns = knowns
         self.projectives = projectives
-        self.field = FieldSpec.rational() if field is None else field
 
 
 def solve_dims(problem: LedgerProblem) -> dict:
@@ -129,7 +129,7 @@ def ledger_from_json(raw: dict, name: str = "anonymous") -> LedgerProblem:
         ("knowns", isinstance(raw_knowns, dict), "an object of scalar literals"),
         ("projectives", isinstance(projectives, list) and strings(projectives), "a list of symbols"),
     ])
-    field = FieldSpec.rational()
+    field = LedgerProblem.field
     relations = []
     for k, rel in enumerate(raw_relations):
         lhs, rhs = (rel.get("lhs"), rel.get("rhs")) if isinstance(rel, dict) else (None, None)
@@ -138,9 +138,7 @@ def ledger_from_json(raw: dict, name: str = "anonymous") -> LedgerProblem:
             raise ParseError("relation %d needs lhs and integer rhs terms" % k)
         relations.append((lhs, rhs, "relation %d (%s = ...)" % (k, lhs)))
     knowns = {sym: parse_scalar(lit, field) for sym, lit in raw_knowns.items()}
-    return LedgerProblem(
-        raw.get("name", name), symbols, relations, knowns, projectives, field
-    )
+    return LedgerProblem(raw.get("name", name), symbols, relations, knowns, projectives)
 
 
 def load_ledger(ref) -> LedgerProblem:

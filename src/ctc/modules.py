@@ -62,8 +62,6 @@ from .category import (
     associator_inv,
     braiding,
     compose,
-    dual_obj,
-    ev_coev,
     load_category,
     mor_right_inverse,
     pair_channels,
@@ -78,7 +76,6 @@ __all__ = [
     "AlgebraMismatch",
     "IndexZero",
     "NotASection",
-    "NotALift",
     "NotAlgebraAutomorphism",
     "SectionPostconditionFailed",
     "IsomorphismUndecided",
@@ -93,7 +90,6 @@ __all__ = [
     "maschke_section",
     "projector_pi",
     "local_projection",
-    "split_with_rigid_target",
     "ActionAlgebra",
     "action_algebra",
     "algebra_radical",
@@ -121,10 +117,6 @@ class IndexZero(ModuleError):
 
 class NotASection(ModuleError):
     """The supplied right inverse does not invert on the right."""
-
-
-class NotALift(ModuleError):
-    """The bent lift does not sit over the coevaluation."""
 
 
 class NotAlgebraAutomorphism(ModuleError):
@@ -385,30 +377,6 @@ def local_projection(mod: AModule):
     if not rep.ok:
         raise ModuleError("restricted action on the local part is not a module")
     return out, inc, prj
-
-
-def split_with_rigid_target(f: Mor, sigma_tilde: Mor) -> Mor:
-    """Right inverse of f built from a bent lift through the dual of its target.
-
-    sigma_tilde goes from the unit into dom(f) tensor the dual of
-    cod(f), and must reproduce the coevaluation of the target once its
-    first leg is closed with f.  Bending the dual leg back down with
-    the evaluation then gives a section of f, rechecked exactly.
-    """
-    w1, w2 = f.dom, f.cod
-    w2d = dual_obj(w2)
-    ev, coev = ev_coev(w2)
-    if sigma_tilde.dom != Obj.unit(w1.spec) or sigma_tilde.cod != tensor_obj(w1, w2d):
-        raise ModuleError("lift must go from the unit into dom (x) dual cod")
-    if compose(tensor_mor(f, Mor.identity(w2d)), sigma_tilde) != coev:
-        raise NotALift("closing the lift with f misses the coevaluation")
-    section = compose(
-        tensor_mor(Mor.identity(w1), ev),
-        compose(associator(w1, w2d, w2), tensor_mor(sigma_tilde, Mor.identity(w2))),
-    )
-    if compose(f, section) != Mor.identity(w2):
-        raise SectionPostconditionFailed("bent section does not invert f on the right")
-    return section
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,7 @@ def test_redundant_relation_changes_nothing():
     values = solve_dims(base)
     # V + P = 3W + 3X is the sum of the two bundled relations
     extra = base.relations + [("V", {"W": 3, "X": 3, "P": -1}, "extra")]
-    again = LedgerProblem(
-        base.name, base.symbols, extra, base.knowns, base.projectives, base.field
-    )
+    again = LedgerProblem(base.name, base.symbols, extra, base.knowns, base.projectives)
     assert solve_dims(again) == values
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctc.fields import FieldSpec, Scalar
 from ctc import linalg as la
+from test_fields import zeta
 
 Q = FieldSpec.rational()
 Z4 = FieldSpec.cyclotomic(4)
@@ -48,7 +49,7 @@ def rand_scalar(field, rng):
     if field.kind == "cyclotomic":
         acc = Scalar.zero(field)
         for k in range(field.degree):
-            acc = acc + Scalar.from_int(field, rng.randint(-3, 3)) * Scalar.zeta(field, k)
+            acc = acc + Scalar.from_int(field, rng.randint(-3, 3)) * zeta(field, k)
         return acc
     return Scalar.from_fraction(field, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
@@ -236,7 +237,7 @@ def nonzero_scalars(field):
         return st.tuples(st.integers(-4, 4), st.integers(1, 3)).map(
             lambda t: Scalar.from_fraction(field, Fraction(*t))
         )
-    zetas = [Scalar.zeta(field, k) for k in range(field.degree)]
+    zetas = [zeta(field, k) for k in range(field.degree)]
 
     def combine(coeffs):
         acc = Scalar.zero(field)

@@ -27,9 +27,8 @@ from ctc.algebra import (
 from ctc.category import (
     Mor,
     Obj,
+    associator,
     compose,
-    dual_obj,
-    ev_coev,
     load_category,
     mor_right_inverse,
     pair_channels,
@@ -43,7 +42,6 @@ from ctc.modules import (
     Condensation,
     IndexZero,
     ModuleError,
-    NotALift,
     NotAlgebraAutomorphism,
     NotASection,
     SectionPostconditionFailed,
@@ -65,11 +63,11 @@ from ctc.modules import (
     projector_pi,
     regular_module,
     run_suite_manifest,
-    split_with_rigid_target,
     trivial_module,
 )
 from ctc import modules as modules_mod
 from ctc.modules import _augmentation, _equivariant_section_exists, _int_mat_mul, _ronyai_g
+from test_category import dual_obj, ev_coev
 from test_linalg import dense_nullspace, dense_rref, dense_solve, identity, to_dense
 
 
@@ -501,6 +499,42 @@ def test_maschke_char_divides_order_raises():
     sigma = tensor_mor(Mor.identity(alg.carrier), alg.unit_map)
     with pytest.raises(IndexZero):
         maschke_section(alg.mult_map, free, reg, sigma)
+
+
+# ---------------------------------------------------------------------------
+# the bent section through a rigid target
+#
+# The paper's converse (C_A semisimple implies C semisimple) splits a
+# surjection in C this way.  Skeletal data is semisimple by construction,
+# so the engine has no caller for it and it lives here.
+
+
+class NotALift(ModuleError):
+    """The bent lift does not sit over the coevaluation."""
+
+
+def split_with_rigid_target(f, sigma_tilde):
+    """Right inverse of f built from a bent lift through the dual of its target.
+
+    sigma_tilde goes from the unit into dom(f) tensor the dual of
+    cod(f), and must reproduce the coevaluation of the target once its
+    first leg is closed with f.  Bending the dual leg back down with
+    the evaluation then gives a section of f, rechecked exactly.
+    """
+    w1, w2 = f.dom, f.cod
+    w2d = dual_obj(w2)
+    ev, coev = ev_coev(w2)
+    if sigma_tilde.dom != Obj.unit(w1.spec) or sigma_tilde.cod != tensor_obj(w1, w2d):
+        raise ModuleError("lift must go from the unit into dom (x) dual cod")
+    if compose(tensor_mor(f, Mor.identity(w2d)), sigma_tilde) != coev:
+        raise NotALift("closing the lift with f misses the coevaluation")
+    section = compose(
+        tensor_mor(Mor.identity(w1), ev),
+        compose(associator(w1, w2d, w2), tensor_mor(sigma_tilde, Mor.identity(w2))),
+    )
+    if compose(f, section) != Mor.identity(w2):
+        raise SectionPostconditionFailed("bent section does not invert f on the right")
+    return section
 
 
 def test_split_with_rigid_target_identity_lift():
@@ -1028,7 +1062,7 @@ def test_simplicity_flags():
     assert is_simple_module(indm)
     total, _, _ = module_direct_sum(ind1, indm)
     assert not is_simple_module(total)
-    zero = induce(alg, Obj.zero(alg.spec))
+    zero = induce(alg, Obj(alg.spec, {}))
     assert not is_simple_module(zero)
 
 
@@ -1053,7 +1087,7 @@ def test_isomorphism_undecided_on_a_singular_hom_basis():
         modules_isomorphic(m, m)
     assert type(exc.value).__name__ == "IsomorphismUndecided"
     # the zero module has an empty hom basis and is still isomorphic to itself
-    zero = induce(reg.alg, Obj.zero(reg.spec))
+    zero = induce(reg.alg, Obj(reg.spec, {}))
     assert modules_isomorphic(zero, zero) == Mor.zero(zero.carrier, zero.carrier)
 
 

@@ -20,7 +20,6 @@ BENCH = ROOT / "bench"
 AWAITING_CALLERS = {
     "categorical_dim",  # item 6: the SU(2)_k data checks dim C / dim A
     "is_twisted_local",  # item 7: locality up to the parity automorphism in C ⊠ sVec
-    "split_with_rigid_target",  # item 5: the converse, C_A semisimple implies C semisimple
 }
 
 
