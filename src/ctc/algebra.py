@@ -350,19 +350,10 @@ class Group:
             if ident not in t[g]:
                 raise InvalidGroupTable("%r has no inverse" % (self.elements[g],))
 
-    # mul, inverse and index_of look elements up by name, for the
-    # benchmark's checks and the tests' oracles; the engine reads products
+    # mul looks elements up by name, for the benchmark's checks and the
+    # tests' oracles; the engine reads products
     def mul(self, a, b):
         return self.table[self._index[a]][self._index[b]]
-
-    def inverse(self, g):
-        for h in self.elements:
-            if self.mul(g, h) == self.identity:
-                return h
-        raise InvalidGroupTable("%r has no inverse" % (g,))
-
-    def index_of(self, g) -> int:
-        return self._index[g]
 
     def __len__(self):
         return len(self.elements)
@@ -380,7 +371,8 @@ def load_group(ref, base_dir=None) -> Group:
         raise ParseError("missing group key %s" % (exc,)) from None
     check_fields("group", [
         ("elements", isinstance(elements, list) and strings(elements), "a list of element names"),
-        ("table", isinstance(table, list) and all(isinstance(row, list) for row in table), "a list of rows"),
+        ("table", isinstance(table, list) and all(isinstance(row, list) and strings(row) for row in table),
+         "a list of rows of element names"),
     ])
     return Group(raw.get("name", path.stem), elements, table)
 

@@ -132,27 +132,6 @@ class CategorySpec:
     def r_symbol(self, a, b, c) -> Scalar:
         return self.R.get((a, b, c), Scalar.one(self.field))
 
-    def mutated(self, F=None, R=None, twist=None, name=None) -> "CategorySpec":
-        """Copy with individual coefficient entries replaced; for probing checks."""
-        newF = dict(self.F)
-        newF.update(F or {})
-        newR = dict(self.R)
-        newR.update(R or {})
-        newt = dict(self.twist)
-        newt.update(twist or {})
-        return CategorySpec(
-            name or self.name + "*",
-            self.field,
-            self.labels,
-            self.unit,
-            self.dual,
-            self.fusion,
-            newF,
-            newR,
-            newt,
-            dict(self.pivot),
-        )
-
     # -- validation ----------------------------------------------------
 
     def _validate(self):

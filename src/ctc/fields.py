@@ -11,14 +11,16 @@ of Q and Q(zeta_n) are parsed to integer numerators over the lcm of
 their denominators.  ``Fraction`` appears only where F_p literals are
 parsed, where literals are printed, and in ``Scalar.from_fraction``.
 
-Scalar literals, used by every data file and report, are integers,
-fractions ``p/q``, and polynomials in the symbol ``z`` standing for
-zeta_n, e.g. ``z^2 - 1`` or ``1/2*z + 1/2*z^7``.  ``parse_scalar`` and
+Scalar literals, used by every data file and report, are sums of
+integers, fractions ``p/q`` and their multiples of powers of the symbol
+``z`` standing for zeta_n, e.g. ``z^2 - 1`` or ``1/2*z + 1/2*z^7``; the
+comment on ``_TERM`` states the grammar.  ``parse_scalar`` and
 ``scalar_literal`` round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -434,107 +436,45 @@ class Scalar:
 # literals
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^z":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-            continue
-        raise ParseError("unexpected character %r at position %d in %r" % (ch, i, text))
-    return tokens
+# One term of a literal: an optional sign, then ``p``, ``p/q``, ``p*z``,
+# ``p/q*z`` or ``z``, where each ``z`` may carry a power ``z^k``.  ``p``, ``q``
+# and ``k`` are runs of Unicode decimal digits (``\d``, exactly what ``int``
+# reads) and ``z`` is the chosen root of unity.  Space may stand between any
+# two tokens, but not inside a digit run.  A literal is one or more terms:
+# the first has no ``+``, every later one has a sign.  The space before the
+# sign is one run: two runs that can split the same space backtrack
+# quadratically on a long run of space followed by a bad character.
+_TERM = re.compile(
+    r"\s*(?:([+-])\s*)?"
+    r"(?:(\d+)\s*(?:/\s*(\d+)\s*)?(?:\*\s*(z)\s*(?:\^\s*(\d+)\s*)?)?"
+    r"|(z)\s*(?:\^\s*(\d+)\s*)?)"
+)
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    """Parse a scalar literal in the named field.
-
-    Grammar: sum of terms, each ``coeff``, ``z^k``, or ``coeff*z^k``, with
-    ``coeff`` an integer or fraction ``p/q``.  ``z`` is rejected outside
-    cyclotomic fields.
-    """
+    """Parse a scalar literal (grammar at ``_TERM``) in the named field.
+    ``z`` is refused outside cyclotomic fields."""
     if not isinstance(text, str):
         raise ParseError("scalar literal must be a string, got %r" % (text,))
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty scalar literal")
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of literal %r" % (text,))
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_number():
-        """(numerator, denominator) of an integer or a fraction p/q."""
-        tok, at = take()
-        if not tok.isdigit():
-            raise ParseError("expected number at position %d in %r" % (at, text))
-        num = int(tok)
-        if peek() == "/":
-            take()
-            tok2, at2 = take()
-            if not tok2.isdigit():
-                raise ParseError("expected denominator at position %d in %r" % (at2, text))
-            den = int(tok2)
-            if den == 0:
-                raise ParseError("zero denominator in %r" % (text,))
-            return num, den
-        return num, 1
-
-    def parse_zpow() -> int:
-        tok, at = take()
-        if tok != "z":
-            raise ParseError("expected z at position %d in %r" % (at, text))
-        if field.kind != "cyclotomic":
-            raise ParseError("symbol z is only meaningful in cyclotomic fields (%r)" % (text,))
-        if peek() == "^":
-            take()
-            tok2, at2 = take()
-            if not tok2.isdigit():
-                raise ParseError("expected exponent at position %d in %r" % (at2, text))
-            return int(tok2)
-        return 1
-
     terms = []  # (signed numerator, denominator, power of zeta)
-    first = True
-    while pos < len(tokens):
-        sign = 1
-        if peek() in ("+", "-"):
-            tok, at = take()
-            if first and tok == "+":
-                raise ParseError("leading + in %r" % (text,))
-            sign = -1 if tok == "-" else 1
-        elif not first:
-            raise ParseError("expected + or - at position %d in %r" % (tokens[pos][1], text))
-        first = False
-        if peek() == "z":
-            num, den = 1, 1
-            power = parse_zpow()
-        else:
-            num, den = parse_number()
-            power = 0
-            if peek() == "*":
-                take()
-                power = parse_zpow()
-        terms.append((sign * num, den, power))
+    pos = 0
+    while pos < len(text) or not terms:
+        m = _TERM.match(text, pos)
+        # the first term may not carry +, and every later one must carry a sign
+        if m is None or m[1] == ("+" if not terms else None):
+            raise ParseError("malformed scalar literal %r at position %d" % (text, pos))
+        sign, num, den, z, k, bare_z, bare_k = m.groups()
+        z, k = z or bare_z, k or bare_k
+        try:
+            num, den, power = int(num or 1), int(den or 1), int(k or 1) if z else 0
+        except ValueError:  # a digit run longer than int() reads
+            raise ParseError("too many digits in scalar literal %r" % (text,)) from None
+        if den == 0:
+            raise ParseError("zero denominator in %r" % (text,))
+        if z and field.kind != "cyclotomic":
+            raise ParseError("symbol z is only meaningful in cyclotomic fields (%r)" % (text,))
+        terms.append((-num if sign == "-" else num, den, power))
+        pos = m.end()
     if field.kind == "prime":
         # each term embeds on its own, so a denominator divisible by p raises
         total = sum(Scalar.from_fraction(field, Fraction(num, den))._v for num, den, _ in terms)

@@ -44,6 +44,7 @@ from ctc.modules import (
     projector_pi,
     regular_module,
 )
+from test_category import mutated
 from test_modules import theorem_suite
 
 ALL_CATEGORIES = [
@@ -91,7 +92,7 @@ def test_criterion_1_coherence(capsys):
         flipped = dict(ising.F)
         key = ("sigma", "sigma", "sigma", "sigma", "1", "1")
         flipped[key] = -flipped[key]
-        mutant = ising.mutated(F=flipped, name="ising-mutant")
+        mutant = mutated(ising, F=flipped, name="ising-mutant")
         assert not verify_pentagon(mutant).ok
 
 

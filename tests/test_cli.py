@@ -603,6 +603,28 @@ def test_suite_cases_resolve_beside_the_manifest(tmp_path, capsysbinary, monkeyp
     assert "mine/augmentation-splits:myz3.json" in checks and "mine/regular-semisimple:myalg.json" in checks
 
 
+def test_unreadable_digit_in_a_literal_is_one_parse_error(tmp_path, capsysbinary):
+    # "²" is a digit to str.isdigit, but int() cannot read it
+    raw = _bundled("categories/toric_code.json")
+    raw["R"][sorted(raw["R"])[0]] = "²"
+    bad = _write(tmp_path / "toric_superscript.json", raw)
+    code, out = run_json(capsysbinary, ["check-category", str(bad), "vec_q"])
+    assert code == 2
+    _assert_one_parse_error(out, bad, "malformed scalar literal")
+    assert all(i["check"].startswith("vec_q/") for i in json.loads(out)["items"][1:])
+
+
+def test_group_table_entry_that_is_no_name_is_one_parse_error(tmp_path, capsysbinary):
+    group = _bundled("groups/z3.json")
+    group["table"][1][1] = [group["table"][1][1]]
+    _write(tmp_path / "z3_bad.json", group)
+    suite = _write(tmp_path / "suite.json", {"kind": "maschke", "cases": [{"category": "vec_q", "group": "z3_bad.json"}]})
+    code, out = run_json(capsysbinary, ["suite", str(suite), "maschke_2_6"])
+    assert code == 2
+    _assert_one_parse_error(out, suite, "'table'")
+    assert all(i["check"].startswith("maschke_2_6/") for i in json.loads(out)["items"][1:])
+
+
 SUITES_MISSING_A_KEY = [
     ({"kind": "maschke"}, "missing suite key 'cases'"),
     ({"kind": "maschke", "cases": [{"group": "z2"}]}, "missing suite case key 'category'"),

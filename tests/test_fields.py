@@ -10,6 +10,7 @@ every operation of the integer-vector engine against it.
 """
 
 import cmath
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from ctc.fields import (
     NoEmbedding,
     ParseError,
     Scalar,
-    _tokenize,
     parse_scalar,
     scalar_literal,
 )
@@ -226,7 +226,8 @@ def test_parse_rejects_a_literal_that_is_not_a_string():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1 +", "* 2", "z^", "1//2", "q"):
+    # "²" is a digit to str.isdigit but not to int(); 5000 digits are more than int() reads
+    for bad in ("", "1 +", "* 2", "z^", "1//2", "q", "²", "1²", "z^²", "1" * 5000):
         with pytest.raises(ParseError):
             parse_scalar(bad, Z8)
 
@@ -657,6 +658,31 @@ def test_multiplying_by_one_or_zero_returns_the_other_factor():
 # ------------------------------------------------- literals against Scalar arithmetic
 
 
+def _tokenize(text: str):
+    """(token, position) pairs: each of ``+-*/^z`` and each run of decimal
+    digits, the digits of ``str.isdecimal`` being those ``int()`` reads."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^z":
+            tokens.append((ch, i))
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+            continue
+        raise ParseError("unexpected character %r at position %d in %r" % (ch, i, text))
+    return tokens
+
+
 def arithmetic_parse_scalar(text, field):
     """Reference parser: every term built and summed through Scalar arithmetic."""
     tokens = _tokenize(text)
@@ -677,13 +703,13 @@ def arithmetic_parse_scalar(text, field):
 
     def parse_number() -> Fraction:
         tok, at = take()
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise ParseError("expected number at position %d in %r" % (at, text))
         num = int(tok)
         if peek() == "/":
             take()
             tok2, at2 = take()
-            if not tok2.isdigit():
+            if not tok2.isdecimal():
                 raise ParseError("expected denominator at position %d in %r" % (at2, text))
             den = int(tok2)
             if den == 0:
@@ -700,12 +726,12 @@ def arithmetic_parse_scalar(text, field):
         if peek() == "^":
             take()
             tok2, at2 = take()
-            if not tok2.isdigit():
+            if not tok2.isdecimal():
                 raise ParseError("expected exponent at position %d in %r" % (at2, text))
             return int(tok2)
         return 1
 
-    total = Scalar.zero(field)
+    terms = []
     first = True
     while pos < len(tokens):
         sign = 1
@@ -726,7 +752,12 @@ def arithmetic_parse_scalar(text, field):
             if peek() == "*":
                 take()
                 power = parse_zpow()
-        term = Scalar.from_fraction(field, sign * coeff)
+        terms.append((sign * coeff, power))
+    # every term is read before any is embedded, so in F_p a syntax error
+    # anywhere is reported before a denominator divisible by p
+    total = Scalar.zero(field)
+    for coeff, power in terms:
+        term = Scalar.from_fraction(field, coeff)
         if power:
             term = term * zeta(field, power)
         total = total + term
@@ -801,3 +832,35 @@ def test_parse_matches_arithmetic_parser(field, data):
 )
 def test_parse_matches_arithmetic_parser_on_edge_literals(text, field):
     assert parse_outcome(parse_scalar, text, field) == parse_outcome(arithmetic_parse_scalar, text, field)
+
+
+def parse_kind(parse, text, field):
+    """The value, or the type of the field error raised."""
+    try:
+        return parse(text, field)
+    except FieldError as exc:
+        return type(exc)
+
+
+def test_oracle_tokenizer_reads_only_decimal_digits():
+    assert _tokenize("12 ٣") == [("12", 0), ("٣", 3)]
+    with pytest.raises(ParseError):
+        _tokenize("²")
+
+
+@pytest.mark.parametrize("field", [Q, F5, Z8], ids=repr)
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(alphabet="0123456789٣²+-*/^z \t", max_size=14))
+def test_parse_matches_arithmetic_parser_on_any_string(field, text):
+    got = parse_kind(parse_scalar, text, field)
+    assert got == parse_kind(arithmetic_parse_scalar, text, field)
+    if isinstance(got, Scalar):
+        assert got._v == arithmetic_parse_scalar(text, field)._v
+
+
+@pytest.mark.parametrize("text", [" " * 100_000 + "x", "1 +" + " " * 100_000], ids=["space-then-x", "sign-then-space"])
+def test_long_runs_of_space_are_refused_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_scalar(text, Z8)
+    assert time.perf_counter() - start < 1.0

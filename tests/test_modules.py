@@ -188,7 +188,7 @@ def left_mult_matrices(group):
     for gi in group.elements:
         m = frac_zeros(n, n)
         for j, gj in enumerate(group.elements):
-            m[group.index_of(group.mul(gi, gj))][j] = Fraction(1)
+            m[group.elements.index(group.mul(gi, gj))][j] = Fraction(1)
         mats.append(m)
     return mats
 
@@ -198,7 +198,7 @@ def classical_average(group, rho_dom, rho_cod, sigma):
     n = len(group)
     acc = frac_zeros(len(sigma), len(sigma[0]))
     for i, g in enumerate(group.elements):
-        inv = group.index_of(group.inverse(g))
+        inv = next(k for k, h in enumerate(group.elements) if group.mul(g, h) == group.identity)
         acc = frac_add(acc, frac_mul(rho_dom[i], frac_mul(sigma, rho_cod[inv])))
     return frac_scale(acc, Fraction(1, n))
 
@@ -422,7 +422,7 @@ def test_maschke_matches_group_average_z3_multiplication_split():
     rho = left_mult_matrices(group)
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     rho_free = [frac_kron(r, eye) for r in rho]
-    id_idx = group.index_of(group.identity)
+    id_idx = group.elements.index(group.identity)
     sigma_fr = frac_zeros(n * n, n)
     for h in range(n):
         sigma_fr[h * n + id_idx][h] = Fraction(1)

@@ -1,10 +1,13 @@
 """Every public name of ``ctc`` has a caller in the engine or the benchmark.
 
-A name listed in a module's ``__all__`` must be read somewhere in
-``src/ctc`` outside its own definition, or named in ``bench/``, where
-``spans.py`` binds functions by strings such as ``("linalg", "rref")``.
-Docstrings do not count, and neither do imports or ``__all__`` itself.
-A helper that only the tests use belongs in the tests.
+A name listed in a module's ``__all__``, and a public method of a class
+listed there, must be read somewhere in ``src/ctc`` outside its own
+definition, or named in ``bench/``, where ``spans.py`` binds functions by
+strings such as ``("linalg", "rref")``.  Docstrings do not count, and
+neither do imports or ``__all__`` itself.  A method counts as read when
+any attribute of its name is, so one that shares a name with a read
+attribute passes unseen.  A helper that only the tests use belongs in
+the tests.
 """
 
 import ast
@@ -33,15 +36,17 @@ def _docstrings(tree):
     return out
 
 
-def _uses(tree, skip=None, strings=False):
-    """The names ``tree`` reads, leaving out the top-level definition named
-    ``skip``; with ``strings``, also the dotted parts of string constants
-    other than docstrings and the names it imports."""
+def _uses(tree, skip=(), strings=False):
+    """The names ``tree`` reads, leaving out the definitions in ``skip``;
+    with ``strings``, also the dotted parts of string constants other than
+    docstrings and the names it imports."""
     docs = _docstrings(tree)
     found = set()
-    stack = [node for node in tree.body if getattr(node, "name", None) != skip]
+    stack = [tree]
     while stack:
         node = stack.pop()
+        if any(node is s for s in skip):
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -52,6 +57,11 @@ def _uses(tree, skip=None, strings=False):
             found.update(node.value.split("."))
         stack.extend(ast.iter_child_nodes(node))
     return found
+
+
+def _defined(tree, name):
+    """The top-level definitions of ``name`` in ``tree``."""
+    return [node for node in tree.body if getattr(node, "name", None) == name]
 
 
 def _exported(tree):
@@ -65,6 +75,7 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sort
 BENCH_USES = set().union(
     *(_uses(ast.parse(path.read_text(encoding="utf-8")), strings=True) for path in sorted(BENCH.glob("*.py")))
 )
+USES = {module: _uses(tree) for module, tree in TREES.items()}
 
 
 def test_every_library_module_lists_its_public_names():
@@ -72,20 +83,47 @@ def test_every_library_module_lists_its_public_names():
     assert [name for name, tree in TREES.items() if not _exported(tree)] == ["cli"]
 
 
+def _read(name, module, definitions):
+    """Whether ``name`` is named in ``bench/`` or read in ``src/ctc``
+    outside ``definitions``, which lie in ``module``."""
+    return (
+        name in BENCH_USES
+        or any(name in uses for other, uses in USES.items() if other != module)
+        or name in _uses(TREES[module], definitions)
+    )
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_public_names_have_callers(module):
+    tree = TREES[module]
     uncalled = [
         name
-        for name in _exported(TREES[module])
-        if name not in BENCH_USES
-        and name not in AWAITING_CALLERS
-        and not any(name in _uses(tree, skip=name if other == module else None) for other, tree in TREES.items())
+        for name in _exported(tree)
+        if name not in AWAITING_CALLERS and not _read(name, module, _defined(tree, name))
     ]
+    assert uncalled == []
+
+
+def _public_methods(tree):
+    """The definitions of the public methods of the classes ``tree`` exports."""
+    exported = set(_exported(tree))
+    return [
+        item
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_public_methods_have_callers(module):
+    uncalled = [method.name for method in _public_methods(TREES[module]) if not _read(method.name, module, [method])]
     assert uncalled == []
 
 
 def test_names_awaiting_callers_are_still_uncalled_and_public():
     exported = set().union(*(_exported(tree) for tree in TREES.values()))
     assert AWAITING_CALLERS <= exported
-    called = set().union(*(_uses(tree) for tree in TREES.values()))
+    called = set().union(*USES.values())
     assert not AWAITING_CALLERS & (called | BENCH_USES)
