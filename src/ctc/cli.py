@@ -15,6 +15,7 @@ from pathlib import Path
 from . import read_json, resolve
 from .algebra import (
     AlgebraError,
+    _item,
     algebra_dim_with_twist,
     check_algebra,
     compute_index,
@@ -82,22 +83,10 @@ def _naturality_probe(spec, seed: int) -> Report:
         z = Obj(spec, {rng.choice(labels): 1})
         f, g, h = _rand_endo(rng, x), _rand_endo(rng, y), _rand_endo(rng, z)
         braid, fg = braiding(x, y), tensor_mor(f, g)
-        lhs = compose(braid, fg)
-        rhs = compose(tensor_mor(g, f), braid)
-        report.append(
-            "braid-natural:%d" % k,
-            "pass" if lhs == rhs else "fail",
-            witness=None if lhs == rhs else (lhs - rhs).to_json(),
-        )
+        _item(report, "braid-natural:%d" % k, compose(braid, fg), compose(tensor_mor(g, f), braid))
         fgh = tensor_mor(fg, h)
         gfh = tensor_mor(f, tensor_mor(g, h))
-        lhs = compose(associator(x, y, z), fgh)
-        rhs = compose(gfh, associator(x, y, z))
-        report.append(
-            "assoc-natural:%d" % k,
-            "pass" if lhs == rhs else "fail",
-            witness=None if lhs == rhs else (lhs - rhs).to_json(),
-        )
+        _item(report, "assoc-natural:%d" % k, compose(associator(x, y, z), fgh), compose(gfh, associator(x, y, z)))
     return report
 
 
@@ -111,7 +100,7 @@ def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Rep
     """Collapse a clean sub-report to one pass line; namespace the items of
     a failing one.  The first line carries the sweep's ``elapsed``."""
     out = Report()
-    if report.ok and not report.failing():
+    if report.ok:
         out.append("%s/%s" % (prefix, summary), "pass", elapsed=elapsed)
         return out
     _prefixed(out, prefix, report)

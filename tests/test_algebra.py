@@ -48,7 +48,7 @@ from ctc.category import (
     tensor_obj,
 )
 from ctc.fields import ParseError, Scalar, parse_scalar
-from test_category import mutated
+from test_category import gauged, mutated, proportionality_scalar, toric_zn
 from test_linalg import dense_nullspace, dense_solve
 
 
@@ -324,6 +324,16 @@ def test_subgroup_algebra_requires_unit():
         subgroup_algebra(["2"], cat("pointed_z4"))
 
 
+def test_subgroup_algebra_refuses_unit_coefficients_after_a_gauge_change():
+    # the labels (a, 0) of the Z_3 toric code are untwisted with trivial
+    # monodromy, both gauge invariant; unit coefficients are an algebra
+    # before the gauge change and fail the axioms after it
+    labels = ["0.0", "1.0", "2.0"]
+    assert check_algebra(subgroup_algebra(labels, toric_zn(3))).ok
+    with pytest.raises(AlgebraError, match="associative, commutative"):
+        subgroup_algebra(labels, gauged(toric_zn(3), 3))
+
+
 # --- counit and copairing edge cases ---------------------------------------
 
 
@@ -388,9 +398,28 @@ def split_pair_with_skew_counit():
 def test_index_undefined_for_skew_counit():
     alg, eps = split_pair_with_skew_counit()
     assert make_counit(alg) == eps
-    solve_coevaluation(alg)
-    with pytest.raises(NotScalarMultiple):
+    loop = compose(alg.mult_map, solve_coevaluation(alg))
+    assert proportionality_scalar(loop, alg.unit_map) is None
+    with pytest.raises(NotScalarMultiple, match="not proportional"):
         compute_index(alg)
+
+
+INDEX_CASES = ["alg_qz3", "alg_h02", "alg_toric_1e"] + [
+    "%s/%s" % pair for pair in itertools.product(["vec_q", "vec_f2", "vec_f3"], ["z2", "z3", "s3"])
+]
+
+
+@pytest.mark.parametrize("case", INDEX_CASES)
+def test_index_is_the_proportionality_scalar(case):
+    # the kit reads the index off the closed loop through the counit; the
+    # oracle compares mult after copairing with the unit map entry by entry
+    if "/" in case:
+        cname, gname = case.split("/")
+        alg = group_algebra(grp(gname), cat(cname))
+    else:
+        alg = load_algebra(data_path("algebras/%s.json" % case))
+    loop = compose(alg.mult_map, solve_coevaluation(alg))
+    assert compute_index(alg) == proportionality_scalar(loop, alg.unit_map)
 
 
 def dual_numbers_algebra():

@@ -10,6 +10,7 @@ import math
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,9 +38,7 @@ from ctc.category import (
     category_from_json,
     compose,
     load_category,
-    mor_right_inverse,
     pair_channels,
-    proportionality_scalar,
     tensor_mor,
     tensor_obj,
     twist_mor,
@@ -1301,6 +1300,40 @@ def toric_zn(n):
     return category_from_json(raw, name="toric_z%d" % n)
 
 
+def gauged(spec, seed):
+    """``spec`` after a seeded rational gauge change: a nonzero u^{ab}_c on
+    every fusion triple, 1 when a or b is the unit, and
+    F' = F u^{ab}_e u^{ec}_d / (u^{bc}_f u^{af}_d), R' = R u^{ab}_c / u^{ba}_c.
+    The result is coherent exactly when ``spec`` is."""
+    rng = random.Random(seed)
+    field = spec.field
+    u = {}
+    for a, b, c in spec.fusion:
+        q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        u[a, b, c] = Scalar.one(field) if spec.unit in (a, b) else Scalar.from_fraction(field, q)
+    F = {}
+    for a, b, c in itertools.product(spec.labels, repeat=3):
+        for e in spec.channels(a, b):
+            for d in spec.channels(e, c):
+                for f in spec.channels(b, c):
+                    if spec.admissible(a, f, d):
+                        scale = u[a, b, e] * u[e, c, d] * (u[b, c, f] * u[a, f, d]).inverse()
+                        F[a, b, c, d, e, f] = spec.f_symbol(a, b, c, d, e, f) * scale
+    R = {(a, b, c): spec.r_symbol(a, b, c) * u[a, b, c] * u[b, a, c].inverse() for a, b, c in spec.fusion}
+    return CategorySpec(
+        "%s-gauged" % spec.name, field, spec.labels, spec.unit, spec.dual, spec.fusion, F, R,
+        dict(spec.twist), dict(spec.pivot),
+    )
+
+
+def test_a_gauged_z3_toric_code_stays_coherent():
+    spec = toric_zn(3)
+    other = gauged(spec, 3)
+    assert other.F != spec.F and other.R != spec.R
+    for sweep in (verify_pentagon, verify_hexagon, verify_triangle, verify_zigzag):
+        assert sweep(other).items == [], sweep.__name__
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_toric_codes_match_every_tuple_sweeps(n):
     spec = toric_zn(n)
@@ -1396,6 +1429,44 @@ def test_evaluation_reads_no_channels(monkeypatch, spec):
     assert [sweep(spec).items for sweep in (verify_pentagon, verify_hexagon, verify_zigzag)] == want
 
 # --- helpers on top of the block algebra -----------------------------------
+#
+# Test-side helpers: sections for the module tests, and the scalar the
+# Frobenius kit's index is held to in the algebra tests.
+
+
+def mor_right_inverse(f: Mor) -> Mor | None:
+    """A section of f solved blockwise by elimination, or None if f is not surjective."""
+    one = Scalar.one(f.dom.spec.field)
+    blocks = {}
+    for lab in f.cod.labels_present():
+        dm = f.dom.m(lab)
+        if dm == 0:
+            return None
+        sol = la.solve(f.rows[lab], [{i: one} for i in range(f.cod.m(lab))], dm)
+        if sol is None:
+            return None
+        blocks[lab] = sol
+    return Mor.from_rows(f.cod, f.dom, blocks)
+
+
+def proportionality_scalar(f: Mor, base: Mor) -> Scalar | None:
+    """The scalar c with f = c * base, or None if no such scalar exists."""
+    if f.dom != base.dom or f.cod != base.cod:
+        raise DomainMismatch("morphism endpoints differ")
+    zero = Scalar.zero(f.dom.spec.field)
+    c = None
+    for lab, frows in f.rows.items():
+        for frow, brow in zip(frows, base.rows[lab]):
+            if not frow.keys() <= brow.keys():
+                return None
+            for j, y in brow.items():
+                x = frow.get(j)
+                ratio = zero if x is None else x / y
+                if c is None:
+                    c = ratio
+                elif c != ratio:
+                    return None
+    return zero if c is None else c
 
 
 def test_right_inverse():

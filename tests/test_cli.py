@@ -462,6 +462,29 @@ def test_non_integer_field_parameter_is_one_parse_error(tmp_path, capsysbinary, 
     _assert_one_parse_error(out, bad, "bad field description")
 
 
+# field descriptions outside the range the engine decides in bounded time:
+# (category, field, part of the message)
+OUT_OF_RANGE_FIELDS = {
+    "cyclotomic-huge": ("pointed_z4", {"kind": "cyclotomic", "n": 10**30}, "1 <= n <= 500"),
+    "cyclotomic-above-ceiling": ("pointed_z4", {"kind": "cyclotomic", "n": 501}, "1 <= n <= 500"),
+    "prime-above-bound": ("vec_f2", {"kind": "prime", "p": 3317044064679887385961981}, "p below"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OUT_OF_RANGE_FIELDS))
+def test_out_of_range_field_is_one_parse_error_and_the_batch_goes_on(tmp_path, capsysbinary, kind):
+    name, field, message = OUT_OF_RANGE_FIELDS[kind]
+    raw = json.loads(data_path("categories/%s.json" % name).read_text())
+    raw["field"] = field
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_json(capsysbinary, ["check-category", str(bad), "vec_q"])
+    assert code == 2
+    _assert_one_parse_error(out, bad, message)
+    _, alone = run_json(capsysbinary, ["check-category", "vec_q"])
+    assert json.loads(out)["items"][1:] == json.loads(alone)["items"]
+
+
 # wrong-typed fields of the other data files: (command, bundled file, key,
 # value, part of the message); each gives one ParseError item as well
 ALGEBRA, MODULE, LEDGER = "algebras/alg_qz3.json", "modules/mod_toric_m.json", "ledger/wp_triplet.json"
@@ -471,10 +494,14 @@ WRONG_TYPED_FILES = {
     "algebra-iota": ("check-algebra", ALGEBRA, "iota", 3, "'iota'"),
     "algebra-object": ("check-algebra", ALGEBRA, "object", 5, "'object'"),
     "algebra-object-bool": ("check-algebra", ALGEBRA, "object", {"1": True}, "'object'"),
+    # a multiplicity the engine would try to allocate
+    "algebra-object-huge": ("check-algebra", ALGEBRA, "object", {"1": 10**18}, "at most 32 in all"),
+    "algebra-object-large": ("check-algebra", ALGEBRA, "object", {"1": 33}, "at most 32 in all"),
     "algebra-counit": ("check-algebra", ALGEBRA, "counit", [["1"]], "'counit'"),
     "algebra-block-row": ("check-algebra", ALGEBRA, "mu", {"1": [1]}, "'mu'"),
     "module-muX": ("check-module", MODULE, "muX", 3, "'muX'"),
     "module-object": ("check-module", MODULE, "object", 5, "'object'"),
+    "module-object-huge": ("check-module", MODULE, "object", {"m": 10**18, "f": -(10**18)}, "at most 32 in all"),
     "ledger-knowns": ("ledger", LEDGER, "knowns", [1], "'knowns'"),
     "ledger-symbols": ("ledger", LEDGER, "symbols", 5, "'symbols'"),
     "ledger-projectives": ("ledger", LEDGER, "projectives", 5, "'projectives'"),

@@ -10,6 +10,7 @@ every operation of the integer-vector engine against it.
 """
 
 import cmath
+import random
 import time
 from fractions import Fraction
 
@@ -24,6 +25,9 @@ from ctc.fields import (
     NoEmbedding,
     ParseError,
     Scalar,
+    _MAX_CYCLOTOMIC_N,
+    _PRIME_BOUND,
+    _is_prime,
     parse_scalar,
     scalar_literal,
 )
@@ -255,6 +259,73 @@ def test_field_spec_is_immutable():
     with pytest.raises(AttributeError):
         del F3.p
     assert F3.p == 3 and hash(F3) == hash(("prime", 3, None))
+
+
+# --------------------------------------------------------------- primality
+
+
+def trial_division(p):
+    """The primality test the engine used before Miller-Rabin."""
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_primality_matches_trial_division_below_ten_million():
+    # every n below 20000 (the strong pseudoprimes to base 2 from 2047 on
+    # among them), then a seeded sample up to 10^7
+    rng = random.Random(21)
+    ns = list(range(-3, 20000)) + [rng.randrange(10**7) for _ in range(2000)]
+    assert [n for n in ns if _is_prime(n) != trial_division(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # to bases 2 through 31
+        318665857834031151167461,  # to bases 2 through 37
+    ],
+)
+def test_strong_pseudoprimes_below_the_bound_are_composite(n):
+    assert n < _PRIME_BOUND
+    assert not _is_prime(n)
+    with pytest.raises(ParseError, match="needs a prime p"):
+        FieldSpec.from_json({"kind": "prime", "p": n})
+
+
+def test_primes_from_the_bound_on_are_refused():
+    # psi_13 is a strong pseudoprime to all 13 bases, so the test cannot
+    # tell it from a prime; the field refuses it and everything above
+    assert _PRIME_BOUND == 3317044064679887385961981
+    assert _is_prime(_PRIME_BOUND)
+    for p in (_PRIME_BOUND, _PRIME_BOUND + 2, 10**30 + 57):
+        with pytest.raises(ParseError, match="needs p below"):
+            FieldSpec.from_json({"kind": "prime", "p": p})
+
+
+def test_an_eighteen_digit_prime_decides_in_under_a_second():
+    start = time.perf_counter()
+    field = FieldSpec.from_json({"kind": "prime", "p": 10**18 + 3})
+    with pytest.raises(ParseError):
+        FieldSpec.from_json({"kind": "prime", "p": 10**18 + 1})
+    assert time.perf_counter() - start < 1
+    assert field.p == 10**18 + 3
+    assert Scalar.from_int(field, 2).inverse() * Scalar.from_int(field, 2) == Scalar.one(field)
+
+
+def test_cyclotomic_fields_stop_at_the_ceiling():
+    assert FieldSpec.from_json({"kind": "cyclotomic", "n": _MAX_CYCLOTOMIC_N}).n == _MAX_CYCLOTOMIC_N
+    for n in (_MAX_CYCLOTOMIC_N + 1, 10**30):
+        with pytest.raises(ParseError, match="needs 1 <= n <= %d" % _MAX_CYCLOTOMIC_N):
+            FieldSpec.from_json({"kind": "cyclotomic", "n": n})
 
 
 def approx(s: Scalar) -> complex | float:

@@ -30,7 +30,6 @@ from ctc.category import (
     associator,
     compose,
     load_category,
-    mor_right_inverse,
     pair_channels,
     tensor_mor,
     tensor_obj,
@@ -67,7 +66,7 @@ from ctc.modules import (
 )
 from ctc import modules as modules_mod
 from ctc.modules import _augmentation, _equivariant_section_exists, _int_mat_mul, _ronyai_g
-from test_category import dual_obj, ev_coev
+from test_category import dual_obj, ev_coev, mor_right_inverse
 from test_linalg import dense_nullspace, dense_rref, dense_solve, identity, to_dense
 
 
