@@ -93,7 +93,7 @@ class SingularFBlock(FusionDataError):
 
 
 class CategorySpec:
-    """Immutable fusion data plus derived lookup tables and caches."""
+    """Immutable fusion data plus derived lookup tables."""
 
     def __init__(self, name, field, labels, unit, dual, fusion, F=None, R=None, twist=None, pivot=None):
         self.name = name
@@ -101,7 +101,8 @@ class CategorySpec:
         self.labels = tuple(labels)
         self.unit = unit
         self.dual = dict(dual)
-        self.fusion = frozenset(tuple(t) for t in fusion)
+        rules = [tuple(t) for t in fusion]
+        self.fusion = frozenset(rules)
         self.F = dict(F or {})
         self.R = dict(R or {})
         one = Scalar.one(field)
@@ -110,11 +111,7 @@ class CategorySpec:
         self.pivot = {lab: one for lab in self.labels}
         self.pivot.update(pivot or {})
         self._index = {lab: k for k, lab in enumerate(self.labels)}
-        self._pair_cache = {}
-        self._assoc_cache = {}
-        self._fmat_inv_cache = {}
-        self._dual_scale_cache = None
-        self._validate()
+        self._validate(rules)
 
     # -- data access --------------------------------------------------
 
@@ -132,7 +129,7 @@ class CategorySpec:
 
     # -- validation ----------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, rules):
         if len(set(self.labels)) != len(self.labels):
             raise FusionDataError("duplicate labels")
         if self.unit not in self._index:
@@ -143,8 +140,9 @@ class CategorySpec:
                 raise FusionDataError("missing or unknown dual for %r" % (lab,))
             if self.dual.get(d) != lab:
                 raise FusionDataError("dual map is not an involution at %r" % (lab,))
-        for a, b, c in self.fusion:
-            for lab in (a, b, c):
+        # in the order given, so the error names one label under any hash seed
+        for rule in rules:
+            for lab in rule:
                 if lab not in self._index:
                     raise FusionDataError("fusion rule uses unknown label %r" % (lab,))
         self._channels = _ring(self.labels, self.fusion).channels
@@ -410,23 +408,30 @@ def compose(g: Mor, f: Mor) -> Mor:
 # tensor structure
 
 
+# Memo sizes: plans, associators, F blocks and category files hold twice
+# the most entries a benchmark pass makes (487, 134, 220 and 41), so no
+# pass evicts; a pass uses 5 rings, each up to tens of MB.  A memo tells
+# categories apart by identity.
+_PLANS, _ASSOCIATORS, _F_BLOCKS, _RINGS, _CATEGORY_FILES = 1024, 512, 1024, 8, 128
+
+
 def _tensor_plan(x: Obj, y: Obj):
-    """The tensor plan of x (x) y, built once per pair of objects and kept
-    in the category: the summand table of ``pair_channels``, the product
-    object, and the offsets c -> {(a, b): (base, step)} of each fusion
-    triple; summand (a, i, b, j) is row base + i*step + j of the c-table.
+    """The tensor plan of x (x) y: the summand table of ``pair_channels``,
+    the product object, and the offsets c -> {(a, b): (base, step)} of
+    each fusion triple; summand (a, i, b, j) is row base + i*step + j of
+    the c-table.  Memoized on the object keys, so a hit hashes no ``Obj``.
     """
     _same_spec(x, y)
-    spec = x.spec
-    cache_key = (x.key(), y.key())
-    hit = spec._pair_cache.get(cache_key)
-    if hit is not None:
-        return hit
+    return _plan(x.spec, x.key(), y.key())
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(spec: CategorySpec, xkey: tuple, ykey: tuple):
     table = {lab: [] for lab in spec.labels}
     offsets = {lab: {} for lab in spec.labels}
-    for a, ma in cache_key[0]:
+    for a, ma in xkey:
         steps, fused = {}, []
-        for b, mb in cache_key[1]:
+        for b, mb in ykey:
             cs = spec.channels(a, b)
             fused.append((b, mb, cs))
             for c in cs:
@@ -441,9 +446,7 @@ def _tensor_plan(x: Obj, y: Obj):
                         rows.append((a, i, b, j))
     offsets = {lab: off for lab, off in offsets.items() if off}
     table = {lab: table[lab] for lab in offsets}
-    product = Obj(spec, {lab: len(rows) for lab, rows in table.items()})
-    plan = spec._pair_cache[cache_key] = (table, product, offsets)
-    return plan
+    return table, Obj(spec, {lab: len(rows) for lab, rows in table.items()}), offsets
 
 
 def pair_channels(x: Obj, y: Obj):
@@ -452,7 +455,8 @@ def pair_channels(x: Obj, y: Obj):
 
 
 def tensor_obj(x: Obj, y: Obj) -> Obj:
-    """x (x) y; the same object for every call on one pair."""
+    """x (x) y; every call on one pair shares the object while its plan
+    stays in the memo."""
     return _tensor_plan(x, y)[1]
 
 
@@ -485,17 +489,21 @@ def tensor_mor(f: Mor, g: Mor) -> Mor:
 
 
 def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
-    """Inverse of the (e, f) recoupling matrix for fixed outer labels."""
-    key = (a, b, c, d)
-    hit = spec._fmat_inv_cache.get(key)
-    if hit is not None:
-        if not hit:
-            raise SingularFBlock(key)
-        return hit
+    """(e_list, f_list, inverse) of the (e, f) recoupling matrix for fixed
+    outer labels; ``SingularFBlock`` if it has no inverse."""
+    block = _f_block_inverse(spec, a, b, c, d)
+    if block is None:
+        raise SingularFBlock((a, b, c, d))
+    return block
+
+
+@lru_cache(maxsize=_F_BLOCKS)
+def _f_block_inverse(spec: CategorySpec, a, b, c, d):
+    """The memo behind ``_f_matrix_inverse``; None for a singular block."""
     e_list = [e for e in spec.channels(a, b) if spec.admissible(e, c, d)]
     f_list = [f for f in spec.channels(b, c) if spec.admissible(a, f, d)]
     if len(e_list) != len(f_list):
-        raise FusionDataError("recoupling matrix for %r is not square" % (key,))
+        raise FusionDataError("recoupling matrix for %r is not square" % ((a, b, c, d),))
     # F entries are validated nonzero, so every one is a row entry
     m = [{k: spec.f_symbol(a, b, c, d, e, f) for k, f in enumerate(f_list)} for e in e_list]
     if len(e_list) == 1:
@@ -506,16 +514,13 @@ def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
         try:
             inv = la.inverse(m, spec.field)
         except la.SingularMatrix:
-            # kept as (), so the block is eliminated once however often it is asked for
-            spec._fmat_inv_cache[key] = ()
-            raise SingularFBlock(key) from None
-    result = (e_list, f_list, inv)
-    spec._fmat_inv_cache[key] = result
-    return result
+            return None
+    return e_list, f_list, inv
 
 
+@lru_cache(maxsize=_ASSOCIATORS)
 def _associator(x: Obj, y: Obj, z: Obj, inverse: bool) -> Mor:
-    """(x (x) y) (x) z -> x (x) (y (x) z), or its inverse, kept in the category.
+    """(x (x) y) (x) z -> x (x) (y (x) z), or its inverse, memoized.
 
     Copies (i, j, l) of (a, b, c) on ((ab)_e c)_d and (a(bc)_f)_d sit at
     column lb + (xb + i*xs + j)*ls + l and row rb + i*rs + yb + j*ys + l,
@@ -525,10 +530,6 @@ def _associator(x: Obj, y: Obj, z: Obj, inverse: bool) -> Mor:
     _same_spec(x, y)
     _same_spec(y, z)
     spec = x.spec
-    cache_key = (inverse, x.key(), y.key(), z.key())
-    hit = spec._assoc_cache.get(cache_key)
-    if hit is not None:
-        return hit
     F, one = spec.F, Scalar.one(spec.field)
     (_, xy, xy_off), (_, yz, yz_off) = _tensor_plan(x, y), _tensor_plan(y, z)
     _, left, left_off = _tensor_plan(xy, z)
@@ -555,8 +556,7 @@ def _associator(x: Obj, y: Obj, z: Obj, inverse: bool) -> Mor:
                                 if inverse:
                                     row, col = col, row
                                 blk[row][col] = val
-    out = spec._assoc_cache[cache_key] = Mor.from_rows(dom, cod, blocks)
-    return out
+    return Mor.from_rows(dom, cod, blocks)
 
 
 def associator(x: Obj, y: Obj, z: Obj) -> Mor:
@@ -599,10 +599,8 @@ def _dual_scales(spec: CategorySpec):
     the evaluation coefficient, so the first move is 1 by definition.  The
     second bent line is checked by verify_zigzag rather than assumed.
     """
-    if spec._dual_scale_cache is None:
-        u = spec.unit
-        spec._dual_scale_cache = {s: spec.f_symbol(s, spec.dual[s], s, s, u, u).inverse() for s in spec.labels}
-    return spec._dual_scale_cache
+    u = spec.unit
+    return {s: spec.f_symbol(s, spec.dual[s], s, s, u, u).inverse() for s in spec.labels}
 
 
 def twist_mor(x: Obj) -> Mor:
@@ -807,7 +805,7 @@ class _Ring:
         ]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_RINGS)
 def _ring(labels: tuple, fusion: frozenset) -> _Ring:
     """The shared fusion-ring facts of the rules; a few rings are kept."""
     return _Ring(labels, fusion)
@@ -1018,27 +1016,22 @@ def verify_zigzag(spec: CategorySpec) -> Report:
 # loading
 
 
-# resolved path -> ((st_mtime_ns, st_size), spec); a file whose stamp has
-# changed since it was read is read again
-_CATEGORY_CACHE: dict[Path, tuple[tuple[int, int], CategorySpec]] = {}
-
-
 def load_category(ref, base_dir=None) -> CategorySpec:
-    """Load a category by bundled name or path; repeated loads of an
-    unchanged file share the instance."""
+    """Load a category by bundled name or path.  Loads of an unchanged
+    file share the instance while it stays in the memo; a file whose
+    modification time or size has changed is read again."""
     path = resolve("categories", ref, base_dir).resolve()
     try:
         st = path.stat()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    stamp = (st.st_mtime_ns, st.st_size)
-    hit = _CATEGORY_CACHE.get(path)
-    if hit is not None and hit[0] == stamp:
-        return hit[1]
+    return _read_category(path, st.st_mtime_ns, st.st_size)
+
+
+@lru_cache(maxsize=_CATEGORY_FILES)
+def _read_category(path: Path, mtime_ns: int, size: int) -> CategorySpec:
     raw = read_json(path)
-    spec = category_from_json(raw, name=raw.get("name", path.stem))
-    _CATEGORY_CACHE[path] = (stamp, spec)
-    return spec
+    return category_from_json(raw, name=raw.get("name", path.stem))
 
 
 def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:

@@ -122,7 +122,7 @@ class FieldSpec:
         init(self, "n", n)
         init(self, "_key", (kind, p, n))
         init(self, "_hash", hash(self._key))
-        init(self, "_ctx", None if kind == "prime" else _cyclo_ctx(n or 1))
+        init(self, "_ctx", None if kind == "prime" else _CycloCtx(n or 1))
         init(self, "_zero", Scalar.from_int(self, 0))
         init(self, "_one", Scalar.from_int(self, 1))
 
@@ -264,11 +264,6 @@ class _CycloCtx:
                 for i, t in terms:
                     out[i] += c * t
         return out
-
-
-@lru_cache(maxsize=None)
-def _cyclo_ctx(n: int) -> _CycloCtx:
-    return _CycloCtx(n)
 
 
 def _canon(nums, den: int):

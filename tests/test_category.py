@@ -1172,17 +1172,47 @@ def test_inverted_blocks_write_their_zero_entries():
     assert zeros_seen == 2
 
 
-def test_ring_cache_stays_bounded():
-    maxsize = _ring.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 16
-    for n in range(1, maxsize + 4):
-        labels = ["1"] + ["g%d" % k for k in range(1, n)]
-        fusion = [[labels[i], labels[j], labels[(i + j) % n]] for i in range(n) for j in range(n)]
-        dual = {labels[i]: labels[-i % n] for i in range(n)}
-        raw = {"field": {"kind": "rational"}, "labels": labels, "unit": "1", "dual": dual, "fusion": fusion}
-        spec = category_from_json(raw, name="vec_z%d" % n)
+def _vec_zn(n):
+    """Vec over Z_n with trivial symbols, labels "1", "g1", ..., "g<n-1>"."""
+    labels = ["1"] + ["g%d" % k for k in range(1, n)]
+    fusion = [[labels[i], labels[j], labels[(i + j) % n]] for i in range(n) for j in range(n)]
+    dual = {labels[i]: labels[-i % n] for i in range(n)}
+    raw = {"field": {"kind": "rational"}, "labels": labels, "unit": "1", "dual": dual, "fusion": fusion}
+    return category_from_json(raw, name="vec_z%d" % n)
+
+
+def _fill_memo(name, k, tmp_path):
+    """The k-th of a run of calls that each add one entry to the memo
+    ``name``: on a new file, on a new category, or for rings on Z_{k+1}."""
+    if name == "_read_category":
+        path = tmp_path / ("tiny%d.json" % k)
+        path.write_text(json.dumps(base_json()))
+        load_category(path)
+    elif name == "_ring":
+        spec = _vec_zn(k + 1)
         assert verify_pentagon(spec).items == verify_hexagon(spec).items == []
-    assert _ring.cache_info().currsize == maxsize
+    else:
+        spec = category_from_json(base_json())
+        g = Obj.simple(spec, "g")
+        if name == "_plan":
+            tensor_obj(g, g)
+        elif name == "_associator":
+            associator(g, g, g)
+        else:
+            _f_matrix_inverse(spec, "g", "g", "g", "g")
+
+
+@pytest.mark.parametrize(
+    "name, ceiling",
+    [("_plan", 1024), ("_associator", 1024), ("_f_block_inverse", 1024), ("_ring", 16), ("_read_category", 1024)],
+)
+def test_every_memo_stays_bounded(tmp_path, name, ceiling):
+    memo = getattr(category, name)
+    maxsize = memo.cache_info().maxsize
+    assert maxsize is not None and maxsize <= ceiling
+    for k in range(maxsize + 3):
+        _fill_memo(name, k, tmp_path)
+    assert memo.cache_info().currsize == maxsize
 
 
 def _zn_squared_fusion(n):
@@ -1304,11 +1334,13 @@ def gauged(spec, seed):
     """``spec`` after a seeded rational gauge change: a nonzero u^{ab}_c on
     every fusion triple, 1 when a or b is the unit, and
     F' = F u^{ab}_e u^{ec}_d / (u^{bc}_f u^{af}_d), R' = R u^{ab}_c / u^{ba}_c.
-    The result is coherent exactly when ``spec`` is."""
+    The result is coherent exactly when ``spec`` is.  The gauge is drawn
+    over the triples in label order, so it does not depend on the hash seed."""
     rng = random.Random(seed)
     field = spec.field
+    triples = sorted(spec.fusion, key=lambda t: [spec.labels.index(x) for x in t])
     u = {}
-    for a, b, c in spec.fusion:
+    for a, b, c in triples:
         q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
         u[a, b, c] = Scalar.one(field) if spec.unit in (a, b) else Scalar.from_fraction(field, q)
     F = {}
@@ -1319,7 +1351,7 @@ def gauged(spec, seed):
                     if spec.admissible(a, f, d):
                         scale = u[a, b, e] * u[e, c, d] * (u[b, c, f] * u[a, f, d]).inverse()
                         F[a, b, c, d, e, f] = spec.f_symbol(a, b, c, d, e, f) * scale
-    R = {(a, b, c): spec.r_symbol(a, b, c) * u[a, b, c] * u[b, a, c].inverse() for a, b, c in spec.fusion}
+    R = {(a, b, c): spec.r_symbol(a, b, c) * u[a, b, c] * u[b, a, c].inverse() for a, b, c in triples}
     return CategorySpec(
         "%s-gauged" % spec.name, field, spec.labels, spec.unit, spec.dual, spec.fusion, F, R,
         dict(spec.twist), dict(spec.pivot),
@@ -1535,6 +1567,25 @@ def base_json():
         "dual": {"1": "1", "g": "g"},
         "fusion": [["1", "1", "1"], ["1", "g", "g"], ["g", "1", "g"], ["g", "g", "1"]],
     }
+
+
+def unknown_label_rules_json():
+    """``base_json`` plus three fusion rules, each on one label it lacks:
+    "w", "v" and "y" in file order."""
+    raw = base_json()
+    raw["fusion"] += [["w", "g", "1"], ["v", "g", "1"], ["y", "g", "1"]]
+    return raw
+
+
+def test_unknown_labels_are_named_in_file_order():
+    # both orders of the rules make one frozenset, so only the file order
+    # can tell the two messages apart
+    raw = unknown_label_rules_json()
+    with pytest.raises(FusionDataError, match="unknown label 'w'"):
+        category_from_json(raw)
+    raw["fusion"][-3:] = reversed(raw["fusion"][-3:])
+    with pytest.raises(FusionDataError, match="unknown label 'y'"):
+        category_from_json(raw)
 
 
 def test_category_from_json_ok():

@@ -19,6 +19,7 @@ from ctc.category import load_category
 from ctc.cli import _job, _rand_scalar, _run_check_category, main
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
 from ctc.report import Item, Report
+from test_category import unknown_label_rules_json
 from test_fields import zeta
 
 ALL_CATEGORIES = [
@@ -104,6 +105,20 @@ def test_import_loads_no_introspection_logging_or_thread_pool():
     added = set(out.split())
     assert {"ctc.cli", "ctc.ledger", "ctc.modules"} <= added
     assert not added & {"dataclasses", "inspect", "logging", "concurrent.futures"}
+
+
+def test_check_category_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # the bundled categories and a file whose load error names one of
+    # several unknown labels, in two interpreters with different string hashes
+    bad = tmp_path / "unknown_labels.json"
+    bad.write_text(json.dumps(unknown_label_rules_json()))
+    argv = [sys.executable, "-m", "ctc.cli", "check-category"] + ALL_CATEGORIES + [str(bad), "--report", "json"]
+    outs = [
+        subprocess.run(argv, env=dict(_env_with_src(), PYTHONHASHSEED=seed), capture_output=True, timeout=60).stdout
+        for seed in ("0", "22")
+    ]
+    assert b"unknown label 'w'" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_repeat_runs_byte_identical(capsysbinary):
@@ -735,9 +750,9 @@ SOLVES = ("rref", "rank", "solve", "nullspace", "inverse", "image_factorization"
 
 def test_bundled_commands_pass_sparse_rows_to_every_solve(monkeypatch, capsysbinary):
     # the bundled suites, check-category on every bundled category and both
-    # bundled condense pairs; the category cache is emptied, so every
+    # bundled condense pairs; the category file memo is emptied, so every
     # recoupling block is inverted afresh
-    monkeypatch.setattr(category, "_CATEGORY_CACHE", {})
+    category._read_category.cache_clear()
     calls, dense = set(), []
 
     def guard(name, solve):
