@@ -21,9 +21,10 @@ from .category import (
     associator_inv,
     braiding,
     compose,
+    compose_tensor,
     load_category,
     pair_channels,
-    tensor_mor,
+    tensor_compose,
     tensor_obj,
     twist_mor,
 )
@@ -116,9 +117,9 @@ def _action_laws(alg: AlgebraObject, act: Mor):
     act : A (x) X -> X of the algebra; the multiplication is one."""
     A, X = alg.carrier, act.cod
     ident = Mor.identity(X)
-    unit = (compose(act, tensor_mor(alg.unit_map, ident)), ident)
-    lhs = compose(act, tensor_mor(alg.mult_map, ident))
-    rhs = compose(act, compose(tensor_mor(Mor.identity(A), act), associator(A, A, X)))
+    unit = (compose_tensor(act, alg.unit_map, ident), ident)
+    lhs = compose_tensor(act, alg.mult_map, ident)
+    rhs = compose(compose_tensor(act, Mor.identity(A), act), associator(A, A, X))
     return unit, (lhs, rhs)
 
 
@@ -129,7 +130,7 @@ def check_algebra(alg: AlgebraObject) -> Report:
     ident = Mor.identity(A)
     unit, assoc = _action_laws(alg, alg.mult_map)
     _item(report, "unit-left", *unit)
-    right = compose(alg.mult_map, tensor_mor(ident, alg.unit_map))
+    right = compose_tensor(alg.mult_map, ident, alg.unit_map)
     _item(report, "unit-right", right, ident)
     _item(report, "associative", *assoc)
     braided = compose(alg.mult_map, braiding(A, A))
@@ -221,16 +222,10 @@ def solve_coevaluation(alg: AlgebraObject) -> Mor:
                 col[slot_at[(b, i, bd, j)]] = {0: x * scales[b]}
     coev = Mor.from_rows(Obj.unit(spec), tensor_obj(A, A), {spec.unit: col})
     ident = Mor.identity(A)
-    first = compose(
-        tensor_mor(ident, pairing),
-        compose(associator(A, A, A), tensor_mor(coev, ident)),
-    )
+    first = compose_tensor(tensor_compose(ident, pairing, associator(A, A, A)), coev, ident)
     if first != ident:
         raise NotRigidSelfDual("first bent-line identity fails")
-    second = compose(
-        tensor_mor(pairing, ident),
-        compose(associator_inv(A, A, A), tensor_mor(ident, coev)),
-    )
+    second = compose_tensor(tensor_compose(pairing, ident, associator_inv(A, A, A)), ident, coev)
     if second != ident:
         raise NotRigidSelfDual("second bent-line identity fails")
     return coev
@@ -268,14 +263,8 @@ def frobenius_identity_check(alg: AlgebraObject) -> Report:
     A = alg.carrier
     ident = Mor.identity(A)
     # the two ways of splitting one copairing leg into a comultiplication
-    left = compose(
-        tensor_mor(alg.mult_map, ident),
-        compose(associator_inv(A, A, A), tensor_mor(ident, coev)),
-    )
-    right = compose(
-        tensor_mor(ident, alg.mult_map),
-        compose(associator(A, A, A), tensor_mor(coev, ident)),
-    )
+    left = compose_tensor(tensor_compose(alg.mult_map, ident, associator_inv(A, A, A)), ident, coev)
+    right = compose_tensor(tensor_compose(ident, alg.mult_map, associator(A, A, A)), coev, ident)
     _item(report, "coproduct-left-right", left, right)
     pairing = compose(counit, alg.mult_map)
     _item(report, "pairing-commutes", compose(pairing, braiding(A, A)), pairing)
@@ -295,7 +284,7 @@ def algebra_dim_with_twist(alg: AlgebraObject) -> Scalar:
     A = alg.carrier
     chain = compose(
         compose(counit, alg.mult_map),
-        compose(braiding(A, A), compose(tensor_mor(twist_mor(A), Mor.identity(A)), coev)),
+        compose(compose_tensor(braiding(A, A), twist_mor(A), Mor.identity(A)), coev),
     )
     return chain.block(alg.spec.unit)[0][0]
 

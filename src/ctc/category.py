@@ -16,32 +16,32 @@ fixed enumeration: the summands of X (x) Y isotypic to c are the
 is row t = base + i*step + j of the c-block, with base the row of
 (a, 0, b, 0) and step the number of c-summands per copy of a; the tensor
 plan of X and Y keeps (base, step) per fusion triple (a, b, c), and
-``tensor_mor``, the braiding and the associators place every entry by
-that arithmetic.  Every structural morphism below (associator,
-braiding, unit maps, evaluation and coevaluation) is a matrix written in
-exactly these bases, so composing the matrices composes the diagrams.
+the braiding, the associators and the tensor products of morphisms
+place every entry by that arithmetic.  A tensor product that only feeds
+a composite, like the whisker 1 (x) f, is walked inside the composite
+(``compose_tensor``, ``tensor_compose``) and never built.  Every
+structural morphism below (associator, braiding, unit maps, evaluation
+and coevaluation) is a matrix written in exactly these bases, so
+composing the matrices composes the diagrams.
 
 The unit is strict for this engine: F entries touching the unit label
 must be 1 (enforced at validation), which makes both unit isomorphisms
 identity matrices and keeps the triangle identity automatic.
 
-The coherence sweeps check the equations on the F- and R-symbols.  Each
-fusion ring compiles its pentagon and hexagon equations once, on its
-first sweep, into programs of integer slots (``_Ring``); a category is
-checked by filling one value list with its symbols and evaluating every
-program.
+The coherence sweeps check the equations on the F- and R-symbols, by
+the programs the category's fusion ring compiles (``ctc.ring``).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import lru_cache
 from pathlib import Path
 
 from . import linalg as la
 from . import check_fields, read_json, resolve, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .report import Report
+from .ring import FusionRing, fusion_ring
 
 __all__ = [
     "CategoryError",
@@ -55,6 +55,8 @@ __all__ = [
     "tensor_obj",
     "tensor_mor",
     "compose",
+    "compose_tensor",
+    "tensor_compose",
     "associator",
     "associator_inv",
     "braiding",
@@ -145,7 +147,7 @@ class CategorySpec:
             for lab in rule:
                 if lab not in self._index:
                     raise FusionDataError("fusion rule uses unknown label %r" % (lab,))
-        self._channels = _ring(self.labels, self.fusion).channels
+        self._channels = fusion_ring(self.labels, self.fusion).channels
         for lab in self.labels:
             if self.channels(self.unit, lab) != [lab] or self.channels(lab, self.unit) != [lab]:
                 raise FusionDataError("unit does not fuse strictly with %r" % (lab,))
@@ -410,9 +412,8 @@ def compose(g: Mor, f: Mor) -> Mor:
 
 # Memo sizes: plans, associators, F blocks and category files hold twice
 # the most entries a benchmark pass makes (487, 134, 220 and 41), so no
-# pass evicts; a pass uses 5 rings, each up to tens of MB.  A memo tells
-# categories apart by identity.
-_PLANS, _ASSOCIATORS, _F_BLOCKS, _RINGS, _CATEGORY_FILES = 1024, 512, 1024, 8, 128
+# pass evicts.  A memo tells categories apart by identity.
+_PLANS, _ASSOCIATORS, _F_BLOCKS, _CATEGORY_FILES = 1024, 512, 1024, 128
 
 
 def _tensor_plan(x: Obj, y: Obj):
@@ -486,6 +487,87 @@ def tensor_mor(f: Mor, g: Mor) -> Mor:
                             # a factor that is the field's shared one costs no product
                             row[col + j] = x if y is one else y if x is one else x * y
     return Mor.from_rows(dom, cod, rows)
+
+
+def compose_tensor(h: Mor, f: Mor, g: Mor) -> Mor:
+    """h after f (x) g, equal to ``compose(h, tensor_mor(f, g))`` without
+    building f (x) g: the entry z of h at the summand (a, i, b, j) walks
+    row i of f_a and row j of g_b, into the columns the domain plan puts
+    them at.  A factor that is the field's shared one costs no product,
+    so an identity leg costs none."""
+    if f.dom.spec is not g.dom.spec or h.dom.spec is not f.dom.spec:
+        raise CategoryMismatch("morphisms from different categories")
+    _, dom, dom_off = _tensor_plan(f.dom, g.dom)
+    summands, cod, _ = _tensor_plan(f.cod, g.cod)
+    if h.dom != cod:
+        raise DomainMismatch("cannot compose %r after %r (x) %r" % (h, f, g))
+    one, frows, grows, rows = Scalar.one(dom.spec.field), f.rows, g.rows, {}
+    for c, hrows in h.rows.items():
+        off, table = dom_off.get(c), summands[c]
+        if off is None:
+            continue
+        rows[c] = out = []
+        for hrow in hrows:
+            acc, met = {}, False
+            for t, z in hrow.items():
+                a, i2, b, j2 = table[t]
+                fa, gb = frows.get(a), grows.get(b)
+                if fa is None or gb is None or not (fa[i2] and gb[j2]):
+                    continue
+                base, step = off[a, b]
+                grow = gb[j2]
+                for i, x in fa[i2].items():
+                    zx = x if z is one else z if x is one else z * x
+                    col = base + i * step
+                    for j, y in grow.items():
+                        p = zx if y is one else y if zx is one else zx * y
+                        v = acc.get(col + j)
+                        if v is None:
+                            acc[col + j] = p
+                        else:
+                            acc[col + j] = v + p
+                            met = True
+            out.append({k: v for k, v in acc.items() if not v.is_zero()} if met else acc)
+    return Mor.from_rows(dom, h.cod, rows)
+
+
+def tensor_compose(f: Mor, g: Mor, h: Mor) -> Mor:
+    """f (x) g after h, equal to ``compose(tensor_mor(f, g), h)`` without
+    building f (x) g: the row of the summand (a, i, b, j) walks row i of
+    f_a and row j of g_b over the rows of h the domain plan puts them at,
+    with the products of ``compose_tensor``."""
+    if f.dom.spec is not g.dom.spec or h.dom.spec is not f.dom.spec:
+        raise CategoryMismatch("morphisms from different categories")
+    _, dom, dom_off = _tensor_plan(f.dom, g.dom)
+    summands, cod, _ = _tensor_plan(f.cod, g.cod)
+    if h.cod != dom:
+        raise DomainMismatch("cannot compose %r (x) %r after %r" % (f, g, h))
+    one, frows, grows, rows = Scalar.one(cod.spec.field), f.rows, g.rows, {}
+    for c, hrows in h.rows.items():
+        off, table = dom_off[c], summands.get(c)
+        if table is None:
+            continue
+        rows[c] = out = []
+        for a, i2, b, j2 in table:
+            acc, met = {}, False
+            fa, gb = frows.get(a), grows.get(b)
+            if fa is not None and gb is not None and fa[i2] and gb[j2]:
+                base, step = off[a, b]
+                grow = gb[j2]
+                for i, x in fa[i2].items():
+                    col = base + i * step
+                    for j, y in grow.items():
+                        xy = x if y is one else y if x is one else x * y
+                        for k, z in hrows[col + j].items():
+                            p = xy if z is one else z if xy is one else xy * z
+                            v = acc.get(k)
+                            if v is None:
+                                acc[k] = p
+                            else:
+                                acc[k] = v + p
+                                met = True
+            out.append({k: v for k, v in acc.items() if not v.is_zero()} if met else acc)
+    return Mor.from_rows(h.dom, cod, rows)
 
 
 def _f_matrix_inverse(spec: CategorySpec, a, b, c, d):
@@ -627,190 +709,6 @@ def categorical_dim(x: Obj) -> Scalar:
 # coherence checks
 
 
-class _Ring:
-    """Facts of one fusion ring, shared by every category on it.
-
-    A pure function of the labels and the fusion rules: no F, R or
-    scalar enters, so the facts hold in every field.
-    ``channels[(a, b)]`` lists the c in a x b in label order;
-    ``CategorySpec.channels`` reads it.
-
-    ``blocks`` numbers the slots of a value list (see ``_slot_values``)
-    and finds the wide outer triples: those with a recoupling block
-    larger than 1x1 at some total.  A program lists the equations of one
-    pentagon 4-tuple or hexagon triple as pairs (lhs, rhs) of terms, each
-    term the tuple of slots whose values multiply.  A ring's first sweep
-    compiles the programs of its kind, never its load, and every sweep
-    evaluates all of them.
-    """
-
-    def __init__(self, labels, fusion):
-        self.labels = labels
-        self.fusion = fusion
-        self._index = {lab: k for k, lab in enumerate(labels)}
-        self.ordered_fusion = sorted(fusion, key=self.order)
-        self.channels = {}
-        for a, b, c in self.ordered_fusion:
-            self.channels.setdefault((a, b), []).append(c)
-
-    def order(self, group) -> tuple:
-        """Sort key of a tuple of labels: label order, position by position."""
-        return tuple(self._index[x] for x in group)
-
-    def _ch(self, a, b):
-        return self.channels.get((a, b), ())
-
-    @cached_property
-    def blocks(self):
-        """(wide, trees, slots, size): the wide outer triples; per outer
-        triple, the pairs (d, rows) of the totals d with trees on both
-        sides, ``rows[f][e]`` the F slot of
-        ((ab)_e c)_d -> (a(bc)_f)_d with e and f in channel order, as
-        ``_f_matrix_inverse`` orders its block; the slot of every R and F
-        key; and the length of a value list."""
-        ch, labels = self._ch, self.labels
-        slots = {t: k for k, t in enumerate(self.ordered_fusion, 1)}
-        size = len(slots) + 1
-        wide, trees = set(), {}
-        for a in labels:
-            for b in labels:
-                for c in labels:
-                    e_trees, f_trees = {}, {}
-                    for e in ch(a, b):
-                        for d in ch(e, c):
-                            e_trees.setdefault(d, []).append(e)
-                    for f in ch(b, c):
-                        for d in ch(a, f):
-                            f_trees.setdefault(d, []).append(f)
-                    outer = trees[a, b, c] = []
-                    for d, es in e_trees.items():
-                        fs = f_trees.get(d)
-                        if fs is None:
-                            continue
-                        if len(es) != 1 or len(fs) != 1:
-                            wide.add((a, b, c))
-                        rows = []
-                        for f in fs:
-                            row = []
-                            for e in es:
-                                slots[a, b, c, d, e, f] = size
-                                row.append(size)
-                                size += 2
-                            rows.append(row)
-                        outer.append((d, rows))
-        return frozenset(wide), trees, slots, size
-
-    @cached_property
-    def pentagon_settled(self):
-        """Whether every pentagon holds when every F entry is 1, with no
-        program: in a pointed ring (one channel per pair) with associative
-        rules each side of every pentagon is the one tree
-        ((ab)c)d = a(b(cd))."""
-        labels = self.labels
-        mul = {pair: cs[0] for pair, cs in self.channels.items() if len(cs) == 1}
-        return len(mul) == len(labels) ** 2 and all(
-            mul[mul[a, b], c] == mul[a, mul[b, c]] for a in labels for b in labels for c in labels
-        )
-
-    @cached_property
-    def pentagon_programs(self):
-        """The programs of the 4-tuples t = (a, b, c, d) in label order:
-        for the source tree (((ab)_e c)_f d)_u and the target tree
-        (a(b(cd)_g)_h)_u, the lhs F^{ecd}_{u;f,g} F^{abg}_{u;e,h} and the
-        rhs terms F^{abc}_{f;e,k} F^{akd}_{u;f,h} F^{bcd}_{h;k,g}.  A
-        4-tuple through the unit is left out: its equations pair off term
-        by term, and its F entries are 1."""
-        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[2]
-        unit = next((u for u in labels if all(ch(u, x) == [x] == ch(x, u) for x in labels)), None)
-        out = {}
-        for t in product(labels, repeat=4):
-            if unit in t:
-                continue
-            a, b, c, d = t
-            bc, gh = ch(b, c), [(g, ch(b, g)) for g in ch(c, d)]
-            program = []
-            for e in ch(a, b):
-                for f in ch(e, c):
-                    abc = [(k, slot[a, b, c, f, e, k]) for k in bc if (a, k, f) in fusion]
-                    for u in ch(f, d):
-                        for g, hs in gh:
-                            # None when there is no tree through g on the left
-                            ecd = slot.get((e, c, d, u, f, g))
-                            for h in hs:
-                                if (a, h, u) not in fusion:
-                                    continue
-                                lhs = () if ecd is None else ((ecd, slot[a, b, g, u, e, h]),)
-                                rhs = [
-                                    (s, slot[a, k, d, u, f, h], slot[b, c, d, h, k, g])
-                                    for k, s in abc
-                                    if (k, d, h) in fusion
-                                ]
-                                if lhs or rhs:
-                                    program.append((lhs, tuple(rhs)))
-            out[t] = tuple(program)
-        return out
-
-    @cached_property
-    def hexagon_programs(self):
-        """The (hexagon-1, hexagon-2) programs of every label triple
-        (a, b, c): per total d and tree pair, the two sides of
-        ``verify_hexagon``'s equations, a G slot one past the F slot of
-        its trees."""
-        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[2]
-        out = {}
-        for a in labels:
-            for b in labels:
-                for c in labels:
-                    hex1, hex2 = [], []
-                    for e in ch(a, b):
-                        back = (b, a, e) in fusion
-                        for d in ch(e, c):
-                            for g in ch(c, a):
-                                if (b, g, d) not in fusion:
-                                    continue
-                                lhs = tuple([
-                                    (slot[a, b, c, d, e, f], slot[a, f, d], slot[b, c, a, d, f, g])
-                                    for f in ch(b, c)
-                                    if (a, f, d) in fusion and (f, a, d) in fusion
-                                ])
-                                mid = back and (a, c, g) in fusion
-                                rhs = ((slot[a, b, e], slot[b, a, c, d, e, g], slot[a, c, g]),) if mid else ()
-                                if lhs or rhs:
-                                    hex1.append((lhs, rhs))
-                    for f in ch(b, c):
-                        for d in ch(a, f):
-                            for g in ch(c, a):
-                                if (g, b, d) not in fusion:
-                                    continue
-                                lhs = tuple([
-                                    (slot[a, b, c, d, e, f] + 1, slot[e, c, d], slot[c, a, b, d, g, e] + 1)
-                                    for e in ch(a, b)
-                                    if (e, c, d) in fusion and (c, e, d) in fusion
-                                ])
-                                mid = (a, c, g) in fusion and (c, b, f) in fusion
-                                rhs = ((slot[b, c, f], slot[a, c, b, d, g, f] + 1, slot[a, c, g]),) if mid else ()
-                                if lhs or rhs:
-                                    hex2.append((lhs, rhs))
-                    out[a, b, c] = (tuple(hex1), tuple(hex2))
-        return out
-
-    @cached_property
-    def balancing(self):
-        """Per fusion triple (a, b, c) in label order: the R slots of
-        (a, b, c) and of (b, a, c), the latter 0 (the slot of 1) outside
-        the rules, and the positions of a, b and c in the labels."""
-        slot, index = {t: k for k, t in enumerate(self.ordered_fusion, 1)}, self._index
-        return [
-            (slot[a, b, c], slot.get((b, a, c), 0), index[a], index[b], index[c]) for a, b, c in self.ordered_fusion
-        ]
-
-
-@lru_cache(maxsize=_RINGS)
-def _ring(labels: tuple, fusion: frozenset) -> _Ring:
-    """The shared fusion-ring facts of the rules; a few rings are kept."""
-    return _Ring(labels, fusion)
-
-
 def _holds(program, values, one: Scalar, zero: Scalar) -> bool:
     """Whether every equation of a program holds on the slot values: on
     each side, the sum over the terms of the product of their values.  A
@@ -833,7 +731,7 @@ def _holds(program, values, one: Scalar, zero: Scalar) -> bool:
     return True
 
 
-def _slot_values(spec: CategorySpec, ring: _Ring, one: Scalar) -> list:
+def _slot_values(spec: CategorySpec, ring: FusionRing, one: Scalar) -> list:
     """The symbols of ``spec`` by slot: 1 at slot 0, the R entries of the
     fusion triples in label order, then every admissible F entry, each
     followed by the entry G of the inverse recoupling block on the same
@@ -855,7 +753,7 @@ def _invert_outer(spec: CategorySpec, values: list, one: Scalar, a, b, c):
     since ``_slot_values`` fills every G slot with 1.  Blocks are
     inverted for the totals d in label order, as ``associator_inv`` does,
     so a singular block raises ``SingularFBlock`` for the same labels."""
-    ring = _ring(spec.labels, spec.fusion)
+    ring = fusion_ring(spec.labels, spec.fusion)
     zero = Scalar.zero(spec.field)
     for d, rows in sorted(ring.blocks[1][a, b, c], key=lambda block: ring._index[block[0]]):
         inv = _f_matrix_inverse(spec, a, b, c, d)[2]
@@ -884,11 +782,11 @@ def verify_pentagon(spec: CategorySpec) -> Report:
     Every 4-tuple not through the unit is evaluated, by its ring's
     program on the slot values of ``spec``.  A pointed ring with
     associative rules needs no program when every F entry is 1
-    (``_Ring.pentagon_settled``).
+    (``FusionRing.pentagon_settled``).
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
-    ring = _ring(spec.labels, spec.fusion)
+    ring = fusion_ring(spec.labels, spec.fusion)
     if ring.pentagon_settled and all(val.is_one() for val in spec.F.values()):
         return report
     values = _slot_values(spec, ring, one)
@@ -926,7 +824,7 @@ def verify_hexagon(spec: CategorySpec) -> Report:
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
-    ring = _ring(spec.labels, spec.fusion)
+    ring = fusion_ring(spec.labels, spec.fusion)
     values = _slot_values(spec, ring, one)
     pending = {key[:3] for key, val in spec.F.items() if val != one}.union(ring.blocks[0])
     singular = {}
@@ -995,7 +893,7 @@ def verify_zigzag(spec: CategorySpec) -> Report:
     one = Scalar.one(spec.field)
     u = spec.unit
     scales = _dual_scales(spec)
-    ring = _ring(spec.labels, spec.fusion)
+    ring = fusion_ring(spec.labels, spec.fusion)
     slots = ring.blocks[2]
     values = _slot_values(spec, ring, one)
     for s in spec.labels:

@@ -64,8 +64,10 @@ from .category import (
     associator_inv,
     braiding,
     compose,
+    compose_tensor,
     load_category,
     pair_channels,
+    tensor_compose,
     tensor_mor,
     tensor_obj,
 )
@@ -170,10 +172,7 @@ def induce(alg: AlgebraObject, x: Obj) -> AModule:
     """The free module on x: algebra tensor x with action by multiplication."""
     A = alg.carrier
     carrier = tensor_obj(A, x)
-    action = compose(
-        tensor_mor(alg.mult_map, Mor.identity(x)),
-        associator_inv(A, A, x),
-    )
+    action = tensor_compose(alg.mult_map, Mor.identity(x), associator_inv(A, A, x))
     return AModule("induced(%r)" % (x,), alg, carrier, action)
 
 
@@ -263,18 +262,13 @@ def is_twisted_local(mod: AModule, g: Mor):
     if g.dom != A or g.cod != A:
         raise NotAlgebraAutomorphism("twist must be an endomorphism of the algebra carrier")
     mu = mod.alg.mult_map
-    if compose(g, mod.alg.unit_map) != mod.alg.unit_map or compose(g, mu) != compose(
-        mu, tensor_mor(g, g)
-    ):
+    if compose(g, mod.alg.unit_map) != mod.alg.unit_map or compose(g, mu) != compose_tensor(mu, g, g):
         raise NotAlgebraAutomorphism("twist is not an algebra map")
     try:
         g.inverse()
     except la.SingularMatrix:
         raise NotAlgebraAutomorphism("twist is not invertible") from None
-    twisted = compose(
-        mod.action,
-        compose(tensor_mor(g, Mor.identity(mod.carrier)), _monodromy(A, mod.carrier)),
-    )
+    twisted = compose(compose_tensor(mod.action, g, Mor.identity(mod.carrier)), _monodromy(A, mod.carrier))
     if twisted == mod.action:
         return True, None
     return False, (twisted - mod.action).to_json()
@@ -291,11 +285,8 @@ def _average(alg: AlgebraObject, act: Mor, g: Mor, x: Obj) -> Mor:
     if index.is_zero():
         raise IndexZero("algebra index vanishes in this field")
     A = alg.carrier
-    core = compose(
-        act,
-        compose(tensor_mor(Mor.identity(A), g), compose(associator(A, A, x), tensor_mor(coev, Mor.identity(x)))),
-    )
-    return core.scale(index.inverse())
+    core = compose(compose_tensor(act, Mor.identity(A), g), associator(A, A, x))
+    return compose_tensor(core, coev, Mor.identity(x)).scale(index.inverse())
 
 
 def maschke_section(f: Mor, m1: AModule, m2: AModule, sigma: Mor) -> Mor:
@@ -319,7 +310,7 @@ def maschke_section(f: Mor, m1: AModule, m2: AModule, sigma: Mor) -> Mor:
     s = _average(m1.alg, m1.action, compose(sigma, m2.action), X2)
     if compose(f, s) != Mor.identity(X2):
         raise SectionPostconditionFailed("averaged map is not a section; f was not equivariant")
-    if compose(s, m2.action) != compose(m1.action, tensor_mor(Mor.identity(m1.alg.carrier), s)):
+    if compose(s, m2.action) != compose_tensor(m1.action, Mor.identity(m1.alg.carrier), s):
         raise SectionPostconditionFailed("averaged section does not intertwine the actions")
     return s
 
@@ -360,7 +351,7 @@ def local_projection(mod: AModule):
     if compose(prj, inc) != Mor.identity(img):
         raise ModuleError("projector is not idempotent; no local part here")
     A = mod.alg.carrier
-    action = compose(prj, compose(mod.action, tensor_mor(Mor.identity(A), inc)))
+    action = compose(prj, compose_tensor(mod.action, Mor.identity(A), inc))
     out = AModule("local(%s)" % mod.name, mod.alg, img, action)
     rep = check_module(out)
     if not rep.ok:
@@ -992,7 +983,7 @@ def _run_local_suite(raw, base_dir) -> Report:
             loc_mod, _, _ = local_projection(mod)
             report.append("projector-idempotent:%s:%s" % (tag, row.source), "pass")
             pi = projector_pi(mod)
-            inter = compose(pi, mod.action) == compose(mod.action, tensor_mor(Mor.identity(alg.carrier), pi))
+            inter = compose(pi, mod.action) == compose_tensor(mod.action, Mor.identity(alg.carrier), pi)
             report.append("projector-intertwines:%s:%s" % (tag, row.source), "pass" if inter else "fail")
             loc_ok, _ = is_local(loc_mod)
             report.append("image-local:%s:%s" % (tag, row.source), "pass" if loc_ok else "fail")

@@ -11,6 +11,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -30,15 +31,16 @@ from ctc.category import (
     SingularFBlock,
     _dual_scales,
     _f_matrix_inverse,
-    _ring,
     associator,
     associator_inv,
     braiding,
     categorical_dim,
     category_from_json,
     compose,
+    compose_tensor,
     load_category,
     pair_channels,
+    tensor_compose,
     tensor_mor,
     tensor_obj,
     twist_mor,
@@ -48,6 +50,7 @@ from ctc.category import (
     verify_zigzag,
 )
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
+from ctc.ring import FusionRing, fusion_ring as _ring
 from ctc.report import Report
 from test_fields import zeta
 from test_linalg import dense_inverse, to_dense, zeros
@@ -1207,7 +1210,7 @@ def _fill_memo(name, k, tmp_path):
     [("_plan", 1024), ("_associator", 1024), ("_f_block_inverse", 1024), ("_ring", 16), ("_read_category", 1024)],
 )
 def test_every_memo_stays_bounded(tmp_path, name, ceiling):
-    memo = getattr(category, name)
+    memo = _ring if name == "_ring" else getattr(category, name)
     maxsize = memo.cache_info().maxsize
     assert maxsize is not None and maxsize <= ceiling
     for k in range(maxsize + 3):
@@ -1265,7 +1268,7 @@ def _failing_groups(items, prefix):
 @pytest.mark.parametrize("name", sorted(_ring_inputs()))
 def test_pentagon_table_matches_the_walk(name):
     labels, fusion = _ring_inputs()[name]
-    ring = category._Ring(labels, fusion)
+    ring = FusionRing(labels, fusion)
     walk = pentagon_walk(ring)
     assert ring.pentagon_settled == (name in SETTLED_RINGS)
     if ring.pentagon_settled:
@@ -1282,7 +1285,7 @@ def test_pentagon_table_matches_the_walk(name):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_pointed_associative_ring_skips_the_walk(monkeypatch, n):
-    monkeypatch.setattr(category._Ring, "pentagon_programs", property(lambda self: pytest.fail("compiled a pointed ring")))
+    monkeypatch.setattr(FusionRing, "pentagon_programs", property(lambda self: pytest.fail("compiled a pointed ring")))
     spec = all_ones("z%d^2" % n, *_zn_squared_fusion(n))
     assert verify_pentagon(spec).items == []
     assert _ring(spec.labels, spec.fusion).pentagon_settled
@@ -1291,7 +1294,7 @@ def test_pointed_associative_ring_skips_the_walk(monkeypatch, n):
 @pytest.mark.parametrize("name", sorted(_ring_inputs()))
 def test_hexagon_tables_match_the_walk(name):
     labels, fusion = _ring_inputs()[name]
-    ring = category._Ring(labels, fusion)
+    ring = FusionRing(labels, fusion)
     want1, want2 = hexagon_walk(ring)
     spec = all_ones(name, labels, fusion)
     if spec is None:
@@ -1422,18 +1425,18 @@ def test_sign_flip_mutants_compile_each_ring_once(monkeypatch):
     compiled = Counter()
 
     def counting(name):
-        func = getattr(category._Ring, name).func
+        func = getattr(FusionRing, name).func
 
         def wrapper(self):
             compiled[name] += 1
             return func(self)
 
-        prop = category.cached_property(wrapper)
-        prop.__set_name__(category._Ring, name)
+        prop = cached_property(wrapper)
+        prop.__set_name__(FusionRing, name)
         return prop
 
     for name in ("blocks", "pentagon_programs", "hexagon_programs"):
-        monkeypatch.setattr(category._Ring, name, counting(name))
+        monkeypatch.setattr(FusionRing, name, counting(name))
     _ring.cache_clear()
     mutants = sign_flip_mutants()
     for spec in mutants:
@@ -1457,7 +1460,7 @@ def test_evaluation_reads_no_channels(monkeypatch, spec):
         raise AssertionError("channels read during evaluation")
 
     monkeypatch.setattr(CategorySpec, "channels", refuse)
-    monkeypatch.setattr(category._Ring, "_ch", refuse)
+    monkeypatch.setattr(FusionRing, "_ch", refuse)
     assert [sweep(spec).items for sweep in (verify_pentagon, verify_hexagon, verify_zigzag)] == want
 
 # --- helpers on top of the block algebra -----------------------------------
@@ -1872,6 +1875,70 @@ def test_sparse_tensor_mor_matches_dense(data):
     f = data.draw(morphisms(X, X2))
     g = data.draw(morphisms(Y, Y2))
     assert_same(tensor_mor(f, g), _dense_tensor_mor(f, g))
+
+
+@st.composite
+def legs(draw, spec):
+    """A morphism between drawn objects, or the identity of one: whiskers
+    and general tensor legs alike."""
+    X = draw(objects(spec))
+    if draw(st.booleans()):
+        return Mor.identity(X)
+    return draw(morphisms(X, draw(objects(spec))))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_fused_tensor_and_compose_match_the_materialized_tensor(data):
+    # the reference builds f (x) g in full, then composes
+    spec = data.draw(categories)
+    f, g = data.draw(legs(spec)), data.draw(legs(spec))
+    fg = _rebuilt_tensor_mor(f, g)
+    h = data.draw(morphisms(fg.cod, data.draw(objects(spec))))
+    assert_same(compose_tensor(h, f, g), compose(h, fg))
+    k = data.draw(morphisms(data.draw(objects(spec)), fg.dom))
+    assert_same(tensor_compose(f, g, k), compose(fg, k))
+
+
+@pytest.mark.parametrize("name", ALL_CATEGORIES)
+def test_fused_tensor_and_compose_match_on_seeded_inputs(name):
+    # every label copied twice on one side at least, so copies, steps and
+    # cancelling sums all occur
+    spec = cat(name)
+    rng = random.Random("fused " + name)
+    for _ in range(8):
+        X, Y, X2, Y2, Z = (rand_obj(rng, spec) for _ in range(5))
+        X = Obj(spec, {lab: max(X.m(lab), 1) + 1 for lab in spec.labels})
+        f = Mor.identity(X) if rng.random() < 0.3 else rand_mor(rng, X, X2)
+        g = Mor.identity(Y) if rng.random() < 0.3 else rand_mor(rng, Y, Y2)
+        fg = _rebuilt_tensor_mor(f, g)
+        h, k = rand_mor(rng, fg.cod, Z), rand_mor(rng, Z, fg.dom)
+        assert_same(compose_tensor(h, f, g), compose(h, fg))
+        assert_same(tensor_compose(f, g, k), compose(fg, k))
+
+
+@pytest.mark.parametrize("fused", ["compose_tensor", "tensor_compose"])
+def test_fused_tensor_and_compose_refuse_as_compose_does(fused):
+    spec, other = cat("ising"), cat("fibonacci")
+    x, y = Obj.simple(spec, "sigma"), Obj.simple(spec, "psi")
+    f, g = Mor.identity(x), Mor.identity(y)
+
+    def run(h, f, g):
+        return compose_tensor(h, f, g) if fused == "compose_tensor" else tensor_compose(f, g, h)
+
+    def reference(h, f, g):
+        return compose(h, tensor_mor(f, g)) if fused == "compose_tensor" else compose(tensor_mor(f, g), h)
+
+    # h meets the wrong object, then comes from another category, then so does g
+    for h, f2, g2, error in [
+        (Mor.identity(tensor_obj(x, x)), f, g, DomainMismatch),
+        (Mor.identity(Obj.simple(other, "tau")), f, g, CategoryMismatch),
+        (Mor.identity(tensor_obj(x, y)), f, Mor.identity(Obj.simple(other, "tau")), CategoryMismatch),
+    ]:
+        with pytest.raises(error):
+            reference(h, f2, g2)
+        with pytest.raises(error):
+            run(h, f2, g2)
 
 
 @KERNEL_SETTINGS

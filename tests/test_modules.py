@@ -448,6 +448,35 @@ def test_frobenius_kit_is_solved_once_per_algebra(monkeypatch):
     assert calls == [alg, twin]
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: galg("vec_q", "s3"), lambda: load_algebra("alg_toric_1e")], ids=["Q[S3]", "alg_toric_1e"]
+)
+def test_whiskers_are_applied_without_building_a_tensor_with_an_identity(monkeypatch, build):
+    alg = build()
+    A = alg.carrier
+    # the plain section 1 (x) u is a morphism maschke_section takes, built before the guard
+    sigma = tensor_mor(Mor.identity(A), alg.unit_map)
+    whiskers = []
+    real = category_mod.tensor_mor
+
+    def guarded(f, g):
+        if f == Mor.identity(f.dom) or g == Mor.identity(g.dom):
+            whiskers.append((f, g))
+        return real(f, g)
+
+    for module in (category_mod, algebra_mod, modules_mod):
+        monkeypatch.setattr(module, "tensor_mor", guarded, raising=False)
+    algebra_mod.frobenius_kit(alg)
+    free, reg = induce(alg, A), regular_module(alg)
+    maschke_section(alg.mult_map, free, reg, sigma)
+    algebra_mod.check_algebra(alg)
+    assert check_module(free).ok and check_module(reg).ok
+    local_projection(induce(alg, Obj.simple(alg.spec, alg.spec.labels[-1])))
+    frobenius_identity_check(alg)
+    algebra_mod.algebra_dim_with_twist(alg)
+    assert whiskers == []
+
+
 def test_maschke_section_does_not_depend_on_sigma():
     alg = galg("vec_q", "z3")
     reg = regular_module(alg)
