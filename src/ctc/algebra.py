@@ -82,8 +82,9 @@ class NotIsotropic(AlgebraError):
 class AlgebraObject:
     """Carrier object plus unit and multiplication morphisms."""
 
-    # _kit: (counit, coev, index) once frobenius_kit has solved them
-    __slots__ = ("name", "carrier", "unit_map", "mult_map", "counit", "_kit")
+    # _kit: (counit, coev, index) once frobenius_kit has solved them;
+    # _axioms: the report of check_algebra once it has run
+    __slots__ = ("name", "carrier", "unit_map", "mult_map", "counit", "_kit", "_axioms")
 
     def __init__(self, name: str, carrier: Obj, unit_map: Mor, mult_map: Mor, counit: Mor | None = None):
         aa = tensor_obj(carrier, carrier)
@@ -103,6 +104,7 @@ class AlgebraObject:
         self.mult_map = mult_map
         self.counit = counit
         self._kit = None
+        self._axioms = None
 
     @property
     def spec(self) -> CategorySpec:
@@ -124,18 +126,25 @@ def _action_laws(alg: AlgebraObject, act: Mor):
 
 
 def check_algebra(alg: AlgebraObject) -> Report:
-    """Unit, associativity and commutativity of the multiplication."""
-    report = Report()
-    A = alg.carrier
-    ident = Mor.identity(A)
-    unit, assoc = _action_laws(alg, alg.mult_map)
-    _item(report, "unit-left", *unit)
-    right = compose_tensor(alg.mult_map, ident, alg.unit_map)
-    _item(report, "unit-right", right, ident)
-    _item(report, "associative", *assoc)
-    braided = compose(alg.mult_map, braiding(A, A))
-    _item(report, "commutative", braided, alg.mult_map)
-    return report
+    """Unit, associativity and commutativity of the multiplication.
+
+    Decided on the first call and kept on the algebra, as its Frobenius
+    kit is: every later call returns the same report, which callers only
+    read.
+    """
+    if alg._axioms is None:
+        report = Report()
+        A = alg.carrier
+        ident = Mor.identity(A)
+        unit, assoc = _action_laws(alg, alg.mult_map)
+        _item(report, "unit-left", *unit)
+        right = compose_tensor(alg.mult_map, ident, alg.unit_map)
+        _item(report, "unit-right", right, ident)
+        _item(report, "associative", *assoc)
+        braided = compose(alg.mult_map, braiding(A, A))
+        _item(report, "commutative", braided, alg.mult_map)
+        alg._axioms = report
+    return alg._axioms
 
 
 def _item(report: Report, name: str, got: Mor, want: Mor):
@@ -170,8 +179,9 @@ def make_counit(alg: AlgebraObject) -> Mor:
     return Mor.from_rows(A, Obj.unit(spec), {spec.unit: [{i: col[i][0].inverse()}]})
 
 
-def solve_coevaluation(alg: AlgebraObject) -> Mor:
-    """The copairing making both bent-line identities for the algebra exact.
+def solve_coevaluation(alg: AlgebraObject, counit: Mor) -> Mor:
+    """The copairing making both bent-line identities for the algebra and
+    its counit (``make_counit``) exact.
 
     Found label by label.  For each label b of the carrier with dual b*,
     the first bent line restricted to b reads K_b * F * P_b* = 1, where
@@ -184,11 +194,9 @@ def solve_coevaluation(alg: AlgebraObject) -> Mor:
 
     Raises NotRigidSelfDual when the tensor square misses the unit, when
     b and b* occur with different multiplicities, when a pairing block is
-    singular, or when either bent-line check fails; make_counit may raise
-    UnitMultiplicityNotOne first.  The first bent line fixes every block,
-    so a solution is unique.
+    singular, or when either bent-line check fails.  The first bent line
+    fixes every block, so a solution is unique.
     """
-    counit = make_counit(alg)
     spec = alg.spec
     field = spec.field
     A = alg.carrier
@@ -241,7 +249,7 @@ def frobenius_kit(alg: AlgebraObject):
     """
     if alg._kit is None:
         counit = make_counit(alg)
-        coev = solve_coevaluation(alg)
+        coev = solve_coevaluation(alg, counit)
         loop = compose(alg.mult_map, coev)
         index = compose(counit, loop).block(alg.spec.unit)[0][0]
         if loop != alg.unit_map.scale(index):

@@ -6,7 +6,9 @@ literal equality of representations: prime-field elements are residues in
 numerators (``phi(n)`` of them, reduced modulo the n-th cyclotomic
 polynomial; one for Q) over one positive common denominator, divided by
 their gcd.  All arithmetic is exact and works on integers; an inverse is
-the product of the Galois conjugates over the rational norm.  Literals
+the product of the Galois conjugates over the rational norm.  Products
+and inverses in Q(zeta_n) with phi(n) > 1 are memoized per field, with a
+bound on the numerators held (``_CycloCtx``).  Literals
 of Q and Q(zeta_n) are parsed to integer numerators over the lcm of
 their denominators.  ``Fraction`` appears only where F_p literals are
 parsed, where literals are printed, and in ``Scalar.from_fraction``.
@@ -64,6 +66,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
 # the largest n of Q(zeta_n); the slowest such field, n = 499, builds in 0.1 s
 _MAX_CYCLOTOMIC_N = 500
+# numerators one product or inverse memo of Q(zeta_n) may hold; an entry
+# holds phi(n) of them per vector, so larger fields keep fewer entries
+_MEMO_CELLS = 1 << 15
 
 
 def _is_prime(p: int) -> bool:
@@ -233,6 +238,13 @@ class _CycloCtx:
     back onto phi coefficients.  ``conjugates`` has one entry per k coprime
     to n other than 1: the nonzero (i, c) of zeta^(jk) for each j, so it
     maps a vector to its Galois conjugate sigma_k.
+
+    ``product`` and ``inverse`` memoize ``_product`` and ``_inverse`` on the
+    operands' (nums, den) pairs: a category's symbols are a few roots of
+    unity and their rational multiples, so the same products come back.
+    A product entry holds three vectors (two operands and the result), an
+    inverse entry two, so neither memo holds more than ``_MEMO_CELLS``
+    numerators.
     """
 
     def __init__(self, n: int):
@@ -248,6 +260,8 @@ class _CycloCtx:
         self.fold = terms[phi : 2 * phi - 1]
         self.conjugates = [[terms[j * k % n] for j in range(phi)] for k in range(2, n) if gcd(k, n) == 1]
         self.pad = (0,) * (phi - 1)
+        self.product = lru_cache(maxsize=_MEMO_CELLS // (3 * phi))(self._product)
+        self.inverse = lru_cache(maxsize=_MEMO_CELLS // (2 * phi))(self._inverse)
 
     def mul(self, a, b) -> list[int]:
         """Product of two integer vectors modulo Phi_n."""
@@ -264,6 +278,35 @@ class _CycloCtx:
                 for i, t in terms:
                     out[i] += c * t
         return out
+
+    def _product(self, x, y):
+        """The canonical pair of the product of two canonical pairs."""
+        (a, da), (b, db) = x, y
+        return _canon(self.mul(a, b), da * db)
+
+    def _inverse(self, x):
+        """The canonical pair of 1/x for a nonzero canonical pair x:
+        (product of the conjugates sigma_k(x), k != 1) / N(x).
+
+        For the numerator vector of x, that vector times its conjugates is
+        the integer norm, so the whole computation stays in integers.
+        """
+        nums, den = x
+        prod = self.power_vec[0]
+        for images in self.conjugates:
+            conj = [0] * self.phi
+            for c, terms in zip(nums, images):
+                if c:
+                    for i, t in terms:
+                        conj[i] += c * t
+            prod = self.mul(prod, conj)
+        norm = self.mul(nums, prod)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError("conjugate product is not a nonzero rational")
+        norm = norm[0]
+        if norm < 0:
+            norm, prod = -norm, [-c for c in prod]
+        return _canon([den * c for c in prod], norm)
 
 
 def _canon(nums, den: int):
@@ -378,48 +421,31 @@ class Scalar:
             return self
         if self._v == one or not any(other._v[0]):
             return other
-        (a, da), (b, db) = self._v, other._v
         ctx = f._ctx
         if ctx.phi == 1:
-            x, y = a[0], b[0]
+            ((x,), da), ((y,), db) = self._v, other._v
             g1, g2 = gcd(x, db), gcd(y, da)
             return Scalar(f, (((x // g1) * (y // g2),), (da // g2) * (db // g1)))
-        return Scalar(f, _canon(ctx.mul(a, b), da * db))
+        return Scalar(f, ctx.product(self._v, other._v))
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def inverse(self) -> "Scalar":
-        """a^-1 = (product of the conjugates sigma_k(a), k != 1) / N(a).
-
-        For the numerator vector x of a, x times its conjugates is the
-        integer norm N(x), so the whole computation stays in integers.
-        """
+        """a^-1: a residue inverse in F_p, d/c for a rational c/d, and
+        otherwise the conjugate product of ``_CycloCtx._inverse``."""
         f = self.field
         if self.is_zero():
             raise DivisionByZero("inverse of zero in %r" % (f,))
         if f.kind == "prime":
             return Scalar(f, pow(self._v, -1, f.p))
         nums, den = self._v
-        ctx = f._ctx
-        # in degree one there are no other conjugates and x is its own norm
-        prod, norm = ctx.power_vec[0], nums
-        if ctx.conjugates:
-            for images in ctx.conjugates:
-                conj = [0] * ctx.phi
-                for c, terms in zip(nums, images):
-                    if c:
-                        for i, t in terms:
-                            conj[i] += c * t
-                prod = ctx.mul(prod, conj)
-            norm = ctx.mul(nums, prod)
-            if any(norm[1:]) or not norm[0]:
-                raise ArithmeticError("conjugate product is not a nonzero rational")
-        norm = norm[0]
-        if norm < 0:
-            norm, prod = -norm, [-c for c in prod]
-        return Scalar(f, _canon([den * c for c in prod], norm))
+        if not any(nums[1:]):
+            # c/den is in lowest terms, so den/c is too once the sign moves up
+            c = nums[0]
+            return Scalar(f, ((den if c > 0 else -den,) + f._ctx.pad, abs(c)))
+        return Scalar(f, f._ctx.inverse(self._v))
 
     def scale(self, k: int) -> "Scalar":
         return Scalar.from_int(self.field, k) * self
@@ -490,18 +516,25 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     if field.kind == "prime":
         # each term embeds on its own, so a denominator divisible by p raises
         total = sum(Scalar.from_fraction(field, Fraction(num, den))._v for num, den, _ in terms)
-        return Scalar(field, total % field.p)
-    # Q and Q(zeta_n): one integer vector over the lcm of the denominators,
-    # made canonical once
-    ctx = field._ctx
-    common = lcm(*(den for _, den, _ in terms))
-    total = [0] * ctx.phi
-    for num, den, power in terms:
-        coeff = num * (common // den)
-        for i, c in enumerate(ctx.power_vec[power % field.n if power else 0]):
-            if c:
-                total[i] += coeff * c
-    return Scalar(field, _canon(total, common))
+        value = total % field.p
+    else:
+        # Q and Q(zeta_n): one integer vector over the lcm of the
+        # denominators, made canonical once
+        ctx = field._ctx
+        common = lcm(*(den for _, den, _ in terms))
+        total = [0] * ctx.phi
+        for num, den, power in terms:
+            coeff = num * (common // den)
+            for i, c in enumerate(ctx.power_vec[power % field.n if power else 0]):
+                if c:
+                    total[i] += coeff * c
+        value = _canon(total, common)
+    # the shared one and zero, so that data read from files takes the
+    # kernels' shortcuts for them
+    for shared in (field._one, field._zero):
+        if shared._v == value:
+            return shared
+    return Scalar(field, value)
 
 
 def scalar_literal(s: Scalar) -> str:

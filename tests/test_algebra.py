@@ -206,7 +206,7 @@ def test_group_algebra_counit_and_index():
     alg = group_algebra(grp("z3"), spec)
     eps = make_counit(alg)
     assert compose(eps, alg.unit_map).block("1")[0][0].is_one()
-    assert frobenius_kit(alg)[:2] == (eps, solve_coevaluation(alg))
+    assert frobenius_kit(alg)[:2] == (eps, solve_coevaluation(alg, eps))
     assert compute_index(alg) == Scalar.from_int(spec.field, 3)
     assert frobenius_identity_check(alg).ok
     assert algebra_dim_with_twist(alg) == Scalar.from_int(spec.field, 3)
@@ -292,7 +292,7 @@ def test_subgroup_algebra_toric_1e():
     spec = cat("toric_code")
     alg = subgroup_algebra(["1", "e"], spec)
     assert check_algebra(alg).ok
-    assert frobenius_kit(alg)[:2] == (make_counit(alg), solve_coevaluation(alg))
+    assert frobenius_kit(alg)[:2] == (make_counit(alg), solve_coevaluation(alg, make_counit(alg)))
     assert compute_index(alg) == Scalar.from_int(spec.field, 2)
     assert algebra_dim_with_twist(alg) == Scalar.from_int(spec.field, 2)
     assert frobenius_identity_check(alg).ok
@@ -398,7 +398,7 @@ def split_pair_with_skew_counit():
 def test_index_undefined_for_skew_counit():
     alg, eps = split_pair_with_skew_counit()
     assert make_counit(alg) == eps
-    loop = compose(alg.mult_map, solve_coevaluation(alg))
+    loop = compose(alg.mult_map, solve_coevaluation(alg, make_counit(alg)))
     assert proportionality_scalar(loop, alg.unit_map) is None
     with pytest.raises(NotScalarMultiple, match="not proportional"):
         compute_index(alg)
@@ -418,7 +418,7 @@ def test_index_is_the_proportionality_scalar(case):
         alg = group_algebra(grp(gname), cat(cname))
     else:
         alg = load_algebra(data_path("algebras/%s.json" % case))
-    loop = compose(alg.mult_map, solve_coevaluation(alg))
+    loop = compose(alg.mult_map, solve_coevaluation(alg, make_counit(alg)))
     assert compute_index(alg) == proportionality_scalar(loop, alg.unit_map)
 
 
@@ -466,12 +466,16 @@ def broken_zigzag_algebra():
 def test_dual_numbers_not_rigid():
     alg = dual_numbers_algebra()
     assert check_algebra(alg).ok
-    make_counit(alg)
+    counit = make_counit(alg)
     with pytest.raises(NotRigidSelfDual):
-        solve_coevaluation(alg)
+        solve_coevaluation(alg, counit)
 
 
-@pytest.mark.parametrize("solve", [solve_coevaluation, _composed_coevaluation], ids=["closed", "composed"])
+@pytest.mark.parametrize(
+    "solve",
+    [lambda alg: solve_coevaluation(alg, make_counit(alg)), _composed_coevaluation],
+    ids=["closed", "composed"],
+)
 @pytest.mark.parametrize("build", [dual_numbers_algebra, missing_dual_algebra, broken_zigzag_algebra])
 def test_copairing_solves_refuse_non_rigid(build, solve):
     alg = build()
@@ -490,6 +494,15 @@ def test_failed_frobenius_kit_is_not_kept(build, monkeypatch):
         with pytest.raises(NotRigidSelfDual):
             check(alg)
     assert calls == [alg] * 4
+
+
+def test_frobenius_kit_builds_its_counit_once(monkeypatch):
+    made = []
+    real = algebra_mod.make_counit
+    monkeypatch.setattr(algebra_mod, "make_counit", lambda alg: made.append(alg) or real(alg))
+    alg = group_algebra(grp("s3"), cat("vec_q"))
+    frobenius_kit(alg)
+    assert made == [alg]
 
 
 COPAIRING_CASES = [
@@ -514,7 +527,7 @@ def test_closed_form_copairing_matches_composed_solve(case):
         alg = group_algebra(grp(gname), cat(cname))
     else:
         alg = load_algebra(data_path("algebras/%s.json" % case))
-    assert solve_coevaluation(alg) == _composed_coevaluation(alg)
+    assert solve_coevaluation(alg, make_counit(alg)) == _composed_coevaluation(alg)
 
 
 def matrix_algebra_with_skew_trace():
@@ -549,7 +562,7 @@ def fibonacci_one_plus_tau():
 def test_closed_form_copairing_matches_composed_solve_on_probes(build):
     alg, eps = build()
     assert make_counit(alg) == eps
-    assert solve_coevaluation(alg) == _composed_coevaluation(alg)
+    assert solve_coevaluation(alg, make_counit(alg)) == _composed_coevaluation(alg)
 
 
 def test_mutated_mult_breaks_associativity():

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctc import data_path
 from ctc import linalg as la
-from ctc.algebra import Group, group_algebra, solve_coevaluation
+from ctc.algebra import Group, group_algebra, make_counit, solve_coevaluation
 from ctc import category
 from ctc.category import (
     CategoryMismatch,
@@ -2239,7 +2239,7 @@ def test_identity_factor_costs_no_products(scalar_ops):
 def test_tensor_with_copairing_does_nnz_work(scalar_ops):
     spec, alg = _z6_over_q()
     A = alg.carrier
-    coev = solve_coevaluation(alg)
+    coev = solve_coevaluation(alg, make_counit(alg))
     ident = Mor.identity(A)
     bound = nnz(coev) * nnz(ident)
     assert bound == 36

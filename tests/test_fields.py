@@ -10,13 +10,18 @@ every operation of the integer-vector engine against it.
 """
 
 import cmath
+import json
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctc import data_path
+from ctc.cli import main
 from ctc.fields import (
     DivisionByZero,
     FieldError,
@@ -26,7 +31,9 @@ from ctc.fields import (
     ParseError,
     Scalar,
     _MAX_CYCLOTOMIC_N,
+    _MEMO_CELLS,
     _PRIME_BOUND,
+    _CycloCtx,
     _is_prime,
     parse_scalar,
     scalar_literal,
@@ -724,6 +731,145 @@ def test_multiplying_by_one_or_zero_returns_the_other_factor():
         assert x * Scalar.one(field) is x
         assert Scalar.one(field) * x is x
         assert x * Scalar.zero(field) is Scalar.zero(field)
+
+
+@pytest.mark.parametrize("field", [Q, F5, Z4, Z8], ids=repr)
+def test_literals_of_one_and_zero_parse_to_the_shared_scalars(field):
+    ones, zeros = ["1", "2/2", " 3/3 "], ["0", "1 - 1", "-0/5"]
+    if field.kind == "cyclotomic":
+        ones.append("z^0")
+        zeros.append("z - z")
+    for text in ones:
+        assert parse_scalar(text, field) is field._one
+    for text in zeros:
+        assert parse_scalar(text, field) is field._zero
+    assert parse_scalar("-1", field) == -field._one
+
+
+# --------------------------------------------------------------- scalar memos
+
+MEMO_FIELDS = [FieldSpec.cyclotomic(n) for n in (3, 4, 5, 8, 12, 15, 16, 40)]
+
+
+def memo_operands(field, rng):
+    """Seeded elements of Q(zeta_n): dense and sparse ones, a root of unity,
+    rationals, zero, the negation of each, and an equal copy of the first
+    built apart from it, so that products meet equal, negated and rational
+    operands in both orders."""
+    deg = field.degree
+    drawn = []
+    for _ in range(6):
+        drawn.append([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.7 else 0 for _ in range(deg)])
+    out = [from_coeffs(field, coeffs) for coeffs in drawn]
+    out.append(zeta(field, rng.randrange(1, field.n)))
+    out.append(Scalar.from_fraction(field, Fraction(rng.choice([-7, -2, 3, 5]), rng.randint(2, 9))))
+    out.append(Scalar.from_int(field, rng.randint(2, 9)))
+    out.append(field._zero)
+    out += [-x for x in out]
+    out.append(from_coeffs(field, drawn[0]))
+    return out
+
+
+def assert_memos_agree_with_the_kernel(elems):
+    """Every product and inverse equals the unmemoized kernel's pair:
+    ``_CycloCtx._product`` and the conjugate product ``_CycloCtx._inverse``."""
+    ctx = elems[0].field._ctx
+    for x in elems:
+        for y in elems:
+            assert (x * y)._v == ctx._product(x._v, y._v)
+        if not x.is_zero():
+            assert x.inverse()._v == ctx._inverse(x._v)
+
+
+@pytest.mark.parametrize("field", MEMO_FIELDS, ids=repr)
+def test_memoized_products_and_inverses_match_the_kernel(field):
+    ctx = field._ctx
+    ctx.product.cache_clear()
+    ctx.inverse.cache_clear()
+    elems = memo_operands(field, random.Random(field.n))
+    assert_memos_agree_with_the_kernel(elems)
+    assert ctx.product.cache_info().hits > 0
+    # overfill both memos with new keys, k * zeta and its inverse, so the
+    # entries for the operands above are evicted and computed again
+    z = zeta(field)
+    for k in range(2, max(ctx.product.cache_info().maxsize, ctx.inverse.cache_info().maxsize) + 3):
+        (Scalar.from_int(field, k) * z).inverse()
+    assert ctx.product.cache_info().currsize == ctx.product.cache_info().maxsize
+    assert ctx.inverse.cache_info().currsize == ctx.inverse.cache_info().maxsize
+    assert_memos_agree_with_the_kernel(elems)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_rational_elements_invert_without_conjugates(n):
+    field = FieldSpec.cyclotomic(n)
+    ctx = field._ctx
+    rng = random.Random(n)
+    misses = ctx.inverse.cache_info().misses
+    for _ in range(200):
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**12), rng.randint(1, 10**9))
+        x = Scalar.from_fraction(field, q)
+        assert x.inverse()._v == ctx._inverse(x._v)
+        assert x.inverse() == Scalar.from_fraction(field, 1 / q)
+    assert ctx.inverse.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", [3, 499], ids=["phi=2", "phi=498"])
+def test_scalar_memos_hold_at_most_memo_cells_numerators(n):
+    # a product entry holds three vectors of phi numerators, an inverse entry two
+    field = FieldSpec.cyclotomic(n)
+    ctx = field._ctx
+    for memo, vectors in ((ctx.product, 3), (ctx.inverse, 2)):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize * vectors * ctx.phi <= _MEMO_CELLS
+    z = zeta(field)
+    ctx.product.cache_clear()
+    for k in range(2, ctx.product.cache_info().maxsize + 5):
+        Scalar.from_int(field, k) * z
+    assert ctx.product.cache_info().currsize == ctx.product.cache_info().maxsize
+    # one inverse at phi = 498 takes about 50 ms, so only the small field
+    # overfills its inverse memo; lru_cache evicts alike in both
+    if ctx.phi == 2:
+        ctx.inverse.cache_clear()
+        for k in range(1, ctx.inverse.cache_info().maxsize + 5):
+            (Scalar.from_int(field, k) + z).inverse()
+        assert ctx.inverse.cache_info().currsize == ctx.inverse.cache_info().maxsize
+
+
+def test_check_category_runs_each_kernel_product_once(tmp_path, monkeypatch, capsysbinary):
+    # ising and three sign flips share Q(zeta_16) and most symbols, so
+    # without the memos the same products are convolved again and again
+    source = data_path("categories/ising.json")
+    raw = json.loads(source.read_text())
+    field = FieldSpec.from_json(raw["field"])
+    paths = [str(source)]
+    for table, key in (("F", "sigma,psi,sigma,psi,sigma,sigma"), ("R", "sigma,sigma,psi"), ("R", "sigma,psi,sigma")):
+        mutant = json.loads(json.dumps(raw))
+        mutant[table][key] = scalar_literal(-parse_scalar(raw[table][key], field))
+        path = tmp_path / ("ising_%s_%s.json" % (table, key.replace(",", "-")))
+        path.write_text(json.dumps(mutant))
+        paths.append(str(path))
+    field._ctx.product.cache_clear()
+    field._ctx.inverse.cache_clear()
+    products, inverted = Counter(), Counter()
+    mul = _CycloCtx.mul
+
+    def recording(self, a, b):
+        caller = sys._getframe(1)
+        # the operands as (nums, den) pairs, read off the calling kernel
+        if caller.f_code is _CycloCtx._product.__code__:
+            products[(self, caller.f_locals["x"], caller.f_locals["y"])] += 1
+        elif a is self.power_vec[0]:
+            # the first product of one conjugate-product inversion
+            inverted[(self, caller.f_locals["x"])] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_CycloCtx, "mul", recording)
+    assert main(["check-category"] + paths + ["--report", "json"]) == 1
+    items = json.loads(capsysbinary.readouterr().out)["items"]
+    assert [i["check"] for i in items if i["status"] != "pass"]
+    assert len(products) > 50 and len(inverted) > 0
+    assert max(products.values()) == 1
+    assert max(inverted.values()) == 1
 
 
 # ------------------------------------------------- literals against Scalar arithmetic

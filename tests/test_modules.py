@@ -1387,6 +1387,17 @@ def test_condense_rejects_broken_algebra():
         condense(bad)
 
 
+def test_condense_decides_the_axioms_of_a_subgroup_algebra_once(monkeypatch):
+    # subgroup_algebra checks its product; condense reads the kept report
+    checked = []
+    real = algebra_mod._action_laws
+    monkeypatch.setattr(algebra_mod, "_action_laws", lambda alg, act: checked.append(act is alg.mult_map) or real(alg, act))
+    alg = subgroup_algebra(["1", "e"], cat("toric_code"))
+    condense(alg)
+    assert checked.count(True) == 1
+    assert algebra_mod.check_algebra(alg) is algebra_mod.check_algebra(alg)
+
+
 # ---------------------------------------------------------------------------
 # bundled suites
 
