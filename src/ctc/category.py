@@ -733,12 +733,9 @@ def _holds(program, values, one: Scalar, zero: Scalar) -> bool:
 
 def _slot_values(spec: CategorySpec, ring: FusionRing, one: Scalar) -> list:
     """The symbols of ``spec`` by slot: 1 at slot 0, the R entries of the
-    fusion triples in label order, then every admissible F entry, each
-    followed by the entry G of the inverse recoupling block on the same
-    trees; an entry 1 is ``one`` itself.  Every G is 1, right for an outer
-    triple with only 1x1 blocks of F entries 1; ``_invert_outer`` writes
-    the others."""
-    _, _, slots, size = ring.blocks
+    fusion triples in label order, then every admissible F entry; an
+    entry 1 is ``one`` itself."""
+    _, slots, size = ring.blocks
     values = [one] * size
     for table in (spec.R, spec.F):
         for key, val in table.items():
@@ -747,20 +744,17 @@ def _slot_values(spec: CategorySpec, ring: FusionRing, one: Scalar) -> list:
     return values
 
 
-def _invert_outer(spec: CategorySpec, values: list, one: Scalar, a, b, c):
-    """Write the inverse recoupling blocks of the outer triple (a, b, c)
-    into its G slots, an explicit zero where an inverse row has no entry,
-    since ``_slot_values`` fills every G slot with 1.  Blocks are
-    inverted for the totals d in label order, as ``associator_inv`` does,
-    so a singular block raises ``SingularFBlock`` for the same labels."""
-    ring = fusion_ring(spec.labels, spec.fusion)
-    zero = Scalar.zero(spec.field)
-    for d, rows in sorted(ring.blocks[1][a, b, c], key=lambda block: ring._index[block[0]]):
-        inv = _f_matrix_inverse(spec, a, b, c, d)[2]
-        for slots, row in zip(rows, inv):
-            for k, s in enumerate(slots):
-                val = row.get(k, zero)
-                values[s + 1] = one if val == one else val
+def _singular_block(spec: CategorySpec, ring: FusionRing, outer: tuple):
+    """The labels (a, b, c, d) of the first singular recoupling block of
+    the outer triple (a, b, c), over its totals d in label order as
+    ``associator_inv`` inverts them, or None.  F entries are nonzero, so
+    only a wide outer triple can have one; a non-square block raises."""
+    for d in ring.blocks[0].get(outer, ()):
+        try:
+            _f_matrix_inverse(spec, *outer, d)
+        except SingularFBlock as exc:
+            return exc.labels
+    return None
 
 
 def verify_pentagon(spec: CategorySpec) -> Report:
@@ -806,47 +800,54 @@ def verify_hexagon(spec: CategorySpec) -> Report:
         sum_f F^{abc}_{d;e,f} R^{af}_d F^{bca}_{d;f,g}
             = R^{ab}_e F^{bac}_{d;e,g} R^{ac}_g,
 
-    and hexagon-2 the (g; f) entry of a(bc) -> (ca)b, written with the
-    entries G^{abc}_{d;f,e} of the inverse recoupling blocks:
+    and hexagon-2, the (g; f) entry of a(bc) -> (ca)b, is hexagon-1 of
+    (c, a, b) for the reverse braiding R'^{xy}_z = 1 / R^{yx}_z:
+
+        sum_e F^{cab}_{d;g,e} R'^{ce}_d F^{abc}_{d;e,f}
+            = R'^{ca}_g F^{acb}_{d;g,f} R'^{cb}_f.
+
+    On commuting fusion rules, as a braiding's are, each side is per total
+    d the inverse of a side of the form with the entries G^{abc}_{d;f,e}
+    of the inverse recoupling blocks,
 
         sum_e G^{abc}_{d;f,e} R^{ec}_d G^{cab}_{d;e,g}
-            = R^{bc}_f G^{acb}_{d;f,g} R^{ac}_g.
+            = R^{bc}_f G^{acb}_{d;f,g} R^{ac}_g,
 
-    A singular recoupling block fails hexagon-2 with the witness
-    ``{"singular_f": [a, b, c, d]}`` of the first block found singular,
-    looking at (c, a, b), then (a, b, c), then (a, c, b), each over the
-    totals d in label order.
+    so the two forms hold together once the blocks of (c, a, b), (a, b, c)
+    and (a, c, b) are invertible; on 1x1 blocks they agree equation by
+    equation.  A singular recoupling block fails hexagon-2 with the
+    witness ``{"singular_f": [a, b, c, d]}`` of the first block found
+    singular, looking at (c, a, b), then (a, b, c), then (a, c, b), each
+    over the totals d in label order.
 
-    Every triple is evaluated, in label order, by its ring's programs on
-    the slot values of ``spec``.  Only the wide outer triples and those
-    with an F entry other than 1 are inverted, into their G slots, in
-    the order the triples read them.
+    Every triple is evaluated, in label order, by its ring's program:
+    on the slot values of ``spec`` for hexagon-1, and on the values of the
+    reverse braiding for hexagon-2.  Only the wide outer triples are
+    inverted, and only to find their singular blocks.
     """
     report = Report()
     one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
     ring = fusion_ring(spec.labels, spec.fusion)
     values = _slot_values(spec, ring, one)
-    pending = {key[:3] for key, val in spec.F.items() if val != one}.union(ring.blocks[0])
-    singular = {}
-    for t, (hex1, hex2) in ring.hexagon_programs.items():
+    reverse = list(values)
+    for r, r_swapped, *_ in ring.balancing:
+        x = values[r_swapped]
+        reverse[r] = x if x is one else x.inverse()
+    programs, wide = ring.hexagon_programs, ring.blocks[0]
+    for t, program in programs.items():
         a, b, c = t
-        # hexagon-2 of t reads G of these outer triples; one that reads a
-        # singular block reads no block after it, so the first non-square
-        # block read is the one that raises
+        if not _holds(program, values, one, zero):
+            report.append("hexagon-1:%s,%s,%s" % t, "fail", witness=list(t))
+        # a triple that reads a singular block reads no block after it, so
+        # the first non-square block read is the one that raises
         witness = None
         for outer in ((c, a, b), t, (a, c, b)):
-            if outer in pending:
-                pending.discard(outer)
-                try:
-                    _invert_outer(spec, values, one, *outer)
-                except SingularFBlock as exc:
-                    singular[outer] = exc.labels
-            if outer in singular:
-                witness = {"singular_f": list(singular[outer])}
-                break
-        if not _holds(hex1, values, one, zero):
-            report.append("hexagon-1:%s,%s,%s" % t, "fail", witness=list(t))
-        if witness is None and not _holds(hex2, values, one, zero):
+            if outer in wide:
+                labels = _singular_block(spec, ring, outer)
+                if labels is not None:
+                    witness = {"singular_f": list(labels)}
+                    break
+        if witness is None and not _holds(programs[c, a, b], reverse, one, zero):
             witness = list(t)
         if witness is not None:
             report.append("hexagon-2:%s,%s,%s" % t, "fail", witness=witness)
@@ -886,24 +887,22 @@ def verify_zigzag(spec: CategorySpec) -> Report:
     second s* -> s* (s s*) -> (s* s) s* -> s* is scale_s G^{s* s s*}_{s*;1,1},
     G the inverse recoupling block, and must be 1; it is the move
     evaluated here.  A failing move's witness is that 1x1 composite as a
-    morphism; a singular recoupling block is named as ``associator_inv``
-    finds it.  Both are read from the slot values of ``spec``.
+    morphism; a singular recoupling block of (s*, s, s*) is named as
+    ``verify_hexagon`` and ``associator_inv`` find it.
     """
     report = Report()
-    one = Scalar.one(spec.field)
+    zero = Scalar.zero(spec.field)
     u = spec.unit
     scales = _dual_scales(spec)
     ring = fusion_ring(spec.labels, spec.fusion)
-    slots = ring.blocks[2]
-    values = _slot_values(spec, ring, one)
     for s in spec.labels:
         sd = spec.dual[s]
-        try:
-            _invert_outer(spec, values, one, sd, s, sd)
-        except SingularFBlock as exc:
-            report.append("zigzag-2:%s" % s, "fail", witness={"singular_f": list(exc.labels)})
+        labels = _singular_block(spec, ring, (sd, s, sd))
+        if labels is not None:
+            report.append("zigzag-2:%s" % s, "fail", witness={"singular_f": list(labels)})
             continue
-        z2 = scales[s] * values[slots[sd, s, sd, sd, u, u] + 1]
+        e_list, f_list, inv = _f_matrix_inverse(spec, sd, s, sd, sd)
+        z2 = scales[s] * inv[f_list.index(u)].get(e_list.index(u), zero)
         if not z2.is_one():
             x = Obj.simple(spec, sd)
             report.append("zigzag-2:%s" % s, "fail", witness=Mor(x, x, {sd: [[z2]]}).to_json())

@@ -2,7 +2,7 @@
 
 Each fusion ring compiles its pentagon and hexagon equations once, on
 its first sweep, into programs of integer slots; ``ctc.category`` checks
-a category by filling one value list with its symbols and evaluating
+a category by filling a value list with its symbols and evaluating
 every program.
 """
 
@@ -13,7 +13,8 @@ from itertools import product
 
 __all__ = ["FusionRing", "fusion_ring"]
 
-# a benchmark pass uses 5 rings, each up to tens of MB
+# a benchmark pass uses 5 rings; a large one holds several MB (about 9 MB
+# for the Z_5 toric code once its hexagon is compiled)
 _RINGS = 8
 
 
@@ -27,9 +28,10 @@ class FusionRing:
 
     ``blocks`` numbers the slots of a value list (see ``category._slot_values``)
     and finds the wide outer triples: those with a recoupling block
-    larger than 1x1 at some total.  A program lists the equations of one
-    pentagon 4-tuple or hexagon triple as pairs (lhs, rhs) of terms, each
-    term the tuple of slots whose values multiply.  A ring's first sweep
+    larger than 1x1 at some total, the only ones a sweep inverts.  A
+    program lists the equations of one pentagon 4-tuple or hexagon triple
+    as pairs (lhs, rhs) of terms, each term the tuple of slots whose
+    values multiply.  A ring's first sweep
     compiles the programs of its kind, never its load, and every sweep
     evaluates all of them.
     """
@@ -52,16 +54,13 @@ class FusionRing:
 
     @cached_property
     def blocks(self):
-        """(wide, trees, slots, size): the wide outer triples; per outer
-        triple, the pairs (d, rows) of the totals d with trees on both
-        sides, ``rows[f][e]`` the F slot of
-        ((ab)_e c)_d -> (a(bc)_f)_d with e and f in channel order, as
-        ``category._f_matrix_inverse`` orders its block; the slot of every R and F
-        key; and the length of a value list."""
+        """(wide, slots, size): the wide outer triples, each with its
+        totals d in label order, those with trees on both sides; the slot
+        of every R and F key; and the length of a value list."""
         ch, labels = self._ch, self.labels
         slots = {t: k for k, t in enumerate(self.ordered_fusion, 1)}
         size = len(slots) + 1
-        wide, trees = set(), {}
+        wide = {}
         for a in labels:
             for b in labels:
                 for c in labels:
@@ -72,23 +71,20 @@ class FusionRing:
                     for f in ch(b, c):
                         for d in ch(a, f):
                             f_trees.setdefault(d, []).append(f)
-                    outer = trees[a, b, c] = []
+                    totals, is_wide = [], False
                     for d, es in e_trees.items():
                         fs = f_trees.get(d)
                         if fs is None:
                             continue
-                        if len(es) != 1 or len(fs) != 1:
-                            wide.add((a, b, c))
-                        rows = []
+                        totals.append(d)
+                        is_wide = is_wide or len(es) != 1 or len(fs) != 1
                         for f in fs:
-                            row = []
                             for e in es:
                                 slots[a, b, c, d, e, f] = size
-                                row.append(size)
-                                size += 2
-                            rows.append(row)
-                        outer.append((d, rows))
-        return frozenset(wide), trees, slots, size
+                                size += 1
+                    if is_wide:
+                        wide[a, b, c] = sorted(totals, key=self._index.get)
+        return wide, slots, size
 
     @cached_property
     def pentagon_settled(self):
@@ -110,7 +106,7 @@ class FusionRing:
         rhs terms F^{abc}_{f;e,k} F^{akd}_{u;f,h} F^{bcd}_{h;k,g}.  A
         4-tuple through the unit is left out: its equations pair off term
         by term, and its F entries are 1."""
-        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[2]
+        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[1]
         unit = next((u for u in labels if all(ch(u, x) == [x] == ch(x, u) for x in labels)), None)
         out = {}
         for t in product(labels, repeat=4):
@@ -142,16 +138,16 @@ class FusionRing:
 
     @cached_property
     def hexagon_programs(self):
-        """The (hexagon-1, hexagon-2) programs of every label triple
-        (a, b, c): per total d and tree pair, the two sides of
-        ``category.verify_hexagon``'s equations, a G slot one past the F slot of
-        its trees."""
-        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[2]
+        """The hexagon-1 program of every label triple (a, b, c): per total
+        d and tree pair, the two sides of ``category.verify_hexagon``'s
+        equation.  Hexagon-2 of (a, b, c) is the program of (c, a, b) on
+        the reverse braiding's values."""
+        fusion, ch, labels, slot = self.fusion, self._ch, self.labels, self.blocks[1]
         out = {}
         for a in labels:
             for b in labels:
                 for c in labels:
-                    hex1, hex2 = [], []
+                    program = []
                     for e in ch(a, b):
                         back = (b, a, e) in fusion
                         for d in ch(e, c):
@@ -166,22 +162,8 @@ class FusionRing:
                                 mid = back and (a, c, g) in fusion
                                 rhs = ((slot[a, b, e], slot[b, a, c, d, e, g], slot[a, c, g]),) if mid else ()
                                 if lhs or rhs:
-                                    hex1.append((lhs, rhs))
-                    for f in ch(b, c):
-                        for d in ch(a, f):
-                            for g in ch(c, a):
-                                if (g, b, d) not in fusion:
-                                    continue
-                                lhs = tuple([
-                                    (slot[a, b, c, d, e, f] + 1, slot[e, c, d], slot[c, a, b, d, g, e] + 1)
-                                    for e in ch(a, b)
-                                    if (e, c, d) in fusion and (c, e, d) in fusion
-                                ])
-                                mid = (a, c, g) in fusion and (c, b, f) in fusion
-                                rhs = ((slot[b, c, f], slot[a, c, b, d, g, f] + 1, slot[a, c, g]),) if mid else ()
-                                if lhs or rhs:
-                                    hex2.append((lhs, rhs))
-                    out[a, b, c] = (tuple(hex1), tuple(hex2))
+                                    program.append((lhs, rhs))
+                    out[a, b, c] = tuple(program)
         return out
 
     @cached_property

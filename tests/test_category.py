@@ -988,7 +988,7 @@ def hexagon_walk(ring):
     triples it reads is wide, since a wider block of 1s does not invert to
     a block of 1s."""
     fusion, ch, labels = ring.fusion, ring._ch, ring.labels
-    wide = ring.blocks[0]
+    wide = ring.blocks[0].keys()
     hex1, hex2 = {}, {}
     for a, b, c in itertools.product(labels, repeat=3):
         defect = 0
@@ -1142,39 +1142,6 @@ def test_second_pointed_spec_evaluates_no_pentagon_and_shares_the_ring(monkeypat
     assert _ring(second.labels, second.fusion) is ring
 
 
-@pytest.mark.parametrize("spec", [cat(name) for name in ALL_CATEGORIES] + sign_flip_mutants(), ids=lambda s: s.name)
-def test_hexagon_inverts_only_nontrivial_outer_triples(monkeypatch, spec):
-    inverted = []
-    real = category._invert_outer
-    monkeypatch.setattr(
-        category, "_invert_outer", lambda sp, values, one, *t: inverted.append(t) or real(sp, values, one, *t)
-    )
-    verify_hexagon(spec)
-    wide = _ring(spec.labels, spec.fusion).blocks[0]
-    non_one_f = {key[:3] for key, val in spec.F.items() if not val.is_one()}
-    assert set(inverted) <= wide | non_one_f
-
-
-def test_inverted_blocks_write_their_zero_entries():
-    # F^{xxx}_x = [[1,1,1],[1,2,1],[1,1,2]] on (e, f) in {1, s, x} has no
-    # zero entry; its inverse [[3,-1,-1],[-1,1,0],[-1,0,1]] has two, which
-    # must overwrite the 1 every G slot starts from
-    spec = trivial_symbols("rep_s3", [list(t) for t in REP_S3_FUSION], {"kind": "rational"})
-    two = Scalar.from_int(spec.field, 2)
-    spec = mutated(spec, F={("x", "x", "x", "x", "s", "s"): two, ("x", "x", "x", "x", "x", "x"): two})
-    ring, one = _ring(spec.labels, spec.fusion), Scalar.one(spec.field)
-    values = category._slot_values(spec, ring, one)
-    category._invert_outer(spec, values, one, "x", "x", "x")
-    zeros_seen = 0
-    for d, rows in ring.blocks[1]["x", "x", "x"]:
-        e_list, f_list, _inv = _f_matrix_inverse(spec, "x", "x", "x", d)
-        block = [[spec.f_symbol("x", "x", "x", d, e, f) for f in f_list] for e in e_list]
-        want = dense_inverse(block, spec.field, len(e_list))
-        assert [[values[s + 1] for s in slots] for slots in rows] == want
-        zeros_seen += sum(x.is_zero() for row in want for x in row)
-    assert zeros_seen == 2
-
-
 def _vec_zn(n):
     """Vec over Z_n with trivial symbols, labels "1", "g1", ..., "g<n-1>"."""
     labels = ["1"] + ["g%d" % k for k in range(1, n)]
@@ -1300,7 +1267,7 @@ def test_hexagon_tables_match_the_walk(name):
     if spec is None:
         assert name == "z3_negated", "only the non-associative rules have no unit"
         return
-    items, wide = verify_hexagon(spec).items, ring.blocks[0]
+    items, wide = verify_hexagon(spec).items, ring.blocks[0].keys()
     assert _failing_groups(items, "hexagon-1") == list(want1)
     hex2 = [t for t in _failing_groups(items, "hexagon-2") if not wide & {t[2:] + t[:2], t, (t[0], t[2], t[1])}]
     assert hex2 == list(want2)
@@ -1385,6 +1352,84 @@ def test_every_r_sign_flip_of_the_z3_toric_code_fails_the_hexagon():
         assert _hexagon_items(bad), bad.R
     for bad in flips[::8]:
         assert _hexagon_items(bad) == _every_tuple_hexagon(bad).items
+
+
+def rep_s3_inverse_zeros(F):
+    """Rep(S3) rules with every symbol 1 but the 3x3 block F^{xxx}_x,
+    given as rows e and columns f over the channels 1, s, x."""
+    spec = trivial_symbols("rep_s3", [list(t) for t in REP_S3_FUSION], {"kind": "rational"})
+    entries = {
+        ("x", "x", "x", "x", e, f): Scalar.from_int(spec.field, F[i][j])
+        for i, e in enumerate("1sx")
+        for j, f in enumerate("1sx")
+    }
+    return mutated(spec, F=entries, name="rep_s3 F^xxx_x=%s" % (F,))
+
+
+INVERSE_ZERO_SPECS = [
+    # no entry is zero, but the inverse [[3,-1,-1],[-1,1,0],[-1,0,1]] has two
+    rep_s3_inverse_zeros([[1, 1, 1], [1, 2, 1], [1, 1, 2]]),
+    # the inverse's (1, 1) entry, the G zigzag-2 reads on x, is zero
+    rep_s3_inverse_zeros([[1, 1, 1], [1, 1, 2], [2, 1, 2]]),
+]
+
+
+def test_inverse_zero_specs_have_zero_inverse_entries():
+    for spec, zeros_seen in zip(INVERSE_ZERO_SPECS, (2, 3)):
+        block = [[spec.f_symbol("x", "x", "x", "x", e, f) for f in "1sx"] for e in "1sx"]
+        want = dense_inverse(block, spec.field, 3)
+        assert to_dense(_f_matrix_inverse(spec, "x", "x", "x", "x")[2], 3, spec.field) == want
+        assert sum(x.is_zero() for row in want for x in row) == zeros_seen
+    # the second one's zero G^{xxx}_{x;1,1} makes the zigzag-2 composite on x zero
+    assert want[0][0].is_zero()
+    assert [i.check for i in verify_zigzag(spec).items] == ["zigzag-2:x"]
+
+
+GAUGED_TORIC_SPECS = [gauged(toric_zn(3), seed) for seed in (1, 2, 5)]
+
+
+def gauged_toric_flips():
+    """Single-entry sign flips of the first gauged Z_3 toric code: every
+    16th F entry and every 4th R entry off the unit, in key order."""
+    spec = GAUGED_TORIC_SPECS[0]
+    keys = {table: sorted(k for k in getattr(spec, table) if spec.unit not in k[:3]) for table in ("F", "R")}
+    out = []
+    for table, step in (("F", 16), ("R", 4)):
+        for key in keys[table][::step]:
+            val = getattr(spec, table)[key]
+            out.append(mutated(spec, name="%s %s%s" % (spec.name, table, key), **{table: {key: -val}}))
+    return out
+
+
+@pytest.mark.parametrize("spec", INVERSE_ZERO_SPECS + GAUGED_TORIC_SPECS, ids=lambda s: s.name)
+def test_hexagon_and_zigzag_match_the_oracles_on_inverse_zeros_and_gauges(spec):
+    assert _hexagon_items(spec) == _every_tuple_hexagon(spec).items
+    assert verify_hexagon(spec).items == _assembled_hexagon(spec).items
+    assert verify_zigzag(spec).items == _assembled_zigzag(spec).items
+
+
+def test_every_gauged_toric_flip_fails_the_hexagon_as_the_every_tuple_sweep():
+    flips = gauged_toric_flips()
+    assert len(flips) == 46
+    for bad in flips:
+        assert _hexagon_items(bad), bad.name
+    for bad in flips[::4]:
+        assert _hexagon_items(bad) == _every_tuple_hexagon(bad).items
+
+
+@pytest.mark.parametrize(
+    "spec", [cat(name) for name in ALL_CATEGORIES] + sign_flip_mutants() + GAUGED_TORIC_SPECS, ids=lambda s: s.name
+)
+def test_hexagon_inverts_only_wide_outer_triples(monkeypatch, spec):
+    inverted = []
+    real = category._f_matrix_inverse
+    monkeypatch.setattr(category, "_f_matrix_inverse", lambda sp, *labels: inverted.append(labels) or real(sp, *labels))
+    verify_hexagon(spec)
+    wide = _ring(spec.labels, spec.fusion).blocks[0]
+    assert {labels[:3] for labels in inverted} <= wide.keys()
+    if spec in GAUGED_TORIC_SPECS:
+        # every F entry of a gauged code is off 1, but no block is wider than 1x1
+        assert inverted == []
 
 
 def semion():
