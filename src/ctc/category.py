@@ -661,16 +661,28 @@ def braiding(x: Obj, y: Obj) -> Mor:
     R, one = x.spec.R, Scalar.one(x.spec.field)
     _, dom, dom_off = _tensor_plan(x, y)
     _, cod, cod_off = _tensor_plan(y, x)
-    blocks = {c: [{} for _ in range(m)] for c, m in cod.key() if c in dom.mult}
-    for c, blk in blocks.items():
-        for (a, b), (cbase, cstep) in dom_off[c].items():
-            rbase, rstep = cod_off[c][b, a]
+    blocks = {c: [{} for _ in range(m)] for c, m in cod.key()}
+    for c, pairs in dom_off.items():
+        swapped, blk = cod_off.get(c, {}), blocks.get(c)
+        for (a, b), (cbase, cstep) in pairs.items():
+            if (b, a) not in swapped:
+                raise _noncommuting(a, b, c)
+            rbase, rstep = swapped[b, a]
             # R entries are validated nonzero
             val = R.get((a, b, c), one)
             for i in range(x.mult[a]):
                 for j in range(y.mult[b]):
                     blk[rbase + j * rstep + i][cbase + i * cstep + j] = val
+    if dom != cod:
+        # every summand of x (x) y has its partner, so one of y (x) x has none
+        raise _noncommuting(
+            *next((b, a, c) for c, pairs in cod_off.items() for b, a in pairs if (a, b) not in dom_off.get(c, ()))
+        )
     return Mor.from_rows(dom, cod, blocks)
+
+
+def _noncommuting(a, b, c) -> FusionDataError:
+    return FusionDataError("fusion does not commute: %r (x) %r holds %r, %r (x) %r does not" % (a, b, c, b, a))
 
 
 def _dual_scales(spec: CategorySpec):

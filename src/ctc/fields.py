@@ -161,11 +161,6 @@ class FieldSpec:
     def char(self) -> int:
         return self.p if self.kind == "prime" else 0
 
-    @property
-    def degree(self) -> int:
-        """Dimension over the prime field (phi(n) for cyclotomic)."""
-        return self._ctx.phi if self.kind == "cyclotomic" else 1
-
     @staticmethod
     def from_json(data: dict) -> "FieldSpec":
         try:

@@ -52,7 +52,7 @@ from ctc.category import (
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
 from ctc.ring import FusionRing, fusion_ring as _ring
 from ctc.report import Report
-from test_fields import zeta
+from test_fields import phi, zeta
 from test_linalg import dense_inverse, to_dense, zeros
 
 ALL_CATEGORIES = ["vec_q", "vec_f2", "vec_f3", "pointed_z4", "toric_code", "ising", "fibonacci"]
@@ -113,7 +113,7 @@ def ev_coev(x):
 def rand_scalar(rng, field):
     if field.kind == "cyclotomic":
         s = Scalar.zero(field)
-        for k in range(min(field.degree, 4)):
+        for k in range(min(phi(field.n), 4)):
             c = rng.randint(-2, 2)
             if c:
                 s = s + zeta(field, k).scale(c)
@@ -286,17 +286,28 @@ def test_associator_inverse_roundtrip():
         assert compose(fwd, back) == Mor.identity(fwd.cod)
 
 
-def test_associator_naturality():
-    spec = cat("ising")
-    rng = random.Random(23)
+def natural_triples(name, max_mult, seed):
+    """Morphisms (f, g, h) of the bundled category ``name`` to check
+    naturality on: four triples between random objects, then
+    endomorphisms of each object a + b of two labels beside endomorphisms
+    of two random simples."""
+    spec = cat(name)
+    rng = random.Random(seed)
     for _ in range(4):
-        X, Y, Z = (rand_obj(rng, spec, 1) for _ in range(3))
-        X2, Y2, Z2 = (rand_obj(rng, spec, 1) for _ in range(3))
-        f = rand_mor(rng, X, X2)
-        g = rand_mor(rng, Y, Y2)
-        h = rand_mor(rng, Z, Z2)
-        lhs = compose(tensor_mor(f, tensor_mor(g, h)), associator(X, Y, Z))
-        rhs = compose(associator(X2, Y2, Z2), tensor_mor(tensor_mor(f, g), h))
+        doms = [rand_obj(rng, spec, max_mult) for _ in range(3)]
+        cods = [rand_obj(rng, spec, max_mult) for _ in range(3)]
+        yield tuple(rand_mor(rng, x, x2) for x, x2 in zip(doms, cods))
+    for a, b in itertools.combinations(spec.labels, 2):
+        x = Obj(spec, {a: 1, b: 1})
+        y, z = (Obj.simple(spec, rng.choice(spec.labels)) for _ in range(2))
+        yield rand_mor(rng, x, x), rand_mor(rng, y, y), rand_mor(rng, z, z)
+
+
+@pytest.mark.parametrize("name", ALL_CATEGORIES)
+def test_associator_naturality(name):
+    for f, g, h in natural_triples(name, 1, 23):
+        lhs = compose(tensor_mor(f, tensor_mor(g, h)), associator(f.dom, g.dom, h.dom))
+        rhs = compose(associator(f.cod, g.cod, h.cod), tensor_mor(tensor_mor(f, g), h))
         assert lhs == rhs
 
 
@@ -314,17 +325,30 @@ def test_tensor_bifunctoriality():
     assert lhs == rhs
 
 
-def test_braiding_naturality():
-    spec = cat("toric_code")
-    rng = random.Random(17)
-    for _ in range(4):
-        X, Y = rand_obj(rng, spec), rand_obj(rng, spec)
-        X2, Y2 = rand_obj(rng, spec), rand_obj(rng, spec)
-        f = rand_mor(rng, X, X2)
-        g = rand_mor(rng, Y, Y2)
-        lhs = compose(braiding(X2, Y2), tensor_mor(f, g))
-        rhs = compose(tensor_mor(g, f), braiding(X, Y))
+@pytest.mark.parametrize("name", ALL_CATEGORIES)
+def test_braiding_naturality(name):
+    for f, g, _ in natural_triples(name, 2, 17):
+        lhs = compose(braiding(f.cod, g.cod), tensor_mor(f, g))
+        rhs = compose(tensor_mor(g, f), braiding(f.dom, g.dom))
         assert lhs == rhs
+
+
+def test_braiding_refuses_fusion_that_does_not_commute():
+    s3 = vec_s3()
+    with pytest.raises(FusionDataError, match=r"^fusion does not commute: 'r' \(x\) 's' holds 'sr2', 's' \(x\) 'r' "):
+        braiding(Obj.simple(s3, "r"), Obj.simple(s3, "s"))
+    # x (x) y = y but y (x) x = x + y: each summand of x (x) y has its
+    # partner, and the summand x of y (x) x has none
+    rules = [["1", "1", "1"], ["x", "x", "1"], ["y", "y", "1"], ["x", "y", "y"], ["y", "x", "x"], ["y", "x", "y"]]
+    rules += [[lab, "1", lab] for lab in "xy"] + [["1", lab, lab] for lab in "xy"]
+    lopsided = category_from_json(
+        {"field": {"kind": "rational"}, "labels": ["1", "x", "y"], "unit": "1",
+         "dual": {"1": "1", "x": "x", "y": "y"}, "fusion": rules}
+    )
+    x, y = Obj.simple(lopsided, "x"), Obj.simple(lopsided, "y")
+    for pair in ((x, y), (y, x)):
+        with pytest.raises(FusionDataError, match=r"'y' \(x\) 'x' holds 'x', 'x' \(x\) 'y' does not"):
+            braiding(*pair)
 
 
 def test_braiding_is_invertible_symmetry_for_toric():
@@ -512,9 +536,38 @@ def _assembled_pentagon(spec):
     return report
 
 
+def reference_braiding(x, y):
+    """x (x) y -> y (x) x with the entry R^{ab}_c from each summand
+    (a, i, b, j) of x (x) y to its partner (b, j, a, i) in y (x) x, placed
+    by the summand tables.  Where fusion does not commute, as in Vec(S3),
+    a summand without a partner maps to zero; ``braiding`` refuses such
+    objects instead."""
+    dom_rows = pair_channels(x, y)
+    rows = {}
+    for c, summands in pair_channels(y, x).items():
+        if c in dom_rows:
+            col = {t: k for k, t in enumerate(dom_rows[c])}
+            rows[c] = [
+                {col[a, i, b, j]: x.spec.r_symbol(a, b, c)} if (a, i, b, j) in col else {}
+                for b, j, a, i in summands
+            ]
+    return Mor.from_rows(tensor_obj(x, y), tensor_obj(y, x), rows)
+
+
+@pytest.mark.parametrize("name", ALL_CATEGORIES)
+def test_reference_braiding_is_the_braiding_on_commuting_fusion(name):
+    spec = cat(name)
+    rng = random.Random(31)
+    for _ in range(4):
+        x, y = rand_obj(rng, spec), rand_obj(rng, spec)
+        assert reference_braiding(x, y) == braiding(x, y)
+
+
 def _assembled_hexagon(spec):
     """Reference hexagons: both three-braiding composites as block matrices,
-    then the same balancing loop as the engine."""
+    then the same balancing loop as the engine.  The braidings are
+    ``reference_braiding``, so a category whose fusion does not commute
+    fails where its composites differ."""
     report = Report()
     simples = {lab: Obj.simple(spec, lab) for lab in spec.labels}
     for a in spec.labels:
@@ -523,22 +576,22 @@ def _assembled_hexagon(spec):
                 X, Y, Z = simples[a], simples[b], simples[c]
                 lhs = compose(
                     associator(Y, Z, X),
-                    compose(braiding(X, tensor_obj(Y, Z)), associator(X, Y, Z)),
+                    compose(reference_braiding(X, tensor_obj(Y, Z)), associator(X, Y, Z)),
                 )
                 rhs = compose(
-                    tensor_mor(Mor.identity(Y), braiding(X, Z)),
-                    compose(associator(Y, X, Z), tensor_mor(braiding(X, Y), Mor.identity(Z))),
+                    tensor_mor(Mor.identity(Y), reference_braiding(X, Z)),
+                    compose(associator(Y, X, Z), tensor_mor(reference_braiding(X, Y), Mor.identity(Z))),
                 )
                 if lhs != rhs:
                     report.append("hexagon-1:%s,%s,%s" % (a, b, c), "fail", witness=[a, b, c])
                 try:
                     lhs2 = compose(
                         associator_inv(Z, X, Y),
-                        compose(braiding(tensor_obj(X, Y), Z), associator_inv(X, Y, Z)),
+                        compose(reference_braiding(tensor_obj(X, Y), Z), associator_inv(X, Y, Z)),
                     )
                     rhs2 = compose(
-                        tensor_mor(braiding(X, Z), Mor.identity(Y)),
-                        compose(associator_inv(X, Z, Y), tensor_mor(Mor.identity(X), braiding(Y, Z))),
+                        tensor_mor(reference_braiding(X, Z), Mor.identity(Y)),
+                        compose(associator_inv(X, Z, Y), tensor_mor(Mor.identity(X), reference_braiding(Y, Z))),
                     )
                 except SingularFBlock as exc:
                     witness = {"singular_f": list(exc.labels)}
@@ -613,16 +666,20 @@ def random_mutants(count=24, seed=2024):
     return out
 
 
-def vec_s3():
-    """Vec of the symmetric group S3 with trivial F: fusion is not
-    commutative, so many trees of one side have no partner on the other."""
+def vec_s3_json():
+    """The data of Vec of the symmetric group S3 with trivial F and R."""
     raw = json.loads(Path(data_path("groups/s3.json")).read_text())
     elements, table = raw["elements"], raw["table"]
     fusion = [[a, b, table[i][j]] for i, a in enumerate(elements) for j, b in enumerate(elements)]
     unit = next(a for i, a in enumerate(elements) if table[i] == elements)
     dual = {a: b for a, b, c in fusion if c == unit}
-    spec = {"field": {"kind": "rational"}, "labels": elements, "unit": unit, "dual": dual, "fusion": fusion}
-    return category_from_json(spec, name="vec_s3")
+    return {"field": {"kind": "rational"}, "labels": elements, "unit": unit, "dual": dual, "fusion": fusion}
+
+
+def vec_s3():
+    """Vec(S3): fusion is not commutative, so many trees of one side have
+    no partner on the other."""
+    return category_from_json(vec_s3_json(), name="vec_s3")
 
 
 ISING_BLOCK_KEYS = [("sigma",) * 4 + (e, f) for e in ("1", "psi") for f in ("1", "psi")]

@@ -4,10 +4,8 @@ import argparse
 import concurrent.futures
 import json
 import os
-import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,12 +13,10 @@ import pytest
 import ctc
 from ctc import category, data_path
 from ctc import linalg as la
-from ctc.category import load_category
-from ctc.cli import _job, _rand_scalar, _run_check_category, main
-from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
+from ctc.cli import _job, _run_check_category, main
+from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 from ctc.report import Item, Report
-from test_category import unknown_label_rules_json
-from test_fields import zeta
+from test_category import unknown_label_rules_json, vec_s3_json
 
 ALL_CATEGORIES = [
     "vec_q",
@@ -344,7 +340,7 @@ def test_report_items_compare_on_every_field():
 
 
 def test_check_category_text_lines_carry_sweep_times():
-    report = _run_check_category(Path(data_path("categories/ising.json")), seed=0)
+    report = _run_check_category(Path(data_path("categories/ising.json")))
     sweeps = ["pentagon", "hexagon", "triangle", "zigzag", "naturality-probe"]
     assert [i.check for i in report.items] == ["ising/" + name for name in sweeps]
     assert all(i.elapsed > 0 for i in report.items)
@@ -558,7 +554,7 @@ def test_wrong_typed_field_of_other_files_is_one_parse_error(tmp_path, capsysbin
 )
 def test_each_input_reports_its_time_on_its_first_item(argv):
     command, arg, algebra = argv[0], argv[1], (argv[2:] or [None])[0]
-    items = _job(command, arg, algebra, 0).items
+    items = _job(command, arg, algebra).items
     assert items[0].elapsed > 0
     assert all(i.elapsed == 0 for i in items[1:])
 
@@ -699,50 +695,55 @@ def test_suite_name_with_json_suffix_is_the_bundled_suite(capsysbinary):
     assert suffixed == named
 
 
-def _summed_rand_scalar(rng, field):
-    """The probe's random scalar with the same draws as ``_rand_scalar``, a
-    cyclotomic one as a sum of scaled powers of zeta."""
-    if field.kind == "rational":
-        return Scalar.from_fraction(field, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    if field.kind == "prime":
-        return Scalar.from_int(field, rng.randrange(field.p))
-    acc = Scalar.zero(field)
-    for k in range(min(field.degree, 3)):
-        c = rng.randint(-3, 3)
-        if c:
-            acc = acc + zeta(field, k).scale(c)
-    return acc
-
-
-PROBE_FIELDS = sorted(
-    {load_category(data_path("categories/%s.json" % name)).field for name in ALL_CATEGORIES}
-    | {FieldSpec.cyclotomic(n) for n in range(1, 17)},
-    key=lambda f: (f.kind, f.p or 0, f.n or 0),
-)
-
-
-@pytest.mark.parametrize("field", PROBE_FIELDS, ids=lambda f: "%s-%s" % (f.kind, f.p or f.n))
-def test_rand_scalar_equals_the_summed_powers(field):
-    for seed in range(120):
-        got_rng, want_rng = random.Random(seed), random.Random(seed)
-        for _ in range(4):
-            got, want = _rand_scalar(got_rng, field), _summed_rand_scalar(want_rng, field)
-            assert got == want and got._v == want._v
-        assert got_rng.getstate() == want_rng.getstate()
-
-
-def test_naturality_probe_builds_each_map_once_per_trial(monkeypatch):
-    import ctc.cli as cli_mod
-
+def test_check_category_evaluates_no_morphism(monkeypatch, capsysbinary):
+    # naturality holds for any data, so no sweep builds a braiding, an
+    # associator, a tensor product or a composite of morphisms; each is
+    # counted under every ctc module that binds it
     calls = []
-    for name in ("braiding", "tensor_mor"):
-        real = getattr(cli_mod, name)
-        monkeypatch.setattr(cli_mod, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    report = cli_mod._naturality_probe(load_category(data_path("categories/ising.json")), seed=3)
-    assert [item.status for item in report.items] == ["pass"] * 6
-    # per trial: one braiding; f (x) g, g (x) f, (f (x) g) (x) h, g (x) h and f (x) (g (x) h)
-    assert calls.count("braiding") == 3
-    assert calls.count("tensor_mor") == 15
+    for name in ("compose", "tensor_mor", "braiding", "associator"):
+        real = getattr(category, name)
+        counted = lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ctc"]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    code, _ = run_json(capsysbinary, ["check-category"] + ALL_CATEGORIES)
+    assert code == 0
+    assert calls == []
+
+
+def _vec_s3_file(tmp_path):
+    return _write(tmp_path / "vec_s3.json", vec_s3_json())
+
+
+def test_check_category_bytes_do_not_depend_on_the_seed(tmp_path, capsysbinary):
+    vec_s3 = str(_vec_s3_file(tmp_path))
+    outs = [run_json(capsysbinary, ["check-category", vec_s3, "toric_code", "--seed", str(seed)]) for seed in range(10)]
+    assert [code for code, _ in outs] == [1] * 10
+    assert [out for _, out in outs] == [outs[0][1]] * 10
+    items = json.loads(outs[0][1])["items"]
+    assert any(i["check"].startswith("vec_s3/hexagon-") and i["status"] == "fail" for i in items)
+    assert items[-1] == {"check": "toric_code/naturality-probe", "status": "pass", "witness": None}
+
+
+def test_algebra_on_noncommuting_fusion_is_one_error_item(tmp_path, capsysbinary):
+    # e + r + s in Vec(S3), with the products that land in it; r (x) s is
+    # sr2 but s (x) r is sr, so A (x) A has no braiding
+    _vec_s3_file(tmp_path)
+    raw = {
+        "category": "vec_s3.json",
+        "object": {"e": 1, "r": 1, "s": 1},
+        "iota": {"e": [["1"]]},
+        "mu": {lab: [["1", "1"]] for lab in ("e", "r", "s")},
+    }
+    bad = _write(tmp_path / "alg_s3.json", raw)
+    code, out = run_json(capsysbinary, ["check-algebra", str(bad), "alg_qz3"])
+    assert code == 2
+    items = json.loads(out)["items"]
+    assert items[0]["check"] == "load:%s" % bad
+    assert items[0]["witness"]["type"] == "FusionDataError"
+    assert "does not commute" in items[0]["witness"]["message"]
+    _, alone = run_json(capsysbinary, ["check-algebra", "alg_qz3"])
+    assert items[1:] == json.loads(alone)["items"]
 
 
 SOLVES = ("rref", "rank", "solve", "nullspace", "inverse", "image_factorization")

@@ -11,6 +11,7 @@ every operation of the integer-vector engine against it.
 
 import cmath
 import json
+import math
 import random
 import sys
 import time
@@ -121,6 +122,11 @@ def test_sqrt2_in_q_zeta8_squares_to_two():
 def zeta(field, k=1):
     """zeta_n^k in Q(zeta_n), read from its literal."""
     return parse_scalar("z^%d" % k, field)
+
+
+def phi(n):
+    """Euler's phi: the degree of Q(zeta_n) over Q, counted from its definition."""
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
 
 
 def test_rational_add():
@@ -366,7 +372,7 @@ def scalars(field):
         )
     if field.kind == "rational":
         return rationals.map(lambda q: Scalar.from_fraction(field, q))
-    deg = field.degree
+    deg = phi(field.n)
     return st.lists(rationals, min_size=deg, max_size=deg).map(lambda cs: from_coeffs(field, cs))
 
 
@@ -642,7 +648,7 @@ def coefficient_data(field):
         return st.integers(-3 * field.p, 3 * field.p)
     if field.kind == "rational":
         return coefficients
-    deg = field.degree
+    deg = phi(field.n)
     return st.one_of(
         st.just([Fraction(0)] * deg),
         st.just([Fraction(1)] + [Fraction(0)] * (deg - 1)),
@@ -756,7 +762,7 @@ def memo_operands(field, rng):
     rationals, zero, the negation of each, and an equal copy of the first
     built apart from it, so that products meet equal, negated and rational
     operands in both orders."""
-    deg = field.degree
+    deg = phi(field.n)
     drawn = []
     for _ in range(6):
         drawn.append([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.7 else 0 for _ in range(deg)])

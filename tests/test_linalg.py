@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctc.fields import FieldSpec, Scalar
 from ctc import linalg as la
-from test_fields import zeta
+from test_fields import phi, zeta
 
 Q = FieldSpec.rational()
 Z4 = FieldSpec.cyclotomic(4)
@@ -48,7 +48,7 @@ def _is_zero(m):
 def rand_scalar(field, rng):
     if field.kind == "cyclotomic":
         acc = Scalar.zero(field)
-        for k in range(field.degree):
+        for k in range(phi(field.n)):
             acc = acc + Scalar.from_int(field, rng.randint(-3, 3)) * zeta(field, k)
         return acc
     return Scalar.from_fraction(field, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
@@ -237,7 +237,7 @@ def nonzero_scalars(field):
         return st.tuples(st.integers(-4, 4), st.integers(1, 3)).map(
             lambda t: Scalar.from_fraction(field, Fraction(*t))
         )
-    zetas = [zeta(field, k) for k in range(field.degree)]
+    zetas = [zeta(field, k) for k in range(phi(field.n))]
 
     def combine(coeffs):
         acc = Scalar.zero(field)
@@ -245,7 +245,7 @@ def nonzero_scalars(field):
             acc = acc + Scalar.from_int(field, c) * z
         return acc
 
-    return st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree).map(combine)
+    return st.lists(st.integers(-2, 2), min_size=len(zetas), max_size=len(zetas)).map(combine)
 
 
 @st.composite
