@@ -7,6 +7,7 @@ local projection work, entirely without floating point.
 """
 
 import json
+import os
 from pathlib import Path
 
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
@@ -23,19 +24,21 @@ def data_path(name: str = "") -> Path:
 
 def resolve(kind: str, ref, base_dir=None) -> Path:
     """The first file among ``base_dir / ref``, ``ref`` itself and the
-    bundled ``data/<kind>/<ref>`` (``.json`` appended unless present)."""
+    bundled ``data/<kind>/<ref>`` (``.json`` appended unless present), as
+    it was reached: one ``stat`` per candidate tried, no symlink resolved."""
     ref = str(ref)
-    bundled = _DATA / kind / (ref if ref.endswith(".json") else ref + ".json")
-    for path in ([Path(base_dir) / ref] if base_dir is not None else []) + [Path(ref), bundled]:
-        if path.is_file():
-            return path
+    bundled = os.path.join(_DATA, kind, ref if ref.endswith(".json") else ref + ".json")
+    for path in ([os.path.join(base_dir, ref)] if base_dir is not None else []) + [ref, bundled]:
+        if os.path.isfile(path):
+            return Path(path)
     raise ParseError("no file and no bundled %s named %r" % (kind, ref))
 
 
 def read_json(path) -> dict:
     """The JSON object stored at ``path``; any failure is a ``ParseError``."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            raw = json.loads(file.read())
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
     except ValueError as exc:

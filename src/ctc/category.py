@@ -29,11 +29,13 @@ must be 1 (enforced at validation), which makes both unit isomorphisms
 identity matrices and keeps the triangle identity automatic.
 
 The coherence sweeps check the equations on the F- and R-symbols, by
-the programs the category's fusion ring compiles (``ctc.ring``).
+the programs the category's fusion ring compiles (``ctc.ring``),
+evaluated on raw values in the field's own arithmetic.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,7 +43,7 @@ from . import linalg as la
 from . import check_fields, read_json, resolve, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .report import Report
-from .ring import FusionRing, fusion_ring
+from .ring import FusionRing, fusion_ring, holds
 
 __all__ = [
     "CategoryError",
@@ -67,6 +69,7 @@ __all__ = [
     "verify_triangle",
     "verify_zigzag",
     "load_category",
+    "load_category_file",
 ]
 
 
@@ -410,9 +413,11 @@ def compose(g: Mor, f: Mor) -> Mor:
 # tensor structure
 
 
-# Memo sizes: plans, associators, F blocks and category files hold twice
-# the most entries a benchmark pass makes (487, 134, 220 and 41), so no
-# pass evicts.  A memo tells categories apart by identity.
+# Memo sizes: plans, associators, F blocks and category files hold at
+# least twice the most entries a benchmark pass makes (48, 19, 159 and 41
+# over seeds 1-12), so no pass evicts; so does the literal memo of
+# ``fields.parse_scalar``.  A memo tells categories apart by identity, and
+# category files by device, inode, modification time and size.
 _PLANS, _ASSOCIATORS, _F_BLOCKS, _CATEGORY_FILES = 1024, 512, 1024, 128
 
 
@@ -721,38 +726,24 @@ def categorical_dim(x: Obj) -> Scalar:
 # coherence checks
 
 
-def _holds(program, values, one: Scalar, zero: Scalar) -> bool:
-    """Whether every equation of a program holds on the slot values: on
-    each side, the sum over the terms of the product of their values.  A
-    value that is ``one`` itself costs no product."""
-    for equation in program:
-        sums = []
-        for terms in equation:
-            total = zero
-            for term in terms:
-                p = one
-                for s in term:
-                    x = values[s]
-                    if x is not one:
-                        p = x if p is one else p * x
-                total = p if total is zero else total + p
-            sums.append(total)
-        left, right = sums
-        if left is not right and left != right:
-            return False
-    return True
+def _raw_ops(field: FieldSpec) -> tuple:
+    """The ``ops`` of ``ring.holds`` on raw values (``Scalar.raw``): the
+    field's ``mul`` and ``add``, and its raw one and zero."""
+    return field.mul, field.add, Scalar.one(field).raw, Scalar.zero(field).raw
 
 
-def _slot_values(spec: CategorySpec, ring: FusionRing, one: Scalar) -> list:
-    """The symbols of ``spec`` by slot: 1 at slot 0, the R entries of the
-    fusion triples in label order, then every admissible F entry; an
-    entry 1 is ``one`` itself."""
+def _slot_values(spec: CategorySpec, ring: FusionRing) -> list:
+    """The raw symbols of ``spec`` by slot: 1 at slot 0, the R entries of
+    the fusion triples in label order, then every admissible F entry; an
+    entry 1 is the field's raw one itself."""
     _, slots, size = ring.blocks
+    one = Scalar.one(spec.field).raw
     values = [one] * size
     for table in (spec.R, spec.F):
         for key, val in table.items():
-            if val != one:
-                values[slots[key]] = val
+            x = val.raw
+            if x != one:
+                values[slots[key]] = x
     return values
 
 
@@ -791,13 +782,12 @@ def verify_pentagon(spec: CategorySpec) -> Report:
     (``FusionRing.pentagon_settled``).
     """
     report = Report()
-    one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
     ring = fusion_ring(spec.labels, spec.fusion)
     if ring.pentagon_settled and all(val.is_one() for val in spec.F.values()):
         return report
-    values = _slot_values(spec, ring, one)
+    values, ops = _slot_values(spec, ring), _raw_ops(spec.field)
     for t, program in ring.pentagon_programs.items():
-        if not _holds(program, values, one, zero):
+        if not holds(program, values, ops):
             report.append("pentagon:%s,%s,%s,%s" % t, "fail", witness=list(t))
     return report
 
@@ -838,44 +828,49 @@ def verify_hexagon(spec: CategorySpec) -> Report:
     inverted, and only to find their singular blocks.
     """
     report = Report()
-    one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    field = spec.field
+    ops = _raw_ops(field)
+    mul, _, one, _ = ops
     ring = fusion_ring(spec.labels, spec.fusion)
-    values = _slot_values(spec, ring, one)
+    values = _slot_values(spec, ring)
     reverse = list(values)
     for r, r_swapped, *_ in ring.balancing:
         x = values[r_swapped]
-        reverse[r] = x if x is one else x.inverse()
-    programs, wide = ring.hexagon_programs, ring.blocks[0]
+        reverse[r] = x if x is one else Scalar(field, x).inverse().raw
+    programs, wide, singular = ring.hexagon_programs, ring.blocks[0], {}
     for t, program in programs.items():
         a, b, c = t
-        if not _holds(program, values, one, zero):
+        if not holds(program, values, ops):
             report.append("hexagon-1:%s,%s,%s" % t, "fail", witness=list(t))
         # a triple that reads a singular block reads no block after it, so
-        # the first non-square block read is the one that raises
+        # the first non-square block read is the one that raises; each
+        # outer triple is scanned once, where it is first read
         witness = None
         for outer in ((c, a, b), t, (a, c, b)):
             if outer in wide:
-                labels = _singular_block(spec, ring, outer)
-                if labels is not None:
-                    witness = {"singular_f": list(labels)}
+                if outer not in singular:
+                    singular[outer] = _singular_block(spec, ring, outer)
+                if singular[outer] is not None:
+                    witness = {"singular_f": list(singular[outer])}
                     break
-        if witness is None and not _holds(programs[c, a, b], reverse, one, zero):
+        if witness is None and not holds(programs[c, a, b], reverse, ops):
             witness = list(t)
         if witness is not None:
             report.append("hexagon-2:%s,%s,%s" % t, "fail", witness=witness)
-    twist = [spec.twist[lab] for lab in spec.labels]
+    twist = [spec.twist[lab].raw for lab in spec.labels]
     for (a, b, c), (r, r_swapped, ia, ib, ic) in zip(ring.ordered_fusion, ring.balancing):
         # R^{ab}_c R^{ba}_c = theta_c / (theta_a theta_b), cleared of the
         # division: twists are nonzero, so both forms agree
-        mono = values[r] * values[r_swapped]
-        if mono * twist[ia] * twist[ib] != twist[ic]:
+        mono = mul(values[r], values[r_swapped])
+        if mul(mul(mono, twist[ia]), twist[ib]) != twist[ic]:
+            theta = spec.twist
             report.append(
                 "balancing:%s,%s,%s" % (a, b, c),
                 "fail",
                 witness={
                     "triple": [a, b, c],
-                    "monodromy": scalar_literal(mono),
-                    "twist_ratio": scalar_literal(twist[ic] * (twist[ia] * twist[ib]).inverse()),
+                    "monodromy": scalar_literal(Scalar(field, mono)),
+                    "twist_ratio": scalar_literal(theta[c] * (theta[a] * theta[b]).inverse()),
                 },
             )
     return report
@@ -926,19 +921,34 @@ def verify_zigzag(spec: CategorySpec) -> Report:
 
 
 def load_category(ref, base_dir=None) -> CategorySpec:
-    """Load a category by bundled name or path.  Loads of an unchanged
-    file share the instance while it stays in the memo; a file whose
-    modification time or size has changed is read again."""
-    path = resolve("categories", ref, base_dir).resolve()
+    """Load a category by bundled name or path (``ctc.resolve``)."""
+    return load_category_file(resolve("categories", ref, base_dir))
+
+
+def load_category_file(path) -> CategorySpec:
+    """The category in the file at ``path``, a path already resolved.
+    Loads of one unchanged file, by any path or link to it, share the
+    instance while it stays in the memo; a file whose modification time
+    or size has changed is read again."""
     try:
-        st = path.stat()
+        st = os.stat(path)
     except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    return _read_category(path, st.st_mtime_ns, st.st_size)
+        raise ParseError("cannot read %s: %s" % (os.path.realpath(path), exc)) from None
+    key = _FileKey((st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size))
+    key.path = path
+    return _read_category(key)
+
+
+class _FileKey(tuple):
+    """A file by identity: (device, inode, modification time, size) from
+    one ``os.stat``, hashed and compared as that tuple.  ``path``, the way
+    the file was reached, is read on a memo miss."""
 
 
 @lru_cache(maxsize=_CATEGORY_FILES)
-def _read_category(path: Path, mtime_ns: int, size: int) -> CategorySpec:
+def _read_category(key: _FileKey) -> CategorySpec:
+    # the name and every message go by the file the links lead to
+    path = Path(os.path.realpath(key.path))
     raw = read_json(path)
     return category_from_json(raw, name=raw.get("name", path.stem))
 

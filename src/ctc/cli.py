@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .category import (
     CategoryError,
-    load_category,
+    load_category_file,
     verify_hexagon,
     verify_pentagon,
     verify_triangle,
@@ -70,7 +70,7 @@ def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Rep
 
 
 def _run_check_category(path: Path) -> Report:
-    spec = load_category(path)
+    spec = load_category_file(path)
     out = Report()
     stem = path.stem
     sweeps = (
@@ -117,7 +117,7 @@ def _run_check_module(path: Path) -> Report:
 
 
 def _run_condense(category_path: Path, algebra_path: Path) -> Report:
-    spec = load_category(category_path)
+    spec = load_category_file(category_path)
     alg = load_algebra(algebra_path)
     out = Report()
     stem = algebra_path.stem

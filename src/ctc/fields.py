@@ -6,12 +6,15 @@ literal equality of representations: prime-field elements are residues in
 numerators (``phi(n)`` of them, reduced modulo the n-th cyclotomic
 polynomial; one for Q) over one positive common denominator, divided by
 their gcd.  All arithmetic is exact and works on integers; an inverse is
-the product of the Galois conjugates over the rational norm.  Products
-and inverses in Q(zeta_n) with phi(n) > 1 are memoized per field, with a
-bound on the numerators held (``_CycloCtx``).  Literals
-of Q and Q(zeta_n) are parsed to integer numerators over the lcm of
-their denominators.  ``Fraction`` appears only where F_p literals are
-parsed, where literals are printed, and in ``Scalar.from_fraction``.
+the product of the Galois conjugates over the rational norm.  Each field
+exposes its sum and product on these raw values (``FieldSpec.add`` and
+``mul``), and ``Scalar`` arithmetic calls them.  Products and inverses in
+Q(zeta_n) with phi(n) > 1 are memoized per field, with a bound on the
+numerators held (``_CycloCtx``).  Literals of Q and Q(zeta_n) are parsed
+to integer numerators over the lcm of their denominators, and parses are
+memoized on (literal, field).  ``Fraction`` appears only where F_p
+literals are parsed, where literals are printed, and in
+``Scalar.from_fraction``.
 
 Scalar literals, used by every data file and report, are sums of
 integers, fractions ``p/q`` and their multiples of powers of the symbol
@@ -69,6 +72,9 @@ _MAX_CYCLOTOMIC_N = 500
 # numerators one product or inverse memo of Q(zeta_n) may hold; an entry
 # holds phi(n) of them per vector, so larger fields keep fewer entries
 _MEMO_CELLS = 1 << 15
+# (literal, field) parses kept, more than twice the most distinct pairs one
+# benchmark pass parses (29 over seeds 1-12), so no pass evicts
+_LITERALS = 128
 
 
 def _is_prime(p: int) -> bool:
@@ -99,9 +105,14 @@ class FieldSpec:
     the common case.  Instances are immutable; equality and hashing see
     (kind, p, n) only, and the hash is computed once because every
     ``Scalar`` hash includes its field's.
+
+    ``add`` and ``mul`` are the field's arithmetic on raw values (see
+    ``Scalar.raw``): the residue operations for F_p, ``_pair_sum`` and the
+    product of ``_CycloCtx`` for Q and Q(zeta_n).  Both take and give
+    canonical values; ``Scalar`` arithmetic calls them too.
     """
 
-    __slots__ = ("kind", "p", "n", "_key", "_hash", "_ctx", "_zero", "_one")
+    __slots__ = ("kind", "p", "n", "_key", "_hash", "_ctx", "_zero", "_one", "add", "mul")
 
     def __init__(self, kind: str, p: int | None = None, n: int | None = None):
         if kind == "rational":
@@ -127,7 +138,14 @@ class FieldSpec:
         init(self, "n", n)
         init(self, "_key", (kind, p, n))
         init(self, "_hash", hash(self._key))
-        init(self, "_ctx", None if kind == "prime" else _CycloCtx(n or 1))
+        ctx = None if kind == "prime" else _CycloCtx(n or 1)
+        init(self, "_ctx", ctx)
+        if ctx is None:
+            init(self, "add", lambda a, b: (a + b) % p)
+            init(self, "mul", lambda a, b: a * b % p)
+        else:
+            init(self, "add", _pair_sum)
+            init(self, "mul", _rational_product if ctx.phi == 1 else ctx.product)
         init(self, "_zero", Scalar.from_int(self, 0))
         init(self, "_one", Scalar.from_int(self, 1))
 
@@ -312,6 +330,27 @@ def _canon(nums, den: int):
     return tuple([c // g for c in nums]), den // g
 
 
+def _pair_sum(x, y):
+    """The canonical pair of the sum of two canonical pairs."""
+    (a, da), (b, db) = x, y
+    if da == db:
+        nums = [x + y for x, y in zip(a, b)]
+        if da == 1:
+            return tuple(nums), 1
+        return _canon(nums, da)
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return _canon([x * sa + y * sb for x, y in zip(a, b)], da * sa)
+
+
+def _rational_product(x, y):
+    """The canonical pair of the product of two canonical pairs with one
+    numerator: cross-cancelled, so no gcd of the product is needed."""
+    ((a,), da), ((b,), db) = x, y
+    g1, g2 = gcd(a, db), gcd(b, da)
+    return ((a // g1) * (b // g2),), (da // g2) * (db // g1)
+
+
 # ---------------------------------------------------------------------------
 # Scalar
 
@@ -379,21 +418,13 @@ class Scalar:
         f = self.field
         if other.__class__ is not Scalar or other.field is not f:
             self._check(other)
-        if f.kind == "prime":
-            return Scalar(f, (self._v + other._v) % f.p)
-        (a, da), (b, db) = self._v, other._v
-        if not any(b):
-            return self
-        if not any(a):
-            return other
-        if da == db:
-            nums = [x + y for x, y in zip(a, b)]
-            if da == 1:
-                return Scalar(f, (tuple(nums), 1))
-            return Scalar(f, _canon(nums, da))
-        g = gcd(da, db)
-        sa, sb = db // g, da // g
-        return Scalar(f, _canon([x * sa + y * sb for x, y in zip(a, b)], da * sa))
+        a, b = self._v, other._v
+        if f.kind != "prime":
+            if not any(b[0]):
+                return self
+            if not any(a[0]):
+                return other
+        return Scalar(f, f.add(a, b))
 
     def __sub__(self, other):
         return self + (-other)
@@ -409,19 +440,14 @@ class Scalar:
         f = self.field
         if other.__class__ is not Scalar or other.field is not f:
             self._check(other)
-        if f.kind == "prime":
-            return Scalar(f, self._v * other._v % f.p)
-        one = f._one._v
-        if other._v == one or not any(self._v[0]):
-            return self
-        if self._v == one or not any(other._v[0]):
-            return other
-        ctx = f._ctx
-        if ctx.phi == 1:
-            ((x,), da), ((y,), db) = self._v, other._v
-            g1, g2 = gcd(x, db), gcd(y, da)
-            return Scalar(f, (((x // g1) * (y // g2),), (da // g2) * (db // g1)))
-        return Scalar(f, ctx.product(self._v, other._v))
+        a, b = self._v, other._v
+        if f.kind != "prime":
+            one = f._one._v
+            if b == one or not any(a[0]):
+                return self
+            if a == one or not any(b[0]):
+                return other
+        return Scalar(f, f.mul(a, b))
 
     def __truediv__(self, other):
         self._check(other)
@@ -445,10 +471,11 @@ class Scalar:
     def scale(self, k: int) -> "Scalar":
         return Scalar.from_int(self.field, k) * self
 
-    def residue(self) -> int:
-        """The representative in [0, p) of a prime-field element."""
-        if self.field.kind != "prime":
-            raise FieldMismatch("residues exist in prime fields only")
+    @property
+    def raw(self):
+        """The value ``FieldSpec.add`` and ``mul`` take: the residue in
+        [0, p) or the (nums, den) pair; ``Scalar(field, raw)`` gives the
+        element back."""
         return self._v
 
     # comparison -----------------------------------------------------------
@@ -486,9 +513,16 @@ _TERM = re.compile(
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     """Parse a scalar literal (grammar at ``_TERM``) in the named field.
-    ``z`` is refused outside cyclotomic fields."""
+    ``z`` is refused outside cyclotomic fields.  Parses are memoized on
+    (literal, field); a literal that does not parse raises on every call."""
     if not isinstance(text, str):
+        # refused before the memo, which would hash it
         raise ParseError("scalar literal must be a string, got %r" % (text,))
+    return _parse(text, field)
+
+
+@lru_cache(maxsize=_LITERALS)
+def _parse(text: str, field: FieldSpec) -> Scalar:
     terms = []  # (signed numerator, denominator, power of zeta)
     pos = 0
     while pos < len(text) or not terms:

@@ -552,7 +552,7 @@ def _residues(row, n):
     m = [[0] * n for _ in range(n)]
     for k, x in row.items():
         if k < n * n:
-            m[k // n][k % n] = x.residue()
+            m[k // n][k % n] = x.raw
     return m
 
 
@@ -599,7 +599,7 @@ def _ronyai_radical(flat, n, field):
             r, c = divmod(pivot, n)
             w[c][r] = _ronyai_g(_residues(row, n), i, p)
         red = [row for _p, row in red]
-        xs = [[(k % n, k // n, x.residue()) for k, x in row.items() if k < nn] for row in red]
+        xs = [[(k % n, k // n, x.raw) for k, x in row.items() if k < nn] for row in red]
         form = la.Echelon()
         for y in mats:
             yw = _int_mat_mul(y, w, p)
@@ -639,12 +639,12 @@ def _frobenius_radical(flat, n, field):
         ech.add({**x, nn + t: one})
     red = ech.reduced()
     cells = [divmod(pivot, n) for pivot, _row in red]
-    coeffs = [{k - nn: x.residue() for k, x in row.items() if k >= nn} for _pivot, row in red]
+    coeffs = [{k - nn: x.raw for k, x in row.items() if k >= nn} for _pivot, row in red]
     frob = []
     for x in flat:
         m = [{} for _ in range(n)]
         for k, v in x.items():
-            m[k // n][k % n] = v.residue()
+            m[k // n][k % n] = v.raw
         power = m
         for _ in range(p - 1):
             power = [_int_combination(row, m, p) for row in power]

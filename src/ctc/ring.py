@@ -3,7 +3,7 @@
 Each fusion ring compiles its pentagon and hexagon equations once, on
 its first sweep, into programs of integer slots; ``ctc.category`` checks
 a category by filling a value list with its symbols and evaluating
-every program.
+every program with ``holds``, in the arithmetic of the category's field.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 
-__all__ = ["FusionRing", "fusion_ring"]
+__all__ = ["FusionRing", "fusion_ring", "holds"]
 
 # a benchmark pass uses 5 rings; a large one holds several MB (about 9 MB
 # for the Z_5 toric code once its hexagon is compiled)
@@ -181,3 +181,28 @@ class FusionRing:
 def fusion_ring(labels: tuple, fusion: frozenset) -> FusionRing:
     """The shared fusion-ring facts of the rules; a few rings are kept."""
     return FusionRing(labels, fusion)
+
+
+def holds(program, values, ops) -> bool:
+    """Whether every equation of ``program`` holds on ``values``, one per
+    slot: on each side, the sum over its terms of the product of their
+    values.  ``ops`` is (mul, add, one, zero) for the values' field; a
+    value that is ``one`` itself costs no product, and a sum starts from
+    ``zero`` itself."""
+    mul, add, one, zero = ops
+    for equation in program:
+        sums = []
+        for terms in equation:
+            total = zero
+            for term in terms:
+                p = one
+                for s in term:
+                    x = values[s]
+                    if x is not one:
+                        p = x if p is one else mul(p, x)
+                total = p if total is zero else add(total, p)
+            sums.append(total)
+        left, right = sums
+        if left is not right and left != right:
+            return False
+    return True

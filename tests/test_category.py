@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ctc import data_path
 from ctc import linalg as la
 from ctc.algebra import Group, group_algebra, make_counit, solve_coevaluation
-from ctc import category
+from ctc import category, fields
 from ctc.category import (
     CategoryMismatch,
     CategorySpec,
@@ -618,18 +618,22 @@ def _assembled_hexagon(spec):
 MUTATED_CATEGORIES = ["ising", "fibonacci", "pointed_z4", "toric_code"]
 
 
+def sign_flips(spec):
+    """Every single listed F or R entry of ``spec`` negated, where the
+    entry's first three labels avoid the unit (F entries there are pinned
+    to 1)."""
+    return [
+        mutated(spec, name="%s %s%s" % (spec.name, table, key), **{table: {key: -val}})
+        for table in ("F", "R")
+        for key, val in sorted(getattr(spec, table).items())
+        if spec.unit not in key[:3]
+    ]
+
+
 def sign_flip_mutants():
-    """Every single listed F or R entry negated, where the entry's first
-    three labels avoid the unit (F entries there are pinned to 1)."""
-    out = []
-    for name in MUTATED_CATEGORIES:
-        spec = cat(name)
-        for table in ("F", "R"):
-            for key, val in sorted(getattr(spec, table).items()):
-                if spec.unit in key[:3]:
-                    continue
-                out.append(mutated(spec, name="%s %s%s" % (name, table, key), **{table: {key: -val}}))
-    return out
+    """The sign flips of the bundled categories; the three not listed in
+    ``MUTATED_CATEGORIES`` list no F or R entry."""
+    return [flip for name in MUTATED_CATEGORIES for flip in sign_flips(cat(name))]
 
 
 def random_mutants(count=24, seed=2024):
@@ -692,6 +696,8 @@ ORACLE_SPECS = (
 def test_oracle_mutant_set_sizes():
     flips = sign_flip_mutants()
     assert len(flips) == 34
+    every = [f.name for name in ALL_CATEGORIES for f in sign_flips(cat(name))]
+    assert sorted(every) == sorted(f.name for f in flips)
     assert len(random_mutants()) >= 20
 
 
@@ -1186,8 +1192,8 @@ def test_non_square_block_raises_as_the_every_tuple_sweep():
 @pytest.mark.parametrize("name", ["pointed_z4", "toric_code"])
 def test_second_pointed_spec_evaluates_no_pentagon_and_shares_the_ring(monkeypatch, name):
     calls = []
-    real = category._holds
-    monkeypatch.setattr(category, "_holds", lambda *args: calls.append(args[0]) or real(*args))
+    real = category.holds
+    monkeypatch.setattr(category, "holds", lambda *args: calls.append(args[0]) or real(*args))
     first = cat(name)
     assert verify_pentagon(first).items == []
     ring, misses = _ring(first.labels, first.fusion), _ring.cache_info().misses
@@ -1215,6 +1221,8 @@ def _fill_memo(name, k, tmp_path):
         path = tmp_path / ("tiny%d.json" % k)
         path.write_text(json.dumps(base_json()))
         load_category(path)
+    elif name == "_parse":
+        parse_scalar("%d/7" % k, FieldSpec.rational())
     elif name == "_ring":
         spec = _vec_zn(k + 1)
         assert verify_pentagon(spec).items == verify_hexagon(spec).items == []
@@ -1231,10 +1239,17 @@ def _fill_memo(name, k, tmp_path):
 
 @pytest.mark.parametrize(
     "name, ceiling",
-    [("_plan", 1024), ("_associator", 1024), ("_f_block_inverse", 1024), ("_ring", 16), ("_read_category", 1024)],
+    [
+        ("_plan", 1024),
+        ("_associator", 1024),
+        ("_f_block_inverse", 1024),
+        ("_ring", 16),
+        ("_read_category", 1024),
+        ("_parse", 1024),
+    ],
 )
 def test_every_memo_stays_bounded(tmp_path, name, ceiling):
-    memo = _ring if name == "_ring" else getattr(category, name)
+    memo = {"_ring": _ring, "_parse": fields._parse}.get(name) or getattr(category, name)
     maxsize = memo.cache_info().maxsize
     assert maxsize is not None and maxsize <= ceiling
     for k in range(maxsize + 3):
@@ -1489,6 +1504,121 @@ def test_hexagon_inverts_only_wide_outer_triples(monkeypatch, spec):
         assert inverted == []
 
 
+# --- raw sweeps against the Scalar evaluator --------------------------------
+
+
+def _scalar_holds(program, values, one, zero):
+    """The evaluator the sweeps used on ``Scalar`` values: every equation
+    of the program, each side the sum over its terms of the product of
+    their values."""
+    for equation in program:
+        sums = []
+        for terms in equation:
+            total = zero
+            for term in terms:
+                p = one
+                for s in term:
+                    x = values[s]
+                    if x is not one:
+                        p = x if p is one else p * x
+                total = p if total is zero else total + p
+            sums.append(total)
+        left, right = sums
+        if left is not right and left != right:
+            return False
+    return True
+
+
+def scalar_sweeps(spec):
+    """The items of ``verify_pentagon`` then ``verify_hexagon``, computed
+    on ``Scalar`` slot values by ``_scalar_holds``, with the balancing
+    loop in ``Scalar`` arithmetic."""
+    report = Report()
+    one, zero = Scalar.one(spec.field), Scalar.zero(spec.field)
+    ring = _ring(spec.labels, spec.fusion)
+    _, slots, size = ring.blocks
+    values = [one] * size
+    for table in (spec.R, spec.F):
+        for key, val in table.items():
+            if val != one:
+                values[slots[key]] = val
+    if not (ring.pentagon_settled and all(val.is_one() for val in spec.F.values())):
+        for t, program in ring.pentagon_programs.items():
+            if not _scalar_holds(program, values, one, zero):
+                report.append("pentagon:%s,%s,%s,%s" % t, "fail", witness=list(t))
+    reverse = list(values)
+    for r, r_swapped, *_ in ring.balancing:
+        x = values[r_swapped]
+        reverse[r] = x if x is one else x.inverse()
+    programs, wide = ring.hexagon_programs, ring.blocks[0]
+    for t, program in programs.items():
+        a, b, c = t
+        if not _scalar_holds(program, values, one, zero):
+            report.append("hexagon-1:%s,%s,%s" % t, "fail", witness=list(t))
+        witness = None
+        for outer in ((c, a, b), t, (a, c, b)):
+            if outer in wide:
+                labels = category._singular_block(spec, ring, outer)
+                if labels is not None:
+                    witness = {"singular_f": list(labels)}
+                    break
+        if witness is None and not _scalar_holds(programs[c, a, b], reverse, one, zero):
+            witness = list(t)
+        if witness is not None:
+            report.append("hexagon-2:%s,%s,%s" % t, "fail", witness=witness)
+    twist = [spec.twist[lab] for lab in spec.labels]
+    for (a, b, c), (r, r_swapped, ia, ib, ic) in zip(ring.ordered_fusion, ring.balancing):
+        mono = values[r] * values[r_swapped]
+        if mono * twist[ia] * twist[ib] != twist[ic]:
+            report.append(
+                "balancing:%s,%s,%s" % (a, b, c),
+                "fail",
+                witness={
+                    "triple": [a, b, c],
+                    "monodromy": scalar_literal(mono),
+                    "twist_ratio": scalar_literal(twist[ic] * (twist[ia] * twist[ib]).inverse()),
+                },
+            )
+    return report
+
+
+def over_prime(name, p):
+    """A bundled category whose literals are all integers, read over F_p."""
+    raw = json.loads(Path(data_path("categories/%s.json" % name)).read_text())
+    raw["field"] = {"kind": "prime", "p": p}
+    return category_from_json(raw, name="%s over F_%d" % (name, p))
+
+
+def prime_field_specs():
+    """Categories over F_p with F or R entries other than 1: the toric
+    code over F_3, F_5 and F_7 (R^{ee}_1 = -1), two gauged copies, and
+    the sign flips of one plain and one gauged copy."""
+    plain = [over_prime("toric_code", p) for p in (3, 5, 7)]
+    # the gauge's numerators and denominators are at most 3, units mod 5 and 7
+    gauges = [gauged(plain[1], 1), gauged(plain[2], 2)]
+    return plain + gauges + sign_flips(plain[1]) + sign_flips(gauges[0])
+
+
+def test_prime_field_specs_carry_entries_other_than_one():
+    for spec in prime_field_specs():
+        assert spec.field.kind == "prime"
+        assert any(not val.is_one() for val in list(spec.F.values()) + list(spec.R.values())), spec.name
+    assert any(scalar_sweeps(spec).items for spec in prime_field_specs())
+
+
+TORIC_ZN_SPECS = [toric_zn(n) for n in (3, 4, 5)]
+# ORACLE_SPECS holds every sign flip of the 7 bundled categories
+RAW_ORACLE_SPECS = (
+    ORACLE_SPECS + TORIC_ZN_SPECS + [gauged(spec, 1) for spec in TORIC_ZN_SPECS] + INVERSE_ZERO_SPECS
+    + prime_field_specs()
+)
+
+
+@pytest.mark.parametrize("spec", RAW_ORACLE_SPECS, ids=lambda s: s.name)
+def test_raw_sweeps_match_the_scalar_evaluator(spec):
+    assert verify_pentagon(spec).items + verify_hexagon(spec).items == scalar_sweeps(spec).items
+
+
 def semion():
     """The semion category over Q(zeta_4): labels 1 and s, s s = 1,
     F^{sss}_{s;1,1} = -1, R^{ss}_1 = i and theta_s = i."""
@@ -1661,6 +1791,64 @@ def test_load_cache_sees_an_edited_file(tmp_path):
     assert second is not first
     assert second.r_symbol("e", "m", "f") == -first.r_symbol("e", "m", "f")
     assert verify_hexagon(second).items
+
+
+def test_every_way_to_one_file_loads_one_instance(tmp_path, monkeypatch):
+    bundled = data_path("categories/toric_code.json")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    (tmp_path / "soft.json").symlink_to(bundled)
+    first = load_category("toric_code")
+    relative = os.path.relpath(bundled)
+    assert relative.startswith("..")
+    for ref in (bundled, str(bundled), relative, "../soft.json", tmp_path / "soft.json"):
+        assert load_category(ref) is first, ref
+    # a hard link needs one file system, so it links a copy in tmp_path
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(bundled.read_bytes())
+    os.link(copy, tmp_path / "hard.json")
+    second = load_category(copy)
+    assert second is not first
+    assert load_category("../hard.json") is second
+
+
+def test_a_new_size_or_mtime_reloads_the_file(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(base_json()))
+    st = path.stat()
+    first = load_category(path)
+    raw = base_json()
+    raw["name"] = "tiny-2"
+    path.write_text(json.dumps(raw))
+    # the same inode and modification time, but a new size
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert path.stat().st_size != st.st_size
+    second = load_category(path)
+    assert (second.name, first.name) == ("tiny-2", "tiny")
+    raw["name"] = "tiny-3"
+    path.write_text(json.dumps(raw))
+    # the same size, but a new modification time
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert load_category(path).name == "tiny-3"
+    assert load_category(path) is load_category(path)
+
+
+def test_a_nameless_file_through_a_symlink_is_named_after_its_target(tmp_path, monkeypatch):
+    raw = base_json()
+    del raw["name"]
+    target = tmp_path / "target_cat.json"
+    target.write_text(json.dumps(raw))
+    (tmp_path / "alias.json").symlink_to(target)
+    calls = []
+    realpath = os.path.realpath
+    monkeypatch.setattr(os.path, "realpath", lambda path, *args, **kw: calls.append(path) or realpath(path, *args, **kw))
+    spec = load_category(tmp_path / "alias.json")
+    assert spec.name == "target_cat"
+    assert len(calls) == 1
+    # a memo hit, by either path, resolves no link
+    assert load_category(tmp_path / "alias.json") is spec
+    assert load_category(target) is spec
+    assert len(calls) == 1
 
 
 def base_json():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -709,6 +710,34 @@ def test_check_category_evaluates_no_morphism(monkeypatch, capsysbinary):
     code, _ = run_json(capsysbinary, ["check-category"] + ALL_CATEGORIES)
     assert code == 0
     assert calls == []
+
+
+def test_check_category_on_a_path_costs_two_stats_and_no_link_walk(tmp_path, monkeypatch, capsysbinary):
+    # one stat to resolve the path and one for the file's identity; with
+    # the file in the memo, no lstat and no realpath
+    path = tmp_path / "toric.json"
+    path.write_bytes(data_path("categories/toric_code.json").read_bytes())
+    argv = ["check-category", str(path), "--report", "json"]
+    assert main(argv) == 0
+    package = os.path.dirname(ctc.__file__)
+    calls = Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and not frame.f_code.co_filename.startswith(package):
+                frame = frame.f_back
+            if frame is not None:
+                calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((os, "stat"), (os, "lstat"), (os.path, "realpath")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(argv) == 0
+    capsysbinary.readouterr()
+    assert calls["stat"] <= 2 and calls["lstat"] == calls["realpath"] == 0, calls
 
 
 def _vec_s3_file(tmp_path):

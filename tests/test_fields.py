@@ -36,6 +36,7 @@ from ctc.fields import (
     _PRIME_BOUND,
     _CycloCtx,
     _is_prime,
+    _parse,
     parse_scalar,
     scalar_literal,
 )
@@ -750,6 +751,49 @@ def test_literals_of_one_and_zero_parse_to_the_shared_scalars(field):
     for text in zeros:
         assert parse_scalar(text, field) is field._zero
     assert parse_scalar("-1", field) == -field._one
+
+
+@pytest.mark.parametrize("field", [Q, F5, Z4, Z8], ids=repr)
+def test_memoized_literals_of_one_and_zero_stay_the_shared_scalars(field):
+    _parse.cache_clear()
+    for _ in range(2):
+        assert parse_scalar("0", field) is field._zero
+        assert parse_scalar("1", field) is field._one
+    assert _parse.cache_info().hits == 2
+    assert parse_scalar("1/2", field) is parse_scalar("1/2", field)
+    assert parse_scalar("2", Q) is not parse_scalar("2", F5)
+
+
+@pytest.mark.parametrize("value", [["1"], [], {"a": "1"}, 1, 1.5, None, True, False], ids=repr)
+def test_a_json_value_that_is_no_string_is_refused_before_the_memo(value):
+    size = _parse.cache_info().currsize
+    with pytest.raises(ParseError, match="must be a string"):
+        parse_scalar(value, Q)
+    assert _parse.cache_info().currsize == size
+
+
+def test_a_malformed_literal_raises_on_every_call():
+    for bad, field in (("1 +", Q), ("z^", Z8), ("1/0", F5), ("z", F3)):
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                parse_scalar(bad, field)
+    # the good literal beside them parses, and still parses after them
+    assert parse_scalar("1/2", F5) == Scalar.from_int(F5, 3)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F5, Z4, Z5, Z8, FieldSpec.cyclotomic(2)], ids=repr)
+def test_raw_ops_are_the_scalar_arithmetic(field):
+    rng = random.Random(repr(field))
+    values = [Scalar.zero(field), Scalar.one(field), -Scalar.one(field)]
+    for _ in range(12):
+        x = Scalar.from_fraction(field, Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7))))
+        values.append(x * zeta(field, rng.randint(0, 7)) if field.kind == "cyclotomic" else x)
+    for x in values:
+        for y in values:
+            # no shortcut for one or zero: the raw results are canonical too
+            assert field.mul(x.raw, y.raw) == (x * y).raw
+            assert field.add(x.raw, y.raw) == (x + y).raw
+            assert Scalar(field, field.add(x.raw, y.raw)) == x + y
 
 
 # --------------------------------------------------------------- scalar memos

@@ -710,7 +710,7 @@ def _enumerated_radical(basis, n, field):
     y x is nilpotent for every element y.
     """
     p = field.char
-    ints = [[x.residue() for row in m for x in row] for m in basis]
+    ints = [[x.raw for row in m for x in row] for m in basis]
 
     def mul(a, b):
         cols = [b[c::n] for c in range(n)]
@@ -781,7 +781,7 @@ def _powered_ronyai_chain(basis, n, field):
     """
     p = field.char
     d = len(basis)
-    mats = [[[x.residue() for x in row] for row in m] for m in basis]
+    mats = [[[x.raw for x in row] for row in m] for m in basis]
     coeffs = [[int(j == k) for j in range(d)] for k in range(d)]
     ideal = mats
     dims = []
@@ -791,7 +791,7 @@ def _powered_ronyai_chain(basis, n, field):
     for i in range(level + 1):
         dims.append(len(ideal))
         form = [[Scalar.from_int(field, _ronyai_g(_int_mat_mul(x, y, p), i, p)) for x in ideal] for y in mats]
-        weights = [[c.residue() for c in v] for v in dense_nullspace(form, field, d, len(ideal))]
+        weights = [[c.raw for c in v] for v in dense_nullspace(form, field, d, len(ideal))]
         if not weights:
             return [], dims
         coeffs = [[sum(w * c[t] for w, c in zip(v, coeffs)) % p for t in range(d)] for v in weights]
