@@ -8,7 +8,9 @@ local projection work, entirely without floating point.
 
 import json
 import os
+from operator import itemgetter
 from pathlib import Path
+from stat import S_ISREG
 
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 
@@ -22,16 +24,44 @@ def data_path(name: str = "") -> Path:
     return _DATA / name if name else _DATA
 
 
+class DataFile:
+    """The data file of ``kind`` that ``ref`` names, found by one rule: the
+    first regular file among ``base_dir / ref``, ``ref`` itself and the
+    bundled ``data/<kind>/<ref>`` (``.json`` appended unless present), one
+    ``os.stat`` per candidate tried.  ``path`` is the file as it was
+    reached and ``stat`` the result of its ``os.stat``; no link is
+    resolved until ``read``."""
+
+    __slots__ = ("path", "stat")
+
+    def __init__(self, kind: str, ref, base_dir=None):
+        ref = str(ref)
+        bundled = os.path.join(_DATA, kind, ref if ref.endswith(".json") else ref + ".json")
+        for path in ([os.path.join(base_dir, ref)] if base_dir is not None else []) + [ref, bundled]:
+            try:
+                st = os.stat(path)
+            except (OSError, ValueError):
+                continue
+            if S_ISREG(st.st_mode):
+                self.path, self.stat = path, st
+                return
+        raise ParseError("no file and no bundled %s named %r" % (kind, ref))
+
+    def read(self):
+        """``(raw, name, folder)`` of the file the links lead to: its JSON
+        object, its ``name``, a string that defaults to the file's stem,
+        and the folder the file's own references resolve in."""
+        target = Path(os.path.realpath(self.path))
+        raw = read_json(target)
+        name = raw.get("name", target.stem)
+        if not isinstance(name, str):
+            raise ParseError("key 'name' of %s must be a string" % target)
+        return raw, name, target.parent
+
+
 def resolve(kind: str, ref, base_dir=None) -> Path:
-    """The first file among ``base_dir / ref``, ``ref`` itself and the
-    bundled ``data/<kind>/<ref>`` (``.json`` appended unless present), as
-    it was reached: one ``stat`` per candidate tried, no symlink resolved."""
-    ref = str(ref)
-    bundled = os.path.join(_DATA, kind, ref if ref.endswith(".json") else ref + ".json")
-    for path in ([os.path.join(base_dir, ref)] if base_dir is not None else []) + [ref, bundled]:
-        if os.path.isfile(path):
-            return Path(path)
-    raise ParseError("no file and no bundled %s named %r" % (kind, ref))
+    """The path of ``DataFile(kind, ref, base_dir)``, as it was reached."""
+    return Path(DataFile(kind, ref, base_dir).path)
 
 
 def read_json(path) -> dict:
@@ -48,6 +78,16 @@ def read_json(path) -> dict:
     return raw
 
 
+def required(what: str, raw: dict, *keys):
+    """``raw[key]`` for each of ``keys``, one value or a tuple as
+    ``operator.itemgetter`` gives them; a missing key of a ``what`` is a
+    ``ParseError``."""
+    for key in keys:
+        if key not in raw:
+            raise ParseError("missing %s key %r" % (what, key))
+    return itemgetter(*keys)(raw)
+
+
 def strings(values) -> bool:
     """Whether every one of ``values`` is a string."""
     return all(isinstance(x, str) for x in values)
@@ -61,5 +101,5 @@ def check_fields(what: str, checks) -> None:
             raise ParseError("%s key %r must be %s" % (what, key, kind))
 
 
-__all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "resolve", "read_json",
-           "strings", "check_fields"]
+__all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "DataFile", "resolve",
+           "read_json", "required", "strings", "check_fields"]

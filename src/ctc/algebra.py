@@ -10,7 +10,7 @@ assumes the algebra is honest, the checks exist precisely to find out.
 from __future__ import annotations
 
 from . import linalg as la
-from . import check_fields, read_json, resolve, strings
+from . import DataFile, check_fields, required, strings
 from .category import (
     CategorySpec,
     _dual_scales,
@@ -28,7 +28,7 @@ from .category import (
     tensor_obj,
     twist_mor,
 )
-from .fields import ParseError, Scalar, parse_scalar
+from .fields import Scalar, parse_scalar
 from .report import Report
 
 __all__ = [
@@ -356,18 +356,14 @@ class Group:
 
 
 def load_group(ref, base_dir=None) -> Group:
-    path = resolve("groups", ref, base_dir)
-    raw = read_json(path)
-    try:
-        elements, table = raw["elements"], raw["table"]
-    except KeyError as exc:
-        raise ParseError("missing group key %s" % (exc,)) from None
+    raw, name, _ = DataFile("groups", ref, base_dir).read()
+    elements, table = required("group", raw, "elements", "table")
     check_fields("group", [
         ("elements", isinstance(elements, list) and strings(elements), "a list of element names"),
         ("table", isinstance(table, list) and all(isinstance(row, list) and strings(row) for row in table),
          "a list of rows of element names"),
     ])
-    return Group(raw.get("name", path.stem), elements, table)
+    return Group(name, elements, table)
 
 
 def group_algebra(group: Group, spec: CategorySpec) -> AlgebraObject:
@@ -445,9 +441,8 @@ def subgroup_algebra(labels: list, spec: CategorySpec) -> AlgebraObject:
 
 
 def load_algebra(ref, base_dir=None) -> AlgebraObject:
-    path = resolve("algebras", ref, base_dir).resolve()
-    raw = read_json(path)
-    return algebra_from_json(raw, base_dir=path.parent, name=raw.get("name", path.stem))
+    raw, name, folder = DataFile("algebras", ref, base_dir).read()
+    return algebra_from_json(raw, base_dir=folder, name=name)
 
 
 def _parse_mor(dom: Obj, cod: Obj, blocks: dict) -> Mor:
@@ -478,13 +473,7 @@ def _blocks_field(key: str, value):
 
 
 def algebra_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AlgebraObject:
-    try:
-        cat_ref = raw["category"]
-        carrier_mult = raw["object"]
-        unit_blocks = raw["iota"]
-        mult_blocks = raw["mu"]
-    except KeyError as exc:
-        raise ParseError("missing algebra key %s" % (exc,)) from None
+    cat_ref, carrier_mult, unit_blocks, mult_blocks = required("algebra", raw, "category", "object", "iota", "mu")
     check_fields("algebra", [
         _object_field(carrier_mult),
         _blocks_field("iota", unit_blocks),

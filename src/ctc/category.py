@@ -35,12 +35,11 @@ evaluated on raw values in the field's own arithmetic.
 
 from __future__ import annotations
 
-import os
+import threading
 from functools import lru_cache
-from pathlib import Path
 
 from . import linalg as la
-from . import check_fields, read_json, resolve, strings
+from . import DataFile, check_fields, required, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .report import Report
 from .ring import FusionRing, fusion_ring, holds
@@ -69,7 +68,6 @@ __all__ = [
     "verify_triangle",
     "verify_zigzag",
     "load_category",
-    "load_category_file",
 ]
 
 
@@ -468,30 +466,8 @@ def tensor_obj(x: Obj, y: Obj) -> Obj:
 
 def tensor_mor(f: Mor, g: Mor) -> Mor:
     """f (x) g in the fixed summand bases of the endpoint tensor products:
-    one Kronecker block f_a (x) g_b per fusion triple (a, b, c), placed by
-    the offsets of the two plans."""
-    if f.dom.spec is not g.dom.spec:
-        raise CategoryMismatch("morphisms from different categories")
-    _, dom, dom_off = _tensor_plan(f.dom, g.dom)
-    _, cod, cod_off = _tensor_plan(f.cod, g.cod)
-    one = Scalar.one(dom.spec.field)
-    rows = {c: [{} for _ in range(m)] for c, m in cod.key() if c in dom.mult}
-    for c, pairs in cod_off.items():
-        for (a, b), (rbase, rstep) in pairs.items():
-            fa, gb = f.rows.get(a), g.rows.get(b)
-            if fa is None or gb is None:
-                continue
-            cbase, cstep = dom_off[c][a, b]
-            out = rows[c]
-            for i2, frow in enumerate(fa):
-                for j2, grow in enumerate(gb):
-                    row = out[rbase + i2 * rstep + j2]
-                    for i, x in frow.items():
-                        col = cbase + i * cstep
-                        for j, y in grow.items():
-                            # a factor that is the field's shared one costs no product
-                            row[col + j] = x if y is one else y if x is one else x * y
-    return Mor.from_rows(dom, cod, rows)
+    ``tensor_compose`` after the identity of the domain."""
+    return tensor_compose(f, g, Mor.identity(tensor_obj(f.dom, g.dom)))
 
 
 def compose_tensor(h: Mor, f: Mor, g: Mor) -> Mor:
@@ -920,47 +896,41 @@ def verify_zigzag(spec: CategorySpec) -> Report:
 # loading
 
 
+# one load at a time: threads that miss the memo on one file at once would
+# each read it, and ``condense`` tells categories apart by identity
+_LOADING = threading.Lock()
+
+
 def load_category(ref, base_dir=None) -> CategorySpec:
-    """Load a category by bundled name or path (``ctc.resolve``)."""
-    return load_category_file(resolve("categories", ref, base_dir))
-
-
-def load_category_file(path) -> CategorySpec:
-    """The category in the file at ``path``, a path already resolved.
-    Loads of one unchanged file, by any path or link to it, share the
-    instance while it stays in the memo; a file whose modification time
-    or size has changed is read again."""
-    try:
-        st = os.stat(path)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (os.path.realpath(path), exc)) from None
+    """Load a category by bundled name or path (``ctc.DataFile``).  Loads
+    of one unchanged file, by any path or link to it, share the instance
+    while it stays in the memo; a file whose modification time or size has
+    changed is read again."""
+    found = DataFile("categories", ref, base_dir)
+    st = found.stat
     key = _FileKey((st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size))
-    key.path = path
-    return _read_category(key)
+    key.found = found
+    with _LOADING:
+        return _read_category(key)
 
 
 class _FileKey(tuple):
     """A file by identity: (device, inode, modification time, size) from
-    one ``os.stat``, hashed and compared as that tuple.  ``path``, the way
-    the file was reached, is read on a memo miss."""
+    the ``os.stat`` that found it, hashed and compared as that tuple.
+    ``found``, the ``DataFile``, is read on a memo miss."""
 
 
 @lru_cache(maxsize=_CATEGORY_FILES)
 def _read_category(key: _FileKey) -> CategorySpec:
-    # the name and every message go by the file the links lead to
-    path = Path(os.path.realpath(key.path))
-    raw = read_json(path)
-    return category_from_json(raw, name=raw.get("name", path.stem))
+    raw, name, _ = key.found.read()
+    return category_from_json(raw, name=name)
 
 
 def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:
     """A category from its JSON object; a missing key or a field of the
     wrong JSON type is a ``ParseError``."""
-    try:
-        field = FieldSpec.from_json(raw["field"])
-        labels, unit, dual, fusion = raw["labels"], raw["unit"], raw["dual"], raw["fusion"]
-    except KeyError as exc:
-        raise ParseError("missing category key %s" % (exc,)) from None
+    field, labels, unit, dual, fusion = required("category", raw, "field", "labels", "unit", "dual", "fusion")
+    field = FieldSpec.from_json(field)
     tables = {key: raw.get(key, {}) for key in ("F", "R", "twist", "pivot")}
     checks = [
         ("labels", isinstance(labels, list) and strings(labels), "a list of labels"),

@@ -10,7 +10,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import read_json, resolve
+from . import DataFile, resolve
 from .algebra import (
     AlgebraError,
     algebra_dim_with_twist,
@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .category import (
     CategoryError,
-    load_category_file,
+    load_category,
     verify_hexagon,
     verify_pentagon,
     verify_triangle,
@@ -70,7 +70,7 @@ def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Rep
 
 
 def _run_check_category(path: Path) -> Report:
-    spec = load_category_file(path)
+    spec = load_category(path)
     out = Report()
     stem = path.stem
     sweeps = (
@@ -117,15 +117,17 @@ def _run_check_module(path: Path) -> Report:
 
 
 def _run_condense(category_path: Path, algebra_path: Path) -> Report:
-    spec = load_category_file(category_path)
+    spec = load_category(category_path)
     alg = load_algebra(algebra_path)
     out = Report()
     stem = algebra_path.stem
-    if alg.spec.name != spec.name:
+    # one file loads as one instance, so another instance is another file,
+    # even under the same name
+    if alg.spec is not spec:
         out.append(
             "%s/category-match" % stem,
             "error",
-            witness="algebra lives in %r, not %r" % (alg.spec.name, spec.name),
+            witness="algebra lives in a category %r other than %r" % (alg.spec.name, spec.name),
         )
         return out
     try:
@@ -139,9 +141,9 @@ def _run_condense(category_path: Path, algebra_path: Path) -> Report:
 
 
 def _run_suite(path: Path) -> Report:
-    raw = read_json(path)
+    raw, name, folder = DataFile("suites", path).read()
     out = Report()
-    _prefixed(out, raw.get("name", path.stem), run_suite_manifest(raw, path.parent))
+    _prefixed(out, name, run_suite_manifest(raw, folder))
     return out
 
 

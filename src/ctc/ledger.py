@@ -11,7 +11,7 @@ inconsistency is reported against the first input line that produces it.
 
 from __future__ import annotations
 
-from . import check_fields, read_json, resolve, strings
+from . import DataFile, check_fields, required, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .linalg import Echelon
 from .report import Report
@@ -116,11 +116,7 @@ def solve_dims(problem: LedgerProblem) -> dict:
 
 
 def ledger_from_json(raw: dict, name: str = "anonymous") -> LedgerProblem:
-    try:
-        symbols = raw["symbols"]
-        raw_relations = raw["relations"]
-    except KeyError as exc:
-        raise ParseError("missing ledger key %s" % (exc,)) from None
+    symbols, raw_relations = required("ledger", raw, "symbols", "relations")
     raw_knowns = raw.get("knowns", {})
     projectives = raw.get("projectives", [])
     check_fields("ledger", [
@@ -138,12 +134,12 @@ def ledger_from_json(raw: dict, name: str = "anonymous") -> LedgerProblem:
             raise ParseError("relation %d needs lhs and integer rhs terms" % k)
         relations.append((lhs, rhs, "relation %d (%s = ...)" % (k, lhs)))
     knowns = {sym: parse_scalar(lit, field) for sym, lit in raw_knowns.items()}
-    return LedgerProblem(raw.get("name", name), symbols, relations, knowns, projectives)
+    return LedgerProblem(name, symbols, relations, knowns, projectives)
 
 
 def load_ledger(ref) -> LedgerProblem:
-    path = resolve("ledger", ref).resolve()
-    return ledger_from_json(read_json(path), name=path.stem)
+    raw, name, _ = DataFile("ledger", ref).read()
+    return ledger_from_json(raw, name=name)
 
 
 def solution_report(problem: LedgerProblem):

@@ -41,7 +41,7 @@ ideal and read off as a trace against one weight matrix.
 from __future__ import annotations
 
 from . import linalg as la
-from . import check_fields, read_json, resolve, strings
+from . import DataFile, check_fields, required, strings
 from .algebra import (
     AlgebraObject,
     NotIsotropic,
@@ -861,15 +861,8 @@ def condense(alg: AlgebraObject) -> Condensation:
 # bundled verification suites
 
 
-def _required(raw: dict, key: str, what: str):
-    try:
-        return raw[key]
-    except KeyError:
-        raise ParseError("missing %s key %r" % (what, key)) from None
-
-
 def _cases(raw: dict) -> list:
-    cases = _required(raw, "cases", "suite")
+    cases = required("suite", raw, "cases")
     ok = isinstance(cases, list) and all(isinstance(c, dict) for c in cases)
     check_fields("suite", [("cases", ok, "a list of case objects")])
     for case in cases:
@@ -888,7 +881,7 @@ def _cases(raw: dict) -> list:
 def run_suite_manifest(raw: dict, base_dir=None) -> Report:
     """The report of a suite manifest; its cases' references resolve
     beside ``base_dir``, the manifest's directory, first."""
-    kind = _required(raw, "kind", "suite")
+    kind = required("suite", raw, "kind")
     if kind == "maschke":
         return _run_maschke_suite(raw, base_dir)
     if kind == "local":
@@ -900,12 +893,12 @@ def run_suite_manifest(raw: dict, base_dir=None) -> Report:
 
 def _case_algebra(case, base_dir) -> AlgebraObject:
     if "group" in case:
-        spec = load_category(_required(case, "category", "suite case"), base_dir)
+        spec = load_category(required("suite case", case, "category"), base_dir)
         return group_algebra(load_group(case["group"], base_dir), spec)
     if "algebra" in case:
         return load_algebra(case["algebra"], base_dir)
     if "labels" in case:
-        spec = load_category(_required(case, "category", "suite case"), base_dir)
+        spec = load_category(required("suite case", case, "category"), base_dir)
         return subgroup_algebra(case["labels"], spec)
     raise ParseError("suite case needs a group, algebra, or labels key")
 
@@ -1008,7 +1001,7 @@ def _run_counterexample_suite(raw, base_dir) -> Report:
     report = Report()
     for case in _cases(raw):
         tag = _case_tag(case)
-        expect = _required(case, "expect", "suite case")
+        expect = required("suite case", case, "expect")
         if expect == "index-zero":
             alg = _case_algebra(case, base_dir)
             reg = regular_module(alg)
@@ -1065,18 +1058,12 @@ def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:
 
 
 def load_module(ref) -> AModule:
-    path = resolve("modules", ref).resolve()
-    raw = read_json(path)
-    return module_from_json(raw, base_dir=path.parent, name=raw.get("name", path.stem))
+    raw, name, folder = DataFile("modules", ref).read()
+    return module_from_json(raw, base_dir=folder, name=name)
 
 
 def module_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AModule:
-    try:
-        alg_ref = raw["algebra"]
-        carrier_mult = raw["object"]
-        action_blocks = raw["muX"]
-    except KeyError as exc:
-        raise ParseError("missing module key %s" % (exc,)) from None
+    alg_ref, carrier_mult, action_blocks = required("module", raw, "algebra", "object", "muX")
     check_fields("module", [_object_field(carrier_mult), _blocks_field("muX", action_blocks)])
     alg = load_algebra(alg_ref, base_dir)
     carrier = Obj(alg.spec, carrier_mult)

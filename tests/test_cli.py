@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 import ctc
 from ctc import category, data_path
 from ctc import linalg as la
+from ctc.algebra import load_group
 from ctc.cli import _job, _run_check_category, main
 from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 from ctc.report import Item, Report
@@ -808,3 +810,100 @@ def test_bundled_commands_pass_sparse_rows_to_every_solve(monkeypatch, capsysbin
     capsysbinary.readouterr()
     assert calls >= {"inverse", "rank", "image_factorization"}
     assert dense == []
+
+
+def test_condense_refuses_a_same_named_category_with_other_data(tmp_path, capsysbinary):
+    # a copy of toric_code under its bundled name, with one R entry flipped:
+    # the algebra lives in the bundled file, not in this one
+    raw = _bundled("categories/toric_code.json")
+    raw["R"]["e,m,f"] = scalar_literal(-parse_scalar(raw["R"]["e,m,f"], FieldSpec.from_json(raw["field"])))
+    copy = _write(tmp_path / "toric_code.json", raw)
+    code, _ = run_json(capsysbinary, ["check-category", str(copy)])
+    assert code == 1
+    code, out = run_json(capsysbinary, ["condense", str(copy), "--algebra", "alg_toric_1e"])
+    assert code == 2
+    [item] = json.loads(out)["items"]
+    assert item["check"] == "alg_toric_1e/category-match" and item["status"] == "error"
+    code, _ = run_json(capsysbinary, ["condense", "toric_code", "--algebra", "alg_toric_1e"])
+    assert code == 0
+
+
+# for each kind of data file: its command, a bundled file of that kind,
+# and a bundled input that runs after it in the same batch
+NAMED_KINDS = {
+    "category": ("check-category", "categories/vec_q.json", "vec_q"),
+    "algebra": ("check-algebra", "algebras/alg_qz3.json", "alg_qz3"),
+    "module": ("check-module", "modules/mod_toric_m.json", "mod_toric_m"),
+    "group": ("suite", "groups/z3.json", "maschke_2_6"),
+    "ledger": ("ledger", "ledger/wp_triplet.json", "wp_triplet"),
+    "suite": ("suite", "suites/maschke_2_6.json", "maschke_2_6"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_KINDS))
+def test_a_name_that_is_no_string_is_one_parse_error_in_every_kind(tmp_path, capsysbinary, kind):
+    command, name, after = NAMED_KINDS[kind]
+    bad = _write(tmp_path / "named.json", dict(_bundled(name), name={"a": 1}))
+    if kind == "group":
+        cases = [{"category": "vec_q", "group": "named.json"}]
+        bad = _write(tmp_path / "suite.json", {"kind": "maschke", "cases": cases})
+    code, out = run_json(capsysbinary, [command, str(bad), after])
+    assert code == 2
+    _assert_one_parse_error(out, bad, "'name' of %s must be a string" % (tmp_path / "named.json"))
+
+
+def test_linked_suites_and_groups_follow_the_link_to_their_target(tmp_path, capsysbinary):
+    sdir = tmp_path / "sdir"
+    sdir.mkdir()
+    _write(sdir / "myvec.json", _bundled("categories/vec_q.json"))
+    _write(sdir / "myalg.json", dict(_bundled("algebras/alg_qz3.json"), category="myvec.json"))
+    _write(sdir / "mysuite.json", {"kind": "maschke", "cases": [{"category": "myvec.json", "algebra": "myalg.json"}]})
+    group = _bundled("groups/z3.json")
+    del group["name"]
+    _write(sdir / "mygrp.json", group)
+    (tmp_path / "linksuite.json").symlink_to(sdir / "mysuite.json")
+    (tmp_path / "linkgrp.json").symlink_to(sdir / "mygrp.json")
+    # the cases resolve beside the manifest the link leads to, and the
+    # nameless suite is named after it
+    code, out = run_json(capsysbinary, ["suite", str(tmp_path / "linksuite.json")])
+    assert code == 0
+    checks = [i["check"] for i in json.loads(out)["items"]]
+    assert "mysuite/regular-semisimple:myalg.json" in checks
+    assert load_group(tmp_path / "linkgrp.json").name == "mygrp"
+
+
+def test_the_cli_loads_every_category_through_load_category(monkeypatch, capsysbinary):
+    calls = []
+    real = category.load_category
+    spy = lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ctc"]:
+        if getattr(module, "load_category", None) is real:
+            monkeypatch.setattr(module, "load_category", spy)
+    code, _ = run_json(capsysbinary, ["check-category"] + ALL_CATEGORIES)
+    assert code == 0
+    assert len(calls) == len(ALL_CATEGORIES)
+    calls.clear()
+    # one for the argument, one for the algebra's reference
+    code, _ = run_json(capsysbinary, ["condense", "toric_code", "--algebra", "alg_toric_1e"])
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_threads_that_miss_one_category_at_once_share_one_instance(monkeypatch, capsysbinary):
+    # condense compares categories by identity, so a --jobs run whose
+    # threads load one file at once must still get one instance of it
+    real = category.category_from_json
+
+    def slow(*args, **kwargs):
+        time.sleep(0.02)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(category, "category_from_json", slow)
+    argv = ["condense", "toric_code", "pointed_z4", "toric_code", "toric_code", "--algebra", "alg_toric_1e"]
+    category._read_category.cache_clear()
+    serial = run_json(capsysbinary, argv)
+    assert [i["check"] for i in json.loads(serial[1])["items"] if i["status"] == "error"] == [
+        "alg_toric_1e/category-match"
+    ]
+    category._read_category.cache_clear()
+    assert run_json(capsysbinary, argv + ["--jobs", "4"]) == serial

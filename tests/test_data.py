@@ -80,14 +80,17 @@ def test_read_json_turns_a_read_failure_into_a_parse_error(tmp_path):
 
 
 def test_only_the_package_root_reads_or_resolves_data_files():
-    """``read_text(``, ``json.load`` and ``data_path(`` belong to
-    ``ctc/__init__.py``; no loader grows its own reader or resolver."""
+    """Reading, link resolution, naming and required keys belong to
+    ``ctc/__init__.py``; no loader grows its own reader, resolver, name
+    rule or missing-key message."""
     root = Path(ctc.__file__).resolve().parent
+    needles = ("read_text(", "json.load", "data_path(", "read_json(", "realpath(", ".resolve()", 'get("name"',
+               "except KeyError")
     offenders = [
         "%s: %s" % (path.name, needle)
         for path in sorted(root.glob("*.py"))
         if path.name != "__init__.py"
-        for needle in ("read_text(", "json.load", "data_path(")
+        for needle in needles
         if needle in path.read_text()
     ]
     assert offenders == []
