@@ -8,6 +8,8 @@ local projection work, entirely without floating point.
 
 import json
 import os
+import threading
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from stat import S_ISREG
@@ -59,6 +61,48 @@ class DataFile:
         return raw, name, target.parent
 
 
+# The file memo holds at least twice the most files one benchmark pass
+# loads (45 over seeds 1-12), so no pass evicts.
+_FILES = 128
+
+# one load at a time: threads that miss the memo on one file at once would
+# each build it, and ``condense`` tells categories apart by identity.
+# Reentrant, because loading an algebra loads its category.
+_LOADING = threading.RLock()
+# for each load in progress, innermost last, the loads it has made
+_OPEN = []
+
+
+def load_file(kind: str, ref, base_dir, build):
+    """The instance ``build(*DataFile(kind, ref, base_dir).read())`` makes.
+    Loads of one unchanged file, by any path or link to it, share it while
+    it stays in the memo and every load its build made still gives the
+    instance it gave then; so an algebra is rebuilt once its category
+    file changes, and a module once its algebra is rebuilt."""
+    found = DataFile(kind, ref, base_dir)
+    st = found.stat
+    with _LOADING:
+        entry = _entry((kind, st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size))
+        if not entry or any(load_file(*args) is not got for *args, got in entry[1]):
+            loads = []
+            _OPEN.append(loads)
+            try:
+                entry[:] = build(*found.read()), loads
+            finally:
+                _OPEN.pop()
+        if _OPEN:
+            _OPEN[-1].append((kind, ref, base_dir, build, entry[0]))
+        return entry[0]
+
+
+@lru_cache(maxsize=_FILES)
+def _entry(key: tuple) -> list:
+    """The memo slot of a file by kind and identity: (kind, device, inode,
+    modification time, size) from the ``os.stat`` that found it.  Empty
+    until a load fills it with the instance and the loads its build made."""
+    return []
+
+
 def resolve(kind: str, ref, base_dir=None) -> Path:
     """The path of ``DataFile(kind, ref, base_dir)``, as it was reached."""
     return Path(DataFile(kind, ref, base_dir).path)
@@ -101,5 +145,5 @@ def check_fields(what: str, checks) -> None:
             raise ParseError("%s key %r must be %s" % (what, key, kind))
 
 
-__all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "DataFile", "resolve",
+__all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "DataFile", "load_file", "resolve",
            "read_json", "required", "strings", "check_fields"]

@@ -10,7 +10,7 @@ assumes the algebra is honest, the checks exist precisely to find out.
 from __future__ import annotations
 
 from . import linalg as la
-from . import DataFile, check_fields, required, strings
+from . import check_fields, load_file, required, strings
 from .category import (
     CategorySpec,
     _dual_scales,
@@ -83,8 +83,9 @@ class AlgebraObject:
     """Carrier object plus unit and multiplication morphisms."""
 
     # _kit: (counit, coev, index) once frobenius_kit has solved them;
-    # _axioms: the report of check_algebra once it has run
-    __slots__ = ("name", "carrier", "unit_map", "mult_map", "counit", "_kit", "_axioms")
+    # _axioms: the report of check_algebra once it has run;
+    # _condensed: the Condensation once modules.condense has built it
+    __slots__ = ("name", "carrier", "unit_map", "mult_map", "counit", "_kit", "_axioms", "_condensed")
 
     def __init__(self, name: str, carrier: Obj, unit_map: Mor, mult_map: Mor, counit: Mor | None = None):
         aa = tensor_obj(carrier, carrier)
@@ -103,8 +104,7 @@ class AlgebraObject:
         self.unit_map = unit_map
         self.mult_map = mult_map
         self.counit = counit
-        self._kit = None
-        self._axioms = None
+        self._kit = self._axioms = self._condensed = None
 
     @property
     def spec(self) -> CategorySpec:
@@ -356,7 +356,11 @@ class Group:
 
 
 def load_group(ref, base_dir=None) -> Group:
-    raw, name, _ = DataFile("groups", ref, base_dir).read()
+    """A group by bundled name or path, one instance per file (``ctc.load_file``)."""
+    return load_file("groups", ref, base_dir, lambda raw, name, _: _group_from_json(raw, name))
+
+
+def _group_from_json(raw: dict, name: str) -> Group:
     elements, table = required("group", raw, "elements", "table")
     check_fields("group", [
         ("elements", isinstance(elements, list) and strings(elements), "a list of element names"),
@@ -441,8 +445,8 @@ def subgroup_algebra(labels: list, spec: CategorySpec) -> AlgebraObject:
 
 
 def load_algebra(ref, base_dir=None) -> AlgebraObject:
-    raw, name, folder = DataFile("algebras", ref, base_dir).read()
-    return algebra_from_json(raw, base_dir=folder, name=name)
+    """An algebra by bundled name or path, one instance per file (``ctc.load_file``)."""
+    return load_file("algebras", ref, base_dir, lambda raw, name, folder: algebra_from_json(raw, folder, name))
 
 
 def _parse_mor(dom: Obj, cod: Obj, blocks: dict) -> Mor:

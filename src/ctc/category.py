@@ -35,11 +35,10 @@ evaluated on raw values in the field's own arithmetic.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 from . import linalg as la
-from . import DataFile, check_fields, required, strings
+from . import check_fields, load_file, required, strings
 from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .report import Report
 from .ring import FusionRing, fusion_ring, holds
@@ -411,12 +410,12 @@ def compose(g: Mor, f: Mor) -> Mor:
 # tensor structure
 
 
-# Memo sizes: plans, associators, F blocks and category files hold at
-# least twice the most entries a benchmark pass makes (48, 19, 159 and 41
-# over seeds 1-12), so no pass evicts; so does the literal memo of
-# ``fields.parse_scalar``.  A memo tells categories apart by identity, and
-# category files by device, inode, modification time and size.
-_PLANS, _ASSOCIATORS, _F_BLOCKS, _CATEGORY_FILES = 1024, 512, 1024, 128
+# Memo sizes: plans, associators and F blocks hold at least twice the
+# most entries a benchmark pass makes (48, 19 and 159 over seeds 1-12), so
+# no pass evicts; so do the literal memo of ``fields.parse_scalar`` and the
+# file memo of ``ctc.load_file``.  A memo tells categories apart by
+# identity.
+_PLANS, _ASSOCIATORS, _F_BLOCKS = 1024, 512, 1024
 
 
 def _tensor_plan(x: Obj, y: Obj):
@@ -896,34 +895,9 @@ def verify_zigzag(spec: CategorySpec) -> Report:
 # loading
 
 
-# one load at a time: threads that miss the memo on one file at once would
-# each read it, and ``condense`` tells categories apart by identity
-_LOADING = threading.Lock()
-
-
 def load_category(ref, base_dir=None) -> CategorySpec:
-    """Load a category by bundled name or path (``ctc.DataFile``).  Loads
-    of one unchanged file, by any path or link to it, share the instance
-    while it stays in the memo; a file whose modification time or size has
-    changed is read again."""
-    found = DataFile("categories", ref, base_dir)
-    st = found.stat
-    key = _FileKey((st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size))
-    key.found = found
-    with _LOADING:
-        return _read_category(key)
-
-
-class _FileKey(tuple):
-    """A file by identity: (device, inode, modification time, size) from
-    the ``os.stat`` that found it, hashed and compared as that tuple.
-    ``found``, the ``DataFile``, is read on a memo miss."""
-
-
-@lru_cache(maxsize=_CATEGORY_FILES)
-def _read_category(key: _FileKey) -> CategorySpec:
-    raw, name, _ = key.found.read()
-    return category_from_json(raw, name=name)
+    """A category by bundled name or path, one instance per file (``ctc.load_file``)."""
+    return load_file("categories", ref, base_dir, lambda raw, name, _: category_from_json(raw, name=name))
 
 
 def category_from_json(raw: dict, name: str = "anonymous") -> CategorySpec:

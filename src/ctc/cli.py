@@ -29,7 +29,7 @@ from .category import (
 )
 from .fields import FieldError, scalar_literal
 from .ledger import LedgerError, load_ledger, solution_report
-from .modules import ModuleError, check_module, condense, is_local, load_module, run_suite_manifest
+from .modules import ModuleError, _category_mismatch, check_module, condense, is_local, load_module, run_suite_manifest
 from .report import Report
 
 _KIND_DIRS = {
@@ -87,22 +87,29 @@ def _run_check_category(path: Path) -> Report:
     return out
 
 
-def _index_items(out: Report, stem: str, alg) -> None:
-    """Append the index and the twisted loop of ``alg`` as passing items."""
-    out.append("%s/index" % stem, "pass", witness=scalar_literal(compute_index(alg)))
-    out.append("%s/twisted-dim" % stem, "pass", witness=scalar_literal(algebra_dim_with_twist(alg)))
+def _index_report(alg) -> Report:
+    """The index and the twisted loop of ``alg`` as passing items."""
+    out = Report()
+    out.append("index", "pass", witness=scalar_literal(compute_index(alg)))
+    out.append("twisted-dim", "pass", witness=scalar_literal(algebra_dim_with_twist(alg)))
+    return out
 
 
 def _run_check_algebra(path: Path) -> Report:
     alg = load_algebra(path)
     out = Report()
     stem = path.stem
-    _prefixed(out, stem, check_algebra(alg))
-    try:
-        _prefixed(out, stem, frobenius_identity_check(alg))
-        _index_items(out, stem, alg)
-    except AlgebraError as exc:
-        out.append("%s/frobenius" % stem, "error", witness=str(exc))
+    # the axioms, the Frobenius identities (which solve the kit), and the
+    # index with the twisted dimension, each timed on its first item
+    for stage in (check_algebra, frobenius_identity_check, _index_report):
+        start, first = time.perf_counter(), len(out.items)
+        try:
+            _prefixed(out, stem, stage(alg))
+        except AlgebraError as exc:
+            out.append("%s/frobenius" % stem, "error", witness=str(exc))
+        out.items[first].elapsed = time.perf_counter() - start
+        if out.items[-1].status == "error":
+            break
     return out
 
 
@@ -121,17 +128,12 @@ def _run_condense(category_path: Path, algebra_path: Path) -> Report:
     alg = load_algebra(algebra_path)
     out = Report()
     stem = algebra_path.stem
-    # one file loads as one instance, so another instance is another file,
-    # even under the same name
-    if alg.spec is not spec:
-        out.append(
-            "%s/category-match" % stem,
-            "error",
-            witness="algebra lives in a category %r other than %r" % (alg.spec.name, spec.name),
-        )
+    mismatch = _category_mismatch(alg, spec)
+    if mismatch is not None:
+        out.append("%s/category-match" % stem, "error", witness=mismatch)
         return out
     try:
-        _index_items(out, stem, alg)
+        _prefixed(out, stem, _index_report(alg))
     except AlgebraError as exc:
         out.append("%s/index" % stem, "error", witness=str(exc))
         return out

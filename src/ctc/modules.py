@@ -41,7 +41,7 @@ ideal and read off as a trace against one weight matrix.
 from __future__ import annotations
 
 from . import linalg as la
-from . import DataFile, check_fields, required, strings
+from . import check_fields, load_file, required, strings
 from .algebra import (
     AlgebraObject,
     NotIsotropic,
@@ -830,8 +830,11 @@ def condense(alg: AlgebraObject) -> Condensation:
     Each induced module is tested for locality and simplicity, the
     monodromy projector rank is recorded, and simple modules are sorted
     into isomorphism classes.  The classes flagged local are the simple
-    objects seen by the condensed theory.
+    objects seen by the condensed theory.  Built on the first call and
+    kept on the algebra, as its axioms are; a refusal is not kept.
     """
+    if alg._condensed is not None:
+        return alg._condensed
     rep = check_algebra(alg)
     if not rep.ok:
         raise ModuleError("cannot condense, algebra axioms fail: %s" % [i.check for i in rep.failing()])
@@ -854,6 +857,7 @@ def condense(alg: AlgebraObject) -> Condensation:
                 out.class_local.append(local_flag)
                 cls = len(out.classes) - 1
         out.rows.append(CondenseRow(s, mod, local_flag, simple_flag, rank, cls))
+    alg._condensed = out
     return out
 
 
@@ -880,15 +884,34 @@ def _cases(raw: dict) -> list:
 
 def run_suite_manifest(raw: dict, base_dir=None) -> Report:
     """The report of a suite manifest; its cases' references resolve
-    beside ``base_dir``, the manifest's directory, first."""
+    beside ``base_dir``, the manifest's directory, first.  A case whose
+    algebra lives in a category other than the case's gives one
+    ``category-match`` error item, and the other cases still run."""
     kind = required("suite", raw, "kind")
-    if kind == "maschke":
-        return _run_maschke_suite(raw, base_dir)
-    if kind == "local":
-        return _run_local_suite(raw, base_dir)
-    if kind == "counterexamples":
-        return _run_counterexample_suite(raw, base_dir)
-    raise ParseError("unknown suite kind %r" % (kind,))
+    run_case = _SUITE_CASES.get(kind) if isinstance(kind, str) else None
+    if run_case is None:
+        raise ParseError("unknown suite kind %r" % (kind,))
+    report = Report()
+    for case in _cases(raw):
+        tag = _case_tag(case)
+        try:
+            run_case(report, case, tag, base_dir)
+        except _CategoryMismatch as exc:
+            report.append("category-match:%s" % tag, "error", witness=str(exc))
+    return report
+
+
+class _CategoryMismatch(ModuleError):
+    """A suite case's algebra lives in a category other than the case's."""
+
+
+def _category_mismatch(alg: AlgebraObject, spec) -> str | None:
+    """Why ``alg`` does not live in ``spec``, or None when it does.  One
+    file loads as one instance, so another instance is another file, even
+    under the same name."""
+    if alg.spec is spec:
+        return None
+    return "algebra lives in a category %r other than %r" % (alg.spec.name, spec.name)
 
 
 def _case_algebra(case, base_dir) -> AlgebraObject:
@@ -896,7 +919,11 @@ def _case_algebra(case, base_dir) -> AlgebraObject:
         spec = load_category(required("suite case", case, "category"), base_dir)
         return group_algebra(load_group(case["group"], base_dir), spec)
     if "algebra" in case:
-        return load_algebra(case["algebra"], base_dir)
+        alg = load_algebra(case["algebra"], base_dir)
+        mismatch = _category_mismatch(alg, load_category(case["category"], base_dir)) if "category" in case else None
+        if mismatch is not None:
+            raise _CategoryMismatch(mismatch)
+        return alg
     if "labels" in case:
         spec = load_category(required("suite case", case, "category"), base_dir)
         return subgroup_algebra(case["labels"], spec)
@@ -911,33 +938,29 @@ def _case_tag(case) -> str:
     return "?"
 
 
-def _run_maschke_suite(raw, base_dir) -> Report:
-    report = Report()
-    for case in _cases(raw):
-        tag = _case_tag(case)
-        alg = _case_algebra(case, base_dir)
-        A = alg.carrier
-        free = induce(alg, A)
-        reg = regular_module(alg)
-        mult = alg.mult_map
-        sigma = tensor_mor(Mor.identity(A), alg.unit_map)
-        try:
-            maschke_section(mult, free, reg, sigma)
-            report.append("mult-splits:%s" % tag, "pass")
-        except ModuleError as exc:
-            report.append("mult-splits:%s" % tag, "fail", witness=str(exc))
-            continue
-        ss, cert = is_semisimple_module(reg)
-        report.append("regular-semisimple:%s" % tag, "pass" if ss else "fail", witness=cert)
-        if "group" in case:
-            triv = trivial_module(alg)
-            aug = _augmentation(alg)
-            # maschke_section raises unless its result is a section
-            maschke_section(aug, reg, triv, alg.unit_map)
-            report.append("augmentation-splits:%s" % tag, "pass")
-            ss2, cert2 = is_semisimple_module(triv)
-            report.append("trivial-semisimple:%s" % tag, "pass" if ss2 else "fail", witness=cert2)
-    return report
+def _maschke_case(report, case, tag, base_dir) -> None:
+    alg = _case_algebra(case, base_dir)
+    A = alg.carrier
+    free = induce(alg, A)
+    reg = regular_module(alg)
+    mult = alg.mult_map
+    sigma = tensor_mor(Mor.identity(A), alg.unit_map)
+    try:
+        maschke_section(mult, free, reg, sigma)
+        report.append("mult-splits:%s" % tag, "pass")
+    except ModuleError as exc:
+        report.append("mult-splits:%s" % tag, "fail", witness=str(exc))
+        return
+    ss, cert = is_semisimple_module(reg)
+    report.append("regular-semisimple:%s" % tag, "pass" if ss else "fail", witness=cert)
+    if "group" in case:
+        triv = trivial_module(alg)
+        aug = _augmentation(alg)
+        # maschke_section raises unless its result is a section
+        maschke_section(aug, reg, triv, alg.unit_map)
+        report.append("augmentation-splits:%s" % tag, "pass")
+        ss2, cert2 = is_semisimple_module(triv)
+        report.append("trivial-semisimple:%s" % tag, "pass" if ss2 else "fail", witness=cert2)
 
 
 def _augmentation(alg: AlgebraObject) -> Mor:
@@ -947,97 +970,92 @@ def _augmentation(alg: AlgebraObject) -> Mor:
     return Mor.from_rows(alg.carrier, Obj.unit(spec), {spec.unit: [row]})
 
 
-def _run_local_suite(raw, base_dir) -> Report:
-    report = Report()
-    for case in _cases(raw):
-        tag = _case_tag(case)
+def _local_case(report, case, tag, base_dir) -> None:
+    alg = _case_algebra(case, base_dir)
+    table = condense(alg)
+    expect_classes = case.get("simple_classes")
+    if expect_classes is not None:
+        ok = table.simple_class_count() == expect_classes
+        report.append(
+            "class-count:%s" % tag,
+            "pass" if ok else "fail",
+            witness={"got": table.simple_class_count(), "want": expect_classes},
+        )
+    expect_local = case.get("local_classes")
+    if expect_local is not None:
+        ok = table.local_class_count() == expect_local
+        report.append(
+            "local-count:%s" % tag,
+            "pass" if ok else "fail",
+            witness={"got": table.local_class_count(), "want": expect_local},
+        )
+    locals_expected = set(case.get("local_sources", []))
+    for row in table.rows:
+        mod = row.module
+        # local_projection raises unless the projector is idempotent
+        loc_mod, _, _ = local_projection(mod)
+        report.append("projector-idempotent:%s:%s" % (tag, row.source), "pass")
+        pi = projector_pi(mod)
+        inter = compose(pi, mod.action) == compose_tensor(mod.action, Mor.identity(alg.carrier), pi)
+        report.append("projector-intertwines:%s:%s" % (tag, row.source), "pass" if inter else "fail")
+        loc_ok, _ = is_local(loc_mod)
+        report.append("image-local:%s:%s" % (tag, row.source), "pass" if loc_ok else "fail")
+        if row.local:
+            ss, cert = is_semisimple_module(mod)
+            report.append(
+                "local-semisimple:%s:%s" % (tag, row.source),
+                "pass" if ss else "fail",
+                witness=cert,
+            )
+        if locals_expected:
+            want = row.source in locals_expected
+            report.append(
+                "local-flag:%s:%s" % (tag, row.source),
+                "pass" if row.local == want else "fail",
+                witness={"got": row.local, "want": want},
+            )
+
+
+def _counterexample_case(report, case, tag, base_dir) -> None:
+    expect = required("suite case", case, "expect")
+    if expect == "index-zero":
         alg = _case_algebra(case, base_dir)
-        table = condense(alg)
-        expect_classes = case.get("simple_classes")
-        if expect_classes is not None:
-            ok = table.simple_class_count() == expect_classes
-            report.append(
-                "class-count:%s" % tag,
-                "pass" if ok else "fail",
-                witness={"got": table.simple_class_count(), "want": expect_classes},
-            )
-        expect_local = case.get("local_classes")
-        if expect_local is not None:
-            ok = table.local_class_count() == expect_local
-            report.append(
-                "local-count:%s" % tag,
-                "pass" if ok else "fail",
-                witness={"got": table.local_class_count(), "want": expect_local},
-            )
-        locals_expected = set(case.get("local_sources", []))
-        for row in table.rows:
-            mod = row.module
-            # local_projection raises unless the projector is idempotent
-            loc_mod, _, _ = local_projection(mod)
-            report.append("projector-idempotent:%s:%s" % (tag, row.source), "pass")
-            pi = projector_pi(mod)
-            inter = compose(pi, mod.action) == compose_tensor(mod.action, Mor.identity(alg.carrier), pi)
-            report.append("projector-intertwines:%s:%s" % (tag, row.source), "pass" if inter else "fail")
-            loc_ok, _ = is_local(loc_mod)
-            report.append("image-local:%s:%s" % (tag, row.source), "pass" if loc_ok else "fail")
-            if row.local:
-                ss, cert = is_semisimple_module(mod)
-                report.append(
-                    "local-semisimple:%s:%s" % (tag, row.source),
-                    "pass" if ss else "fail",
-                    witness=cert,
-                )
-            if locals_expected:
-                want = row.source in locals_expected
-                report.append(
-                    "local-flag:%s:%s" % (tag, row.source),
-                    "pass" if row.local == want else "fail",
-                    witness={"got": row.local, "want": want},
-                )
-    return report
+        reg = regular_module(alg)
+        free = induce(alg, alg.carrier)
+        sigma = tensor_mor(Mor.identity(alg.carrier), alg.unit_map)
+        try:
+            maschke_section(alg.mult_map, free, reg, sigma)
+            report.append("averaging-fails:%s" % tag, "fail", witness="section was produced")
+        except IndexZero as exc:
+            report.append("averaging-fails:%s" % tag, "pass", witness=str(exc))
+        ss, witness = is_semisimple_module(reg)
+        report.append(
+            "regular-not-semisimple:%s" % tag,
+            "pass" if not ss else "fail",
+            witness=witness,
+        )
+        aug = _augmentation(alg)
+        triv = trivial_module(alg)
+        sec = _equivariant_section_exists(aug, reg, triv)
+        report.append("no-equivariant-section:%s" % tag, "pass" if not sec else "fail")
+    elif expect == "not-commutative":
+        alg = _case_algebra(case, base_dir)
+        st = {i.check: i.status for i in check_algebra(alg).items}
+        report.append(
+            "not-commutative:%s" % tag,
+            "pass" if st.get("commutative") == "fail" else "fail",
+        )
+    elif expect == "not-isotropic":
+        try:
+            _case_algebra(case, base_dir)
+            report.append("not-isotropic:%s" % tag, "fail", witness="construction succeeded")
+        except NotIsotropic as exc:
+            report.append("not-isotropic:%s" % tag, "pass", witness=str(exc))
+    else:
+        raise ParseError("unknown counterexample expectation %r" % (expect,))
 
 
-def _run_counterexample_suite(raw, base_dir) -> Report:
-    report = Report()
-    for case in _cases(raw):
-        tag = _case_tag(case)
-        expect = required("suite case", case, "expect")
-        if expect == "index-zero":
-            alg = _case_algebra(case, base_dir)
-            reg = regular_module(alg)
-            free = induce(alg, alg.carrier)
-            sigma = tensor_mor(Mor.identity(alg.carrier), alg.unit_map)
-            try:
-                maschke_section(alg.mult_map, free, reg, sigma)
-                report.append("averaging-fails:%s" % tag, "fail", witness="section was produced")
-            except IndexZero as exc:
-                report.append("averaging-fails:%s" % tag, "pass", witness=str(exc))
-            ss, witness = is_semisimple_module(reg)
-            report.append(
-                "regular-not-semisimple:%s" % tag,
-                "pass" if not ss else "fail",
-                witness=witness,
-            )
-            aug = _augmentation(alg)
-            triv = trivial_module(alg)
-            sec = _equivariant_section_exists(aug, reg, triv)
-            report.append("no-equivariant-section:%s" % tag, "pass" if not sec else "fail")
-        elif expect == "not-commutative":
-            alg = _case_algebra(case, base_dir)
-            st = {i.check: i.status for i in check_algebra(alg).items}
-            report.append(
-                "not-commutative:%s" % tag,
-                "pass" if st.get("commutative") == "fail" else "fail",
-            )
-        elif expect == "not-isotropic":
-            try:
-                _case_algebra(case, base_dir)
-                report.append("not-isotropic:%s" % tag, "fail", witness="construction succeeded")
-            except NotIsotropic as exc:
-                report.append("not-isotropic:%s" % tag, "pass", witness=str(exc))
-        else:
-            raise ParseError("unknown counterexample expectation %r" % (expect,))
-    return report
+_SUITE_CASES = {"maschke": _maschke_case, "local": _local_case, "counterexamples": _counterexample_case}
 
 
 def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:
@@ -1058,8 +1076,8 @@ def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:
 
 
 def load_module(ref) -> AModule:
-    raw, name, folder = DataFile("modules", ref).read()
-    return module_from_json(raw, base_dir=folder, name=name)
+    """A module by bundled name or path, one instance per file (``ctc.load_file``)."""
+    return load_file("modules", ref, None, lambda raw, name, folder: module_from_json(raw, folder, name))
 
 
 def module_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AModule:

@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctc
 from ctc import data_path
 from ctc import linalg as la
-from ctc.algebra import Group, group_algebra, make_counit, solve_coevaluation
+from ctc.algebra import Group, group_algebra, load_algebra, load_group, make_counit, solve_coevaluation
 from ctc import category, fields
 from ctc.category import (
     CategoryMismatch,
@@ -50,6 +51,7 @@ from ctc.category import (
     verify_zigzag,
 )
 from ctc.fields import FieldSpec, Scalar, parse_scalar, scalar_literal
+from ctc.modules import load_module
 from ctc.ring import FusionRing, fusion_ring as _ring
 from ctc.report import Report
 from test_fields import phi, zeta
@@ -1214,13 +1216,27 @@ def _vec_zn(n):
     return category_from_json(raw, name="vec_z%d" % n)
 
 
+# for each kind of file the file memo holds: a small file of that kind,
+# whose references resolve to tiny.json beside it, and its loader
+TINY_FILES = {
+    "categories": (lambda: base_json(), load_category),
+    "algebras": (lambda: TINY_ALGEBRA, load_algebra),
+    "modules": (lambda: {"algebra": "alg.json", "object": {"1": 1}, "muX": {"1": [["1"]]}}, load_module),
+    "groups": (lambda: {"elements": ["e"], "table": [["e"]]}, load_group),
+}
+TINY_ALGEBRA = {"category": "tiny.json", "object": {"1": 1}, "iota": {"1": [["1"]]}, "mu": {"1": [["1"]]}}
+
+
 def _fill_memo(name, k, tmp_path):
     """The k-th of a run of calls that each add one entry to the memo
     ``name``: on a new file, on a new category, or for rings on Z_{k+1}."""
-    if name == "_read_category":
-        path = tmp_path / ("tiny%d.json" % k)
-        path.write_text(json.dumps(base_json()))
-        load_category(path)
+    if name.startswith("_entry:"):
+        raw, load = TINY_FILES[name.split(":")[1]]
+        (tmp_path / "tiny.json").write_text(json.dumps(base_json()))
+        (tmp_path / "alg.json").write_text(json.dumps(TINY_ALGEBRA))
+        path = tmp_path / ("file%d.json" % k)
+        path.write_text(json.dumps(raw()))
+        load(path)
     elif name == "_parse":
         parse_scalar("%d/7" % k, FieldSpec.rational())
     elif name == "_ring":
@@ -1244,12 +1260,15 @@ def _fill_memo(name, k, tmp_path):
         ("_associator", 1024),
         ("_f_block_inverse", 1024),
         ("_ring", 16),
-        ("_read_category", 1024),
+        ("_entry:categories", 1024),
+        ("_entry:algebras", 1024),
+        ("_entry:modules", 1024),
+        ("_entry:groups", 1024),
         ("_parse", 1024),
     ],
 )
 def test_every_memo_stays_bounded(tmp_path, name, ceiling):
-    memo = {"_ring": _ring, "_parse": fields._parse}.get(name) or getattr(category, name)
+    memo = {"_ring": _ring, "_parse": fields._parse}.get(name) or getattr(category, name, ctc._entry)
     maxsize = memo.cache_info().maxsize
     assert maxsize is not None and maxsize <= ceiling
     for k in range(maxsize + 3):

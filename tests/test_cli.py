@@ -13,9 +13,13 @@ from pathlib import Path
 import pytest
 
 import ctc
+from ctc import algebra as algebra_mod
 from ctc import category, data_path
 from ctc import linalg as la
-from ctc.algebra import load_group
+from ctc import modules as modules_mod
+from ctc.algebra import load_algebra, load_group
+from ctc.category import load_category
+from ctc.modules import load_module
 from ctc.cli import _job, _run_check_category, main
 from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 from ctc.report import Item, Report
@@ -546,7 +550,6 @@ def test_wrong_typed_field_of_other_files_is_one_parse_error(tmp_path, capsysbin
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check-algebra", "alg_qz3"],
         ["check-module", "mod_toric_m"],
         ["condense", "toric_code", "alg_toric_1e"],
         ["suite", "maschke_2_6"],
@@ -560,6 +563,28 @@ def test_each_input_reports_its_time_on_its_first_item(argv):
     items = _job(command, arg, algebra).items
     assert items[0].elapsed > 0
     assert all(i.elapsed == 0 for i in items[1:])
+
+
+def test_check_algebra_times_each_stage_on_its_first_item():
+    # the axioms, the Frobenius identities and the index each carry their
+    # own time; the algebra is loaded cold, so each stage does work
+    ctc._entry.cache_clear()
+    start = time.perf_counter()
+    items = _job("check-algebra", "alg_qz3", None).items
+    elapsed = time.perf_counter() - start
+    firsts = ["alg_qz3/unit-left", "alg_qz3/coproduct-left-right", "alg_qz3/index"]
+    assert [i.check for i in items if i.elapsed > 0] == firsts
+    assert sum(i.elapsed for i in items) <= elapsed
+
+
+def test_check_algebra_times_a_refused_kit_on_its_error_item(tmp_path):
+    # Q x Q: its unit touches both unit summands, so no canonical counit
+    raw = {"category": "vec_q", "object": {"1": 2}, "iota": {"1": [["1"], ["1"]]},
+           "mu": {"1": [["1", "0", "0", "0"], ["0", "0", "0", "1"]]}}
+    path = _write(tmp_path / "q_times_q.json", raw)
+    items = _job("check-algebra", str(path), None).items
+    assert [(i.check, i.status) for i in items[4:]] == [("q_times_q/frobenius", "error")]
+    assert items[0].elapsed > 0 and items[4].elapsed > 0
 
 
 def _write(path, raw):
@@ -782,9 +807,9 @@ SOLVES = ("rref", "rank", "solve", "nullspace", "inverse", "image_factorization"
 
 def test_bundled_commands_pass_sparse_rows_to_every_solve(monkeypatch, capsysbinary):
     # the bundled suites, check-category on every bundled category and both
-    # bundled condense pairs; the category file memo is emptied, so every
-    # recoupling block is inverted afresh
-    category._read_category.cache_clear()
+    # bundled condense pairs; the file memo is emptied, so every recoupling
+    # block is inverted afresh
+    ctc._entry.cache_clear()
     calls, dense = set(), []
 
     def guard(name, solve):
@@ -826,6 +851,104 @@ def test_condense_refuses_a_same_named_category_with_other_data(tmp_path, capsys
     assert item["check"] == "alg_toric_1e/category-match" and item["status"] == "error"
     code, _ = run_json(capsysbinary, ["condense", "toric_code", "--algebra", "alg_toric_1e"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "kind, category, algebra, other",
+    [
+        ("local", "ising", "alg_toric_1e", {"category": "toric_code", "algebra": "alg_toric_1e", "simple_classes": 2}),
+        ("maschke", "fibonacci", "alg_h02", {"category": "vec_q", "group": "z2"}),
+    ],
+)
+def test_a_suite_case_outside_its_algebras_category_is_one_error_item(tmp_path, capsysbinary, kind, category,
+                                                                        algebra, other):
+    (tmp_path / "alone").mkdir()
+    mixed = _write(tmp_path / "mixed.json", {"kind": kind, "cases": [{"category": category, "algebra": algebra}, other]})
+    alone = _write(tmp_path / "alone" / "mixed.json", {"kind": kind, "cases": [other]})
+    code, out = run_json(capsysbinary, ["suite", str(mixed)])
+    assert code == 2
+    first, *rest = json.loads(out)["items"]
+    _, condensed = run_json(capsysbinary, ["condense", category, "--algebra", algebra])
+    [refused] = json.loads(condensed)["items"]
+    assert first == {"check": "mixed/category-match:%s" % algebra, "status": "error", "witness": refused["witness"]}
+    # the other case runs as it runs alone
+    assert run_json(capsysbinary, ["suite", str(alone)]) == (0, json.dumps({"items": rest}, sort_keys=True,
+                                                                            separators=(",", ":")).encode() + b"\n")
+
+
+def test_an_algebra_is_rebuilt_when_its_category_file_changes(tmp_path, capsysbinary):
+    raw = _bundled("categories/toric_code.json")
+    cat = _write(tmp_path / "toric.json", raw)
+    alg_path = _write(tmp_path / "alg.json", dict(_bundled("algebras/alg_toric_1e.json"), category="toric.json"))
+    first = load_algebra(alg_path)
+    assert load_algebra(alg_path) is first and first.spec is load_category(cat)
+    _rewrite(cat, dict(raw, name="toric-2"))
+    second = load_algebra(alg_path)
+    assert second is not first and second.spec is load_category(cat)
+    assert second.spec.name == "toric-2"
+    code, out = run_json(capsysbinary, ["condense", str(cat), "--algebra", str(alg_path)])
+    assert code == 0 and "category-match" not in out.decode()
+
+
+def test_a_module_is_rebuilt_when_its_algebra_file_changes(tmp_path):
+    raw = dict(_bundled("algebras/alg_toric_1e.json"), name="alg-1")
+    alg_path = _write(tmp_path / "alg.json", raw)
+    mod_path = _write(tmp_path / "mod.json", dict(_bundled("modules/mod_toric_m.json"), algebra="alg.json"))
+    first = load_module(mod_path)
+    assert load_module(mod_path) is first and first.alg is load_algebra(alg_path)
+    _rewrite(alg_path, dict(raw, name="alg-22"))
+    second = load_module(mod_path)
+    assert second is not first and second.alg is load_algebra(alg_path)
+    assert second.alg.name == "alg-22"
+    assert second.alg.spec is first.alg.spec
+
+
+def _rewrite(path, raw):
+    """Write ``raw`` over ``path``, one second later than its last write."""
+    st = path.stat()
+    _write(path, raw)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def test_suite_after_condense_solves_no_kit_and_builds_no_action_algebra_for_the_condensed_algebra(
+    monkeypatch, capsysbinary
+):
+    ctc._entry.cache_clear()
+    assert run_json(capsysbinary, ["condense", "toric_code", "--algebra", "alg_toric_1e"])[0] == 0
+    solved, spun = [], []
+    solve, build = algebra_mod.solve_coevaluation, modules_mod.action_algebra
+
+    def solving(alg, counit):
+        solved.append(alg.name)
+        return solve(alg, counit)
+
+    def building(mod):
+        if mod._aa is None:
+            spun.append(mod.alg.name)
+        return build(mod)
+
+    monkeypatch.setattr(algebra_mod, "solve_coevaluation", solving)
+    monkeypatch.setattr(modules_mod, "action_algebra", building)
+    assert run_json(capsysbinary, ["suite", "local_3_1"])[0] == 0
+    # the other case of the suite was not condensed before, and is counted
+    assert set(solved) == set(spun) == {"alg_h02"}
+
+
+def test_a_warm_suite_batch_reads_only_its_manifests(monkeypatch, capsysbinary):
+    argv = ["suite", "maschke_2_6", "local_3_1", "counterexamples"]
+    reads, walks = [], []
+    read_json, realpath = ctc.read_json, os.path.realpath
+    monkeypatch.setattr(ctc, "read_json", lambda path: reads.append(Path(path)) or read_json(path))
+    monkeypatch.setattr(os.path, "realpath", lambda path, *args, **kw: walks.append(path) or realpath(path, *args, **kw))
+    ctc._entry.cache_clear()
+    assert run_json(capsysbinary, argv)[0] == 0
+    # 3 manifests, 5 categories, 3 groups and 2 algebras, each read once
+    assert len(reads) == len(set(reads)) == len(walks) == 13
+    reads.clear()
+    walks.clear()
+    assert run_json(capsysbinary, argv)[0] == 0
+    assert [p.parent.name for p in reads] == ["suites"] * 3
+    assert len(walks) == 3
 
 
 # for each kind of data file: its command, a bundled file of that kind,
@@ -879,6 +1002,9 @@ def test_the_cli_loads_every_category_through_load_category(monkeypatch, capsysb
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ctc"]:
         if getattr(module, "load_category", None) is real:
             monkeypatch.setattr(module, "load_category", spy)
+    # a memo hit on the algebra checks its category through the file memo,
+    # not through load_category, so the algebra must be a miss
+    ctc._entry.cache_clear()
     code, _ = run_json(capsysbinary, ["check-category"] + ALL_CATEGORIES)
     assert code == 0
     assert len(calls) == len(ALL_CATEGORIES)
@@ -900,10 +1026,10 @@ def test_threads_that_miss_one_category_at_once_share_one_instance(monkeypatch, 
 
     monkeypatch.setattr(category, "category_from_json", slow)
     argv = ["condense", "toric_code", "pointed_z4", "toric_code", "toric_code", "--algebra", "alg_toric_1e"]
-    category._read_category.cache_clear()
+    ctc._entry.cache_clear()
     serial = run_json(capsysbinary, argv)
     assert [i["check"] for i in json.loads(serial[1])["items"] if i["status"] == "error"] == [
         "alg_toric_1e/category-match"
     ]
-    category._read_category.cache_clear()
+    ctc._entry.cache_clear()
     assert run_json(capsysbinary, argv + ["--jobs", "4"]) == serial

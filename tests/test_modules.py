@@ -4,12 +4,17 @@ semisimplicity, condensation against an orbit-counting oracle, suites."""
 import functools
 import gc
 import itertools
+import os
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctc
 from ctc import category as category_mod
 from ctc import data_path, read_json, resolve
 from ctc import linalg as la
@@ -17,6 +22,7 @@ from ctc import algebra as algebra_mod
 from ctc.algebra import (
     AlgebraObject,
     Group,
+    algebra_from_json,
     compute_index,
     frobenius_identity_check,
     group_algebra,
@@ -325,9 +331,86 @@ def test_hom_between_distinct_simples_is_zero():
 
 def test_hom_rejects_mismatched_algebra_instances():
     a1 = load_algebra(data_path("algebras/alg_toric_1e.json"))
-    a2 = load_algebra(data_path("algebras/alg_toric_1e.json"))
+    # the file loads as one instance, so the second is built from its JSON
+    a2 = algebra_from_json(read_json(data_path("algebras/alg_toric_1e.json")))
+    assert a2 is not a1 and a2.spec is a1.spec
     with pytest.raises(AlgebraMismatch):
         hom_A(regular_module(a1), regular_module(a2))
+
+
+def test_a_module_file_and_its_algebra_file_share_one_algebra():
+    m = load_module("mod_toric_m")
+    assert m.alg is load_algebra("alg_toric_1e")
+    assert len(hom_A(induce(load_algebra("alg_toric_1e"), m.carrier), m)) == 2
+
+
+# ---------------------------------------------------------------------------
+# one instance per data file
+
+
+# a bundled file of each kind the file memo holds besides categories
+# (tests/test_category.py covers those), and its loader
+BUNDLED_FILES = {
+    "algebras": ("alg_toric_1e", load_algebra),
+    "modules": ("mod_toric_m", load_module),
+    "groups": ("s3", load_group),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUNDLED_FILES))
+def test_every_way_to_an_algebra_module_or_group_file_loads_one_instance(tmp_path, monkeypatch, kind):
+    name, load = BUNDLED_FILES[kind]
+    bundled = data_path("%s/%s.json" % (kind, name))
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    (tmp_path / "soft.json").symlink_to(bundled)
+    first = load(name)
+    relative = os.path.relpath(bundled)
+    assert relative.startswith("..")
+    for ref in (bundled, str(bundled), relative, "../soft.json", tmp_path / "soft.json"):
+        assert load(ref) is first, ref
+    # a hard link needs one file system, so it links a copy in tmp_path;
+    # the copy's own references still reach the bundled files
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(bundled.read_bytes())
+    os.link(copy, tmp_path / "hard.json")
+    second = load(copy)
+    assert second is not first
+    assert load("../hard.json") is second
+    for attr in ("spec", "alg"):
+        assert getattr(second, attr, None) is getattr(first, attr, None)
+
+
+def test_threads_that_miss_one_algebra_at_once_share_one_instance(monkeypatch):
+    # loading a module loads its algebra, which loads its category, all
+    # under the one load lock; threads that miss them at once get one
+    # instance of each and do not deadlock
+    real = algebra_mod.algebra_from_json
+
+    def slow(*args, **kwargs):
+        time.sleep(0.02)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_mod, "algebra_from_json", slow)
+    ctc._entry.cache_clear()
+    got = [None] * 8
+
+    def run(k):
+        got[k] = load_module("mod_toric_m").alg if k % 2 else load_algebra("alg_toric_1e")
+
+    threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] is not None and all(alg is got[0] for alg in got)
+    assert got[0].spec is load_category("toric_code")
 
 
 # ---------------------------------------------------------------------------
@@ -1437,6 +1520,8 @@ def test_local_suite_computes_each_projector_and_action_algebra_once(monkeypatch
             return real(*args)
 
         monkeypatch.setattr(modules_mod, name, counted)
+    # each algebra file loads as one instance, which keeps its condensation
+    ctc._entry.cache_clear()
     assert theorem_suite("local_3_1").ok
     assert counts == {"frobenius_kit": 8, "_spin": 8}
 
