@@ -666,15 +666,23 @@ def _noncommuting(a, b, c) -> FusionDataError:
 
 
 def _dual_scales(spec: CategorySpec):
-    """Per-label coevaluation normalizations making both bent-line moves exact.
-
-    With raw evaluation and coevaluation coefficients 1, the first bent
-    line on the simple s is the scalar F^{s s* s}_{s;1,1}; its inverse is
-    the evaluation coefficient, so the first move is 1 by definition.  The
-    second bent line is checked by verify_zigzag rather than assumed.
-    """
+    """Per-label evaluation coefficients scale_s, with coevaluation
+    coefficient 1.  With raw coefficients 1, the first bent line on the
+    simple s is the scalar F^{s s* s}_{s;1,1}; scale_s is its inverse, so
+    the first move is 1 by definition.  The second move is not free:
+    ``_second_move`` reads it."""
     u = spec.unit
     return {s: spec.f_symbol(s, spec.dual[s], s, s, u, u).inverse() for s in spec.labels}
+
+
+def _second_move(spec: CategorySpec, s) -> Scalar:
+    """The second duality move s* -> s* (s s*) -> (s* s) s* -> s* on the
+    simple s, scale_s G^{s* s s*}_{s*;1,1} with G the inverse recoupling
+    block; ``SingularFBlock`` if that block has no inverse."""
+    sd, u = spec.dual[s], spec.unit
+    e_list, f_list, inv = _f_matrix_inverse(spec, sd, s, sd, sd)
+    g = inv[f_list.index(u)].get(e_list.index(u), Scalar.zero(spec.field))
+    return g * spec.f_symbol(s, sd, s, s, u, u).inverse()
 
 
 def twist_mor(x: Obj) -> Mor:
@@ -862,20 +870,13 @@ def verify_triangle(spec: CategorySpec) -> Report:
 def verify_zigzag(spec: CategorySpec) -> Report:
     """Both duality moves on every simple label, on the symbols.
 
-    With evaluation coefficient scale_s and coevaluation coefficient 1 on
-    the simple s (``_dual_scales``), the first move
-    s -> (s s*) s -> s (s* s) -> s is scale_s F^{s s* s}_{s;1,1}, which is
-    1 because scale_s is defined as the inverse of that F entry.  The
-    second s* -> s* (s s*) -> (s* s) s* -> s* is scale_s G^{s* s s*}_{s*;1,1},
-    G the inverse recoupling block, and must be 1; it is the move
-    evaluated here.  A failing move's witness is that 1x1 composite as a
-    morphism; a singular recoupling block of (s*, s, s*) is named as
-    ``verify_hexagon`` and ``associator_inv`` find it.
+    The first move is 1 on every label by the choice of evaluation
+    coefficients (``_dual_scales``); the second (``_second_move``) must be
+    1, and it is the move evaluated here.  A failing move's witness is
+    that 1x1 composite as a morphism; a singular recoupling block of
+    (s*, s, s*) is named as ``verify_hexagon`` and ``associator_inv`` find it.
     """
     report = Report()
-    zero = Scalar.zero(spec.field)
-    u = spec.unit
-    scales = _dual_scales(spec)
     ring = fusion_ring(spec.labels, spec.fusion)
     for s in spec.labels:
         sd = spec.dual[s]
@@ -883,8 +884,7 @@ def verify_zigzag(spec: CategorySpec) -> Report:
         if labels is not None:
             report.append("zigzag-2:%s" % s, "fail", witness={"singular_f": list(labels)})
             continue
-        e_list, f_list, inv = _f_matrix_inverse(spec, sd, s, sd, sd)
-        z2 = scales[s] * inv[f_list.index(u)].get(e_list.index(u), zero)
+        z2 = _second_move(spec, s)
         if not z2.is_one():
             x = Obj.simple(spec, sd)
             report.append("zigzag-2:%s" % s, "fail", witness=Mor(x, x, {sd: [[z2]]}).to_json())

@@ -938,15 +938,18 @@ def _case_tag(case) -> str:
     return "?"
 
 
+def _split_mult(alg: AlgebraObject, reg: AModule) -> Mor:
+    """``maschke_section`` of the multiplication, from the free module A (x) A
+    onto the regular module ``reg``, averaged from the plain section 1_A (x) unit."""
+    A = alg.carrier
+    return maschke_section(alg.mult_map, induce(alg, A), reg, tensor_mor(Mor.identity(A), alg.unit_map))
+
+
 def _maschke_case(report, case, tag, base_dir) -> None:
     alg = _case_algebra(case, base_dir)
-    A = alg.carrier
-    free = induce(alg, A)
     reg = regular_module(alg)
-    mult = alg.mult_map
-    sigma = tensor_mor(Mor.identity(A), alg.unit_map)
     try:
-        maschke_section(mult, free, reg, sigma)
+        _split_mult(alg, reg)
         report.append("mult-splits:%s" % tag, "pass")
     except ModuleError as exc:
         report.append("mult-splits:%s" % tag, "fail", witness=str(exc))
@@ -1021,10 +1024,8 @@ def _counterexample_case(report, case, tag, base_dir) -> None:
     if expect == "index-zero":
         alg = _case_algebra(case, base_dir)
         reg = regular_module(alg)
-        free = induce(alg, alg.carrier)
-        sigma = tensor_mor(Mor.identity(alg.carrier), alg.unit_map)
         try:
-            maschke_section(alg.mult_map, free, reg, sigma)
+            _split_mult(alg, reg)
             report.append("averaging-fails:%s" % tag, "fail", witness="section was produced")
         except IndexZero as exc:
             report.append("averaging-fails:%s" % tag, "pass", witness=str(exc))

@@ -3,7 +3,8 @@
 Expected index values are frozen from the group orders; the engine must
 reproduce them through the snake solve, not the other way round.  The
 closed-form copairing is checked against a generic solve that composes
-both bent lines for every unknown.
+both bent lines for every unknown, and its verdict on rigidity against
+both bent lines composed on A (x) A (x) A.
 """
 
 import itertools
@@ -35,9 +36,12 @@ from ctc.algebra import (
     solve_coevaluation,
     subgroup_algebra,
 )
+from ctc import category
 from ctc.category import (
     Mor,
     Obj,
+    SingularFBlock,
+    _second_move,
     associator,
     associator_inv,
     categorical_dim,
@@ -46,9 +50,10 @@ from ctc.category import (
     pair_channels,
     tensor_mor,
     tensor_obj,
+    verify_zigzag,
 )
 from ctc.fields import ParseError, Scalar, parse_scalar
-from test_category import gauged, mutated, proportionality_scalar, toric_zn
+from test_category import ORACLE_SPECS, gauged, ising_times_z2, mutated, proportionality_scalar, toric_zn
 from test_linalg import dense_nullspace, dense_solve
 
 
@@ -68,9 +73,10 @@ class NonUniqueCoevaluation(Exception):
     """The composed bent-line system leaves free parameters."""
 
 
-def _composed_coevaluation(alg):
+def _composed_coevaluation(alg, both=True):
     """Reference copairing: one unknown per unit slot of the tensor square,
-    both bent lines composed for each, then one exact linear solve."""
+    both bent lines (or, with ``both`` false, the first alone) composed for
+    each, then one exact linear solve."""
     spec = alg.spec
     field = spec.field
     A = alg.carrier
@@ -82,7 +88,7 @@ def _composed_coevaluation(alg):
         raise NotRigidSelfDual("tensor square misses the unit label")
     ident = Mor.identity(A)
     assoc = associator(A, A, A)
-    assoc_inv = associator_inv(A, A, A)
+    assoc_inv = associator_inv(A, A, A) if both else None
 
     def basis_coev(t):
         col = [[Scalar.one(field) if i == t else Scalar.zero(field)] for i in range(n_unknowns)]
@@ -100,10 +106,10 @@ def _composed_coevaluation(alg):
     columns = []
     for t in range(n_unknowns):
         k = basis_coev(t)
-        columns.append(flatten(snake1(k)) + flatten(snake2(k)))
+        columns.append(flatten(snake1(k)) + (flatten(snake2(k)) if both else []))
     rows = len(columns[0])
     mat = [[columns[t][r] for t in range(n_unknowns)] for r in range(rows)]
-    rhs = [[v] for v in flatten(ident) + flatten(ident)]
+    rhs = [[v] for v in flatten(ident) * (2 if both else 1)]
     sol = dense_solve(mat, rhs, field, rows, n_unknowns, 1)
     if sol is None:
         raise NotRigidSelfDual("bent-line conditions are inconsistent")
@@ -111,6 +117,45 @@ def _composed_coevaluation(alg):
     if freedom:
         raise NonUniqueCoevaluation("%d free parameters" % freedom)
     return Mor(unit_o, aa, {spec.unit: [[sol[t][0]] for t in range(n_unknowns)]})
+
+
+def _bent_lines(alg, coev):
+    """Both bent-line composites of the copairing ``coev`` against the
+    pairing counit o mult, as block matrices through A (x) A (x) A:
+    A -> (A A) A -> A (A A) -> A, and A -> A (A A) -> (A A) A -> A."""
+    A = alg.carrier
+    pairing = compose(make_counit(alg), alg.mult_map)
+    ident = Mor.identity(A)
+    first = compose(tensor_mor(ident, pairing), compose(associator(A, A, A), tensor_mor(coev, ident)))
+    second = compose(tensor_mor(pairing, ident), compose(associator_inv(A, A, A), tensor_mor(ident, coev)))
+    return first, second
+
+
+def _closed_form_agrees_with_composed(alg):
+    """Hold the closed-form solve to the composed bent lines of the copairing
+    that the composed first bent line alone fixes, and name the case:
+    "rigid", "second fails" or "singular" (a singular recoupling block
+    stops ``associator_inv``; the callers' only singular blocks are zigzag
+    blocks (b, b*, b; b) of carrier labels, which stop the solve too)."""
+    spec, A = alg.spec, alg.carrier
+    coev = _composed_coevaluation(alg, both=False)
+    try:
+        first, second = _bent_lines(alg, coev)
+    except SingularFBlock:
+        with pytest.raises(SingularFBlock):
+            solve_coevaluation(alg, make_counit(alg))
+        return "singular"
+    ident = Mor.identity(A)
+    assert first == ident
+    # on the label c the second bent line is the second duality move on c*
+    for c in A.labels_present():
+        assert second.block(c) == ident.scale(_second_move(spec, spec.dual[c])).block(c)
+    if second == ident:
+        assert solve_coevaluation(alg, make_counit(alg)) == coev
+        return "rigid"
+    with pytest.raises(NotRigidSelfDual, match="second bent-line identity fails"):
+        solve_coevaluation(alg, make_counit(alg))
+    return "second fails"
 
 
 # --- groups ----------------------------------------------------------------
@@ -528,6 +573,137 @@ def test_closed_form_copairing_matches_composed_solve(case):
     else:
         alg = load_algebra(data_path("algebras/%s.json" % case))
     assert solve_coevaluation(alg, make_counit(alg)) == _composed_coevaluation(alg)
+    assert _closed_form_agrees_with_composed(alg) == "rigid"
+
+
+def test_closed_form_agrees_with_the_composed_bent_lines_on_group_and_subgroup_algebras():
+    algebras = []
+    for name, (elements, product) in sorted(_abstract_groups().items()):
+        names = {g: "g%d" % k for k, g in enumerate(elements)}
+        group = Group(name, list(names.values()), [[names[product(g, h)] for h in elements] for g in elements])
+        algebras += [group_algebra(group, cat(cname)) for cname in ("vec_q", "vec_f3")]
+    # the algebras of the local suite, and the Z_3 toric code's (a, 0) labels
+    algebras += [
+        subgroup_algebra(["0", "2"], cat("pointed_z4")),
+        subgroup_algebra(["1", "e"], cat("toric_code")),
+        subgroup_algebra(["0.0", "1.0", "2.0"], toric_zn(3)),
+    ]
+    assert len(algebras) == 14 + 3
+    assert [_closed_form_agrees_with_composed(alg) for alg in algebras] == ["rigid"] * len(algebras)
+
+
+def random_pairing_algebra(spec, seed):
+    """An algebra-shaped probe whose pairing counit o mult is a seeded random
+    nondegenerate one.  The carrier holds the unit and every other label
+    (two random ones, with their duals, above four labels), each at
+    multiplicity 1 or 2, equal on a label and its dual.  The unit map hits
+    the first unit copy, and the multiplication is zero off that copy's
+    row: the copairing reads only the pairing.  On each pairing block the
+    entries are upper triangular with a nonzero diagonal."""
+    rng = random.Random("%s %d" % (spec.name, seed))
+    field = spec.field
+    others = [lab for lab in spec.labels if lab != spec.unit]
+    if len(spec.labels) > 4:
+        others = rng.sample(others, 2)
+    mult = {spec.unit: rng.choice((1, 2))}
+    for lab in others:
+        mult[lab] = mult[spec.dual[lab]] = mult.get(spec.dual[lab]) or rng.choice((1, 2))
+    values = [x for x in (Scalar.from_int(field, k) for k in (1, -1, 2, -3)) if not x.is_zero()]
+    carrier = Obj(spec, mult)
+    row = {}
+    for t, (_, j, _, k) in enumerate(pair_channels(carrier, carrier)[spec.unit]):
+        if j == k or (j < k and rng.random() < 0.5):
+            row[t] = rng.choice(values)
+    one = Scalar.one(field)
+    unit_map = Mor.from_rows(Obj.unit(spec), carrier, {spec.unit: [{0: one}]})
+    mult_map = Mor.from_rows(tensor_obj(carrier, carrier), carrier, {spec.unit: [row]})
+    return AlgebraObject("random-pairing(%s, %d)" % (spec.name, seed), carrier, unit_map, mult_map)
+
+
+GAUGE_SOURCES = [cat(name) for name in ("pointed_z4", "toric_code", "ising", "fibonacci")] + [toric_zn(3)]
+PAIRING_SPECS = ORACLE_SPECS + [toric_zn(3)] + [gauged(spec, seed) for spec in GAUGE_SOURCES for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("spec", PAIRING_SPECS, ids=lambda s: s.name)
+def test_closed_form_agrees_with_the_composed_bent_lines_on_random_pairings(spec):
+    for seed in range(2):
+        _closed_form_agrees_with_composed(random_pairing_algebra(spec, seed))
+
+
+def test_random_pairings_reach_every_verdict():
+    # the comparisons above are not vacuous: the zigzag reading of the
+    # carriers' labels is 1 on some, fails on others, and is singular on some
+    seen = set()
+    for spec in PAIRING_SPECS:
+        failing = {item.check.split(":")[1]: item.witness for item in verify_zigzag(spec).items}
+        for seed in range(2):
+            hits = [failing[spec.dual[b]] for b in random_pairing_algebra(spec, seed).carrier.labels_present()
+                    if spec.dual[b] in failing]
+            seen.add("rigid" if not hits else "singular" if any("singular_f" in w for w in hits) else "second fails")
+    assert seen == {"rigid", "second fails", "singular"}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: group_algebra(grp("s3"), cat("vec_q")), lambda: load_algebra("alg_qz3"), lambda: load_algebra("alg_toric_1e")],
+    ids=["vec_q/s3", "alg_qz3", "alg_toric_1e"],
+)
+def test_solve_coevaluation_composes_nothing_on_the_triple_product(build, monkeypatch):
+    alg = build()
+    calls = []
+    for name in ("associator", "associator_inv", "compose_tensor", "tensor_compose"):
+        real = getattr(algebra_mod, name)
+        monkeypatch.setattr(algebra_mod, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    coev = solve_coevaluation(alg, make_counit(alg))
+    assert calls == []
+    assert coev == _composed_coevaluation(alg)
+
+
+def test_verify_zigzag_and_the_solve_read_one_second_move(monkeypatch):
+    assert algebra_mod._second_move is category._second_move
+    read = []
+    real = category._second_move
+
+    def spy(spec, s):
+        read.append(s)
+        return real(spec, s)
+
+    monkeypatch.setattr(category, "_second_move", spy)
+    monkeypatch.setattr(algebra_mod, "_second_move", spy)
+    spec = cat("toric_code")
+    assert verify_zigzag(spec).items == []
+    assert read == list(spec.labels)
+    read.clear()
+    alg = load_algebra("alg_toric_1e")
+    solve_coevaluation(alg, make_counit(alg))
+    assert read == [spec.dual[b] for b in alg.carrier.labels_present()] == ["1", "e"]
+
+
+def test_a_singular_zigzag_block_of_a_carrier_label_stops_the_kit():
+    ising = cat("ising")
+    key = ("sigma",) * 4 + ("1", "1")
+    alg = all_ones_algebra(mutated(ising, F={key: -ising.f_symbol(*key)}), {"1": 1, "sigma": 1})
+    with pytest.raises(SingularFBlock) as exc:
+        frobenius_kit(alg)
+    assert exc.value.labels == ("sigma",) * 4
+    assert alg._kit is None
+
+
+def test_a_singular_block_off_the_zigzag_blocks_stops_its_first_inverting_caller():
+    # (sigma.0, sigma.1, sigma.0; sigma.1) is singular, and the zigzag
+    # blocks of the carrier's labels, (b, b*, b; b), are not: the kit is
+    # solved, and the first map through that block raises
+    from ctc.modules import induce
+
+    spec = ising_times_z2()
+    key = ("sigma.0", "sigma.1", "sigma.0", "sigma.1", "1.1", "1.1")
+    alg = all_ones_algebra(mutated(spec, F={key: -spec.f_symbol(*key)}), {"1.0": 1, "sigma.0": 1, "sigma.1": 1})
+    _, coev, _ = frobenius_kit(alg)
+    assert coev == _composed_coevaluation(alg, both=False)
+    for call in (frobenius_identity_check, lambda alg: induce(alg, alg.carrier)):
+        with pytest.raises(SingularFBlock) as exc:
+            call(alg)
+        assert exc.value.labels == key[:4]
 
 
 def matrix_algebra_with_skew_trace():
@@ -563,6 +739,7 @@ def test_closed_form_copairing_matches_composed_solve_on_probes(build):
     alg, eps = build()
     assert make_counit(alg) == eps
     assert solve_coevaluation(alg, make_counit(alg)) == _composed_coevaluation(alg)
+    assert _closed_form_agrees_with_composed(alg) == "rigid"
 
 
 def test_mutated_mult_breaks_associativity():
