@@ -3,12 +3,12 @@ emit reports whose JSON form is byte-identical across runs and -j levels."""
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import DataFile, resolve
 from .algebra import (
@@ -185,28 +185,156 @@ def _run(command: str, arg: str, algebra: str | None) -> Report:
     return bad
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="ctc",
-        description="exact checks for braided categories, algebra objects, and their modules",
-    )
-    parser.add_argument(
-        "command",
-        choices=sorted(_KIND_DIRS),
-        help="what to run; file arguments may be paths or bundled names",
-    )
-    parser.add_argument("inputs", nargs="+", help="input files or bundled names")
-    parser.add_argument("--algebra", help="algebra file for condense", default=None)
-    parser.add_argument("--report", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0, help="ignored: no check draws random data")
-    return parser
+_USAGE = """\
+usage: ctc [-h] [--algebra ALGEBRA] [--report {text,json}] [--jobs JOBS]
+           [--seed SEED]
+           {check-algebra,check-category,check-module,condense,ledger,suite}
+           inputs [inputs ...]
+"""
+
+_HELP = _USAGE + """
+exact checks for braided categories, algebra objects, and their modules
+
+positional arguments:
+  {check-algebra,check-category,check-module,condense,ledger,suite}
+                        what to run; file arguments may be paths or bundled
+                        names
+  inputs                input files or bundled names
+
+options:
+  -h, --help            show this help message and exit
+  --algebra ALGEBRA     algebra file for condense
+  --report {text,json}
+  --jobs JOBS
+  --seed SEED           ignored: no check draws random data
+"""
+
+# every option and the key its value is stored under; --help takes none
+_OPTIONS = {
+    "-h": None,
+    "--help": None,
+    "--algebra": "algebra",
+    "--report": "report",
+    "--jobs": "jobs",
+    "--seed": "seed",
+}
+_CHOICES = {"command": sorted(_KIND_DIRS), "report": ("text", "json")}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _fail(message: str):
+    """Exit as argparse does on a bad argv: the usage, one error line, status 2."""
+    sys.stderr.write("%sctc: error: %s\n" % (_USAGE, message))
+    raise SystemExit(2)
+
+
+def _value(key: str, strings: list):
+    """The value of one argument from its tokens: the first "--" among them
+    is dropped, and a single-valued argument with one token left is that
+    token converted, else the list of converted tokens."""
+    if "--" in strings:
+        strings.remove("--")
+    name, values = key if key in ("command", "inputs") else "--" + key, []
+    for string in strings:
+        if key in ("jobs", "seed"):
+            try:
+                string = int(string)
+            except ValueError:
+                _fail("argument %s: invalid int value: %r" % (name, string))
+        elif key in _CHOICES and string not in _CHOICES[key]:
+            choices = ", ".join(map(repr, _CHOICES[key]))
+            _fail("argument %s: invalid choice: %r (choose from %s)" % (name, string, choices))
+        values.append(string)
+    return values[0] if len(values) == 1 and key != "inputs" else values
+
+
+def _option(arg: str):
+    """What a token before "--" is: None for a positional, else the option
+    it names (None if unknown) and its value after "=" (None if absent).
+    A unique prefix of a long option names it; a token that reads as a
+    negative number or holds a space is a positional."""
+    if not arg.startswith("-"):
+        return None
+    if arg in _OPTIONS:
+        return arg, None
+    if len(arg) == 1:
+        return None
+    prefix, eq, explicit = arg.partition("=")
+    if eq and prefix in _OPTIONS:
+        return prefix, explicit
+    if arg[1] == "-":
+        matches = [option for option in _OPTIONS if option.startswith(prefix)]
+        if len(matches) > 1:
+            _fail("ambiguous option: %s could match %s" % (arg, ", ".join(matches)))
+        if matches:
+            return matches[0], explicit if eq else None
+    elif arg.startswith("-h"):
+        return "-h", arg[2:]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The command, inputs and options of ``argv``, read as argparse read
+    them when the CLI was built on it: options before, between or after
+    the positionals, the inputs one run of positionals, ``--name=value``
+    and unique prefixes, the last of a repeated option wins.  ``-h``
+    prints the help and exits 0; a bad argv prints the usage and one
+    ``ctc: error:`` line to stderr and exits 2."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    options = {}
+    for i, arg in enumerate(argv[:end]):
+        option = _option(arg)
+        if option is not None:
+            options[i] = option
+    args = {"algebra": None, "report": "text", "jobs": 1, "seed": 0}
+    wanted, extras, i = ["command", "inputs"], [], 0
+    while i < len(argv):
+        if i not in options:
+            # a run of positionals up to the next option: the command takes
+            # its first token, the inputs the rest of the run; the "--" at
+            # ``end`` goes with the token before it, or else after it
+            stop = min((j for j in options if j > i), default=len(argv))
+            first = i + (i == end)
+            if not wanted or first == stop:
+                extras += argv[i:stop]
+            else:
+                if wanted[0] == "command":
+                    split = first + 1 + (first + 1 == end)
+                    args[wanted.pop(0)] = _value("command", argv[i:split])
+                    i = split
+                if i < stop:
+                    args[wanted.pop(0)] = _value("inputs", argv[i:stop])
+            i = stop
+            continue
+        option, value = options[i]
+        key = _OPTIONS.get(option)
+        i += 1
+        if option is None:
+            extras.append(argv[i - 1])
+        elif key is None:
+            # -hh is two help flags; any other value after --help, -h= or -h is an error
+            rest = value if option == "--help" else (value or "").lstrip("h")
+            if rest or value == "":
+                _fail("argument -h/--help: ignored explicit argument %r" % rest)
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        else:
+            if value is None:
+                if i == len(argv) or i in options or i == end:
+                    _fail("argument %s: expected one argument" % option)
+                value, i = argv[i], i + 1
+            args[key] = _value(key, [value])
+    if wanted:
+        _fail("the following arguments are required: %s" % ", ".join(wanted))
+    if extras:
+        _fail("unrecognized arguments: %s" % " ".join(extras))
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2

@@ -2,8 +2,10 @@
 
 import argparse
 import concurrent.futures
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,7 +22,7 @@ from ctc import modules as modules_mod
 from ctc.algebra import load_algebra, load_group
 from ctc.category import load_category
 from ctc.modules import load_module
-from ctc.cli import _job, _run_check_category, main
+from ctc.cli import _HELP, _job, _run_check_category, main, parse_args
 from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 from ctc.report import Item, Report
 from test_category import unknown_label_rules_json, vec_s3_json
@@ -108,6 +110,25 @@ def test_import_loads_no_introspection_logging_or_thread_pool():
     added = set(out.split())
     assert {"ctc.cli", "ctc.ledger", "ctc.modules"} <= added
     assert not added & {"dataclasses", "inspect", "logging", "concurrent.futures"}
+
+
+def test_commands_load_no_argument_parser_gettext_or_locale():
+    # a serial run and a bad argv in a fresh interpreter
+    code = (
+        "import sys\n"
+        "from ctc.cli import main\n"
+        "main(['check-category', 'vec_q', '--report', 'json'])\n"
+        "try:\n"
+        "    main(['no-such-command', 'x'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, timeout=60, check=True
+    )
+    assert run.stdout.splitlines()[1:] == ["2", "[]"]
+    assert "invalid choice: 'no-such-command'" in run.stderr
 
 
 def test_check_category_bytes_do_not_depend_on_the_hash_seed(tmp_path):
@@ -357,7 +378,7 @@ def test_jobs_validation(capsys):
     assert main(["check-category", "vec_q", "--jobs", "0"]) == 2
 
 
-def test_parser_is_built_once_per_process(monkeypatch, capsysbinary):
+def test_runs_around_a_bad_argv_keep_their_bytes_and_build_no_argparse_parser(monkeypatch, capsysbinary):
     assert main(["ledger", "wp_triplet", "--report", "json"]) == 0
     built = []
     init = argparse.ArgumentParser.__init__
@@ -373,6 +394,193 @@ def test_parser_is_built_once_per_process(monkeypatch, capsysbinary):
     out = capsysbinary.readouterr()
     assert out.out == (LEDGER_GOLDEN * 4)
     assert out.err.count(b"argument command: invalid choice: 'no-such-command'") == 3
+
+
+def test_main_without_an_argv_reads_the_process_arguments(monkeypatch, capsysbinary):
+    # the `ctc` console script and `python -m ctc.cli` call main() bare
+    monkeypatch.setattr(sys, "argv", ["ctc", "ledger", "wp_triplet", "--report", "json"])
+    assert main() == 0
+    assert capsysbinary.readouterr().out == LEDGER_GOLDEN
+    monkeypatch.setattr(sys, "argv", ["ctc", "ledger"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsysbinary.readouterr().err.endswith(b"ctc: error: the following arguments are required: inputs\n")
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI was built on, the oracle of ``parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="ctc",
+        description="exact checks for braided categories, algebra objects, and their modules",
+    )
+    parser.add_argument(
+        "command",
+        choices=sorted(["check-category", "check-algebra", "check-module", "condense", "suite", "ledger"]),
+        help="what to run; file arguments may be paths or bundled names",
+    )
+    parser.add_argument("inputs", nargs="+", help="input files or bundled names")
+    parser.add_argument("--algebra", help="algebra file for condense", default=None)
+    parser.add_argument("--report", choices=("text", "json"), default="text")
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0, help="ignored: no check draws random data")
+    return parser
+
+
+def _parsed(parse, argv, capsys):
+    """What ``parse`` makes of ``argv``: its values or its exit code, and
+    what it wrote to stdout and stderr."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def _assert_parsers_agree(argvs, capsys):
+    reference = _reference_parser()
+    for argv in argvs:
+        want = _parsed(reference.parse_args, argv, capsys)
+        assert _parsed(parse_args, argv, capsys) == want, argv
+
+
+# the argv forms of this module's tests, with placeholder paths
+TEST_ARGVS = [
+    ["ledger", "wp_triplet"],
+    ["check-category"] + ALL_CATEGORIES + ["--jobs", "4"],
+    ["suite", "maschke_2_6", "local_3_1", "counterexamples", "--jobs", "4"],
+    ["check-category"] + ALL_CATEGORIES + ["tmp/unknown_labels.json"],
+    ["check-category", "ising", "--seed", "1"],
+    ["check-algebra", "alg_qz3", "alg_h02", "alg_toric_1e"],
+    ["check-module", "mod_toric_m"],
+    ["condense", "pointed_z4", "--algebra", "alg_h02"],
+    ["condense", "pointed_z4"],
+    ["condense", "toric_code", "--algebra", "tmp/dir"],
+    ["condense", "tmp/dir", "toric_code", "--algebra", "alg_toric_1e"],
+    ["check-category", "tmp/bad.json", "fibonacci"],
+    ["check-category", "vec_q"],
+    ["check-category", "vec_q", "--jobs", "0"],
+    ["no-such-command", "x"],
+    ["suite", "maschke_2_6.json"],
+    ["suite", "sub/suite.json", "maschke_2_6"],
+    ["check-category", "tmp/vec_s3.json", "toric_code", "--seed", "3"],
+    ["condense", "toric_code", "pointed_z4", "toric_code", "toric_code", "--algebra", "alg_toric_1e", "--jobs", "4"],
+]
+
+# the argparse behaviours the hand parser keeps
+EDGE_ARGVS = [
+    [],
+    ["check-category"],
+    ["--seed", "0"],
+    ["--jobs", "2", "check-category", "vec_q"],
+    ["check-category", "--jobs", "2", "vec_q", "ising"],
+    ["check-category", "vec_q", "--jobs", "2", "ising"],
+    ["check-category", "-x", "vec_q"],
+    ["check-category", "vec_q", "--jobs=2", "--report=json", "--algebra=a", "--seed=7"],
+    ["check-category", "vec_q", "--rep", "json", "--j", "3", "--al", "x", "--s=4"],
+    ["check-category", "vec_q", "--jobs", "2", "--jobs", "3", "--report", "json", "--report", "text"],
+    ["check-category", "vec_q", "--jobs", "-1"],
+    ["check-category", "vec_q", "--jobs", "--report", "json"],
+    ["check-category", "vec_q", "--algebra"],
+    ["check-category", "--", "vec_q"],
+    ["--", "check-category", "-x", "--jobs"],
+    ["check-category", "vec_q", "--", "--jobs", "2"],
+    ["check-category", "--", "--"],
+    ["--jobs", "--", "check-category", "x"],
+    ["check-category", "vec_q", "--jobs", "2", "--", "x"],
+    ["check-category", "-"],
+    ["-", "x"],
+    ["check-category", "-x"],
+    ["check-category", "vec_q", "-x", "ising"],
+    ["-x"],
+    ["bad", "x"],
+    ["check-category", "vec_q", "--report", "xml"],
+    ["check-category", "vec_q", "--report="],
+    ["check-category", "vec_q", "--jobs", "two"],
+    ["check-category", "vec_q", "--seed", "1.5"],
+    ["check-category", "vec_q", "--jobs="],
+    ["check-category", "vec_q", "--jobs", " 3 ", "--seed", "1_0"],
+    ["check-category", "vec_q", "--jobs=--"],
+    ["condense", "toric_code", "--algebra=--"],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["check-category", "vec_q", "-h"],
+    ["bad", "-h"],
+    ["-h", "bad"],
+    ["--jobs", "x", "-h"],
+    ["-hh"],
+    ["-hx"],
+    ["-hhx"],
+    ["-h=x"],
+    ["-h=h"],
+    ["-h="],
+    ["--help=x"],
+    ["--help=h"],
+    ["--help="],
+    ["--=x"],
+    ["-h", "--=x"],
+    ["check-category", "-1", "-2.5", "-.5"],
+    ["check-category", "-1x"],
+    ["check-category", "a b", "-x y", "--jobs 2"],
+    ["check-category", "vec_q", "--unknown=3", "--foo", "x"],
+    ["check-category", "vec_q", "---jobs", "2"],
+    ["check-category", ""],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_hand_parser_matches_argparse_on_edge_cases(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_parsers_agree([argv], capsys)
+
+
+def test_hand_parser_matches_argparse_on_every_test_and_benchmark_argv(tmp_path, monkeypatch, capsys):
+    from test_golden import COMMANDS
+
+    monkeypatch.setenv("COLUMNS", "80")
+    bench_jobs = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("bench_jobs", bench_jobs)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    argvs = [job["argv"] for w in jobs.WORKLOADS for job in jobs.plan(w, 7, tmp_path / w) if job["kind"] == "cli"]
+    argvs += [command.split() + ["--report", "json"] for command in COMMANDS.values()]
+    argvs += [argv + ["--report", "json"] for argv in TEST_ARGVS]
+    argvs += [[command] + [a.format(bad="tmp/bad.json") for a in batch] for command, batch in BATCHES.items()]
+    _assert_parsers_agree(argvs, capsys)
+
+
+def _random_argv(rng, tokens):
+    """A command and up to two inputs, up to three option groups spliced in
+    at random places, then up to two of ``tokens`` dropped in anywhere."""
+    groups = [["--jobs", "2"], ["--report=json"], ["--rep", "text"], ["--algebra", "a"]]
+    groups += [["--seed", "-3"], ["--j=4"], ["--"]]
+    argv = [rng.choice(["check-category", "condense", "suite"]), "vec_q", "ising"][: rng.randrange(4)]
+    for group in rng.sample(groups, rng.randrange(4)):
+        at = rng.randrange(len(argv) + 1)
+        argv[at:at] = group
+    for token in rng.choices(tokens, k=rng.randrange(3)):
+        argv.insert(rng.randrange(len(argv) + 1), token)
+    return argv
+
+
+def test_hand_parser_matches_argparse_on_random_argvs(monkeypatch, capsys):
+    # about a quarter parse; the rest reach every error message above
+    monkeypatch.setenv("COLUMNS", "80")
+    tokens = sorted({arg for argv in EDGE_ARGVS for arg in argv})
+    rng = random.Random(31)
+    _assert_parsers_agree([_random_argv(rng, tokens) for _ in range(3000)], capsys)
+
+
+def test_help_is_the_argparse_help_at_80_columns_at_any_width(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _HELP == _reference_parser().format_help()
+    monkeypatch.setenv("COLUMNS", "40")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (_HELP, "")
 
 
 # malformed inputs: each bad file gives one ParseError item, the bundled
