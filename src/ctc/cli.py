@@ -335,6 +335,13 @@ def parse_args(argv: list) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    # parse_args keeps argparse's rule that drops the first "--" among an
+    # argument's tokens, so "--jobs=--" leaves a list and "-- --" no input
+    for key in ("algebra", "report", "jobs"):
+        if isinstance(getattr(args, key), list):
+            _fail("argument --%s: expected one argument" % key)
+    if not args.inputs:
+        _fail("the following arguments are required: inputs")
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2

@@ -26,10 +26,13 @@ invariant under both.  Its elements are kept flattened, the nonzeros
 of an n x n matrix at r*n + c.  The algebra is spun from a greedy
 generating set with sparse products: each word is multiplied by the
 generators only (the spinning of Holt, Eick and O'Brien, Handbook of
-Computational Group Theory), dim x |gens| products.  The module is
-semisimple exactly when that algebra has zero radical.  In
-characteristic zero or above the matrix size that is the kernel of the
-trace form, whose entries are sums over nonzero entries.  Over a small
+Computational Group Theory).  The module is semisimple exactly when
+that algebra has zero radical.  The spin stops as soon as its basis
+spans all n x n matrices, the action algebra of a simple module
+(Burnside); that algebra is simple over every field (Wedderburn), so
+its radical is zero and none is computed.  Otherwise, in characteristic
+zero or above the matrix size the radical is the kernel of the trace
+form, whose entries are sums over nonzero entries.  Over a small
 prime field, a commutative algebra's radical is its set of nilpotents,
 the kernel of the linear map x -> x^(p^k) with p^k >= n.  Every other
 algebra there goes through Ronyai's polynomial-time chain of ideals
@@ -138,8 +141,9 @@ class AModule:
     """Carrier object with an action of a fixed algebra object."""
 
     # _pi, _aa: the monodromy projector and the action algebra, once
-    # projector_pi and action_algebra have computed them
-    __slots__ = ("name", "alg", "carrier", "action", "_pi", "_aa")
+    # projector_pi and action_algebra have computed them; _twisted: the
+    # action after the double braiding, read by is_local and projector_pi
+    __slots__ = ("name", "alg", "carrier", "action", "_pi", "_aa", "_twisted")
 
     def __init__(self, name: str, alg: AlgebraObject, carrier: Obj, action: Mor):
         ax = tensor_obj(alg.carrier, carrier)
@@ -149,7 +153,7 @@ class AModule:
         self.alg = alg
         self.carrier = carrier
         self.action = action
-        self._pi = self._aa = None
+        self._pi = self._aa = self._twisted = None
 
     @property
     def spec(self):
@@ -247,10 +251,16 @@ def _monodromy(a: Obj, x: Obj) -> Mor:
     return compose(braiding(x, a), braiding(a, x))
 
 
+def _twisted_action(mod: AModule) -> Mor:
+    """The action after the double braiding, kept on the module."""
+    if mod._twisted is None:
+        mod._twisted = compose(mod.action, _monodromy(mod.alg.carrier, mod.carrier))
+    return mod._twisted
+
+
 def is_local(mod: AModule):
     """Whether acting after the double braiding equals acting directly."""
-    A = mod.alg.carrier
-    twisted = compose(mod.action, _monodromy(A, mod.carrier))
+    twisted = _twisted_action(mod)
     if twisted == mod.action:
         return True, None
     return False, (twisted - mod.action).to_json()
@@ -324,8 +334,7 @@ def projector_pi(mod: AModule) -> Mor:
     invertible index.  Computed on first use and kept on the module.
     """
     if mod._pi is None:
-        X = mod.carrier
-        mod._pi = _average(mod.alg, mod.action, compose(mod.action, _monodromy(mod.alg.carrier, X)), X)
+        mod._pi = _average(mod.alg, mod.action, _twisted_action(mod), mod.carrier)
     return mod._pi
 
 
@@ -420,10 +429,11 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
 
     The identity, the slot operators and the gradings are admitted to
     the basis first, in that order; ``_spin`` then multiplies out a
-    generating set chosen from them.  A commutative algebra over F_p with
-    p <= n takes its radical from ``_frobenius_radical``; every other
-    algebra from ``algebra_radical``.  Computed on first use and kept on
-    the module.
+    generating set chosen from them.  All n x n matrices, where the spin
+    stops, have zero radical; otherwise a commutative algebra over F_p
+    with p <= n takes its radical from ``_frobenius_radical``, and every
+    other algebra from ``algebra_radical``.  Computed on first use and
+    kept on the module.
     """
     if mod._aa is not None:
         return mod._aa
@@ -434,7 +444,9 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
         return mod._aa
     basis, gens = _spin(ops + gradings, n, field)
     p = field.char
-    if 0 < p <= n and _commute(gens):
+    if len(basis) == n * n:
+        radical = []
+    elif 0 < p <= n and _commute(gens):
         radical = [_combine(v, basis) for v in _frobenius_radical(basis, n, field)]
     else:
         radical = algebra_radical(basis, n, field)
@@ -442,8 +454,12 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
     return mod._aa
 
 
+class _AllMatrices(Exception):
+    """The spin's basis spans all n x n matrices: nothing more is admitted."""
+
+
 def _spin(candidates, n, field):
-    """Basis of the unital algebra the candidates generate, and the generators.
+    """Basis of the unital algebra the candidates generate, and generators of it.
 
     Operators are sparse rows; the basis holds them flattened to their
     nonzeros at ``r*n + c``.  The identity and the candidates are admitted
@@ -455,8 +471,11 @@ def _spin(candidates, n, field):
     spanning a space closed under right multiplication by the generators
     and holding the identity: the algebra they generate, which holds every
     candidate.  A product new among the words is admitted to the basis
-    too.  That is dim x |gens| products, and in a regular group algebra
-    each generator at least doubles the subgroup it joins.
+    too.  In a regular group algebra each generator at least doubles the
+    subgroup it joins.  The spin stops once the basis holds n * n
+    elements, all matrices, which the full closure would not extend; the
+    generators are then those chosen so far and the candidates not yet
+    examined.
     """
     basis, echelon, seen = [], la.Echelon(), set()
     words, span, known = [], la.Echelon(), set()
@@ -464,6 +483,8 @@ def _spin(candidates, n, field):
     def admit(flat, key):
         if key not in seen and echelon.add(flat) is not None:
             basis.append(flat)
+            if len(basis) == n * n:
+                raise _AllMatrices
         seen.add(key)
 
     def grow(m):
@@ -480,24 +501,28 @@ def _spin(candidates, n, field):
 
     one = Scalar.one(field)
     identity = [{k: one} for k in range(n)]
-    for m in [identity] + candidates:
-        flat = _flat(m, n)
-        admit(flat, frozenset(flat.items()))
-    grow(identity)
-    gens = []
-    for g in candidates:
-        start = len(words)
-        if not grow(g):
-            continue
-        gens.append(g)
-        for w in words[1 : start]:
-            grow(la.sparse_mul(w, g))
-        k = start
-        while k < len(words):
-            for h in gens:
-                grow(la.sparse_mul(words[k], h))
-            k += 1
-    return basis, gens
+    gens, rest = [], list(candidates)
+    try:
+        for m in [identity] + candidates:
+            flat = _flat(m, n)
+            admit(flat, frozenset(flat.items()))
+        grow(identity)
+        while rest:
+            g = rest.pop(0)
+            start = len(words)
+            if not grow(g):
+                continue
+            gens.append(g)
+            for w in words[1 : start]:
+                grow(la.sparse_mul(w, g))
+            k = start
+            while k < len(words):
+                for h in gens:
+                    grow(la.sparse_mul(words[k], h))
+                k += 1
+    except _AllMatrices:
+        pass
+    return basis, gens + rest
 
 
 def _flat(m, n) -> dict:
@@ -716,7 +741,8 @@ def is_semisimple_module(mod: AModule):
 
     The certificate on failure is a nonzero radical element written out
     as rows of literals; on success it is the dimension summary of the
-    radical-free action algebra.
+    radical-free action algebra.  All n x n matrices, the algebra of a
+    simple module, need no radical computed: M_n is a simple algebra.
     """
     aa = action_algebra(mod)
     if not aa.radical:
@@ -730,9 +756,10 @@ def is_simple_module(mod: AModule) -> bool:
 
     By Jacobson density (Burnside's theorem) that holds exactly when the
     action algebra is all n x n matrices on a carrier of size n > 0, so
-    it is read off the algebra's dimension.  Over a field that does not
-    split the endomorphism ring this is stricter than having no proper
-    submodule; for the bundled data the two notions agree.
+    it is read off the algebra's dimension, where the spin stops and no
+    radical is computed.  Over a field that does not split the
+    endomorphism ring this is stricter than having no proper submodule;
+    for the bundled data the two notions agree.
     """
     aa = action_algebra(mod)
     return aa.size > 0 and aa.dimension == aa.size**2
@@ -844,7 +871,8 @@ def condense(alg: AlgebraObject) -> Condensation:
         mod = induce(alg, Obj.simple(spec, s))
         pi = projector_pi(mod)
         rank = sum(la.rank(rows) for rows in pi.rows.values())
-        local_flag, _ = is_local(mod)
+        # is_local's witness of a non-local module is not needed here
+        local_flag = _twisted_action(mod) == mod.action
         simple_flag = is_simple_module(mod)
         cls = -1
         if simple_flag:

@@ -22,7 +22,7 @@ from ctc import modules as modules_mod
 from ctc.algebra import load_algebra, load_group
 from ctc.category import load_category
 from ctc.modules import load_module
-from ctc.cli import _HELP, _job, _run_check_category, main, parse_args
+from ctc.cli import _HELP, _USAGE, _job, _run_check_category, main, parse_args
 from ctc.fields import FieldSpec, parse_scalar, scalar_literal
 from ctc.report import Item, Report
 from test_category import unknown_label_rules_json, vec_s3_json
@@ -376,6 +376,27 @@ def test_check_category_text_lines_carry_sweep_times():
 
 def test_jobs_validation(capsys):
     assert main(["check-category", "vec_q", "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-category", "vec_q", "--jobs=--"], "argument --jobs: expected one argument"),
+        (["condense", "toric_code", "--algebra=--"], "argument --algebra: expected one argument"),
+        (["check-category", "vec_q", "--report=--"], "argument --report: expected one argument"),
+        (["check-category", "--", "--"], "the following arguments are required: inputs"),
+    ],
+    ids=["jobs", "algebra", "report", "no-input"],
+)
+def test_main_refuses_an_empty_value_or_batch_that_parse_args_lets_through(argv, message, capsys):
+    # parse_args drops the first "--" among an argument's tokens, as
+    # argparse did, which leaves an empty list; main refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == _USAGE + "ctc: error: %s\n" % message
 
 
 def test_runs_around_a_bad_argv_keep_their_bytes_and_build_no_argparse_parser(monkeypatch, capsysbinary):

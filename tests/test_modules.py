@@ -72,7 +72,7 @@ from ctc.modules import (
 )
 from ctc import modules as modules_mod
 from ctc.modules import _augmentation, _equivariant_section_exists, _int_mat_mul, _ronyai_g
-from test_category import dual_obj, ev_coev, mor_right_inverse
+from test_category import dual_obj, ev_coev, mor_right_inverse, toric_zn
 from test_linalg import dense_nullspace, dense_rref, dense_solve, identity, to_dense
 
 
@@ -1408,16 +1408,26 @@ def orbit_prediction(spec, subgroup):
     return orbits
 
 
+TORIC_ZN = {"toric_z%d" % n: toric_zn(n) for n in (3, 4, 5)}
+
+
+def lagrangian(n, kind):
+    """The e-type ("k.0") or m-type ("0.k") Lagrangian subgroup of ``toric_zn(n)``."""
+    return ["%d.0" % k if kind == "e" else "0.%d" % k for k in range(n)]
+
+
 @pytest.mark.parametrize(
     "cat_name,subgroup",
     [
         ("pointed_z4", ["0", "2"]),
         ("toric_code", ["1", "e"]),
         ("toric_code", ["1", "m"]),
-    ],
+    ]
+    + [("toric_z%d" % n, lagrangian(n, kind)) for n in (3, 4, 5) for kind in "em"],
 )
 def test_condensation_matches_orbit_oracle(cat_name, subgroup):
-    spec = cat(cat_name)
+    # the six Z_N toric cases take under 0.5 s together
+    spec = TORIC_ZN[cat_name] if cat_name in TORIC_ZN else cat(cat_name)
     expected = orbit_prediction(spec, subgroup)
     table = condense(subgroup_algebra(subgroup, spec))
     assert table.simple_class_count() == len(expected)
@@ -1429,6 +1439,9 @@ def test_condensation_matches_orbit_oracle(cat_name, subgroup):
     for row in table.rows:
         assert row.simple
         assert row.iso_class >= 0
+    if cat_name in TORIC_ZN:
+        # the metric group Z_N x Z_N over a Lagrangian subgroup: N classes, one local
+        assert (table.simple_class_count(), table.local_class_count()) == (len(subgroup), 1)
 
 
 def test_condense_toric_table_details():
@@ -1479,6 +1492,201 @@ def test_condense_decides_the_axioms_of_a_subgroup_algebra_once(monkeypatch):
     condense(alg)
     assert checked.count(True) == 1
     assert algebra_mod.check_algebra(alg) is algebra_mod.check_algebra(alg)
+
+
+# ---------------------------------------------------------------------------
+# the action algebra against the full closure: the spin stops at all n x n
+# matrices and takes no radical of them
+
+
+def _full_closure_spin(candidates, n, field):
+    """Reference spin: the closure run to its end, however early the basis
+    spans all n x n matrices; the basis and the generators it chose."""
+    basis, echelon, seen = [], la.Echelon(), set()
+    words, span, known = [], la.Echelon(), set()
+
+    def admit(flat, key):
+        if key not in seen and echelon.add(flat) is not None:
+            basis.append(flat)
+        seen.add(key)
+
+    def grow(m):
+        flat = modules_mod._flat(m, n)
+        key = frozenset(flat.items())
+        if key in known:
+            return False
+        known.add(key)
+        if span.add(flat) is None:
+            return False
+        words.append(m)
+        admit(flat, key)
+        return True
+
+    one = Scalar.one(field)
+    identity = [{k: one} for k in range(n)]
+    for m in [identity] + candidates:
+        flat = modules_mod._flat(m, n)
+        admit(flat, frozenset(flat.items()))
+    grow(identity)
+    gens = []
+    for g in candidates:
+        start = len(words)
+        if not grow(g):
+            continue
+        gens.append(g)
+        for w in words[1:start]:
+            grow(la.sparse_mul(w, g))
+        k = start
+        while k < len(words):
+            for h in gens:
+                grow(la.sparse_mul(words[k], h))
+            k += 1
+    return basis, gens
+
+
+def reference_action_algebra(mod):
+    """Basis, radical and size of the action algebra the long way: the
+    full closure, then the radical of whatever it spans, all n x n
+    matrices included."""
+    ops, gradings, n = modules_mod._action_operators(mod)
+    if n == 0:
+        return [], [], 0
+    field = mod.spec.field
+    basis, gens = _full_closure_spin(ops + gradings, n, field)
+    if 0 < field.char <= n and modules_mod._commute(gens):
+        radical = [modules_mod._combine(v, basis) for v in modules_mod._frobenius_radical(basis, n, field)]
+    else:
+        radical = algebra_radical(basis, n, field)
+    return basis, radical, n
+
+
+def _s3_f2_module():
+    """F_2^2 with S3 acting through its isomorphism onto GL_2(F_2): simple,
+    with p = n = 2, where a radical would come from Ronyai's chain."""
+    alg = galg("vec_f2", "s3")
+    spec = alg.spec
+    x = Obj(spec, {spec.unit: 2})
+    # e, r, r2, s, sr, sr2 in slot order, with r -> [[0, 1], [1, 1]] and s -> [[0, 1], [1, 0]]
+    images = [[[1, 0], [0, 1]], [[0, 1], [1, 1]], [[1, 1], [1, 0]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+    cols = pair_channels(alg.carrier, x)[spec.unit]
+    block = [[Scalar.from_int(spec.field, images[i][r][k]) for _a, i, _s, k in cols] for r in range(2)]
+    return AModule("s3-on-f2^2", alg, x, Mor(tensor_obj(alg.carrier, x), x, {spec.unit: block}))
+
+
+def _condensed_modules(alg):
+    return [row.module for row in condense(alg).rows]
+
+
+ORACLE_FAMILIES = {
+    **{"hom:" + family: lambda family=family: HOM_FAMILIES[family] for family in HOM_FAMILIES},
+    "enumeration": lambda: [
+        _modular_module(*case) for case in MODULAR_MODULES + [("vec_f2", "z2", "regular+trivial")]
+    ],
+    "s4": lambda: [regular_module(group_algebra(_s4(), cat(c))) for c in ("vec_q", "vec_f2", "vec_f3")],
+    "s3-on-f2^2": lambda: [_s3_f2_module()],
+    **{
+        "condense:" + name: lambda name=name: _condensed_modules(load_algebra(data_path("algebras/%s.json" % name)))
+        for name in ("alg_toric_1e", "alg_h02")
+    },
+    **{
+        "condense:toric_z%d:%s" % (n, kind): lambda n=n, kind=kind: _condensed_modules(
+            subgroup_algebra(lagrangian(n, kind), TORIC_ZN["toric_z%d" % n])
+        )
+        for n in (3, 4, 5)
+        for kind in "em"
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_action_algebra_matches_the_full_closure(family):
+    mods = ORACLE_FAMILIES[family]()
+    assert mods
+    for mod in mods:
+        aa = action_algebra(mod)
+        basis, radical, n = reference_action_algebra(mod)
+        assert (aa.basis, aa.radical, aa.size) == (basis, radical, n), mod.name
+        if n == 0:
+            continue
+        # the generators the spin returns, early stop or not, generate the
+        # algebra the candidates do
+        ops, gradings, _n = modules_mod._action_operators(mod)
+        _basis, gens = modules_mod._spin(ops + gradings, n, mod.spec.field)
+        assert len(_full_closure_spin(gens, n, mod.spec.field)[0]) == len(basis), mod.name
+
+
+def test_oracle_families_hold_simple_modules_of_every_kind():
+    # all n x n matrices reached from the candidates alone (n = 1), amid the
+    # closure, over Q, Q(zeta_n) and F_p, with p <= n once
+    simple = [m for make in ORACLE_FAMILIES.values() for m in make() if is_simple_module(m)]
+    sizes = {(m.spec.field.char, action_algebra(m).size) for m in simple}
+    assert (0, 1) in sizes and (0, 5) in sizes and (2, 2) in sizes
+    assert any(m.spec.field.kind == "cyclotomic" for m in simple)
+
+
+def _fresh_simple_modules():
+    """Simple modules whose action algebra is not yet kept: the induced
+    modules of alg_toric_1e and of the e-type Lagrangian algebra of the
+    Z_5 toric code, and F_2^2 under S3."""
+    toric = load_algebra(data_path("algebras/alg_toric_1e.json"))
+    z5 = subgroup_algebra(lagrangian(5, "e"), TORIC_ZN["toric_z5"])
+    induced = [induce(alg, Obj.simple(alg.spec, s)) for alg in (toric, z5) for s in alg.spec.labels[:4]]
+    return induced + [_s3_f2_module()]
+
+
+def test_a_simple_modules_action_algebra_computes_no_radical(monkeypatch):
+    calls = []
+    for name in ("_commute", "algebra_radical", "_frobenius_radical", "_ronyai_radical", "_trace_form_kernel"):
+        real = getattr(modules_mod, name)
+        monkeypatch.setattr(modules_mod, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    for mod in _fresh_simple_modules():
+        aa = action_algebra(mod)
+        assert aa.dimension == aa.size**2 > 1 and aa.radical == []
+    assert calls == []
+
+
+def test_the_spin_multiplies_nothing_once_its_basis_holds_all_matrices(monkeypatch):
+    # each product records whether an echelon of the spin, the basis one
+    # first, already holds n * n rows; the S3 candidates span all 2 x 2
+    # matrices alone, the induced modules need products
+    products = []
+    for mod in _fresh_simple_modules():
+        n = len(mod.carrier.slots())
+        echelons, late = [], []
+        add, mul = la.Echelon.add, la.sparse_mul
+
+        def counted_add(self, row):
+            if all(e is not self for e in echelons):
+                echelons.append(self)
+            return add(self, row)
+
+        monkeypatch.setattr(la.Echelon, "add", counted_add)
+        monkeypatch.setattr(
+            la, "sparse_mul", lambda a, b: late.append(any(len(e.rows) == n * n for e in echelons)) or mul(a, b)
+        )
+        aa = action_algebra(mod)
+        monkeypatch.undo()
+        assert aa.dimension == n * n
+        assert not any(late), mod.name
+        products.append(len(late))
+    assert products[-1] == 0 and all(products[:-1])
+
+
+def test_condense_braids_each_induced_module_twice(monkeypatch):
+    # the double braiding enters the twisted action once, which both the
+    # projector and the locality flag read; the algebra's own checks are
+    # made first, as condense keeps them
+    alg = algebra_from_json(read_json(data_path("algebras/alg_toric_1e.json")))
+    algebra_mod.check_algebra(alg)
+    algebra_mod.frobenius_kit(alg)
+    calls = []
+    real = category_mod.braiding
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ctc"]:
+        if getattr(module, "braiding", None) is real:
+            monkeypatch.setattr(module, "braiding", lambda *a: calls.append(a) or real(*a))
+    table = condense(alg)
+    assert len(table.rows) == 4
+    assert len(calls) == 2 * len(table.rows)
 
 
 # ---------------------------------------------------------------------------
