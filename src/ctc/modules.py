@@ -187,20 +187,30 @@ def regular_module(alg: AlgebraObject) -> AModule:
 def trivial_module(alg: AlgebraObject) -> AModule:
     """The unit object with every algebra coordinate acting as 1.
 
-    Only defined in a single-label category, where summing coordinates
-    is an algebra map onto the unit.
+    Only defined in a single-label category, where it is a module exactly
+    when the coordinate sum eps is an algebra map onto the unit.  There
+    validation pins every F entry to 1, so the associator of A, A and 1
+    is the identity matrix, and eps (x) eps is the row of all ones on
+    A (x) A.  The unit law eps eta = 1 then says that the column of eta
+    sums to 1, and associativity eps mu = eps (x) eps that each of the
+    d^2 columns of mu does (an empty column sums to 0).  Both are read
+    off the one-label blocks; nothing is composed.
     """
     spec = alg.spec
     if len(spec.labels) != 1:
         raise ModuleError("trivial module needs a single-label category")
+    lab, zero = spec.unit, Scalar.zero(spec.field)
+    for m in (alg.unit_map, alg.mult_map):
+        sums = [zero] * m.dom.m(lab)
+        for row in m.rows.get(lab, []):
+            for j, x in row.items():
+                sums[j] = sums[j] + x
+        if not all(x.is_one() for x in sums):
+            raise ModuleError("coordinate-sum action is not a module structure here")
     unit_o = Obj.unit(spec)
     # with one label, A (x) 1 has the slots of A, so the action is the augmentation
     action = Mor.from_rows(tensor_obj(alg.carrier, unit_o), unit_o, _augmentation(alg).rows)
-    mod = AModule("trivial", alg, unit_o, action)
-    rep = check_module(mod)
-    if not rep.ok:
-        raise ModuleError("coordinate-sum action is not a module structure here")
-    return mod
+    return AModule("trivial", alg, unit_o, action)
 
 
 def hom_A(m1: AModule, m2: AModule) -> list[Mor]:
@@ -670,9 +680,15 @@ def _frobenius_radical(flat, n, field):
         m = [{} for _ in range(n)]
         for k, v in x.items():
             m[k // n][k % n] = v.raw
-        power = m
-        for _ in range(p - 1):
-            power = [_int_combination(row, m, p) for row in power]
+        # only the rows that hold a pivot cell are read: row r of x^p is
+        # row r of x times x, p - 1 times
+        power = {}
+        for r, _c in cells:
+            if r not in power:
+                row = m[r]
+                for _ in range(p - 1):
+                    row = _int_combination(row, m, p)
+                power[r] = row
         at_pivots = {j: power[r][c] for j, (r, c) in enumerate(cells) if c in power[r]}
         frob.append(_int_combination(at_pivots, coeffs, p))
     images, reach = frob, p

@@ -688,11 +688,33 @@ def vec_s3():
     return category_from_json(vec_s3_json(), name="vec_s3")
 
 
+def vec_s3_braided():
+    """Vec(S3) with R^{r s}_{sr2} = 2 and the first R slot, R^{e e}_e, at -1.
+    s r = sr, so (s, r, sr2) is not a fusion triple: balancing must read
+    the 1 of slot 0 for R^{s r}_{sr2}, and its monodromy is R^{r s}_{sr2}."""
+    spec = vec_s3()
+    two, minus = Scalar.from_int(spec.field, 2), Scalar.from_int(spec.field, -1)
+    return mutated(spec, R={("r", "s", "sr2"): two, ("e", "e", "e"): minus}, name="vec_s3 R")
+
+
 ISING_BLOCK_KEYS = [("sigma",) * 4 + (e, f) for e in ("1", "psi") for f in ("1", "psi")]
 
 ORACLE_SPECS = (
-    [cat(name) for name in ALL_CATEGORIES] + [vec_s3()] + sign_flip_mutants() + random_mutants()
+    [cat(name) for name in ALL_CATEGORIES]
+    + [vec_s3(), vec_s3_braided()]
+    + sign_flip_mutants()
+    + random_mutants()
 )
+
+
+def test_balancing_monodromy_outside_the_rules_is_r_ab_c():
+    spec = vec_s3_braided()
+    ring = _ring(spec.labels, spec.fusion)
+    assert ("s", "r", "sr2") not in spec.fusion and ring.ordered_fusion[0] == ("e", "e", "e")
+    failing = [i for i in verify_hexagon(spec).items if i.check.startswith("balancing:")]
+    assert [(i.check, i.witness) for i in failing] == [
+        ("balancing:r,s,sr2", {"triple": ["r", "s", "sr2"], "monodromy": "2", "twist_ratio": "1"})
+    ]
 
 
 def test_oracle_mutant_set_sizes():

@@ -3,6 +3,7 @@ semisimplicity, condensation against an orbit-counting oracle, suites."""
 
 import functools
 import gc
+import importlib.util
 import itertools
 import os
 import random
@@ -272,6 +273,138 @@ def test_trivial_module_exists_for_group_algebras():
     assert check_module(trivial_module(galg("vec_f2", "z2"))).ok
     with pytest.raises(ModuleError):
         trivial_module(load_algebra(data_path("algebras/alg_h02.json")))
+
+
+# ---------------------------------------------------------------------------
+# the trivial module against the composed module laws: trivial_module reads
+# both laws off the column sums of eta and mu
+
+REFUSAL = "coordinate-sum action is not a module structure here"
+
+
+def _reference_trivial_module(alg):
+    """Reference construction: the coordinate-sum action on the unit, kept
+    only if ``check_module`` composes both laws on A (x) A (x) 1."""
+    spec = alg.spec
+    if len(spec.labels) != 1:
+        raise ModuleError("trivial module needs a single-label category")
+    unit_o = Obj.unit(spec)
+    action = Mor.from_rows(tensor_obj(alg.carrier, unit_o), unit_o, _augmentation(alg).rows)
+    mod = AModule("trivial", alg, unit_o, action)
+    if not check_module(mod).ok:
+        raise ModuleError(REFUSAL)
+    return mod
+
+
+def _trivial_outcomes(alg):
+    """The action of ``trivial_module`` and of the reference, or the
+    message each refuses with."""
+    out = []
+    for build in (trivial_module, _reference_trivial_module):
+        try:
+            out.append(build(alg).action)
+        except ModuleError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _bench_jobs():
+    """``bench/jobs.py``, loaded by file; it imports no part of ``ctc``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "jobs.py")
+    spec = importlib.util.spec_from_file_location("bench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("cat_name", ["vec_q", "vec_f2", "vec_f3"])
+def test_trivial_module_matches_the_composed_laws_on_the_bench_groups(cat_name):
+    # every group table the benchmark builds, at two seeds, so the identity
+    # is neither first nor named alike
+    jobs = _bench_jobs()
+    names = sorted(set(jobs.MASCHKE_GROUPS).union(*jobs.MODULAR_GROUPS.values()))
+    assert len(names) == 10
+    units = set()
+    for name in names:
+        for seed in (1, 7):
+            raw = jobs.group_table(name, seed)
+            group = Group(name, raw["elements"], raw["table"])
+            units.add(group.elements.index(group.identity))
+            fast, ref = _trivial_outcomes(group_algebra(group, cat(cat_name)))
+            assert isinstance(fast, Mor) and fast == ref, (name, seed)
+    assert units != {0}
+
+
+def _random_one_label_algebra(rng):
+    """A one-label algebra on 1 to 3 copies of the unit, associative or not,
+    with entries in {0, +-1, 2}.  Half of them build eta and every column
+    of mu to sum to 1; the others draw each column to sum to 1, to cancel
+    to 0, to be empty or to be free."""
+    spec = cat(rng.choice(("vec_q", "vec_f2", "vec_f3")))
+    d = rng.randint(1, 3)
+    kinds = ("one",) if rng.random() < 0.5 else ("one", "one", "cancel", "empty", "free")
+
+    def column():
+        kind = rng.choice(kinds)
+        if kind == "empty":
+            return [0] * d
+        if kind == "cancel" and d == 1:
+            kind = "free"
+        while True:
+            col = [rng.choice((0, 1, -1, 2)) for _ in range(d)]
+            if kind == "free" or (kind == "one" and sum(col) == 1) or (kind == "cancel" and any(col) and not sum(col)):
+                return col
+
+    def mor(dom, cols):
+        return Mor(dom, A, {spec.unit: [[Scalar.from_int(spec.field, c[r]) for c in cols] for r in range(d)]})
+
+    A = Obj(spec, {spec.unit: d})
+    eta = mor(Obj.unit(spec), [column()])
+    mu = mor(tensor_obj(A, A), [column() for _ in range(d * d)])
+    return AlgebraObject("random", A, eta, mu)
+
+
+def test_trivial_module_matches_the_composed_laws_on_random_algebras():
+    rng = random.Random(33)
+    seen = {"accepted": 0, "refused": 0, "cancels": 0, "empty": 0, "unit-not-e1": 0}
+    for _ in range(1200):
+        alg = _random_one_label_algebra(rng)
+        fast, ref = _trivial_outcomes(alg)
+        assert fast == ref
+        seen["accepted" if isinstance(fast, Mor) else "refused"] += 1
+        if not isinstance(fast, Mor):
+            assert fast == REFUSAL
+        field, lab = alg.spec.field, alg.spec.unit
+        rows = alg.mult_map.rows[lab]
+        cols = [[row[j] for row in rows if j in row] for j in range(alg.mult_map.dom.m(lab))]
+        seen["cancels"] += any(col and sum(col, Scalar.zero(field)).is_zero() for col in cols)
+        seen["empty"] += any(not col for col in cols)
+        eta = [row.get(0) for row in alg.unit_map.rows[lab]]
+        seen["unit-not-e1"] += eta != [Scalar.one(field)] + [None] * (len(eta) - 1)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_building_a_trivial_module_composes_nothing(monkeypatch):
+    # each composite, associator and check_module is counted under every ctc
+    # module that binds it; the reference, run last, shows that the count
+    # sees the composites it makes
+    algs = [galg("vec_q", "z3"), galg("vec_f2", "s3"), galg("vec_f3", "z9"), load_algebra("alg_qz3")]
+    bad = galg("vec_q", "z2")
+    bad = AlgebraObject("doubled", bad.carrier, bad.unit_map + bad.unit_map, bad.mult_map)
+    calls = []
+    for name in ("compose", "compose_tensor", "tensor_compose", "associator", "check_module"):
+        real = getattr(modules_mod if name == "check_module" else category_mod, name)
+        counted = lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ctc"]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    for alg in algs:
+        trivial_module(alg)
+    with pytest.raises(ModuleError, match=REFUSAL):
+        trivial_module(bad)
+    assert calls == []
+    _reference_trivial_module(algs[0])
+    assert {"compose", "compose_tensor", "associator"} <= set(calls)
 
 
 def test_direct_sum_maps():
@@ -1154,6 +1287,31 @@ def test_frobenius_radical_matches_ronyai(monkeypatch, case):
     assert aa.radical == algebra_radical(aa.basis, n, field)
 
 
+@pytest.mark.parametrize("case", FROBENIUS_MODULES)
+def test_frobenius_radical_multiplies_only_the_pivot_rows(monkeypatch, case):
+    # a regular module's action algebra is read off row 0 of its matrices,
+    # so each basis element's p-th power takes p - 1 row products, not
+    # n (p - 1); every version also makes one read-back per element and
+    # one more combination per element for each further power
+    mod = _modular_module(*case)
+    aa = action_algebra(mod)
+    field, n = mod.spec.field, aa.size
+    p, d = field.char, len(aa.basis)
+    assert d == n
+    calls = []
+    real = modules_mod._int_combination
+    monkeypatch.setattr(modules_mod, "_int_combination", lambda *args: calls.append(1) or real(*args))
+    fast = modules_mod._frobenius_radical(aa.basis, n, field)
+    fast_calls = len(calls)
+    calls.clear()
+    assert fast == _full_power_frobenius_radical(aa.basis, n, field)
+    powers, reach = 1, p
+    while reach < n:
+        powers, reach = powers + 1, reach * p
+    assert fast_calls == d * (p - 1 + powers)
+    assert len(calls) == d * (n * (p - 1) + powers)
+
+
 @pytest.mark.parametrize(
     "cat_name, group, radical_dim",
     [("vec_f2", "z10", 5), ("vec_f3", "z9", 8), ("vec_f2", "z16", 15), ("vec_f2", "s3", 1)],
@@ -1544,17 +1702,52 @@ def _full_closure_spin(candidates, n, field):
     return basis, gens
 
 
+def _full_power_frobenius_radical(flat, n, field):
+    """Reference for ``_frobenius_radical``: every row of each x^p is
+    computed, whether a pivot cell reads it or not."""
+    p = field.char
+    nn = n * n
+    d = len(flat)
+    one = Scalar.one(field)
+    ech = la.Echelon()
+    for t, x in enumerate(flat):
+        ech.add({**x, nn + t: one})
+    red = ech.reduced()
+    cells = [divmod(pivot, n) for pivot, _row in red]
+    coeffs = [{k - nn: x.raw for k, x in row.items() if k >= nn} for _pivot, row in red]
+    frob = []
+    for x in flat:
+        m = [{} for _ in range(n)]
+        for k, v in x.items():
+            m[k // n][k % n] = v.raw
+        power = m
+        for _ in range(p - 1):
+            power = [modules_mod._int_combination(row, m, p) for row in power]
+        at_pivots = {j: power[r][c] for j, (r, c) in enumerate(cells) if c in power[r]}
+        frob.append(modules_mod._int_combination(at_pivots, coeffs, p))
+    images, reach = frob, p
+    while reach < n:
+        images = [modules_mod._int_combination(v, frob, p) for v in images]
+        reach *= p
+    kernel = la.Echelon()
+    for t, v in enumerate(images):
+        row = {j: Scalar.from_int(field, x) for j, x in v.items()}
+        row[d + t] = one
+        kernel.add(row)
+    return [{j - d: x for j, x in row.items()} for pivot, row in kernel.reduced() if pivot >= d][::-1]
+
+
 def reference_action_algebra(mod):
     """Basis, radical and size of the action algebra the long way: the
     full closure, then the radical of whatever it spans, all n x n
-    matrices included."""
+    matrices included, with every row of each Frobenius power."""
     ops, gradings, n = modules_mod._action_operators(mod)
     if n == 0:
         return [], [], 0
     field = mod.spec.field
     basis, gens = _full_closure_spin(ops + gradings, n, field)
     if 0 < field.char <= n and modules_mod._commute(gens):
-        radical = [modules_mod._combine(v, basis) for v in modules_mod._frobenius_radical(basis, n, field)]
+        radical = [modules_mod._combine(v, basis) for v in _full_power_frobenius_radical(basis, n, field)]
     else:
         radical = algebra_radical(basis, n, field)
     return basis, radical, n
