@@ -14,11 +14,11 @@ from operator import itemgetter
 from pathlib import Path
 from stat import S_ISREG
 
-from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
+from .fields import Error, FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 
 __version__ = "0.1.0"
 
-_DATA = Path(__file__).resolve().parent / "data"
+_DATA = Path(os.path.realpath(__file__)).parent / "data"
 
 
 def data_path(name: str = "") -> Path:
@@ -103,11 +103,6 @@ def _entry(key: tuple) -> list:
     return []
 
 
-def resolve(kind: str, ref, base_dir=None) -> Path:
-    """The path of ``DataFile(kind, ref, base_dir)``, as it was reached."""
-    return Path(DataFile(kind, ref, base_dir).path)
-
-
 def read_json(path) -> dict:
     """The JSON object stored at ``path``; any failure is a ``ParseError``."""
     try:
@@ -145,5 +140,5 @@ def check_fields(what: str, checks) -> None:
             raise ParseError("%s key %r must be %s" % (what, key, kind))
 
 
-__all__ = ["FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "DataFile", "load_file", "resolve",
+__all__ = ["Error", "FieldSpec", "Scalar", "parse_scalar", "scalar_literal", "data_path", "DataFile", "load_file",
            "read_json", "required", "strings", "check_fields"]

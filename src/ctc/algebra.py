@@ -14,6 +14,7 @@ from . import check_fields, load_file, required, strings
 from .category import (
     CategorySpec,
     _dual_scales,
+    _noncommuting,
     _second_move,
     _tensor_plan,
     Mor,
@@ -27,9 +28,8 @@ from .category import (
     pair_channels,
     tensor_compose,
     tensor_obj,
-    twist_mor,
 )
-from .fields import Scalar, parse_scalar
+from .fields import Error, Scalar, parse_scalar
 from .report import Report
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-class AlgebraError(Exception):
+class AlgebraError(Error):
     pass
 
 
@@ -279,19 +279,31 @@ def frobenius_identity_check(alg: AlgebraObject) -> Report:
 
 def algebra_dim_with_twist(alg: AlgebraObject) -> Scalar:
     """Closed loop through the twist and the braiding, on the kit's counit
-    and copairing.
+    and copairing: the sum over the carrier's labels b of
+    m_b theta_b R^{b b*}_1 / F^{b b* b}_{b;1,1}, with nothing composed.
+
+    The braiding carries the copairing's slot (b, i, b*, j) to the
+    pairing's slot (b*, j, b, i) times R^{b b*}_1, and the copairing
+    block on b is the inverse of the pairing block on b* times
+    1 / F^{b b* b}_{b;1,1} (``solve_coevaluation``), so each label leaves
+    the trace of the identity, m_b.  Refuses where the kit refuses, and
+    on fusion that does not commute as ``braiding(A, A)`` does.
 
     Equals the index exactly when the carrier is twist-transparent, so
     the comparison with the plain index is a locality probe for the
     algebra itself.
     """
-    counit, coev, _ = frobenius_kit(alg)
-    A = alg.carrier
-    chain = compose(
-        compose(counit, alg.mult_map),
-        compose(compose_tensor(braiding(A, A), twist_mor(A), Mor.identity(A)), coev),
-    )
-    return chain.block(alg.spec.unit)[0][0]
+    frobenius_kit(alg)
+    spec = alg.spec
+    for c, pairs in _tensor_plan(alg.carrier, alg.carrier)[2].items():
+        for a, b in pairs:
+            if (b, a) not in pairs:
+                raise _noncommuting(a, b, c)
+    scales = _dual_scales(spec)
+    total = Scalar.zero(spec.field)
+    for b, m in alg.carrier.mult.items():
+        total = total + (spec.twist[b] * spec.r_symbol(b, spec.dual[b], spec.unit) * scales[b]).scale(m)
+    return total
 
 
 # ---------------------------------------------------------------------------

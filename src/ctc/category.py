@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from . import linalg as la
 from . import check_fields, load_file, required, strings
-from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
+from .fields import Error, FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .report import Report
 from .ring import FusionRing, fusion_ring, holds
 
@@ -60,7 +60,6 @@ __all__ = [
     "associator",
     "associator_inv",
     "braiding",
-    "twist_mor",
     "categorical_dim",
     "verify_pentagon",
     "verify_hexagon",
@@ -70,7 +69,7 @@ __all__ = [
 ]
 
 
-class CategoryError(Exception):
+class CategoryError(Error):
     pass
 
 
@@ -683,11 +682,6 @@ def _second_move(spec: CategorySpec, s) -> Scalar:
     e_list, f_list, inv = _f_matrix_inverse(spec, sd, s, sd, sd)
     g = inv[f_list.index(u)].get(e_list.index(u), Scalar.zero(spec.field))
     return g * spec.f_symbol(s, sd, s, s, u, u).inverse()
-
-
-def twist_mor(x: Obj) -> Mor:
-    twist = x.spec.twist
-    return Mor.from_rows(x, x, {lab: [{i: twist[lab]} for i in range(m)] for lab, m in x.mult.items()})
 
 
 def categorical_dim(x: Obj) -> Scalar:

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import DataFile, resolve
+from . import DataFile, Error
 from .algebra import (
     AlgebraError,
     algebra_dim_with_twist,
@@ -20,26 +20,16 @@ from .algebra import (
     load_algebra,
 )
 from .category import (
-    CategoryError,
     load_category,
     verify_hexagon,
     verify_pentagon,
     verify_triangle,
     verify_zigzag,
 )
-from .fields import FieldError, scalar_literal
-from .ledger import LedgerError, load_ledger, solution_report
-from .modules import ModuleError, _category_mismatch, check_module, condense, is_local, load_module, run_suite_manifest
+from .fields import scalar_literal
+from .ledger import load_ledger, solution_report
+from .modules import _category_mismatch, check_module, condense, is_local, load_module, run_suite_manifest
 from .report import Report
-
-_KIND_DIRS = {
-    "check-category": "categories",
-    "check-algebra": "algebras",
-    "check-module": "modules",
-    "condense": "categories",
-    "suite": "suites",
-    "ledger": "ledger",
-}
 
 
 def _naturality(spec) -> Report:
@@ -149,8 +139,15 @@ def _run_suite(path: Path) -> Report:
     return out
 
 
-def _run_ledger(path: Path) -> Report:
-    return solution_report(load_ledger(path))
+# every command: the kind of data file its inputs name, and its runner
+_COMMANDS = {
+    "check-category": ("categories", _run_check_category),
+    "check-algebra": ("algebras", _run_check_algebra),
+    "check-module": ("modules", _run_check_module),
+    "condense": ("categories", _run_condense),
+    "suite": ("suites", _run_suite),
+    "ledger": ("ledger", lambda path: solution_report(load_ledger(path))),
+}
 
 
 def _job(command: str, arg: str, algebra: str | None) -> Report:
@@ -164,20 +161,13 @@ def _job(command: str, arg: str, algebra: str | None) -> Report:
 
 
 def _run(command: str, arg: str, algebra: str | None) -> Report:
+    kind, runner = _COMMANDS[command]
     try:
-        path = resolve(_KIND_DIRS[command], arg)
-        if command == "check-category":
-            return _run_check_category(path)
-        if command == "check-algebra":
-            return _run_check_algebra(path)
-        if command == "check-module":
-            return _run_check_module(path)
+        path = Path(DataFile(kind, arg).path)
         if command == "condense":
-            return _run_condense(path, resolve("algebras", algebra))
-        if command == "suite":
-            return _run_suite(path)
-        return _run_ledger(path)
-    except (FieldError, CategoryError, AlgebraError, ModuleError, LedgerError) as exc:
+            return runner(path, Path(DataFile("algebras", algebra).path))
+        return runner(path)
+    except Error as exc:
         # unreadable or inconsistent data: one error item for this input, the batch goes on
         witness = {"type": type(exc).__name__, "message": str(exc)}
     bad = Report()
@@ -218,7 +208,7 @@ _OPTIONS = {
     "--jobs": "jobs",
     "--seed": "seed",
 }
-_CHOICES = {"command": sorted(_KIND_DIRS), "report": ("text", "json")}
+_CHOICES = {"command": sorted(_COMMANDS), "report": ("text", "json")}
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 

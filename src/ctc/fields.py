@@ -33,6 +33,7 @@ from math import gcd, lcm
 __all__ = [
     "FieldSpec",
     "Scalar",
+    "Error",
     "FieldError",
     "FieldMismatch",
     "DivisionByZero",
@@ -43,7 +44,11 @@ __all__ = [
 ]
 
 
-class FieldError(Exception):
+class Error(Exception):
+    """The root of every typed refusal: unreadable data or a failed precondition."""
+
+
+class FieldError(Error):
     pass
 
 

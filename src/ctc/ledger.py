@@ -12,7 +12,7 @@ inconsistency is reported against the first input line that produces it.
 from __future__ import annotations
 
 from . import DataFile, check_fields, required, strings
-from .fields import FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
+from .fields import Error, FieldSpec, ParseError, Scalar, parse_scalar, scalar_literal
 from .linalg import Echelon
 from .report import Report
 
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class LedgerError(Exception):
+class LedgerError(Error):
     pass
 
 

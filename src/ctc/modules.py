@@ -74,7 +74,7 @@ from .category import (
     tensor_mor,
     tensor_obj,
 )
-from .fields import ParseError, Scalar, scalar_literal
+from .fields import Error, ParseError, Scalar, scalar_literal
 from .report import Report
 
 __all__ = [
@@ -109,7 +109,7 @@ __all__ = [
     "module_from_json",
 ]
 
-class ModuleError(Exception):
+class ModuleError(Error):
     pass
 
 
@@ -457,7 +457,7 @@ def action_algebra(mod: AModule) -> ActionAlgebra:
     if len(basis) == n * n:
         radical = []
     elif 0 < p <= n and _commute(gens):
-        radical = [_combine(v, basis) for v in _frobenius_radical(basis, n, field)]
+        radical = la.sparse_mul(_frobenius_radical(basis, n, field), basis)
     else:
         radical = algebra_radical(basis, n, field)
     mod._aa = ActionAlgebra(basis, radical, n)
@@ -647,7 +647,7 @@ def _ronyai_radical(flat, n, field):
         weights = form.kernel(len(red), field)
         if not weights:
             return []
-        ideal = [_combine(v, red) for v in weights]
+        ideal = la.sparse_mul(weights, red)
     ech = la.Echelon()
     for row in ideal:
         ech.add({k - nn: x for k, x in row.items() if k >= nn})
@@ -713,14 +713,6 @@ def _int_combination(weights, rows, p):
     return {j: v % p for j, v in acc.items() if v % p}
 
 
-def _combine(weights, rows):
-    """sum_k weights[k] * rows[k] over sparse rows, zero entries dropped."""
-    acc = {}
-    for k, c in weights.items():
-        la._axpy(acc, c, rows[k])
-    return {j: x for j, x in acc.items() if not x.is_zero()}
-
-
 def algebra_radical(basis, n, field):
     """Radical of a unital matrix algebra given by a linearly independent basis.
 
@@ -749,7 +741,7 @@ def algebra_radical(basis, n, field):
         kernel = _trace_form_kernel(basis, n, field)
     else:
         kernel = _ronyai_radical(basis, n, field)
-    return [_combine(v, basis) for v in kernel]
+    return la.sparse_mul(kernel, basis)
 
 
 def is_semisimple_module(mod: AModule):

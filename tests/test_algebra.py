@@ -4,7 +4,9 @@ Expected index values are frozen from the group orders; the engine must
 reproduce them through the snake solve, not the other way round.  The
 closed-form copairing is checked against a generic solve that composes
 both bent lines for every unknown, and its verdict on rigidity against
-both bent lines composed on A (x) A (x) A.
+both bent lines composed on A (x) A (x) A.  The twisted loop read off
+the symbols is checked against the loop composed through the braiding
+and the twist.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import random
 
 import pytest
 
-from ctc import data_path
+from ctc import Error, data_path
 from ctc import algebra as algebra_mod
 from ctc.algebra import (
     AlgebraError,
@@ -38,14 +40,17 @@ from ctc.algebra import (
 )
 from ctc import category
 from ctc.category import (
+    FusionDataError,
     Mor,
     Obj,
     SingularFBlock,
     _second_move,
     associator,
     associator_inv,
+    braiding,
     categorical_dim,
     compose,
+    compose_tensor,
     load_category,
     pair_channels,
     tensor_mor,
@@ -53,7 +58,17 @@ from ctc.category import (
     verify_zigzag,
 )
 from ctc.fields import ParseError, Scalar, parse_scalar
-from test_category import ORACLE_SPECS, gauged, ising_times_z2, mutated, proportionality_scalar, toric_zn
+from test_category import (
+    ORACLE_SPECS,
+    gauge,
+    gauged,
+    ising_times_z2,
+    mutated,
+    proportionality_scalar,
+    toric_zn,
+    twist_mor,
+    vec_s3,
+)
 from test_linalg import dense_nullspace, dense_solve
 
 
@@ -565,13 +580,17 @@ COPAIRING_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", COPAIRING_CASES)
-def test_closed_form_copairing_matches_composed_solve(case):
+def case_algebra(case):
+    """A bundled algebra by name, or the group algebra "category/group"."""
     if "/" in case:
         cname, gname = case.split("/")
-        alg = group_algebra(grp(gname), cat(cname))
-    else:
-        alg = load_algebra(data_path("algebras/%s.json" % case))
+        return group_algebra(grp(gname), cat(cname))
+    return load_algebra(data_path("algebras/%s.json" % case))
+
+
+@pytest.mark.parametrize("case", COPAIRING_CASES)
+def test_closed_form_copairing_matches_composed_solve(case):
+    alg = case_algebra(case)
     assert solve_coevaluation(alg, make_counit(alg)) == _composed_coevaluation(alg)
     assert _closed_form_agrees_with_composed(alg) == "rigid"
 
@@ -641,6 +660,135 @@ def test_random_pairings_reach_every_verdict():
                     if spec.dual[b] in failing]
             seen.add("rigid" if not hits else "singular" if any("singular_f" in w for w in hits) else "second fails")
     assert seen == {"rigid", "second fails", "singular"}
+
+
+# --- the twisted loop ---------------------------------------------------------
+
+
+def composed_twisted_loop(alg):
+    """The twisted loop the long way: the kit's pairing after the braiding
+    after theta (x) 1 after its copairing, composed as morphisms."""
+    counit, coev, _ = frobenius_kit(alg)
+    A = alg.carrier
+    chain = compose(
+        compose(counit, alg.mult_map),
+        compose(compose_tensor(braiding(A, A), twist_mor(A), Mor.identity(A)), coev),
+    )
+    return chain.block(alg.spec.unit)[0][0]
+
+
+def _outcome(loop, alg):
+    """The value of ``loop`` on ``alg``, or the type and message of its refusal."""
+    try:
+        return loop(alg)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+def lagrangian_algebras(n):
+    """The subgroup algebras of the Z_n toric code on its Lagrangian
+    subgroups: every subgroup of order n of Z_n^2 that ``subgroup_algebra``
+    does not refuse as twisted or braiding nontrivially."""
+    spec = toric_zn(n)
+    elements = list(itertools.product(range(n), repeat=2))
+    subgroups = {
+        frozenset(((i * g[0] + j * h[0]) % n, (i * g[1] + j * h[1]) % n) for i in range(n) for j in range(n))
+        for g, h in itertools.combinations_with_replacement(elements, 2)
+    }
+    out = []
+    for group in sorted((sorted(s) for s in subgroups if len(s) == n)):
+        try:
+            out.append(subgroup_algebra(["%d.%d" % ab for ab in group], spec))
+        except NotIsotropic:
+            pass
+    return out
+
+
+def gauged_algebra(alg, seed):
+    """``alg`` carried to ``gauged(alg.spec, seed)``: the multiplication
+    coefficient on each summand (a, i, b, j) of c is scaled by u^{ab}_c,
+    which keeps every algebra axiom."""
+    spec = gauged(alg.spec, seed)
+    u = gauge(alg.spec, seed)
+    A = Obj(spec, dict(alg.carrier.mult))
+    pairs = pair_channels(A, A)
+    rows = {
+        c: [{t: u[pairs[c][t][0], pairs[c][t][2], c] * x for t, x in row.items()} for row in block]
+        for c, block in alg.mult_map.rows.items()
+    }
+    unit_map = Mor.from_rows(Obj.unit(spec), A, alg.unit_map.rows)
+    return AlgebraObject("%s-gauged" % alg.name, A, unit_map, Mor.from_rows(tensor_obj(A, A), A, rows))
+
+
+TWIST_LAGRANGIANS = [alg for n in (3, 4, 5) for alg in lagrangian_algebras(n)]
+TWIST_GAUGED = [
+    (alg, gauged_algebra(alg, seed))
+    for alg in [load_algebra("alg_toric_1e"), load_algebra("alg_h02")] + lagrangian_algebras(3)
+    for seed in (1, 2)
+]
+
+
+def test_lagrangian_subgroups_are_found():
+    # two per prime n, and Z_2 x Z_2 besides the axes for n = 4
+    assert [len(lagrangian_algebras(n)) for n in (3, 4, 5)] == [2, 3, 2]
+    assert all(check_algebra(moved).ok for _, moved in TWIST_GAUGED)
+
+
+@pytest.mark.parametrize(
+    "alg", [case_algebra(case) for case in COPAIRING_CASES] + TWIST_LAGRANGIANS, ids=lambda alg: alg.name
+)
+def test_twisted_loop_matches_the_composed_loop(alg):
+    assert algebra_dim_with_twist(alg) == composed_twisted_loop(alg)
+
+
+@pytest.mark.parametrize("pair", TWIST_GAUGED, ids=lambda pair: pair[1].name)
+def test_twisted_loop_matches_the_composed_loop_after_a_gauge_change(pair):
+    alg, moved = pair
+    # theta is gauge invariant and R^{b b*}_1 / F^{b b* b}_{b;1,1} is too
+    assert algebra_dim_with_twist(moved) == composed_twisted_loop(moved) == algebra_dim_with_twist(alg)
+
+
+def test_twisted_loop_matches_the_composed_loop_on_random_pairings():
+    seen = set()
+    for spec in PAIRING_SPECS:
+        for seed in range(2):
+            alg = random_pairing_algebra(spec, seed)
+            got = _outcome(algebra_dim_with_twist, alg)
+            assert got == _outcome(composed_twisted_loop, alg), alg.name
+            seen.add(got[0].__name__ if isinstance(got, tuple) else "value")
+    # the comparison covers values, refusals of the kit and of the braiding
+    assert {"value", "NotRigidSelfDual", "FusionDataError"} <= seen
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: load_algebra("alg_toric_1e"), lambda: lagrangian_algebras(4)[1]],
+    ids=["alg_toric_1e", "z2xz2_in_z4"],
+)
+def test_twisted_loop_composes_nothing(build, monkeypatch):
+    alg = build()
+    frobenius_kit(alg)
+    calls = []
+    for name in ("compose", "compose_tensor", "tensor_compose", "braiding"):
+        real = getattr(algebra_mod, name)
+        monkeypatch.setattr(algebra_mod, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    algebra_dim_with_twist(alg)
+    assert calls == []
+
+
+def test_twisted_loop_on_fusion_that_does_not_commute_refuses_as_the_braiding():
+    # e + r + r2 + s in Vec(S3) has a kit, but r (x) s is sr2 and s (x) r
+    # is sr, so A (x) A has no braiding
+    alg = all_ones_algebra(vec_s3(), {"e": 1, "r": 1, "r2": 1, "s": 1})
+    frobenius_kit(alg)
+    with pytest.raises(FusionDataError) as expected:
+        braiding(alg.carrier, alg.carrier)
+    with pytest.raises(FusionDataError) as got:
+        algebra_dim_with_twist(alg)
+    assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
+    # e + r + s misses the dual of r: the kit refuses before any braiding
+    with pytest.raises(NotRigidSelfDual):
+        algebra_dim_with_twist(all_ones_algebra(vec_s3(), {"e": 1, "r": 1, "s": 1}))
 
 
 @pytest.mark.parametrize(

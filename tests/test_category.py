@@ -44,7 +44,6 @@ from ctc.category import (
     tensor_compose,
     tensor_mor,
     tensor_obj,
-    twist_mor,
     verify_hexagon,
     verify_pentagon,
     verify_triangle,
@@ -62,6 +61,13 @@ ALL_CATEGORIES = ["vec_q", "vec_f2", "vec_f3", "pointed_z4", "toric_code", "isin
 
 def cat(name):
     return load_category(data_path("categories/%s.json" % name))
+
+
+def twist_mor(x):
+    """The twist of x, theta_s on each copy of the simple s: the morphism
+    the composed twisted loop of an algebra runs through."""
+    twist = x.spec.twist
+    return Mor.from_rows(x, x, {lab: [{i: twist[lab]} for i in range(m)] for lab, m in x.mult.items()})
 
 
 def mutated(spec, F=None, R=None, twist=None, name=None):
@@ -1413,19 +1419,23 @@ def toric_zn(n):
     return category_from_json(raw, name="toric_z%d" % n)
 
 
-def gauged(spec, seed):
-    """``spec`` after a seeded rational gauge change: a nonzero u^{ab}_c on
-    every fusion triple, 1 when a or b is the unit, and
-    F' = F u^{ab}_e u^{ec}_d / (u^{bc}_f u^{af}_d), R' = R u^{ab}_c / u^{ba}_c.
-    The result is coherent exactly when ``spec`` is.  The gauge is drawn
-    over the triples in label order, so it does not depend on the hash seed."""
+def gauge(spec, seed):
+    """The seeded rational gauge of ``gauged``: a nonzero u^{ab}_c on every
+    fusion triple, 1 when a or b is the unit, drawn over the triples in
+    label order, so it does not depend on the hash seed."""
     rng = random.Random(seed)
-    field = spec.field
-    triples = sorted(spec.fusion, key=lambda t: [spec.labels.index(x) for x in t])
     u = {}
-    for a, b, c in triples:
+    for a, b, c in sorted(spec.fusion, key=lambda t: [spec.labels.index(x) for x in t]):
         q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-        u[a, b, c] = Scalar.one(field) if spec.unit in (a, b) else Scalar.from_fraction(field, q)
+        u[a, b, c] = Scalar.one(spec.field) if spec.unit in (a, b) else Scalar.from_fraction(spec.field, q)
+    return u
+
+
+def gauged(spec, seed):
+    """``spec`` after the gauge change u = ``gauge(spec, seed)``:
+    F' = F u^{ab}_e u^{ec}_d / (u^{bc}_f u^{af}_d), R' = R u^{ab}_c / u^{ba}_c.
+    The result is coherent exactly when ``spec`` is."""
+    u = gauge(spec, seed)
     F = {}
     for a, b, c in itertools.product(spec.labels, repeat=3):
         for e in spec.channels(a, b):
@@ -1434,9 +1444,9 @@ def gauged(spec, seed):
                     if spec.admissible(a, f, d):
                         scale = u[a, b, e] * u[e, c, d] * (u[b, c, f] * u[a, f, d]).inverse()
                         F[a, b, c, d, e, f] = spec.f_symbol(a, b, c, d, e, f) * scale
-    R = {(a, b, c): spec.r_symbol(a, b, c) * u[a, b, c] * u[b, a, c].inverse() for a, b, c in triples}
+    R = {(a, b, c): spec.r_symbol(a, b, c) * u[a, b, c] * u[b, a, c].inverse() for a, b, c in u}
     return CategorySpec(
-        "%s-gauged" % spec.name, field, spec.labels, spec.unit, spec.dual, spec.fusion, F, R,
+        "%s-gauged" % spec.name, spec.field, spec.labels, spec.unit, spec.dual, spec.fusion, F, R,
         dict(spec.twist), dict(spec.pivot),
     )
 

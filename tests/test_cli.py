@@ -1,11 +1,15 @@
 """Runner behavior: golden bytes, parallel determinism, exit codes."""
 
 import argparse
+import ast
 import concurrent.futures
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +20,7 @@ import pytest
 
 import ctc
 from ctc import algebra as algebra_mod
-from ctc import category, data_path
+from ctc import category, cli, data_path, fields, ledger
 from ctc import linalg as la
 from ctc import modules as modules_mod
 from ctc.algebra import load_algebra, load_group
@@ -226,6 +230,69 @@ def test_directory_input_is_one_error_item_and_the_batch_goes_on(tmp_path, capsy
     assert items[0]["status"] == "error"
     rest = items[1:]
     assert rest and all(i["status"] == "pass" for i in rest)
+
+
+def _error_classes(root=ctc.Error):
+    """Every class of the engine below ``root``, at any depth."""
+    out = []
+    for cls in root.__subclasses__():
+        if cls.__module__.startswith("ctc."):
+            out += [cls] + _error_classes(cls)
+    return out
+
+
+def test_run_reports_every_typed_refusal_under_one_root():
+    tree = ast.parse(inspect.getsource(cli._run))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(node.type) for node in handlers] == ["Error"]
+    assert cli.Error is ctc.Error is fields.Error
+    modules = (fields, category, algebra_mod, modules_mod, ledger)
+    exported = [getattr(mod, name) for mod in modules for name in mod.__all__]
+    refusals = [obj for obj in exported if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert len(refusals) > 5 and all(issubclass(cls, ctc.Error) for cls in refusals)
+
+
+def test_every_error_class_is_typed_for_the_benchmark():
+    # bench/worker.py counts a job's exception as typed when it is one of
+    # TYPED_ERRORS; read the tuple off the file, without running it
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "worker.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "TYPED_ERRORS")
+    typed = tuple(getattr(importlib.import_module("ctc." + elt.value.id), elt.attr) for elt in node.value.elts)
+    assert [cls for cls in _error_classes() if not issubclass(cls, typed)] == []
+    assert set(ctc.Error.__subclasses__()) == set(typed)
+
+
+BUNDLED_INPUTS = {
+    "check-category": "vec_q",
+    "check-algebra": "alg_qz3",
+    "check-module": "mod_toric_m",
+    "condense": "toric_code",
+    "suite": "local_3_1",
+    "ledger": "wp_triplet",
+}
+
+
+@pytest.mark.parametrize("error", [ctc.Error] + ctc.Error.__subclasses__(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("command", sorted(BUNDLED_INPUTS))
+def test_a_typed_refusal_is_exactly_one_load_item(monkeypatch, command, error):
+    def refuse(*paths):
+        raise error("refused after %d files" % len(paths))
+
+    monkeypatch.setitem(cli._COMMANDS, command, (cli._COMMANDS[command][0], refuse))
+    arg = BUNDLED_INPUTS[command]
+    report = cli._run(command, arg, "alg_toric_1e")
+    files = 2 if command == "condense" else 1
+    witness = {"type": error.__name__, "message": "refused after %d files" % files}
+    assert [(i.check, i.status, i.witness) for i in report.items] == [("load:%s" % arg, "error", witness)]
+
+
+def test_the_commands_are_listed_once():
+    commands = sorted(cli._COMMANDS)
+    assert sorted(BUNDLED_INPUTS) == commands
+    assert cli._CHOICES["command"] == commands
+    listed = [group.split(",") for group in re.findall(r"\{([^{}]*)\}", _HELP) if "check-category" in group]
+    assert len(listed) == 2 and all(group == commands for group in listed)
+    assert _HELP.startswith(_USAGE)
 
 
 def test_unreadable_algebra_for_condense_is_an_error_item(tmp_path, capsysbinary):

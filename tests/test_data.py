@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ctc
-from ctc import data_path, read_json, resolve
+from ctc import DataFile, data_path, read_json
 from ctc.algebra import load_algebra
 from ctc.category import load_category
 from ctc.fields import ParseError
@@ -47,15 +47,15 @@ def test_bundled_name_and_path_share_one_category_cache_entry():
 
 def test_missing_name_names_the_kind_and_the_ref():
     with pytest.raises(ParseError, match="no file and no bundled categories named 'nope'"):
-        resolve("categories", "nope")
+        DataFile("categories", "nope")
 
 
 def test_directory_does_not_shadow_a_bundled_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "vec_q").mkdir()
     (tmp_path / "vec_q.json").mkdir()
-    assert resolve("categories", "vec_q") == data_path("categories/vec_q.json")
-    assert resolve("categories", "vec_q.json") == data_path("categories/vec_q.json")
+    assert Path(DataFile("categories", "vec_q").path) == data_path("categories/vec_q.json")
+    assert Path(DataFile("categories", "vec_q.json").path) == data_path("categories/vec_q.json")
 
 
 @pytest.mark.parametrize(

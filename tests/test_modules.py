@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import ctc
 from ctc import category as category_mod
-from ctc import data_path, read_json, resolve
+from ctc import DataFile, data_path, read_json
 from ctc import linalg as la
 from ctc import algebra as algebra_mod
 from ctc.algebra import (
@@ -112,8 +112,8 @@ def lit_mor(dom, cod, blocks):
 
 def theorem_suite(name):
     """The report of a bundled suite, by manifest name."""
-    path = resolve("suites", name)
-    return run_suite_manifest(read_json(path), path.parent)
+    raw, _name, folder = DataFile("suites", name).read()
+    return run_suite_manifest(raw, folder)
 
 
 def direct_sum_with_maps(x1, x2):
@@ -1747,7 +1747,7 @@ def reference_action_algebra(mod):
     field = mod.spec.field
     basis, gens = _full_closure_spin(ops + gradings, n, field)
     if 0 < field.char <= n and modules_mod._commute(gens):
-        radical = [modules_mod._combine(v, basis) for v in _full_power_frobenius_radical(basis, n, field)]
+        radical = la.sparse_mul(_full_power_frobenius_radical(basis, n, field), basis)
     else:
         radical = algebra_radical(basis, n, field)
     return basis, radical, n
