@@ -5,8 +5,9 @@ tensor the carrier.  The central constructions are the averaged section
 (splitting any surjection of modules when the algebra index is
 invertible), the monodromy projector (cutting out the part of a module
 that braids trivially past the algebra), and the condensation table
-(inducing from every simple label and sorting the results into
-isomorphism classes).
+(inducing from every simple label and sorting the simple results into
+isomorphism classes, read off the free-module adjunction and Schur's
+lemma with no hom space solved).
 
 The action is read once as sparse slot operators rho(s), one per
 algebra slot, plus the label gradings.  Hom_A(M, N) is their
@@ -66,6 +67,7 @@ from .category import (
     associator,
     associator_inv,
     braiding,
+    categorical_dim,
     compose,
     compose_tensor,
     load_category,
@@ -81,10 +83,10 @@ __all__ = [
     "ModuleError",
     "AlgebraMismatch",
     "IndexZero",
+    "CondensationIncomplete",
     "NotASection",
     "NotAlgebraAutomorphism",
     "SectionPostconditionFailed",
-    "IsomorphismUndecided",
     "AModule",
     "check_module",
     "induce",
@@ -101,7 +103,6 @@ __all__ = [
     "algebra_radical",
     "is_semisimple_module",
     "is_simple_module",
-    "modules_isomorphic",
     "Condensation",
     "condense",
     "run_suite_manifest",
@@ -115,6 +116,10 @@ class ModuleError(Error):
 
 class AlgebraMismatch(ModuleError):
     """Both modules must share one algebra instance."""
+
+
+class CondensationIncomplete(ModuleError):
+    """The classes of a condensation table miss part of dim C / d(A)."""
 
 
 class IndexZero(ModuleError):
@@ -131,10 +136,6 @@ class NotAlgebraAutomorphism(ModuleError):
 
 class SectionPostconditionFailed(ModuleError):
     """The averaged map failed an exact postcondition; inputs were inconsistent."""
-
-
-class IsomorphismUndecided(ModuleError):
-    """Several hom basis elements are singular, so isomorphism is not decided."""
 
 
 class AModule:
@@ -773,34 +774,6 @@ def is_simple_module(mod: AModule) -> bool:
     return aa.size > 0 and aa.dimension == aa.size**2
 
 
-def modules_isomorphic(m1: AModule, m2: AModule) -> Mor | None:
-    """An invertible intertwiner from the hom basis, or None if none exists.
-
-    None is exact: the carriers differ, the hom space of nonzero modules
-    is zero, or it is spanned by one singular element, of which every
-    intertwiner is a multiple.  When two or more basis elements are all
-    singular, some combination may still be invertible, and
-    IsomorphismUndecided is raised.  Simple modules never get there
-    (Schur).
-    """
-    if m1.carrier.mult != m2.carrier.mult:
-        return None
-    basis = hom_A(m1, m2)
-    if m1.carrier.is_zero():
-        return Mor.zero(m1.carrier, m2.carrier)
-    for b in basis:
-        try:
-            b.inverse()
-        except la.SingularMatrix:
-            continue
-        return b
-    if len(basis) > 1:
-        raise IsomorphismUndecided(
-            "none of the %d hom basis elements is invertible; a combination may be" % len(basis)
-        )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # condensation
 
@@ -862,11 +835,22 @@ class Condensation:
 def condense(alg: AlgebraObject) -> Condensation:
     """Induce from every simple label and classify the results.
 
-    Each induced module is tested for locality and simplicity, the
-    monodromy projector rank is recorded, and simple modules are sorted
-    into isomorphism classes.  The classes flagged local are the simple
-    objects seen by the condensed theory.  Built on the first call and
-    kept on the algebra, as its axioms are; a refusal is not kept.
+    Each induced module is tested for locality and simplicity, and the
+    monodromy projector rank is recorded.  Simple modules are sorted into
+    isomorphism classes by the free-module adjunction: A being unital and
+    associative, Hom_A(A (x) r, A (x) s) is Hom(r, A (x) s), whose
+    dimension is the multiplicity of r in A (x) s, and a nonzero map
+    between simple modules is an isomorphism (Schur).  So A (x) s joins
+    the first class induced from a label it holds.  The classes flagged
+    local are the simple objects seen by the condensed theory.
+
+    The table certifies itself by the identity of Kirillov and Ostrik,
+    dim Rep A = dim C / d(A): the sum over the classes of (d(M)/d(A))^2
+    must equal the sum over the labels of d_a^2, divided by d(A).  A
+    table that misses a class raises CondensationIncomplete naming both
+    values.  Over F_p the identity holds only mod p, so passing it is
+    necessary, not sufficient.  Built on the first call and kept on the
+    algebra, as its axioms are; a refusal is not kept.
     """
     if alg._condensed is not None:
         return alg._condensed
@@ -875,6 +859,7 @@ def condense(alg: AlgebraObject) -> Condensation:
         raise ModuleError("cannot condense, algebra axioms fail: %s" % [i.check for i in rep.failing()])
     spec = alg.spec
     out = Condensation(alg)
+    sources = []  # the label each class was induced from
     for s in spec.labels:
         mod = induce(alg, Obj.simple(spec, s))
         pi = projector_pi(mod)
@@ -884,15 +869,29 @@ def condense(alg: AlgebraObject) -> Condensation:
         simple_flag = is_simple_module(mod)
         cls = -1
         if simple_flag:
-            for k, rep_mod in enumerate(out.classes):
-                if modules_isomorphic(rep_mod, mod) is not None:
-                    cls = k
-                    break
+            cls = next((k for k, r in enumerate(sources) if mod.carrier.m(r)), -1)
             if cls < 0:
                 out.classes.append(mod)
                 out.class_local.append(local_flag)
-                cls = len(out.classes) - 1
+                sources.append(s)
+                cls = len(sources) - 1
         out.rows.append(CondenseRow(s, mod, local_flag, simple_flag, rank, cls))
+
+    def squares(objs):
+        total = Scalar.zero(spec.field)
+        for x in objs:
+            d = categorical_dim(x)
+            total = total + d * d
+        return total
+
+    d_alg = categorical_dim(alg.carrier)
+    got = squares(m.carrier for m in out.classes) * (d_alg * d_alg).inverse()
+    want = squares(Obj.simple(spec, a) for a in spec.labels) * d_alg.inverse()
+    if got != want:
+        raise CondensationIncomplete(
+            "the %d classes give sum (d(M)/d(A))^2 = %s, but dim C / d(A) = %s"
+            % (len(out.classes), scalar_literal(got), scalar_literal(want))
+        )
     alg._condensed = out
     return out
 
@@ -914,7 +913,11 @@ def _cases(raw: dict) -> list:
             for key in ("labels", "local_sources")
             if key in case
         ]
-        check_fields("suite case", names + labels)
+        # JSON integers only, so true or 2.0 is refused rather than read as 1 or 2
+        counts = [
+            (key, type(case[key]) is int, "an integer") for key in ("simple_classes", "local_classes") if key in case
+        ]
+        check_fields("suite case", names + labels + counts)
     return cases
 
 
@@ -1046,7 +1049,7 @@ def _local_case(report, case, tag, base_dir) -> None:
                 "pass" if ss else "fail",
                 witness=cert,
             )
-        if locals_expected:
+        if "local_sources" in case:
             want = row.source in locals_expected
             report.append(
                 "local-flag:%s:%s" % (tag, row.source),

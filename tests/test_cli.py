@@ -302,6 +302,37 @@ def test_unreadable_algebra_for_condense_is_an_error_item(tmp_path, capsysbinary
     assert [(i["check"], i["status"]) for i in items] == [("load:toric_code", "error")]
 
 
+def test_condense_refuses_a_table_short_of_dim_c_over_dim_a(capsysbinary):
+    # Q[Z3] splits into simples that no induced module is, so the table lists none
+    code, out = run_json(capsysbinary, ["condense", "vec_q", "--algebra", "alg_qz3"])
+    assert code == 2
+    assert json.loads(out)["items"] == [
+        {
+            "check": "load:vec_q",
+            "status": "error",
+            "witness": {
+                "type": "CondensationIncomplete",
+                "message": "the 0 classes give sum (d(M)/d(A))^2 = 0, but dim C / d(A) = 1/3",
+            },
+        }
+    ]
+
+
+@pytest.mark.parametrize("key,value", [("local_classes", True), ("simple_classes", 2.0), ("simple_classes", "two")])
+def test_a_suite_count_that_is_not_a_json_integer_is_one_load_item(tmp_path, capsysbinary, key, value):
+    case = {"category": "toric_code", "algebra": "alg_toric_1e", key: value}
+    suite = _write(tmp_path / "counts.json", {"kind": "local", "cases": [case]})
+    code, out = run_json(capsysbinary, ["suite", str(suite)])
+    assert code == 2
+    assert json.loads(out)["items"] == [
+        {
+            "check": "load:%s" % suite,
+            "status": "error",
+            "witness": {"type": "ParseError", "message": "suite case key %r must be an integer" % key},
+        }
+    ]
+
+
 def test_domain_error_is_one_error_item_and_the_batch_goes_on(tmp_path, capsysbinary):
     raw = json.loads(open(data_path("categories/pointed_z4.json")).read())
     raw["dual"]["1"] = "2"

@@ -35,6 +35,7 @@ from ctc.category import (
     Mor,
     Obj,
     associator,
+    categorical_dim,
     compose,
     load_category,
     pair_channels,
@@ -46,6 +47,7 @@ from ctc.modules import (
     AlgebraMismatch,
     AModule,
     Condensation,
+    CondensationIncomplete,
     IndexZero,
     ModuleError,
     NotAlgebraAutomorphism,
@@ -65,7 +67,6 @@ from ctc.modules import (
     local_projection,
     maschke_section,
     module_from_json,
-    modules_isomorphic,
     projector_pi,
     regular_module,
     run_suite_manifest,
@@ -148,6 +149,39 @@ def module_direct_sum(m1, m2):
     )
     out = AModule("(%s + %s)" % (m1.name, m2.name), m1.alg, total, action)
     return out, (i1, i2), (p1, p2)
+
+
+class IsomorphismUndecided(ModuleError):
+    """Several hom basis elements are singular, so isomorphism is not decided."""
+
+
+def modules_isomorphic(m1, m2):
+    """An invertible intertwiner from the hom basis, or None if none exists:
+    the general search, the oracle of ``condense``'s classes.
+
+    None is exact: the carriers differ, the hom space of nonzero modules
+    is zero, or it is spanned by one singular element, of which every
+    intertwiner is a multiple.  When two or more basis elements are all
+    singular, some combination may still be invertible, and
+    IsomorphismUndecided is raised.  Simple modules never get there
+    (Schur).
+    """
+    if m1.carrier.mult != m2.carrier.mult:
+        return None
+    basis = hom_A(m1, m2)
+    if m1.carrier.is_zero():
+        return Mor.zero(m1.carrier, m2.carrier)
+    for b in basis:
+        try:
+            b.inverse()
+        except la.SingularMatrix:
+            continue
+        return b
+    if len(basis) > 1:
+        raise IsomorphismUndecided(
+            "none of the %d hom basis elements is invertible; a combination may be" % len(basis)
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1352,9 +1386,8 @@ def test_isomorphism_undecided_on_a_singular_hom_basis():
     reg = regular_module(galg("vec_q", "z2"))
     m, _, _ = module_direct_sum(reg, reg)
     assert len(hom_A(m, m)) == 8
-    with pytest.raises(ModuleError) as exc:
+    with pytest.raises(IsomorphismUndecided):
         modules_isomorphic(m, m)
-    assert type(exc.value).__name__ == "IsomorphismUndecided"
     # the zero module has an empty hom basis and is still isomorphic to itself
     zero = induce(reg.alg, Obj(reg.spec, {}))
     assert modules_isomorphic(zero, zero) == Mor.zero(zero.carrier, zero.carrier)
@@ -1574,17 +1607,38 @@ def lagrangian(n, kind):
     return ["%d.0" % k if kind == "e" else "0.%d" % k for k in range(n)]
 
 
-@pytest.mark.parametrize(
-    "cat_name,subgroup",
-    [
-        ("pointed_z4", ["0", "2"]),
-        ("toric_code", ["1", "e"]),
-        ("toric_code", ["1", "m"]),
-    ]
-    + [("toric_z%d" % n, lagrangian(n, kind)) for n in (3, 4, 5) for kind in "em"],
+def isotropic_subgroups(n):
+    """Every nontrivial subgroup H of Z_n x Z_n on which the quadratic form
+    q(a, b) = ab of ``toric_zn(n)`` vanishes mod n, as label lists, by brute
+    force: each subgroup of Z_n x Z_n is spanned by two of its elements."""
+    els = list(itertools.product(range(n), repeat=2))
+    found = set()
+    for g, h in itertools.combinations_with_replacement(els, 2):
+        span = frozenset(((i * g[0] + j * h[0]) % n, (i * g[1] + j * h[1]) % n) for i in range(n) for j in range(n))
+        if len(span) > 1 and all(a * b % n == 0 for a, b in span):
+            found.add(span)
+    return [["%d.%d" % x for x in sorted(span)] for span in sorted(found, key=lambda span: (len(span), sorted(span)))]
+
+
+def test_isotropic_subgroups_of_the_toric_codes():
+    # Z_3: the two Lagrangians; Z_4: three of order 2 and three Lagrangians
+    subgroups = {n: isotropic_subgroups(n) for n in (3, 4)}
+    assert [len(subgroups[n]) for n in (3, 4)] == [2, 6]
+    assert [len(h) for h in subgroups[4]] == [2, 2, 2, 4, 4, 4]
+    for n in (3, 4):
+        assert all(sorted(lagrangian(n, kind)) in subgroups[n] for kind in "em")
+
+
+ORBIT_CASES = (
+    [("pointed_z4", ["0", "2"]), ("toric_code", ["1", "e"]), ("toric_code", ["1", "m"])]
+    + [("toric_z%d" % n, h) for n in (3, 4) for h in isotropic_subgroups(n)]
+    + [("toric_z5", lagrangian(5, kind)) for kind in "em"]
 )
+
+
+@pytest.mark.parametrize("cat_name,subgroup", ORBIT_CASES)
 def test_condensation_matches_orbit_oracle(cat_name, subgroup):
-    # the six Z_N toric cases take under 0.5 s together
+    # the ten Z_N toric cases take under 0.5 s together
     spec = TORIC_ZN[cat_name] if cat_name in TORIC_ZN else cat(cat_name)
     expected = orbit_prediction(spec, subgroup)
     table = condense(subgroup_algebra(subgroup, spec))
@@ -1598,8 +1652,92 @@ def test_condensation_matches_orbit_oracle(cat_name, subgroup):
         assert row.simple
         assert row.iso_class >= 0
     if cat_name in TORIC_ZN:
-        # the metric group Z_N x Z_N over a Lagrangian subgroup: N classes, one local
-        assert (table.simple_class_count(), table.local_class_count()) == (len(subgroup), 1)
+        # the metric group G = Z_N x Z_N over an isotropic H: |G|/|H| classes, |G|/|H|^2 local
+        g, h = len(spec.labels), len(subgroup)
+        assert (table.simple_class_count(), table.local_class_count()) == (g // h, g // h**2)
+    if cat_name != "pointed_z4":
+        # the toric codes are modular, so the local classes M hold dim C / d(A)^2
+        # between them: the sum of (d(M)/d(A))^2, times d(A)^2, is dim C
+        def squares(objs):
+            return functools.reduce(lambda t, d: t + d * d, map(categorical_dim, objs), Scalar.zero(spec.field))
+
+        local = squares(m.carrier for m, loc in zip(table.classes, table.class_local) if loc)
+        assert local == squares(Obj.simple(spec, a) for a in spec.labels)
+
+
+CONDENSE_ALGEBRAS = {
+    **{name: lambda name=name: load_algebra(data_path("algebras/%s.json" % name)) for name in ("alg_toric_1e", "alg_h02")},
+    **{
+        "%s:%s" % (cat_name, "+".join(subgroup)): lambda cat_name=cat_name, subgroup=subgroup: subgroup_algebra(
+            subgroup, TORIC_ZN[cat_name] if cat_name in TORIC_ZN else cat(cat_name)
+        )
+        for cat_name, subgroup in ORBIT_CASES
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONDENSE_ALGEBRAS))
+def test_condense_classes_match_the_general_isomorphism_search(case):
+    # every condense case of these tests, classified again by solving Hom_A
+    # against each class found so far and inverting a basis element
+    table = condense(CONDENSE_ALGEBRAS[case]())
+    reps = []
+    for row in table.rows:
+        cls = -1
+        if row.simple:
+            cls = next((k for k, rep in enumerate(reps) if modules_isomorphic(rep, row.module) is not None), -1)
+            if cls < 0:
+                reps.append(row.module)
+                cls = len(reps) - 1
+        assert row.iso_class == cls, row.source
+    assert table.classes == reps
+
+
+def test_condense_solves_no_hom_space(monkeypatch):
+    calls = []
+    real = modules_mod.hom_A
+    monkeypatch.setattr(modules_mod, "hom_A", lambda *a: calls.append(a) or real(*a))
+    algs = [
+        algebra_from_json(read_json(data_path("algebras/%s.json" % name))) for name in ("alg_toric_1e", "alg_h02")
+    ]
+    algs.append(subgroup_algebra(["0.0", "0.2"], toric_zn(4)))
+    assert [condense(alg).simple_class_count() for alg in algs] == [2, 2, 8]
+    assert calls == []
+
+
+SHORT_TABLES = {
+    "alg_qz3": (lambda: load_algebra(data_path("algebras/alg_qz3.json")), "1/3"),
+    "Q[Z2]": (lambda: galg("vec_q", "z2"), "1/2"),
+    "Q[Z3]": (lambda: galg("vec_q", "z3"), "1/3"),
+    "F_3[Z2]": (lambda: galg("vec_f3", "z2"), "2"),
+    "F_2[Z3]": (lambda: galg("vec_f2", "z3"), "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_TABLES))
+def test_condense_refuses_a_table_short_of_dim_c_over_dim_a(name):
+    # these group algebras split into simples that no induced module is:
+    # the table lists none, against 1/|G| of dim C (mod p over F_p)
+    make, want = SHORT_TABLES[name]
+    alg = make()
+    with pytest.raises(CondensationIncomplete) as exc:
+        condense(alg)
+    assert str(exc.value) == "the 0 classes give sum (d(M)/d(A))^2 = 0, but dim C / d(A) = %s" % want
+    assert alg._condensed is None
+
+
+def test_condense_refuses_a_table_with_a_class_removed(monkeypatch):
+    # the induced modules holding m are declared not simple, so the class
+    # of m and f is missing: 1 against dim C / d(A) = 4 / 2
+    alg = algebra_from_json(read_json(data_path("algebras/alg_toric_1e.json")))
+    real = modules_mod.is_simple_module
+    monkeypatch.setattr(modules_mod, "is_simple_module", lambda mod: not mod.carrier.m("m") and real(mod))
+    with pytest.raises(CondensationIncomplete, match=r"^the 1 classes give .* = 1, but dim C / d\(A\) = 2$"):
+        condense(alg)
+    assert alg._condensed is None
+    monkeypatch.undo()
+    # the refusal is not kept: the next call builds the whole table
+    assert condense(alg).simple_class_count() == 2 and alg._condensed is not None
 
 
 def test_condense_toric_table_details():
@@ -1957,6 +2095,24 @@ def test_group_case_without_category_names_the_key():
 def test_labels_case_without_category_names_the_key():
     with pytest.raises(ParseError, match="missing suite case key 'category'"):
         run_suite_manifest({"kind": "local", "cases": [{"labels": ["1", "e"]}]})
+
+
+@pytest.mark.parametrize("key,value", [("local_classes", True), ("simple_classes", 2.0), ("simple_classes", "two")])
+def test_suite_counts_must_be_json_integers(key, value):
+    # true and 2.0 would compare equal to the counts 1 and 2 of this table
+    case = {"category": "toric_code", "algebra": "alg_toric_1e", key: value}
+    with pytest.raises(ParseError, match="suite case key %r must be an integer" % key):
+        run_suite_manifest({"kind": "local", "cases": [case]})
+
+
+def test_empty_local_sources_expects_no_source_to_be_local():
+    case = {"category": "toric_code", "algebra": "alg_toric_1e", "local_sources": []}
+    rep = run_suite_manifest({"kind": "local", "cases": [case]})
+    flags = {i.check: (i.status, i.witness) for i in rep.items if i.check.startswith("local-flag:")}
+    assert flags == {
+        "local-flag:alg_toric_1e:%s" % s: ("fail" if local else "pass", {"got": local, "want": False})
+        for s, local in (("1", True), ("e", True), ("m", False), ("f", False))
+    }
 
 
 def test_counterexample_case_without_expect_names_the_key():

@@ -21,7 +21,6 @@ BENCH = ROOT / "bench"
 
 # names kept for the open items of ROADMAP.md that will call them
 AWAITING_CALLERS = {
-    "categorical_dim",  # item 15: the modular data read d_a and dim C
     "is_twisted_local",  # item 7: locality up to the parity automorphism in C ⊠ sVec
 }
 
