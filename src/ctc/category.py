@@ -412,9 +412,9 @@ def compose(g: Mor, f: Mor) -> Mor:
 # Memo sizes: plans, associators and F blocks hold at least twice the
 # most entries a benchmark pass makes (48, 19 and 159 over seeds 1-12), so
 # no pass evicts; so do the literal memo of ``fields.parse_scalar`` and the
-# file memo of ``ctc.load_file``.  A memo tells categories apart by
-# identity.
-_PLANS, _ASSOCIATORS, _F_BLOCKS = 1024, 512, 1024
+# file memo of ``ctc.load_file``, whose 128 files bound the categories that
+# hold a scale table.  A memo tells categories apart by identity.
+_PLANS, _ASSOCIATORS, _F_BLOCKS, _SCALES = 1024, 512, 1024, 128
 
 
 def _tensor_plan(x: Obj, y: Obj):
@@ -664,12 +664,14 @@ def _noncommuting(a, b, c) -> FusionDataError:
     return FusionDataError("fusion does not commute: %r (x) %r holds %r, %r (x) %r does not" % (a, b, c, b, a))
 
 
+@lru_cache(maxsize=_SCALES)
 def _dual_scales(spec: CategorySpec):
     """Per-label evaluation coefficients scale_s, with coevaluation
     coefficient 1.  With raw coefficients 1, the first bent line on the
     simple s is the scalar F^{s s* s}_{s;1,1}; scale_s is its inverse, so
     the first move is 1 by definition.  The second move is not free:
-    ``_second_move`` reads it."""
+    ``_second_move`` reads it.  Memoized per category; no caller writes
+    to the table."""
     u = spec.unit
     return {s: spec.f_symbol(s, spec.dual[s], s, s, u, u).inverse() for s in spec.labels}
 

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 from . import DataFile, Error
 from .algebra import (
-    AlgebraError,
     algebra_dim_with_twist,
     check_algebra,
     compute_index,
@@ -28,7 +27,7 @@ from .category import (
 )
 from .fields import scalar_literal
 from .ledger import load_ledger, solution_report
-from .modules import _category_mismatch, check_module, condense, is_local, load_module, run_suite_manifest
+from .modules import category_match, check_module, condense, is_local, load_module, run_suite_manifest
 from .report import Report
 
 
@@ -47,34 +46,50 @@ def _prefixed(out: Report, prefix: str, report: Report) -> None:
         out.append("%s/%s" % (prefix, item.check), item.status, witness=item.witness)
 
 
-def _namespace(report: Report, prefix: str, summary: str, elapsed: float) -> Report:
-    """Collapse a clean sub-report to one pass line; namespace the items of
-    a failing one.  The first line carries the sweep's ``elapsed``."""
+def _staged(stem: str, stages, target) -> Report:
+    """The items of each ``(name, stage)`` of ``stages`` run on ``target``,
+    in order, as ``stem/check``; each stage's time goes on its first item.
+    A ``ctc.Error`` in a stage is one ``stem/name`` error item and ends
+    the input, and the items already emitted stay."""
     out = Report()
-    if report.ok:
-        out.append("%s/%s" % (prefix, summary), "pass", elapsed=elapsed)
-        return out
-    _prefixed(out, prefix, report)
-    out.items[0].elapsed = elapsed
+    for name, stage in stages:
+        start, first = time.perf_counter(), len(out.items)
+        try:
+            _prefixed(out, stem, stage(target))
+        except Error as exc:
+            out.refuse("%s/%s" % (stem, name), exc)
+            break
+        finally:
+            if len(out.items) > first:
+                out.items[first].elapsed = time.perf_counter() - start
     return out
+
+
+def _swept(name: str, sweep):
+    """A check-category stage: the sweep's report, or one ``name`` pass
+    line when it is clean."""
+
+    def stage(spec) -> Report:
+        report = sweep(spec)
+        if report.ok:
+            report = Report()
+            report.append(name, "pass")
+        return report
+
+    return name, stage
+
+
+_SWEEPS = (
+    _swept("pentagon", verify_pentagon),
+    _swept("hexagon", verify_hexagon),
+    _swept("triangle", verify_triangle),
+    _swept("zigzag", verify_zigzag),
+    _swept("naturality-probe", _naturality),
+)
 
 
 def _run_check_category(path: Path) -> Report:
-    spec = load_category(path)
-    out = Report()
-    stem = path.stem
-    sweeps = (
-        ("pentagon", verify_pentagon),
-        ("hexagon", verify_hexagon),
-        ("triangle", verify_triangle),
-        ("zigzag", verify_zigzag),
-        ("naturality-probe", _naturality),
-    )
-    for summary, sweep in sweeps:
-        start = time.perf_counter()
-        sub = sweep(spec)
-        out.extend(_namespace(sub, stem, summary, time.perf_counter() - start))
-    return out
+    return _staged(path.stem, _SWEEPS, load_category(path))
 
 
 def _index_report(alg) -> Report:
@@ -86,50 +101,29 @@ def _index_report(alg) -> Report:
 
 
 def _run_check_algebra(path: Path) -> Report:
-    alg = load_algebra(path)
+    # the Frobenius identities solve the kit; the index reads it
+    stages = (("axioms", check_algebra), ("frobenius", frobenius_identity_check), ("index", _index_report))
+    return _staged(path.stem, stages, load_algebra(path))
+
+
+def _locality(mod) -> Report:
     out = Report()
-    stem = path.stem
-    # the axioms, the Frobenius identities (which solve the kit), and the
-    # index with the twisted dimension, each timed on its first item
-    for stage in (check_algebra, frobenius_identity_check, _index_report):
-        start, first = time.perf_counter(), len(out.items)
-        try:
-            _prefixed(out, stem, stage(alg))
-        except AlgebraError as exc:
-            out.append("%s/frobenius" % stem, "error", witness=str(exc))
-        out.items[first].elapsed = time.perf_counter() - start
-        if out.items[-1].status == "error":
-            break
+    out.append("is-local", "pass", witness=is_local(mod)[0])
     return out
 
 
 def _run_check_module(path: Path) -> Report:
-    mod = load_module(path)
-    out = Report()
-    stem = path.stem
-    _prefixed(out, stem, check_module(mod))
-    local_flag, _ = is_local(mod)
-    out.append("%s/is-local" % stem, "pass", witness=local_flag)
-    return out
+    return _staged(path.stem, (("module", check_module), ("is-local", _locality)), load_module(path))
 
 
 def _run_condense(category_path: Path, algebra_path: Path) -> Report:
     spec = load_category(category_path)
-    alg = load_algebra(algebra_path)
-    out = Report()
-    stem = algebra_path.stem
-    mismatch = _category_mismatch(alg, spec)
-    if mismatch is not None:
-        out.append("%s/category-match" % stem, "error", witness=mismatch)
-        return out
-    try:
-        _prefixed(out, stem, _index_report(alg))
-    except AlgebraError as exc:
-        out.append("%s/index" % stem, "error", witness=str(exc))
-        return out
-    table = condense(alg)
-    _prefixed(out, stem, table.to_report())
-    return out
+    stages = (
+        ("category-match", lambda alg: category_match(alg, spec)),
+        ("index", _index_report),
+        ("condense", lambda alg: condense(alg).to_report()),
+    )
+    return _staged(algebra_path.stem, stages, load_algebra(algebra_path))
 
 
 def _run_suite(path: Path) -> Report:
@@ -168,11 +162,10 @@ def _run(command: str, arg: str, algebra: str | None) -> Report:
             return runner(path, Path(DataFile("algebras", algebra).path))
         return runner(path)
     except Error as exc:
-        # unreadable or inconsistent data: one error item for this input, the batch goes on
-        witness = {"type": type(exc).__name__, "message": str(exc)}
-    bad = Report()
-    bad.append("load:%s" % arg, "error", witness=witness)
-    return bad
+        # the command's own files cannot be found or loaded: one item, the batch goes on
+        bad = Report()
+        bad.refuse("load:%s" % arg, exc)
+        return bad
 
 
 _USAGE = """\
@@ -333,11 +326,9 @@ def main(argv=None) -> int:
     if not args.inputs:
         _fail("the following arguments are required: inputs")
     if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
+        _fail("--jobs must be at least 1")
     if args.command == "condense" and args.algebra is None:
-        print("condense needs --algebra", file=sys.stderr)
-        return 2
+        _fail("condense needs --algebra")
     jobs = [(args.command, arg, args.algebra) for arg in args.inputs]
     if args.jobs == 1 or len(jobs) == 1:
         partials = [_job(*j) for j in jobs]

@@ -62,6 +62,7 @@ from .algebra import (
     subgroup_algebra,
 )
 from .category import (
+    CategoryMismatch,
     Mor,
     Obj,
     associator,
@@ -106,6 +107,7 @@ __all__ = [
     "Condensation",
     "condense",
     "run_suite_manifest",
+    "category_match",
     "load_module",
     "module_from_json",
 ]
@@ -900,7 +902,9 @@ def condense(alg: AlgebraObject) -> Condensation:
 # bundled verification suites
 
 
-def _cases(raw: dict) -> list:
+def _cases(raw: dict, kind: str) -> list:
+    """The cases of a ``kind`` suite manifest, each of the right shape: a
+    malformed manifest is a ``ParseError`` before any case runs."""
     cases = required("suite", raw, "cases")
     ok = isinstance(cases, list) and all(isinstance(c, dict) for c in cases)
     check_fields("suite", [("cases", ok, "a list of case objects")])
@@ -918,63 +922,60 @@ def _cases(raw: dict) -> list:
             (key, type(case[key]) is int, "an integer") for key in ("simple_classes", "local_classes") if key in case
         ]
         check_fields("suite case", names + labels + counts)
+        if kind == "counterexamples" and required("suite case", case, "expect") not in _EXPECTATIONS:
+            raise ParseError("unknown counterexample expectation %r" % (case["expect"],))
+        if not any(key in case for key in ("group", "algebra", "labels")):
+            raise ParseError("suite case needs a group, algebra, or labels key")
+        # an algebra case may leave its category to the algebra file
+        if "group" in case or "algebra" not in case:
+            required("suite case", case, "category")
     return cases
 
 
 def run_suite_manifest(raw: dict, base_dir=None) -> Report:
     """The report of a suite manifest; its cases' references resolve
-    beside ``base_dir``, the manifest's directory, first.  A case whose
-    algebra lives in a category other than the case's gives one
-    ``category-match`` error item, and the other cases still run."""
+    beside ``base_dir``, the manifest's directory, first.  A malformed
+    manifest is a ``ParseError``; a ``ctc.Error`` that a case raises is
+    one ``case:<tag>`` error item after the items the case gave, and the
+    other cases still run."""
     kind = required("suite", raw, "kind")
     run_case = _SUITE_CASES.get(kind) if isinstance(kind, str) else None
     if run_case is None:
         raise ParseError("unknown suite kind %r" % (kind,))
     report = Report()
-    for case in _cases(raw):
+    for case in _cases(raw, kind):
         tag = _case_tag(case)
         try:
             run_case(report, case, tag, base_dir)
-        except _CategoryMismatch as exc:
-            report.append("category-match:%s" % tag, "error", witness=str(exc))
+        except Error as exc:
+            report.refuse("case:%s" % tag, exc)
     return report
 
 
-class _CategoryMismatch(ModuleError):
-    """A suite case's algebra lives in a category other than the case's."""
-
-
-def _category_mismatch(alg: AlgebraObject, spec) -> str | None:
-    """Why ``alg`` does not live in ``spec``, or None when it does.  One
-    file loads as one instance, so another instance is another file, even
-    under the same name."""
-    if alg.spec is spec:
-        return None
-    return "algebra lives in a category %r other than %r" % (alg.spec.name, spec.name)
+def category_match(alg: AlgebraObject, spec) -> Report:
+    """No item when ``alg`` lives in ``spec``; else ``CategoryMismatch``.
+    One file loads as one instance, so another instance is another file,
+    even under the same name."""
+    if alg.spec is not spec:
+        raise CategoryMismatch("algebra lives in a category %r other than %r" % (alg.spec.name, spec.name))
+    return Report()
 
 
 def _case_algebra(case, base_dir) -> AlgebraObject:
     if "group" in case:
-        spec = load_category(required("suite case", case, "category"), base_dir)
+        spec = load_category(case["category"], base_dir)
         return group_algebra(load_group(case["group"], base_dir), spec)
     if "algebra" in case:
         alg = load_algebra(case["algebra"], base_dir)
-        mismatch = _category_mismatch(alg, load_category(case["category"], base_dir)) if "category" in case else None
-        if mismatch is not None:
-            raise _CategoryMismatch(mismatch)
+        if "category" in case:
+            category_match(alg, load_category(case["category"], base_dir))
         return alg
-    if "labels" in case:
-        spec = load_category(required("suite case", case, "category"), base_dir)
-        return subgroup_algebra(case["labels"], spec)
-    raise ParseError("suite case needs a group, algebra, or labels key")
+    return subgroup_algebra(case["labels"], load_category(case["category"], base_dir))
 
 
 def _case_tag(case) -> str:
-    for key in ("algebra", "group", "labels"):
-        if key in case:
-            v = case[key]
-            return "+".join(v) if isinstance(v, list) else str(v)
-    return "?"
+    key = next(key for key in ("algebra", "group", "labels") if key in case)
+    return "+".join(case[key]) if key == "labels" else case[key]
 
 
 def _split_mult(alg: AlgebraObject, reg: AModule) -> Mor:
@@ -1059,7 +1060,7 @@ def _local_case(report, case, tag, base_dir) -> None:
 
 
 def _counterexample_case(report, case, tag, base_dir) -> None:
-    expect = required("suite case", case, "expect")
+    expect = case["expect"]
     if expect == "index-zero":
         alg = _case_algebra(case, base_dir)
         reg = regular_module(alg)
@@ -1091,11 +1092,10 @@ def _counterexample_case(report, case, tag, base_dir) -> None:
             report.append("not-isotropic:%s" % tag, "fail", witness="construction succeeded")
         except NotIsotropic as exc:
             report.append("not-isotropic:%s" % tag, "pass", witness=str(exc))
-    else:
-        raise ParseError("unknown counterexample expectation %r" % (expect,))
 
 
 _SUITE_CASES = {"maschke": _maschke_case, "local": _local_case, "counterexamples": _counterexample_case}
+_EXPECTATIONS = ("index-zero", "not-commutative", "not-isotropic")
 
 
 def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:

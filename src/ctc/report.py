@@ -68,6 +68,11 @@ class Report:
     def append(self, check: str, status: str, witness=None, elapsed: float = 0.0):
         self.items.append(Item(check, status, witness, elapsed))
 
+    def refuse(self, check: str, exc: Exception):
+        """Append one ``error`` item for the typed refusal ``exc``, witnessed
+        by its type's name and its message."""
+        self.append(check, "error", witness={"type": type(exc).__name__, "message": str(exc)})
+
     def extend(self, other: "Report"):
         self.items.extend(other.items)
 

@@ -191,8 +191,17 @@ def test_condense_pointed_z4(capsysbinary):
     assert classes[1]["carrier"] == {"1": 1, "3": 1}
 
 
+def _assert_bad_argv(argv, message, capsys):
+    """``main`` refuses ``argv`` as a bad argv: the usage and one
+    ``ctc: error:`` line on stderr, nothing on stdout, status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", _USAGE + "ctc: error: %s\n" % message)
+
+
 def test_condense_requires_algebra_flag(capsys):
-    assert main(["condense", "pointed_z4"]) == 2
+    _assert_bad_argv(["condense", "pointed_z4"], "condense needs --algebra", capsys)
 
 
 def test_condense_category_mismatch(capsysbinary):
@@ -286,6 +295,86 @@ def test_a_typed_refusal_is_exactly_one_load_item(monkeypatch, command, error):
     assert [(i.check, i.status, i.witness) for i in report.items] == [("load:%s" % arg, "error", witness)]
 
 
+# each staged command: a batch of two inputs, its --algebra, and its stages in order
+STAGED = {
+    "check-category": (["ising", "toric_code"], None, ["pentagon", "hexagon", "triangle", "zigzag", "naturality-probe"]),
+    "check-algebra": (["alg_qz3", "alg_h02"], None, ["axioms", "frobenius", "index"]),
+    "check-module": (["mod_toric_m", "mod_toric_m"], None, ["module", "is-local"]),
+    "condense": (["toric_code", "pointed_z4"], "alg_toric_1e", ["category-match", "index", "condense"]),
+}
+
+
+def _json_items(report):
+    return json.loads(report.to_json_bytes())["items"]
+
+
+@pytest.mark.parametrize("command, stage", [(c, stage) for c in sorted(STAGED) for stage in STAGED[c][2]])
+def test_a_refusal_injected_at_a_stage_is_one_item_there(monkeypatch, capsysbinary, command, stage):
+    # differential: the run with a ctc.Error injected at one stage of the
+    # first input against the same run without it
+    (first, second), algebra, names = STAGED[command]
+    real, tables, edits = cli._staged, [], []
+
+    def staged(stem, stages, target):
+        tables.append([name for name, _ in stages])
+        return real(stem, edits.pop()(list(stages)) if edits else stages, target)
+
+    def refuse(target):
+        raise ctc.Error("injected at %s" % stage)
+
+    monkeypatch.setattr(cli, "_staged", staged)
+    whole, other = (_json_items(cli._run(command, arg, algebra)) for arg in (first, second))
+    assert tables == [names, names]
+    k = names.index(stage)
+    edits.append(lambda table: table[:k])
+    before = _json_items(cli._run(command, first, algebra))
+    assert before == whole[: len(before)]
+    edits.append(lambda table: table[:k] + [(stage, refuse)] + table[k + 1:])
+    argv = [command, first, second] + (["--algebra", algebra] if algebra else [])
+    code, out = run_json(capsysbinary, argv)
+    assert code == 2
+    stem = algebra or first
+    error = {"check": "%s/%s" % (stem, stage), "status": "error",
+             "witness": {"type": "Error", "message": "injected at %s" % stage}}
+    # the items of the stages before it stay, and the other input runs on
+    assert json.loads(out)["items"] == before + [error] + other
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+@pytest.mark.parametrize("suite", ["maschke_2_6", "local_3_1", "counterexamples"])
+def test_a_refusal_injected_in_a_suite_case_is_one_item_there(monkeypatch, capsysbinary, suite, when):
+    # a ctc.Error raised as each case starts, or after it gave its items,
+    # against the same batch without it; the other manifest is of another kind
+    kind = _bundled("suites/%s.json" % suite)["kind"]
+    other = "counterexamples" if kind == "maschke" else "maschke_2_6"
+    real, spans, inject = modules_mod._SUITE_CASES[kind], [], []
+
+    def run_case(report, case, tag, base_dir):
+        k, start = len(spans), len(report.items)
+        spans.append((tag, start, start))
+        if inject == [k] and when == "before":
+            raise ctc.Error("injected into case %d" % k)
+        real(report, case, tag, base_dir)
+        spans[k] = (tag, start, len(report.items))
+        if inject == [k]:
+            raise ctc.Error("injected into case %d" % k)
+
+    monkeypatch.setitem(modules_mod._SUITE_CASES, kind, run_case)
+    code, out = run_json(capsysbinary, ["suite", suite, other])
+    assert code == 0
+    whole, cases = json.loads(out)["items"], list(spans)
+    assert len(cases) == len(_bundled("suites/%s.json" % suite)["cases"])
+    for k, (tag, start, end) in enumerate(cases):
+        spans.clear()
+        inject[:] = [k]
+        code, out = run_json(capsysbinary, ["suite", suite, other])
+        assert code == 2
+        error = {"check": "%s/case:%s" % (suite, tag), "status": "error",
+                 "witness": {"type": "Error", "message": "injected into case %d" % k}}
+        kept = end if when == "after" else start
+        assert json.loads(out)["items"] == whole[:kept] + [error] + whole[end:]
+
+
 def test_the_commands_are_listed_once():
     commands = sorted(cli._COMMANDS)
     assert sorted(BUNDLED_INPUTS) == commands
@@ -303,19 +392,26 @@ def test_unreadable_algebra_for_condense_is_an_error_item(tmp_path, capsysbinary
 
 
 def test_condense_refuses_a_table_short_of_dim_c_over_dim_a(capsysbinary):
-    # Q[Z3] splits into simples that no induced module is, so the table lists none
-    code, out = run_json(capsysbinary, ["condense", "vec_q", "--algebra", "alg_qz3"])
+    # Q[Z3] splits into simples that no induced module is, so the table
+    # lists none; both files loaded, and the index items computed first stay
+    code, out = run_json(capsysbinary, ["condense", "vec_q", "pointed_z4", "--algebra", "alg_qz3"])
     assert code == 2
-    assert json.loads(out)["items"] == [
+    items = json.loads(out)["items"]
+    assert items[:3] == [
+        {"check": "alg_qz3/index", "status": "pass", "witness": "3"},
+        {"check": "alg_qz3/twisted-dim", "status": "pass", "witness": "3"},
         {
-            "check": "load:vec_q",
+            "check": "alg_qz3/condense",
             "status": "error",
             "witness": {
                 "type": "CondensationIncomplete",
                 "message": "the 0 classes give sum (d(M)/d(A))^2 = 0, but dim C / d(A) = 1/3",
             },
-        }
+        },
     ]
+    # the rest of the batch runs as it runs alone
+    _, alone = run_json(capsysbinary, ["condense", "pointed_z4", "--algebra", "alg_qz3"])
+    assert items[3:] == json.loads(alone)["items"] != []
 
 
 @pytest.mark.parametrize("key,value", [("local_classes", True), ("simple_classes", 2.0), ("simple_classes", "two")])
@@ -473,7 +569,7 @@ def test_check_category_text_lines_carry_sweep_times():
 
 
 def test_jobs_validation(capsys):
-    assert main(["check-category", "vec_q", "--jobs", "0"]) == 2
+    _assert_bad_argv(["check-category", "vec_q", "--jobs", "0"], "--jobs must be at least 1", capsys)
 
 
 @pytest.mark.parametrize(
@@ -489,12 +585,7 @@ def test_jobs_validation(capsys):
 def test_main_refuses_an_empty_value_or_batch_that_parse_args_lets_through(argv, message, capsys):
     # parse_args drops the first "--" among an argument's tokens, as
     # argparse did, which leaves an empty list; main refuses it
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == _USAGE + "ctc: error: %s\n" % message
+    _assert_bad_argv(argv, message, capsys)
 
 
 def test_runs_around_a_bad_argv_keep_their_bytes_and_build_no_argparse_parser(monkeypatch, capsysbinary):
@@ -877,8 +968,6 @@ def test_wrong_typed_field_of_other_files_is_one_parse_error(tmp_path, capsysbin
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check-module", "mod_toric_m"],
-        ["condense", "toric_code", "alg_toric_1e"],
         ["suite", "maschke_2_6"],
         ["ledger", "wp_triplet"],
         ["check-category", "no_such_category"],
@@ -892,14 +981,23 @@ def test_each_input_reports_its_time_on_its_first_item(argv):
     assert all(i.elapsed == 0 for i in items[1:])
 
 
-def test_check_algebra_times_each_stage_on_its_first_item():
-    # the axioms, the Frobenius identities and the index each carry their
-    # own time; the algebra is loaded cold, so each stage does work
+# (command, input, --algebra, the first item of each stage that gives one)
+STAGE_FIRSTS = {
+    "check-algebra": ("alg_qz3", None, ["alg_qz3/unit-left", "alg_qz3/coproduct-left-right", "alg_qz3/index"]),
+    "check-module": ("mod_toric_m", None, ["mod_toric_m/action-unit", "mod_toric_m/is-local"]),
+    # category-match gives no item when the algebra lives in the category
+    "condense": ("toric_code", "alg_toric_1e", ["alg_toric_1e/index", "alg_toric_1e/induce:1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_FIRSTS))
+def test_each_stage_is_timed_on_its_first_item(command):
+    # the files are loaded cold, so each stage does work
+    arg, algebra, firsts = STAGE_FIRSTS[command]
     ctc._entry.cache_clear()
     start = time.perf_counter()
-    items = _job("check-algebra", "alg_qz3", None).items
+    items = _job(command, arg, algebra).items
     elapsed = time.perf_counter() - start
-    firsts = ["alg_qz3/unit-left", "alg_qz3/coproduct-left-right", "alg_qz3/index"]
     assert [i.check for i in items if i.elapsed > 0] == firsts
     assert sum(i.elapsed for i in items) <= elapsed
 
@@ -941,13 +1039,31 @@ def test_module_naming_an_unknown_algebra_is_one_error_item(tmp_path, capsysbina
     _assert_one_parse_error(out, bad, "no file and no bundled algebras named 'no_such_algebra'")
 
 
+def _assert_one_case_error(out, suite, tag, message, alone):
+    """``out`` is the report of ``suite`` with one case, ``tag``, refused by
+    a ``ParseError`` that says ``message``: one ``<suite>/case:<tag>`` item
+    where the case ran, and every other item as in the report ``alone``
+    of the manifest without that case."""
+    items = json.loads(out)["items"]
+    [error] = [i for i in items if i["status"] != "pass"]
+    assert error["check"] == "%s/case:%s" % (suite, tag)
+    assert error["witness"]["type"] == "ParseError" and message in error["witness"]["message"]
+    assert [i for i in items if i is not error] == json.loads(alone)["items"] != []
+    return items.index(error)
+
+
 def test_suite_case_naming_an_unknown_group_is_one_error_item(tmp_path, capsysbinary):
     raw = _bundled("suites/maschke_2_6.json")
     raw["cases"].append({"category": "vec_q", "group": "no_such_group"})
     bad = _write(tmp_path / "suite_orphan.json", raw)
     code, out = run_json(capsysbinary, ["suite", str(bad), "local_3_1"])
     assert code == 2
-    _assert_one_parse_error(out, bad, "no file and no bundled groups named 'no_such_group'")
+    _, alone = run_json(capsysbinary, ["suite", "maschke_2_6", "local_3_1"])
+    _, maschke = run_json(capsysbinary, ["suite", "maschke_2_6"])
+    message = "no file and no bundled groups named 'no_such_group'"
+    position = _assert_one_case_error(out, "maschke_2_6", "no_such_group", message, alone)
+    # the appended case reports after the bundled cases, before the next manifest
+    assert position == len(json.loads(maschke)["items"])
 
 
 # blocks the carriers do not hold: an unknown label, and rows on a label
@@ -1011,21 +1127,32 @@ def test_group_table_entry_that_is_no_name_is_one_parse_error(tmp_path, capsysbi
     group = _bundled("groups/z3.json")
     group["table"][1][1] = [group["table"][1][1]]
     _write(tmp_path / "z3_bad.json", group)
-    suite = _write(tmp_path / "suite.json", {"kind": "maschke", "cases": [{"category": "vec_q", "group": "z3_bad.json"}]})
+    cases = [{"category": "vec_q", "group": "z3_bad.json"}, {"category": "vec_q", "group": "z2"}]
+    suite = _write(tmp_path / "suite.json", {"kind": "maschke", "cases": cases})
+    (tmp_path / "alone").mkdir()
+    alone = _write(tmp_path / "alone" / "suite.json", {"kind": "maschke", "cases": cases[1:]})
     code, out = run_json(capsysbinary, ["suite", str(suite), "maschke_2_6"])
     assert code == 2
-    _assert_one_parse_error(out, suite, "'table'")
-    assert all(i["check"].startswith("maschke_2_6/") for i in json.loads(out)["items"][1:])
+    _, rest = run_json(capsysbinary, ["suite", str(alone), "maschke_2_6"])
+    assert _assert_one_case_error(out, "suite", "z3_bad.json", "'table'", rest) == 0
 
 
+# the shape of every case is checked before any case runs, so a malformed
+# manifest is one load item even when a good case comes first
+GOOD_CASE = {"category": "vec_q", "group": "z2", "expect": "not-commutative"}
 SUITES_MISSING_A_KEY = [
     ({"kind": "maschke"}, "missing suite key 'cases'"),
-    ({"kind": "maschke", "cases": [{"group": "z2"}]}, "missing suite case key 'category'"),
+    ({"kind": "maschke", "cases": [GOOD_CASE, {"group": "z2"}]}, "missing suite case key 'category'"),
     ({"kind": "local", "cases": [{"labels": ["1", "e"]}]}, "missing suite case key 'category'"),
     (
         {"kind": "counterexamples", "cases": [{"category": "vec_f2", "group": "z2"}]},
         "missing suite case key 'expect'",
     ),
+    (
+        {"kind": "counterexamples", "cases": [GOOD_CASE, dict(GOOD_CASE, expect="commutative")]},
+        "unknown counterexample expectation 'commutative'",
+    ),
+    ({"kind": "local", "cases": [GOOD_CASE, {"category": "vec_q"}]}, "suite case needs a group, algebra, or labels key"),
 ]
 
 
@@ -1122,7 +1249,8 @@ def test_algebra_on_noncommuting_fusion_is_one_error_item(tmp_path, capsysbinary
     code, out = run_json(capsysbinary, ["check-algebra", str(bad), "alg_qz3"])
     assert code == 2
     items = json.loads(out)["items"]
-    assert items[0]["check"] == "load:%s" % bad
+    # the file loads; the axioms stage refuses to braid A (x) A
+    assert items[0]["check"] == "alg_s3/axioms" and items[0]["status"] == "error"
     assert items[0]["witness"]["type"] == "FusionDataError"
     assert "does not commute" in items[0]["witness"]["message"]
     _, alone = run_json(capsysbinary, ["check-algebra", "alg_qz3"])
@@ -1197,10 +1325,30 @@ def test_a_suite_case_outside_its_algebras_category_is_one_error_item(tmp_path, 
     first, *rest = json.loads(out)["items"]
     _, condensed = run_json(capsysbinary, ["condense", category, "--algebra", algebra])
     [refused] = json.loads(condensed)["items"]
-    assert first == {"check": "mixed/category-match:%s" % algebra, "status": "error", "witness": refused["witness"]}
+    assert refused["check"] == "%s/category-match" % algebra
+    assert first == {"check": "mixed/case:%s" % algebra, "status": "error", "witness": refused["witness"]}
     # the other case runs as it runs alone
     assert run_json(capsysbinary, ["suite", str(alone)]) == (0, json.dumps({"items": rest}, sort_keys=True,
                                                                             separators=(",", ":")).encode() + b"\n")
+
+
+def test_a_refused_local_case_leaves_the_other_cases_of_its_manifest(tmp_path, capsysbinary):
+    # alg_qz3's table is short of dim C / d(A), so condense refuses its case
+    toric = {"category": "toric_code", "algebra": "alg_toric_1e", "simple_classes": 2, "local_classes": 1,
+             "local_sources": ["1", "e"]}
+    (tmp_path / "alone").mkdir()
+    mixed = _write(tmp_path / "mixed.json", {"kind": "local", "cases": [{"category": "vec_q", "algebra": "alg_qz3"},
+                                                                         toric]})
+    alone = _write(tmp_path / "alone" / "mixed.json", {"kind": "local", "cases": [toric]})
+    code, out = run_json(capsysbinary, ["suite", str(mixed)])
+    assert code == 2
+    first, *rest = json.loads(out)["items"]
+    message = "the 0 classes give sum (d(M)/d(A))^2 = 0, but dim C / d(A) = 1/3"
+    assert first == {"check": "mixed/case:alg_qz3", "status": "error",
+                     "witness": {"type": "CondensationIncomplete", "message": message}}
+    # the toric case reports exactly as it does alone
+    code, out = run_json(capsysbinary, ["suite", str(alone)])
+    assert code == 0 and rest == json.loads(out)["items"] != []
 
 
 def test_an_algebra_is_rebuilt_when_its_category_file_changes(tmp_path, capsysbinary):
@@ -1299,7 +1447,13 @@ def test_a_name_that_is_no_string_is_one_parse_error_in_every_kind(tmp_path, cap
         bad = _write(tmp_path / "suite.json", {"kind": "maschke", "cases": cases})
     code, out = run_json(capsysbinary, [command, str(bad), after])
     assert code == 2
-    _assert_one_parse_error(out, bad, "'name' of %s must be a string" % (tmp_path / "named.json"))
+    message = "'name' of %s must be a string" % (tmp_path / "named.json")
+    if kind == "group":
+        # the group file is the case's, not the command's: one case item
+        _, alone = run_json(capsysbinary, [command, after])
+        _assert_one_case_error(out, "suite", "named.json", message, alone)
+    else:
+        _assert_one_parse_error(out, bad, message)
 
 
 def test_linked_suites_and_groups_follow_the_link_to_their_target(tmp_path, capsysbinary):

@@ -7,7 +7,10 @@ blown up, an entry deleted or duplicated.  Every mutant is written to a
 fresh path, because the category cache keys a file on its modification
 time and size, and a rewritten path could be served stale.  Each input
 must give a report, or exactly one ``load:`` error item, within
-``PER_INPUT_S``; no exception may escape ``main``.
+``PER_INPUT_S``; no exception may escape ``main``.  Every error item is a
+typed refusal: its witness holds exactly the ``type``, the name of a
+``ctc.Error`` class, and the ``message``.  Outside a suite, whose cases
+each refuse on their own, an error item ends the input's report.
 """
 
 import copy
@@ -17,6 +20,7 @@ import time
 
 import pytest
 
+import ctc
 from ctc import data_path
 from ctc.cli import main
 
@@ -37,6 +41,15 @@ TARGETS = (
     + [("suite", "suites/%s.json" % n) for n in ("maschke_2_6", "local_3_1", "counterexamples")]
 )
 GROUPS = ("z2", "z3", "s3")
+
+
+def _subclasses(cls):
+    """``cls`` and every class of the engine below it, at any depth."""
+    children = [child for child in cls.__subclasses__() if child.__module__.startswith("ctc.")]
+    return [cls] + [sub for child in children for sub in _subclasses(child)]
+
+
+ERROR_TYPES = {cls.__name__ for cls in _subclasses(ctc.Error)}
 
 
 def _nodes(value, path=()):
@@ -93,6 +106,11 @@ def _run(capsysbinary, argv):
     items = json.loads(capsysbinary.readouterr().out)["items"]
     loads = [i for i in items if i["check"].startswith("load:")]
     assert loads == [] or (items == loads and loads[0]["status"] == "error"), (argv, items)
+    errors = [i for i in items if i["status"] == "error"]
+    for error in errors:
+        assert set(error["witness"]) == {"type", "message"}, (argv, error)
+        assert error["witness"]["type"] in ERROR_TYPES, (argv, error)
+    assert argv[0] == "suite" or errors in ([], items[-1:]), (argv, items)
     assert elapsed < PER_INPUT_S, (argv, elapsed)
 
 

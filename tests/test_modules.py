@@ -1705,6 +1705,17 @@ def test_condense_solves_no_hom_space(monkeypatch):
     assert calls == []
 
 
+def test_condense_computes_the_dual_scales_of_its_category_once():
+    # the certificate reads categorical_dim once per label, once per class
+    # and once for A; each reads the per-category scale table
+    spec = TORIC_ZN["toric_z5"]
+    alg = subgroup_algebra(lagrangian(5, "e"), spec)
+    category_mod._dual_scales.cache_clear()
+    condense(alg)
+    info = category_mod._dual_scales.cache_info()
+    assert info.misses == 1 and info.hits >= len(spec.labels)
+
+
 SHORT_TABLES = {
     "alg_qz3": (lambda: load_algebra(data_path("algebras/alg_qz3.json")), "1/3"),
     "Q[Z2]": (lambda: galg("vec_q", "z2"), "1/2"),
