@@ -31,8 +31,9 @@ class DataFile:
     first regular file among ``base_dir / ref``, ``ref`` itself and the
     bundled ``data/<kind>/<ref>`` (``.json`` appended unless present), one
     ``os.stat`` per candidate tried.  ``path`` is the file as it was
-    reached and ``stat`` the result of its ``os.stat``; no link is
-    resolved until ``read``."""
+    reached and ``stat`` the result of its ``os.stat``.  Its links are
+    walked only when ``target`` is asked for: by ``folder``, by a file
+    with no string ``name``, and by a read that fails."""
 
     __slots__ = ("path", "stat")
 
@@ -49,16 +50,31 @@ class DataFile:
                 return
         raise ParseError("no file and no bundled %s named %r" % (kind, ref))
 
+    @property
+    def target(self) -> Path:
+        """The file the links of ``path`` lead to: one ``lstat`` per component."""
+        return Path(os.path.realpath(self.path))
+
+    @property
+    def folder(self) -> Path:
+        """The folder the file's own references resolve in: the target's."""
+        return self.target.parent
+
     def read(self):
-        """``(raw, name, folder)`` of the file the links lead to: its JSON
-        object, its ``name``, a string that defaults to the file's stem,
-        and the folder the file's own references resolve in."""
-        target = Path(os.path.realpath(self.path))
-        raw = read_json(target)
-        name = raw.get("name", target.stem)
+        """``(raw, name)``: the file's JSON object, opened as reached, and
+        its ``name``, a string that defaults to the target's stem.  A
+        ``ParseError`` names the target, so a failed read is made again
+        through it."""
+        try:
+            raw = read_json(self.path)
+        except ParseError:
+            raw = read_json(self.target)
+        name = raw.get("name")
         if not isinstance(name, str):
-            raise ParseError("key 'name' of %s must be a string" % target)
-        return raw, name, target.parent
+            if "name" in raw:
+                raise ParseError("key 'name' of %s must be a string" % self.target)
+            name = self.target.stem
+        return raw, name
 
 
 # The file memo holds at least twice the most files one benchmark pass
@@ -74,12 +90,19 @@ _OPEN = []
 
 
 def load_file(kind: str, ref, base_dir, build):
-    """The instance ``build(*DataFile(kind, ref, base_dir).read())`` makes.
-    Loads of one unchanged file, by any path or link to it, share it while
-    it stays in the memo and every load its build made still gives the
-    instance it gave then; so an algebra is rebuilt once its category
+    """The instance ``build(raw, name, found)`` makes from the file ``found``
+    that ``ref`` names, ``DataFile(kind, ref, base_dir)`` unless ``ref`` is
+    a ``DataFile`` already found (``base_dir`` is then unused), and its
+    ``found.read()``; a build that needs no folder walks no link.  Loads
+    of one unchanged file, by any path or link to it, share the instance
+    while it stays in the memo and every load its build made still gives
+    the instance it gave then; so an algebra is rebuilt once its category
     file changes, and a module once its algebra is rebuilt."""
-    found = DataFile(kind, ref, base_dir)
+    if isinstance(ref, DataFile):
+        # found already: a later check of this load finds it again by its path
+        found, ref, base_dir = ref, ref.path, None
+    else:
+        found = DataFile(kind, ref, base_dir)
     st = found.stat
     with _LOADING:
         entry = _entry((kind, st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size))
@@ -87,7 +110,7 @@ def load_file(kind: str, ref, base_dir, build):
             loads = []
             _OPEN.append(loads)
             try:
-                entry[:] = build(*found.read()), loads
+                entry[:] = build(*found.read(), found), loads
             finally:
                 _OPEN.pop()
         if _OPEN:

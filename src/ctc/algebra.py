@@ -455,7 +455,7 @@ def subgroup_algebra(labels: list, spec: CategorySpec) -> AlgebraObject:
 
 def load_algebra(ref, base_dir=None) -> AlgebraObject:
     """An algebra by bundled name or path, one instance per file (``ctc.load_file``)."""
-    return load_file("algebras", ref, base_dir, lambda raw, name, folder: algebra_from_json(raw, folder, name))
+    return load_file("algebras", ref, base_dir, lambda raw, name, found: algebra_from_json(raw, found.folder, name))
 
 
 def _parse_mor(dom: Obj, cod: Obj, blocks: dict) -> Mor:

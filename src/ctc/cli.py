@@ -88,8 +88,8 @@ _SWEEPS = (
 )
 
 
-def _run_check_category(path: Path) -> Report:
-    return _staged(path.stem, _SWEEPS, load_category(path))
+def _run_check_category(found: DataFile) -> Report:
+    return _staged(Path(found.path).stem, _SWEEPS, load_category(found))
 
 
 def _index_report(alg) -> Report:
@@ -100,10 +100,10 @@ def _index_report(alg) -> Report:
     return out
 
 
-def _run_check_algebra(path: Path) -> Report:
+def _run_check_algebra(found: DataFile) -> Report:
     # the Frobenius identities solve the kit; the index reads it
     stages = (("axioms", check_algebra), ("frobenius", frobenius_identity_check), ("index", _index_report))
-    return _staged(path.stem, stages, load_algebra(path))
+    return _staged(Path(found.path).stem, stages, load_algebra(found))
 
 
 def _locality(mod) -> Report:
@@ -112,35 +112,36 @@ def _locality(mod) -> Report:
     return out
 
 
-def _run_check_module(path: Path) -> Report:
-    return _staged(path.stem, (("module", check_module), ("is-local", _locality)), load_module(path))
+def _run_check_module(found: DataFile) -> Report:
+    return _staged(Path(found.path).stem, (("module", check_module), ("is-local", _locality)), load_module(found))
 
 
-def _run_condense(category_path: Path, algebra_path: Path) -> Report:
-    spec = load_category(category_path)
+def _run_condense(category: DataFile, algebra: DataFile) -> Report:
+    spec = load_category(category)
     stages = (
         ("category-match", lambda alg: category_match(alg, spec)),
         ("index", _index_report),
         ("condense", lambda alg: condense(alg).to_report()),
     )
-    return _staged(algebra_path.stem, stages, load_algebra(algebra_path))
+    return _staged(Path(algebra.path).stem, stages, load_algebra(algebra))
 
 
-def _run_suite(path: Path) -> Report:
-    raw, name, folder = DataFile("suites", path).read()
+def _run_suite(found: DataFile) -> Report:
+    raw, name = found.read()
     out = Report()
-    _prefixed(out, name, run_suite_manifest(raw, folder))
+    _prefixed(out, name, run_suite_manifest(raw, found.folder))
     return out
 
 
-# every command: the kind of data file its inputs name, and its runner
+# every command: the kind of data file its inputs name, and its runner,
+# which takes each input's ``DataFile`` as ``_run`` found it
 _COMMANDS = {
     "check-category": ("categories", _run_check_category),
     "check-algebra": ("algebras", _run_check_algebra),
     "check-module": ("modules", _run_check_module),
     "condense": ("categories", _run_condense),
     "suite": ("suites", _run_suite),
-    "ledger": ("ledger", lambda path: solution_report(load_ledger(path))),
+    "ledger": ("ledger", lambda found: solution_report(load_ledger(found))),
 }
 
 
@@ -157,10 +158,10 @@ def _job(command: str, arg: str, algebra: str | None) -> Report:
 def _run(command: str, arg: str, algebra: str | None) -> Report:
     kind, runner = _COMMANDS[command]
     try:
-        path = Path(DataFile(kind, arg).path)
+        found = DataFile(kind, arg)
         if command == "condense":
-            return runner(path, Path(DataFile("algebras", algebra).path))
-        return runner(path)
+            return runner(found, DataFile("algebras", algebra))
+        return runner(found)
     except Error as exc:
         # the command's own files cannot be found or loaded: one item, the batch goes on
         bad = Report()

@@ -138,7 +138,9 @@ def ledger_from_json(raw: dict, name: str = "anonymous") -> LedgerProblem:
 
 
 def load_ledger(ref) -> LedgerProblem:
-    raw, name, _ = DataFile("ledger", ref).read()
+    """A ledger by bundled name, path or ``DataFile`` already found, read
+    on every call."""
+    raw, name = (ref if isinstance(ref, DataFile) else DataFile("ledger", ref)).read()
     return ledger_from_json(raw, name=name)
 
 

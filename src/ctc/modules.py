@@ -903,8 +903,11 @@ def condense(alg: AlgebraObject) -> Condensation:
 
 
 def _cases(raw: dict, kind: str) -> list:
-    """The cases of a ``kind`` suite manifest, each of the right shape: a
-    malformed manifest is a ``ParseError`` before any case runs."""
+    """``(tag, case)`` for the cases of a ``kind`` suite manifest, each of
+    the right shape: a malformed manifest is a ``ParseError`` before any
+    case runs.  A case's tag is its algebra, group or labels, with
+    ``@<category>`` after a tag that two cases share; two cases alike in
+    both are a ``ParseError``."""
     cases = required("suite", raw, "cases")
     ok = isinstance(cases, list) and all(isinstance(c, dict) for c in cases)
     check_fields("suite", [("cases", ok, "a list of case objects")])
@@ -929,7 +932,15 @@ def _cases(raw: dict, kind: str) -> list:
         # an algebra case may leave its category to the algebra file
         if "group" in case or "algebra" not in case:
             required("suite case", case, "category")
-    return cases
+    tags = [_case_tag(case) for case in cases]
+    tags = [
+        "%s@%s" % (tag, case["category"]) if tags.count(tag) > 1 and "category" in case else tag
+        for tag, case in zip(tags, cases)
+    ]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ParseError("two suite cases have the tag %r" % tag)
+    return list(zip(tags, cases))
 
 
 def run_suite_manifest(raw: dict, base_dir=None) -> Report:
@@ -943,8 +954,7 @@ def run_suite_manifest(raw: dict, base_dir=None) -> Report:
     if run_case is None:
         raise ParseError("unknown suite kind %r" % (kind,))
     report = Report()
-    for case in _cases(raw, kind):
-        tag = _case_tag(case)
+    for tag, case in _cases(raw, kind):
         try:
             run_case(report, case, tag, base_dir)
         except Error as exc:
@@ -1117,7 +1127,7 @@ def _equivariant_section_exists(f: Mor, m_dom: AModule, m_cod: AModule) -> bool:
 
 def load_module(ref) -> AModule:
     """A module by bundled name or path, one instance per file (``ctc.load_file``)."""
-    return load_file("modules", ref, None, lambda raw, name, folder: module_from_json(raw, folder, name))
+    return load_file("modules", ref, None, lambda raw, name, found: module_from_json(raw, found.folder, name))
 
 
 def module_from_json(raw: dict, base_dir=None, name: str = "anonymous") -> AModule:

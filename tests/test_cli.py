@@ -284,14 +284,15 @@ BUNDLED_INPUTS = {
 @pytest.mark.parametrize("error", [ctc.Error] + ctc.Error.__subclasses__(), ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("command", sorted(BUNDLED_INPUTS))
 def test_a_typed_refusal_is_exactly_one_load_item(monkeypatch, command, error):
-    def refuse(*paths):
-        raise error("refused after %d files" % len(paths))
+    # the runner gets the files _run found, the --algebra after the input
+    def refuse(*found):
+        raise error("refused %s" % " ".join(Path(file.path).stem for file in found))
 
     monkeypatch.setitem(cli._COMMANDS, command, (cli._COMMANDS[command][0], refuse))
     arg = BUNDLED_INPUTS[command]
     report = cli._run(command, arg, "alg_toric_1e")
-    files = 2 if command == "condense" else 1
-    witness = {"type": error.__name__, "message": "refused after %d files" % files}
+    files = [arg, "alg_toric_1e"] if command == "condense" else [arg]
+    witness = {"type": error.__name__, "message": "refused %s" % " ".join(files)}
     assert [(i.check, i.status, i.witness) for i in report.items] == [("load:%s" % arg, "error", witness)]
 
 
@@ -562,7 +563,7 @@ def test_report_items_compare_on_every_field():
 
 
 def test_check_category_text_lines_carry_sweep_times():
-    report = _run_check_category(Path(data_path("categories/ising.json")))
+    report = _run_check_category(ctc.DataFile("categories", data_path("categories/ising.json")))
     sweeps = ["pentagon", "hexagon", "triangle", "zigzag", "naturality-probe"]
     assert [i.check for i in report.items] == ["ising/" + name for name in sweeps]
     assert all(i.elapsed > 0 for i in report.items)
@@ -1193,13 +1194,12 @@ def test_check_category_evaluates_no_morphism(monkeypatch, capsysbinary):
     assert calls == []
 
 
-def test_check_category_on_a_path_costs_two_stats_and_no_link_walk(tmp_path, monkeypatch, capsysbinary):
-    # one stat to resolve the path and one for the file's identity; with
-    # the file in the memo, no lstat and no realpath
+def test_check_category_on_a_path_costs_one_stat_and_no_link_walk(tmp_path, monkeypatch, capsysbinary):
+    # the stat that finds the path is the file's identity too, and a named
+    # category walks no link: not when it is read, nor from the memo
     path = tmp_path / "toric.json"
     path.write_bytes(data_path("categories/toric_code.json").read_bytes())
     argv = ["check-category", str(path), "--report", "json"]
-    assert main(argv) == 0
     package = os.path.dirname(ctc.__file__)
     calls = Counter()
 
@@ -1216,9 +1216,38 @@ def test_check_category_on_a_path_costs_two_stats_and_no_link_walk(tmp_path, mon
 
     for module, name in ((os, "stat"), (os, "lstat"), (os.path, "realpath")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    assert main(argv) == 0
-    capsysbinary.readouterr()
-    assert calls["stat"] <= 2 and calls["lstat"] == calls["realpath"] == 0, calls
+    for run in ("cold", "warm"):
+        calls.clear()
+        assert main(argv) == 0
+        capsysbinary.readouterr()
+        assert calls == {"stat": 1}, (run, calls)
+
+
+# the commands whose input files name other files beside them
+FOLDER_READERS = {"check-algebra", "check-module", "suite"}
+
+
+@pytest.mark.parametrize("command", sorted(BUNDLED_INPUTS))
+def test_every_command_stats_each_input_once(tmp_path, monkeypatch, capsysbinary, command):
+    # a copy of the bundled input, so no reference inside a file finds it
+    kind, arg = cli._COMMANDS[command][0], BUNDLED_INPUTS[command]
+    path = str(tmp_path / (arg + ".json"))
+    Path(path).write_bytes(data_path("%s/%s.json" % (kind, arg)).read_bytes())
+    algebra = str(data_path("algebras/alg_toric_1e.json"))
+    stats, walks = Counter(), []
+    stat, realpath = os.stat, os.path.realpath
+    monkeypatch.setattr(os, "stat", lambda p, *args, **kw: stats.update([str(p)]) or stat(p, *args, **kw))
+    monkeypatch.setattr(os.path, "realpath", lambda p, *args, **kw: walks.append(str(p)) or realpath(p, *args, **kw))
+    ctc._entry.cache_clear()
+    for run in ("cold", "warm"):
+        stats.clear()
+        walks.clear()
+        main([command, path, "--algebra", algebra, "--report", "json"])
+        capsysbinary.readouterr()
+        assert stats[path] == 1 and (command != "condense" or stats[algebra] == 1), run
+        # no category, group or ledger file walks a link
+        assert {Path(p).parent.name for p in walks if p != path} <= {"algebras", "modules", "suites"}, run
+        assert (path in walks) == (command in FOLDER_READERS and (run == "cold" or command == "suite")), run
 
 
 def _vec_s3_file(tmp_path):
@@ -1309,14 +1338,16 @@ def test_condense_refuses_a_same_named_category_with_other_data(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "kind, category, algebra, other",
+    "kind, category, algebra, other, tags",
     [
-        ("local", "ising", "alg_toric_1e", {"category": "toric_code", "algebra": "alg_toric_1e", "simple_classes": 2}),
-        ("maschke", "fibonacci", "alg_h02", {"category": "vec_q", "group": "z2"}),
+        ("local", "ising", "alg_toric_1e", {"category": "toric_code", "algebra": "alg_toric_1e", "simple_classes": 2},
+         ["alg_toric_1e@ising", "alg_toric_1e@toric_code"]),
+        ("maschke", "fibonacci", "alg_h02", {"category": "vec_q", "group": "z2"}, ["alg_h02", "z2"]),
     ],
 )
 def test_a_suite_case_outside_its_algebras_category_is_one_error_item(tmp_path, capsysbinary, kind, category,
-                                                                        algebra, other):
+                                                                        algebra, other, tags):
+    # two cases on one algebra are told apart by their categories
     (tmp_path / "alone").mkdir()
     mixed = _write(tmp_path / "mixed.json", {"kind": kind, "cases": [{"category": category, "algebra": algebra}, other]})
     alone = _write(tmp_path / "alone" / "mixed.json", {"kind": kind, "cases": [other]})
@@ -1326,10 +1357,12 @@ def test_a_suite_case_outside_its_algebras_category_is_one_error_item(tmp_path, 
     _, condensed = run_json(capsysbinary, ["condense", category, "--algebra", algebra])
     [refused] = json.loads(condensed)["items"]
     assert refused["check"] == "%s/category-match" % algebra
-    assert first == {"check": "mixed/case:%s" % algebra, "status": "error", "witness": refused["witness"]}
-    # the other case runs as it runs alone
-    assert run_json(capsysbinary, ["suite", str(alone)]) == (0, json.dumps({"items": rest}, sort_keys=True,
-                                                                            separators=(",", ":")).encode() + b"\n")
+    assert first == {"check": "mixed/case:%s" % tags[0], "status": "error", "witness": refused["witness"]}
+    # the other case runs as it runs alone, where its tag is shared with no case
+    code, out = run_json(capsysbinary, ["suite", str(alone)])
+    assert code == 0
+    bare = tags[1].split("@")[0]
+    assert rest == [dict(item, check=item["check"].replace(bare, tags[1])) for item in json.loads(out)["items"]]
 
 
 def test_a_refused_local_case_leaves_the_other_cases_of_its_manifest(tmp_path, capsysbinary):
@@ -1417,8 +1450,10 @@ def test_a_warm_suite_batch_reads_only_its_manifests(monkeypatch, capsysbinary):
     monkeypatch.setattr(os.path, "realpath", lambda path, *args, **kw: walks.append(path) or realpath(path, *args, **kw))
     ctc._entry.cache_clear()
     assert run_json(capsysbinary, argv)[0] == 0
-    # 3 manifests, 5 categories, 3 groups and 2 algebras, each read once
-    assert len(reads) == len(set(reads)) == len(walks) == 13
+    # 3 manifests, 5 categories, 3 groups and 2 algebras, each read once;
+    # links are walked only for the folders of the manifests and algebras
+    assert len(reads) == len(set(reads)) == 13
+    assert sorted(Path(p).parent.name for p in walks) == ["algebras"] * 2 + ["suites"] * 3
     reads.clear()
     walks.clear()
     assert run_json(capsysbinary, argv)[0] == 0

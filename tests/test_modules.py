@@ -113,8 +113,8 @@ def lit_mor(dom, cod, blocks):
 
 def theorem_suite(name):
     """The report of a bundled suite, by manifest name."""
-    raw, _name, folder = DataFile("suites", name).read()
-    return run_suite_manifest(raw, folder)
+    found = DataFile("suites", name)
+    return run_suite_manifest(found.read()[0], found.folder)
 
 
 def direct_sum_with_maps(x1, x2):
@@ -2106,6 +2106,25 @@ def test_group_case_without_category_names_the_key():
 def test_labels_case_without_category_names_the_key():
     with pytest.raises(ParseError, match="missing suite case key 'category'"):
         run_suite_manifest({"kind": "local", "cases": [{"labels": ["1", "e"]}]})
+
+
+def test_a_tag_two_cases_share_names_each_case_category():
+    # F_2[Z_2] fails to split and Q[Z_2] splits: two lines that must not read alike
+    cases = [
+        {"category": "vec_f2", "group": "z2"},
+        {"category": "vec_q", "group": "z2"},
+        {"category": "vec_q", "group": "z3"},
+    ]
+    rep = run_suite_manifest({"kind": "maschke", "cases": cases})
+    splits = {i.check: i.status for i in rep.items if i.check.startswith("mult-splits:")}
+    assert splits == {"mult-splits:z2@vec_f2": "fail", "mult-splits:z2@vec_q": "pass", "mult-splits:z3": "pass"}
+    assert len({i.check for i in rep.items}) == len(rep.items)
+
+
+def test_two_cases_alike_in_tag_and_category_are_one_parse_error():
+    cases = [{"category": "vec_q", "group": "z2"}, {"category": "vec_q", "group": "z2"}]
+    with pytest.raises(ParseError, match="two suite cases have the tag 'z2@vec_q'"):
+        run_suite_manifest({"kind": "maschke", "cases": cases})
 
 
 @pytest.mark.parametrize("key,value", [("local_classes", True), ("simple_classes", 2.0), ("simple_classes", "two")])
