@@ -116,14 +116,15 @@ def _run_check_module(found: DataFile) -> Report:
     return _staged(Path(found.path).stem, (("module", check_module), ("is-local", _locality)), load_module(found))
 
 
-def _run_condense(category: DataFile, algebra: DataFile) -> Report:
+def _run_condense(category: DataFile, algebra: DataFile, batch: bool) -> Report:
     spec = load_category(category)
     stages = (
         ("category-match", lambda alg: category_match(alg, spec)),
         ("index", _index_report),
         ("condense", lambda alg: condense(alg).to_report()),
     )
-    return _staged(Path(algebra.path).stem, stages, load_algebra(algebra))
+    stem = Path(algebra.path).stem + ("@" + Path(category.path).stem if batch else "")
+    return _staged(stem, stages, load_algebra(algebra))
 
 
 def _run_suite(found: DataFile) -> Report:
@@ -145,22 +146,22 @@ _COMMANDS = {
 }
 
 
-def _job(command: str, arg: str, algebra: str | None) -> Report:
-    """The report of one input.  When no item carries a time, the first
-    carries the input's elapsed time (text reports only)."""
+def _job(command: str, arg: str, algebra: str | None, batch: bool) -> Report:
+    """The report of one input, ``batch`` when it is one of several.  When no
+    item carries a time, the first carries the input's elapsed time (text reports only)."""
     start = time.perf_counter()
-    report = _run(command, arg, algebra)
+    report = _run(command, arg, algebra, batch)
     if report.items and not any(item.elapsed for item in report.items):
         report.items[0].elapsed = time.perf_counter() - start
     return report
 
 
-def _run(command: str, arg: str, algebra: str | None) -> Report:
+def _run(command: str, arg: str, algebra: str | None, batch: bool) -> Report:
     kind, runner = _COMMANDS[command]
     try:
         found = DataFile(kind, arg)
         if command == "condense":
-            return runner(found, DataFile("algebras", algebra))
+            return runner(found, DataFile("algebras", algebra), batch)
         return runner(found)
     except Error as exc:
         # the command's own files cannot be found or loaded: one item, the batch goes on
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
         _fail("--jobs must be at least 1")
     if args.command == "condense" and args.algebra is None:
         _fail("condense needs --algebra")
-    jobs = [(args.command, arg, args.algebra) for arg in args.inputs]
+    jobs = [(args.command, arg, args.algebra, len(args.inputs) > 1) for arg in args.inputs]
     if args.jobs == 1 or len(jobs) == 1:
         partials = [_job(*j) for j in jobs]
     else:

@@ -7,7 +7,8 @@ invertible), the monodromy projector (cutting out the part of a module
 that braids trivially past the algebra), and the condensation table
 (inducing from every simple label and sorting the simple results into
 isomorphism classes, read off the free-module adjunction and Schur's
-lemma with no hom space solved).
+lemma with no hom space solved, and certified by the same adjunction in
+integers).
 
 The action is read once as sparse slot operators rho(s), one per
 algebra slot, plus the label gradings.  Hom_A(M, N) is their
@@ -68,7 +69,6 @@ from .category import (
     associator,
     associator_inv,
     braiding,
-    categorical_dim,
     compose,
     compose_tensor,
     load_category,
@@ -121,7 +121,7 @@ class AlgebraMismatch(ModuleError):
 
 
 class CondensationIncomplete(ModuleError):
-    """The classes of a condensation table miss part of dim C / d(A)."""
+    """The classes of a condensation table do not sum to every induced module."""
 
 
 class IndexZero(ModuleError):
@@ -846,13 +846,17 @@ def condense(alg: AlgebraObject) -> Condensation:
     the first class induced from a label it holds.  The classes flagged
     local are the simple objects seen by the condensed theory.
 
-    The table certifies itself by the identity of Kirillov and Ostrik,
-    dim Rep A = dim C / d(A): the sum over the classes of (d(M)/d(A))^2
-    must equal the sum over the labels of d_a^2, divided by d(A).  A
-    table that misses a class raises CondensationIncomplete naming both
-    values.  Over F_p the identity holds only mod p, so passing it is
-    necessary, not sufficient.  Built on the first call and kept on the
-    algebra, as its axioms are; a refusal is not kept.
+    The table certifies itself by the same adjunction (Kirillov and
+    Ostrik), in integers: Hom_A(A (x) s, M) is Hom(s, M), of dimension
+    [M : s], so with split simples the carrier of A (x) s is the sum over
+    the classes M of [M : s] times the carrier of M, for every label s.
+    That is sufficient in every characteristic.  The index is nonzero, or
+    averaging refuses, so A is separable and its modules semisimple; and
+    a simple missing from the table, split or not, breaks the identity
+    at every s its carrier holds, carriers being nonnegative and nonzero.
+    The first source where it fails raises CondensationIncomplete naming
+    both vectors.  Built on the first call and kept on the algebra, as
+    its axioms are; a refusal is not kept.
     """
     if alg._condensed is not None:
         return alg._condensed
@@ -879,21 +883,15 @@ def condense(alg: AlgebraObject) -> Condensation:
                 cls = len(sources) - 1
         out.rows.append(CondenseRow(s, mod, local_flag, simple_flag, rank, cls))
 
-    def squares(objs):
-        total = Scalar.zero(spec.field)
-        for x in objs:
-            d = categorical_dim(x)
-            total = total + d * d
-        return total
-
-    d_alg = categorical_dim(alg.carrier)
-    got = squares(m.carrier for m in out.classes) * (d_alg * d_alg).inverse()
-    want = squares(Obj.simple(spec, a) for a in spec.labels) * d_alg.inverse()
-    if got != want:
-        raise CondensationIncomplete(
-            "the %d classes give sum (d(M)/d(A))^2 = %s, but dim C / d(A) = %s"
-            % (len(out.classes), scalar_literal(got), scalar_literal(want))
-        )
+    carriers = [m.carrier for m in out.classes]
+    for row in out.rows:
+        s = row.source
+        got = Obj(spec, {t: sum(x.m(s) * x.m(t) for x in carriers) for t in spec.labels})
+        if got != row.module.carrier:
+            raise CondensationIncomplete(
+                "A (x) %s is %r, but the %d classes M give sum [M : %s] M = %r"
+                % (s, row.module.carrier, len(carriers), s, got)
+            )
     alg._condensed = out
     return out
 

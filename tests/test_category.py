@@ -1392,19 +1392,24 @@ def test_hexagon_tables_match_the_walk(name):
     assert hex2 == list(want2)
 
 
-def toric_zn(n):
+def toric_zn(n, p=None, zeta=None):
     """The Z_n toric code over Q(zeta_n), labels "a.b" for (a, b) in Z_n^2:
-    trivial F, R^{(a1,a2),(b1,b2)} = zeta^{a2 b1} and theta_(a,b) = zeta^{ab}."""
+    trivial F, R^{(a1,a2),(b1,b2)} = zeta^{a2 b1} and theta_(a,b) = zeta^{ab}.
+    Over F_p instead when ``p`` is given, with ``zeta`` of order n mod p."""
+    if p is not None:
+        assert [k for k in range(1, n + 1) if pow(zeta, k, p) == 1] == [n], "zeta must have order n mod p"
 
     def lab(a, b):
         return "%d.%d" % (a % n, b % n)
 
     def power(k):
+        if p is not None:
+            return str(pow(zeta, k, p))
         return "z^%d" % (k % n) if k % n else "1"
 
     pairs = list(itertools.product(range(n), repeat=2))
     raw = {
-        "field": {"kind": "cyclotomic", "n": n},
+        "field": {"kind": "cyclotomic", "n": n} if p is None else {"kind": "prime", "p": p},
         "labels": [lab(*x) for x in pairs],
         "unit": lab(0, 0),
         "dual": {lab(a, b): lab(-a, -b) for a, b in pairs},
@@ -1416,7 +1421,7 @@ def toric_zn(n):
         },
         "twist": {lab(a, b): power(a * b) for a, b in pairs},
     }
-    return category_from_json(raw, name="toric_z%d" % n)
+    return category_from_json(raw, name="toric_z%d" % n + ("" if p is None else " over F_%d" % p))
 
 
 def gauge(spec, seed):

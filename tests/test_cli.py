@@ -284,13 +284,14 @@ BUNDLED_INPUTS = {
 @pytest.mark.parametrize("error", [ctc.Error] + ctc.Error.__subclasses__(), ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("command", sorted(BUNDLED_INPUTS))
 def test_a_typed_refusal_is_exactly_one_load_item(monkeypatch, command, error):
-    # the runner gets the files _run found, the --algebra after the input
+    # the runner gets the files _run found, the --algebra after the input,
+    # and, for condense, whether the input is one of a batch
     def refuse(*found):
-        raise error("refused %s" % " ".join(Path(file.path).stem for file in found))
+        raise error("refused %s" % " ".join(Path(file.path).stem for file in found[:2]))
 
     monkeypatch.setitem(cli._COMMANDS, command, (cli._COMMANDS[command][0], refuse))
     arg = BUNDLED_INPUTS[command]
-    report = cli._run(command, arg, "alg_toric_1e")
+    report = cli._run(command, arg, "alg_toric_1e", False)
     files = [arg, "alg_toric_1e"] if command == "condense" else [arg]
     witness = {"type": error.__name__, "message": "refused %s" % " ".join(files)}
     assert [(i.check, i.status, i.witness) for i in report.items] == [("load:%s" % arg, "error", witness)]
@@ -324,17 +325,18 @@ def test_a_refusal_injected_at_a_stage_is_one_item_there(monkeypatch, capsysbina
         raise ctc.Error("injected at %s" % stage)
 
     monkeypatch.setattr(cli, "_staged", staged)
-    whole, other = (_json_items(cli._run(command, arg, algebra)) for arg in (first, second))
+    # each input as one of the batch of two
+    whole, other = (_json_items(cli._run(command, arg, algebra, True)) for arg in (first, second))
     assert tables == [names, names]
     k = names.index(stage)
     edits.append(lambda table: table[:k])
-    before = _json_items(cli._run(command, first, algebra))
+    before = _json_items(cli._run(command, first, algebra, True))
     assert before == whole[: len(before)]
     edits.append(lambda table: table[:k] + [(stage, refuse)] + table[k + 1:])
     argv = [command, first, second] + (["--algebra", algebra] if algebra else [])
     code, out = run_json(capsysbinary, argv)
     assert code == 2
-    stem = algebra or first
+    stem = "%s@%s" % (algebra, first) if algebra else first
     error = {"check": "%s/%s" % (stem, stage), "status": "error",
              "witness": {"type": "Error", "message": "injected at %s" % stage}}
     # the items of the stages before it stay, and the other input runs on
@@ -399,20 +401,41 @@ def test_condense_refuses_a_table_short_of_dim_c_over_dim_a(capsysbinary):
     assert code == 2
     items = json.loads(out)["items"]
     assert items[:3] == [
-        {"check": "alg_qz3/index", "status": "pass", "witness": "3"},
-        {"check": "alg_qz3/twisted-dim", "status": "pass", "witness": "3"},
+        {"check": "alg_qz3@vec_q/index", "status": "pass", "witness": "3"},
+        {"check": "alg_qz3@vec_q/twisted-dim", "status": "pass", "witness": "3"},
         {
-            "check": "alg_qz3/condense",
+            "check": "alg_qz3@vec_q/condense",
             "status": "error",
             "witness": {
                 "type": "CondensationIncomplete",
-                "message": "the 0 classes give sum (d(M)/d(A))^2 = 0, but dim C / d(A) = 1/3",
+                "message": "A (x) 1 is Obj(3*1), but the 0 classes M give sum [M : 1] M = Obj(0)",
             },
         },
     ]
-    # the rest of the batch runs as it runs alone
+    # the rest of the batch runs as it runs alone, under its own stem
     _, alone = run_json(capsysbinary, ["condense", "pointed_z4", "--algebra", "alg_qz3"])
-    assert items[3:] == json.loads(alone)["items"] != []
+    assert items[3:] == _tagged(json.loads(alone)["items"], "alg_qz3", "alg_qz3@pointed_z4") != []
+
+
+def _tagged(items, stem, tag):
+    """``items`` with the stem of every check replaced by ``tag``."""
+    return [dict(item, check=item["check"].replace(stem + "/", tag + "/", 1)) for item in items]
+
+
+def test_a_condense_batch_names_each_input_after_its_category(capsysbinary):
+    # every input of a batch runs as it runs alone, its stem tagged with its
+    # category; a one-input run keeps the bare algebra stem
+    argv = ["condense", "toric_code", "pointed_z4", "toric_code", "--algebra", "alg_toric_1e"]
+    code, out = run_json(capsysbinary, argv)
+    assert code == 2
+    want = []
+    for category in argv[1:4]:
+        _, alone = run_json(capsysbinary, ["condense", category, "--algebra", "alg_toric_1e"])
+        items = json.loads(alone)["items"]
+        assert items and all(i["check"].startswith("alg_toric_1e/") for i in items)
+        want += _tagged(items, "alg_toric_1e", "alg_toric_1e@" + category)
+    assert json.loads(out)["items"] == want
+    assert want[-1]["check"] == "alg_toric_1e@toric_code/classes"
 
 
 @pytest.mark.parametrize("key,value", [("local_classes", True), ("simple_classes", 2.0), ("simple_classes", "two")])
@@ -977,7 +1000,7 @@ def test_wrong_typed_field_of_other_files_is_one_parse_error(tmp_path, capsysbin
 )
 def test_each_input_reports_its_time_on_its_first_item(argv):
     command, arg, algebra = argv[0], argv[1], (argv[2:] or [None])[0]
-    items = _job(command, arg, algebra).items
+    items = _job(command, arg, algebra, False).items
     assert items[0].elapsed > 0
     assert all(i.elapsed == 0 for i in items[1:])
 
@@ -997,7 +1020,7 @@ def test_each_stage_is_timed_on_its_first_item(command):
     arg, algebra, firsts = STAGE_FIRSTS[command]
     ctc._entry.cache_clear()
     start = time.perf_counter()
-    items = _job(command, arg, algebra).items
+    items = _job(command, arg, algebra, False).items
     elapsed = time.perf_counter() - start
     assert [i.check for i in items if i.elapsed > 0] == firsts
     assert sum(i.elapsed for i in items) <= elapsed
@@ -1008,7 +1031,7 @@ def test_check_algebra_times_a_refused_kit_on_its_error_item(tmp_path):
     raw = {"category": "vec_q", "object": {"1": 2}, "iota": {"1": [["1"], ["1"]]},
            "mu": {"1": [["1", "0", "0", "0"], ["0", "0", "0", "1"]]}}
     path = _write(tmp_path / "q_times_q.json", raw)
-    items = _job("check-algebra", str(path), None).items
+    items = _job("check-algebra", str(path), None, False).items
     assert [(i.check, i.status) for i in items[4:]] == [("q_times_q/frobenius", "error")]
     assert items[0].elapsed > 0 and items[4].elapsed > 0
 
@@ -1366,7 +1389,7 @@ def test_a_suite_case_outside_its_algebras_category_is_one_error_item(tmp_path, 
 
 
 def test_a_refused_local_case_leaves_the_other_cases_of_its_manifest(tmp_path, capsysbinary):
-    # alg_qz3's table is short of dim C / d(A), so condense refuses its case
+    # no induced module of alg_qz3 is simple, so condense refuses its case
     toric = {"category": "toric_code", "algebra": "alg_toric_1e", "simple_classes": 2, "local_classes": 1,
              "local_sources": ["1", "e"]}
     (tmp_path / "alone").mkdir()
@@ -1376,7 +1399,7 @@ def test_a_refused_local_case_leaves_the_other_cases_of_its_manifest(tmp_path, c
     code, out = run_json(capsysbinary, ["suite", str(mixed)])
     assert code == 2
     first, *rest = json.loads(out)["items"]
-    message = "the 0 classes give sum (d(M)/d(A))^2 = 0, but dim C / d(A) = 1/3"
+    message = "A (x) 1 is Obj(3*1), but the 0 classes M give sum [M : 1] M = Obj(0)"
     assert first == {"check": "mixed/case:alg_qz3", "status": "error",
                      "witness": {"type": "CondensationIncomplete", "message": message}}
     # the toric case reports exactly as it does alone
@@ -1545,7 +1568,7 @@ def test_threads_that_miss_one_category_at_once_share_one_instance(monkeypatch, 
     ctc._entry.cache_clear()
     serial = run_json(capsysbinary, argv)
     assert [i["check"] for i in json.loads(serial[1])["items"] if i["status"] == "error"] == [
-        "alg_toric_1e/category-match"
+        "alg_toric_1e@pointed_z4/category-match"
     ]
     ctc._entry.cache_clear()
     assert run_json(capsysbinary, argv + ["--jobs", "4"]) == serial

@@ -41,6 +41,7 @@ TARGETS = (
     + [("suite", "suites/%s.json" % n) for n in ("maschke_2_6", "local_3_1", "counterexamples")]
 )
 GROUPS = ("z2", "z3", "s3")
+ALGEBRAS = ("alg_qz3", "alg_h02", "alg_toric_1e")
 
 
 def _subclasses(cls):
@@ -122,6 +123,16 @@ def test_mutated_data_files_report_or_refuse(tmp_path, capsysbinary, command, na
         path = tmp_path / ("mutant%d.json" % k)
         path.write_text(json.dumps(_mutant(rng, raw)))
         _run(capsysbinary, [command, str(path)])
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_mutated_algebras_condensed_in_their_category_report_or_refuse(tmp_path, capsysbinary, algebra):
+    raw = json.loads(data_path("algebras/%s.json" % algebra).read_text())
+    rng = random.Random("condense:" + algebra)
+    for k in range(MUTANTS_PER_FILE):
+        path = tmp_path / ("mutant%d.json" % k)
+        path.write_text(json.dumps(_mutant(rng, raw)))
+        _run(capsysbinary, ["condense", raw["category"], "--algebra", str(path)])
 
 
 @pytest.mark.parametrize("group", GROUPS)

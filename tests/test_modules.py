@@ -74,7 +74,7 @@ from ctc.modules import (
 )
 from ctc import modules as modules_mod
 from ctc.modules import _augmentation, _equivariant_section_exists, _int_mat_mul, _ronyai_g
-from test_category import dual_obj, ev_coev, mor_right_inverse, toric_zn
+from test_category import dual_obj, ev_coev, mor_right_inverse, over_prime, toric_zn
 from test_linalg import dense_nullspace, dense_rref, dense_solve, identity, to_dense
 
 
@@ -1599,7 +1599,10 @@ def orbit_prediction(spec, subgroup):
     return orbits
 
 
-TORIC_ZN = {"toric_z%d" % n: toric_zn(n) for n in (3, 4, 5)}
+# the Z_N toric codes over Q(zeta_N), and Z_4 over F_5 (2 has order 4 mod 5),
+# where the 8 classes of an order-2 subgroup pass the dimension identity with
+# any 5 of them left out
+TORIC_ZN = {**{"toric_z%d" % n: toric_zn(n) for n in (3, 4, 5)}, "toric_z4_f5": toric_zn(4, 5, 2)}
 
 
 def lagrangian(n, kind):
@@ -1633,6 +1636,7 @@ ORBIT_CASES = (
     [("pointed_z4", ["0", "2"]), ("toric_code", ["1", "e"]), ("toric_code", ["1", "m"])]
     + [("toric_z%d" % n, h) for n in (3, 4) for h in isotropic_subgroups(n)]
     + [("toric_z5", lagrangian(5, kind)) for kind in "em"]
+    + [("toric_z4_f5", h) for h in isotropic_subgroups(4)]
 )
 
 
@@ -1658,20 +1662,54 @@ def test_condensation_matches_orbit_oracle(cat_name, subgroup):
     if cat_name != "pointed_z4":
         # the toric codes are modular, so the local classes M hold dim C / d(A)^2
         # between them: the sum of (d(M)/d(A))^2, times d(A)^2, is dim C
-        def squares(objs):
-            return functools.reduce(lambda t, d: t + d * d, map(categorical_dim, objs), Scalar.zero(spec.field))
+        local = dim_squares(spec, [m.carrier for m, loc in zip(table.classes, table.class_local) if loc])
+        assert local == dim_squares(spec, [Obj.simple(spec, a) for a in spec.labels])
 
-        local = squares(m.carrier for m, loc in zip(table.classes, table.class_local) if loc)
-        assert local == squares(Obj.simple(spec, a) for a in spec.labels)
+
+def dim_squares(spec, objs):
+    """The sum of the squared categorical dimensions of ``objs``."""
+    return functools.reduce(lambda t, d: t + d * d, map(categorical_dim, objs), Scalar.zero(spec.field))
+
+
+def dimension_identity(alg, classes):
+    """The dimension identity of Kirillov and Ostrik, the oracle of
+    ``condense``'s integer certificate: whether the sum over the classes M
+    of (d(M)/d(A))^2 is dim C / d(A), with dim C the sum over the labels
+    of d_a^2.  The integer identity implies it wherever d(A) != 0: apply
+    d to carrier(A (x) s) = sum [M : s] carrier(M), multiply by d_s and
+    sum over s.  Over F_p it holds only mod p."""
+    spec = alg.spec
+    d_alg = categorical_dim(alg.carrier)
+    got = dim_squares(spec, [m.carrier for m in classes]) * (d_alg * d_alg).inverse()
+    return got == dim_squares(spec, [Obj.simple(spec, a) for a in spec.labels]) * d_alg.inverse()
+
+
+def condensed(alg, monkeypatch):
+    """``condense``'s table of ``alg`` as it stood when certified or
+    refused, and the ``CondensationIncomplete`` it was refused with, or None."""
+    tables = []
+    monkeypatch.setattr(modules_mod, "Condensation", lambda a: tables.append(Condensation(a)) or tables[-1])
+    try:
+        condense(alg)
+    except CondensationIncomplete as exc:
+        return tables[0], exc
+    return tables[0], None
 
 
 CONDENSE_ALGEBRAS = {
-    **{name: lambda name=name: load_algebra(data_path("algebras/%s.json" % name)) for name in ("alg_toric_1e", "alg_h02")},
+    **{
+        name: lambda name=name: algebra_from_json(read_json(data_path("algebras/%s.json" % name)))
+        for name in ("alg_toric_1e", "alg_h02")
+    },
     **{
         "%s:%s" % (cat_name, "+".join(subgroup)): lambda cat_name=cat_name, subgroup=subgroup: subgroup_algebra(
             subgroup, TORIC_ZN[cat_name] if cat_name in TORIC_ZN else cat(cat_name)
         )
         for cat_name, subgroup in ORBIT_CASES
+    },
+    **{
+        "toric_code_f%d:1+e" % p: lambda p=p: subgroup_algebra(["1", "e"], over_prime("toric_code", p))
+        for p in (3, 5, 7)
     },
 }
 
@@ -1705,50 +1743,101 @@ def test_condense_solves_no_hom_space(monkeypatch):
     assert calls == []
 
 
-def test_condense_computes_the_dual_scales_of_its_category_once():
-    # the certificate reads categorical_dim once per label, once per class
-    # and once for A; each reads the per-category scale table
-    spec = TORIC_ZN["toric_z5"]
-    alg = subgroup_algebra(lagrangian(5, "e"), spec)
-    category_mod._dual_scales.cache_clear()
-    condense(alg)
-    info = category_mod._dual_scales.cache_info()
-    assert info.misses == 1 and info.hits >= len(spec.labels)
+def test_a_cold_condense_reads_no_categorical_dimension():
+    # the certificate is integers only: with the Frobenius kit solved, as
+    # the command line's index stage solves it first, building the table
+    # reads no dual scale, and so no categorical_dim, which reads them
+    alg = subgroup_algebra(lagrangian(5, "e"), TORIC_ZN["toric_z5"])
+    compute_index(alg)
+    before = category_mod._dual_scales.cache_info()
+    assert condense(alg).simple_class_count() == 5
+    after = category_mod._dual_scales.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 SHORT_TABLES = {
-    "alg_qz3": (lambda: load_algebra(data_path("algebras/alg_qz3.json")), "1/3"),
-    "Q[Z2]": (lambda: galg("vec_q", "z2"), "1/2"),
-    "Q[Z3]": (lambda: galg("vec_q", "z3"), "1/3"),
-    "F_3[Z2]": (lambda: galg("vec_f3", "z2"), "2"),
-    "F_2[Z3]": (lambda: galg("vec_f2", "z3"), "1"),
+    "alg_qz3": (lambda: load_algebra(data_path("algebras/alg_qz3.json")), 3),
+    "Q[Z2]": (lambda: galg("vec_q", "z2"), 2),
+    "Q[Z3]": (lambda: galg("vec_q", "z3"), 3),
+    "F_3[Z2]": (lambda: galg("vec_f3", "z2"), 2),
+    "F_2[Z3]": (lambda: galg("vec_f2", "z3"), 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHORT_TABLES))
 def test_condense_refuses_a_table_short_of_dim_c_over_dim_a(name):
     # these group algebras split into simples that no induced module is:
-    # the table lists none, against 1/|G| of dim C (mod p over F_p)
-    make, want = SHORT_TABLES[name]
+    # the table lists none, against the |G| copies of 1 in A (x) 1
+    make, order = SHORT_TABLES[name]
     alg = make()
     with pytest.raises(CondensationIncomplete) as exc:
         condense(alg)
-    assert str(exc.value) == "the 0 classes give sum (d(M)/d(A))^2 = 0, but dim C / d(A) = %s" % want
+    assert str(exc.value) == "A (x) 1 is Obj(%d*1), but the 0 classes M give sum [M : 1] M = Obj(0)" % order
     assert alg._condensed is None
+
+
+CERTIFICATE_CASES = {**CONDENSE_ALGEBRAS, **{name: make for name, (make, _) in SHORT_TABLES.items()}}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_the_integer_certificate_agrees_with_the_dimension_identity(monkeypatch, case):
+    # the integer certificate implies the dimension identity wherever
+    # d(A) != 0, and in characteristic 0 the two agree
+    alg = CERTIFICATE_CASES[case]()
+    table, refusal = condensed(alg, monkeypatch)
+    certified = refusal is None
+    assert certified == (case in CONDENSE_ALGEBRAS)
+    assert not categorical_dim(alg.carrier).is_zero()
+    holds = dimension_identity(alg, table.classes)
+    if certified:
+        assert holds
+    if alg.spec.field.char == 0:
+        assert holds == certified
+
+
+def test_only_the_integer_certificate_refuses_a_table_short_of_five_classes_over_f5(monkeypatch):
+    # an order-2 subgroup of the Z_4 toric code over F_5 has 8 classes, each
+    # of d(M)/d(A) = 1, against dim C / d(A) = 16/2; with the induced modules
+    # of the last 5 declared not simple, 3 = 8 mod 5 still passes the
+    # dimension identity, and the integer one fails at the first of them
+    spec, subgroup = TORIC_ZN["toric_z4_f5"], isotropic_subgroups(4)[0]
+    full = condense(subgroup_algebra(subgroup, spec)).classes
+    assert len(subgroup) == 2 and len(full) == 8
+    dropped = {lab for m in full[3:] for lab in m.carrier.labels_present()}
+    real = modules_mod.is_simple_module
+    monkeypatch.setattr(
+        modules_mod, "is_simple_module", lambda mod: not any(mod.carrier.m(t) for t in dropped) and real(mod)
+    )
+    alg = subgroup_algebra(subgroup, spec)
+    table, refusal = condensed(alg, monkeypatch)
+    source = full[3].carrier.labels_present()[0]
+    want = "A (x) %s is %r, but the 3 classes M give sum [M : %s] M = Obj(0)" % (source, full[3].carrier, source)
+    assert str(refusal) == want and alg._condensed is None
+    assert len(table.classes) == 3 and dimension_identity(alg, table.classes)
 
 
 def test_condense_refuses_a_table_with_a_class_removed(monkeypatch):
     # the induced modules holding m are declared not simple, so the class
-    # of m and f is missing: 1 against dim C / d(A) = 4 / 2
+    # of m and f is missing, and A (x) m finds no class holding m
     alg = algebra_from_json(read_json(data_path("algebras/alg_toric_1e.json")))
     real = modules_mod.is_simple_module
     monkeypatch.setattr(modules_mod, "is_simple_module", lambda mod: not mod.carrier.m("m") and real(mod))
-    with pytest.raises(CondensationIncomplete, match=r"^the 1 classes give .* = 1, but dim C / d\(A\) = 2$"):
+    with pytest.raises(CondensationIncomplete) as exc:
         condense(alg)
+    assert str(exc.value) == "A (x) m is Obj(m + f), but the 1 classes M give sum [M : m] M = Obj(0)"
     assert alg._condensed is None
     monkeypatch.undo()
     # the refusal is not kept: the next call builds the whole table
     assert condense(alg).simple_class_count() == 2 and alg._condensed is not None
+
+
+def test_condense_refuses_a_table_holding_a_module_that_is_not_simple(monkeypatch):
+    # Q[Z2] declared simple: its one class holds 1 twice, so the sum over
+    # the classes counts A (x) 1 twice over, with the support it has
+    alg = galg("vec_q", "z2")
+    monkeypatch.setattr(modules_mod, "is_simple_module", lambda mod: True)
+    _, refusal = condensed(alg, monkeypatch)
+    assert str(refusal) == "A (x) 1 is Obj(2*1), but the 1 classes M give sum [M : 1] M = Obj(4*1)"
 
 
 def test_condense_toric_table_details():

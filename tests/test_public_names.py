@@ -22,6 +22,7 @@ BENCH = ROOT / "bench"
 # names kept for the open items of ROADMAP.md that will call them
 AWAITING_CALLERS = {
     "is_twisted_local",  # item 7: locality up to the parity automorphism in C ⊠ sVec
+    "categorical_dim",  # item 15: the dimensions and Gauss sums of modular data
 }
 
 
